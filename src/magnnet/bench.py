@@ -65,7 +65,6 @@ class ScenarioSpec:
     n_agents: tuple = (4,)
     methods: tuple = METHODS
     episodes: int = 20
-    planner: str = "astar"
     seed_base: int = 0
     checkpoint: str | None = None             # required for magnnet
     task_interval: float | None = None        # dynamic mode spawn interval

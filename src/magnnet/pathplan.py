@@ -232,56 +232,8 @@ def _reconstruct(came, end, time_states=False):
 # distance fields (exact BFS; unit edge costs)
 # ---------------------------------------------------------------------------
 
-try:
-    from numba import njit
-
-    @njit(cache=True)
-    def _bfs3d(free, sx, sy, sz):  # pragma: no cover - compiled
-        nx, ny, nz = free.shape
-        dist = np.full((nx, ny, nz), np.inf)
-        if not free[sx, sy, sz]:
-            return dist
-        queue = np.empty((nx * ny * nz, 3), np.int32)
-        queue[0, 0], queue[0, 1], queue[0, 2] = sx, sy, sz
-        dist[sx, sy, sz] = 0.0
-        head, tail = 0, 1
-        while head < tail:
-            x, y, z = queue[head, 0], queue[head, 1], queue[head, 2]
-            head += 1
-            d = dist[x, y, z] + 1.0
-            for k in range(6):
-                if k == 0:
-                    px, py, pz = x + 1, y, z
-                elif k == 1:
-                    px, py, pz = x - 1, y, z
-                elif k == 2:
-                    px, py, pz = x, y + 1, z
-                elif k == 3:
-                    px, py, pz = x, y - 1, z
-                elif k == 4:
-                    px, py, pz = x, y, z + 1
-                else:
-                    px, py, pz = x, y, z - 1
-                if 0 <= px < nx and 0 <= py < ny and 0 <= pz < nz \
-                        and free[px, py, pz] and dist[px, py, pz] == np.inf:
-                    dist[px, py, pz] = d
-                    queue[tail, 0], queue[tail, 1], queue[tail, 2] = px, py, pz
-                    tail += 1
-        return dist
-
-    def _bfs(free: np.ndarray, source) -> np.ndarray:
-        if free.ndim == 2:
-            return _bfs3d(np.ascontiguousarray(free[:, :, None]),
-                          source[0], source[1], 0)[:, :, 0]
-        return _bfs3d(np.ascontiguousarray(free),
-                      source[0], source[1], source[2])
-
-except ImportError:  # pragma: no cover - numba is a soft dependency
-    def _bfs(free: np.ndarray, source) -> np.ndarray:
-        return _wavefront(free, source)
-
-
 def _wavefront(free: np.ndarray, source) -> np.ndarray:
+    """BFS over a 2D or 3D free mask, one numpy frontier shift per ring."""
     dist = np.full(free.shape, np.inf)
     if not free[tuple(source)]:
         return dist
@@ -317,9 +269,9 @@ def distance_field(grid: Grid, source: Cell, model: MotionModel) -> np.ndarray:
     if model is MotionModel.GROUND4:
         out = np.full(grid.dims, np.inf)
         if source[2] == 0:
-            out[:, :, 0] = _bfs(free[:, :, 0], source[:2])
+            out[:, :, 0] = _wavefront(free[:, :, 0], source[:2])
         return out
-    return _bfs(free, source)
+    return _wavefront(free, source)
 
 
 # ---------------------------------------------------------------------------
@@ -335,48 +287,27 @@ def path_cost(distance: float, velocity: float) -> float:
     return distance / velocity
 
 
-def cost_matrix(state, planner: str = "astar") -> CostMatrix:
+def cost_matrix(state) -> CostMatrix:
     """N x M_live travel-time estimates; columns are live (not Done)
     tasks in ascending task-id order; np.inf where unreachable.
 
-    `state` needs .grid, .agents (position/velocity/motion_model) and
-    .live_tasks(); a .dist_cache dict, when present, caches one distance
-    field per (task id, motion model).
+    `state` needs .grid, .agents (position/velocity/motion_model),
+    .live_tasks() and a .dist_cache dict, which caches one distance field
+    per (task id, motion model).
     """
     tasks = state.live_tasks()
     agents = state.agents
+    cache = state.dist_cache
     entries = np.full((len(agents), len(tasks)), np.inf)
-    if planner == "astar":
-        cache = getattr(state, "dist_cache", None)
-        for j, task in enumerate(tasks):
-            for i, ag in enumerate(agents):
-                model = ag.motion_model
-                if cache is not None:
-                    key = (task.id, model)
-                    if key not in cache:
-                        cache[key] = distance_field(state.grid, task.location, model)
-                    d = cache[key][tuple(ag.position)]
-                else:
-                    try:
-                        d = astar(state.grid, ag.position, task.location,
-                                  model).length
-                    except NoPathError:
-                        d = np.inf
-                if np.isfinite(d):
-                    entries[i, j] = path_cost(float(d), ag.velocity)
-    elif planner == "rrt_star":
-        params = RRTParams()
-        for j, task in enumerate(tasks):
-            for i, ag in enumerate(agents):
-                try:
-                    p = rrt_star(state.grid, ag.position, task.location,
-                                 ag.motion_model, params,
-                                 seed=hash((task.id, ag.id)) & 0xFFFFFFFF)
-                    entries[i, j] = path_cost(float(p.length), ag.velocity)
-                except NoPathError:
-                    pass
-    else:
-        raise ValueError(f"unknown planner {planner!r}")
+    for j, task in enumerate(tasks):
+        for i, ag in enumerate(agents):
+            key = (task.id, ag.motion_model)
+            if key not in cache:
+                cache[key] = distance_field(state.grid, task.location,
+                                            ag.motion_model)
+            d = cache[key][tuple(ag.position)]
+            if np.isfinite(d):
+                entries[i, j] = path_cost(float(d), ag.velocity)
     return CostMatrix(entries)
 
 

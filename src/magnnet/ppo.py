@@ -65,9 +65,9 @@ class ModelParams:
     n_max: int
     m_max: int
 
-    def parameters(self, include_critic: bool = True) -> list:
+    def parameters(self) -> list:
         out = self.gcn.parameters() + self.actor.parameters()
-        if include_critic and self.critic is not None:
+        if self.critic is not None:
             out += self.critic.parameters()
         return out
 
@@ -166,17 +166,15 @@ def _forward_step(model: ModelParams, graph, obs, masks, with_value: bool):
 
 
 def collect_rollout(env_factory, model: ModelParams, config: PPOConfig,
-                    rng: np.random.Generator,
-                    min_transitions: int | None = None) -> RolloutBuffer:
+                    rng: np.random.Generator) -> RolloutBuffer:
     """Run whole episodes under the current policy until the buffer holds
-    at least `min_transitions` (default: config.train_batch) transitions.
+    at least config.train_batch transitions.
 
     Episodes always run to termination, so every recorded trajectory is
     terminal and GAE needs no bootstrap value.
     """
-    target = config.train_batch if min_transitions is None else min_transitions
     buffer = RolloutBuffer()
-    while buffer.n_transitions < target:
+    while buffer.n_transitions < config.train_batch:
         ep = env_factory(int(rng.integers(2 ** 31)))
         ep_steps: list[StepRecord] = []
         while not ep.terminated:
@@ -207,13 +205,13 @@ def collect_rollout(env_factory, model: ModelParams, config: PPOConfig,
     return buffer
 
 
-def compute_gae(buffer: RolloutBuffer, gamma: float, lam: float,
-                bootstrap_value: float = 0.0):
+def compute_gae(buffer: RolloutBuffer, gamma: float, lam: float):
     """Per-agent generalized advantage estimates on individual rewards.
 
     delta_t = r_t + gamma * V_{t+1} * (1 - done) - V_t
     A_t     = delta_t + gamma * lam * (1 - done) * A_{t+1}
 
+    Every trajectory ends in a terminal step, so nothing is bootstrapped.
     Returns (advantages, returns), each shaped (n_steps, n_agents);
     returns = advantages + values.
     """
@@ -221,12 +219,10 @@ def compute_gae(buffer: RolloutBuffer, gamma: float, lam: float,
     n_agents = buffer.n_agents
     advantages = np.zeros((n_steps, n_agents))
     last_adv = np.zeros(n_agents)
-    next_value = bootstrap_value
+    next_value = 0.0
     for t in range(n_steps - 1, -1, -1):
         step = buffer.steps[t]
         nonterminal = 0.0 if step.done else 1.0
-        if step.done:
-            next_value = bootstrap_value
         delta = step.rewards + gamma * next_value * nonterminal - step.value
         last_adv = delta + gamma * lam * nonterminal * last_adv
         advantages[t] = last_adv

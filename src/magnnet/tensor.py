@@ -76,7 +76,7 @@ class Tensor:
         return matmul(self, other)
 
 
-def param(data, rng=None) -> Tensor:
+def param(data) -> Tensor:
     """Leaf parameter tensor."""
     return Tensor(np.array(data, dtype=np.float64), requires_grad=True)
 

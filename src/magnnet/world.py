@@ -110,9 +110,7 @@ class WorldConfig:
     cost_scale: float = 50.0
     m_max: int | None = None
     step_cap: float = 400.0
-    tasks_on_ground: bool = True
     shaping: RewardShaping = field(default_factory=RewardShaping)
-    seed: int = 0
 
     def __post_init__(self):
         if isinstance(self.shaping, dict):
@@ -182,17 +180,16 @@ class EpisodeState:
     def waiting_tasks(self) -> list:
         return [t for t in self.tasks if t.status is TaskStatus.WAITING]
 
+    # agent and task ids are their list indices
     def agent(self, agent_id: int) -> AgentState:
-        for a in self.agents:
-            if a.id == agent_id:
-                return a
-        raise KeyError(f"no agent with id {agent_id}")
+        if not 0 <= agent_id < len(self.agents):
+            raise KeyError(f"no agent with id {agent_id}")
+        return self.agents[agent_id]
 
     def task(self, task_id: int) -> TaskState:
-        for t in self.tasks:
-            if t.id == task_id:
-                return t
-        raise KeyError(f"no task with id {task_id}")
+        if not 0 <= task_id < len(self.tasks):
+            raise KeyError(f"no task with id {task_id}")
+        return self.tasks[task_id]
 
     def slot_of_task(self, task_id: int) -> int | None:
         for s, tid in enumerate(self.slots):
@@ -234,9 +231,9 @@ def _sample_cells(rng, candidates: np.ndarray, count: int, taken: set) -> list:
     return picked
 
 
-def init_episode(config: WorldConfig, seed: int | None = None) -> EpisodeState:
+def init_episode(config: WorldConfig, seed: int) -> EpisodeState:
     """Place obstacles, agents and initial tasks; deterministic per seed."""
-    rng = np.random.default_rng(config.seed if seed is None else seed)
+    rng = np.random.default_rng(seed)
     dims = config.grid_dims
     blocked = rng.random(dims) < config.obstacle_density
     grid = Grid(dims, blocked)
@@ -249,8 +246,7 @@ def init_episode(config: WorldConfig, seed: int | None = None) -> EpisodeState:
     taken: set = set()
     ground_pos = _sample_cells(rng, ground_cells, config.n_ground, taken)
     aerial_pos = _sample_cells(rng, air_cells, config.n_aerial, taken)
-    task_source = ground_cells if config.tasks_on_ground else air_cells
-    task_pos = _sample_cells(rng, task_source, config.n_tasks_initial, taken)
+    task_pos = _sample_cells(rng, ground_cells, config.n_tasks_initial, taken)
 
     agents = []
     for i, p in enumerate(ground_pos):
@@ -273,9 +269,9 @@ def init_episode(config: WorldConfig, seed: int | None = None) -> EpisodeState:
 # observations
 # ---------------------------------------------------------------------------
 
-def current_cost_matrix(state: EpisodeState, planner: str = "astar"):
+def current_cost_matrix(state: EpisodeState):
     """Live-task cost matrix plus the task-id column labels."""
-    cm = pathplan.cost_matrix(state, planner)
+    cm = pathplan.cost_matrix(state)
     return cm, [t.id for t in state.live_tasks()]
 
 
@@ -302,7 +298,7 @@ def local_observation(state: EpisodeState, agent_id: int,
     if slot_costs is None:
         cm, task_ids = current_cost_matrix(state)
         slot_costs = slot_cost_array(state, cm, task_ids)
-    row = slot_costs[state.agents.index(agent)][:m_max]
+    row = slot_costs[agent_id][:m_max]
     norm = np.where(np.isfinite(row), row / state.config.cost_scale,
                     SENTINEL_NORMALIZED_COST)
     obs = np.empty(m_max + 1)
@@ -324,7 +320,7 @@ def action_mask(state: EpisodeState, agent_id: int,
     if slot_costs is None:
         cm, task_ids = current_cost_matrix(state)
         slot_costs = slot_cost_array(state, cm, task_ids)
-    row = slot_costs[state.agents.index(agent)]
+    row = slot_costs[agent_id]
     for s, tid in enumerate(state.slots):
         if tid is None:
             continue
@@ -359,12 +355,10 @@ def _extract_path(field_arr: np.ndarray, start, model: MotionModel) -> Path:
 
 
 def _plan_to_task(state: EpisodeState, agent: AgentState, task: TaskState) -> Path:
-    key = (task.id, agent.motion_model)
-    if key in state.dist_cache:
-        return _extract_path(state.dist_cache[key], agent.position,
-                             agent.motion_model)
-    return pathplan.astar(state.grid, agent.position, task.location,
-                          agent.motion_model)
+    """Path along the task's cached field, which `current_cost_matrix`
+    built for every live task and motion model."""
+    return _extract_path(state.dist_cache[(task.id, agent.motion_model)],
+                         agent.position, agent.motion_model)
 
 
 def arbitrate(state: EpisodeState, actions) -> DecisionOutcome:
@@ -408,9 +402,7 @@ def arbitrate(state: EpisodeState, actions) -> DecisionOutcome:
     for tid in sorted(requests):
         contenders = sorted(requests[tid])
         outcome.requests[tid] = contenders
-        rows = {a: state.agents.index(state.agent(a)) for a in contenders}
-        winner = min(contenders,
-                     key=lambda a: (cm.entries[rows[a], col[tid]], a))
+        winner = min(contenders, key=lambda a: (cm.entries[a, col[tid]], a))
         if len(contenders) > 1:
             losers = [a for a in contenders if a != winner]
             outcome.conflicts.append((tid, contenders))
@@ -420,7 +412,7 @@ def arbitrate(state: EpisodeState, actions) -> DecisionOutcome:
                 state.record("conflict_lost", agent=a, task=tid)
         agent = state.agent(winner)
         task = state.task(tid)
-        cost = float(cm.entries[rows[winner], col[tid]])
+        cost = float(cm.entries[winner, col[tid]])
         path = _plan_to_task(state, agent, task)
         agent.status = AgentStatus.ASSIGN
         agent.assigned_task = tid
@@ -548,13 +540,10 @@ def spawn_tasks(state: EpisodeState, config: WorldConfig) -> list:
         active = len(state.live_tasks())
         if active >= config.max_active_tasks or None not in state.slots:
             continue
-        source = ~state.grid.blocked[:, :, 0] if config.tasks_on_ground \
-            else ~state.grid.blocked
-        cand = np.argwhere(source)
-        if config.tasks_on_ground:
-            cand = np.hstack([cand, np.zeros((len(cand), 1), dtype=int)])
-        cell = tuple(int(v) for v in cand[int(state.rng.integers(len(cand)))])
-        task = TaskState(state.next_task_id, cell, spawn_time=state.clock)
+        cand = np.argwhere(~state.grid.blocked[:, :, 0])
+        x, y = cand[int(state.rng.integers(len(cand)))]
+        task = TaskState(state.next_task_id, (int(x), int(y), 0),
+                         spawn_time=state.clock)
         state.next_task_id += 1
         state.spawned_task_count += 1
         state.tasks.append(task)
@@ -571,7 +560,7 @@ def spawn_tasks(state: EpisodeState, config: WorldConfig) -> list:
 class Episode:
     """Single-writer owner of one episode's state."""
 
-    def __init__(self, config: WorldConfig, seed: int | None = None):
+    def __init__(self, config: WorldConfig, seed: int):
         self.config = config
         self.state = init_episode(config, seed)
         self._initial_cm: CostMatrix | None = None

@@ -14,7 +14,7 @@ from magnnet.world import (STATUS_CODE, WorldConfig, current_cost_matrix,
 
 def small_state(seed=0):
     cfg = WorldConfig(grid_dims=(15, 15, 6), n_agents=4, n_tasks_initial=4,
-                      n_ground=2, n_aerial=2, obstacle_density=0.08, seed=0)
+                      n_ground=2, n_aerial=2, obstacle_density=0.08)
     return init_episode(cfg, seed)
 
 

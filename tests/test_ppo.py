@@ -16,7 +16,7 @@ from magnnet.world import Episode, WorldConfig
 
 def tiny_world(**kw):
     base = dict(grid_dims=(15, 15, 6), n_agents=4, n_tasks_initial=4,
-                n_ground=2, n_aerial=2, obstacle_density=0.08, seed=0)
+                n_ground=2, n_aerial=2, obstacle_density=0.08)
     base.update(kw)
     return WorldConfig(**base)
 
