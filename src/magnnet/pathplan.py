@@ -39,7 +39,9 @@ class Grid:
     blocked: np.ndarray  # bool array, shape == dims
 
     def __post_init__(self):
-        assert self.blocked.shape == tuple(self.dims)
+        if self.blocked.shape != tuple(self.dims):
+            raise ValueError(f"blocked mask shape {self.blocked.shape} "
+                             f"does not match dims {tuple(self.dims)}")
 
     def in_bounds(self, cell: Cell) -> bool:
         x, y, z = cell
@@ -233,31 +235,53 @@ def _reconstruct(came, end, time_states=False):
 # ---------------------------------------------------------------------------
 
 def _wavefront(free: np.ndarray, source) -> np.ndarray:
-    """BFS over a 2D or 3D free mask, one numpy frontier shift per ring."""
-    dist = np.full(free.shape, np.inf)
-    if not free[tuple(source)]:
-        return dist
-    frontier = np.zeros(free.shape, dtype=bool)
-    frontier[tuple(source)] = True
-    reached = frontier.copy()
-    dist[tuple(source)] = 0.0
-    d = 0
-    while frontier.any():
-        d += 1
-        nxt = np.zeros_like(frontier)
-        for ax in range(free.ndim):
-            lo = [slice(None)] * free.ndim
-            hi = [slice(None)] * free.ndim
-            lo[ax] = slice(1, None)
-            hi[ax] = slice(None, -1)
-            nxt[tuple(lo)] |= frontier[tuple(hi)]
-            nxt[tuple(hi)] |= frontier[tuple(lo)]
-        nxt &= free & ~reached
-        if not nxt.any():
-            break
-        dist[nxt] = d
-        reached |= nxt
-        frontier = nxt
+    """BFS over a 2D or 3D free mask, one ring per loop pass.
+
+    The mask is padded with one blocked cell on every side and viewed
+    flat, so a move along an axis is a shift of the flat frontier by
+    that axis's stride: 1, Z+2 and (Y+2)(Z+2) in 3D.  Each shift is one
+    contiguous slice OR.  A shift that crosses a row or plane boundary
+    lands in a padding cell, and padding is never free, so `nxt &= todo`
+    drops every such wrapped step.
+
+    Rings are recorded as small integers and turned into float distances
+    once, on the unpadded cells: a padded float buffer per field raised
+    peak memory by several MB on field-heavy runs.
+    """
+    padded = np.zeros(tuple(n + 2 for n in free.shape), dtype=bool)
+    inner = (slice(1, -1),) * free.ndim
+    padded[inner] = free
+    todo = padded.ravel()  # free and not yet reached
+    rings = np.zeros(todo.shape, dtype=np.min_scalar_type(todo.size))
+    src = np.ravel_multi_index(tuple(int(s) + 1 for s in source),
+                               padded.shape)
+    if todo[src]:
+        strides = [s // todo.itemsize for s in padded.strides[:-1]]
+        frontier = np.zeros_like(todo)
+        nxt = np.empty_like(todo)
+        frontier[src] = True
+        todo[src] = False
+        d = 0
+        while True:
+            d += 1
+            # the last axis (stride 1) overwrites nxt, so it needs no
+            # clearing; the stale nxt[0] is padding and `&= todo` drops it
+            nxt[1:] = frontier[:-1]
+            nxt[:-1] |= frontier[1:]
+            for s in strides:
+                nxt[s:] |= frontier[:-s]
+                nxt[:-s] |= frontier[s:]
+            nxt &= todo
+            ring = np.flatnonzero(nxt)
+            if not ring.size:
+                break
+            rings[ring] = d
+            todo[ring] = False
+            frontier, nxt = nxt, frontier
+    dist = rings.reshape(padded.shape)[inner].astype(np.float64)
+    # todo is a view of padded: its inner cells are now the free cells
+    # never reached
+    dist[~free | padded[inner]] = np.inf
     return dist
 
 
@@ -355,6 +379,9 @@ def rrt_star(grid: Grid, start: Cell, goal: Cell, model: MotionModel,
     rng = np.random.default_rng(seed)
     dims = grid.dims
     nodes: list[Cell] = [start]
+    # node coordinates beside `nodes`: the start plus one node per iteration
+    coords = np.empty((params.max_iters + 1, 3), dtype=np.int64)
+    coords[0] = start
     index: dict[Cell, int] = {start: 0}
     parent = {0: -1}
     cost = {0: 0.0}
@@ -370,15 +397,15 @@ def rrt_star(grid: Grid, start: Cell, goal: Cell, model: MotionModel,
                 return (x, y, z)
         return goal
 
-    def near(cell: Cell, radius: float):
-        return [k for k, nd in enumerate(nodes)
-                if manhattan(nd, cell) <= radius]
+    def node_dists(cell: Cell) -> np.ndarray:
+        """Manhattan distance from every node to `cell`."""
+        return np.abs(coords[:len(nodes)] - cell).sum(axis=1)
 
     goal_idx = None
     for _ in range(params.max_iters):
         target = sample_cell()
-        nearest = min(range(len(nodes)),
-                      key=lambda k: (manhattan(nodes[k], target), k))
+        # argmin returns the first minimum: ties go to the oldest node
+        nearest = int(np.argmin(node_dists(target)))
         # steer: walk toward the sample, stop at obstacle or step budget
         new = nodes[nearest]
         for step, c in enumerate(_staircase(nodes[nearest], target)):
@@ -388,9 +415,9 @@ def rrt_star(grid: Grid, start: Cell, goal: Cell, model: MotionModel,
         if new == nodes[nearest] or new in index:
             continue
         # choose lowest-cost parent within the rewire radius
-        candidates = near(new, params.rewire_radius) + [nearest]
+        near = np.flatnonzero(node_dists(new) <= params.rewire_radius).tolist()
         best_par, best_cost = None, np.inf
-        for k in sorted(set(candidates)):
+        for k in sorted(set(near) | {nearest}):
             seg = manhattan(nodes[k], new)
             if cost[k] + seg < best_cost and _line_free(grid, nodes[k], new):
                 best_par, best_cost = k, cost[k] + seg
@@ -398,11 +425,13 @@ def rrt_star(grid: Grid, start: Cell, goal: Cell, model: MotionModel,
             continue
         idx = len(nodes)
         nodes.append(new)
+        coords[idx] = new
         index[new] = idx
         parent[idx] = best_par
         cost[idx] = best_cost
-        # rewire neighbors through the new node
-        for k in near(new, params.rewire_radius):
+        # rewire neighbors through the new node (itself excluded: a
+        # zero-length segment never lowers its cost)
+        for k in near:
             seg = manhattan(new, nodes[k])
             if best_cost + seg < cost[k] - 1e-9 and _line_free(grid, new, nodes[k]):
                 parent[k] = idx
@@ -412,9 +441,8 @@ def rrt_star(grid: Grid, start: Cell, goal: Cell, model: MotionModel,
 
     if goal_idx is None:
         # final attempt: connect the closest node straight to the goal
-        order = sorted(range(len(nodes)),
-                       key=lambda k: (manhattan(nodes[k], goal), k))
-        for k in order[:32]:
+        order = np.argsort(node_dists(goal), kind="stable")  # ties: oldest
+        for k in order[:32].tolist():
             if _line_free(grid, nodes[k], goal):
                 idx = len(nodes)
                 nodes.append(goal)

@@ -430,7 +430,8 @@ def arbitrate(state: EpisodeState, actions) -> DecisionOutcome:
         state.agent(plan.agent_id).plan = plan
 
     assigned_tasks = [t for _, t in outcome.assignments]
-    assert len(set(assigned_tasks)) == len(assigned_tasks)
+    if len(set(assigned_tasks)) != len(assigned_tasks):
+        raise RuntimeError(f"a task was assigned twice: {assigned_tasks}")
     return outcome
 
 

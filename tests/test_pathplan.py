@@ -6,6 +6,8 @@ import heapq
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from magnnet.errors import NoPathError
 from magnnet.pathplan import (AgentPlan, Grid, MotionModel, Path, RRTParams,
@@ -136,6 +138,90 @@ class TestDistanceField:
         assert f[3, 3, 0] == 6
 
 
+def wavefront_reference(free: np.ndarray, source) -> np.ndarray:
+    """Ring-by-ring BFS with one N-D slice shift per axis direction: the
+    loop the flat padded kernel in `pathplan._wavefront` replaced."""
+    dist = np.full(free.shape, np.inf)
+    if not free[tuple(source)]:
+        return dist
+    frontier = np.zeros(free.shape, dtype=bool)
+    frontier[tuple(source)] = True
+    reached = frontier.copy()
+    dist[tuple(source)] = 0.0
+    d = 0
+    while frontier.any():
+        d += 1
+        nxt = np.zeros_like(frontier)
+        for ax in range(free.ndim):
+            lo = [slice(None)] * free.ndim
+            hi = [slice(None)] * free.ndim
+            lo[ax] = slice(1, None)
+            hi[ax] = slice(None, -1)
+            nxt[tuple(lo)] |= frontier[tuple(hi)]
+            nxt[tuple(hi)] |= frontier[tuple(lo)]
+        nxt &= free & ~reached
+        if not nxt.any():
+            break
+        dist[nxt] = d
+        reached |= nxt
+        frontier = nxt
+    return dist
+
+
+@st.composite
+def small_field_instances(draw):
+    """A random mask with every axis 1-6 long, a source on a face, a
+    corner or inside (free or blocked), and a motion model."""
+    dims = tuple(draw(st.integers(1, 6)) for _ in range(3))
+    density = draw(st.floats(0.0, 0.3))
+    seed = draw(st.integers(0, 2**32 - 1))
+    model = draw(st.sampled_from([MotionModel.AERIAL6, MotionModel.GROUND4]))
+    src = [draw(st.one_of(st.just(0), st.just(n - 1), st.integers(0, n - 1)))
+           for n in dims]
+    if model is MotionModel.GROUND4:
+        src[2] = 0
+    src = tuple(src)
+    blocked = np.random.default_rng(seed).random(dims) < density
+    blocked[src] = draw(st.booleans())
+    return Grid(dims, blocked), src, model
+
+
+class TestDistanceFieldKernel:
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(small_field_instances())
+    def test_equals_dijkstra_on_every_cell(self, instance):
+        grid, src, model = instance
+        field = distance_field(grid, src, model)
+        assert field.shape == grid.dims
+        for cell in np.ndindex(*grid.dims):
+            if not grid.is_free(src) or not grid.is_free(cell) or (
+                    model is MotionModel.GROUND4 and cell[2] != 0):
+                assert field[cell] == np.inf, cell
+                continue
+            ref = dijkstra(grid, src, cell, model)
+            assert field[cell] == (np.inf if ref is None else ref), cell
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_full_size_matches_reference_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        grid = random_grid(rng, dims=(50, 50, 30), density=0.1)
+        free = ~grid.blocked
+        src = free_cell(rng, grid)
+        field = distance_field(grid, src, MotionModel.AERIAL6)
+        assert np.array_equal(field, wavefront_reference(free, src))
+        ground_src = free_cell(rng, grid, ground=True)
+        plane = distance_field(grid, ground_src, MotionModel.GROUND4)
+        assert np.array_equal(
+            plane[:, :, 0], wavefront_reference(free[:, :, 0], ground_src[:2]))
+        assert np.isinf(plane[:, :, 1:]).all()
+
+
+class TestGrid:
+    def test_mask_shape_must_match_dims(self):
+        with pytest.raises(ValueError):
+            Grid((4, 4, 2), np.zeros((4, 4, 3), dtype=bool))
+
+
 class TestRRTStar:
     def test_never_beats_astar(self):
         rng = np.random.default_rng(17)
@@ -172,6 +258,64 @@ class TestRRTStar:
         long = rrt_star(grid, (0, 0, 0), (11, 11, 0), MotionModel.AERIAL6,
                         RRTParams(max_iters=2000), seed=3)
         assert long.length <= short.length
+
+
+A6, G4 = MotionModel.AERIAL6, MotionModel.GROUND4
+
+# (grid seed, dims, density, start, goal, model, max_iters, rrt seed) and
+# the cells rrt_star returned for it when its node scans were Python
+# loops.  The last three stop short of the goal within max_iters and end
+# in the "connect the closest node" fallback; the last two change if that
+# fallback broke distance ties toward newer nodes.
+RRT_GOLDEN = [
+    ((1, (10, 10, 4), 0.15, (0, 0, 0), (9, 9, 3), A6, 800, 0), [
+        (0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0), (4, 0, 0), (4, 1, 0),
+        (5, 1, 0), (5, 2, 0), (5, 2, 1), (5, 3, 1), (5, 4, 1), (5, 5, 1),
+        (5, 6, 1), (5, 7, 1), (5, 8, 1), (5, 8, 2), (6, 8, 2), (7, 8, 2),
+        (8, 8, 2), (9, 8, 2), (9, 9, 2), (9, 9, 3)]),
+    ((2, (12, 8, 5), 0.2, (0, 7, 4), (11, 0, 0), A6, 800, 4), [
+        (0, 7, 4), (1, 7, 4), (2, 7, 4), (3, 7, 4), (4, 7, 4), (5, 7, 4),
+        (6, 7, 4), (7, 7, 4), (8, 7, 4), (8, 6, 4), (8, 5, 4), (8, 4, 4),
+        (8, 3, 4), (9, 3, 4), (10, 3, 4), (11, 3, 4), (11, 2, 4),
+        (11, 2, 3), (11, 2, 2), (11, 1, 2), (11, 1, 1), (11, 0, 1),
+        (11, 0, 0)]),
+    ((3, (10, 10, 1), 0.15, (0, 0, 0), (9, 9, 0), G4, 800, 1), [
+        (0, 0, 0), (0, 1, 0), (0, 2, 0), (1, 2, 0), (1, 3, 0), (2, 3, 0),
+        (2, 4, 0), (3, 4, 0), (3, 5, 0), (4, 5, 0), (5, 5, 0), (5, 6, 0),
+        (5, 7, 0), (5, 8, 0), (6, 8, 0), (7, 8, 0), (8, 8, 0), (9, 8, 0),
+        (9, 9, 0)]),
+    ((4, (12, 12, 3), 0.2, (11, 0, 0), (0, 11, 0), G4, 800, 7), [
+        (11, 0, 0), (10, 0, 0), (9, 0, 0), (8, 0, 0), (7, 0, 0), (7, 1, 0),
+        (7, 2, 0), (7, 3, 0), (7, 4, 0), (6, 4, 0), (6, 5, 0), (6, 6, 0),
+        (5, 6, 0), (5, 7, 0), (5, 8, 0), (4, 8, 0), (4, 9, 0), (3, 9, 0),
+        (2, 9, 0), (1, 9, 0), (0, 9, 0), (0, 10, 0), (0, 11, 0)]),
+    ((5, (10, 10, 4), 0.15, (0, 0, 0), (9, 9, 3), A6, 12, 5), [
+        (0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0), (3, 1, 0), (4, 1, 0),
+        (4, 2, 0), (5, 2, 0), (5, 3, 0), (5, 4, 0), (5, 5, 0), (6, 5, 0),
+        (6, 6, 0), (6, 7, 0), (6, 8, 0), (6, 9, 0), (6, 9, 1), (7, 9, 1),
+        (8, 9, 1), (8, 9, 2), (9, 9, 2), (9, 9, 3)]),
+    ((14, (10, 10, 4), 0.15, (0, 0, 0), (9, 9, 3), A6, 6, 14), [
+        (0, 0, 0), (0, 1, 0), (0, 2, 0), (0, 3, 0), (0, 4, 0), (0, 5, 0),
+        (0, 6, 0), (0, 7, 0), (1, 7, 0), (2, 7, 0), (3, 7, 0), (4, 7, 0),
+        (5, 7, 0), (6, 7, 0), (7, 7, 0), (7, 7, 1), (8, 7, 1), (8, 8, 1),
+        (8, 8, 2), (9, 8, 2), (9, 9, 2), (9, 9, 3)]),
+    ((26, (8, 8, 1), 0.15, (0, 0, 0), (7, 7, 0), G4, 10, 26), [
+        (0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0), (3, 1, 0), (3, 2, 0),
+        (4, 2, 0), (4, 3, 0), (5, 3, 0), (5, 4, 0), (6, 4, 0), (6, 5, 0),
+        (6, 6, 0), (7, 6, 0), (7, 7, 0)]),
+]
+
+
+class TestRRTStarGolden:
+    @pytest.mark.parametrize("case,cells", RRT_GOLDEN)
+    def test_seeded_paths_unchanged(self, case, cells):
+        grid_seed, dims, density, start, goal, model, iters, seed = case
+        blocked = np.random.default_rng(grid_seed).random(dims) < density
+        blocked[start] = blocked[goal] = False
+        grid = Grid(dims, blocked)
+        path = rrt_star(grid, start, goal, model, RRTParams(max_iters=iters),
+                        seed=seed)
+        assert path.cells == cells
 
 
 class TestReservations:
