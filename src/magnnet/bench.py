@@ -24,11 +24,11 @@ from . import pathplan
 from .assign import feasible_optimum, greedy, random_assign, total_cost
 from .errors import NoPathError
 from .gnn import build_graph
-from .pathplan import AgentPlan, RRTParams, rrt_star
+from .pathplan import RRTParams, rrt_star
 from .policy import sample_action
 from .ppo import ModelParams, _forward_step
 from .tensor import no_grad
-from .world import AgentStatus, Episode, TaskStatus, WorldConfig
+from .world import Episode, WorldConfig, assign_tasks
 
 METHODS = ("hungarian", "magnnet", "greedy", "random")
 
@@ -191,11 +191,9 @@ def _execute_assignment(ep: Episode, assignment) -> list:
     """Drive a centrally computed assignment through the environment
     (paths, reservations, motion) and return the path lengths."""
     state = ep.state
-    new_plans = []
-    models = {}
-    lengths = []
     cm = ep.initial_cost_matrix()
     task_ids = [t.id for t in state.live_tasks()]
+    picks = []
     for i, j in assignment.pairs:
         agent = state.agents[i]
         task = state.task(task_ids[j])
@@ -204,20 +202,11 @@ def _execute_assignment(ep: Episode, assignment) -> list:
                                   agent.motion_model)
         except NoPathError:
             continue
-        agent.status = AgentStatus.ASSIGN
-        agent.assigned_task = task.id
-        task.status = TaskStatus.ASSIGNED
-        cost = float(cm.entries[i, j])
-        state.achieved_pairs.append((agent.id, task.id, cost))
-        new_plans.append(AgentPlan(agent.id, cost, path, agent.velocity, 0))
-        models[agent.id] = agent.motion_model
-        lengths.append(path.length)
-    for plan in pathplan.resolve_paths(new_plans, state.reservations,
-                                       state.grid, models):
-        state.agent(plan.agent_id).plan = plan
+        picks.append((agent.id, task.id, float(cm.entries[i, j]), path))
+    assign_tasks(state, picks)
     while not ep.terminated and not ep.all_tasks_done():
         ep.tick()
-    return lengths
+    return [path.length for *_, path in picks]
 
 
 def run_episode_baseline(method: str, config: WorldConfig, seed: int) -> EpisodeLog:

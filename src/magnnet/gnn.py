@@ -1,11 +1,12 @@
 """Heterogeneous agent-task graph and 2-layer graph-convolution encoder.
 
 Agent nodes carry [normalized position (3), status (1), normalized
-velocity (1), normalized slot costs (m_max)]; task nodes carry
+velocity (1), normalized slot costs (m_max)], the status and costs
+being the agent's `world.observation` row; task nodes carry
 [normalized location (3), assigned flag (1)].  The graph is complete
-bipartite agent-task; each edge carries weight 1/(1+c_ij) used (by
-default) to weight the degree-normalized mean aggregation.  Optional
-agent-agent edges within a communication radius.
+bipartite agent-task; each edge carries weight 1/(1+c_ij) used to weight
+the degree-normalized mean aggregation.  Optional agent-agent edges
+within a communication radius.
 """
 
 from __future__ import annotations
@@ -16,8 +17,7 @@ import numpy as np
 
 from . import tensor as T
 from .tensor import Tensor
-from .world import (SENTINEL_NORMALIZED_COST, STATUS_CODE, EpisodeState,
-                    TaskStatus, slot_cost_array)
+from .world import EpisodeState, TaskStatus, observation, slot_cost_array
 
 HIDDEN = 6
 VELOCITY_SCALE = 10.0
@@ -30,7 +30,6 @@ class HeteroGraph:
     edge_w: np.ndarray           # N x M_live, 1/(1+c); 0 where unreachable
     comm: np.ndarray | None      # N x N bool, optional agent-agent edges
     task_slots: list             # observation slot of each live task
-    use_edge_weights: bool = True
 
     @property
     def n_agents(self) -> int:
@@ -77,23 +76,22 @@ def init_gcn_params(rng: np.random.Generator, m_max: int) -> GCNParams:
     )
 
 
-def build_graph(state: EpisodeState, cm, comm_radius: float | None = None,
-                use_edge_weights: bool = True) -> HeteroGraph:
+def build_graph(state: EpisodeState, cm,
+                comm_radius: float | None = None) -> HeteroGraph:
     """Assemble node features and edge weights from the live world."""
     cfg = state.config
     dims = np.asarray(cfg.grid_dims, dtype=np.float64)
     live = state.live_tasks()
-    task_ids = [t.id for t in live]
-    slot_costs = slot_cost_array(state, cm, task_ids)
+    obs, _ = observation(state, slot_cost_array(state, cm,
+                                                [t.id for t in live]))
 
-    agent_x = np.zeros((len(state.agents), 5 + cfg.m_max))
-    for i, ag in enumerate(state.agents):
-        agent_x[i, :3] = np.asarray(ag.position) / dims
-        agent_x[i, 3] = STATUS_CODE[ag.status]
-        agent_x[i, 4] = ag.velocity / VELOCITY_SCALE
-        row = slot_costs[i]
-        agent_x[i, 5:] = np.where(np.isfinite(row), row / cfg.cost_scale,
-                                  SENTINEL_NORMALIZED_COST)
+    pos = np.array([a.position for a in state.agents],
+                   dtype=np.float64).reshape(-1, 3)
+    agent_x = np.empty((len(state.agents), 5 + cfg.m_max))
+    agent_x[:, :3] = pos / dims
+    agent_x[:, 3] = obs[:, 0]
+    agent_x[:, 4] = [a.velocity / VELOCITY_SCALE for a in state.agents]
+    agent_x[:, 5:] = obs[:, 1:]
 
     task_x = np.zeros((len(live), 4))
     for j, t in enumerate(live):
@@ -104,13 +102,11 @@ def build_graph(state: EpisodeState, cm, comm_radius: float | None = None,
 
     comm = None
     if comm_radius is not None:
-        pos = np.array([a.position for a in state.agents], dtype=np.float64)
         d = np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=-1)
         comm = (d <= comm_radius) & ~np.eye(len(state.agents), dtype=bool)
 
     return HeteroGraph(agent_x, task_x, edge_w, comm,
-                       [state.slot_of_task(t.id) for t in live],
-                       use_edge_weights)
+                       [state.slot_of_task(t.id) for t in live])
 
 
 def _norm_adjacency(g: HeteroGraph) -> np.ndarray:
@@ -119,10 +115,9 @@ def _norm_adjacency(g: HeteroGraph) -> np.ndarray:
     n, m = g.n_agents, g.n_tasks
     size = n + m
     a = np.eye(size)
-    w = g.edge_w if g.use_edge_weights else (g.edge_w > 0).astype(np.float64)
     if m:
-        a[:n, n:] = w
-        a[n:, :n] = w.T
+        a[:n, n:] = g.edge_w
+        a[n:, :n] = g.edge_w.T
     if g.comm is not None:
         a[:n, :n] += g.comm.astype(np.float64)
     return a / a.sum(axis=1, keepdims=True)

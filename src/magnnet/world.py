@@ -6,6 +6,9 @@ every agent emits an action in {0 = reject, 1..m_max = request the task
 in that observation slot}; contested tasks go to the requester with the
 smallest travel-time cost.  Between decision steps agents advance along
 their reserved paths at their own velocity.
+
+A round is `Episode.observe` (the one cost matrix of the round), then
+`Episode.act` (arbitration against that matrix), then `Episode.tick`.
 """
 
 from __future__ import annotations
@@ -285,49 +288,28 @@ def slot_cost_array(state: EpisodeState, cm: CostMatrix, task_ids: list) -> np.n
     return out
 
 
-def local_observation(state: EpisodeState, agent_id: int,
-                      m_max: int | None = None,
-                      slot_costs: np.ndarray | None = None) -> np.ndarray:
-    """[status code, normalized slot costs...], length m_max + 1.
+def observation(state: EpisodeState, slot_costs: np.ndarray):
+    """Every agent's observation and action mask for one decision round.
 
-    Costs divide by config.cost_scale; absent or unreachable slots carry
-    the sentinel value 2.0.
+    An observation row is [status code, normalized slot costs...], length
+    m_max + 1: costs divide by config.cost_scale, and absent or
+    unreachable slots carry the sentinel value 2.0.  A mask row allows
+    reject always, and slot j iff the agent is Idle and the slot holds a
+    Waiting task the agent can reach.
     """
-    agent = state.agent(agent_id)
-    m_max = state.config.m_max if m_max is None else m_max
-    if slot_costs is None:
-        cm, task_ids = current_cost_matrix(state)
-        slot_costs = slot_cost_array(state, cm, task_ids)
-    row = slot_costs[agent_id][:m_max]
-    norm = np.where(np.isfinite(row), row / state.config.cost_scale,
-                    SENTINEL_NORMALIZED_COST)
-    obs = np.empty(m_max + 1)
-    obs[0] = STATUS_CODE[agent.status]
-    obs[1:] = norm
-    return obs
-
-
-def action_mask(state: EpisodeState, agent_id: int,
-                slot_costs: np.ndarray | None = None) -> np.ndarray:
-    """Valid actions: reject always; slot j iff it holds a Waiting task
-    the agent can actually reach and the agent is free to take one."""
-    agent = state.agent(agent_id)
-    m_max = state.config.m_max
-    mask = np.zeros(m_max + 1, dtype=bool)
-    mask[0] = True
-    if agent.status is not AgentStatus.IDLE:
-        return mask
-    if slot_costs is None:
-        cm, task_ids = current_cost_matrix(state)
-        slot_costs = slot_cost_array(state, cm, task_ids)
-    row = slot_costs[agent_id]
-    for s, tid in enumerate(state.slots):
-        if tid is None:
-            continue
-        task = state.task(tid)
-        if task.status is TaskStatus.WAITING and np.isfinite(row[s]):
-            mask[s + 1] = True
-    return mask
+    finite = np.isfinite(slot_costs)
+    obs = np.empty((len(state.agents), state.config.m_max + 1))
+    obs[:, 0] = [STATUS_CODE[a.status] for a in state.agents]
+    obs[:, 1:] = np.where(finite, slot_costs / state.config.cost_scale,
+                          SENTINEL_NORMALIZED_COST)
+    idle = np.array([a.status is AgentStatus.IDLE for a in state.agents],
+                    dtype=bool)
+    waiting = np.array([tid is not None
+                        and state.task(tid).status is TaskStatus.WAITING
+                        for tid in state.slots], dtype=bool)
+    masks = np.ones(obs.shape, dtype=bool)
+    masks[:, 1:] = finite & idle[:, None] & waiting[None, :]
+    return obs, masks
 
 
 # ---------------------------------------------------------------------------
@@ -361,17 +343,47 @@ def _plan_to_task(state: EpisodeState, agent: AgentState, task: TaskState) -> Pa
                          agent.position, agent.motion_model)
 
 
-def arbitrate(state: EpisodeState, actions) -> DecisionOutcome:
-    """Resolve one synchronous decision round.
+def assign_tasks(state: EpisodeState, picks) -> None:
+    """Give each picked task to its agent and book the agent's path.
+
+    Each pick is (agent id, task id, cost, path).  Sets statuses, records
+    the achieved pair and an `assigned` event, then books every path in
+    the reservation table through `resolve_paths`.  Raises RuntimeError
+    when a picked task is not Waiting, so no task is assigned twice.
+    """
+    new_plans = []
+    models = {}
+    for agent_id, task_id, cost, path in picks:
+        agent = state.agent(agent_id)
+        task = state.task(task_id)
+        if task.status is not TaskStatus.WAITING:
+            raise RuntimeError(f"task {task_id} is {task.status.value}, "
+                               "not waiting")
+        agent.status = AgentStatus.ASSIGN
+        agent.assigned_task = task_id
+        agent.path_index = 0
+        agent.progress = 0.0
+        task.status = TaskStatus.ASSIGNED
+        new_plans.append(AgentPlan(agent_id, cost, path, agent.velocity,
+                                   start_tick=int(state.clock)))
+        models[agent_id] = agent.motion_model
+        state.achieved_pairs.append((agent_id, task_id, cost))
+        state.record("assigned", agent=agent_id, task=task_id, cost=cost)
+    for plan in resolve_paths(new_plans, state.reservations, state.grid, models):
+        state.agent(plan.agent_id).plan = plan
+
+
+def arbitrate(state: EpisodeState, actions, cm: CostMatrix,
+              task_ids: list) -> DecisionOutcome:
+    """Resolve one synchronous decision round against the cost matrix
+    (columns labelled by `task_ids`) the agents observed this round.
 
     Contested tasks go to the requester with the smallest cost (ties to
     the lower agent id); losers are recorded as conflict participants;
     invalid requests (empty slot, non-Waiting task, busy agent,
     unreachable task) count as rejections and are flagged.
     """
-    cm, task_ids = current_cost_matrix(state)
     col = {tid: j for j, tid in enumerate(task_ids)}
-    slot_costs = slot_cost_array(state, cm, task_ids)
     outcome = DecisionOutcome()
 
     requests: dict[int, list] = {}
@@ -397,41 +409,23 @@ def arbitrate(state: EpisodeState, actions) -> DecisionOutcome:
         agent.status = AgentStatus.ACCEPT
         requests.setdefault(tid, []).append(agent.id)
 
-    new_plans = []
-    models = {}
+    picks = []
     for tid in sorted(requests):
         contenders = sorted(requests[tid])
         outcome.requests[tid] = contenders
         winner = min(contenders, key=lambda a: (cm.entries[a, col[tid]], a))
         if len(contenders) > 1:
-            losers = [a for a in contenders if a != winner]
             outcome.conflicts.append((tid, contenders))
             state.contested_tasks.add(tid)
-            for a in losers:
-                state.agent(a).status = AgentStatus.IDLE
-                state.record("conflict_lost", agent=a, task=tid)
-        agent = state.agent(winner)
-        task = state.task(tid)
-        cost = float(cm.entries[winner, col[tid]])
-        path = _plan_to_task(state, agent, task)
-        agent.status = AgentStatus.ASSIGN
-        agent.assigned_task = tid
-        agent.path_index = 0
-        agent.progress = 0.0
-        task.status = TaskStatus.ASSIGNED
-        new_plans.append(AgentPlan(agent.id, cost, path, agent.velocity,
-                                   start_tick=int(state.clock)))
-        models[agent.id] = agent.motion_model
+            for a in contenders:
+                if a != winner:
+                    state.agent(a).status = AgentStatus.IDLE
+                    state.record("conflict_lost", agent=a, task=tid)
+        picks.append((winner, tid, float(cm.entries[winner, col[tid]]),
+                      _plan_to_task(state, state.agent(winner),
+                                    state.task(tid))))
         outcome.assignments.append((winner, tid))
-        state.achieved_pairs.append((winner, tid, cost))
-        state.record("assigned", agent=winner, task=tid, cost=cost)
-
-    for plan in resolve_paths(new_plans, state.reservations, state.grid, models):
-        state.agent(plan.agent_id).plan = plan
-
-    assigned_tasks = [t for _, t in outcome.assignments]
-    if len(set(assigned_tasks)) != len(assigned_tasks):
-        raise RuntimeError(f"a task was assigned twice: {assigned_tasks}")
+    assign_tasks(state, picks)
     return outcome
 
 
@@ -565,6 +559,7 @@ class Episode:
         self.config = config
         self.state = init_episode(config, seed)
         self._initial_cm: CostMatrix | None = None
+        self._observed: tuple | None = None    # (cm, task ids) of this round
         self._optimal_total: float | None = None
 
     @property
@@ -603,24 +598,27 @@ class Episode:
         return all(t.status is TaskStatus.DONE for t in self.state.tasks)
 
     def observe(self):
-        """Per-agent observations and masks plus the shared cost matrix."""
+        """Per-agent observations and masks plus the shared cost matrix.
+
+        The matrix and its task ids are kept for this round's `act`, and
+        the episode's first matrix is its initial one."""
         cm, task_ids = current_cost_matrix(self.state)
-        slot_costs = slot_cost_array(self.state, cm, task_ids)
-        obs = np.stack([
-            local_observation(self.state, a.id, slot_costs=slot_costs)
-            for a in self.state.agents])
-        masks = np.stack([
-            action_mask(self.state, a.id, slot_costs=slot_costs)
-            for a in self.state.agents])
+        obs, masks = observation(self.state,
+                                 slot_cost_array(self.state, cm, task_ids))
+        if self._initial_cm is None:
+            self._initial_cm = cm
+        self._observed = (cm, task_ids)
         return obs, masks, cm, task_ids
 
     def act(self, actions) -> tuple[DecisionOutcome, np.ndarray]:
-        if self._initial_cm is None:
-            self.initial_cost_matrix()
-        outcome = arbitrate(self.state, actions)
+        """Arbitrate `actions` against what `observe` showed this round."""
+        if self._observed is None:
+            raise RuntimeError("act needs an observe since the last tick")
+        outcome = arbitrate(self.state, actions, *self._observed)
         rewards = step_rewards(outcome, self.state, self.config.shaping)
         return outcome, rewards
 
     def tick(self) -> None:
+        self._observed = None
         advance(self.state, 1.0)
         spawn_tasks(self.state, self.config)

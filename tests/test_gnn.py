@@ -9,7 +9,7 @@ from magnnet.gnn import (HIDDEN, GCNParams, HeteroGraph, VELOCITY_SCALE,
                          _norm_adjacency, build_graph, gcn_encode,
                          init_gcn_params, padded_task_features)
 from magnnet.world import (STATUS_CODE, WorldConfig, current_cost_matrix,
-                           init_episode)
+                           init_episode, observation, slot_cost_array)
 
 
 def small_state(seed=0):
@@ -34,10 +34,12 @@ def identity_params(m_max):
 class TestBuildGraph:
     def test_feature_layout(self):
         st = small_state(1)
-        cm, _ = current_cost_matrix(st)
+        cm, ids = current_cost_matrix(st)
         g = build_graph(st, cm)
         assert g.agent_x.shape == (4, 5 + st.config.m_max)
         assert g.task_x.shape == (4, 4)
+        obs, _ = observation(st, slot_cost_array(st, cm, ids))
+        assert np.array_equal(g.agent_x[:, 5:], obs[:, 1:])
         dims = np.asarray(st.config.grid_dims, dtype=float)
         for i, ag in enumerate(st.agents):
             assert np.allclose(g.agent_x[i, :3], np.asarray(ag.position) / dims)
@@ -118,8 +120,7 @@ class TestEncode:
 
         perm = np.array([2, 0, 3, 1])
         g2 = HeteroGraph(g.agent_x, g.task_x[perm], g.edge_w[:, perm],
-                         g.comm, [g.task_slots[k] for k in perm],
-                         g.use_edge_weights)
+                         g.comm, [g.task_slots[k] for k in perm])
         assert np.allclose(gcn_encode(g2, p).data, base)
 
     def test_permutation_equivariance_over_agents(self):
@@ -130,7 +131,7 @@ class TestEncode:
         base = gcn_encode(g, p).data
         perm = np.array([3, 1, 0, 2])
         g2 = HeteroGraph(g.agent_x[perm], g.task_x, g.edge_w[perm],
-                         g.comm, g.task_slots, g.use_edge_weights)
+                         g.comm, g.task_slots)
         assert np.allclose(gcn_encode(g2, p).data, base[perm])
 
     def test_no_tasks_still_encodes(self):

@@ -4,13 +4,54 @@ rewards, motion, spawning and episode lifecycle."""
 import numpy as np
 import pytest
 
+from magnnet import pathplan
 from magnnet.errors import PlacementError
+from magnnet.gnn import build_graph
+from magnnet.pathplan import Path
 from magnnet.world import (AgentKind, AgentStatus, Episode, RewardShaping,
                            SENTINEL_NORMALIZED_COST, STATUS_CODE, TaskStatus,
-                           WorldConfig, action_mask, advance, arbitrate,
-                           current_cost_matrix, init_episode,
-                           local_observation, slot_cost_array, spawn_tasks,
-                           step_rewards, terminal_bonus)
+                           WorldConfig, advance, arbitrate, assign_tasks,
+                           current_cost_matrix, init_episode, observation,
+                           slot_cost_array, spawn_tasks, step_rewards,
+                           terminal_bonus)
+
+
+def local_observation_reference(state, agent_id, slot_costs):
+    """One agent's observation, built row by row: the reference that
+    `observation` must equal."""
+    agent = state.agent(agent_id)
+    m_max = state.config.m_max
+    row = slot_costs[agent_id][:m_max]
+    norm = np.where(np.isfinite(row), row / state.config.cost_scale,
+                    SENTINEL_NORMALIZED_COST)
+    obs = np.empty(m_max + 1)
+    obs[0] = STATUS_CODE[agent.status]
+    obs[1:] = norm
+    return obs
+
+
+def action_mask_reference(state, agent_id, slot_costs):
+    """One agent's action mask, slot by slot: the reference that
+    `observation` must equal."""
+    agent = state.agent(agent_id)
+    m_max = state.config.m_max
+    mask = np.zeros(m_max + 1, dtype=bool)
+    mask[0] = True
+    if agent.status is not AgentStatus.IDLE:
+        return mask
+    row = slot_costs[agent_id]
+    for s, tid in enumerate(state.slots):
+        if tid is None:
+            continue
+        task = state.task(tid)
+        if task.status is TaskStatus.WAITING and np.isfinite(row[s]):
+            mask[s + 1] = True
+    return mask
+
+
+def observe_state(st):
+    cm, ids = current_cost_matrix(st)
+    return observation(st, slot_cost_array(st, cm, ids))
 
 
 def small_config(**kw):
@@ -86,13 +127,13 @@ class TestObservations:
         st = init_episode(small_config(), 11)
         cm, ids = current_cost_matrix(st)
         sc = slot_cost_array(st, cm, ids)
-        obs = local_observation(st, 0, slot_costs=sc)
-        assert obs.shape == (st.config.m_max + 1,)
-        assert obs[0] == STATUS_CODE[st.agents[0].status]
+        obs, masks = observation(st, sc)
+        assert obs.shape == masks.shape == (4, st.config.m_max + 1)
+        assert obs[0, 0] == STATUS_CODE[st.agents[0].status]
         row = sc[0]
         expect = np.where(np.isfinite(row), row / st.config.cost_scale,
                           SENTINEL_NORMALIZED_COST)
-        assert np.allclose(obs[1:], expect)
+        assert np.allclose(obs[0, 1:], expect)
 
     def test_cost_matrix_positive_and_scaled_by_velocity(self):
         st = init_episode(small_config(), 13)
@@ -108,26 +149,78 @@ class TestObservations:
 
     def test_mask_reject_always_valid(self):
         st = init_episode(small_config(), 17)
-        for a in st.agents:
-            assert action_mask(st, a.id)[0]
+        _, masks = observe_state(st)
+        assert masks[:, 0].all()
 
     def test_mask_blocks_busy_agent(self):
         st = init_episode(small_config(), 19)
         st.agents[0].status = AgentStatus.ASSIGN
-        m = action_mask(st, 0)
+        m = observe_state(st)[1][0]
         assert m[0] and not m[1:].any()
 
     def test_mask_blocks_assigned_task(self):
         st = init_episode(small_config(), 23)
         st.tasks[1].status = TaskStatus.ASSIGNED
         slot = st.slot_of_task(1)
-        assert not action_mask(st, 0)[slot + 1]
+        assert not observe_state(st)[1][0, slot + 1]
+
+
+class TestObservationEquivalence:
+    """`observation` equals the per-agent reference bodies on mid-episode
+    states: busy agents, Assigned and Done tasks, empty slots and
+    unreachable tasks all occur across these runs."""
+
+    CONFIGS = (dict(), dict(obstacle_density=0.25),
+               dict(task_interval=3.0, max_active_tasks=8, step_cap=60.0),
+               dict(task_interval=2.0, max_active_tasks=6, step_cap=60.0,
+                    obstacle_density=0.25))
+
+    def test_matches_reference_rows(self):
+        seen = set()
+        for k, kw in enumerate(self.CONFIGS):
+            for seed in range(3):
+                ep = Episode(small_config(**kw), 300 + 10 * k + seed)
+                rng = np.random.default_rng(seed)
+                while not ep.terminated:
+                    st = ep.state
+                    cm, ids = current_cost_matrix(st)
+                    sc = slot_cost_array(st, cm, ids)
+                    obs, masks = observation(st, sc)
+                    for a in st.agents:
+                        assert np.array_equal(
+                            obs[a.id],
+                            local_observation_reference(st, a.id, sc))
+                        assert np.array_equal(
+                            masks[a.id], action_mask_reference(st, a.id, sc))
+                    seen |= self._cases(st, sc)
+                    if ep.decision_due():
+                        _, m, _, _ = ep.observe()
+                        ep.act([int(rng.choice(np.flatnonzero(r))) for r in m])
+                    ep.tick()
+        assert seen == {"busy", "assigned", "done", "empty", "unreachable"}
+
+    @staticmethod
+    def _cases(st, sc):
+        cases = set()
+        if any(a.status is not AgentStatus.IDLE for a in st.agents):
+            cases.add("busy")
+        status = {t.status for t in st.tasks}
+        if TaskStatus.ASSIGNED in status:
+            cases.add("assigned")
+        if TaskStatus.DONE in status:
+            cases.add("done")
+        if None in st.slots:
+            cases.add("empty")
+        live = [s for s, tid in enumerate(st.slots) if tid is not None]
+        if not np.isfinite(sc[:, live]).all():
+            cases.add("unreachable")
+        return cases
 
 
 class TestArbitration:
     def test_uncontested_requests_win(self):
         st = init_episode(small_config(), 29)
-        out = arbitrate(st, [1, 2, 3, 4])
+        out = arbitrate(st, [1, 2, 3, 4], *current_cost_matrix(st))
         assert len(out.assignments) == 4
         assert not out.conflicts
         for aid, tid in out.assignments:
@@ -142,7 +235,7 @@ class TestArbitration:
         contenders = [i for i in range(4) if np.isfinite(sc[i][slot])]
         assert len(contenders) >= 2
         actions = [slot + 1 if i in contenders else 0 for i in range(4)]
-        out = arbitrate(st, actions)
+        out = arbitrate(st, actions, cm, ids)
         tid = st.slots[slot]
         winner = min(contenders, key=lambda i: (sc[i][slot],
                                                 st.agents[i].id))
@@ -155,23 +248,23 @@ class TestArbitration:
 
     def test_cost_tie_breaks_to_lower_id(self):
         st = init_episode(small_config(), 37)
-        cm, ids = current_cost_matrix(st)
         # force an exact tie between agents 2 and 3 on task slot 0
         st.agents[3].position = st.agents[2].position
-        out = arbitrate(st, [0, 0, 1, 1])
+        out = arbitrate(st, [0, 0, 1, 1], *current_cost_matrix(st))
         assert out.assignments == [(2, st.slots[0])]
 
     def test_invalid_action_flagged_as_reject(self):
         st = init_episode(small_config(), 41)
         st.tasks[0].status = TaskStatus.ASSIGNED
-        out = arbitrate(st, [1, 0, 0, 0])  # slot 0 no longer Waiting
+        # slot 0 no longer Waiting
+        out = arbitrate(st, [1, 0, 0, 0], *current_cost_matrix(st))
         assert out.invalid == [0]
         assert st.agents[0].status is AgentStatus.IDLE
 
     def test_no_task_double_assignment(self):
         for seed in range(10):
             st = init_episode(small_config(), 100 + seed)
-            out = arbitrate(st, [1, 1, 1, 1])
+            out = arbitrate(st, [1, 1, 1, 1], *current_cost_matrix(st))
             tasks = [t for _, t in out.assignments]
             assert len(set(tasks)) == len(tasks) <= 1
 
@@ -179,19 +272,19 @@ class TestArbitration:
 class TestRewards:
     def test_shaping_values(self):
         st = init_episode(small_config(), 43)
-        out = arbitrate(st, [1, 2, 3, 4])
+        out = arbitrate(st, [1, 2, 3, 4], *current_cost_matrix(st))
         r = step_rewards(out, st, st.config.shaping)
         assert np.allclose(r, 1.0)
 
     def test_conflict_loser_penalized(self):
         st = init_episode(small_config(), 47)
-        out = arbitrate(st, [1, 1, 0, 0])
+        out = arbitrate(st, [1, 1, 0, 0], *current_cost_matrix(st))
         r = step_rewards(out, st, st.config.shaping)
         assert sorted(np.round(r[:2], 2)) == [-0.5, 1.0]
 
     def test_idle_reject_penalized(self):
         st = init_episode(small_config(), 53)
-        out = arbitrate(st, [0, 0, 0, 0])
+        out = arbitrate(st, [0, 0, 0, 0], *current_cost_matrix(st))
         r = step_rewards(out, st, st.config.shaping)
         # every idle agent that could have requested gets -0.1
         cm, _ = current_cost_matrix(st)
@@ -215,7 +308,7 @@ class TestMotion:
     def test_agent_reaches_task_and_frees_slot(self):
         cfg = small_config(obstacle_density=0.0)
         st = init_episode(cfg, 59)
-        arbitrate(st, [1, 2, 3, 4])
+        arbitrate(st, [1, 2, 3, 4], *current_cost_matrix(st))
         for _ in range(200):
             advance(st, 1.0)
             if all(t.status is TaskStatus.DONE for t in st.tasks):
@@ -227,7 +320,7 @@ class TestMotion:
     def test_velocity_limits_cells_per_tick(self):
         cfg = small_config(obstacle_density=0.0)
         st = init_episode(cfg, 61)
-        arbitrate(st, [1, 2, 3, 4])
+        arbitrate(st, [1, 2, 3, 4], *current_cost_matrix(st))
         before = {a.id: a.position for a in st.agents}
         advance(st, 1.0)
         for a in st.agents:
@@ -237,7 +330,7 @@ class TestMotion:
     def test_no_reservation_double_booking_over_time(self):
         cfg = small_config(obstacle_density=0.0)
         st = init_episode(cfg, 67)
-        arbitrate(st, [1, 2, 3, 4])
+        arbitrate(st, [1, 2, 3, 4], *current_cost_matrix(st))
         for _ in range(60):
             advance(st, 1.0)  # reserve() raises on any double booking
 
@@ -289,6 +382,54 @@ class TestEpisode:
         assert obs.shape == (4, m + 1)
         assert masks.shape == (4, m + 1)
         assert cm.entries.shape == (4, len(ids))
+
+    def test_one_cost_matrix_per_round(self, monkeypatch):
+        calls = []
+        real = pathplan.cost_matrix
+        monkeypatch.setattr(pathplan, "cost_matrix",
+                            lambda state: calls.append(1) or real(state))
+        ep = Episode(small_config(task_interval=4.0, max_active_tasks=8,
+                                  step_cap=60.0), 101)
+        rng = np.random.default_rng(1)
+        observes = 0
+        first_cm = None
+        while not ep.terminated:
+            if ep.decision_due():
+                obs, masks, cm, _ = ep.observe()
+                observes += 1
+                first_cm = cm if first_cm is None else first_cm
+                build_graph(ep.state, cm)
+                ep.act([int(rng.choice(np.flatnonzero(m))) for m in masks])
+            ep.tick()
+        ep.optimal_total()
+        assert observes > 10
+        assert len(calls) == observes
+        assert ep.initial_cost_matrix() is first_cm
+
+    def test_act_before_observe_raises(self):
+        ep = Episode(small_config(), 103)
+        with pytest.raises(RuntimeError):
+            ep.act([0, 0, 0, 0])
+
+    def test_act_after_tick_raises(self):
+        ep = Episode(small_config(), 107)
+        ep.observe()
+        ep.tick()
+        with pytest.raises(RuntimeError):
+            ep.act([0, 0, 0, 0])
+
+    @pytest.mark.parametrize("status", [TaskStatus.ASSIGNED, TaskStatus.DONE,
+                                        None])
+    def test_assign_tasks_rejects_non_waiting_task(self, status):
+        st = init_episode(small_config(), 109)
+        picks = [(a, 0, 1.0, Path([st.agents[a].position])) for a in (0, 1)]
+        if status is None:      # the second pick finds the task Assigned
+            st.tasks[0].status = TaskStatus.WAITING
+        else:
+            st.tasks[0].status = status
+            picks = picks[:1]
+        with pytest.raises(RuntimeError):
+            assign_tasks(st, picks)
 
     def test_step_cap_terminates(self):
         ep = Episode(small_config(step_cap=5.0), 97)
