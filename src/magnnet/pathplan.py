@@ -152,12 +152,18 @@ def _astar_plain(grid, start, goal, model, max_expansions):
     deltas = model.deltas
     blocked = grid.blocked
     dx, dy, dz = grid.dims
+    # entries are (f, -g, cell): on equal f the deepest node pops first.
+    # With few obstacles most cells between start and goal share the
+    # optimal f; popping the shallowest first would expand all of them,
+    # popping the deepest follows one optimal path to the goal.  The
+    # Manhattan heuristic is consistent, so the path stays optimal.
     open_heap = [(manhattan(start, goal), 0, start)]
     g_best = {start: 0}
     came: dict[Cell, Cell] = {}
     expansions = 0
     while open_heap:
-        f, g, cell = heapq.heappop(open_heap)
+        f, neg_g, cell = heapq.heappop(open_heap)
+        g = -neg_g
         if cell == goal:
             return Path(_reconstruct(came, cell))
         if g > g_best.get(cell, np.inf):
@@ -177,7 +183,7 @@ def _astar_plain(grid, start, goal, model, max_expansions):
             if ng < g_best.get(nxt, np.inf):
                 g_best[nxt] = ng
                 came[nxt] = cell
-                heapq.heappush(open_heap, (ng + manhattan(nxt, goal), ng, nxt))
+                heapq.heappush(open_heap, (ng + manhattan(nxt, goal), -ng, nxt))
     raise NoPathError(f"no path {start} -> {goal}")
 
 
@@ -194,12 +200,14 @@ def _astar_space_time(grid, start, goal, model, reservations, agent_id,
         return reservations.is_free_for(cell, tick_of(substep), agent_id)
 
     start_state = (start, 0)
+    # entries are (f, -g, state), as in `_astar_plain`
     open_heap = [(manhattan(start, goal), 0, start_state)]
     g_best = {start_state: 0}
     came: dict = {}
     expansions = 0
     while open_heap:
-        f, g, (cell, sub) = heapq.heappop(open_heap)
+        f, neg_g, (cell, sub) = heapq.heappop(open_heap)
+        g = -neg_g
         if cell == goal:
             return Path(_reconstruct(came, (cell, sub), time_states=True))
         expansions += 1
@@ -216,7 +224,7 @@ def _astar_space_time(grid, start, goal, model, reservations, agent_id,
                 g_best[state] = ng
                 came[state] = (cell, sub)
                 heapq.heappush(
-                    open_heap, (ng + manhattan(nxt, goal), ng, state))
+                    open_heap, (ng + manhattan(nxt, goal), -ng, state))
     raise NoPathError(f"no conflict-free path {start} -> {goal}")
 
 
@@ -317,21 +325,27 @@ def cost_matrix(state) -> CostMatrix:
 
     `state` needs .grid, .agents (position/velocity/motion_model),
     .live_tasks() and a .dist_cache dict, which caches one distance field
-    per (task id, motion model).
+    per (task id, motion model).  Each entry is the same division as
+    `path_cost`, done for all agents of one motion model at once.
     """
     tasks = state.live_tasks()
     agents = state.agents
     cache = state.dist_cache
     entries = np.full((len(agents), len(tasks)), np.inf)
-    for j, task in enumerate(tasks):
-        for i, ag in enumerate(agents):
-            key = (task.id, ag.motion_model)
+    velocity = np.array([ag.velocity for ag in agents], dtype=np.float64)
+    if (velocity <= 0.0).any():
+        raise ValueError(f"velocity must be positive, got {velocity.min()}")
+    cells = np.array([ag.position for ag in agents], dtype=np.intp)
+    flat = np.ravel_multi_index(cells.reshape(-1, 3).T, state.grid.dims)
+    models = [ag.motion_model for ag in agents]
+    for model in dict.fromkeys(models):
+        rows = np.array([i for i, m in enumerate(models) if m is model])
+        where, vel = flat[rows], velocity[rows]
+        for j, task in enumerate(tasks):
+            key = (task.id, model)
             if key not in cache:
-                cache[key] = distance_field(state.grid, task.location,
-                                            ag.motion_model)
-            d = cache[key][tuple(ag.position)]
-            if np.isfinite(d):
-                entries[i, j] = path_cost(float(d), ag.velocity)
+                cache[key] = distance_field(state.grid, task.location, model)
+            entries[rows, j] = cache[key].take(where) / vel
     return CostMatrix(entries)
 
 
@@ -498,15 +512,14 @@ def plan_schedule(plan: AgentPlan) -> list[tuple[Cell, int]]:
 
 
 def resolve_paths(plans: list[AgentPlan], reservations: ReservationTable,
-                  grid: Grid, models: dict | None = None) -> list[AgentPlan]:
+                  grid: Grid, models: dict) -> list[AgentPlan]:
     """Book space-time reservations in ascending cost order.
 
     The lowest-cost owner keeps its path; later plans that collide replan
-    with reservation-aware A*; when no conflict-free path exists a wait
-    is inserted at the start and the attempt repeats, degrading to
-    repeated waits under permanent blockage.
+    with reservation-aware A* under `models[agent_id]`; when no
+    conflict-free path exists a wait is inserted at the start and the
+    attempt repeats, degrading to repeated waits under permanent blockage.
     """
-    models = models or {}
     resolved = []
 
     def try_book(trial: AgentPlan) -> bool:
@@ -520,7 +533,7 @@ def resolve_paths(plans: list[AgentPlan], reservations: ReservationTable,
         return False
 
     for plan in sorted(plans, key=lambda p: (p.cost, p.agent_id)):
-        model = models.get(plan.agent_id, MotionModel.AERIAL6)
+        model = models[plan.agent_id]
         base = plan
         placed = try_book(base)
         if not placed:

@@ -104,6 +104,31 @@ class TestAStarAgainstDijkstra:
         assert p.length == 6  # up, across, down
 
 
+class TestOneOptimalPath:
+    """On an open grid every cell between the corners lies on an optimal
+    path, so all of them share the optimal f.  A search that breaks those
+    ties toward depth expands one path: manhattan(start, goal) nodes."""
+
+    @pytest.mark.parametrize("space_time", [False, True])
+    @pytest.mark.parametrize("model", [MotionModel.AERIAL6,
+                                       MotionModel.GROUND4])
+    def test_corner_to_corner_within_manhattan_budget(self, model,
+                                                      space_time):
+        grid = Grid.empty((50, 50, 30))
+        start = (0, 0, 0)
+        goal = (49, 49, 0 if model is MotionModel.GROUND4 else 29)
+        table = None
+        if space_time:
+            table = ReservationTable()
+            table.reserve((49, 0, 0), 500, agent_id=9)  # far away, far ahead
+        budget = manhattan(start, goal)
+        path = astar(grid, start, goal, model, reservations=table,
+                     agent_id=0, substeps_per_tick=3, max_expansions=budget)
+        path.validate(grid, model)
+        assert path.cells[0] == start and path.cells[-1] == goal
+        assert path.length == len(path.cells) - 1 == budget
+
+
 class TestDistanceField:
     @pytest.mark.parametrize("model,ground", [
         (MotionModel.AERIAL6, False), (MotionModel.GROUND4, True)])
@@ -371,20 +396,100 @@ class TestReservations:
             path = astar(grid, start, goal, MotionModel.GROUND4)
             plans.append(AgentPlan(a, float(path.length), path, 1.0))
         table = ReservationTable()
-        resolve_paths(plans, table, grid,
-                      {a: MotionModel.GROUND4 for a in range(4)})
-        # by construction of the table a (cell, tick) key has one owner;
-        # verify every resolved schedule actually owns its slots
-        for p in resolve_paths([], table, grid):
-            pass
-        for key, owner in table.slots.items():
-            assert isinstance(owner, int)
+        out = resolve_paths(plans, table, grid,
+                            {a: MotionModel.GROUND4 for a in range(4)})
+        assert sorted(p.agent_id for p in out) == [0, 1, 2, 3]
+        seen = set()
+        for p in out:
+            slots = set(plan_schedule(p))
+            assert all(table.owner(c, t) == p.agent_id for c, t in slots)
+            assert not slots & seen, "two plans share a slot"
+            seen |= slots
 
     def test_plan_schedule_respects_velocity(self):
         path = Path([(x, 0, 0) for x in range(7)])
         fast = AgentPlan(0, 1.0, path, velocity=3.0, start_tick=0)
         sched = plan_schedule(fast)
         assert sched == [((3, 0, 0), 1), ((6, 0, 0), 2)]
+
+
+def space_time_reference(grid, start, goal, model, table, agent_id,
+                         start_tick, substeps_per_tick):
+    """Fewest substeps from `start` to `goal` by breadth-first search over
+    (cell, substep) states; None when the goal is never reached.
+
+    Each substep the agent waits or moves one cell, and the state it
+    enters must not be reserved for another agent at the tick in which
+    that substep falls, the rule `astar` applies.  Once that tick is past
+    every reservation the moves no longer depend on time, so any arrival
+    comes within one substep per grid cell after that; the search stops
+    there.
+    """
+    def tick_of(sub):
+        return start_tick + -(-sub // substeps_per_tick)
+
+    last = (table.max_tick() - start_tick + 1) * substeps_per_tick \
+        + int(np.prod(grid.dims))
+    moves = ((0, 0, 0),) + model.deltas
+    layer, sub = {start}, 0
+    while layer and sub <= last:
+        if goal in layer:
+            return sub
+        sub += 1
+        layer = {nxt for cell in layer for d in moves
+                 for nxt in [(cell[0] + d[0], cell[1] + d[1], cell[2] + d[2])]
+                 if grid.is_free(nxt)
+                 and table.is_free_for(nxt, tick_of(sub), agent_id)}
+    return None
+
+
+@st.composite
+def space_time_instances(draw):
+    """A small grid, free endpoints, a motion model, a start tick, a
+    speed and 1-40 (cell, tick) slots held by agent 7, in the box the
+    endpoints span, where they can stand in the way."""
+    dims = (draw(st.integers(2, 6)), draw(st.integers(2, 6)),
+            draw(st.integers(1, 3)))
+    model = draw(st.sampled_from([MotionModel.AERIAL6, MotionModel.GROUND4]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    blocked = rng.random(dims) < draw(st.floats(0.0, 0.3))
+    top = 1 if model is MotionModel.GROUND4 else dims[2]
+    ends = [(int(rng.integers(dims[0])), int(rng.integers(dims[1])),
+             int(rng.integers(top))) for _ in range(2)]
+    for cell in ends:
+        blocked[cell] = False
+    start_tick = draw(st.integers(0, 3))
+    table = ReservationTable()
+    for _ in range(draw(st.integers(1, 40))):
+        cell = tuple(int(rng.integers(min(a, b), max(a, b) + 1))
+                     for a, b in zip(*ends))
+        table.reserve(cell, start_tick + int(rng.integers(1, 7)), 7)
+    return (Grid(dims, blocked), ends[0], ends[1], model, table,
+            start_tick, draw(st.integers(1, 3)))
+
+
+class TestSpaceTimeAgainstReference:
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(space_time_instances())
+    def test_arrival_is_earliest_and_conflict_free(self, instance):
+        grid, start, goal, model, table, start_tick, spt = instance
+        ref = space_time_reference(grid, start, goal, model, table, 0,
+                                   start_tick, spt)
+        # `astar` gives up past this many substeps
+        horizon = (table.max_tick() - start_tick + 2) * spt \
+            + 4 * (manhattan(start, goal) + 4)
+        if ref is None or ref > horizon:
+            with pytest.raises(NoPathError):
+                astar(grid, start, goal, model, table, 0, start_tick, spt)
+            return
+        path = astar(grid, start, goal, model, table, 0, start_tick, spt)
+        path.validate(grid, model)
+        assert path.cells[0] == start and path.cells[-1] == goal
+        assert len(path.cells) - 1 == ref
+        for sub, cell in enumerate(path.cells[1:], start=1):
+            tick = start_tick + -(-sub // spt)
+            assert table.is_free_for(cell, tick, 0), (cell, tick)
 
 
 class TestPathCost:

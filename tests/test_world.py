@@ -147,6 +147,25 @@ class TestObservations:
                     d = cm.entries[i, j] * ag.velocity
                     assert abs(d - round(d)) < 1e-9  # integer meters
 
+    def test_cost_matrix_equals_per_pair_path_cost(self):
+        st = init_episode(small_config(), 13)
+        st.agents[3].position = st.tasks[0].location  # a zero-cost entry
+        cm, ids = current_cost_matrix(st)
+        assert set(st.dist_cache) == {(tid, ag.motion_model)
+                                      for tid in ids for ag in st.agents}
+        for i, ag in enumerate(st.agents):
+            for j, tid in enumerate(ids):
+                d = st.dist_cache[(tid, ag.motion_model)][tuple(ag.position)]
+                expect = pathplan.path_cost(float(d), ag.velocity) \
+                    if np.isfinite(d) else np.inf
+                assert cm.entries[i, j] == expect, (i, j)
+
+    def test_cost_matrix_rejects_nonpositive_velocity(self):
+        st = init_episode(small_config(), 13)
+        st.agents[2].velocity = 0.0
+        with pytest.raises(ValueError):
+            current_cost_matrix(st)
+
     def test_mask_reject_always_valid(self):
         st = init_episode(small_config(), 17)
         _, masks = observe_state(st)
