@@ -76,6 +76,10 @@ class ScenarioSpec:
         if isinstance(self.n_agents, int):
             self.n_agents = (self.n_agents,)
         self.n_agents = tuple(self.n_agents)
+        if not self.n_agents or min(self.n_agents) < 1:
+            raise ValueError("n_agents must list at least one count >= 1")
+        if self.episodes < 1:
+            raise ValueError("episodes must be >= 1")
         if isinstance(self.methods, str):
             self.methods = (self.methods,)
         self.methods = tuple(self.methods)
@@ -93,16 +97,10 @@ class ScenarioSpec:
     def from_dict(cls, d: dict) -> "ScenarioSpec":
         return cls(**d)
 
-    @classmethod
-    def from_json(cls, path) -> "ScenarioSpec":
-        with open(path) as f:
-            return cls.from_dict(json.load(f))
-
     def world_config(self, n: int) -> WorldConfig:
         n_ground = n // 2
         return WorldConfig(
             grid_dims=self.grid_dims, n_agents=n, n_tasks_initial=n,
-            max_active_tasks=max(20, n),
             task_interval=self.task_interval if self.mode == "dynamic" else None,
             obstacle_density=self.obstacle_density,
             n_ground=n_ground, n_aerial=n - n_ground,

@@ -5,8 +5,7 @@ velocity (1), normalized slot costs (m_max)], the status and costs
 being the agent's `world.observation` row; task nodes carry
 [normalized location (3), assigned flag (1)].  The graph is complete
 bipartite agent-task; each edge carries weight 1/(1+c_ij) used to weight
-the degree-normalized mean aggregation.  Optional agent-agent edges
-within a communication radius.
+the degree-normalized mean aggregation.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ class HeteroGraph:
     agent_x: np.ndarray          # N x (5 + m_max)
     task_x: np.ndarray           # M_live x 4
     edge_w: np.ndarray           # N x M_live, 1/(1+c); 0 where unreachable
-    comm: np.ndarray | None      # N x N bool, optional agent-agent edges
     task_slots: list             # observation slot of each live task
 
     @property
@@ -76,8 +74,7 @@ def init_gcn_params(rng: np.random.Generator, m_max: int) -> GCNParams:
     )
 
 
-def build_graph(state: EpisodeState, cm,
-                comm_radius: float | None = None) -> HeteroGraph:
+def build_graph(state: EpisodeState, cm) -> HeteroGraph:
     """Assemble node features and edge weights from the live world."""
     cfg = state.config
     dims = np.asarray(cfg.grid_dims, dtype=np.float64)
@@ -100,12 +97,7 @@ def build_graph(state: EpisodeState, cm,
 
     edge_w = np.where(np.isfinite(cm.entries), 1.0 / (1.0 + cm.entries), 0.0)
 
-    comm = None
-    if comm_radius is not None:
-        d = np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=-1)
-        comm = (d <= comm_radius) & ~np.eye(len(state.agents), dtype=bool)
-
-    return HeteroGraph(agent_x, task_x, edge_w, comm,
+    return HeteroGraph(agent_x, task_x, edge_w,
                        [state.slot_of_task(t.id) for t in live])
 
 
@@ -118,8 +110,6 @@ def _norm_adjacency(g: HeteroGraph) -> np.ndarray:
     if m:
         a[:n, n:] = g.edge_w
         a[n:, :n] = g.edge_w.T
-    if g.comm is not None:
-        a[:n, :n] += g.comm.astype(np.float64)
     return a / a.sum(axis=1, keepdims=True)
 
 

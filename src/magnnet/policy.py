@@ -140,15 +140,11 @@ def sample_action(dist: ActionDistribution, rng: np.random.Generator,
                   greedy: bool = False):
     """Draw one action per row; returns (actions, natural-log probs)."""
     p = dist.p
-    squeeze = p.ndim == 1
-    p2 = np.atleast_2d(p)
-    actions = np.empty(p2.shape[0], dtype=int)
-    for i, row in enumerate(p2):
+    actions = np.empty(p.shape[0], dtype=int)
+    for i, row in enumerate(p):
         if greedy:
             actions[i] = int(np.argmax(row))
         else:
             actions[i] = int(rng.choice(len(row), p=row / row.sum()))
-    logp = np.log(p2[np.arange(len(actions)), actions])
-    if squeeze:
-        return int(actions[0]), float(logp[0])
+    logp = np.log(p[np.arange(len(actions)), actions])
     return actions, logp

@@ -37,7 +37,6 @@ class PPOConfig:
     value_coef: float = 0.5
     total_steps: int = 100_000
     checkpoint_interval: int = 25  # updates between periodic checkpoints
-    normalize_advantages: bool = True
 
     def __post_init__(self):
         self.validate()
@@ -93,13 +92,11 @@ class ModelParams:
                           {"n_max": self.n_max, "m_max": self.m_max})
 
     @classmethod
-    def load(cls, path, require_critic: bool = False) -> "ModelParams":
+    def load(cls, path) -> "ModelParams":
         arrays, manifest = T.load_checkpoint(path)
         n_max, m_max = int(manifest["n_max"]), int(manifest["m_max"])
         rng = np.random.default_rng(0)
         has_critic = any(k.startswith("critic.") for k in arrays)
-        if require_critic and not has_critic:
-            raise CheckpointMismatchError("checkpoint has no critic parameters")
         model = cls.init(rng, n_max, m_max, with_critic=has_critic)
         for name, p in model.named().items():
             if name not in arrays:
@@ -243,9 +240,7 @@ def ppo_update(buffer: RolloutBuffer, advantages: np.ndarray,
     """
     n_agents = buffer.n_agents
     steps_per_mb = max(1, config.minibatch // n_agents)
-    adv = advantages
-    if config.normalize_advantages:
-        adv = (adv - adv.mean()) / (adv.std() + 1e-8)
+    adv = (advantages - advantages.mean()) / (advantages.std() + 1e-8)
 
     params = model.parameters()
     stats = {"policy_loss": [], "value_loss": [], "entropy": [],

@@ -59,22 +59,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, grad={self.requires_grad})"
 
-    # sugar used throughout the model code
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 def param(data) -> Tensor:
     """Leaf parameter tensor."""
@@ -249,19 +233,6 @@ def gather_rows(x: Tensor, idx) -> Tensor:
         return (full,)
 
     return _make(x.data[rows, idx], (x,), bwd)
-
-
-def softmax_rows(x: Tensor) -> Tensor:
-    x = as_tensor(x)
-    z = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    s = e / e.sum(axis=-1, keepdims=True)
-
-    def bwd(g):
-        dot = (g * s).sum(axis=-1, keepdims=True)
-        return ((g - dot) * s,)
-
-    return _make(s, (x,), bwd)
 
 
 def masked_softmax(logits: Tensor, mask) -> Tensor:

@@ -13,7 +13,6 @@ A round is `Episode.observe` (the one cost matrix of the round), then
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, asdict
 from enum import Enum
 
@@ -24,11 +23,6 @@ from .assign import CostMatrix, feasible_optimum, total_cost
 from .errors import PlacementError
 from .pathplan import (AgentPlan, Grid, MotionModel, Path, ReservationTable,
                        resolve_paths)
-
-
-class AgentKind(Enum):
-    GROUND = "ground"
-    AERIAL = "aerial"
 
 
 class AgentStatus(Enum):
@@ -59,7 +53,7 @@ SENTINEL_NORMALIZED_COST = 2.0
 @dataclass
 class AgentState:
     id: int
-    kind: AgentKind
+    motion_model: MotionModel
     position: tuple
     velocity: float
     status: AgentStatus = AgentStatus.IDLE
@@ -67,11 +61,6 @@ class AgentState:
     plan: AgentPlan | None = None
     path_index: int = 0
     progress: float = 0.0
-
-    @property
-    def motion_model(self) -> MotionModel:
-        return MotionModel.GROUND4 if self.kind is AgentKind.GROUND \
-            else MotionModel.AERIAL6
 
 
 @dataclass
@@ -103,15 +92,14 @@ class WorldConfig:
     grid_dims: tuple = (50, 50, 30)
     n_agents: int = 4
     n_tasks_initial: int = 4
-    max_active_tasks: int = 20
     task_interval: float | None = None  # None = static scenario
     obstacle_density: float = 0.1
     n_ground: int = 2
     n_aerial: int = 2
-    ground_velocity: float = 3.0
+    ground_velocity: float = 3.0  # cells per second, a whole number
     aerial_velocity: float = 5.0
     cost_scale: float = 50.0
-    m_max: int | None = None
+    m_max: int | None = None  # observation slots = cap on live tasks
     step_cap: float = 400.0
     shaping: RewardShaping = field(default_factory=RewardShaping)
 
@@ -121,16 +109,22 @@ class WorldConfig:
         self.grid_dims = tuple(self.grid_dims)
         if self.m_max is None:
             self.m_max = self.n_tasks_initial if self.task_interval is None \
-                else self.max_active_tasks
+                else 20
         self.validate()
 
     def validate(self):
+        if self.n_ground < 0 or self.n_aerial < 0:
+            raise ValueError("n_ground and n_aerial must be >= 0")
         if self.n_ground + self.n_aerial != self.n_agents:
             raise ValueError("n_ground + n_aerial must equal n_agents")
         if not 0.0 <= self.obstacle_density < 0.3:
             raise ValueError("obstacle_density must be in [0, 0.3)")
-        if self.task_interval is None and self.max_active_tasks < self.n_tasks_initial:
-            raise ValueError("max_active_tasks < n_tasks_initial in static mode")
+        if self.task_interval is not None and not self.task_interval > 0:
+            raise ValueError("task_interval must be > 0")
+        # schedules book whole cells per tick; motion must move the same
+        for v in (self.ground_velocity, self.aerial_velocity):
+            if not (v > 0 and float(v).is_integer()):
+                raise ValueError("velocities must be whole cells per second")
         if self.m_max < self.n_tasks_initial:
             raise ValueError("m_max must cover the initial task count")
         self.shaping.validate()
@@ -138,11 +132,6 @@ class WorldConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "WorldConfig":
         return cls(**d)
-
-    @classmethod
-    def from_json(cls, path) -> "WorldConfig":
-        with open(path) as f:
-            return cls.from_dict(json.load(f))
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -152,7 +141,6 @@ class WorldConfig:
 class DecisionOutcome:
     assignments: list = field(default_factory=list)   # (agent id, task id)
     conflicts: list = field(default_factory=list)     # (task id, [agent ids])
-    rewards: np.ndarray | None = None
     invalid: list = field(default_factory=list)       # invalid action -> reject
     idle_rejects: list = field(default_factory=list)  # unjustified rejections
     requests: dict = field(default_factory=dict)      # task id -> [agent ids]
@@ -175,7 +163,6 @@ class EpisodeState:
     intervals_consumed: int = 0
     achieved_pairs: list = field(default_factory=list)  # (agent, task, cost)
     contested_tasks: set = field(default_factory=set)
-    spawned_task_count: int = 0
 
     def live_tasks(self) -> list:
         return [t for t in self.tasks if t.status is not TaskStatus.DONE]
@@ -225,8 +212,7 @@ def _sample_cells(rng, candidates: np.ndarray, count: int, taken: set) -> list:
             raise PlacementError(
                 f"could not place {count} cells after {attempts} draws")
         row = candidates[int(rng.integers(len(candidates)))]
-        cell = (int(row[0]), int(row[1]), int(row[2])) if len(row) == 3 \
-            else tuple(int(v) for v in row)
+        cell = (int(row[0]), int(row[1]), int(row[2]))
         if cell in taken:
             continue
         taken.add(cell)
@@ -253,9 +239,10 @@ def init_episode(config: WorldConfig, seed: int) -> EpisodeState:
 
     agents = []
     for i, p in enumerate(ground_pos):
-        agents.append(AgentState(i, AgentKind.GROUND, p, config.ground_velocity))
+        agents.append(AgentState(i, MotionModel.GROUND4, p,
+                                 config.ground_velocity))
     for k, p in enumerate(aerial_pos):
-        agents.append(AgentState(config.n_ground + k, AgentKind.AERIAL, p,
+        agents.append(AgentState(config.n_ground + k, MotionModel.AERIAL6, p,
                                  config.aerial_velocity))
     tasks = [TaskState(j, p) for j, p in enumerate(task_pos)]
 
@@ -263,7 +250,7 @@ def init_episode(config: WorldConfig, seed: int) -> EpisodeState:
         config=config, clock=0.0, agents=agents, tasks=tasks, grid=grid,
         reservations=ReservationTable(), rng=rng,
         slots=[t.id for t in tasks] + [None] * (config.m_max - len(tasks)),
-        next_task_id=len(tasks), spawned_task_count=len(tasks))
+        next_task_id=len(tasks))
     state.record("episode_start", n_agents=len(agents), n_tasks=len(tasks))
     return state
 
@@ -433,17 +420,15 @@ def step_rewards(outcome: DecisionOutcome, state: EpisodeState,
                  shaping: RewardShaping) -> np.ndarray:
     """Per-agent shaped rewards for one decision round."""
     rewards = np.zeros(len(state.agents))
-    idx = {a.id: i for i, a in enumerate(state.agents)}
-    for agent_id, _ in outcome.assignments:
-        rewards[idx[agent_id]] += shaping.win_reward
+    winners = {a for a, _ in outcome.assignments}
+    for a, _ in outcome.assignments:
+        rewards[a] += shaping.win_reward
     for _, contenders in outcome.conflicts:
-        winner_ids = {a for a, _ in outcome.assignments}
         for a in contenders:
-            if a not in winner_ids:
-                rewards[idx[a]] += shaping.conflict_penalty
+            if a not in winners:
+                rewards[a] += shaping.conflict_penalty
     for a in outcome.idle_rejects:
-        rewards[idx[a]] += shaping.idle_reject_penalty
-    outcome.rewards = rewards
+        rewards[a] += shaping.idle_reject_penalty
     return rewards
 
 
@@ -526,21 +511,19 @@ def _rebook(state: EpisodeState, agent: AgentState, from_tick: int) -> None:
 
 
 def spawn_tasks(state: EpisodeState, config: WorldConfig) -> list:
-    """Dynamic mode: one task per crossed interval while capacity allows."""
+    """Dynamic mode: one task per crossed interval while a slot is free."""
     if config.task_interval is None:
         return []
     new = []
     while (state.intervals_consumed + 1) * config.task_interval <= state.clock:
         state.intervals_consumed += 1
-        active = len(state.live_tasks())
-        if active >= config.max_active_tasks or None not in state.slots:
+        if None not in state.slots:
             continue
         cand = np.argwhere(~state.grid.blocked[:, :, 0])
         x, y = cand[int(state.rng.integers(len(cand)))]
         task = TaskState(state.next_task_id, (int(x), int(y), 0),
                          spawn_time=state.clock)
         state.next_task_id += 1
-        state.spawned_task_count += 1
         state.tasks.append(task)
         state.slots[state.slots.index(None)] = task.id
         state.record("task_spawn", task=task.id)
@@ -569,10 +552,7 @@ class Episode:
         if self.state.clock >= self.config.step_cap:
             self.state.done = True
             return True
-        more_spawns = (self.config.task_interval is not None
-                       and self.state.clock < self.config.step_cap)
-        if not more_spawns and all(t.status is TaskStatus.DONE
-                                   for t in self.state.tasks):
+        if self.config.task_interval is None and self.all_tasks_done():
             self.state.done = True
             return True
         return False

@@ -41,6 +41,15 @@ class TestScenarioSpec:
         with pytest.raises(ValueError):
             ScenarioSpec(methods=("oracle",))
 
+    # episodes=0 used to reach run_benchmark and fail with a KeyError
+    @pytest.mark.parametrize("kw", [
+        dict(episodes=0), dict(n_agents=()), dict(n_agents=(0,)),
+        dict(n_agents=(4, -1))],
+        ids=["episodes-0", "n_agents-empty", "n_agents-0", "n_agents-neg"])
+    def test_empty_sweep_rejected(self, kw):
+        with pytest.raises(ValueError):
+            ScenarioSpec(methods=("hungarian",), **kw)
+
     def test_dynamic_gets_default_interval(self):
         spec = ScenarioSpec(mode="dynamic", methods=("hungarian",))
         assert spec.task_interval == 5.0

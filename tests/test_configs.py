@@ -37,7 +37,10 @@ def test_config_loads(path):
     (ScenarioSpec, {"methods": ["hungarian"], "planner": "astar"}),
     (WorldConfig, {"seed": 0}),
     (WorldConfig, {"tasks_on_ground": True}),
-], ids=["spec-planner", "world-seed", "world-tasks_on_ground"])
+    (WorldConfig, {"max_active_tasks": 20}),
+    (PPOConfig, {"normalize_advantages": False}),
+], ids=["spec-planner", "world-seed", "world-tasks_on_ground",
+        "world-max_active_tasks", "ppo-normalize_advantages"])
 def test_removed_settings_rejected(cls, blob):
     with pytest.raises(TypeError):
         cls.from_dict(blob)

@@ -55,15 +55,6 @@ class TestBuildGraph:
                            1.0 / (1.0 + cm.entries[finite]))
         assert (g.edge_w[~finite] == 0.0).all()
 
-    def test_comm_radius_edges(self):
-        st = small_state(3)
-        cm, _ = current_cost_matrix(st)
-        g = build_graph(st, cm, comm_radius=1000.0)
-        assert g.comm is not None
-        assert g.comm.sum() == 4 * 3  # complete, no self loops
-        g2 = build_graph(st, cm, comm_radius=0.0)
-        assert g2.comm.sum() == 0
-
 
 class TestAdjacency:
     def test_rows_sum_to_one(self):
@@ -96,7 +87,7 @@ class TestEncode:
         task_x = np.zeros((1, 4))
         task_x[0, :3] = [1.0, 1.0, 0.0]
         edge_w = np.array([[0.5]])  # cost 1 -> weight 1/2
-        g = HeteroGraph(agent_x, task_x, edge_w, None, [0])
+        g = HeteroGraph(agent_x, task_x, edge_w, [0])
         p = identity_params(m_max=4)
         emb = gcn_encode(g, p).data
 
@@ -120,7 +111,7 @@ class TestEncode:
 
         perm = np.array([2, 0, 3, 1])
         g2 = HeteroGraph(g.agent_x, g.task_x[perm], g.edge_w[:, perm],
-                         g.comm, [g.task_slots[k] for k in perm])
+                         [g.task_slots[k] for k in perm])
         assert np.allclose(gcn_encode(g2, p).data, base)
 
     def test_permutation_equivariance_over_agents(self):
@@ -131,7 +122,7 @@ class TestEncode:
         base = gcn_encode(g, p).data
         perm = np.array([3, 1, 0, 2])
         g2 = HeteroGraph(g.agent_x[perm], g.task_x, g.edge_w[perm],
-                         g.comm, g.task_slots)
+                         g.task_slots)
         assert np.allclose(gcn_encode(g2, p).data, base[perm])
 
     def test_no_tasks_still_encodes(self):

@@ -7,8 +7,8 @@ import pytest
 from magnnet import pathplan
 from magnnet.errors import PlacementError
 from magnnet.gnn import build_graph
-from magnnet.pathplan import Path
-from magnnet.world import (AgentKind, AgentStatus, Episode, RewardShaping,
+from magnnet.pathplan import MotionModel, Path
+from magnnet.world import (AgentStatus, Episode, RewardShaping,
                            SENTINEL_NORMALIZED_COST, STATUS_CODE, TaskStatus,
                            WorldConfig, advance, arbitrate, assign_tasks,
                            current_cost_matrix, init_episode, observation,
@@ -70,12 +70,26 @@ class TestConfig:
         with pytest.raises(ValueError):
             small_config(obstacle_density=0.5)
 
+    # a non-positive interval makes spawn_tasks loop forever; plan_schedule
+    # books round(v) cells per tick while advance moves floor(progress),
+    # which agree only for whole positive speeds; a negative count can
+    # still sum to n_agents
+    @pytest.mark.parametrize("kw", [
+        dict(task_interval=0.0), dict(task_interval=-5.0),
+        dict(ground_velocity=2.5), dict(aerial_velocity=3.4),
+        dict(ground_velocity=0.0), dict(aerial_velocity=-5.0),
+        dict(n_agents=4, n_ground=-1, n_aerial=5)],
+        ids=["interval-0", "interval-neg", "ground-2.5", "aerial-3.4",
+             "ground-0", "aerial-neg", "n_ground-neg"])
+    def test_invalid_values_rejected(self, kw):
+        with pytest.raises(ValueError):
+            small_config(**kw)
+
     def test_static_m_max_defaults_to_initial_tasks(self):
         assert small_config(n_tasks_initial=4).m_max == 4
 
     def test_dynamic_m_max_defaults_to_capacity(self):
-        cfg = small_config(task_interval=5.0, max_active_tasks=12)
-        assert cfg.m_max == 12
+        assert small_config(task_interval=5.0).m_max == 20
 
     def test_round_trip_dict(self):
         cfg = small_config(task_interval=2.0)
@@ -106,7 +120,7 @@ class TestInitEpisode:
     def test_ground_agents_and_tasks_at_z0(self):
         st = init_episode(small_config(), 5)
         for a in st.agents:
-            if a.kind is AgentKind.GROUND:
+            if a.motion_model is MotionModel.GROUND4:
                 assert a.position[2] == 0
         for t in st.tasks:
             assert t.location[2] == 0
@@ -190,8 +204,8 @@ class TestObservationEquivalence:
     unreachable tasks all occur across these runs."""
 
     CONFIGS = (dict(), dict(obstacle_density=0.25),
-               dict(task_interval=3.0, max_active_tasks=8, step_cap=60.0),
-               dict(task_interval=2.0, max_active_tasks=6, step_cap=60.0,
+               dict(task_interval=3.0, m_max=8, step_cap=60.0),
+               dict(task_interval=2.0, m_max=6, step_cap=60.0,
                     obstacle_density=0.25))
 
     def test_matches_reference_rows(self):
@@ -362,7 +376,7 @@ class TestSpawning:
         assert spawn_tasks(st, cfg) == []
 
     def test_dynamic_spawns_on_interval(self):
-        cfg = small_config(task_interval=5.0, max_active_tasks=10)
+        cfg = small_config(task_interval=5.0, m_max=10)
         st = init_episode(cfg, 73)
         st.clock = 11.0
         new = spawn_tasks(st, cfg)
@@ -370,7 +384,7 @@ class TestSpawning:
         assert st.slot_of_task(new[0].id) is not None
 
     def test_capacity_respected(self):
-        cfg = small_config(task_interval=1.0, max_active_tasks=5)
+        cfg = small_config(task_interval=1.0, m_max=5)
         st = init_episode(cfg, 79)
         st.clock = 50.0
         spawn_tasks(st, cfg)
@@ -407,7 +421,7 @@ class TestEpisode:
         real = pathplan.cost_matrix
         monkeypatch.setattr(pathplan, "cost_matrix",
                             lambda state: calls.append(1) or real(state))
-        ep = Episode(small_config(task_interval=4.0, max_active_tasks=8,
+        ep = Episode(small_config(task_interval=4.0, m_max=8,
                                   step_cap=60.0), 101)
         rng = np.random.default_rng(1)
         observes = 0

@@ -36,7 +36,7 @@ def test_extract_path_follows_field_from_every_reachable_start(model, seed):
 def test_ids_index_agents_and_tasks():
     cfg = WorldConfig(grid_dims=(15, 15, 6), n_agents=4, n_tasks_initial=4,
                       n_ground=2, n_aerial=2, obstacle_density=0.08,
-                      task_interval=1.0, max_active_tasks=8)
+                      task_interval=1.0, m_max=8)
     st = init_episode(cfg, 5)
     st.clock = 3.0
     assert len(spawn_tasks(st, cfg)) == 3
