@@ -10,6 +10,7 @@ shortest paths are BFS-exact and A* with a Manhattan heuristic is optimal.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -243,53 +244,105 @@ def _reconstruct(came, end, time_states=False):
 # ---------------------------------------------------------------------------
 
 def _wavefront(free: np.ndarray, source) -> np.ndarray:
-    """BFS over a 2D or 3D free mask, one ring per loop pass.
+    """BFS over a 2D or 3D free mask, one ring per loop pass, with 64
+    cells to a machine word.
 
-    The mask is padded with one blocked cell on every side and viewed
-    flat, so a move along an axis is a shift of the flat frontier by
-    that axis's stride: 1, Z+2 and (Y+2)(Z+2) in 3D.  Each shift is one
-    contiguous slice OR.  A shift that crosses a row or plane boundary
-    lands in a padding cell, and padding is never free, so `nxt &= todo`
-    drops every such wrapped step.
+    Word layout: the first axis x is cut into blocks of 64 cells.  Word
+    (w, r) holds cells x = 64w .. 64w + 63 (bit i is x = 64w + i) at
+    index r of the other axes, which are padded with one blocked cell on
+    every side and flattened; it sits at w * B + r, where B is their
+    padded size (52 * 32 words on a 50x50x30 grid).  A move along x is a
+    1-bit shift of every word, plus, when x spans more than one block, a
+    carry of bit 63 into the same r of the next block: a word shift by
+    B.  A move along another axis is a word shift by its stride (Z+2
+    for y and 1 for z in 3D, 1 for y in 2D), and the padding keeps it
+    inside its block: a shift that crosses a row or plane boundary
+    lands in a padding word, which is never free, so `nxt &= todo`
+    drops it.  On 50x50x30 a ring is about 13 ufunc calls over 1,664
+    words (13 kB).
 
-    Rings are recorded as small integers and turned into float distances
-    once, on the unpadded cells: a padded float buffer per field raised
-    peak memory by several MB on field-heavy runs.
+    Ring labels are bit-sliced: label plane k, one word array, holds bit
+    k of every cell's ring, so ring d ORs its new cells into plane k for
+    each set bit k of d, about 3 ORs per ring.  A plane is added when d
+    reaches a power of two, the first empty ring included, so the K
+    planes can hold 2**K - 1, a label above every ring; cells never
+    reached, blocked ones included, take that label.  After the search
+    the planes are unpacked once with `np.unpackbits`, folded into one
+    small integer per cell, and written into a C-contiguous float64
+    field, with inf for that label.
     """
-    padded = np.zeros(tuple(n + 2 for n in free.shape), dtype=bool)
-    inner = (slice(1, -1),) * free.ndim
-    padded[inner] = free
-    todo = padded.ravel()  # free and not yet reached
-    rings = np.zeros(todo.shape, dtype=np.min_scalar_type(todo.size))
-    src = np.ravel_multi_index(tuple(int(s) + 1 for s in source),
-                               padded.shape)
-    if todo[src]:
-        strides = [s // todo.itemsize for s in padded.strides[:-1]]
-        frontier = np.zeros_like(todo)
-        nxt = np.empty_like(todo)
-        frontier[src] = True
-        todo[src] = False
-        d = 0
-        while True:
-            d += 1
-            # the last axis (stride 1) overwrites nxt, so it needs no
-            # clearing; the stale nxt[0] is padding and `&= todo` drops it
-            nxt[1:] = frontier[:-1]
-            nxt[:-1] |= frontier[1:]
-            for s in strides:
-                nxt[s:] |= frontier[:-s]
-                nxt[:-s] |= frontier[s:]
-            nxt &= todo
-            ring = np.flatnonzero(nxt)
-            if not ring.size:
-                break
-            rings[ring] = d
-            todo[ring] = False
-            frontier, nxt = nxt, frontier
-    dist = rings.reshape(padded.shape)[inner].astype(np.float64)
-    # todo is a view of padded: its inner cells are now the free cells
-    # never reached
-    dist[~free | padded[inner]] = np.inf
+    source = tuple(int(s) for s in source)
+    if not free[source]:
+        return np.full(free.shape, np.inf)
+    nx, rest = free.shape[0], free.shape[1:]
+    blocks = -(-nx // 64)
+    padded = tuple(n + 2 for n in rest)
+    block = math.prod(padded)  # words per x-block
+    inner = (slice(1, -1),) * len(rest)
+    # x goes last here, so packbits runs along the contiguous axis
+    cells = np.zeros(padded + (64 * blocks,), dtype=bool)
+    cells[inner + (slice(0, nx),)] = np.moveaxis(free, 0, -1)
+    words = np.packbits(cells, axis=-1, bitorder="little").view("<u8")
+    # free and not yet reached
+    todo = np.ascontiguousarray(words.reshape(block, blocks).T).ravel()
+    free_words = todo.copy()
+    at = int(np.ravel_multi_index(
+        (source[0] // 64,) + tuple(s + 1 for s in source[1:]),
+        (blocks,) + padded))
+    bit = np.uint64(1) << np.uint64(source[0] % 64)
+    todo[at] ^= bit
+    frontier, nxt, tmp = (np.zeros_like(todo) for _ in range(3))
+    frontier[at] = bit
+    # 0-d arrays make cheaper shift operands than numpy scalars
+    one, top = np.array(1, todo.dtype), np.array(63, todo.dtype)
+    strides = [math.prod(padded[i + 1:]) for i in range(len(padded))]
+
+    def moves(f, n):
+        """(out, in) pairs for `out |= in`: the word shifts from f to n."""
+        pairs = [(n[s:], f[:-s]) for s in strides]
+        return pairs + [(n[:-s], f[s:]) for s in strides]
+
+    # built once; they swap with the buffers they view
+    shifts, swapped = moves(frontier, nxt), moves(nxt, frontier)
+    planes = []
+    d = 0
+    while True:
+        d += 1
+        if d >> len(planes):
+            planes.append(np.zeros_like(todo))
+        np.left_shift(frontier, one, nxt)
+        np.right_shift(frontier, one, tmp)
+        nxt |= tmp
+        if blocks > 1:  # bit 63 carries into the next block and back
+            np.right_shift(frontier[:-block], top, tmp[block:])
+            nxt[block:] |= tmp[block:]
+            np.left_shift(frontier[block:], top, tmp[:-block])
+            nxt[:-block] |= tmp[:-block]
+        for out, shifted in shifts:
+            np.bitwise_or(out, shifted, out)
+        nxt &= todo
+        if not np.count_nonzero(nxt):
+            break
+        todo ^= nxt
+        for k in range(d.bit_length()):
+            if d >> k & 1:
+                planes[k] |= nxt
+        frontier, nxt = nxt, frontier
+        shifts, swapped = swapped, shifts
+    never = ~(free_words ^ todo)  # todo kept only the unreached
+    label = np.zeros(64 * todo.size,
+                     dtype=np.min_scalar_type(2 ** len(planes) - 1))
+    for plane in reversed(planes):  # one at a time: 1 byte per cell, not K
+        label += label
+        label |= np.unpackbits((plane | never).view(np.uint8),
+                               bitorder="little")
+    label = np.moveaxis(label.reshape((blocks,) + padded + (64,)), -1, 1)
+    label = label.reshape((64 * blocks,) + padded)[(slice(0, nx),) + inner]
+    dist = np.ascontiguousarray(label, dtype=np.float64)
+    # never / 0 = inf and every other label / 1 = itself, without the
+    # slow masked write of inf into scattered cells
+    with np.errstate(divide="ignore"):
+        np.divide(dist, dist != 2.0 ** len(planes) - 1, out=dist)
     return dist
 
 

@@ -113,6 +113,8 @@ class WorldConfig:
         self.validate()
 
     def validate(self):
+        if self.n_agents < 1:
+            raise ValueError("n_agents must be >= 1")
         if self.n_ground < 0 or self.n_aerial < 0:
             raise ValueError("n_ground and n_aerial must be >= 0")
         if self.n_ground + self.n_aerial != self.n_agents:
@@ -125,6 +127,8 @@ class WorldConfig:
         for v in (self.ground_velocity, self.aerial_velocity):
             if not (v > 0 and float(v).is_integer()):
                 raise ValueError("velocities must be whole cells per second")
+        if not self.cost_scale > 0:
+            raise ValueError("cost_scale must be > 0")
         if self.m_max < self.n_tasks_initial:
             raise ValueError("m_max must cover the initial task count")
         self.shaping.validate()

@@ -165,7 +165,7 @@ class TestDistanceField:
 
 def wavefront_reference(free: np.ndarray, source) -> np.ndarray:
     """Ring-by-ring BFS with one N-D slice shift per axis direction: the
-    loop the flat padded kernel in `pathplan._wavefront` replaced."""
+    loop that the array kernels in `pathplan._wavefront` replaced."""
     dist = np.full(free.shape, np.inf)
     if not free[tuple(source)]:
         return dist
@@ -239,6 +239,83 @@ class TestDistanceFieldKernel:
         assert np.array_equal(
             plane[:, :, 0], wavefront_reference(free[:, :, 0], ground_src[:2]))
         assert np.isinf(plane[:, :, 1:]).all()
+
+
+class TestDistanceFieldWords:
+    """Shapes the 1-6-cell hypothesis instances never reach: x spans of
+    more than one 64-cell word, rings past 8 label bits, and the
+    ground plane, which is a strided view of the 3D mask."""
+
+    @pytest.mark.parametrize("model", list(MotionModel))
+    def test_c_contiguous_float64_of_grid_shape(self, model):
+        rng = np.random.default_rng(5)
+        grid = random_grid(rng, dims=(20, 16, 6), density=0.2)
+        src = free_cell(rng, grid, ground=model is MotionModel.GROUND4)
+        field = distance_field(grid, src, model)
+        assert field.shape == grid.dims
+        assert field.dtype == np.float64
+        assert field.flags.c_contiguous
+
+    @pytest.mark.parametrize("nx", [63, 64, 65, 129])
+    @pytest.mark.parametrize("model", list(MotionModel))
+    def test_word_boundaries_match_reference_loop(self, nx, model):
+        rng = np.random.default_rng(nx)
+        grid = random_grid(rng, dims=(nx, 5, 4), density=0.15)
+        free = ~grid.blocked
+        ground = model is MotionModel.GROUND4
+        starts = {0, 62, 63, 64, 65, 127, 128, nx - 1}
+        for x in sorted(s for s in starts if s < nx):
+            src = (x, 2, 0 if ground else 1)
+            free[src] = True
+            grid = Grid(grid.dims, ~free)
+            field = distance_field(grid, src, model)
+            if ground:
+                ref = wavefront_reference(free[:, :, 0], src[:2])
+                assert np.array_equal(field[:, :, 0], ref), src
+                assert np.isinf(field[:, :, 1:]).all()
+            else:
+                assert np.array_equal(field, wavefront_reference(free, src))
+
+    @pytest.mark.parametrize("length", [255, 256, 300])
+    @pytest.mark.parametrize("model,axis", [
+        (MotionModel.AERIAL6, 0), (MotionModel.AERIAL6, 1),
+        (MotionModel.AERIAL6, 2), (MotionModel.GROUND4, 0),
+        (MotionModel.GROUND4, 1)])
+    def test_long_corridor_is_closed_form(self, length, model, axis):
+        """`length` free cells, a wall, then one free cell nothing
+        reaches.  From one end the last ring is length - 1.  At 255 the
+        first empty ring is 255 = 2**8 - 1; at 256 the last ring fits
+        in 8 label bits but the never-reached label needs a ninth; at
+        300 the rings themselves need nine."""
+        dims = [1, 1, 1]
+        dims[axis] = length + 2
+        blocked = np.zeros(dims, dtype=bool)
+        blocked.reshape(-1)[length] = True
+        grid = Grid(tuple(dims), blocked)
+        field = distance_field(grid, (0, 0, 0), model).reshape(-1)
+        assert np.array_equal(field[:length], np.arange(length))
+        assert np.isinf(field[length:]).all()
+        mid = length // 2
+        src = [0, 0, 0]
+        src[axis] = mid
+        field = distance_field(grid, tuple(src), model).reshape(-1)
+        assert np.array_equal(field[:length],
+                              np.abs(np.arange(length) - mid))
+
+    def test_ground_plane_of_a_layered_mask(self):
+        """The GROUND4 branch hands the kernel `free[:, :, 0]`, a view
+        with a stride of Z cells along y; the layers above differ, so
+        reading any of them would show."""
+        rng = np.random.default_rng(11)
+        free = ~random_grid(rng, dims=(70, 9, 5), density=0.3).blocked
+        free[:, :, 1:] = True
+        grid = Grid((70, 9, 5), ~free)
+        src = free_cell(rng, grid, ground=True)
+        assert not free[:, :, 0].flags.c_contiguous
+        field = distance_field(grid, src, MotionModel.GROUND4)
+        assert np.array_equal(field[:, :, 0],
+                              wavefront_reference(free[:, :, 0], src[:2]))
+        assert np.isinf(field[:, :, 1:]).all()
 
 
 class TestGrid:

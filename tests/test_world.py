@@ -73,14 +73,18 @@ class TestConfig:
     # a non-positive interval makes spawn_tasks loop forever; plan_schedule
     # books round(v) cells per tick while advance moves floor(progress),
     # which agree only for whole positive speeds; a negative count can
-    # still sum to n_agents
+    # still sum to n_agents; with no agents collect_rollout never fills
+    # its batch; observations divide slot costs by cost_scale
     @pytest.mark.parametrize("kw", [
         dict(task_interval=0.0), dict(task_interval=-5.0),
         dict(ground_velocity=2.5), dict(aerial_velocity=3.4),
         dict(ground_velocity=0.0), dict(aerial_velocity=-5.0),
-        dict(n_agents=4, n_ground=-1, n_aerial=5)],
+        dict(n_agents=4, n_ground=-1, n_aerial=5),
+        dict(n_agents=0, n_ground=0, n_aerial=0),
+        dict(cost_scale=0.0), dict(cost_scale=-50.0)],
         ids=["interval-0", "interval-neg", "ground-2.5", "aerial-3.4",
-             "ground-0", "aerial-neg", "n_ground-neg"])
+             "ground-0", "aerial-neg", "n_ground-neg", "n_agents-0",
+             "cost_scale-0", "cost_scale-neg"])
     def test_invalid_values_rejected(self, kw):
         with pytest.raises(ValueError):
             small_config(**kw)
