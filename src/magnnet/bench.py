@@ -26,7 +26,7 @@ from .errors import NoPathError
 from .gnn import build_graph
 from .pathplan import RRTParams, rrt_star
 from .policy import sample_action
-from .ppo import ModelParams, _forward_step
+from .ppo import ModelParams, _forward_steps
 from .tensor import no_grad
 from .world import Episode, WorldConfig, assign_tasks
 
@@ -250,8 +250,8 @@ def run_episode_magnnet(config: WorldConfig, seed: int,
             obs, masks, cm, _ = ep.observe()
             graph = build_graph(ep.state, cm)
             with no_grad():
-                dist, _ = _forward_step(model, graph, obs, masks,
-                                        with_value=False)
+                dist, _ = _forward_steps(model, [graph], obs, masks,
+                                         with_value=False)
                 actions, _ = sample_action(dist, rng, greedy=True)
             ep.act(actions)
             alloc_wall += time.perf_counter() - t0

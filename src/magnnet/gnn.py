@@ -101,6 +101,27 @@ def build_graph(state: EpisodeState, cm) -> HeteroGraph:
                        [state.slot_of_task(t.id) for t in live])
 
 
+def batch_graphs(graphs) -> HeteroGraph:
+    """Disjoint union of `graphs` as one graph.
+
+    Agent rows and task rows are stacked in graph order, and each graph's
+    `edge_w` sits on the block diagonal with zeros (no edge) between
+    graphs, so every node still aggregates over its own graph only and
+    `gcn_encode` of the union stacks the per-graph agent embeddings.
+    """
+    edge_w = np.zeros((sum(g.n_agents for g in graphs),
+                       sum(g.n_tasks for g in graphs)))
+    i = j = 0
+    for g in graphs:
+        edge_w[i:i + g.n_agents, j:j + g.n_tasks] = g.edge_w
+        i += g.n_agents
+        j += g.n_tasks
+    return HeteroGraph(np.concatenate([g.agent_x for g in graphs]),
+                       np.concatenate([g.task_x for g in graphs]),
+                       edge_w,
+                       [slot for g in graphs for slot in g.task_slots])
+
+
 def _norm_adjacency(g: HeteroGraph) -> np.ndarray:
     """Row-normalized (self-loop included) weighted adjacency over the
     stacked [agents; tasks] node ordering."""

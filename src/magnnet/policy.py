@@ -117,23 +117,27 @@ def actor_forward(obs, emb, p: ActorParams, mask) -> ActionDistribution:
 
 
 def critic_forward(agent_embs, task_feats, p: CriticParams) -> Tensor:
-    """Scalar value of the global state.
+    """Value of the global state.
 
     `agent_embs` is n_max x 6 (zero rows for absent agents), `task_feats`
-    m_max x 4 (zero rows for absent slots).
+    m_max x 4 (zero rows for absent slots); the value is 0-d.  With a
+    leading batch axis (B x n_max x 6 and B x m_max x 4) the states are
+    evaluated together and the result holds B values.
     """
     emb_t = agent_embs if isinstance(agent_embs, Tensor) \
         else T.as_tensor(np.asarray(agent_embs, dtype=np.float64))
     task_t = task_feats if isinstance(task_feats, Tensor) \
         else T.as_tensor(np.asarray(task_feats, dtype=np.float64))
-    flat = T.concat([T.reshape(emb_t, (1, -1)), T.reshape(task_t, (1, -1))],
-                    axis=1)
+    batched = emb_t.data.ndim == 3
+    rows = emb_t.data.shape[0] if batched else 1
+    flat = T.concat([T.reshape(emb_t, (rows, -1)),
+                     T.reshape(task_t, (rows, -1))], axis=1)
     if flat.data.shape[1] != p.w1.data.shape[0]:
         raise ShapeError(
             f"critic input width {flat.data.shape[1]} != {p.w1.data.shape[0]}")
     h = T.relu(T.add(T.matmul(flat, p.w1), p.b1))
     v = T.add(T.matmul(h, p.w2), p.b2)
-    return T.reshape(v, ())
+    return T.reshape(v, (rows,) if batched else ())
 
 
 def sample_action(dist: ActionDistribution, rng: np.random.Generator,

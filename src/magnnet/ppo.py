@@ -16,8 +16,8 @@ import numpy as np
 
 from . import tensor as T
 from .errors import CheckpointMismatchError, NumericError
-from .gnn import (GCNParams, HIDDEN, build_graph, gcn_encode, init_gcn_params,
-                  padded_task_features)
+from .gnn import (GCNParams, HIDDEN, batch_graphs, build_graph, gcn_encode,
+                  init_gcn_params, padded_task_features)
 from .policy import (ActorParams, CriticParams, actor_forward, critic_forward,
                      init_actor_params, init_critic_params, sample_action)
 from .tensor import AdamState, Tensor, adam_step, backward, zero_grads
@@ -143,23 +143,28 @@ class RolloutBuffer:
         return len(self.steps[0].actions)
 
 
-def _padded_embeddings(emb: Tensor, n_max: int) -> Tensor:
-    n = emb.data.shape[0]
-    if n == n_max:
-        return emb
-    pad = Tensor(np.zeros((n_max - n, HIDDEN)))
-    return T.concat([emb, pad], axis=0)
+def _padded_embeddings(emb: Tensor, sizes, n_max: int) -> Tensor:
+    """Agent embeddings of graphs with `sizes` agents each, stacked in
+    graph order, laid out as len(sizes) x n_max x HIDDEN with zero rows
+    for absent agents."""
+    rows = [k * n_max + r for k, n in enumerate(sizes) for r in range(n)]
+    padded = T.scatter_rows(emb, rows, len(sizes) * n_max)
+    return T.reshape(padded, (len(sizes), n_max, HIDDEN))
 
 
-def _forward_step(model: ModelParams, graph, obs, masks, with_value: bool):
-    emb = gcn_encode(graph, model.gcn)
+def _forward_steps(model: ModelParams, graphs, obs, masks, with_value: bool):
+    """Policy and value of one or more decision steps in one pass over the
+    disjoint union of their graphs.  `obs` and `masks` stack the steps'
+    agent rows in graph order; the values hold one entry per graph."""
+    emb = gcn_encode(batch_graphs(graphs), model.gcn)
     dist = actor_forward(obs, emb, model.actor, masks)
-    value = None
+    values = None
     if with_value and model.critic is not None:
-        value = critic_forward(_padded_embeddings(emb, model.n_max),
-                               padded_task_features(graph, model.m_max),
-                               model.critic)
-    return dist, value
+        values = critic_forward(
+            _padded_embeddings(emb, [g.n_agents for g in graphs], model.n_max),
+            np.stack([padded_task_features(g, model.m_max) for g in graphs]),
+            model.critic)
+    return dist, values
 
 
 def collect_rollout(env_factory, model: ModelParams, config: PPOConfig,
@@ -179,14 +184,14 @@ def collect_rollout(env_factory, model: ModelParams, config: PPOConfig,
                 obs, masks, cm, _ = ep.observe()
                 graph = build_graph(ep.state, cm)
                 with T.no_grad():
-                    dist, value = _forward_step(model, graph, obs, masks,
-                                                with_value=True)
+                    dist, value = _forward_steps(model, [graph], obs, masks,
+                                                 with_value=True)
                     actions, logps = sample_action(dist, rng)
                 _, rewards = ep.act(actions)
                 ep_steps.append(StepRecord(
                     graph, obs, masks, np.asarray(actions),
                     np.asarray(logps), rewards.copy(),
-                    float(value.data) if value is not None else 0.0))
+                    float(value.data[0]) if value is not None else 0.0))
             ep.tick()
         if not ep_steps:
             continue
@@ -228,15 +233,54 @@ def compute_gae(buffer: RolloutBuffer, gamma: float, lam: float):
     return advantages, advantages + values
 
 
+def _minibatch_loss(steps, adv: np.ndarray, ret: np.ndarray,
+                    model: ModelParams, config: PPOConfig):
+    """Clipped-surrogate loss with value and entropy terms over the
+    decision steps `steps`, in one forward pass.
+
+    `adv` holds the steps' normalized advantages, one row of agents per
+    step; `ret` holds one value target per step.  Returns the scalar loss
+    tensor and the minibatch's statistics.
+    """
+    dist, values = _forward_steps(
+        model, [s.graph for s in steps],
+        np.concatenate([s.obs for s in steps]),
+        np.concatenate([s.masks for s in steps]), with_value=True)
+    logp_new = T.log(T.gather_rows(
+        dist.probs, np.concatenate([s.actions for s in steps])))
+    entropy = T.mean(T.entropy_rows(dist.probs))
+    old_logp = np.concatenate([s.log_probs for s in steps])
+
+    ratio = T.exp(T.sub(logp_new, Tensor(old_logp)))
+    adv_t = Tensor(adv.ravel())
+    surrogate = T.minimum(
+        T.mul(ratio, adv_t),
+        T.mul(T.clip(ratio, 1.0 - config.clip_epsilon,
+                     1.0 + config.clip_epsilon), adv_t))
+    policy_loss = T.mul(T.mean(surrogate), -1.0)
+    value_loss = T.mean(T.square(T.sub(values, Tensor(ret))))
+    loss = T.add(T.add(policy_loss, T.mul(value_loss, config.value_coef)),
+                 T.mul(entropy, -config.entropy_coef))
+    stats = {
+        "policy_loss": float(policy_loss.data),
+        "value_loss": float(value_loss.data),
+        "entropy": float(entropy.data),
+        "clip_fraction": float(np.mean(
+            np.abs(ratio.data - 1.0) > config.clip_epsilon)),
+    }
+    return loss, stats
+
+
 def ppo_update(buffer: RolloutBuffer, advantages: np.ndarray,
                returns: np.ndarray, model: ModelParams, config: PPOConfig,
                adam: AdamState, rng: np.random.Generator) -> dict:
     """Clipped-surrogate PPO epochs over shuffled minibatches.
 
-    Minibatches are drawn at decision-step granularity (all of a step's
-    agent transitions stay together, sharing one graph forward pass);
-    with the default sizes each minibatch still holds `minibatch`
-    transitions.  One Adam step per minibatch.
+    Minibatches are drawn at decision-step granularity, so all of a
+    step's agent transitions stay together; with the default sizes each
+    minibatch still holds `minibatch` transitions.  Each minibatch runs
+    one forward pass over the disjoint union of its steps' graphs, one
+    backward pass and one Adam step.
     """
     n_agents = buffer.n_agents
     steps_per_mb = max(1, config.minibatch // n_agents)
@@ -250,49 +294,18 @@ def ppo_update(buffer: RolloutBuffer, advantages: np.ndarray,
         order = rng.permutation(n_steps)
         for lo in range(0, n_steps, steps_per_mb):
             chunk = order[lo:lo + steps_per_mb]
-            logp_new, entropies, values = [], [], []
-            old_logp, mb_adv, mb_ret = [], [], []
-            for s_idx in chunk:
-                step = buffer.steps[s_idx]
-                dist, value = _forward_step(model, step.graph, step.obs,
-                                            step.masks, with_value=True)
-                logp_new.append(T.log(T.gather_rows(dist.probs, step.actions)))
-                entropies.append(T.entropy_rows(dist.probs))
-                values.append(T.reshape(value, (1,)))
-                old_logp.append(step.log_probs)
-                mb_adv.append(adv[s_idx])
-                # centralized value regresses to the mean per-agent return
-                mb_ret.append(returns[s_idx].mean())
-            logp_new = T.concat(logp_new)
-            entropy = T.mean(T.concat(entropies))
-            values_t = T.concat(values)
-            old_logp = np.concatenate(old_logp)
-            mb_adv = np.concatenate(mb_adv)
-            mb_ret = np.asarray(mb_ret)
-
-            ratio = T.exp(T.sub(logp_new, Tensor(old_logp)))
-            adv_t = Tensor(mb_adv)
-            surrogate = T.minimum(
-                T.mul(ratio, adv_t),
-                T.mul(T.clip(ratio, 1.0 - config.clip_epsilon,
-                             1.0 + config.clip_epsilon), adv_t))
-            policy_loss = T.mul(T.mean(surrogate), -1.0)
-            value_loss = T.mean(T.square(T.sub(values_t, Tensor(mb_ret))))
-            loss = T.add(T.add(policy_loss,
-                               T.mul(value_loss, config.value_coef)),
-                         T.mul(entropy, -config.entropy_coef))
+            # centralized value regresses to the mean per-agent return
+            loss, mb_stats = _minibatch_loss(
+                [buffer.steps[i] for i in chunk], adv[chunk],
+                returns[chunk].mean(axis=1), model, config)
             if not np.isfinite(loss.data):
                 raise NumericError("NaN/Inf PPO loss")
             zero_grads(params)
             grads = backward(loss, params)
             adam.lr = config.learning_rate
             adam_step(params, grads, adam)
-
-            stats["policy_loss"].append(float(policy_loss.data))
-            stats["value_loss"].append(float(value_loss.data))
-            stats["entropy"].append(float(entropy.data))
-            stats["clip_fraction"].append(
-                float(np.mean(np.abs(ratio.data - 1.0) > config.clip_epsilon)))
+            for k, v in mb_stats.items():
+                stats[k].append(v)
     return {k: float(np.mean(v)) for k, v in stats.items()}
 
 
@@ -327,6 +340,7 @@ def train(world_config: WorldConfig, ppo_config: PPOConfig, seed: int,
 
     env_steps = 0
     update_index = 0
+    saved = None  # checkpoint this run wrote; out_dir may hold an older one
     with open(metrics_path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(METRICS_COLUMNS)
@@ -340,10 +354,9 @@ def train(world_config: WorldConfig, ppo_config: PPOConfig, seed: int,
                 stats = ppo_update(buffer, advantages, returns, model,
                                    ppo_config, adam, shuffle_rng)
             except NumericError:
-                model_path = ckpt_path if os.path.exists(ckpt_path) else None
                 raise NumericError(
                     f"training diverged at update {update_index}; last good "
-                    f"checkpoint: {model_path}")
+                    f"checkpoint: {saved}")
             update_index += 1
             writer.writerow([
                 update_index, env_steps,
@@ -356,6 +369,7 @@ def train(world_config: WorldConfig, ppo_config: PPOConfig, seed: int,
             f.flush()
             if update_index % ppo_config.checkpoint_interval == 0:
                 model.save(ckpt_path)
+                saved = ckpt_path
     model.save(ckpt_path)
     return {"checkpoint": ckpt_path, "metrics": metrics_path,
             "updates": update_index, "env_steps": env_steps}

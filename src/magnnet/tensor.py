@@ -38,7 +38,7 @@ def no_grad():
 
 
 def _check_finite(data: np.ndarray) -> None:
-    if not np.all(np.isfinite(data)):
+    if not np.isfinite(data).all():
         raise NumericError("non-finite value produced")
 
 
@@ -70,7 +70,7 @@ def as_tensor(x) -> Tensor:
 
 
 def _make(data, parents, backward_fn) -> Tensor:
-    _check_finite(np.asarray(data))
+    _check_finite(data)
     out = Tensor(data)
     if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
@@ -100,7 +100,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data @ b.data
 
     def bwd(g):
-        return g @ b.data.T, a.data.T @ g
+        # a constant operand (an adjacency, input features) gets no gradient
+        return (g @ b.data.T if a.requires_grad else None,
+                a.data.T @ g if b.requires_grad else None)
 
     return _make(out_data, (a, b), bwd)
 
@@ -213,6 +215,15 @@ def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
         return (full,)
 
     return _make(x.data[start:stop], (x,), bwd)
+
+
+def scatter_rows(x: Tensor, rows, n_rows: int) -> Tensor:
+    """out[rows[i]] = x[i] in `n_rows` rows of zeros; `rows` are distinct."""
+    x = as_tensor(x)
+    rows = np.asarray(rows, dtype=np.intp)
+    out_data = np.zeros((n_rows,) + x.data.shape[1:])
+    out_data[rows] = x.data
+    return _make(out_data, (x,), lambda g: (g[rows],))
 
 
 def reshape(x: Tensor, shape) -> Tensor:

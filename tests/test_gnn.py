@@ -6,8 +6,8 @@ import pytest
 
 from magnnet import tensor as T
 from magnnet.gnn import (HIDDEN, GCNParams, HeteroGraph, VELOCITY_SCALE,
-                         _norm_adjacency, build_graph, gcn_encode,
-                         init_gcn_params, padded_task_features)
+                         _norm_adjacency, batch_graphs, build_graph,
+                         gcn_encode, init_gcn_params, padded_task_features)
 from magnnet.world import (STATUS_CODE, WorldConfig, current_cost_matrix,
                            init_episode, observation, slot_cost_array)
 
@@ -142,6 +142,52 @@ class TestEncode:
         loss = T.tsum(T.square(gcn_encode(g, p)))
         grads = T.backward(loss, p.parameters())
         assert any(np.abs(gr).sum() > 0 for gr in grads)
+
+
+def graph_with_tasks_done(seed, n_done):
+    """Graph of small_state(seed) after its first `n_done` tasks finish."""
+    st = small_state(seed)
+    for t in st.tasks[:n_done]:
+        t.status = type(t.status).DONE
+    cm, _ = current_cost_matrix(st)
+    return build_graph(st, cm)
+
+
+class TestBatchGraphs:
+    def graphs(self):
+        # 4, 2, 0 and 3 live tasks
+        return [graph_with_tasks_done(seed, n_done)
+                for seed, n_done in ((12, 0), (13, 2), (14, 4), (15, 1))]
+
+    def test_union_layout(self):
+        gs = self.graphs()
+        assert [g.n_tasks for g in gs] == [4, 2, 0, 3]
+        u = batch_graphs(gs)
+        assert np.array_equal(u.agent_x, np.vstack([g.agent_x for g in gs]))
+        assert np.array_equal(u.task_x, np.vstack([g.task_x for g in gs]))
+        assert u.task_slots == [s for g in gs for s in g.task_slots]
+        i = j = 0
+        for g in gs:
+            block = np.zeros_like(u.edge_w)
+            block[i:i + g.n_agents, j:j + g.n_tasks] = g.edge_w
+            rows = slice(i, i + g.n_agents)
+            assert np.array_equal(u.edge_w[rows], block[rows])
+            i, j = i + g.n_agents, j + g.n_tasks
+
+    def test_encoding_stacks_per_graph_encodings(self):
+        gs = self.graphs()
+        p = init_gcn_params(np.random.default_rng(6), gs[0].agent_x.shape[1] - 5)
+        union = gcn_encode(batch_graphs(gs), p).data
+        stacked = np.vstack([gcn_encode(g, p).data for g in gs])
+        assert union.shape == (sum(g.n_agents for g in gs), HIDDEN)
+        assert np.max(np.abs(union - stacked)) <= 1e-12 * np.abs(stacked).max()
+
+    def test_all_graphs_without_tasks(self):
+        gs = [graph_with_tasks_done(16, 4), graph_with_tasks_done(17, 4)]
+        p = init_gcn_params(np.random.default_rng(7), gs[0].agent_x.shape[1] - 5)
+        union = gcn_encode(batch_graphs(gs), p).data
+        stacked = np.vstack([gcn_encode(g, p).data for g in gs])
+        assert np.max(np.abs(union - stacked)) <= 1e-12 * np.abs(stacked).max()
 
 
 class TestPaddedTaskFeatures:

@@ -72,6 +72,17 @@ class TestCritic:
         v = critic_forward(np.zeros((4, HIDDEN)), np.zeros((M_MAX, 4)), p)
         assert v.data.shape == ()
 
+    def test_batch_axis_gives_one_value_per_state(self):
+        p = init_critic_params(np.random.default_rng(9), n_max=4, m_max=M_MAX)
+        rng = np.random.default_rng(10)
+        embs = rng.normal(size=(3, 4, HIDDEN))
+        tasks = rng.normal(size=(3, M_MAX, 4))
+        v = critic_forward(embs, tasks, p)
+        assert v.data.shape == (3,)
+        for k in range(3):
+            one = critic_forward(embs[k], tasks[k], p).data
+            assert abs(v.data[k] - one) <= 1e-12 * max(1.0, abs(one))
+
     def test_width_mismatch_rejected(self):
         p = init_critic_params(np.random.default_rng(8), n_max=4, m_max=M_MAX)
         with pytest.raises(ShapeError):

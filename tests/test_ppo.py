@@ -2,15 +2,22 @@
 rollout integrity, model checkpoints and a short end-to-end train run."""
 
 import csv
+import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from magnnet.errors import CheckpointMismatchError
+from magnnet import ppo
+from magnnet import tensor as T
+from magnnet.errors import CheckpointMismatchError, NumericError
+from magnnet.gnn import HIDDEN, HeteroGraph, gcn_encode, padded_task_features
+from magnnet.policy import actor_forward, critic_forward
 from magnnet.ppo import (METRICS_COLUMNS, ModelParams, PPOConfig,
-                         RolloutBuffer, StepRecord, collect_rollout,
-                         compute_gae, ppo_update, train)
-from magnnet.tensor import AdamState
+                         RolloutBuffer, StepRecord, _forward_steps,
+                         _minibatch_loss, collect_rollout, compute_gae,
+                         ppo_update, train)
+from magnnet.tensor import AdamState, Tensor
 from magnnet.world import Episode, WorldConfig
 
 
@@ -105,10 +112,9 @@ class TestCollectRollout:
         model = ModelParams.init(np.random.default_rng(2), 4, cfg.m_max)
         buf = collect_rollout(lambda s: Episode(cfg, s), model, pcfg,
                               np.random.default_rng(3))
-        from magnnet.ppo import _forward_step
         for step in buf.steps[:5]:
-            dist, _ = _forward_step(model, step.graph, step.obs, step.masks,
-                                    with_value=False)
+            dist, _ = _forward_steps(model, [step.graph], step.obs,
+                                     step.masks, with_value=False)
             p = dist.p[np.arange(len(step.actions)), step.actions]
             assert np.allclose(np.log(p), step.log_probs)
 
@@ -142,11 +148,9 @@ class TestPPOUpdate:
         # immediately after collection the policy is unchanged, so the
         # unclipped ratio equals 1 and the surrogate equals the advantage
         model, buf, pcfg = self._small_batch()
-        from magnnet import tensor as T
-        from magnnet.ppo import _forward_step
         step = buf.steps[0]
-        dist, _ = _forward_step(model, step.graph, step.obs, step.masks,
-                                with_value=False)
+        dist, _ = _forward_steps(model, [step.graph], step.obs, step.masks,
+                                 with_value=False)
         logp = T.log(T.gather_rows(dist.probs, step.actions))
         ratio = np.exp(logp.data - step.log_probs)
         assert np.allclose(ratio, 1.0)
@@ -165,6 +169,136 @@ class TestPPOUpdate:
         # (ratio == 1 exactly, min(1*0, clip(1)*0) has zero gradient)
         for b, p in zip(actor_before, model.actor.parameters()):
             assert np.allclose(b, p.data, atol=1e-12)
+
+
+def per_step_loss(steps, adv, ret, model, config):
+    """Reference minibatch loss: one graph forward pass per decision step,
+    the per-step results joined with `concat`.  Same arguments and
+    results as `ppo._minibatch_loss`."""
+    logp_new, entropies, values = [], [], []
+    for step in steps:
+        emb = gcn_encode(step.graph, model.gcn)
+        dist = actor_forward(step.obs, emb, model.actor, step.masks)
+        pad = Tensor(np.zeros((model.n_max - step.graph.n_agents, HIDDEN)))
+        value = critic_forward(T.concat([emb, pad], axis=0),
+                               padded_task_features(step.graph, model.m_max),
+                               model.critic)
+        logp_new.append(T.log(T.gather_rows(dist.probs, step.actions)))
+        entropies.append(T.entropy_rows(dist.probs))
+        values.append(T.reshape(value, (1,)))
+    logp_new = T.concat(logp_new)
+    entropy = T.mean(T.concat(entropies))
+    old_logp = np.concatenate([s.log_probs for s in steps])
+    ratio = T.exp(T.sub(logp_new, Tensor(old_logp)))
+    adv_t = Tensor(np.concatenate(list(adv)))
+    surrogate = T.minimum(
+        T.mul(ratio, adv_t),
+        T.mul(T.clip(ratio, 1.0 - config.clip_epsilon,
+                     1.0 + config.clip_epsilon), adv_t))
+    policy_loss = T.mul(T.mean(surrogate), -1.0)
+    value_loss = T.mean(T.square(T.sub(T.concat(values), Tensor(ret))))
+    loss = T.add(T.add(policy_loss, T.mul(value_loss, config.value_coef)),
+                 T.mul(entropy, -config.entropy_coef))
+    stats = {
+        "policy_loss": float(policy_loss.data),
+        "value_loss": float(value_loss.data),
+        "entropy": float(entropy.data),
+        "clip_fraction": float(np.mean(
+            np.abs(ratio.data - 1.0) > config.clip_epsilon)),
+    }
+    return loss, stats
+
+
+def without_tasks(step):
+    """`step` with every task gone: only the reject action is open."""
+    g = step.graph
+    n = g.n_agents
+    masks = np.zeros_like(step.masks)
+    masks[:, 0] = True
+    return StepRecord(HeteroGraph(g.agent_x, np.zeros((0, 4)),
+                                  np.zeros((n, 0)), []),
+                      step.obs, masks, np.zeros(n, dtype=int),
+                      np.zeros(n), step.rewards, step.value)
+
+
+def assert_rel_close(a, b, tol=1e-12):
+    a, b = np.asarray(a), np.asarray(b)
+    scale = max(np.abs(b).max(), 1e-300)
+    assert np.max(np.abs(a - b)) <= tol * scale, \
+        f"relative error {np.max(np.abs(a - b)) / scale:.2e}"
+
+
+class TestBatchedMinibatch:
+    def _batch(self, n_max, seed):
+        cfg = tiny_world()
+        pcfg = PPOConfig(train_batch=32, minibatch=16, clip_epsilon=0.05)
+        model = ModelParams.init(np.random.default_rng(seed), n_max,
+                                 cfg.m_max)
+        buf = collect_rollout(lambda s: Episode(cfg, s), model, pcfg,
+                              np.random.default_rng(seed + 1))
+        # move the policy off the one that collected, so ratios leave 1
+        # and some are clipped
+        rng = np.random.default_rng(seed + 2)
+        for p in model.parameters():
+            p.data = p.data + 0.05 * rng.normal(size=p.data.shape)
+        return model, buf, pcfg, rng
+
+    def _compare(self, model, steps, pcfg, rng):
+        adv = rng.normal(size=(len(steps), len(steps[0].actions)))
+        ret = rng.normal(size=len(steps))
+        params = model.parameters()
+        T.zero_grads(params)
+        loss, stats = _minibatch_loss(steps, adv, ret, model, pcfg)
+        grads = T.backward(loss, params)
+        T.zero_grads(params)
+        ref_loss, ref_stats = per_step_loss(steps, adv, ret, model, pcfg)
+        ref_grads = T.backward(ref_loss, params)
+        assert_rel_close(loss.data, ref_loss.data)
+        for k in ref_stats:
+            assert_rel_close(stats[k], ref_stats[k])
+        for g, ref in zip(grads, ref_grads):
+            assert_rel_close(g, ref)
+        return ref_stats
+
+    def test_matches_per_step_loss_and_gradients(self):
+        model, buf, pcfg, rng = self._batch(n_max=4, seed=11)
+        for lo in range(0, len(buf.steps), 4):
+            stats = self._compare(model, buf.steps[lo:lo + 4], pcfg, rng)
+        assert 0.0 < stats["clip_fraction"] < 1.0
+
+    def test_padding_rows_and_a_step_without_tasks(self):
+        model, buf, pcfg, rng = self._batch(n_max=6, seed=12)
+        assert model.n_max > buf.n_agents
+        steps = [buf.steps[0], without_tasks(buf.steps[1])] + buf.steps[2:5]
+        self._compare(model, steps, pcfg, rng)
+
+    def test_one_pass_per_minibatch(self, monkeypatch):
+        cfg = tiny_world()
+        pcfg = PPOConfig(train_batch=32, minibatch=8, epochs_per_update=2)
+        model = ModelParams.init(np.random.default_rng(13), 4, cfg.m_max)
+        buf = collect_rollout(lambda s: Episode(cfg, s), model, pcfg,
+                              np.random.default_rng(14))
+        calls = Counter()
+
+        def counted(name):
+            fn = getattr(ppo, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        names = ("gcn_encode", "critic_forward", "backward")
+        for name in names:
+            monkeypatch.setattr(ppo, name, counted(name))
+        adv, ret = compute_gae(buf, pcfg.gamma, pcfg.gae_lambda)
+        ppo_update(buf, adv, ret, model, pcfg, AdamState(),
+                   np.random.default_rng(15))
+        steps_per_mb = pcfg.minibatch // buf.n_agents
+        minibatches = pcfg.epochs_per_update * math.ceil(
+            len(buf.steps) / steps_per_mb)
+        assert len(buf.steps) > steps_per_mb
+        assert calls == {name: minibatches for name in names}
 
 
 class TestModelParams:
@@ -206,6 +340,39 @@ class TestTrain:
             rows = list(csv.reader(f))
         assert rows[0] == METRICS_COLUMNS
         assert len(rows) - 1 == out["updates"] >= 2
+
+    def test_divergence_names_no_stale_checkpoint(self, tmp_path,
+                                                  monkeypatch):
+        # an earlier run left a checkpoint in the output directory
+        (tmp_path / "checkpoint.json").write_text("{}")
+
+        def diverge(*args, **kwargs):
+            raise NumericError("NaN/Inf PPO loss")
+
+        monkeypatch.setattr(ppo, "ppo_update", diverge)
+        pcfg = PPOConfig(train_batch=16, minibatch=16, total_steps=16)
+        with pytest.raises(NumericError) as err:
+            train(tiny_world(), pcfg, seed=0, out_dir=str(tmp_path))
+        assert str(err.value).endswith("last good checkpoint: None")
+
+    def test_divergence_names_the_checkpoint_this_run_saved(self, tmp_path,
+                                                            monkeypatch):
+        update = ppo.ppo_update
+        calls = []
+
+        def diverge_second(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise NumericError("NaN/Inf PPO loss")
+            return update(*args, **kwargs)
+
+        monkeypatch.setattr(ppo, "ppo_update", diverge_second)
+        pcfg = PPOConfig(train_batch=16, minibatch=16, epochs_per_update=1,
+                         total_steps=64, checkpoint_interval=1)
+        with pytest.raises(NumericError) as err:
+            train(tiny_world(), pcfg, seed=0, out_dir=str(tmp_path))
+        ckpt = str(tmp_path / "checkpoint.json")
+        assert str(err.value).endswith(f"last good checkpoint: {ckpt}")
 
     def test_training_is_deterministic_per_seed(self, tmp_path):
         cfg = tiny_world()
