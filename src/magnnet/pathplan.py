@@ -377,9 +377,14 @@ def cost_matrix(state) -> CostMatrix:
     tasks in ascending task-id order; np.inf where unreachable.
 
     `state` needs .grid, .agents (position/velocity/motion_model),
-    .live_tasks() and a .dist_cache dict, which caches one distance field
-    per (task id, motion model).  Each entry is the same division as
-    `path_cost`, done for all agents of one motion model at once.
+    .live_tasks() and a .dist_cache dict, which caches one distance
+    field per (task id, motion model).  An AERIAL6 entry is the full
+    field.  A GROUND4 entry is only its z = 0 plane, a C-contiguous
+    (dx, dy, 1) copy, since every other cell is inf; the copy lets the
+    full-grid array go at once.  Either is indexed with (x, y, z) cells.
+    Each matrix entry is the same division as `path_cost`, done for all
+    agents of one motion model at once with one gather of their flat
+    indices into that model's entry shape (ground agents sit at z = 0).
     """
     tasks = state.live_tasks()
     agents = state.agents
@@ -389,16 +394,22 @@ def cost_matrix(state) -> CostMatrix:
     if (velocity <= 0.0).any():
         raise ValueError(f"velocity must be positive, got {velocity.min()}")
     cells = np.array([ag.position for ag in agents], dtype=np.intp)
-    flat = np.ravel_multi_index(cells.reshape(-1, 3).T, state.grid.dims)
     models = [ag.motion_model for ag in agents]
     for model in dict.fromkeys(models):
         rows = np.array([i for i, m in enumerate(models) if m is model])
-        where, vel = flat[rows], velocity[rows]
+        vel = velocity[rows]
+        where = None
         for j, task in enumerate(tasks):
             key = (task.id, model)
             if key not in cache:
-                cache[key] = distance_field(state.grid, task.location, model)
-            entries[rows, j] = cache[key].take(where) / vel
+                dist = distance_field(state.grid, task.location, model)
+                if model is MotionModel.GROUND4:
+                    dist = np.ascontiguousarray(dist[:, :, :1])
+                cache[key] = dist
+            dist = cache[key]
+            if where is None:
+                where = np.ravel_multi_index(cells[rows].T, dist.shape)
+            entries[rows, j] = dist.take(where) / vel
     return CostMatrix(entries)
 
 

@@ -199,11 +199,13 @@ class EpisodeState:
 # episode construction
 # ---------------------------------------------------------------------------
 
-def _sample_cells(rng, candidates: np.ndarray, count: int, taken: set) -> list:
-    """Draw `count` distinct cells from a candidate array, skipping taken."""
+def _sample_cells(rng, candidates: np.ndarray, dims: tuple, count: int,
+                  taken: set) -> list:
+    """Draw `count` distinct cells from candidate flat indices into a grid
+    of `dims` (C order), skipping taken (x, y, z) cells."""
     if len(candidates) < count + len(taken):
-        avail = sum(1 for row in candidates
-                    if tuple(int(v) for v in row) not in taken)
+        cells = zip(*(a.tolist() for a in np.unravel_index(candidates, dims)))
+        avail = sum(1 for cell in cells if cell not in taken)
         if avail < count:
             raise PlacementError(
                 f"need {count} free cells, only {avail} available")
@@ -215,8 +217,8 @@ def _sample_cells(rng, candidates: np.ndarray, count: int, taken: set) -> list:
         if attempts > limit:
             raise PlacementError(
                 f"could not place {count} cells after {attempts} draws")
-        row = candidates[int(rng.integers(len(candidates)))]
-        cell = (int(row[0]), int(row[1]), int(row[2]))
+        flat = int(candidates[int(rng.integers(len(candidates)))])
+        cell = tuple(int(v) for v in np.unravel_index(flat, dims))
         if cell in taken:
             continue
         taken.add(cell)
@@ -231,15 +233,16 @@ def init_episode(config: WorldConfig, seed: int) -> EpisodeState:
     blocked = rng.random(dims) < config.obstacle_density
     grid = Grid(dims, blocked)
 
-    ground_free = np.argwhere(~blocked[:, :, 0])
-    ground_cells = np.zeros((len(ground_free), 3), dtype=int)
-    ground_cells[:, :2] = ground_free
-    air_cells = np.argwhere(~blocked)
+    # flat indices in C order, so a draw picks the same cell as a row of
+    # np.argwhere would; a z = 0 plane index times dz is its grid index
+    ground_cells = np.flatnonzero(~blocked[:, :, 0]) * dims[2]
+    air_cells = np.flatnonzero(~blocked)
 
     taken: set = set()
-    ground_pos = _sample_cells(rng, ground_cells, config.n_ground, taken)
-    aerial_pos = _sample_cells(rng, air_cells, config.n_aerial, taken)
-    task_pos = _sample_cells(rng, ground_cells, config.n_tasks_initial, taken)
+    ground_pos = _sample_cells(rng, ground_cells, dims, config.n_ground, taken)
+    aerial_pos = _sample_cells(rng, air_cells, dims, config.n_aerial, taken)
+    task_pos = _sample_cells(rng, ground_cells, dims, config.n_tasks_initial,
+                             taken)
 
     agents = []
     for i, p in enumerate(ground_pos):
@@ -311,16 +314,18 @@ def _extract_path(field_arr: np.ndarray, start, model: MotionModel) -> Path:
     """Walk a distance field downhill from `start` to its source; exact
     shortest path without a fresh search."""
     cells = [tuple(start)]
-    cur = tuple(start)
-    d = field_arr[cur]
-    dims = field_arr.shape
+    x, y, z = cells[0]
+    d = field_arr[x, y, z]
+    nx, ny, nz = field_arr.shape
+    deltas = model.deltas
     while d > 0:
-        for dd in model.deltas:
-            nxt = (cur[0] + dd[0], cur[1] + dd[1], cur[2] + dd[2])
-            if all(0 <= nxt[k] < dims[k] for k in range(3)) \
-                    and field_arr[nxt] == d - 1:
-                cur, d = nxt, d - 1
-                cells.append(cur)
+        d -= 1
+        for dx, dy, dz in deltas:
+            a, b, c = x + dx, y + dy, z + dz
+            if 0 <= a < nx and 0 <= b < ny and 0 <= c < nz \
+                    and field_arr[a, b, c] == d:
+                x, y, z = a, b, c
+                cells.append((a, b, c))
                 break
         else:
             raise RuntimeError("distance field has no downhill neighbor")
@@ -482,6 +487,9 @@ def advance(state: EpisodeState, dt: float = 1.0) -> list:
         if agent.path_index >= len(cells) - 1 and agent.position == cells[-1]:
             task = state.task(agent.assigned_task)
             task.status = TaskStatus.DONE
+            # nothing reads a Done task's fields again
+            for model in MotionModel:
+                state.dist_cache.pop((task.id, model), None)
             slot = state.slot_of_task(task.id)
             if slot is not None:
                 state.slots[slot] = None
@@ -523,9 +531,10 @@ def spawn_tasks(state: EpisodeState, config: WorldConfig) -> list:
         state.intervals_consumed += 1
         if None not in state.slots:
             continue
-        cand = np.argwhere(~state.grid.blocked[:, :, 0])
-        x, y = cand[int(state.rng.integers(len(cand)))]
-        task = TaskState(state.next_task_id, (int(x), int(y), 0),
+        cand = np.flatnonzero(~state.grid.blocked[:, :, 0])
+        x, y = divmod(int(cand[int(state.rng.integers(len(cand)))]),
+                      state.grid.dims[1])
+        task = TaskState(state.next_task_id, (x, y, 0),
                          spawn_time=state.clock)
         state.next_task_id += 1
         state.tasks.append(task)

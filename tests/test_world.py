@@ -140,6 +140,87 @@ class TestInitEpisode:
         assert st.slots == [0, 1, 2, 3]
 
 
+def sample_rows_reference(rng, candidates, count, taken):
+    """Draw `count` distinct cells from an (n, 3) array of argwhere rows,
+    skipping taken: the reference that `_sample_cells` must equal."""
+    if len(candidates) < count + len(taken):
+        avail = sum(1 for row in candidates
+                    if tuple(int(v) for v in row) not in taken)
+        if avail < count:
+            raise PlacementError(
+                f"need {count} free cells, only {avail} available")
+    picked = []
+    attempts = 0
+    limit = 200 * (count + 1) + 4 * len(candidates)
+    while len(picked) < count:
+        attempts += 1
+        if attempts > limit:
+            raise PlacementError(
+                f"could not place {count} cells after {attempts} draws")
+        row = candidates[int(rng.integers(len(candidates)))]
+        cell = (int(row[0]), int(row[1]), int(row[2]))
+        if cell in taken:
+            continue
+        taken.add(cell)
+        picked.append(cell)
+    return picked
+
+
+def placement_reference(config, seed, spawns):
+    """Agent cells, task cells and `spawns` spawned task cells, drawn from
+    np.argwhere rows as `init_episode` and `spawn_tasks` once did."""
+    rng = np.random.default_rng(seed)
+    blocked = rng.random(config.grid_dims) < config.obstacle_density
+    ground_free = np.argwhere(~blocked[:, :, 0])
+    ground_cells = np.zeros((len(ground_free), 3), dtype=int)
+    ground_cells[:, :2] = ground_free
+    taken = set()
+    agents = sample_rows_reference(rng, ground_cells, config.n_ground, taken) \
+        + sample_rows_reference(rng, np.argwhere(~blocked), config.n_aerial,
+                                taken)
+    tasks = sample_rows_reference(rng, ground_cells, config.n_tasks_initial,
+                                  taken)
+    for _ in range(spawns):
+        x, y = ground_free[int(rng.integers(len(ground_free)))]
+        tasks.append((int(x), int(y), 0))
+    return agents, tasks
+
+
+class TestPlacementReference:
+    """Flat-index sampling places the same cells as argwhere rows."""
+
+    # (3, 3, 2) with no obstacles has 9 ground cells; 3 ground and 2
+    # aerial agents are taken before 5 tasks draw, and 9 < 5 + 5 takes
+    # `_sample_cells`'s count of available cells, which raises for the
+    # seeds that put an aerial agent on z = 0
+    CONFIGS = (dict(),
+               dict(grid_dims=(20, 7, 3), obstacle_density=0.25,
+                    n_agents=6, n_ground=4, n_aerial=2, n_tasks_initial=5),
+               dict(grid_dims=(3, 3, 2), obstacle_density=0.0, n_agents=5,
+                    n_ground=3, n_aerial=2, n_tasks_initial=5))
+
+    @pytest.mark.parametrize("kw", CONFIGS)
+    def test_init_and_spawns_match_argwhere_sampling(self, kw):
+        outcomes = set()
+        for seed in range(12):
+            cfg = small_config(task_interval=1.0, m_max=12, **kw)
+            try:
+                expect = placement_reference(cfg, seed, spawns=4)
+            except PlacementError as err:
+                with pytest.raises(PlacementError, match=str(err)):
+                    init_episode(cfg, seed)
+                outcomes.add("raised")
+                continue
+            st = init_episode(cfg, seed)
+            st.clock = 4.0
+            spawn_tasks(st, cfg)
+            assert ([a.position for a in st.agents],
+                    [t.location for t in st.tasks]) == expect
+            outcomes.add("placed")
+        if kw.get("grid_dims") == (3, 3, 2):
+            assert outcomes == {"raised", "placed"}
+
+
 class TestObservations:
     def test_layout_and_normalization(self):
         st = init_episode(small_config(), 11)
@@ -252,6 +333,71 @@ class TestObservationEquivalence:
         if not np.isfinite(sc[:, live]).all():
             cases.add("unreachable")
         return cases
+
+
+class TestFieldCache:
+    """`state.dist_cache` holds only the fields of live tasks, ground
+    fields as their z = 0 plane, and never drops a field that is read
+    again.  Oracles call the real `distance_field`, never the cache."""
+
+    CONFIGS = (dict(), dict(obstacle_density=0.2),
+               dict(task_interval=3.0, m_max=8, step_cap=60.0),
+               dict(task_interval=2.0, m_max=6, step_cap=60.0,
+                    obstacle_density=0.2, n_agents=5, n_ground=3))
+
+    @staticmethod
+    def _check_cache(st, distance_field):
+        live = {t.id: t for t in st.live_tasks()}
+        for (tid, model), entry in st.dist_cache.items():
+            assert tid in live, "a finished task's field is still cached"
+            full = distance_field(st.grid, live[tid].location, model)
+            if model is MotionModel.GROUND4:
+                assert entry.shape == st.grid.dims[:2] + (1,)
+                assert entry.dtype == np.float64
+                assert entry.flags.c_contiguous and entry.flags.owndata
+                assert np.array_equal(entry, full[:, :, :1])
+            else:
+                assert np.array_equal(entry, full)
+
+    @staticmethod
+    def _check_costs(st, cm, ids, distance_field):
+        for j, tid in enumerate(ids):
+            fields = {m: distance_field(st.grid, st.task(tid).location, m)
+                      for m in MotionModel}
+            for i, ag in enumerate(st.agents):
+                d = fields[ag.motion_model][tuple(ag.position)]
+                assert cm.entries[i, j] == d / ag.velocity, (i, tid)
+
+    @pytest.mark.parametrize("k", range(len(CONFIGS)))
+    def test_cache_serves_live_tasks_once_each(self, k, monkeypatch):
+        real = pathplan.distance_field
+        built = []
+
+        def counting(grid, source, model):
+            built.append((tuple(source), model))
+            return real(grid, source, model)
+
+        monkeypatch.setattr(pathplan, "distance_field", counting)
+        read = set()
+        for seed in range(2):
+            ep = Episode(small_config(**self.CONFIGS[k]), 500 + 10 * k + seed)
+            rng = np.random.default_rng(seed)
+            while not ep.terminated:
+                st = ep.state
+                if ep.decision_due():
+                    _, masks, cm, ids = ep.observe()
+                    read |= {(seed, key) for key in st.dist_cache}
+                    self._check_cache(st, real)
+                    self._check_costs(st, cm, ids, real)
+                    ep.act([int(rng.choice(np.flatnonzero(r)))
+                            for r in masks])
+                ep.tick()
+                self._check_cache(ep.state, real)
+            assert any(t.status is TaskStatus.DONE for t in st.tasks)
+            assert len(st.dist_cache) < sum(1 for s, _ in read if s == seed)
+        # one build per (task, motion model) key over whole episodes:
+        # eviction never dropped a field that was read again
+        assert len(built) == len(read)
 
 
 class TestArbitration:
