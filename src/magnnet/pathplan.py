@@ -129,10 +129,14 @@ def astar(grid: Grid, start: Cell, goal: Cell, model: MotionModel,
     """Shortest path under the motion model; optimal (unit edge costs,
     admissible Manhattan heuristic).
 
-    With a reservation table the search runs over (cell, time) states:
-    the agent advances one cell per substep, `substeps_per_tick` substeps
-    per 1 s tick, may wait in place, and never enters a (cell, tick)
-    reserved for another agent.
+    With a reservation table the search runs over (cell, substep)
+    states: the agent advances one cell per substep, `substeps_per_tick`
+    substeps per 1 s tick, may wait in place, and never enters a
+    (cell, tick) reserved for another agent.  Past the last reserved
+    tick no reservation remains and a wait only delays, so a cell's
+    earliest arrival there dominates every later one and the state is
+    the bare cell.  Without reservations every state is a bare cell:
+    plain A*.
     """
     start, goal = tuple(start), tuple(goal)
     if not grid.is_free(start):
@@ -143,100 +147,69 @@ def astar(grid: Grid, start: Cell, goal: Cell, model: MotionModel,
         raise NoPathError("ground model requires z=0 endpoints")
 
     if reservations is None or not reservations.slots:
-        return _astar_plain(grid, start, goal, model, max_expansions)
-    return _astar_space_time(grid, start, goal, model, reservations,
-                             agent_id, start_tick, substeps_per_tick,
-                             max_expansions)
-
-
-def _astar_plain(grid, start, goal, model, max_expansions):
+        last, horizon = -1, math.inf
+    else:
+        ticks = reservations.max_tick() - start_tick
+        # substeps up to `last` fall in a tick that may hold a reservation
+        last = ticks * substeps_per_tick
+        horizon = (ticks + 2) * substeps_per_tick \
+            + 4 * (manhattan(start, goal) + 4)
     deltas = model.deltas
+    with_wait = ((0, 0, 0),) + deltas
     blocked = grid.blocked
     dx, dy, dz = grid.dims
-    # entries are (f, -g, cell): on equal f the deepest node pops first.
+    gx, gy, gz = goal
+    # a state's substep is its g, so g alone tells a (cell, substep)
+    # state from a bare cell
+    state = (start, 0) if last >= 0 else start
+    # entries are (f, -g, state): on equal f the deepest node pops first.
     # With few obstacles most cells between start and goal share the
     # optimal f; popping the shallowest first would expand all of them,
     # popping the deepest follows one optimal path to the goal.  The
-    # Manhattan heuristic is consistent, so the path stays optimal.
-    open_heap = [(manhattan(start, goal), 0, start)]
-    g_best = {start: 0}
-    came: dict[Cell, Cell] = {}
+    # Manhattan heuristic is consistent, so the path stays optimal.  Equal
+    # g means equal substeps, so entries tied on (f, -g) are of one kind.
+    open_heap = [(manhattan(start, goal), 0, state)]
+    g_best = {state: 0}
+    came = {}
     expansions = 0
     while open_heap:
-        f, neg_g, cell = heapq.heappop(open_heap)
+        f, neg_g, state = heapq.heappop(open_heap)
         g = -neg_g
+        cell = state[0] if g <= last else state
         if cell == goal:
-            return Path(_reconstruct(came, cell))
-        if g > g_best.get(cell, np.inf):
+            cells = [cell]
+            while g:
+                state, g = came[state], g - 1
+                cells.append(state[0] if g <= last else state)
+            cells.reverse()
+            return Path(cells)
+        if g > g_best[state]:
             continue
         expansions += 1
-        if expansions > max_expansions:
-            raise NoPathError("expansion budget exhausted")
+        if expansions > max_expansions or g > horizon:
+            raise NoPathError("search budget exhausted")
+        ng = g + 1
+        timed = ng <= last
+        # tick at which the agent is seated in the cell it reaches
+        tick = start_tick + (ng + substeps_per_tick - 1) // substeps_per_tick
         cx, cy, cz = cell
-        for ddx, ddy, ddz in deltas:
+        for ddx, ddy, ddz in (with_wait if g <= last else deltas):
             nx, ny, nz = cx + ddx, cy + ddy, cz + ddz
             if not (0 <= nx < dx and 0 <= ny < dy and 0 <= nz < dz):
                 continue
             if blocked[nx, ny, nz]:
                 continue
             nxt = (nx, ny, nz)
-            ng = g + 1
-            if ng < g_best.get(nxt, np.inf):
+            if timed:
+                if not reservations.is_free_for(nxt, tick, agent_id):
+                    continue
+                nxt = (nxt, ng)
+            if ng < g_best.get(nxt, math.inf):
                 g_best[nxt] = ng
-                came[nxt] = cell
-                heapq.heappush(open_heap, (ng + manhattan(nxt, goal), -ng, nxt))
+                came[nxt] = state
+                heapq.heappush(open_heap, (
+                    ng + abs(nx - gx) + abs(ny - gy) + abs(nz - gz), -ng, nxt))
     raise NoPathError(f"no path {start} -> {goal}")
-
-
-def _astar_space_time(grid, start, goal, model, reservations, agent_id,
-                      start_tick, substeps_per_tick, max_expansions):
-    horizon_sub = (reservations.max_tick() - start_tick + 2) * substeps_per_tick \
-        + 4 * (manhattan(start, goal) + 4)
-
-    def tick_of(substep: int) -> int:
-        # tick at which the agent is seated in the cell it reached
-        return start_tick + (substep + substeps_per_tick - 1) // substeps_per_tick
-
-    def ok(cell, substep):
-        return reservations.is_free_for(cell, tick_of(substep), agent_id)
-
-    start_state = (start, 0)
-    # entries are (f, -g, state), as in `_astar_plain`
-    open_heap = [(manhattan(start, goal), 0, start_state)]
-    g_best = {start_state: 0}
-    came: dict = {}
-    expansions = 0
-    while open_heap:
-        f, neg_g, (cell, sub) = heapq.heappop(open_heap)
-        g = -neg_g
-        if cell == goal:
-            return Path(_reconstruct(came, (cell, sub), time_states=True))
-        expansions += 1
-        if expansions > max_expansions or sub > horizon_sub:
-            raise NoPathError("space-time search budget exhausted")
-        moves = [(0, 0, 0)] + list(model.deltas)  # waiting is allowed
-        for d in moves:
-            nxt = (cell[0] + d[0], cell[1] + d[1], cell[2] + d[2])
-            if not grid.is_free(nxt) or not ok(nxt, sub + 1):
-                continue
-            state = (nxt, sub + 1)
-            ng = g + 1
-            if ng < g_best.get(state, np.inf):
-                g_best[state] = ng
-                came[state] = (cell, sub)
-                heapq.heappush(
-                    open_heap, (ng + manhattan(nxt, goal), -ng, state))
-    raise NoPathError(f"no conflict-free path {start} -> {goal}")
-
-
-def _reconstruct(came, end, time_states=False):
-    out = [end]
-    while out[-1] in came:
-        out.append(came[out[-1]])
-    out.reverse()
-    if time_states:
-        return [cell for cell, _ in out]
-    return out
 
 
 # ---------------------------------------------------------------------------

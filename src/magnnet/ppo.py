@@ -46,8 +46,14 @@ class PPOConfig:
             raise ValueError("gamma must be in (0, 1]")
         if not 0.0 <= self.gae_lambda <= 1.0:
             raise ValueError("gae_lambda must be in [0, 1]")
+        if not self.learning_rate > 0:
+            raise ValueError("learning_rate must be > 0")
+        if self.train_batch < 1 or self.minibatch < 1:
+            raise ValueError("train_batch and minibatch must be >= 1")
         if self.train_batch % self.minibatch != 0:
             raise ValueError("minibatch must divide train_batch")
+        if self.checkpoint_interval < 1:
+            raise ValueError("checkpoint_interval must be >= 1")
 
     @classmethod
     def from_dict(cls, d: dict) -> "PPOConfig":

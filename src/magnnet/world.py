@@ -129,6 +129,8 @@ class WorldConfig:
                 raise ValueError("velocities must be whole cells per second")
         if not self.cost_scale > 0:
             raise ValueError("cost_scale must be > 0")
+        if self.n_tasks_initial < 0:
+            raise ValueError("n_tasks_initial must be >= 0")
         if self.m_max < self.n_tasks_initial:
             raise ValueError("m_max must cover the initial task count")
         self.shaping.validate()

@@ -44,3 +44,23 @@ def test_config_loads(path):
 def test_removed_settings_rejected(cls, blob):
     with pytest.raises(TypeError):
         cls.from_dict(blob)
+
+
+@pytest.mark.parametrize("cls, blob", [
+    (PPOConfig, {"checkpoint_interval": 0}),
+    (PPOConfig, {"train_batch": 0}),
+    (PPOConfig, {"minibatch": 0}),
+    (PPOConfig, {"minibatch": -16}),
+    (PPOConfig, {"learning_rate": 0.0}),
+    (PPOConfig, {"learning_rate": -1.0}),
+    (WorldConfig, {"n_tasks_initial": -1}),
+], ids=["ppo-checkpoint_interval-0", "ppo-train_batch-0", "ppo-minibatch-0",
+        "ppo-minibatch-neg", "ppo-learning_rate-0", "ppo-learning_rate-neg",
+        "world-n_tasks_initial-neg"])
+def test_out_of_range_settings_rejected(cls, blob):
+    """Each of these used to be accepted and then crash mid-run (division
+    by zero after the first update, an empty buffer's IndexError, numpy's
+    negative dimensions) or train wrongly (one-step minibatches, Adam
+    ascending the loss)."""
+    with pytest.raises(ValueError):
+        cls.from_dict(blob)

@@ -6,7 +6,7 @@ import heapq
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from magnnet.errors import NoPathError
@@ -567,6 +567,225 @@ class TestSpaceTimeAgainstReference:
         for sub, cell in enumerate(path.cells[1:], start=1):
             tick = start_tick + -(-sub // spt)
             assert table.is_free_for(cell, tick, 0), (cell, tick)
+
+
+def astar_reference(grid, start, goal, model, reservations=None,
+                    agent_id=None, start_tick=0, substeps_per_tick=1,
+                    max_expansions=500_000):
+    """The two best-first loops that `astar` merged into one: a plain
+    search over cells, and a search over (cell, substep) states for every
+    substep whenever the table holds a slot.  Endpoints must be free."""
+    if reservations is None or not reservations.slots:
+        return _plain_reference(grid, start, goal, model, max_expansions)
+    return _space_time_reference(grid, start, goal, model, reservations,
+                                 agent_id, start_tick, substeps_per_tick,
+                                 max_expansions)
+
+
+def _plain_reference(grid, start, goal, model, max_expansions):
+    deltas = model.deltas
+    blocked = grid.blocked
+    dx, dy, dz = grid.dims
+    open_heap = [(manhattan(start, goal), 0, start)]
+    g_best = {start: 0}
+    came = {}
+    expansions = 0
+    while open_heap:
+        f, neg_g, cell = heapq.heappop(open_heap)
+        g = -neg_g
+        if cell == goal:
+            return Path(_reconstruct_reference(came, cell))
+        if g > g_best.get(cell, np.inf):
+            continue
+        expansions += 1
+        if expansions > max_expansions:
+            raise NoPathError("expansion budget exhausted")
+        cx, cy, cz = cell
+        for ddx, ddy, ddz in deltas:
+            nx, ny, nz = cx + ddx, cy + ddy, cz + ddz
+            if not (0 <= nx < dx and 0 <= ny < dy and 0 <= nz < dz):
+                continue
+            if blocked[nx, ny, nz]:
+                continue
+            nxt = (nx, ny, nz)
+            ng = g + 1
+            if ng < g_best.get(nxt, np.inf):
+                g_best[nxt] = ng
+                came[nxt] = cell
+                heapq.heappush(open_heap, (ng + manhattan(nxt, goal), -ng, nxt))
+    raise NoPathError(f"no path {start} -> {goal}")
+
+
+def _space_time_reference(grid, start, goal, model, reservations, agent_id,
+                          start_tick, substeps_per_tick, max_expansions):
+    horizon_sub = (reservations.max_tick() - start_tick + 2) * substeps_per_tick \
+        + 4 * (manhattan(start, goal) + 4)
+
+    def tick_of(substep: int) -> int:
+        return start_tick + (substep + substeps_per_tick - 1) // substeps_per_tick
+
+    def ok(cell, substep):
+        return reservations.is_free_for(cell, tick_of(substep), agent_id)
+
+    start_state = (start, 0)
+    open_heap = [(manhattan(start, goal), 0, start_state)]
+    g_best = {start_state: 0}
+    came = {}
+    expansions = 0
+    while open_heap:
+        f, neg_g, (cell, sub) = heapq.heappop(open_heap)
+        g = -neg_g
+        if cell == goal:
+            return Path(_reconstruct_reference(came, (cell, sub),
+                                               time_states=True))
+        expansions += 1
+        if expansions > max_expansions or sub > horizon_sub:
+            raise NoPathError("space-time search budget exhausted")
+        moves = [(0, 0, 0)] + list(model.deltas)
+        for d in moves:
+            nxt = (cell[0] + d[0], cell[1] + d[1], cell[2] + d[2])
+            if not grid.is_free(nxt) or not ok(nxt, sub + 1):
+                continue
+            state = (nxt, sub + 1)
+            ng = g + 1
+            if ng < g_best.get(state, np.inf):
+                g_best[state] = ng
+                came[state] = (cell, sub)
+                heapq.heappush(
+                    open_heap, (ng + manhattan(nxt, goal), -ng, state))
+    raise NoPathError(f"no conflict-free path {start} -> {goal}")
+
+
+def _reconstruct_reference(came, end, time_states=False):
+    out = [end]
+    while out[-1] in came:
+        out.append(came[out[-1]])
+    out.reverse()
+    if time_states:
+        return [cell for cell, _ in out]
+    return out
+
+
+def same_outcome(grid, start, goal, model, *args, **kwargs):
+    """`astar` and `astar_reference` return the same cells, or both raise
+    `NoPathError`."""
+    try:
+        ref = astar_reference(grid, start, goal, model, *args, **kwargs).cells
+    except NoPathError:
+        with pytest.raises(NoPathError):
+            astar(grid, start, goal, model, *args, **kwargs)
+        return
+    assert astar(grid, start, goal, model, *args, **kwargs).cells == ref
+
+
+def _grid_and_ends(draw, max_dims):
+    dims = tuple(draw(st.integers(1, n)) for n in max_dims)
+    model = draw(st.sampled_from([MotionModel.AERIAL6, MotionModel.GROUND4]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    blocked = rng.random(dims) < draw(st.floats(0.0, 0.35))
+    top = 1 if model is MotionModel.GROUND4 else dims[2]
+    ends = [(int(rng.integers(dims[0])), int(rng.integers(dims[1])),
+             int(rng.integers(top))) for _ in range(2)]
+    for cell in ends:
+        blocked[cell] = False
+    return Grid(dims, blocked), ends[0], ends[1], model, rng
+
+
+@st.composite
+def plain_instances(draw):
+    """A grid up to 11x11x4 with free endpoints, a motion model, and an
+    expansion budget that is sometimes small enough to run out."""
+    grid, start, goal, model, _ = _grid_and_ends(draw, (11, 11, 4))
+    budget = draw(st.one_of(st.just(500_000), st.integers(1, 120)))
+    return grid, start, goal, model, budget
+
+
+@st.composite
+def expiring_instances(draw):
+    """A grid up to 11x11x4 and 1-40 slots of agent 7 in the endpoints'
+    box, all at ticks before the earliest possible arrival, so the search
+    goes on past the last reserved tick."""
+    grid, start, goal, model, rng = _grid_and_ends(draw, (11, 11, 4))
+    start_tick = draw(st.integers(0, 3))
+    spt = draw(st.integers(1, 3))
+    # arrival takes at least manhattan(start, goal) substeps
+    ticks = (manhattan(start, goal) - 1) // spt
+    assume(ticks >= 1)
+    table = ReservationTable()
+    for _ in range(draw(st.integers(1, 40))):
+        cell = tuple(int(rng.integers(min(a, b), max(a, b) + 1))
+                     for a, b in zip(start, goal))
+        table.reserve(cell, start_tick + int(rng.integers(1, ticks + 1)), 7)
+    return grid, start, goal, model, table, start_tick, spt
+
+
+class TestAStarAgainstReference:
+    """One search serves plain and space-time queries; it returns the
+    cells the two loops it replaced returned."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(plain_instances())
+    def test_plain(self, instance):
+        grid, start, goal, model, budget = instance
+        same_outcome(grid, start, goal, model, max_expansions=budget)
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(space_time_instances())
+    def test_space_time(self, instance):
+        grid, start, goal, model, table, start_tick, spt = instance
+        same_outcome(grid, start, goal, model, table, 0, start_tick, spt)
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(expiring_instances())
+    def test_reservations_end_before_arrival(self, instance):
+        grid, start, goal, model, table, start_tick, spt = instance
+        same_outcome(grid, start, goal, model, table, 0, start_tick, spt)
+
+    def test_full_size_plain_pairs(self):
+        rng = np.random.default_rng(12)
+        grid = random_grid(rng, dims=(50, 50, 30), density=0.1)
+        for i in range(40):
+            model = (MotionModel.AERIAL6, MotionModel.GROUND4)[i % 2]
+            ground = model is MotionModel.GROUND4
+            same_outcome(grid, free_cell(rng, grid, ground),
+                         free_cell(rng, grid, ground), model)
+
+
+class TestExpiredReservation:
+    def test_detour_after_last_reserved_tick_costs_what_plain_costs(self):
+        """A wall at x = 10 with one hole in the far top corner, and one
+        slot of another agent at tick 1.  Searching (cell, substep)
+        states at every substep expands a time copy of each cell it
+        revisits while it floods the near side (29,878 expansions).  With
+        bare cells past tick 1 the search costs what plain A* costs, plus
+        five states that tick adds: a wait at the start, and bare copies
+        of the start and its three neighbours, whose first arrival was a
+        (cell, substep) state."""
+        grid = Grid.empty((20, 20, 6))
+        grid.blocked[10] = True
+        grid.blocked[10, 19, 5] = False
+        start, goal = (0, 0, 0), (19, 0, 0)
+        table = ReservationTable()
+        table.reserve((19, 19, 5), 1, agent_id=9)
+
+        def plain_succeeds(budget):
+            try:
+                astar(grid, start, goal, MotionModel.AERIAL6,
+                      max_expansions=budget)
+            except NoPathError:
+                return False
+            return True
+
+        lo, hi = 1, 500_000
+        while lo < hi:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if plain_succeeds(mid) else (mid + 1, hi)
+        plain = astar(grid, start, goal, MotionModel.AERIAL6)
+        reserved = astar(grid, start, goal, MotionModel.AERIAL6, table, 0,
+                         max_expansions=lo + 5)
+        reserved.validate(grid, MotionModel.AERIAL6)
+        assert reserved.length == plain.length == 67
+        assert len(reserved.cells) - 1 == 67
 
 
 class TestPathCost:
