@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -397,20 +398,51 @@ class RRTParams:
     step_cells: int = 8
     goal_bias: float = 0.1
 
+    def __post_init__(self):
+        for name in ("max_iters", "step_cells"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if self.max_iters < 0:
+            raise ValueError("max_iters must be >= 0")
+        if self.step_cells < 1:
+            raise ValueError("step_cells must be >= 1")
+        if not (math.isfinite(self.rewire_radius) and self.rewire_radius >= 0):
+            raise ValueError("rewire_radius must be finite and >= 0")
+        if not 0.0 <= self.goal_bias <= 1.0:
+            raise ValueError("goal_bias must be in [0, 1]")
 
-def _staircase(a: Cell, b: Cell):
-    """Unit axis steps from `a` to `b`, largest remaining delta first
-    (deterministic).  Yields every cell after `a`, ending at `b`."""
-    cur = list(a)
-    while tuple(cur) != tuple(b):
-        rem = [b[k] - cur[k] for k in range(3)]
-        ax = max(range(3), key=lambda k: abs(rem[k]))
-        cur[ax] += 1 if rem[ax] > 0 else -1
-        yield tuple(cur)
 
-
-def _line_free(grid: Grid, a: Cell, b: Cell) -> bool:
-    return all(grid.is_free(c) for c in _staircase(a, b))
+def _staircase(a: Cell, b: Cell, limit: int | None = None) -> list[Cell]:
+    """Unit axis steps from `a` to `b`: every cell after `a`, ending at
+    `b`, or only the first `limit` of them.  Each step moves along the
+    axis with the largest remaining |delta|, ties to the lower axis, so
+    the cells stay inside the box spanned by `a` and `b`."""
+    x, y, z = a
+    rx, ry, rz = b[0] - x, b[1] - y, b[2] - z  # remaining |delta| per axis
+    sx = sy = sz = 1
+    if rx < 0:
+        rx, sx = -rx, -1
+    if ry < 0:
+        ry, sy = -ry, -1
+    if rz < 0:
+        rz, sz = -rz, -1
+    n = rx + ry + rz
+    if limit is not None and limit < n:
+        n = limit
+    cells = []
+    for _ in range(n):
+        if rx >= ry and rx >= rz:
+            x += sx
+            rx -= 1
+        elif ry >= rz:
+            y += sy
+            ry -= 1
+        else:
+            z += sz
+            rz -= 1
+        cells.append((x, y, z))
+    return cells
 
 
 def rrt_star(grid: Grid, start: Cell, goal: Cell, model: MotionModel,
@@ -418,73 +450,95 @@ def rrt_star(grid: Grid, start: Cell, goal: Cell, model: MotionModel,
     """Sampling-based planner on grid cells with staircase connectors
     and cost-based rewiring.  Deterministic for a fixed seed.  Segment
     costs are Manhattan lengths, so any returned path is >= the A*
-    optimum on the same instance.
+    optimum on the same instance.  Rewiring lowers the rewired node's
+    cost only, not its descendants' (they keep their stored costs).
     """
     params = params or RRTParams()
     start, goal = tuple(start), tuple(goal)
     if not grid.is_free(start) or not grid.is_free(goal):
         raise NoPathError("start or goal blocked")
-    if model is MotionModel.GROUND4 and (start[2] != 0 or goal[2] != 0):
+    ground = model is MotionModel.GROUND4
+    if ground and (start[2] != 0 or goal[2] != 0):
         raise NoPathError("ground model requires z=0 endpoints")
 
     rng = np.random.default_rng(seed)
-    dims = grid.dims
-    nodes: list[Cell] = [start]
-    # node coordinates beside `nodes`: the start plus one node per iteration
-    coords = np.empty((params.max_iters + 1, 3), dtype=np.int64)
-    coords[0] = start
-    index: dict[Cell, int] = {start: 0}
-    parent = {0: -1}
-    cost = {0: 0.0}
+    random, integers = rng.random, rng.integers
+    dim_x, dim_y, dim_z = grid.dims
+    step_cells, radius = params.step_cells, params.rewire_radius
+    # one C-order byte per cell, 1 where blocked: cell (x, y, z) sits at
+    # (x * dim_y + y) * dim_z + z.  Every cell looked up below is a
+    # sample inside dims or on a staircase between two in-grid cells,
+    # so no bounds test is needed.
+    blocked = np.asarray(grid.blocked, dtype=bool).tobytes()
+
+    def line_free(a: Cell, b: Cell) -> bool:
+        for x, y, z in _staircase(a, b):
+            if blocked[(x * dim_y + y) * dim_z + z]:
+                return False
+        return True
 
     def sample_cell() -> Cell:
-        if rng.random() < params.goal_bias:
+        if random() < params.goal_bias:
             return goal
         for _ in range(64):
-            x = int(rng.integers(dims[0]))
-            y = int(rng.integers(dims[1]))
-            z = 0 if model is MotionModel.GROUND4 else int(rng.integers(dims[2]))
-            if grid.is_free((x, y, z)):
+            x = int(integers(dim_x))
+            y = int(integers(dim_y))
+            z = 0 if ground else int(integers(dim_z))
+            if not blocked[(x * dim_y + y) * dim_z + z]:
                 return (x, y, z)
         return goal
 
+    nodes: list[Cell] = [start]
+    in_tree = {start}
+    parent = [-1]
+    cost = [0.0]
+    # node coordinates as columns: the start plus one node per iteration
+    xs, ys, zs = np.empty((3, params.max_iters + 1), dtype=np.int64)
+    xs[0], ys[0], zs[0] = start
+
     def node_dists(cell: Cell) -> np.ndarray:
         """Manhattan distance from every node to `cell`."""
-        return np.abs(coords[:len(nodes)] - cell).sum(axis=1)
+        n = len(nodes)
+        x, y, z = cell
+        d = abs(xs[:n] - x)
+        d += abs(ys[:n] - y)
+        if not ground:  # ground nodes and samples all sit at z = 0
+            d += abs(zs[:n] - z)
+        return d
 
     goal_idx = None
     for _ in range(params.max_iters):
         target = sample_cell()
         # argmin returns the first minimum: ties go to the oldest node
-        nearest = int(np.argmin(node_dists(target)))
+        nearest = int(node_dists(target).argmin())
         # steer: walk toward the sample, stop at obstacle or step budget
         new = nodes[nearest]
-        for step, c in enumerate(_staircase(nodes[nearest], target)):
-            if step >= params.step_cells or not grid.is_free(c):
+        for c in _staircase(new, target, step_cells):
+            if blocked[(c[0] * dim_y + c[1]) * dim_z + c[2]]:
                 break
             new = c
-        if new == nodes[nearest] or new in index:
+        if new in in_tree:
             continue
         # choose lowest-cost parent within the rewire radius
-        near = np.flatnonzero(node_dists(new) <= params.rewire_radius).tolist()
-        best_par, best_cost = None, np.inf
+        near = (node_dists(new) <= radius).nonzero()[0].tolist()
+        best_par, best_cost = None, math.inf
         for k in sorted(set(near) | {nearest}):
             seg = manhattan(nodes[k], new)
-            if cost[k] + seg < best_cost and _line_free(grid, nodes[k], new):
+            if cost[k] + seg < best_cost and line_free(nodes[k], new):
                 best_par, best_cost = k, cost[k] + seg
         if best_par is None:
             continue
         idx = len(nodes)
         nodes.append(new)
-        coords[idx] = new
-        index[new] = idx
-        parent[idx] = best_par
-        cost[idx] = best_cost
+        in_tree.add(new)
+        xs[idx], ys[idx], zs[idx] = new
+        parent.append(best_par)
+        cost.append(best_cost)
         # rewire neighbors through the new node (itself excluded: a
         # zero-length segment never lowers its cost)
         for k in near:
             seg = manhattan(new, nodes[k])
-            if best_cost + seg < cost[k] - 1e-9 and _line_free(grid, new, nodes[k]):
+            if best_cost + seg < cost[k] - 1e-9 and line_free(new, nodes[k]):
                 parent[k] = idx
                 cost[k] = best_cost + seg
         if new == goal:
@@ -494,12 +548,10 @@ def rrt_star(grid: Grid, start: Cell, goal: Cell, model: MotionModel,
         # final attempt: connect the closest node straight to the goal
         order = np.argsort(node_dists(goal), kind="stable")  # ties: oldest
         for k in order[:32].tolist():
-            if _line_free(grid, nodes[k], goal):
-                idx = len(nodes)
+            if line_free(nodes[k], goal):
+                goal_idx = len(nodes)
                 nodes.append(goal)
-                parent[idx] = k
-                cost[idx] = cost[k] + manhattan(nodes[k], goal)
-                goal_idx = idx
+                parent.append(k)
                 break
     if goal_idx is None:
         raise NoPathError("rrt_star: no connection within iteration budget")

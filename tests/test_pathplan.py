@@ -1,19 +1,24 @@
 """Planner tests.  A* and the distance fields are verified against an
-independently written heap Dijkstra; RRT* is checked for validity and
-for never undercutting the optimum."""
+independently written heap Dijkstra; RRT* is checked for validity, for
+never undercutting the optimum and for returning the cells of the
+generator-based RRT* it replaced."""
 
 import heapq
+from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from magnnet.assign import feasible_optimum
+from magnnet.bench import ScenarioSpec
 from magnnet.errors import NoPathError
 from magnnet.pathplan import (AgentPlan, Grid, MotionModel, Path, RRTParams,
                               ReservationTable, astar, distance_field,
                               manhattan, path_cost, plan_schedule,
-                              resolve_paths, rrt_star)
+                              resolve_paths, rrt_star, _staircase)
+from magnnet.world import Episode
 
 
 def dijkstra(grid: Grid, start, goal, model: MotionModel):
@@ -418,6 +423,217 @@ class TestRRTStarGolden:
         path = rrt_star(grid, start, goal, model, RRTParams(max_iters=iters),
                         seed=seed)
         assert path.cells == cells
+
+
+class TestRRTParams:
+    @pytest.mark.parametrize("bad", [
+        {"max_iters": -1}, {"max_iters": -2}, {"max_iters": 10.0},
+        {"step_cells": 0}, {"step_cells": -3}, {"step_cells": 2.5},
+        {"step_cells": 2.0}, {"step_cells": True},
+        {"rewire_radius": -0.5}, {"rewire_radius": float("inf")},
+        {"rewire_radius": float("nan")},
+        {"goal_bias": -0.1}, {"goal_bias": 1.5}, {"goal_bias": float("nan")},
+    ])
+    def test_rejects_bad_values(self, bad):
+        with pytest.raises(ValueError):
+            RRTParams(**bad)
+
+    @pytest.mark.parametrize("edge", [
+        {"max_iters": 0}, {"step_cells": 1}, {"step_cells": np.int64(3)},
+        {"rewire_radius": 0.0}, {"goal_bias": 0.0}, {"goal_bias": 1.0},
+    ])
+    def test_accepts_edge_values(self, edge):
+        RRTParams(**edge)
+
+
+# The RRT* the scalar planner replaced: a generator staircase, per-cell
+# `Grid.is_free` and an (N, 3) node scan.  `rrt_star` must return its
+# cells on every instance, or raise where it raised.
+
+def staircase_reference(a, b):
+    cur = list(a)
+    while tuple(cur) != tuple(b):
+        rem = [b[k] - cur[k] for k in range(3)]
+        ax = max(range(3), key=lambda k: abs(rem[k]))
+        cur[ax] += 1 if rem[ax] > 0 else -1
+        yield tuple(cur)
+
+
+def line_free_reference(grid, a, b):
+    return all(grid.is_free(c) for c in staircase_reference(a, b))
+
+
+def rrt_star_reference(grid, start, goal, model, params, seed, branches):
+    """`branches` counts the runs that end in the fallback connection."""
+    start, goal = tuple(start), tuple(goal)
+    if not grid.is_free(start) or not grid.is_free(goal):
+        raise NoPathError("start or goal blocked")
+    if model is MotionModel.GROUND4 and (start[2] != 0 or goal[2] != 0):
+        raise NoPathError("ground model requires z=0 endpoints")
+
+    rng = np.random.default_rng(seed)
+    dims = grid.dims
+    nodes = [start]
+    coords = np.empty((params.max_iters + 1, 3), dtype=np.int64)
+    coords[0] = start
+    index = {start: 0}
+    parent = {0: -1}
+    cost = {0: 0.0}
+
+    def sample_cell():
+        if rng.random() < params.goal_bias:
+            return goal
+        for _ in range(64):
+            x = int(rng.integers(dims[0]))
+            y = int(rng.integers(dims[1]))
+            z = 0 if model is MotionModel.GROUND4 else int(rng.integers(dims[2]))
+            if grid.is_free((x, y, z)):
+                return (x, y, z)
+        return goal
+
+    def node_dists(cell):
+        return np.abs(coords[:len(nodes)] - cell).sum(axis=1)
+
+    goal_idx = None
+    for _ in range(params.max_iters):
+        target = sample_cell()
+        nearest = int(np.argmin(node_dists(target)))
+        new = nodes[nearest]
+        for step, c in enumerate(staircase_reference(nodes[nearest], target)):
+            if step >= params.step_cells or not grid.is_free(c):
+                break
+            new = c
+        if new == nodes[nearest] or new in index:
+            continue
+        near = np.flatnonzero(node_dists(new) <= params.rewire_radius).tolist()
+        best_par, best_cost = None, np.inf
+        for k in sorted(set(near) | {nearest}):
+            seg = manhattan(nodes[k], new)
+            if cost[k] + seg < best_cost and line_free_reference(grid, nodes[k], new):
+                best_par, best_cost = k, cost[k] + seg
+        if best_par is None:
+            continue
+        idx = len(nodes)
+        nodes.append(new)
+        coords[idx] = new
+        index[new] = idx
+        parent[idx] = best_par
+        cost[idx] = best_cost
+        for k in near:
+            seg = manhattan(new, nodes[k])
+            if best_cost + seg < cost[k] - 1e-9 and \
+                    line_free_reference(grid, new, nodes[k]):
+                parent[k] = idx
+                cost[k] = best_cost + seg
+        if new == goal:
+            goal_idx = idx
+
+    if goal_idx is None:
+        order = np.argsort(node_dists(goal), kind="stable")
+        for k in order[:32].tolist():
+            if line_free_reference(grid, nodes[k], goal):
+                idx = len(nodes)
+                nodes.append(goal)
+                parent[idx] = k
+                cost[idx] = cost[k] + manhattan(nodes[k], goal)
+                goal_idx = idx
+                branches["fallback"] += 1
+                break
+    if goal_idx is None:
+        raise NoPathError("rrt_star: no connection within iteration budget")
+
+    waypoints = []
+    k = goal_idx
+    while k != -1:
+        waypoints.append(nodes[k])
+        k = parent[k]
+    waypoints.reverse()
+    cells = [start]
+    for a, b in zip(waypoints, waypoints[1:]):
+        cells.extend(staircase_reference(a, b))
+    return Path(cells)
+
+
+def same_rrt_outcome(grid, start, goal, model, params, seed, branches):
+    """`rrt_star` and `rrt_star_reference` return the same cells, or both
+    raise `NoPathError`; `branches` counts how the reference ended."""
+    try:
+        ref = rrt_star_reference(grid, start, goal, model, params, seed,
+                                 branches).cells
+    except NoPathError:
+        branches["no_path"] += 1
+        with pytest.raises(NoPathError):
+            rrt_star(grid, start, goal, model, params, seed=seed)
+        return
+    assert rrt_star(grid, start, goal, model, params, seed=seed).cells == ref
+
+
+@st.composite
+def rrt_instances(draw):
+    """A grid up to 12x12x5 with free endpoints, a motion model, and
+    RRT* settings from no iterations to a few hundred."""
+    grid, start, goal, model, _ = _grid_and_ends(draw, (12, 12, 5))
+    params = RRTParams(max_iters=draw(st.integers(0, 200)),
+                       rewire_radius=draw(st.floats(0.0, 6.0)),
+                       step_cells=draw(st.integers(1, 8)),
+                       goal_bias=draw(st.floats(0.0, 1.0)))
+    return grid, start, goal, model, params, draw(st.integers(0, 2**32 - 1))
+
+
+@pytest.fixture(scope="module")
+def planner_compare_instances():
+    """The first six (grid, start, goal, model, seed) instances RRT* gets
+    in `bench.planner_compare` on the 50x50x30 grid at benchmark seed 3:
+    the four pairs at N = 4 (one of them has no RRT* path) and the first
+    two at N = 8."""
+    instances = []
+    for n in (4, 8):
+        spec = ScenarioSpec(mode="static", n_agents=(n,), methods=("hungarian",),
+                            episodes=1, seed_base=3000, obstacle_density=0.1,
+                            grid_dims=(50, 50, 30))
+        seed = spec.seed_base * 1_000_000 + n * 10_000
+        ep = Episode(spec.world_config(n), seed)
+        pairs = feasible_optimum(ep.initial_cost_matrix()).pairs
+        task_ids = [t.id for t in ep.state.live_tasks()]
+        for i, j in pairs:
+            agent = ep.state.agents[i]
+            instances.append((ep.state.grid, agent.position,
+                              ep.state.task(task_ids[j]).location,
+                              agent.motion_model, seed * 97 + i))
+    return instances[:6]
+
+
+class TestRRTStarAgainstReference:
+    def test_small_instances(self):
+        branches = Counter()
+
+        @settings(max_examples=300, derandomize=True, deadline=None)
+        @given(rrt_instances())
+        def check(instance):
+            same_rrt_outcome(*instance, branches)
+
+        check()
+        assert branches["fallback"] > 0 and branches["no_path"] > 0
+
+    @pytest.mark.parametrize("i", range(6))
+    def test_planner_compare_instances(self, planner_compare_instances, i):
+        grid, start, goal, model, seed = planner_compare_instances[i]
+        same_rrt_outcome(grid, start, goal, model, RRTParams(), seed, Counter())
+
+
+class TestStaircase:
+    @settings(max_examples=500, derandomize=True, deadline=None)
+    @given(st.tuples(*[st.integers(0, 59)] * 3),
+           st.tuples(*[st.integers(0, 59)] * 3), st.integers(0, 200))
+    @example((5, 5, 5), (5, 5, 5), 3)
+    @example((0, 7, 2), (59, 7, 2), 10)
+    @example((4, 0, 9), (4, 59, 9), 0)
+    @example((1, 2, 59), (1, 2, 0), 70)
+    @example((0, 0, 0), (3, 3, 3), 5)
+    def test_matches_reference(self, a, b, limit):
+        ref = list(staircase_reference(a, b))
+        assert _staircase(a, b) == ref
+        assert _staircase(a, b, limit=limit) == ref[:limit]
 
 
 class TestReservations:
