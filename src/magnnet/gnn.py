@@ -74,13 +74,17 @@ def init_gcn_params(rng: np.random.Generator, m_max: int) -> GCNParams:
     )
 
 
-def build_graph(state: EpisodeState, cm) -> HeteroGraph:
-    """Assemble node features and edge weights from the live world."""
+def build_graph(state: EpisodeState, cm, obs=None) -> HeteroGraph:
+    """Assemble node features and edge weights from the live world.
+
+    `obs` is the observation `Episode.observe` returned with `cm` this
+    round; without it the observation is rebuilt from `cm`."""
     cfg = state.config
     dims = np.asarray(cfg.grid_dims, dtype=np.float64)
     live = state.live_tasks()
-    obs, _ = observation(state, slot_cost_array(state, cm,
-                                                [t.id for t in live]))
+    if obs is None:
+        obs, _ = observation(state, slot_cost_array(state, cm,
+                                                    [t.id for t in live]))
 
     pos = np.array([a.position for a in state.agents],
                    dtype=np.float64).reshape(-1, 3)

@@ -188,7 +188,7 @@ def collect_rollout(env_factory, model: ModelParams, config: PPOConfig,
         while not ep.terminated:
             if ep.decision_due():
                 obs, masks, cm, _ = ep.observe()
-                graph = build_graph(ep.state, cm)
+                graph = build_graph(ep.state, cm, obs)
                 with T.no_grad():
                     dist, value = _forward_steps(model, [graph], obs, masks,
                                                  with_value=True)

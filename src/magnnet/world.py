@@ -383,14 +383,16 @@ def arbitrate(state: EpisodeState, actions, cm: CostMatrix,
     """
     col = {tid: j for j, tid in enumerate(task_ids)}
     outcome = DecisionOutcome()
+    # task statuses hold until the picks are booked, so whether an agent
+    # reaches some Waiting task is one test per round
+    waiting_cols = [col[t.id] for t in state.waiting_tasks()]
+    reaches_waiting = np.isfinite(cm.entries[:, waiting_cols]).any(axis=1)
 
     requests: dict[int, list] = {}
     for i, agent in enumerate(state.agents):
         action = int(actions[i])
         if action == 0:
-            if agent.status is AgentStatus.IDLE and any(
-                    np.isfinite(cm.entries[i, col[t.id]])
-                    for t in state.waiting_tasks()):
+            if agent.status is AgentStatus.IDLE and reaches_waiting[i]:
                 outcome.idle_rejects.append(agent.id)
             continue
         slot = action - 1

@@ -2,16 +2,18 @@
 determinism of everything except wall-time columns, and curve emission."""
 
 import csv
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from magnnet import bench, pathplan
 from magnnet.bench import (BenchReport, EpisodeLog, REPORT_COLUMNS,
                            ScenarioSpec, WALL_TIME_COLUMNS, allocation_time,
                            emit_curves, planner_compare, run_benchmark,
-                           run_episode_baseline, success_rate,
-                           write_replay_log)
+                           run_episode_baseline, run_episode_magnnet,
+                           success_rate, write_replay_log)
 from magnnet.ppo import ModelParams
 from magnnet.world import Episode, WorldConfig
 
@@ -32,6 +34,24 @@ def strip_wall_time(csv_path):
     return [[v for k, v in enumerate(r) if k not in drop] for r in rows]
 
 
+def without_wall_time(log):
+    return dataclasses.replace(log, alloc_wall_s=0.0)
+
+
+def count_fields(monkeypatch):
+    """Patch `pathplan.distance_field` to record, per call, how many
+    instances the shared field store held when the build started."""
+    real = pathplan.distance_field
+    held = []
+
+    def counting(grid, source, model):
+        held.append(len(bench._instance_fields))
+        return real(grid, source, model)
+
+    monkeypatch.setattr(pathplan, "distance_field", counting)
+    return held
+
+
 class TestScenarioSpec:
     def test_magnnet_requires_checkpoint(self):
         with pytest.raises(ValueError):
@@ -49,6 +69,18 @@ class TestScenarioSpec:
     def test_empty_sweep_rejected(self, kw):
         with pytest.raises(ValueError):
             ScenarioSpec(methods=("hungarian",), **kw)
+
+    # a repeated entry used to merge cells: ("greedy", "greedy") x (3, 3)
+    # reported 4 identical rows, each claiming 4 episodes
+    @pytest.mark.parametrize("kw", [
+        dict(methods=("greedy", "greedy")), dict(n_agents=(3, 3)),
+        dict(methods=("greedy", "greedy"), n_agents=(3, 3))],
+        ids=["methods", "n_agents", "both"])
+    def test_duplicate_entries_rejected(self, kw):
+        base = dict(methods=("greedy",), n_agents=(3,), episodes=1,
+                    grid_dims=(12, 12, 4))
+        with pytest.raises(ValueError, match="twice"):
+            ScenarioSpec(**dict(base, **kw))
 
     def test_dynamic_gets_default_interval(self):
         spec = ScenarioSpec(mode="dynamic", methods=("hungarian",))
@@ -132,6 +164,102 @@ class TestRunBenchmark:
         report = run_benchmark(spec)
         assert len(report.rows) == 1
         assert report.rows[0]["method"] == "magnnet"
+
+
+class TestSharedInstanceFields:
+    """Baseline episodes of one seeded instance share its initial distance
+    fields through `bench._instance_fields`, which holds one instance."""
+
+    BASELINES = ("hungarian", "greedy", "random")
+
+    @pytest.fixture(autouse=True)
+    def cold_store(self):
+        bench._instance_fields.clear()
+        yield
+        bench._instance_fields.clear()
+
+    def test_baselines_build_each_field_once(self, monkeypatch):
+        cfg = small_spec().world_config(4)
+        cold = {}
+        for method in self.BASELINES:
+            bench._instance_fields.clear()
+            cold[method] = run_episode_baseline(method, cfg, 11)
+        bench._instance_fields.clear()
+        held = count_fields(monkeypatch)
+        warm = {m: run_episode_baseline(m, cfg, 11) for m in self.BASELINES}
+        # one field per (task, motion model): 2 models x M tasks
+        assert len(held) == 2 * cfg.n_tasks_initial
+        for method in self.BASELINES:
+            assert without_wall_time(warm[method]) == \
+                without_wall_time(cold[method])
+
+    @pytest.mark.parametrize("change", [
+        dict(seed=12), dict(step_cap=119.0), dict(obstacle_density=0.1),
+        dict(cost_scale=40.0)],
+        ids=["seed", "step_cap", "obstacle_density", "cost_scale"])
+    def test_other_instance_empties_store_first(self, change, monkeypatch):
+        cfg = small_spec().world_config(4)
+        run_episode_baseline("greedy", cfg, 11)
+        first = dict(bench._instance_fields)
+        change = dict(change)
+        seed = change.pop("seed", 11)
+        other = dataclasses.replace(cfg, **change)
+        held = count_fields(monkeypatch)
+        run_episode_baseline("greedy", other, seed)
+        assert held and set(held) == {0}
+        assert len(bench._instance_fields) == 1
+        assert bench._instance_fields.keys() != first.keys()
+
+    def test_fields_read_only_and_kept_past_done(self, monkeypatch):
+        cfg = small_spec().world_config(4)
+        first = run_episode_baseline("hungarian", cfg, 13)
+        assert first.all_done
+        (fields,) = bench._instance_fields.values()
+        assert len(fields) == 2 * cfg.n_tasks_initial
+        for dist in fields.values():
+            assert not dist.flags.writeable
+            with pytest.raises(ValueError):
+                dist[0, 0, 0] = 0.0
+        held = count_fields(monkeypatch)
+        run_episode_baseline("greedy", cfg, 13)
+        assert held == []
+
+    def test_magnnet_leaves_store_alone(self, monkeypatch):
+        cfg = small_spec().world_config(4)
+        run_episode_baseline("hungarian", cfg, 17)
+        before = {key: {k: id(v) for k, v in fields.items()}
+                  for key, fields in bench._instance_fields.items()}
+        model = ModelParams.init(np.random.default_rng(0), 4, 4)
+        held = count_fields(monkeypatch)
+        run_episode_magnnet(cfg, 17, model)
+        assert len(held) >= 2 * cfg.n_tasks_initial   # its own fields
+        after = {key: {k: id(v) for k, v in fields.items()}
+                 for key, fields in bench._instance_fields.items()}
+        assert after == before
+
+    def test_sweep_runs_instance_major(self, monkeypatch):
+        spec = small_spec(episodes=2, n_agents=(3, 4))
+        held = count_fields(monkeypatch)
+        run_benchmark(spec)
+        # ground and aerial agents at both N: 2 models x M tasks each
+        assert len(held) == spec.episodes * sum(2 * n for n in spec.n_agents)
+
+    def test_pool_matches_serial(self):
+        spec = small_spec(methods=("greedy", "hungarian"), n_agents=(3, 4),
+                          episodes=2)
+        serial = run_benchmark(spec, 1)
+        pooled = run_benchmark(spec, 2)
+        wall = set(WALL_TIME_COLUMNS)
+        assert [{k: v for k, v in row.items() if k not in wall}
+                for row in pooled.rows] == \
+            [{k: v for k, v in row.items() if k not in wall}
+             for row in serial.rows]
+        assert [without_wall_time(log) for log in pooled.episode_logs] == \
+            [without_wall_time(log) for log in serial.episode_logs]
+        # episode_logs stay method-major: method, then N, then episode
+        assert [(log.method, log.n_agents) for log in serial.episode_logs] \
+            == [(m, n) for m in spec.methods for n in spec.n_agents
+                for _ in range(spec.episodes)]
 
 
 class TestPlannerCompare:

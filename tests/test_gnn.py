@@ -8,8 +8,9 @@ from magnnet import tensor as T
 from magnnet.gnn import (HIDDEN, GCNParams, HeteroGraph, VELOCITY_SCALE,
                          _norm_adjacency, batch_graphs, build_graph,
                          gcn_encode, init_gcn_params, padded_task_features)
-from magnnet.world import (STATUS_CODE, WorldConfig, current_cost_matrix,
-                           init_episode, observation, slot_cost_array)
+from magnnet.world import (STATUS_CODE, Episode, WorldConfig,
+                           current_cost_matrix, init_episode, observation,
+                           slot_cost_array)
 
 
 def small_state(seed=0):
@@ -54,6 +55,41 @@ class TestBuildGraph:
         assert np.allclose(g.edge_w[finite],
                            1.0 / (1.0 + cm.entries[finite]))
         assert (g.edge_w[~finite] == 0.0).all()
+
+
+class TestBuildGraphWithObservation:
+    """`build_graph(state, cm, obs)` with the round's `observe` output
+    equals the two-argument form, which rebuilds the observation."""
+
+    CONFIGS = (dict(), dict(obstacle_density=0.25),
+               dict(task_interval=3.0, m_max=8, step_cap=60.0),
+               dict(task_interval=2.0, m_max=6, step_cap=60.0,
+                    obstacle_density=0.25))
+
+    def test_both_call_forms_agree(self):
+        spawned = rounds = 0
+        base = dict(grid_dims=(15, 15, 6), n_agents=4, n_tasks_initial=4,
+                    n_ground=2, n_aerial=2, obstacle_density=0.08)
+        for k, kw in enumerate(self.CONFIGS):
+            cfg = WorldConfig(**{**base, **kw})
+            for seed in range(2):
+                ep = Episode(cfg, 600 + 10 * k + seed)
+                rng = np.random.default_rng(seed)
+                while not ep.terminated:
+                    if ep.decision_due():
+                        obs, masks, cm, _ = ep.observe()
+                        rebuilt = build_graph(ep.state, cm)
+                        given = build_graph(ep.state, cm, obs)
+                        for name in ("agent_x", "task_x", "edge_w"):
+                            assert np.array_equal(getattr(given, name),
+                                                  getattr(rebuilt, name))
+                        assert given.task_slots == rebuilt.task_slots
+                        rounds += 1
+                        ep.act([int(rng.choice(np.flatnonzero(m)))
+                                for m in masks])
+                    ep.tick()
+                spawned += len(ep.state.tasks) - cfg.n_tasks_initial
+        assert rounds > 50 and spawned > 0
 
 
 class TestAdjacency:

@@ -1,16 +1,20 @@
 """Simulator tests: placement, observations, masks, arbitration,
 rewards, motion, spawning and episode lifecycle."""
 
+import copy
+
 import numpy as np
 import pytest
 
 from magnnet import pathplan
+from magnnet.assign import CostMatrix
 from magnnet.errors import PlacementError
 from magnnet.gnn import build_graph
 from magnnet.pathplan import MotionModel, Path
-from magnnet.world import (AgentStatus, Episode, RewardShaping,
-                           SENTINEL_NORMALIZED_COST, STATUS_CODE, TaskStatus,
-                           WorldConfig, advance, arbitrate, assign_tasks,
+from magnnet.world import (AgentStatus, DecisionOutcome, Episode,
+                           RewardShaping, SENTINEL_NORMALIZED_COST,
+                           STATUS_CODE, TaskStatus, WorldConfig, _plan_to_task,
+                           advance, arbitrate, assign_tasks,
                            current_cost_matrix, init_episode, observation,
                            slot_cost_array, spawn_tasks, step_rewards,
                            terminal_bonus)
@@ -398,6 +402,96 @@ class TestFieldCache:
         # one build per (task, motion model) key over whole episodes:
         # eviction never dropped a field that was read again
         assert len(built) == len(read)
+
+
+def arbitrate_reference(state, actions, cm, task_ids):
+    """`arbitrate` as it was with the Waiting tasks rescanned for every
+    idle agent that rejects: the reference that `arbitrate` must equal."""
+    col = {tid: j for j, tid in enumerate(task_ids)}
+    outcome = DecisionOutcome()
+
+    requests = {}
+    for i, agent in enumerate(state.agents):
+        action = int(actions[i])
+        if action == 0:
+            if agent.status is AgentStatus.IDLE and any(
+                    np.isfinite(cm.entries[i, col[t.id]])
+                    for t in state.waiting_tasks()):
+                outcome.idle_rejects.append(agent.id)
+            continue
+        slot = action - 1
+        tid = state.slots[slot] if 0 <= slot < len(state.slots) else None
+        valid = (
+            tid is not None
+            and state.task(tid).status is TaskStatus.WAITING
+            and agent.status is AgentStatus.IDLE
+            and np.isfinite(cm.entries[i, col[tid]])
+        )
+        if not valid:
+            outcome.invalid.append(agent.id)
+            continue
+        agent.status = AgentStatus.ACCEPT
+        requests.setdefault(tid, []).append(agent.id)
+
+    picks = []
+    for tid in sorted(requests):
+        contenders = sorted(requests[tid])
+        outcome.requests[tid] = contenders
+        winner = min(contenders, key=lambda a: (cm.entries[a, col[tid]], a))
+        if len(contenders) > 1:
+            outcome.conflicts.append((tid, contenders))
+            state.contested_tasks.add(tid)
+            for a in contenders:
+                if a != winner:
+                    state.agent(a).status = AgentStatus.IDLE
+                    state.record("conflict_lost", agent=a, task=tid)
+        picks.append((winner, tid, float(cm.entries[winner, col[tid]]),
+                      _plan_to_task(state, state.agent(winner),
+                                    state.task(tid))))
+        outcome.assignments.append((winner, tid))
+    assign_tasks(state, picks)
+    return outcome
+
+
+class TestArbitrationReference:
+    """`arbitrate` equals `arbitrate_reference` on random-action rounds:
+    any action in 0..m_max, so rejects, invalid requests (empty slot,
+    busy agent, Assigned task, unreachable task) and conflicts occur.
+    Every other round knocks out random cost entries, so some idle agents
+    reach an Assigned task but no Waiting one."""
+
+    CONFIGS = (dict(), dict(obstacle_density=0.25),
+               dict(task_interval=3.0, m_max=8, step_cap=60.0),
+               dict(task_interval=2.0, m_max=6, step_cap=60.0,
+                    obstacle_density=0.25, n_agents=5, n_ground=3))
+
+    def test_matches_reference_loop(self):
+        seen = {"idle_rejects": 0, "invalid": 0, "conflicts": 0,
+                "assignments": 0}
+        for k, kw in enumerate(self.CONFIGS):
+            for seed in range(3):
+                ep = Episode(small_config(**kw), 700 + 10 * k + seed)
+                rng = np.random.default_rng(seed)
+                while not ep.terminated:
+                    if ep.decision_due():
+                        _, _, cm, ids = ep.observe()
+                        actions = [int(a) for a in rng.integers(
+                            ep.config.m_max + 1, size=len(ep.state.agents))]
+                        if rng.random() < 0.5:
+                            cm = CostMatrix(np.where(
+                                rng.random(cm.entries.shape) < 0.5,
+                                np.inf, cm.entries))
+                        ref_state = copy.deepcopy(ep.state)
+                        ref = arbitrate_reference(ref_state, actions, cm, ids)
+                        out = arbitrate(ep.state, actions, cm, ids)
+                        for name in seen:
+                            assert getattr(out, name) == getattr(ref, name)
+                            seen[name] += len(getattr(out, name))
+                        assert out.requests == ref.requests
+                        assert [a.status for a in ep.state.agents] == \
+                            [a.status for a in ref_state.agents]
+                    ep.tick()
+        assert all(seen.values()), seen
 
 
 class TestArbitration:
