@@ -12,7 +12,7 @@ from __future__ import annotations
 import heapq
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
@@ -602,53 +602,36 @@ def plan_schedule(plan: AgentPlan) -> list[tuple[Cell, int]]:
 
 def resolve_paths(plans: list[AgentPlan], reservations: ReservationTable,
                   grid: Grid, models: dict) -> list[AgentPlan]:
-    """Book space-time reservations in ascending cost order.
+    """Book space-time reservations in ascending (cost, agent id) order;
+    one plan comes back per input.
 
-    The lowest-cost owner keeps its path; later plans that collide replan
-    with reservation-aware A* under `models[agent_id]`; when no
-    conflict-free path exists a wait is inserted at the start and the
-    attempt repeats, degrading to repeated waits under permanent blockage.
+    A plan whose schedule is free is booked as it is.  Otherwise it
+    replans with reservation-aware A* under `models[agent_id]`, which
+    searches a wait at every substep, so any delayed start of the old
+    path lies inside that search, and the new path is booked.  When no
+    such path exists the plan holds its start cell for a tick and books
+    nothing; `advance` rebooks it when it meets a taken slot.
     """
     resolved = []
-
-    def try_book(trial: AgentPlan) -> bool:
-        schedule = plan_schedule(trial)
-        if all(reservations.is_free_for(c, t, trial.agent_id)
-               for c, t in schedule):
-            for c, t in schedule:
-                reservations.reserve(c, t, trial.agent_id)
-            resolved.append(trial)
-            return True
-        return False
-
     for plan in sorted(plans, key=lambda p: (p.cost, p.agent_id)):
-        model = models[plan.agent_id]
-        base = plan
-        placed = try_book(base)
-        if not placed:
+        schedule = plan_schedule(plan)
+        if not all(reservations.is_free_for(c, t, plan.agent_id)
+                   for c, t in schedule):
             try:
-                alt = astar(grid, base.path.cells[0], base.path.goal, model,
-                            reservations, base.agent_id, base.start_tick,
-                            base.substeps_per_tick)
-                base = AgentPlan(base.agent_id, base.cost, alt,
-                                 base.velocity, base.start_tick)
-                placed = try_book(base)
+                alt = astar(grid, plan.path.cells[0], plan.path.goal,
+                            models[plan.agent_id], reservations,
+                            plan.agent_id, plan.start_tick,
+                            plan.substeps_per_tick)
             except NoPathError:
-                pass
-        n_waits = 0
-        while not placed and n_waits < 16:
-            n_waits += 1
-            trial = AgentPlan(base.agent_id, base.cost,
-                              Path([base.path.cells[0]] * n_waits
-                                   + base.path.cells),
-                              base.velocity, base.start_tick)
-            placed = try_book(trial)
-        if not placed:
-            # permanent blockage: hold position and keep waiting; the
-            # owner retries on later ticks
-            resolved.append(AgentPlan(
-                base.agent_id, base.cost,
-                Path([base.path.cells[0], base.path.cells[0]]
-                     + base.path.cells[1:]),
-                base.velocity, base.start_tick))
+                cells = plan.path.cells
+                resolved.append(replace(
+                    plan, path=Path([cells[0], cells[0]] + cells[1:])))
+                continue
+            plan = replace(plan, path=alt)
+            schedule = plan_schedule(plan)
+        # the schedule is free, or A* skipped every slot another agent
+        # holds: reserve raises on a double booking only as a fault
+        for c, t in schedule:
+            reservations.reserve(c, t, plan.agent_id)
+        resolved.append(plan)
     return resolved

@@ -199,8 +199,6 @@ def collect_rollout(env_factory, model: ModelParams, config: PPOConfig,
                     np.asarray(logps), rewards.copy(),
                     float(value.data[0]) if value is not None else 0.0))
             ep.tick()
-        if not ep_steps:
-            continue
         if ep.all_tasks_done():
             bonus = terminal_bonus(ep.config.shaping, ep.optimal_total(),
                                    ep.achieved_total())

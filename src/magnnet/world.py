@@ -5,7 +5,7 @@ One decision step per simulated second while any Waiting task exists:
 every agent emits an action in {0 = reject, 1..m_max = request the task
 in that observation slot}; contested tasks go to the requester with the
 smallest travel-time cost.  Between decision steps agents advance along
-their reserved paths at their own velocity.
+their booked paths, `plan.substeps_per_tick` cells per tick.
 
 A round is `Episode.observe` (the one cost matrix of the round), then
 `Episode.act` (arbitration against that matrix), then `Episode.tick`.
@@ -13,6 +13,7 @@ A round is `Episode.observe` (the one cost matrix of the round), then
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, asdict
 from enum import Enum
 
@@ -60,7 +61,6 @@ class AgentState:
     assigned_task: int | None = None
     plan: AgentPlan | None = None
     path_index: int = 0
-    progress: float = 0.0
 
 
 @dataclass
@@ -123,7 +123,8 @@ class WorldConfig:
             raise ValueError("obstacle_density must be in [0, 0.3)")
         if self.task_interval is not None and not self.task_interval > 0:
             raise ValueError("task_interval must be > 0")
-        # schedules book whole cells per tick; motion must move the same
+        # a plan books and moves round(v) cells per tick while costs
+        # divide by v; the two agree only for whole speeds
         for v in (self.ground_velocity, self.aerial_velocity):
             if not (v > 0 and float(v).is_integer()):
                 raise ValueError("velocities must be whole cells per second")
@@ -133,6 +134,15 @@ class WorldConfig:
             raise ValueError("n_tasks_initial must be >= 0")
         if self.m_max < self.n_tasks_initial:
             raise ValueError("m_max must cover the initial task count")
+        if not self.step_cap > 0:
+            raise ValueError("step_cap must be > 0")
+        # with no task before step_cap an episode has no decision round;
+        # the clock moves in whole ticks from 0, so the first spawn comes
+        # at tick ceil(task_interval)
+        spawns_in_time = (self.task_interval is not None and self.m_max >= 1
+                          and math.ceil(self.task_interval) < self.step_cap)
+        if self.n_tasks_initial < 1 and not spawns_in_time:
+            raise ValueError("no task arrives before step_cap")
         self.shaping.validate()
 
     @classmethod
@@ -360,7 +370,6 @@ def assign_tasks(state: EpisodeState, picks) -> None:
         agent.status = AgentStatus.ASSIGN
         agent.assigned_task = task_id
         agent.path_index = 0
-        agent.progress = 0.0
         task.status = TaskStatus.ASSIGNED
         new_plans.append(AgentPlan(agent_id, cost, path, agent.velocity,
                                    start_tick=int(state.clock)))
@@ -457,37 +466,31 @@ def terminal_bonus(shaping: RewardShaping, optimal_total: float,
 # motion + spawning
 # ---------------------------------------------------------------------------
 
-def advance(state: EpisodeState, dt: float = 1.0) -> list:
-    """Move every Assign agent along its path at its own velocity.
+def advance(state: EpisodeState) -> list:
+    """Move every Assign agent one tick along its path.
 
-    Cells traversed per call = floor of accumulated distance.  An agent
-    whose next cell/tick is reserved for a higher-priority agent holds
-    position and its remaining schedule is rebooked one tick later.
+    An agent moves up to `plan.substeps_per_tick` cells, the count
+    `plan_schedule` books per tick.  An agent whose next cell is reserved
+    for another agent at the next tick stops before it, and its remaining
+    schedule is rebooked from that tick.
     """
-    if dt <= 0:
-        raise ValueError("dt must be > 0")
     events = []
     next_tick = int(state.clock) + 1
     moving = [a for a in state.agents if a.status is AgentStatus.ASSIGN]
-    moving.sort(key=lambda a: (a.plan.cost if a.plan else np.inf, a.id))
+    moving.sort(key=lambda a: (a.plan.cost, a.id))
     for agent in moving:
         cells = agent.plan.path.cells
-        agent.progress += agent.velocity * dt
-        allowed = int(np.floor(agent.progress)) - agent.path_index
-        blocked = False
-        while allowed > 0 and agent.path_index < len(cells) - 1:
+        stop = min(agent.path_index + agent.plan.substeps_per_tick,
+                   len(cells) - 1)
+        while agent.path_index < stop:
             nxt = cells[agent.path_index + 1]
             if not state.reservations.is_free_for(nxt, next_tick, agent.id):
-                blocked = True
+                _rebook(state, agent, next_tick)
+                state.record("wait", agent=agent.id)
+                events.append({"event": "wait", "agent": agent.id})
                 break
             agent.path_index += 1
             agent.position = nxt
-            allowed -= 1
-        if blocked:
-            agent.progress = float(agent.path_index)
-            _rebook(state, agent, next_tick)
-            state.record("wait", agent=agent.id)
-            events.append({"event": "wait", "agent": agent.id})
         if agent.path_index >= len(cells) - 1 and agent.position == cells[-1]:
             task = state.task(agent.assigned_task)
             task.status = TaskStatus.DONE
@@ -506,9 +509,8 @@ def advance(state: EpisodeState, dt: float = 1.0) -> list:
             agent.assigned_task = None
             agent.plan = None
             agent.path_index = 0
-            agent.progress = 0.0
             state.record("agent_idle", agent=agent.id)
-    state.clock += dt
+    state.clock += 1.0
     state.reservations.release_before(int(state.clock))
     return events
 
@@ -523,7 +525,6 @@ def _rebook(state: EpisodeState, agent: AgentState, from_tick: int) -> None:
                              {agent.id: agent.motion_model})
     agent.plan = resolved[0]
     agent.path_index = 0
-    agent.progress = 0.0
 
 
 def spawn_tasks(state: EpisodeState, config: WorldConfig) -> list:
@@ -617,5 +618,5 @@ class Episode:
 
     def tick(self) -> None:
         self._observed = None
-        advance(self.state, 1.0)
+        advance(self.state)
         spawn_tasks(self.state, self.config)

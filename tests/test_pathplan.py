@@ -699,6 +699,20 @@ class TestReservations:
             assert not slots & seen, "two plans share a slot"
             seen |= slots
 
+    def test_resolve_paths_holds_when_no_path_exists(self):
+        grid = Grid.empty((3, 1, 1))
+        start = (0, 0, 0)
+        table = ReservationTable()
+        # at tick 1 others hold the start cell and its one free neighbor
+        table.reserve(start, 1, 7)
+        table.reserve((1, 0, 0), 1, 8)
+        path = Path([start, (1, 0, 0), (2, 0, 0)])
+        out = resolve_paths([AgentPlan(0, 2.0, path, velocity=1.0)], table,
+                            grid, {0: MotionModel.GROUND4})
+        assert [p.agent_id for p in out] == [0]
+        assert out[0].path.cells == [start, start] + path.cells[1:]
+        assert 0 not in table.slots.values()
+
     def test_plan_schedule_respects_velocity(self):
         path = Path([(x, 0, 0) for x in range(7)])
         fast = AgentPlan(0, 1.0, path, velocity=3.0, start_tick=0)

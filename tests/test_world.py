@@ -74,24 +74,44 @@ class TestConfig:
         with pytest.raises(ValueError):
             small_config(obstacle_density=0.5)
 
-    # a non-positive interval makes spawn_tasks loop forever; plan_schedule
-    # books round(v) cells per tick while advance moves floor(progress),
-    # which agree only for whole positive speeds; a negative count can
-    # still sum to n_agents; with no agents collect_rollout never fills
-    # its batch; observations divide slot costs by cost_scale
+    # a non-positive interval makes spawn_tasks loop forever; a plan books
+    # and moves round(v) cells per tick while costs divide by v, which
+    # agree only for whole positive speeds; a negative count can still sum
+    # to n_agents; with no agents, or no task before step_cap (so no
+    # decision round), collect_rollout never fills its batch; observations
+    # divide slot costs by cost_scale
     @pytest.mark.parametrize("kw", [
         dict(task_interval=0.0), dict(task_interval=-5.0),
         dict(ground_velocity=2.5), dict(aerial_velocity=3.4),
         dict(ground_velocity=0.0), dict(aerial_velocity=-5.0),
         dict(n_agents=4, n_ground=-1, n_aerial=5),
         dict(n_agents=0, n_ground=0, n_aerial=0),
-        dict(cost_scale=0.0), dict(cost_scale=-50.0)],
+        dict(cost_scale=0.0), dict(cost_scale=-50.0),
+        dict(step_cap=0.0), dict(step_cap=-1.0),
+        dict(n_tasks_initial=0),
+        dict(n_tasks_initial=0, task_interval=50.0, step_cap=40.0),
+        dict(n_tasks_initial=0, task_interval=39.5, step_cap=40.0),
+        dict(n_tasks_initial=0, task_interval=5.0, m_max=0)],
         ids=["interval-0", "interval-neg", "ground-2.5", "aerial-3.4",
              "ground-0", "aerial-neg", "n_ground-neg", "n_agents-0",
-             "cost_scale-0", "cost_scale-neg"])
+             "cost_scale-0", "cost_scale-neg", "step_cap-0", "step_cap-neg",
+             "static-no-task", "first-spawn-after-cap",
+             "first-spawn-at-cap", "dynamic-no-slot"])
     def test_invalid_values_rejected(self, kw):
         with pytest.raises(ValueError):
             small_config(**kw)
+
+    def test_first_spawn_before_cap_gives_a_round(self):
+        ep = Episode(small_config(n_tasks_initial=0, task_interval=39.0,
+                                  step_cap=40.0), 5)
+        rounds = 0
+        while not ep.terminated:
+            if ep.decision_due():
+                rounds += 1
+                ep.observe()
+                ep.act([0] * 4)
+            ep.tick()
+        assert rounds == 1
 
     def test_static_m_max_defaults_to_initial_tasks(self):
         assert small_config(n_tasks_initial=4).m_max == 4
@@ -587,7 +607,7 @@ class TestMotion:
         st = init_episode(cfg, 59)
         arbitrate(st, [1, 2, 3, 4], *current_cost_matrix(st))
         for _ in range(200):
-            advance(st, 1.0)
+            advance(st)
             if all(t.status is TaskStatus.DONE for t in st.tasks):
                 break
         assert all(t.status is TaskStatus.DONE for t in st.tasks)
@@ -599,7 +619,7 @@ class TestMotion:
         st = init_episode(cfg, 61)
         arbitrate(st, [1, 2, 3, 4], *current_cost_matrix(st))
         before = {a.id: a.position for a in st.agents}
-        advance(st, 1.0)
+        advance(st)
         for a in st.agents:
             moved = sum(abs(p - q) for p, q in zip(before[a.id], a.position))
             assert moved <= int(a.velocity)
@@ -609,7 +629,40 @@ class TestMotion:
         st = init_episode(cfg, 67)
         arbitrate(st, [1, 2, 3, 4], *current_cost_matrix(st))
         for _ in range(60):
-            advance(st, 1.0)  # reserve() raises on any double booking
+            advance(st)  # reserve() raises on any double booking
+
+    @pytest.mark.parametrize("dims,n_ground,n_aerial", [
+        ((8, 8, 2), 4, 4), ((6, 6, 2), 3, 3), ((5, 5, 1), 4, 0)])
+    def test_motion_follows_booked_schedule(self, dims, n_ground, n_aerial):
+        """An agent that records no wait stands, after each tick, on the
+        cell its plan booked for that tick: `advance` moves as many
+        cells per tick as `plan_schedule` books."""
+        checked = waits = 0
+        for seed in range(20):
+            ep = Episode(WorldConfig(
+                grid_dims=dims, n_agents=n_ground + n_aerial,
+                n_tasks_initial=6, n_ground=n_ground, n_aerial=n_aerial,
+                obstacle_density=0.2, task_interval=1.0, m_max=8,
+                step_cap=40.0), seed)
+            st = ep.state
+            rng = np.random.default_rng(seed)
+            while not ep.terminated:
+                if ep.decision_due():
+                    _, masks, _, _ = ep.observe()
+                    ep.act([int(rng.choice(np.flatnonzero(m)))
+                            for m in masks])
+                n_log = len(st.log)
+                ep.tick()
+                waited = {e["agent"] for e in st.log[n_log:]
+                          if e["event"] == "wait"}
+                waits += len(waited)
+                for a in st.agents:
+                    if (a.status is AgentStatus.ASSIGN and a.id not in waited
+                            and a.plan.start_tick < int(st.clock)):
+                        assert st.reservations.owner(
+                            a.position, int(st.clock)) == a.id
+                        checked += 1
+        assert checked > 100 and waits > 10
 
 
 class TestSpawning:
