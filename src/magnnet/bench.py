@@ -212,9 +212,8 @@ def _execute_assignment(ep: Episode, assignment) -> list:
     return [path.length for *_, path in picks]
 
 
-# The initial distance fields of the one seeded instance a baseline
-# episode built last: {(config JSON, seed): {(task id, model): field}},
-# at most one entry, every field read-only.
+# The field store of the one seeded instance a baseline episode built
+# last, read-only: {(config JSON, seed): FieldStore}, at most one entry.
 _instance_fields: dict = {}
 
 
@@ -223,18 +222,17 @@ def _baseline_episode(config: WorldConfig, seed: int) -> Episode:
 
     Every method of a benchmark cell runs the same seeded instances, and
     `init_episode` is deterministic in (config, seed), so the first
-    baseline episode of an instance keeps its initial fields and later
-    ones start from them instead of building the same fields again.  Only
-    the episode's own `dist_cache` loses Done tasks' fields."""
+    baseline episode of an instance builds its initial fields and every
+    episode of the instance, that one included, reads them through a
+    `FieldStore.fork`: no copy, and only the episode's own fork loses
+    Done tasks' fields."""
     key = (json.dumps(config.to_dict(), sort_keys=True), seed)
     ep = Episode(config, seed)
     if key not in _instance_fields:
         _instance_fields.clear()    # never two instances' fields at once
         ep.initial_cost_matrix()
-        for dist in ep.state.dist_cache.values():
-            dist.flags.writeable = False
-        _instance_fields[key] = dict(ep.state.dist_cache)
-    ep.state.dist_cache.update(_instance_fields[key])
+        _instance_fields[key] = ep.state.dist_cache
+    ep.state.dist_cache = _instance_fields[key].fork()
     return ep
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import heapq
 import math
 import numbers
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
@@ -232,18 +233,25 @@ def _wavefront(free: np.ndarray, source) -> np.ndarray:
     for y and 1 for z in 3D, 1 for y in 2D), and the padding keeps it
     inside its block: a shift that crosses a row or plane boundary
     lands in a padding word, which is never free, so `nxt &= todo`
-    drops it.  On 50x50x30 a ring is about 13 ufunc calls over 1,664
+    drops it.  On 50x50x30 a ring is about 10.5 ufunc calls over 1,664
     words (13 kB).
 
-    Ring labels are bit-sliced: label plane k, one word array, holds bit
-    k of every cell's ring, so ring d ORs its new cells into plane k for
-    each set bit k of d, about 3 ORs per ring.  A plane is added when d
-    reaches a power of two, the first empty ring included, so the K
-    planes can hold 2**K - 1, a label above every ring; cells never
-    reached, blocked ones included, take that label.  After the search
-    the planes are unpacked once with `np.unpackbits`, folded into one
-    small integer per cell, and written into a C-contiguous float64
-    field, with inf for that label.
+    Ring labels are bit-sliced and Gray-coded: label plane k, one word
+    array, holds bit k of the Gray code g(D) = D ^ (D >> 1) of every
+    cell's ring D.  g(d) and g(d - 1) differ only in bit tz(d), the
+    lowest set bit of d, so ring d XORs every cell not reached before it
+    (`todo`, ring d included) into plane tz(d): one XOR per ring.  A
+    cell of ring D is XORed at rings 1..D, which leaves g(D); cells
+    never reached collect noise, which the `never` mask overrides.  Only
+    odd rings test for emptiness: an even empty ring only XORs
+    never-reached cells, and d and d + 1 have the same bit length.  A
+    plane is added when d reaches a power of two, so the K planes can
+    hold 2**K - 1, a label above every ring; cells never reached,
+    blocked ones included, take that label.  After the search the
+    planes are turned from Gray code into binary from the top down
+    (`planes[k] ^= planes[k + 1]`), unpacked once with `np.unpackbits`,
+    folded into one small integer per cell, and written into a
+    C-contiguous float64 field, with inf for that label.
     """
     source = tuple(int(s) for s in source)
     if not free[source]:
@@ -295,14 +303,14 @@ def _wavefront(free: np.ndarray, source) -> np.ndarray:
         for out, shifted in shifts:
             np.bitwise_or(out, shifted, out)
         nxt &= todo
-        if not np.count_nonzero(nxt):
+        if d & 1 and not np.count_nonzero(nxt):
             break
+        planes[(d & -d).bit_length() - 1] ^= todo
         todo ^= nxt
-        for k in range(d.bit_length()):
-            if d >> k & 1:
-                planes[k] |= nxt
         frontier, nxt = nxt, frontier
         shifts, swapped = swapped, shifts
+    for k in range(len(planes) - 2, -1, -1):  # Gray code to binary
+        planes[k] ^= planes[k + 1]
     never = ~(free_words ^ todo)  # todo kept only the unreached
     label = np.zeros(64 * todo.size,
                      dtype=np.min_scalar_type(2 ** len(planes) - 1))
@@ -324,13 +332,12 @@ def distance_field(grid: Grid, source: Cell, model: MotionModel) -> np.ndarray:
     """Exact shortest-path distance (meters) from `source` to every cell,
     np.inf where unreachable.  Matches A* lengths cell for cell."""
     source = tuple(source)
-    free = ~grid.blocked
     if model is MotionModel.GROUND4:
         out = np.full(grid.dims, np.inf)
         if source[2] == 0:
-            out[:, :, 0] = _wavefront(free[:, :, 0], source[:2])
+            out[:, :, 0] = _wavefront(~grid.blocked[:, :, 0], source[:2])
         return out
-    return _wavefront(free, source)
+    return _wavefront(~grid.blocked, source)
 
 
 # ---------------------------------------------------------------------------
@@ -346,44 +353,135 @@ def path_cost(distance: float, velocity: float) -> float:
     return distance / velocity
 
 
+class FieldStore(Mapping):
+    """One episode's distance fields, slot-major.
+
+    Per motion model one (slots, cells) float32 array, allocated on the
+    model's first field and reused for the whole episode: row s holds
+    the field of the task in observation slot s.  An AERIAL6 row is the
+    full grid, a GROUND4 row only its z = 0 plane, since every other
+    cell is inf.  float32 keeps inf and is exact for every distance
+    below 2**24, so a float32 distance divided by a float64 velocity is
+    the float64 travel time `path_cost` gives.
+
+    As a Mapping it is keyed by (task id, motion model); a value is the
+    row viewed with the field's (x, y, z) shape, (dx, dy, 1) for
+    GROUND4.  `ensure` builds missing keys with one `distance_field`
+    call each, `drop` forgets a Done task, and `lookup` gathers many
+    fields at many cells with one index.
+    """
+
+    def __init__(self, grid: Grid, slots: int):
+        self.grid = grid
+        self.slots = slots
+        self._arrays: dict = {}   # model -> (slots, cells) float32
+        # model -> the task id whose field each row holds, None if none
+        self._held = {model: [None] * slots for model in MotionModel}
+
+    def _shape(self, model: MotionModel) -> Cell:
+        dx, dy, dz = self.grid.dims
+        return (dx, dy, 1) if model is MotionModel.GROUND4 else (dx, dy, dz)
+
+    def __getitem__(self, key) -> np.ndarray:
+        if key not in self:
+            raise KeyError(key)
+        task_id, model = key
+        row = self._held[model].index(task_id)
+        return self._arrays[model][row].reshape(self._shape(model))
+
+    def __contains__(self, key) -> bool:
+        task_id, model = key
+        return task_id is not None and task_id in self._held[model]
+
+    def __iter__(self):
+        for model, held in self._held.items():
+            for task_id in held:
+                if task_id is not None:
+                    yield (task_id, model)
+
+    def __len__(self) -> int:
+        return sum(len(held) - held.count(None)
+                   for held in self._held.values())
+
+    def ensure(self, model: MotionModel, tasks, rows) -> None:
+        """Hold the `model` field of each task (.id, .location) in its
+        row, `rows[j]` for `tasks[j]`.  A row that holds another task's
+        field, or none, is built with one `distance_field` call, so a
+        row a new task reuses is rebuilt and its old key leaves."""
+        held = self._held[model]
+        for task, row in zip(tasks, rows):
+            if held[row] == task.id:
+                continue
+            field = distance_field(self.grid, task.location, model)
+            array = self._arrays.get(model)
+            if array is None:
+                array = np.empty((self.slots, math.prod(self._shape(model))),
+                                 dtype=np.float32)
+            elif not array.flags.writeable:  # shared by `fork`: copy on write
+                array = array.copy()
+            self._arrays[model] = array
+            if model is MotionModel.GROUND4:
+                field = field[:, :, 0]
+            array[row] = field.reshape(-1)
+            held[row] = task.id
+
+    def drop(self, task_id: int) -> None:
+        """Forget a task's fields; their rows are free for reuse."""
+        for held in self._held.values():
+            if task_id in held:
+                held[held.index(task_id)] = None
+
+    def lookup(self, model: MotionModel, rows: np.ndarray,
+               cells: np.ndarray) -> np.ndarray:
+        """(len(cells), len(rows)) float32 distances from each (x, y, z)
+        cell, a row of `cells`, to the source of each field row."""
+        flat = np.ravel_multi_index(cells.T, self._shape(model))
+        return self._arrays[model][rows[None, :], flat[:, None]]
+
+    def fork(self) -> "FieldStore":
+        """A store holding the same fields without copying them.  Both
+        stores' arrays turn read-only, so either copies a model's array
+        before it first writes to it, and `drop` on one leaves the
+        other's keys alone."""
+        for array in self._arrays.values():
+            array.flags.writeable = False
+        twin = FieldStore(self.grid, self.slots)
+        twin._arrays = dict(self._arrays)
+        twin._held = {model: list(held) for model, held in self._held.items()}
+        return twin
+
+
 def cost_matrix(state) -> CostMatrix:
     """N x M_live travel-time estimates; columns are live (not Done)
     tasks in ascending task-id order; np.inf where unreachable.
 
     `state` needs .grid, .agents (position/velocity/motion_model),
-    .live_tasks() and a .dist_cache dict, which caches one distance
-    field per (task id, motion model).  An AERIAL6 entry is the full
-    field.  A GROUND4 entry is only its z = 0 plane, a C-contiguous
-    (dx, dy, 1) copy, since every other cell is inf; the copy lets the
-    full-grid array go at once.  Either is indexed with (x, y, z) cells.
-    Each matrix entry is the same division as `path_cost`, done for all
-    agents of one motion model at once with one gather of their flat
-    indices into that model's entry shape (ground agents sit at z = 0).
+    .live_tasks(), .slots (slot -> task id) and a `FieldStore`
+    .dist_cache, which holds one distance field per (task id, motion
+    model) in the row of the task's slot.  Each entry is the same
+    division as `path_cost`, done for all agents of one motion model
+    with one gather of their cells from that model's live rows.
     """
     tasks = state.live_tasks()
     agents = state.agents
-    cache = state.dist_cache
-    entries = np.full((len(agents), len(tasks)), np.inf)
     velocity = np.array([ag.velocity for ag in agents], dtype=np.float64)
     if (velocity <= 0.0).any():
         raise ValueError(f"velocity must be positive, got {velocity.min()}")
-    cells = np.array([ag.position for ag in agents], dtype=np.intp)
+    entries = np.empty((len(agents), len(tasks)))
+    if not tasks:
+        return CostMatrix(entries)
+    slot = {tid: s for s, tid in enumerate(state.slots)}
+    rows = np.array([slot[task.id] for task in tasks])
     models = [ag.motion_model for ag in agents]
-    for model in dict.fromkeys(models):
-        rows = np.array([i for i, m in enumerate(models) if m is model])
-        vel = velocity[rows]
-        where = None
-        for j, task in enumerate(tasks):
-            key = (task.id, model)
-            if key not in cache:
-                dist = distance_field(state.grid, task.location, model)
-                if model is MotionModel.GROUND4:
-                    dist = np.ascontiguousarray(dist[:, :, :1])
-                cache[key] = dist
-            dist = cache[key]
-            if where is None:
-                where = np.ravel_multi_index(cells[rows].T, dist.shape)
-            entries[rows, j] = dist.take(where) / vel
+    for model in MotionModel:
+        which = [i for i, m in enumerate(models) if m is model]
+        if not which:
+            continue
+        state.dist_cache.ensure(model, tasks, rows)
+        cells = np.array([agents[i].position for i in which], dtype=np.intp)
+        entries[which] = state.dist_cache.lookup(model, rows, cells)
+    # float32 distances widen exactly, so this is the float64 division
+    entries /= velocity[:, None]
     return CostMatrix(entries)
 
 

@@ -142,13 +142,20 @@ def critic_forward(agent_embs, task_feats, p: CriticParams) -> Tensor:
 
 def sample_action(dist: ActionDistribution, rng: np.random.Generator,
                   greedy: bool = False):
-    """Draw one action per row; returns (actions, natural-log probs)."""
+    """Draw one action per row; returns (actions, natural-log probs).
+
+    A row's draw is `rng.choice(len(row), p=row / row.sum())`, done for
+    every row at once: `Generator.choice` normalizes the cdf of p, draws
+    one uniform and returns the count of cdf entries <= it
+    (`searchsorted(side="right")`).  One `rng.random(N)` call consumes
+    the same uniforms as N `choice` calls, so the draws are equal."""
     p = dist.p
-    actions = np.empty(p.shape[0], dtype=int)
-    for i, row in enumerate(p):
-        if greedy:
-            actions[i] = int(np.argmax(row))
-        else:
-            actions[i] = int(rng.choice(len(row), p=row / row.sum()))
+    if greedy:
+        actions = p.argmax(axis=1)
+    else:
+        cdf = np.cumsum(p / p.sum(axis=1, keepdims=True), axis=1)
+        cdf /= cdf[:, -1:]
+        actions = np.count_nonzero(cdf <= rng.random(len(p))[:, None],
+                                   axis=1)
     logp = np.log(p[np.arange(len(actions)), actions])
     return actions, logp

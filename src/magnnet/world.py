@@ -22,8 +22,8 @@ import numpy as np
 from . import pathplan
 from .assign import CostMatrix, feasible_optimum, total_cost
 from .errors import PlacementError
-from .pathplan import (AgentPlan, Grid, MotionModel, Path, ReservationTable,
-                       resolve_paths)
+from .pathplan import (AgentPlan, FieldStore, Grid, MotionModel, Path,
+                       ReservationTable, resolve_paths)
 
 
 class AgentStatus(Enum):
@@ -171,9 +171,9 @@ class EpisodeState:
     grid: Grid
     reservations: ReservationTable
     rng: np.random.Generator
+    dist_cache: FieldStore      # one field per (live task id, motion model)
     done: bool = False
     slots: list = field(default_factory=list)   # slot -> task id or None
-    dist_cache: dict = field(default_factory=dict)
     log: list = field(default_factory=list)
     next_task_id: int = 0
     intervals_consumed: int = 0
@@ -268,6 +268,7 @@ def init_episode(config: WorldConfig, seed: int) -> EpisodeState:
     state = EpisodeState(
         config=config, clock=0.0, agents=agents, tasks=tasks, grid=grid,
         reservations=ReservationTable(), rng=rng,
+        dist_cache=FieldStore(grid, config.m_max),
         slots=[t.id for t in tasks] + [None] * (config.m_max - len(tasks)),
         next_task_id=len(tasks))
     state.record("episode_start", n_agents=len(agents), n_tasks=len(tasks))
@@ -285,12 +286,11 @@ def current_cost_matrix(state: EpisodeState):
 
 
 def slot_cost_array(state: EpisodeState, cm: CostMatrix, task_ids: list) -> np.ndarray:
-    """N x m_max costs laid out by observation slot; inf for empty slots."""
+    """N x m_max costs laid out by observation slot; inf for empty slots.
+    Every live task, a column of `cm`, holds a slot."""
     out = np.full((len(state.agents), state.config.m_max), np.inf)
-    col = {tid: j for j, tid in enumerate(task_ids)}
-    for s, tid in enumerate(state.slots):
-        if tid is not None and tid in col:
-            out[:, s] = cm.entries[:, col[tid]]
+    slot = {tid: s for s, tid in enumerate(state.slots)}
+    out[:, [slot[tid] for tid in task_ids]] = cm.entries
     return out
 
 
@@ -495,8 +495,7 @@ def advance(state: EpisodeState) -> list:
             task = state.task(agent.assigned_task)
             task.status = TaskStatus.DONE
             # nothing reads a Done task's fields again
-            for model in MotionModel:
-                state.dist_cache.pop((task.id, model), None)
+            state.dist_cache.drop(task.id)
             slot = state.slot_of_task(task.id)
             if slot is not None:
                 state.slots[slot] = None

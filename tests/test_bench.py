@@ -227,15 +227,70 @@ class TestSharedInstanceFields:
     def test_magnnet_leaves_store_alone(self, monkeypatch):
         cfg = small_spec().world_config(4)
         run_episode_baseline("hungarian", cfg, 17)
-        before = {key: {k: id(v) for k, v in fields.items()}
-                  for key, fields in bench._instance_fields.items()}
+        before = dict(bench._instance_fields)
+        rows = {k: np.array(v) for store in before.values()
+                for k, v in store.items()}
         model = ModelParams.init(np.random.default_rng(0), 4, 4)
         held = count_fields(monkeypatch)
         run_episode_magnnet(cfg, 17, model)
         assert len(held) >= 2 * cfg.n_tasks_initial   # its own fields
-        after = {key: {k: id(v) for k, v in fields.items()}
-                 for key, fields in bench._instance_fields.items()}
-        assert after == before
+        assert bench._instance_fields.keys() == before.keys()
+        for key, store in bench._instance_fields.items():
+            assert store is before[key]
+            assert store.keys() == rows.keys()
+            for k, row in rows.items():
+                assert np.array_equal(store[k], row)
+
+    def test_spawn_into_a_freed_slot_rebuilds_its_row(self, monkeypatch):
+        """A dynamic baseline episode whose spawned tasks reuse the slots
+        of Done tasks: each spawned key is built once into the episode's
+        own copy of the rows, equal to a fresh field, while the shared
+        rows stay as they were and refuse writes."""
+        cfg = WorldConfig(grid_dims=(12, 12, 4), n_agents=3, n_ground=1,
+                          n_aerial=2, n_tasks_initial=2, m_max=2,
+                          task_interval=2.0, step_cap=60.0,
+                          obstacle_density=0.05)
+        real = pathplan.distance_field
+        ep = bench._baseline_episode(cfg, 4)
+        (shared,) = bench._instance_fields.values()
+        initial = {k: np.array(v) for k, v in shared.items()}
+        assert len(initial) == 2 * cfg.n_tasks_initial
+        built = []
+
+        def counting(grid, source, model):
+            built.append((tuple(source), model))
+            return real(grid, source, model)
+
+        monkeypatch.setattr(pathplan, "distance_field", counting)
+        st = ep.state
+        owners = [[tid] for tid in st.slots]     # task ids per slot
+        seen = set()
+        while not ep.terminated:
+            for s, tid in enumerate(st.slots):
+                if tid is not None and tid != owners[s][-1]:
+                    owners[s].append(tid)
+            if ep.decision_due():
+                _, masks, _, _ = ep.observe()
+                seen |= st.dist_cache.keys()
+                for (tid, model), row in st.dist_cache.items():
+                    full = real(st.grid, st.task(tid).location, model)
+                    if model is pathplan.MotionModel.GROUND4:
+                        full = full[:, :, :1]
+                    assert np.array_equal(row, full), (tid, model)
+                ep.act([int(np.flatnonzero(m)[-1]) for m in masks])
+            ep.tick()
+        reused = {tid for tids in owners for tid in tids[1:]}
+        assert len(reused) >= 2, owners      # freed slots were taken again
+        new_keys = seen - initial.keys()
+        assert {tid for tid, _ in new_keys} == reused
+        # one build per new key, none for the shared initial keys
+        assert sorted(built, key=repr) == sorted(
+            ((st.task(tid).location, m) for tid, m in new_keys), key=repr)
+        assert shared.keys() == initial.keys()
+        for key, row in initial.items():
+            assert np.array_equal(shared[key], row)
+            with pytest.raises(ValueError):
+                shared[key][0, 0, 0] = 1.0
 
     def test_sweep_runs_instance_major(self, monkeypatch):
         spec = small_spec(episodes=2, n_agents=(3, 4))

@@ -281,7 +281,7 @@ class TestDistanceFieldWords:
             else:
                 assert np.array_equal(field, wavefront_reference(free, src))
 
-    @pytest.mark.parametrize("length", [255, 256, 300])
+    @pytest.mark.parametrize("length", [127, 128, 129, 255, 256, 257, 300])
     @pytest.mark.parametrize("model,axis", [
         (MotionModel.AERIAL6, 0), (MotionModel.AERIAL6, 1),
         (MotionModel.AERIAL6, 2), (MotionModel.GROUND4, 0),
@@ -291,7 +291,9 @@ class TestDistanceFieldWords:
         reaches.  From one end the last ring is length - 1.  At 255 the
         first empty ring is 255 = 2**8 - 1; at 256 the last ring fits
         in 8 label bits but the never-reached label needs a ninth; at
-        300 the rings themselves need nine."""
+        300 the rings themselves need nine.  127-129 and 257 put the
+        first empty ring on either side of a power of two, odd and even,
+        where the Gray-coded planes gain their top bit."""
         dims = [1, 1, 1]
         dims[axis] = length + 2
         blocked = np.zeros(dims, dtype=bool)

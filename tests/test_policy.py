@@ -128,3 +128,26 @@ class TestSampling:
         a1, _ = sample_action(dist, np.random.default_rng(9))
         a2, _ = sample_action(dist, np.random.default_rng(9))
         assert np.array_equal(a1, a2)
+
+    @pytest.mark.parametrize("width", [2, 5, 21, 41])
+    def test_draws_equal_per_row_choice(self, width):
+        """One `rng.random(N)` call with a cdf count per row gives the
+        same actions, log-probabilities and generator state as the
+        per-row `rng.choice` loop it replaces, the reference here."""
+        from magnnet.policy import ActionDistribution
+        from magnnet.tensor import Tensor
+        tables = np.random.default_rng(width)
+        for k in range(50):
+            n = int(tables.integers(1, 25))
+            mask = tables.random((n, width)) < 0.6
+            mask[:, 0] = True
+            probs = np.where(mask, tables.random((n, width)), 0.0)
+            probs /= probs.sum(axis=1, keepdims=True)
+            dist = ActionDistribution(Tensor(probs), mask)
+            rng, ref_rng = np.random.default_rng(k), np.random.default_rng(k)
+            actions, logp = sample_action(dist, rng)
+            ref = np.array([ref_rng.choice(width, p=row / row.sum())
+                            for row in probs])
+            assert np.array_equal(actions, ref)
+            assert np.array_equal(logp, np.log(probs[np.arange(n), ref]))
+            assert rng.random() == ref_rng.random()

@@ -361,8 +361,9 @@ class TestObservationEquivalence:
 
 class TestFieldCache:
     """`state.dist_cache` holds only the fields of live tasks, ground
-    fields as their z = 0 plane, and never drops a field that is read
-    again.  Oracles call the real `distance_field`, never the cache."""
+    fields as their z = 0 plane, as float32 rows of its slot-major
+    arrays, and never drops a field that is read again.  Oracles call
+    the real `distance_field`, never the cache."""
 
     CONFIGS = (dict(), dict(obstacle_density=0.2),
                dict(task_interval=3.0, m_max=8, step_cap=60.0),
@@ -377,11 +378,10 @@ class TestFieldCache:
             full = distance_field(st.grid, live[tid].location, model)
             if model is MotionModel.GROUND4:
                 assert entry.shape == st.grid.dims[:2] + (1,)
-                assert entry.dtype == np.float64
-                assert entry.flags.c_contiguous and entry.flags.owndata
                 assert np.array_equal(entry, full[:, :, :1])
             else:
                 assert np.array_equal(entry, full)
+            assert entry.dtype == np.float32 and entry.flags.c_contiguous
 
     @staticmethod
     def _check_costs(st, cm, ids, distance_field):
