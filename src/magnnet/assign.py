@@ -32,8 +32,7 @@ class CostMatrix:
         arr = np.asarray(self.entries, dtype=np.float64)
         if arr.ndim != 2:
             raise ValueError(f"cost matrix must be 2-D, got shape {arr.shape}")
-        finite = arr[np.isfinite(arr)]
-        if finite.size and finite.min() < 0.0:
+        if (arr < 0.0).any():   # -inf included
             raise ValueError("cost matrix entries must be >= 0")
         if np.isnan(arr).any():
             raise ValueError("cost matrix entries must not be NaN")

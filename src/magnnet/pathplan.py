@@ -218,9 +218,18 @@ def astar(grid: Grid, start: Cell, goal: Cell, model: MotionModel,
 # distance fields (exact BFS; unit edge costs)
 # ---------------------------------------------------------------------------
 
-def _wavefront(free: np.ndarray, source) -> np.ndarray:
+def _wavefront(free: np.ndarray, start, reach=None, check_from: int = 0):
     """BFS over a 2D or 3D free mask, one ring per loop pass, with 64
     cells to a machine word.
+
+    The search starts from `start`, one free cell or a bool mask of the
+    ring-0 cells.  With `reach`, an (n, free.ndim) array of cells, it
+    stops after the ring that labels the last of them it can reach,
+    testing from ring `check_from` on, a lower bound the caller knows;
+    otherwise it runs until a ring comes out empty.  Returns (label,
+    never): an unsigned integer array of the mask's shape holding each
+    reached cell's ring, and the label of every other cell, blocked
+    ones included.
 
     Word layout: the first axis x is cut into blocks of 64 cells.  Word
     (w, r) holds cells x = 64w .. 64w + 63 (bit i is x = 64w + i) at
@@ -245,39 +254,44 @@ def _wavefront(free: np.ndarray, source) -> np.ndarray:
     never reached collect noise, which the `never` mask overrides.  Only
     odd rings test for emptiness: an even empty ring only XORs
     never-reached cells, and d and d + 1 have the same bit length.  A
-    plane is added when d reaches a power of two, so the K planes can
-    hold 2**K - 1, a label above every ring; cells never reached,
-    blocked ones included, take that label.  After the search the
-    planes are turned from Gray code into binary from the top down
-    (`planes[k] ^= planes[k + 1]`), unpacked once with `np.unpackbits`,
-    folded into one small integer per cell, and written into a
-    C-contiguous float64 field, with inf for that label.
+    plane is added when d reaches a power of two, and one more when the
+    search stops at ring 2**K - 1, so the K planes hold 2**K - 1, a
+    label above every ring; cells never reached take that label.  After
+    the search the planes are turned from Gray code into binary from the
+    top down (`planes[k] ^= planes[k + 1]`), unpacked once with
+    `np.unpackbits` and folded into one small integer per cell.
     """
-    source = tuple(int(s) for s in source)
-    if not free[source]:
-        return np.full(free.shape, np.inf)
     nx, rest = free.shape[0], free.shape[1:]
     blocks = -(-nx // 64)
     padded = tuple(n + 2 for n in rest)
     block = math.prod(padded)  # words per x-block
     inner = (slice(1, -1),) * len(rest)
-    # x goes last here, so packbits runs along the contiguous axis
-    cells = np.zeros(padded + (64 * blocks,), dtype=bool)
-    cells[inner + (slice(0, nx),)] = np.moveaxis(free, 0, -1)
-    words = np.packbits(cells, axis=-1, bitorder="little").view("<u8")
-    # free and not yet reached
-    todo = np.ascontiguousarray(words.reshape(block, blocks).T).ravel()
-    free_words = todo.copy()
-    at = int(np.ravel_multi_index(
-        (source[0] // 64,) + tuple(s + 1 for s in source[1:]),
-        (blocks,) + padded))
-    bit = np.uint64(1) << np.uint64(source[0] % 64)
-    todo[at] ^= bit
-    frontier, nxt, tmp = (np.zeros_like(todo) for _ in range(3))
-    frontier[at] = bit
+
+    def pack(mask):
+        # x goes last here, so packbits runs along the contiguous axis
+        cells = np.zeros(padded + (64 * blocks,), dtype=bool)
+        cells[inner + (slice(0, nx),)] = np.moveaxis(mask, 0, -1)
+        words = np.packbits(cells, axis=-1, bitorder="little").view("<u8")
+        return np.ascontiguousarray(words.reshape(block, blocks).T).ravel()
+
+    strides = [math.prod(padded[i + 1:]) for i in range(len(padded))]
+    free_words = pack(free)
+    if isinstance(start, np.ndarray):
+        frontier = pack(start)
+    else:
+        frontier = np.zeros_like(free_words)
+        frontier[int(start[0]) // 64 * block + sum(
+            (int(c) + 1) * s for c, s in zip(start[1:], strides))] \
+            = 1 << (int(start[0]) % 64)
+    todo = free_words & ~frontier  # free and not yet reached
+    nxt, tmp = np.zeros_like(todo), np.zeros_like(todo)
+    if reach is None:
+        check_from = math.inf
+    else:  # the word and bit of each reach cell
+        reach_at = reach[:, 0] // 64 * block + (reach[:, 1:] + 1) @ strides
+        reach_bits = np.uint64(1) << (reach[:, 0] % 64).astype(np.uint64)
     # 0-d arrays make cheaper shift operands than numpy scalars
     one, top = np.array(1, todo.dtype), np.array(63, todo.dtype)
-    strides = [math.prod(padded[i + 1:]) for i in range(len(padded))]
 
     def moves(f, n):
         """(out, in) pairs for `out |= in`: the word shifts from f to n."""
@@ -287,11 +301,10 @@ def _wavefront(free: np.ndarray, source) -> np.ndarray:
     # built once; they swap with the buffers they view
     shifts, swapped = moves(frontier, nxt), moves(nxt, frontier)
     planes = []
-    d = 0
+    d = 0  # the last ring labelled
     while True:
-        d += 1
-        if d >> len(planes):
-            planes.append(np.zeros_like(todo))
+        if d >= check_from and not (todo[reach_at] & reach_bits).any():
+            break
         np.left_shift(frontier, one, nxt)
         np.right_shift(frontier, one, tmp)
         nxt |= tmp
@@ -303,12 +316,17 @@ def _wavefront(free: np.ndarray, source) -> np.ndarray:
         for out, shifted in shifts:
             np.bitwise_or(out, shifted, out)
         nxt &= todo
-        if d & 1 and not np.count_nonzero(nxt):
+        if not d & 1 and not np.count_nonzero(nxt):  # ring d + 1 is odd
             break
+        d += 1
+        if d >> len(planes):
+            planes.append(np.zeros_like(todo))
         planes[(d & -d).bit_length() - 1] ^= todo
         todo ^= nxt
         frontier, nxt = nxt, frontier
         shifts, swapped = swapped, shifts
+    if (1 << len(planes)) - 1 <= d:
+        planes.append(np.zeros_like(todo))
     for k in range(len(planes) - 2, -1, -1):  # Gray code to binary
         planes[k] ^= planes[k + 1]
     never = ~(free_words ^ todo)  # todo kept only the unreached
@@ -320,24 +338,86 @@ def _wavefront(free: np.ndarray, source) -> np.ndarray:
                                bitorder="little")
     label = np.moveaxis(label.reshape((blocks,) + padded + (64,)), -1, 1)
     label = label.reshape((64 * blocks,) + padded)[(slice(0, nx),) + inner]
-    dist = np.ascontiguousarray(label, dtype=np.float64)
+    return label, 2 ** len(planes) - 1
+
+
+def _write_labels(dst: np.ndarray, label: np.ndarray, never: int) -> None:
+    """Rings from `_wavefront` into a float array, inf for `never`."""
+    label = np.ascontiguousarray(label)   # a strided cast is slower
     # never / 0 = inf and every other label / 1 = itself, without the
     # slow masked write of inf into scattered cells
     with np.errstate(divide="ignore"):
-        np.divide(dist, dist != 2.0 ** len(planes) - 1, out=dist)
-    return dist
+        np.divide(label, label != never, out=dst, dtype=dst.dtype)
 
 
-def distance_field(grid: Grid, source: Cell, model: MotionModel) -> np.ndarray:
-    """Exact shortest-path distance (meters) from `source` to every cell,
-    np.inf where unreachable.  Matches A* lengths cell for cell."""
-    source = tuple(source)
+def _plane(grid: Grid, field: np.ndarray, model: MotionModel):
+    """(cells, free mask) the kernel searches for a field: the z = 0
+    plane for GROUND4, whose other cells are all inf."""
     if model is MotionModel.GROUND4:
-        out = np.full(grid.dims, np.inf)
-        if source[2] == 0:
-            out[:, :, 0] = _wavefront(~grid.blocked[:, :, 0], source[:2])
+        return field[:, :, 0], ~grid.blocked[:, :, 0]
+    return field, ~grid.blocked
+
+
+def distance_field(grid: Grid, source: Cell, model: MotionModel,
+                   out: np.ndarray | None = None,
+                   reach=None) -> np.ndarray:
+    """Exact shortest-path distance (meters) from `source` to every cell,
+    np.inf where unreachable.  Matches A* lengths cell for cell.
+
+    The distances go into `out` when it is given, of any float dtype and
+    of the grid's shape, or for GROUND4 also its (dx, dy, 1) z = 0
+    plane; otherwise into a new float64 array of the grid's shape.  With
+    `reach`, some (x, y, z) cells, the rings stop after the one that
+    labels the last of them the source reaches, and every cell beyond
+    that ring reads inf too; `resume_field` adds the rings left out.
+    """
+    source = tuple(source)
+    if out is None:
+        out = np.full(grid.dims, np.inf) if model is MotionModel.GROUND4 \
+            else np.empty(grid.dims)
+    elif model is MotionModel.GROUND4:
+        out[:, :, 1:] = np.inf   # nothing to fill in a plane
+    dst, free = _plane(grid, out, model)
+    if model is MotionModel.GROUND4 and source[2] != 0 \
+            or not free[source[:free.ndim]]:
+        dst[...] = np.inf
         return out
-    return _wavefront(~grid.blocked, source)
+    source = source[:free.ndim]
+    check_from = 0
+    if reach is not None:
+        reach = np.asarray(reach, dtype=np.intp).reshape(-1, 3)
+        if model is MotionModel.GROUND4:  # other cells read inf anyway
+            reach = reach[reach[:, 2] == 0, :2]
+        if len(reach):
+            # a cell's Manhattan distance bounds its ring from below
+            check_from = int(np.abs(reach - source).sum(axis=1).max())
+    _write_labels(dst, *_wavefront(free, source, reach, check_from))
+    return out
+
+
+def resume_field(grid: Grid, field: np.ndarray, model: MotionModel) -> None:
+    """Add, in place, the rings that `distance_field` left out of a
+    field it stopped at a `reach` ring, so the field equals the one an
+    unbounded `distance_field` returns.
+
+    No search state is kept between calls: the cells of the field's
+    last ring are the frontier, and the free cells still at inf are
+    those left to reach.  New rings count on from the last one, and
+    `np.minimum` merges them, leaving every labelled cell as it was.
+    """
+    dst, free = _plane(grid, field, model)
+    with np.errstate(invalid="ignore"):
+        # inf * 0 is nan, which fmax skips (several times faster than a
+        # max with `where=`): the last ring, or nan if no cell has one
+        last = np.fmax.reduce(dst * 0 + dst, axis=None)
+    if not last >= 0:    # the source is blocked or off the plane
+        return
+    start = dst == last
+    free &= ~(dst < last)
+    ext = np.empty_like(dst)
+    _write_labels(ext, *_wavefront(free, start))
+    ext += last
+    np.minimum(dst, ext, out=dst)
 
 
 # ---------------------------------------------------------------------------
@@ -369,6 +449,12 @@ class FieldStore(Mapping):
     GROUND4.  `ensure` builds missing keys with one `distance_field`
     call each, `drop` forgets a Done task, and `lookup` gathers many
     fields at many cells with one index.
+
+    A row is built only out to the ring of its farthest agent, and
+    reads inf beyond it until a `lookup` there completes it with
+    `resume_field`.  Every distance `lookup` returns is therefore the
+    full field's, and a path walked down a row from a cell just looked
+    up stays inside its rings.
     """
 
     def __init__(self, grid: Grid, slots: int):
@@ -377,6 +463,9 @@ class FieldStore(Mapping):
         self._arrays: dict = {}   # model -> (slots, cells) float32
         # model -> the task id whose field each row holds, None if none
         self._held = {model: [None] * slots for model in MotionModel}
+        # model -> per row, whether it holds every ring of its field
+        self._complete = {model: np.zeros(slots, dtype=bool)
+                          for model in MotionModel}
 
     def _shape(self, model: MotionModel) -> Cell:
         dx, dy, dz = self.grid.dims
@@ -403,27 +492,35 @@ class FieldStore(Mapping):
         return sum(len(held) - held.count(None)
                    for held in self._held.values())
 
-    def ensure(self, model: MotionModel, tasks, rows) -> None:
+    def _writable(self, model: MotionModel) -> np.ndarray:
+        """The model's array, allocated on first use and copied first if
+        `fork` shares it."""
+        array = self._arrays.get(model)
+        if array is None:
+            array = np.empty((self.slots, math.prod(self._shape(model))),
+                             dtype=np.float32)
+        elif not array.flags.writeable:
+            array = array.copy()
+        self._arrays[model] = array
+        return array
+
+    def ensure(self, model: MotionModel, tasks, rows, reach) -> None:
         """Hold the `model` field of each task (.id, .location) in its
         row, `rows[j]` for `tasks[j]`.  A row that holds another task's
-        field, or none, is built with one `distance_field` call, so a
-        row a new task reuses is rebuilt and its old key leaves."""
+        field, or none, is built with one `distance_field` call straight
+        into the row, out to the ring of the farthest of the `reach`
+        cells, so a row a new task reuses is rebuilt and its old key
+        leaves."""
         held = self._held[model]
         for task, row in zip(tasks, rows):
             if held[row] == task.id:
                 continue
-            field = distance_field(self.grid, task.location, model)
-            array = self._arrays.get(model)
-            if array is None:
-                array = np.empty((self.slots, math.prod(self._shape(model))),
-                                 dtype=np.float32)
-            elif not array.flags.writeable:  # shared by `fork`: copy on write
-                array = array.copy()
-            self._arrays[model] = array
-            if model is MotionModel.GROUND4:
-                field = field[:, :, 0]
-            array[row] = field.reshape(-1)
+            array = self._writable(model)
+            distance_field(self.grid, task.location, model,
+                           out=array[row].reshape(self._shape(model)),
+                           reach=reach)
             held[row] = task.id
+            self._complete[model][row] = False
 
     def drop(self, task_id: int) -> None:
         """Forget a task's fields; their rows are free for reuse."""
@@ -434,9 +531,22 @@ class FieldStore(Mapping):
     def lookup(self, model: MotionModel, rows: np.ndarray,
                cells: np.ndarray) -> np.ndarray:
         """(len(cells), len(rows)) float32 distances from each (x, y, z)
-        cell, a row of `cells`, to the source of each field row."""
-        flat = np.ravel_multi_index(cells.T, self._shape(model))
-        return self._arrays[model][rows[None, :], flat[:, None]]
+        cell, a row of `cells`, to the source of each field row.  A row
+        that reads inf at one of the cells, and may yet reach it, is
+        completed first.  Completing costs little more than adding the
+        few rings a cell needs, since most of a resume's work is fixed,
+        and an agent walking away from a task would otherwise resume
+        its row round after round."""
+        shape = self._shape(model)
+        flat = np.ravel_multi_index(cells.T, shape)
+        out = self._arrays[model][rows[None, :], flat[:, None]]
+        short = np.isinf(out).any(axis=0) & ~self._complete[model][rows]
+        for j in np.flatnonzero(short):
+            array, row = self._writable(model), rows[j]
+            resume_field(self.grid, array[row].reshape(shape), model)
+            self._complete[model][row] = True
+            out[:, j] = array[row, flat]
+        return out
 
     def fork(self) -> "FieldStore":
         """A store holding the same fields without copying them.  Both
@@ -448,6 +558,8 @@ class FieldStore(Mapping):
         twin = FieldStore(self.grid, self.slots)
         twin._arrays = dict(self._arrays)
         twin._held = {model: list(held) for model, held in self._held.items()}
+        twin._complete = {model: complete.copy()
+                          for model, complete in self._complete.items()}
         return twin
 
 
@@ -477,8 +589,8 @@ def cost_matrix(state) -> CostMatrix:
         which = [i for i, m in enumerate(models) if m is model]
         if not which:
             continue
-        state.dist_cache.ensure(model, tasks, rows)
         cells = np.array([agents[i].position for i in which], dtype=np.intp)
+        state.dist_cache.ensure(model, tasks, rows, cells)
         entries[which] = state.dist_cache.lookup(model, rows, cells)
     # float32 distances widen exactly, so this is the float64 division
     entries /= velocity[:, None]

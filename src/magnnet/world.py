@@ -346,7 +346,8 @@ def _extract_path(field_arr: np.ndarray, start, model: MotionModel) -> Path:
 
 def _plan_to_task(state: EpisodeState, agent: AgentState, task: TaskState) -> Path:
     """Path along the task's cached field, which `current_cost_matrix`
-    built for every live task and motion model."""
+    built for every live task and motion model.  That matrix looked up
+    the agent's cell, so the row holds every ring the walk descends."""
     return _extract_path(state.dist_cache[(task.id, agent.motion_model)],
                          agent.position, agent.motion_model)
 

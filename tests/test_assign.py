@@ -15,6 +15,10 @@ class TestCostMatrix:
         with pytest.raises(ValueError):
             CostMatrix(np.array([[1.0, -0.1]]))
 
+    def test_rejects_negative_infinity(self):
+        with pytest.raises(ValueError):
+            CostMatrix(np.array([[-np.inf, 1.0], [2.0, 3.0]]))
+
     def test_rejects_nan(self):
         with pytest.raises(ValueError):
             CostMatrix(np.array([[np.nan]]))

@@ -44,9 +44,9 @@ def count_fields(monkeypatch):
     real = pathplan.distance_field
     held = []
 
-    def counting(grid, source, model):
+    def counting(grid, source, model, **kw):
         held.append(len(bench._instance_fields))
-        return real(grid, source, model)
+        return real(grid, source, model, **kw)
 
     monkeypatch.setattr(pathplan, "distance_field", counting)
     return held
@@ -244,8 +244,9 @@ class TestSharedInstanceFields:
     def test_spawn_into_a_freed_slot_rebuilds_its_row(self, monkeypatch):
         """A dynamic baseline episode whose spawned tasks reuse the slots
         of Done tasks: each spawned key is built once into the episode's
-        own copy of the rows, equal to a fresh field, while the shared
-        rows stay as they were and refuse writes."""
+        own copy of the rows, equal to a fresh field out to the row's
+        last ring, while the shared rows stay as they were and refuse
+        writes."""
         cfg = WorldConfig(grid_dims=(12, 12, 4), n_agents=3, n_ground=1,
                           n_aerial=2, n_tasks_initial=2, m_max=2,
                           task_interval=2.0, step_cap=60.0,
@@ -257,9 +258,9 @@ class TestSharedInstanceFields:
         assert len(initial) == 2 * cfg.n_tasks_initial
         built = []
 
-        def counting(grid, source, model):
+        def counting(grid, source, model, **kw):
             built.append((tuple(source), model))
-            return real(grid, source, model)
+            return real(grid, source, model, **kw)
 
         monkeypatch.setattr(pathplan, "distance_field", counting)
         st = ep.state
@@ -276,7 +277,16 @@ class TestSharedInstanceFields:
                     full = real(st.grid, st.task(tid).location, model)
                     if model is pathplan.MotionModel.GROUND4:
                         full = full[:, :, :1]
-                    assert np.array_equal(row, full), (tid, model)
+                    # equal out to the row's last ring, which holds
+                    # every agent of the model just looked up
+                    last = row.max(initial=-1.0, where=np.isfinite(row))
+                    within = full <= last
+                    assert np.array_equal(row[within], full[within])
+                    assert np.isinf(row[~within]).all()
+                    assert all(full[tuple(ag.position)] <= last
+                               or np.array_equal(row, full)
+                               for ag in st.agents
+                               if ag.motion_model is model), (tid, model)
                 ep.act([int(np.flatnonzero(m)[-1]) for m in masks])
             ep.tick()
         reused = {tid for tids in owners for tid in tids[1:]}

@@ -4,6 +4,7 @@ never undercutting the optimum and for returning the cells of the
 generator-based RRT* it replaced."""
 
 import heapq
+import types
 from collections import Counter
 
 import numpy as np
@@ -14,10 +15,11 @@ from hypothesis import strategies as st
 from magnnet.assign import feasible_optimum
 from magnnet.bench import ScenarioSpec
 from magnnet.errors import NoPathError
-from magnnet.pathplan import (AgentPlan, Grid, MotionModel, Path, RRTParams,
-                              ReservationTable, astar, distance_field,
-                              manhattan, path_cost, plan_schedule,
-                              resolve_paths, rrt_star, _staircase)
+from magnnet.pathplan import (AgentPlan, FieldStore, Grid, MotionModel, Path,
+                              RRTParams, ReservationTable, astar,
+                              distance_field, manhattan, path_cost,
+                              plan_schedule, resolve_paths, resume_field,
+                              rrt_star, _staircase)
 from magnnet.world import Episode
 
 
@@ -323,6 +325,130 @@ class TestDistanceFieldWords:
         assert np.array_equal(field[:, :, 0],
                               wavefront_reference(free[:, :, 0], src[:2]))
         assert np.isinf(field[:, :, 1:]).all()
+
+
+def dijkstra_field(grid: Grid, source, model: MotionModel) -> np.ndarray:
+    """Heap Dijkstra from a z = 0 or aerial `source` to every cell: the
+    reference field, inf where unreachable."""
+    field = np.full(grid.dims, np.inf)
+    if not grid.is_free(source):
+        return field
+    field[source] = 0
+    heap = [(0, tuple(source))]
+    while heap:
+        d, cell = heapq.heappop(heap)
+        if d > field[cell]:
+            continue
+        for dd in model.deltas:
+            nxt = (cell[0] + dd[0], cell[1] + dd[1], cell[2] + dd[2])
+            if grid.is_free(nxt) and d + 1 < field[nxt]:
+                field[nxt] = d + 1
+                heapq.heappush(heap, (d + 1, nxt))
+    return field
+
+
+@st.composite
+def bounded_field_instances(draw):
+    """A small field instance, 0-4 reach cells anywhere in the grid
+    (blocked, unreachable and off the ground plane included), and
+    whether the field goes into a float32 store-shaped array."""
+    grid, src, model = draw(small_field_instances())
+    cell = st.tuples(*[st.integers(0, n - 1) for n in grid.dims])
+    reach = draw(st.lists(cell, max_size=4))
+    return grid, src, model, reach, draw(st.booleans())
+
+
+class TestBoundedField:
+    """`distance_field(..., reach=)` equals the heap-Dijkstra field out to
+    its last ring, which is the ring of its farthest reach cell, and is
+    inf beyond it; `resume_field` then completes it exactly."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(bounded_field_instances())
+    def test_equals_reference_within_last_ring(self, instance):
+        grid, src, model, reach, row = instance
+        ref = dijkstra_field(grid, src, model)
+        out = None
+        if model is MotionModel.GROUND4:
+            ref[:, :, 1:] = np.inf
+            if row:
+                out, ref = np.empty(grid.dims[:2] + (1,), np.float32), \
+                    ref[:, :, :1]
+        elif row:
+            out = np.empty(grid.dims, np.float32)
+        field = distance_field(grid, src, model, out=out, reach=reach)
+        assert out is None or field is out
+        last = field.max(initial=-1.0, where=np.isfinite(field))
+        within = ref <= last
+        assert np.array_equal(field[within], ref[within])
+        assert np.isinf(field[~within]).all()
+        # reach cells a path can end on; the rest read inf at any ring
+        dists = [ref[c] for c in reach if grid.is_free(c) and (
+            model is MotionModel.AERIAL6 or c[2] == 0)]
+        if not grid.is_free(src):
+            assert np.isinf(field).all()
+        elif not all(np.isfinite(dists)):
+            assert np.array_equal(field, ref)   # it needs every ring
+        elif len(dists) == len(reach):
+            # the rings stop right after the farthest reach cell
+            assert last == max(dists, default=0)
+        else:
+            assert last >= max(dists, default=0)
+        resume_field(grid, field, model)
+        assert np.array_equal(field, ref)
+
+    @pytest.mark.parametrize("ring", [0, 1, 3, 31, 63, 127, 255])
+    @pytest.mark.parametrize("model,axis", [
+        (MotionModel.AERIAL6, 0), (MotionModel.AERIAL6, 2),
+        (MotionModel.GROUND4, 1)])
+    def test_corridor_stops_at_the_reach_ring(self, ring, model, axis):
+        """A 300-cell corridor from one end, stopped at `ring`.  At
+        ring 2**K - 1 the last ring's label equals the never-reached
+        label of K planes, so the kernel needs one more plane; without
+        it the farthest agent's distance reads inf."""
+        dims = [1, 1, 1]
+        dims[axis] = 300
+        grid = Grid.empty(tuple(dims))
+        cell = [0, 0, 0]
+        cell[axis] = ring
+        out = np.empty(tuple(dims), np.float32)
+        field = distance_field(grid, (0, 0, 0), model, out=out,
+                               reach=[tuple(cell)]).reshape(-1)
+        assert np.array_equal(field[:ring + 1], np.arange(ring + 1))
+        assert np.isinf(field[ring + 1:]).all()
+        resume_field(grid, out, model)
+        assert np.array_equal(field, np.arange(300))
+
+
+class TestFieldStoreResume:
+    """A store row stops at its farthest agent's ring, and a lookup past
+    it completes the row before answering, in the store's own copy of a
+    forked array."""
+
+    def test_lookup_past_the_last_ring_completes_the_row(self):
+        grid = random_grid(np.random.default_rng(7), dims=(14, 12, 5),
+                           density=0.15)
+        task = types.SimpleNamespace(id=3, location=(0, 0, 0))
+        near = np.array([(1, 1, 0)])
+        grid.blocked[task.location] = grid.blocked[tuple(near[0])] = False
+        full = distance_field(grid, task.location, MotionModel.AERIAL6)
+        far = np.argwhere(full == full[np.isfinite(full)].max())[:1]
+        store = FieldStore(grid, 2)
+        store.ensure(MotionModel.AERIAL6, [task], [1], near)
+        key = (3, MotionModel.AERIAL6)
+        bounded = np.array(store[key])
+        assert np.isinf(bounded[tuple(far[0])])
+        twin = store.fork()
+        assert twin.lookup(MotionModel.AERIAL6, np.array([1]), far) \
+            == full[tuple(far[0])]
+        assert np.array_equal(twin[key], full)
+        # the shared array is left as it was, and stays read-only
+        assert np.array_equal(store[key], bounded)
+        with pytest.raises(ValueError):
+            store[key][0, 0, 0] = 1.0
+        assert store.lookup(MotionModel.AERIAL6, np.array([1]), near) \
+            == full[tuple(near[0])]
+        assert np.array_equal(store[key], bounded)
 
 
 class TestGrid:

@@ -371,17 +371,27 @@ class TestFieldCache:
                     obstacle_density=0.2, n_agents=5, n_ground=3))
 
     @staticmethod
-    def _check_cache(st, distance_field):
+    def _check_cache(st, distance_field, looked_up=()):
+        """Every row equals its oracle field out to the row's last ring
+        and is inf beyond it.  That ring is at least the distance of
+        each agent in `looked_up` of the row's motion model, and a row
+        one of them cannot reach holds the whole field."""
         live = {t.id: t for t in st.live_tasks()}
         for (tid, model), entry in st.dist_cache.items():
             assert tid in live, "a finished task's field is still cached"
             full = distance_field(st.grid, live[tid].location, model)
             if model is MotionModel.GROUND4:
                 assert entry.shape == st.grid.dims[:2] + (1,)
-                assert np.array_equal(entry, full[:, :, :1])
-            else:
-                assert np.array_equal(entry, full)
+                full = full[:, :, :1]
             assert entry.dtype == np.float32 and entry.flags.c_contiguous
+            last = entry.max(initial=-1.0, where=np.isfinite(entry))
+            within = full <= last
+            assert np.array_equal(entry[within], full[within])
+            assert np.isinf(entry[~within]).all()
+            for ag in looked_up:
+                if ag.motion_model is model:
+                    d = full[tuple(ag.position)]
+                    assert d <= last or np.array_equal(entry, full), ag.id
 
     @staticmethod
     def _check_costs(st, cm, ids, distance_field):
@@ -397,9 +407,9 @@ class TestFieldCache:
         real = pathplan.distance_field
         built = []
 
-        def counting(grid, source, model):
+        def counting(grid, source, model, **kw):
             built.append((tuple(source), model))
-            return real(grid, source, model)
+            return real(grid, source, model, **kw)
 
         monkeypatch.setattr(pathplan, "distance_field", counting)
         read = set()
@@ -411,7 +421,7 @@ class TestFieldCache:
                 if ep.decision_due():
                     _, masks, cm, ids = ep.observe()
                     read |= {(seed, key) for key in st.dist_cache}
-                    self._check_cache(st, real)
+                    self._check_cache(st, real, st.agents)
                     self._check_costs(st, cm, ids, real)
                     ep.act([int(rng.choice(np.flatnonzero(r)))
                             for r in masks])
