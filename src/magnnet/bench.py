@@ -21,7 +21,8 @@ from functools import lru_cache
 import numpy as np
 
 from . import pathplan
-from .assign import feasible_optimum, greedy, random_assign, total_cost
+from .assign import (CostMatrix, feasible_optimum, greedy, random_assign,
+                     total_cost)
 from .errors import NoPathError
 from .gnn import build_graph
 from .pathplan import RRTParams, rrt_star
@@ -166,14 +167,12 @@ def _agent_local_conflicts(cm, picker) -> list:
     comparable across methods."""
     n, m = cm.entries.shape
     free_agents = set(range(n))
-    free_tasks = set(range(m))
+    free_tasks = np.ones(m, dtype=bool)
     contested: set[int] = set()
-    while free_agents and free_tasks:
+    while free_agents and free_tasks.any():
         requests: dict[int, list[int]] = {}
         for i in sorted(free_agents):
-            row = np.full(m, np.inf)
-            for j in free_tasks:
-                row[j] = cm.entries[i, j]
+            row = np.where(free_tasks, cm.entries[i], np.inf)
             if not np.isfinite(row).any():
                 continue
             j = picker(i, row)
@@ -186,15 +185,15 @@ def _agent_local_conflicts(cm, picker) -> list:
                 contested.add(j)
             winner = min(agents, key=lambda i: (cm.entries[i, j], i))
             free_agents.discard(winner)
-            free_tasks.discard(j)
+            free_tasks[j] = False
     return sorted(contested)
 
 
-def _execute_assignment(ep: Episode, assignment) -> list:
-    """Drive a centrally computed assignment through the environment
-    (paths, reservations, motion) and return the path lengths."""
+def _execute_assignment(ep: Episode, cm: CostMatrix, assignment) -> list:
+    """Drive an assignment computed centrally on `cm`, the episode's
+    initial cost matrix, through the environment (paths, reservations,
+    motion) and return the path lengths."""
     state = ep.state
-    cm = ep.initial_cost_matrix()
     task_ids = [t.id for t in state.live_tasks()]
     picks = []
     for i, j in assignment.pairs:
@@ -212,33 +211,32 @@ def _execute_assignment(ep: Episode, assignment) -> list:
     return [path.length for *_, path in picks]
 
 
-# The field store of the one seeded instance a baseline episode built
-# last, read-only: {(config JSON, seed): FieldStore}, at most one entry.
-_instance_fields: dict = {}
+# The initial cost matrix of the one seeded instance a baseline episode
+# ran last, read-only: {(config JSON, seed): CostMatrix}, at most one entry.
+_instance_costs: dict = {}
 
 
-def _baseline_episode(config: WorldConfig, seed: int) -> Episode:
-    """`Episode(config, seed)` whose `dist_cache` holds every initial field.
+def _instance_cost_matrix(ep: Episode, seed: int) -> CostMatrix:
+    """The initial cost matrix of `ep`, the seeded instance (config, seed).
 
     Every method of a benchmark cell runs the same seeded instances, and
     `init_episode` is deterministic in (config, seed), so the first
-    baseline episode of an instance builds its initial fields and every
-    episode of the instance, that one included, reads them through a
-    `FieldStore.fork`: no copy, and only the episode's own fork loses
-    Done tasks' fields."""
-    key = (json.dumps(config.to_dict(), sort_keys=True), seed)
-    ep = Episode(config, seed)
-    if key not in _instance_fields:
-        _instance_fields.clear()    # never two instances' fields at once
-        ep.initial_cost_matrix()
-        _instance_fields[key] = ep.state.dist_cache
-    ep.state.dist_cache = _instance_fields[key].fork()
-    return ep
+    baseline episode of an instance computes the matrix from its own
+    fields and every later one reads it here.  A baseline reads no other
+    cost matrix (its paths come from A*), so a later episode builds no
+    field at all."""
+    key = (json.dumps(ep.config.to_dict(), sort_keys=True), seed)
+    if key not in _instance_costs:
+        _instance_costs.clear()     # never two instances' matrices at once
+        cm = ep.initial_cost_matrix()
+        cm.entries.flags.writeable = False      # a solver must copy first
+        _instance_costs[key] = cm
+    return _instance_costs[key]
 
 
 def run_episode_baseline(method: str, config: WorldConfig, seed: int) -> EpisodeLog:
-    ep = _baseline_episode(config, seed)
-    cm = ep.initial_cost_matrix()
+    ep = Episode(config, seed)
+    cm = _instance_cost_matrix(ep, seed)
     t0 = time.perf_counter()
     if method == "hungarian":
         assignment = feasible_optimum(cm)
@@ -246,8 +244,7 @@ def run_episode_baseline(method: str, config: WorldConfig, seed: int) -> Episode
     elif method == "greedy":
         assignment = greedy(cm)
         contested = _agent_local_conflicts(
-            cm, lambda i, row: int(np.argmin(np.where(np.isfinite(row), row,
-                                                      np.inf))))
+            cm, lambda i, row: int(np.argmin(row)))
     elif method == "random":
         assignment = random_assign(cm, seed)
         rng = np.random.default_rng(seed + 1)
@@ -261,7 +258,7 @@ def run_episode_baseline(method: str, config: WorldConfig, seed: int) -> Episode
         raise ValueError(method)
     alloc_wall = time.perf_counter() - t0
     total = total_cost(cm, assignment)
-    lengths = _execute_assignment(ep, assignment)
+    lengths = _execute_assignment(ep, cm, assignment)
     return EpisodeLog(method, config.n_agents, len(ep.state.tasks),
                       contested, total, alloc_wall, lengths,
                       ep.all_tasks_done())
@@ -346,7 +343,7 @@ def run_benchmark(spec: ScenarioSpec, parallel: int = 1) -> BenchReport:
 
     Jobs run instance-major (every method of one seeded instance in a
     row, in one worker when parallel), so the baselines of an instance
-    share its initial distance fields; `episode_logs` is method-major."""
+    share its initial cost matrix; `episode_logs` is method-major."""
     report = BenchReport()
     jobs = [(asdict(spec), method, n, e)
             for n in spec.n_agents

@@ -493,15 +493,11 @@ class FieldStore(Mapping):
                    for held in self._held.values())
 
     def _writable(self, model: MotionModel) -> np.ndarray:
-        """The model's array, allocated on first use and copied first if
-        `fork` shares it."""
+        """The model's array, allocated on first use."""
         array = self._arrays.get(model)
         if array is None:
-            array = np.empty((self.slots, math.prod(self._shape(model))),
-                             dtype=np.float32)
-        elif not array.flags.writeable:
-            array = array.copy()
-        self._arrays[model] = array
+            array = self._arrays[model] = np.empty(
+                (self.slots, math.prod(self._shape(model))), dtype=np.float32)
         return array
 
     def ensure(self, model: MotionModel, tasks, rows, reach) -> None:
@@ -537,30 +533,16 @@ class FieldStore(Mapping):
         few rings a cell needs, since most of a resume's work is fixed,
         and an agent walking away from a task would otherwise resume
         its row round after round."""
-        shape = self._shape(model)
+        shape, array = self._shape(model), self._arrays[model]
         flat = np.ravel_multi_index(cells.T, shape)
-        out = self._arrays[model][rows[None, :], flat[:, None]]
+        out = array[rows[None, :], flat[:, None]]
         short = np.isinf(out).any(axis=0) & ~self._complete[model][rows]
         for j in np.flatnonzero(short):
-            array, row = self._writable(model), rows[j]
+            row = rows[j]
             resume_field(self.grid, array[row].reshape(shape), model)
             self._complete[model][row] = True
             out[:, j] = array[row, flat]
         return out
-
-    def fork(self) -> "FieldStore":
-        """A store holding the same fields without copying them.  Both
-        stores' arrays turn read-only, so either copies a model's array
-        before it first writes to it, and `drop` on one leaves the
-        other's keys alone."""
-        for array in self._arrays.values():
-            array.flags.writeable = False
-        twin = FieldStore(self.grid, self.slots)
-        twin._arrays = dict(self._arrays)
-        twin._held = {model: list(held) for model, held in self._held.items()}
-        twin._complete = {model: complete.copy()
-                          for model, complete in self._complete.items()}
-        return twin
 
 
 def cost_matrix(state) -> CostMatrix:

@@ -181,7 +181,10 @@ class EpisodeState:
     contested_tasks: set = field(default_factory=set)
 
     def live_tasks(self) -> list:
-        return [t for t in self.tasks if t.status is not TaskStatus.DONE]
+        """Tasks not Done, in ascending id order: each holds a slot, and
+        `advance` frees a Done task's slot."""
+        return [self.tasks[tid]
+                for tid in sorted(tid for tid in self.slots if tid is not None)]
 
     def waiting_tasks(self) -> list:
         return [t for t in self.tasks if t.status is TaskStatus.WAITING]

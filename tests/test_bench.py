@@ -38,17 +38,17 @@ def without_wall_time(log):
     return dataclasses.replace(log, alloc_wall_s=0.0)
 
 
-def count_fields(monkeypatch):
-    """Patch `pathplan.distance_field` to record, per call, how many
-    instances the shared field store held when the build started."""
-    real = pathplan.distance_field
+def count_calls(monkeypatch, name="distance_field"):
+    """Patch `pathplan.<name>` to record, per call, how many instances
+    the shared cost-matrix cache held when the call started."""
+    real = getattr(pathplan, name)
     held = []
 
-    def counting(grid, source, model, **kw):
-        held.append(len(bench._instance_fields))
-        return real(grid, source, model, **kw)
+    def counting(*args, **kw):
+        held.append(len(bench._instance_costs))
+        return real(*args, **kw)
 
-    monkeypatch.setattr(pathplan, "distance_field", counting)
+    monkeypatch.setattr(pathplan, name, counting)
     return held
 
 
@@ -166,148 +166,117 @@ class TestRunBenchmark:
         assert report.rows[0]["method"] == "magnnet"
 
 
-class TestSharedInstanceFields:
-    """Baseline episodes of one seeded instance share its initial distance
-    fields through `bench._instance_fields`, which holds one instance."""
+class TestSharedInstanceCosts:
+    """Baseline episodes of one seeded instance share its initial cost
+    matrix through `bench._instance_costs`, which holds one instance."""
 
     BASELINES = ("hungarian", "greedy", "random")
 
     @pytest.fixture(autouse=True)
-    def cold_store(self):
-        bench._instance_fields.clear()
+    def cold_cache(self):
+        bench._instance_costs.clear()
         yield
-        bench._instance_fields.clear()
+        bench._instance_costs.clear()
 
-    def test_baselines_build_each_field_once(self, monkeypatch):
+    def test_baselines_share_one_cost_matrix(self, monkeypatch):
         cfg = small_spec().world_config(4)
         cold = {}
         for method in self.BASELINES:
-            bench._instance_fields.clear()
+            bench._instance_costs.clear()
             cold[method] = run_episode_baseline(method, cfg, 11)
-        bench._instance_fields.clear()
-        held = count_fields(monkeypatch)
-        warm = {m: run_episode_baseline(m, cfg, 11) for m in self.BASELINES}
-        # one field per (task, motion model): 2 models x M tasks
-        assert len(held) == 2 * cfg.n_tasks_initial
+        bench._instance_costs.clear()
+        fields = count_calls(monkeypatch)
+        costs = count_calls(monkeypatch, "cost_matrix")
+        warm, built = {}, {}
+        for method in self.BASELINES:
+            before = len(fields)
+            warm[method] = run_episode_baseline(method, cfg, 11)
+            built[method] = len(fields) - before
+        # the first episode builds one field per (task, motion model),
+        # 2 models x M tasks, for the instance's one cost matrix
+        assert built == {"hungarian": 2 * cfg.n_tasks_initial,
+                         "greedy": 0, "random": 0}
+        assert costs == [0]
         for method in self.BASELINES:
             assert without_wall_time(warm[method]) == \
                 without_wall_time(cold[method])
+        (cm,) = bench._instance_costs.values()
+        with pytest.raises(ValueError):
+            cm.entries[0, 0] = 0.0
 
     @pytest.mark.parametrize("change", [
         dict(seed=12), dict(step_cap=119.0), dict(obstacle_density=0.1),
         dict(cost_scale=40.0)],
         ids=["seed", "step_cap", "obstacle_density", "cost_scale"])
-    def test_other_instance_empties_store_first(self, change, monkeypatch):
+    def test_other_instance_replaces_cache_entry(self, change, monkeypatch):
         cfg = small_spec().world_config(4)
         run_episode_baseline("greedy", cfg, 11)
-        first = dict(bench._instance_fields)
+        first = dict(bench._instance_costs)
         change = dict(change)
         seed = change.pop("seed", 11)
         other = dataclasses.replace(cfg, **change)
-        held = count_fields(monkeypatch)
+        fields = count_calls(monkeypatch)
+        costs = count_calls(monkeypatch, "cost_matrix")
         run_episode_baseline("greedy", other, seed)
-        assert held and set(held) == {0}
-        assert len(bench._instance_fields) == 1
-        assert bench._instance_fields.keys() != first.keys()
+        assert costs == [0]
+        assert fields and set(fields) == {0}
+        assert len(bench._instance_costs) == 1
+        assert bench._instance_costs.keys() != first.keys()
 
-    def test_fields_read_only_and_kept_past_done(self, monkeypatch):
-        cfg = small_spec().world_config(4)
-        first = run_episode_baseline("hungarian", cfg, 13)
-        assert first.all_done
-        (fields,) = bench._instance_fields.values()
-        assert len(fields) == 2 * cfg.n_tasks_initial
-        for dist in fields.values():
-            assert not dist.flags.writeable
-            with pytest.raises(ValueError):
-                dist[0, 0, 0] = 0.0
-        held = count_fields(monkeypatch)
-        run_episode_baseline("greedy", cfg, 13)
-        assert held == []
-
-    def test_magnnet_leaves_store_alone(self, monkeypatch):
-        cfg = small_spec().world_config(4)
-        run_episode_baseline("hungarian", cfg, 17)
-        before = dict(bench._instance_fields)
-        rows = {k: np.array(v) for store in before.values()
-                for k, v in store.items()}
-        model = ModelParams.init(np.random.default_rng(0), 4, 4)
-        held = count_fields(monkeypatch)
-        run_episode_magnnet(cfg, 17, model)
-        assert len(held) >= 2 * cfg.n_tasks_initial   # its own fields
-        assert bench._instance_fields.keys() == before.keys()
-        for key, store in bench._instance_fields.items():
-            assert store is before[key]
-            assert store.keys() == rows.keys()
-            for k, row in rows.items():
-                assert np.array_equal(store[k], row)
-
-    def test_spawn_into_a_freed_slot_rebuilds_its_row(self, monkeypatch):
-        """A dynamic baseline episode whose spawned tasks reuse the slots
-        of Done tasks: each spawned key is built once into the episode's
-        own copy of the rows, equal to a fresh field out to the row's
-        last ring, while the shared rows stay as they were and refuse
-        writes."""
+    def test_cache_hit_episode_builds_no_field(self, monkeypatch):
+        """A dynamic baseline episode that reads the cached matrix keeps
+        an empty field store to its end, while spawned tasks take the
+        slots its Done tasks free: nothing in it reads a field."""
         cfg = WorldConfig(grid_dims=(12, 12, 4), n_agents=3, n_ground=1,
                           n_aerial=2, n_tasks_initial=2, m_max=2,
                           task_interval=2.0, step_cap=60.0,
                           obstacle_density=0.05)
-        real = pathplan.distance_field
-        ep = bench._baseline_episode(cfg, 4)
-        (shared,) = bench._instance_fields.values()
-        initial = {k: np.array(v) for k, v in shared.items()}
-        assert len(initial) == 2 * cfg.n_tasks_initial
-        built = []
+        run_episode_baseline("hungarian", cfg, 4)
+        episodes, stored = [], []
 
-        def counting(grid, source, model, **kw):
-            built.append((tuple(source), model))
-            return real(grid, source, model, **kw)
+        class Recorded(Episode):
+            def __init__(self, *args):
+                super().__init__(*args)
+                episodes.append(self)
 
-        monkeypatch.setattr(pathplan, "distance_field", counting)
-        st = ep.state
-        owners = [[tid] for tid in st.slots]     # task ids per slot
-        seen = set()
-        while not ep.terminated:
-            for s, tid in enumerate(st.slots):
-                if tid is not None and tid != owners[s][-1]:
-                    owners[s].append(tid)
-            if ep.decision_due():
-                _, masks, _, _ = ep.observe()
-                seen |= st.dist_cache.keys()
-                for (tid, model), row in st.dist_cache.items():
-                    full = real(st.grid, st.task(tid).location, model)
-                    if model is pathplan.MotionModel.GROUND4:
-                        full = full[:, :, :1]
-                    # equal out to the row's last ring, which holds
-                    # every agent of the model just looked up
-                    last = row.max(initial=-1.0, where=np.isfinite(row))
-                    within = full <= last
-                    assert np.array_equal(row[within], full[within])
-                    assert np.isinf(row[~within]).all()
-                    assert all(full[tuple(ag.position)] <= last
-                               or np.array_equal(row, full)
-                               for ag in st.agents
-                               if ag.motion_model is model), (tid, model)
-                ep.act([int(np.flatnonzero(m)[-1]) for m in masks])
-            ep.tick()
-        reused = {tid for tids in owners for tid in tids[1:]}
-        assert len(reused) >= 2, owners      # freed slots were taken again
-        new_keys = seen - initial.keys()
-        assert {tid for tid, _ in new_keys} == reused
-        # one build per new key, none for the shared initial keys
-        assert sorted(built, key=repr) == sorted(
-            ((st.task(tid).location, m) for tid, m in new_keys), key=repr)
-        assert shared.keys() == initial.keys()
-        for key, row in initial.items():
-            assert np.array_equal(shared[key], row)
-            with pytest.raises(ValueError):
-                shared[key][0, 0, 0] = 1.0
+            def tick(self):
+                super().tick()
+                stored.append(len(self.state.dist_cache))
+
+        monkeypatch.setattr(bench, "Episode", Recorded)
+        fields = count_calls(monkeypatch)
+        costs = count_calls(monkeypatch, "cost_matrix")
+        log = run_episode_baseline("greedy", cfg, 4)
+        (ep,) = episodes
+        assert fields == [] and costs == []
+        assert len(stored) == cfg.step_cap and set(stored) == {0}
+        assert ep.state.dist_cache._arrays == {}
+        spawned = [t for t in ep.state.tasks if t.spawn_time > 0.0]
+        assert len(spawned) >= 2 and log.n_tasks == len(ep.state.tasks)
+
+    def test_magnnet_leaves_cache_alone(self, monkeypatch):
+        cfg = small_spec().world_config(4)
+        run_episode_baseline("hungarian", cfg, 17)
+        before = dict(bench._instance_costs)
+        entries = {k: np.array(cm.entries) for k, cm in before.items()}
+        model = ModelParams.init(np.random.default_rng(0), 4, 4)
+        fields = count_calls(monkeypatch)
+        run_episode_magnnet(cfg, 17, model)
+        assert len(fields) >= 2 * cfg.n_tasks_initial   # its own fields
+        assert bench._instance_costs.keys() == before.keys()
+        for key, cm in bench._instance_costs.items():
+            assert cm is before[key]
+            assert np.array_equal(cm.entries, entries[key])
 
     def test_sweep_runs_instance_major(self, monkeypatch):
         spec = small_spec(episodes=2, n_agents=(3, 4))
-        held = count_fields(monkeypatch)
+        fields = count_calls(monkeypatch)
+        costs = count_calls(monkeypatch, "cost_matrix")
         run_benchmark(spec)
-        # ground and aerial agents at both N: 2 models x M tasks each
-        assert len(held) == spec.episodes * sum(2 * n for n in spec.n_agents)
+        # one cost matrix per instance, from ground and aerial agents at
+        # both N: 2 models x M tasks each
+        assert len(costs) == spec.episodes * len(spec.n_agents)
+        assert len(fields) == spec.episodes * sum(2 * n for n in spec.n_agents)
 
     def test_pool_matches_serial(self):
         spec = small_spec(methods=("greedy", "hungarian"), n_agents=(3, 4),

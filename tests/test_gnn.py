@@ -19,6 +19,12 @@ def small_state(seed=0):
     return init_episode(cfg, seed)
 
 
+def finish(st, task):
+    """Mark `task` Done as `advance` does, freeing its slot."""
+    task.status = type(task.status).DONE
+    st.slots[st.slot_of_task(task.id)] = None
+
+
 def identity_params(m_max):
     """Projections that copy the first HIDDEN input dims; convs identity."""
     p = init_gcn_params(np.random.default_rng(0), m_max)
@@ -164,9 +170,10 @@ class TestEncode:
     def test_no_tasks_still_encodes(self):
         st = small_state(9)
         for t in st.tasks:
-            t.status = type(t.status).DONE
+            finish(st, t)
         cm, _ = current_cost_matrix(st)
         g = build_graph(st, cm)
+        assert g.n_tasks == 0
         p = init_gcn_params(np.random.default_rng(4), st.config.m_max)
         assert gcn_encode(g, p).data.shape == (4, HIDDEN)
 
@@ -184,7 +191,7 @@ def graph_with_tasks_done(seed, n_done):
     """Graph of small_state(seed) after its first `n_done` tasks finish."""
     st = small_state(seed)
     for t in st.tasks[:n_done]:
-        t.status = type(t.status).DONE
+        finish(st, t)
     cm, _ = current_cost_matrix(st)
     return build_graph(st, cm)
 

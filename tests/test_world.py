@@ -433,6 +433,60 @@ class TestFieldCache:
         # eviction never dropped a field that was read again
         assert len(built) == len(read)
 
+    def test_spawn_into_a_freed_slot_rebuilds_its_row(self, monkeypatch):
+        """A dynamic episode whose spawned tasks reuse the slots of Done
+        tasks: each spawned key is built once into its slot's row, equal
+        to a fresh field out to the row's last ring."""
+        cfg = WorldConfig(grid_dims=(12, 12, 4), n_agents=3, n_ground=1,
+                          n_aerial=2, n_tasks_initial=2, m_max=2,
+                          task_interval=2.0, step_cap=60.0,
+                          obstacle_density=0.05)
+        real = pathplan.distance_field
+        ep = Episode(cfg, 4)
+        ep.initial_cost_matrix()
+        st = ep.state
+        initial = set(st.dist_cache.keys())
+        assert len(initial) == 2 * cfg.n_tasks_initial
+        built = []
+
+        def counting(grid, source, model, **kw):
+            built.append((tuple(source), model))
+            return real(grid, source, model, **kw)
+
+        monkeypatch.setattr(pathplan, "distance_field", counting)
+        owners = [[tid] for tid in st.slots]     # task ids per slot
+        seen = set()
+        while not ep.terminated:
+            for s, tid in enumerate(st.slots):
+                if tid is not None and tid != owners[s][-1]:
+                    owners[s].append(tid)
+            if ep.decision_due():
+                _, masks, _, _ = ep.observe()
+                seen |= st.dist_cache.keys()
+                for (tid, model), row in st.dist_cache.items():
+                    full = real(st.grid, st.task(tid).location, model)
+                    if model is MotionModel.GROUND4:
+                        full = full[:, :, :1]
+                    # equal out to the row's last ring, which holds
+                    # every agent of the model just looked up
+                    last = row.max(initial=-1.0, where=np.isfinite(row))
+                    within = full <= last
+                    assert np.array_equal(row[within], full[within])
+                    assert np.isinf(row[~within]).all()
+                    assert all(full[tuple(ag.position)] <= last
+                               or np.array_equal(row, full)
+                               for ag in st.agents
+                               if ag.motion_model is model), (tid, model)
+                ep.act([int(np.flatnonzero(m)[-1]) for m in masks])
+            ep.tick()
+        reused = {tid for tids in owners for tid in tids[1:]}
+        assert len(reused) >= 2, owners      # freed slots were taken again
+        new_keys = seen - initial
+        assert {tid for tid, _ in new_keys} == reused
+        # one build per new key, none for the initial keys
+        assert sorted(built, key=repr) == sorted(
+            ((st.task(tid).location, m) for tid, m in new_keys), key=repr)
+
 
 def arbitrate_reference(state, actions, cm, task_ids):
     """`arbitrate` as it was with the Waiting tasks rescanned for every
@@ -696,6 +750,30 @@ class TestSpawning:
         st.clock = 50.0
         spawn_tasks(st, cfg)
         assert len(st.live_tasks()) <= 5
+
+    def test_live_tasks_read_from_slots_equal_status_scan(self):
+        """`live_tasks` reads the slots; every round of a dynamic episode
+        whose spawns reuse freed slots, it equals the scan of every task
+        ever spawned for those not Done, in ascending id order."""
+        ep = Episode(small_config(task_interval=2.0, m_max=5,
+                                  step_cap=80.0), 131)
+        st = ep.state
+        rng = np.random.default_rng(3)
+        owners = [{tid} for tid in st.slots]     # task ids per slot
+        rounds = 0
+        while not ep.terminated:
+            scan = [t for t in st.tasks if t.status is not TaskStatus.DONE]
+            assert st.live_tasks() == scan
+            rounds += 1
+            for s, tid in enumerate(st.slots):
+                owners[s].add(tid)
+            if ep.decision_due():
+                _, masks, _, _ = ep.observe()
+                ep.act([int(rng.choice(np.flatnonzero(m))) for m in masks])
+            ep.tick()
+        assert rounds > 40
+        # freed slots were taken again by spawned tasks
+        assert sum(len(tids - {None}) > 1 for tids in owners) >= 2
 
 
 class TestEpisode:
