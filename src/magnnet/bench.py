@@ -29,7 +29,7 @@ from .pathplan import RRTParams, rrt_star
 from .policy import sample_action
 from .ppo import ModelParams, _forward_steps
 from .tensor import no_grad
-from .world import Episode, WorldConfig, assign_tasks
+from .world import AgentStatus, Episode, WorldConfig, assign_tasks
 
 METHODS = ("hungarian", "magnnet", "greedy", "random")
 
@@ -192,7 +192,7 @@ def _agent_local_conflicts(cm, picker) -> list:
 def _execute_assignment(ep: Episode, cm: CostMatrix, assignment) -> list:
     """Drive an assignment computed centrally on `cm`, the episode's
     initial cost matrix, through the environment (paths, reservations,
-    motion) and return the path lengths."""
+    motion) until its pairs are served, and return the path lengths."""
     state = ep.state
     task_ids = [t.id for t in state.live_tasks()]
     picks = []
@@ -206,7 +206,8 @@ def _execute_assignment(ep: Episode, cm: CostMatrix, assignment) -> list:
             continue
         picks.append((agent.id, task.id, float(cm.entries[i, j]), path))
     assign_tasks(state, picks)
-    while not ep.terminated and not ep.all_tasks_done():
+    while not ep.terminated and any(a.status is AgentStatus.ASSIGN
+                                    for a in state.agents):
         ep.tick()
     return [path.length for *_, path in picks]
 
@@ -259,7 +260,8 @@ def run_episode_baseline(method: str, config: WorldConfig, seed: int) -> Episode
     alloc_wall = time.perf_counter() - t0
     total = total_cost(cm, assignment)
     lengths = _execute_assignment(ep, cm, assignment)
-    return EpisodeLog(method, config.n_agents, len(ep.state.tasks),
+    # a baseline is offered only the initial tasks, the columns of `cm`
+    return EpisodeLog(method, config.n_agents, cm.n_tasks,
                       contested, total, alloc_wall, lengths,
                       ep.all_tasks_done())
 

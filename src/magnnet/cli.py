@@ -23,6 +23,18 @@ def _load_json(path):
         return json.load(f)
 
 
+def _scenario(path, episodes, seed, **fixed) -> ScenarioSpec:
+    """The scenario JSON at `path` with the `--episodes` and `--seed`
+    overrides and the command's `fixed` keys."""
+    blob = _load_json(path)
+    if episodes is not None:
+        blob["episodes"] = episodes
+    if seed is not None:
+        blob["seed_base"] = seed
+    blob.update(fixed)
+    return ScenarioSpec.from_dict(blob)
+
+
 @main.command()
 @click.argument("config", type=click.Path(exists=True))
 @click.option("--seed", type=int, default=0, show_default=True)
@@ -47,14 +59,8 @@ def train(config, seed, out):
 @click.option("--parallel", type=int, default=1, show_default=True)
 def eval_cmd(checkpoint, scenario, episodes, seed, out, parallel):
     """Decentralized evaluation of a trained checkpoint on a scenario."""
-    blob = _load_json(scenario)
-    blob["checkpoint"] = checkpoint
-    blob["methods"] = ("magnnet",)
-    if episodes is not None:
-        blob["episodes"] = episodes
-    if seed is not None:
-        blob["seed_base"] = seed
-    spec = ScenarioSpec.from_dict(blob)
+    spec = _scenario(scenario, episodes, seed, checkpoint=checkpoint,
+                     methods=("magnnet",))
     _write_report(run_benchmark(spec, parallel), out)
 
 
@@ -66,12 +72,8 @@ def eval_cmd(checkpoint, scenario, episodes, seed, out, parallel):
 @click.option("--parallel", type=int, default=1, show_default=True)
 def bench(spec, episodes, seed, out, parallel):
     """Run the methods x N benchmark sweep from a JSON spec."""
-    blob = _load_json(spec)
-    if episodes is not None:
-        blob["episodes"] = episodes
-    if seed is not None:
-        blob["seed_base"] = seed
-    _write_report(run_benchmark(ScenarioSpec.from_dict(blob), parallel), out)
+    _write_report(run_benchmark(_scenario(spec, episodes, seed), parallel),
+                  out)
 
 
 def _write_report(report: BenchReport, out):
@@ -91,14 +93,8 @@ def _write_report(report: BenchReport, out):
               show_default=True)
 def planner_compare(spec, episodes, seed, out):
     """Compare A* and RRT* path lengths on identical instances."""
-    blob = _load_json(spec)
-    blob.pop("checkpoint", None)
-    blob["methods"] = ("hungarian",)
-    if episodes is not None:
-        blob["episodes"] = episodes
-    if seed is not None:
-        blob["seed_base"] = seed
-    results = _planner_compare(ScenarioSpec.from_dict(blob))
+    results = _planner_compare(_scenario(spec, episodes, seed, checkpoint=None,
+                                         methods=("hungarian",)))
     os.makedirs(out, exist_ok=True)
     path = os.path.join(out, "planner_compare.json")
     with open(path, "w") as f:

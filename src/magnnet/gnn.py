@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .tensor import Tensor
+from .tensor import ParamBundle, Tensor
 from .world import EpisodeState, TaskStatus, observation, slot_cost_array
 
 HIDDEN = 6
@@ -39,8 +39,10 @@ class HeteroGraph:
 
 
 @dataclass
-class GCNParams:
+class GCNParams(ParamBundle):
     """Per-type input projections to width 6 plus two conv layers."""
+
+    prefix = "gcn"
 
     wa: Tensor
     ba: Tensor
@@ -50,14 +52,6 @@ class GCNParams:
     b1: Tensor
     w2: Tensor
     b2: Tensor
-
-    def parameters(self) -> list:
-        return [self.wa, self.ba, self.wt, self.bt,
-                self.w1, self.b1, self.w2, self.b2]
-
-    def named(self, prefix: str = "gcn") -> dict:
-        return {f"{prefix}.{k}": getattr(self, k)
-                for k in ("wa", "ba", "wt", "bt", "w1", "b1", "w2", "b2")}
 
 
 def init_gcn_params(rng: np.random.Generator, m_max: int) -> GCNParams:

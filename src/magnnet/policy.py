@@ -15,15 +15,17 @@ import numpy as np
 from . import tensor as T
 from .errors import ShapeError
 from .gnn import HIDDEN
-from .tensor import Tensor
+from .tensor import ParamBundle, Tensor
 
 ACTOR_HIDDEN = 128
 CRITIC_HIDDEN = 128
 
 
 @dataclass
-class ActorParams:
+class ActorParams(ParamBundle):
     """(m_max + 7) -> 128 -> (m_max + 1), ReLU hidden, softmax head."""
+
+    prefix = "actor"
 
     w1: Tensor
     b1: Tensor
@@ -34,29 +36,17 @@ class ActorParams:
     def m_max(self) -> int:
         return self.w2.data.shape[1] - 1
 
-    def parameters(self) -> list:
-        return [self.w1, self.b1, self.w2, self.b2]
-
-    def named(self, prefix: str = "actor") -> dict:
-        return {f"{prefix}.{k}": getattr(self, k)
-                for k in ("w1", "b1", "w2", "b2")}
-
 
 @dataclass
-class CriticParams:
+class CriticParams(ParamBundle):
     """(6*n_max + 4*m_max) -> 128 -> 1."""
+
+    prefix = "critic"
 
     w1: Tensor
     b1: Tensor
     w2: Tensor
     b2: Tensor
-
-    def parameters(self) -> list:
-        return [self.w1, self.b1, self.w2, self.b2]
-
-    def named(self, prefix: str = "critic") -> dict:
-        return {f"{prefix}.{k}": getattr(self, k)
-                for k in ("w1", "b1", "w2", "b2")}
 
 
 @dataclass

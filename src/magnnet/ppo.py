@@ -70,19 +70,12 @@ class ModelParams:
     n_max: int
     m_max: int
 
-    def parameters(self) -> list:
-        out = self.gcn.parameters() + self.actor.parameters()
-        if self.critic is not None:
-            out += self.critic.parameters()
-        return out
-
     def named(self) -> dict:
-        out = {}
-        out.update(self.gcn.named())
-        out.update(self.actor.named())
-        if self.critic is not None:
-            out.update(self.critic.named())
-        return out
+        return {name: p for bundle in (self.gcn, self.actor, self.critic)
+                if bundle is not None for name, p in bundle.named().items()}
+
+    def parameters(self) -> list:
+        return list(self.named().values())
 
     @classmethod
     def init(cls, rng: np.random.Generator, n_max: int, m_max: int,

@@ -12,7 +12,7 @@ from __future__ import annotations
 import base64
 import json
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -63,6 +63,18 @@ class Tensor:
 def param(data) -> Tensor:
     """Leaf parameter tensor."""
     return Tensor(np.array(data, dtype=np.float64), requires_grad=True)
+
+
+class ParamBundle:
+    """Base of a dataclass whose fields are all parameter tensors: their
+    names are the subclass's `prefix` dot field name, in field order."""
+
+    def named(self) -> dict:
+        return {f"{self.prefix}.{f.name}": getattr(self, f.name)
+                for f in fields(self)}
+
+    def parameters(self) -> list:
+        return list(self.named().values())
 
 
 def as_tensor(x) -> Tensor:

@@ -7,8 +7,9 @@ in that observation slot}; contested tasks go to the requester with the
 smallest travel-time cost.  Between decision steps agents advance along
 their booked paths, `plan.substeps_per_tick` cells per tick.
 
-A round is `Episode.observe` (the one cost matrix of the round), then
-`Episode.act` (arbitration against that matrix), then `Episode.tick`.
+A round is `Episode.observe` (the one cost matrix of the round, laid
+out by slot, and the action masks drawn from it), then `Episode.act`
+(arbitration by those masks and slot costs), then `Episode.tick`.
 """
 
 from __future__ import annotations
@@ -172,12 +173,9 @@ class EpisodeState:
     reservations: ReservationTable
     rng: np.random.Generator
     dist_cache: FieldStore      # one field per (live task id, motion model)
-    done: bool = False
     slots: list = field(default_factory=list)   # slot -> task id or None
     log: list = field(default_factory=list)
-    next_task_id: int = 0
     intervals_consumed: int = 0
-    achieved_pairs: list = field(default_factory=list)  # (agent, task, cost)
     contested_tasks: set = field(default_factory=set)
 
     def live_tasks(self) -> list:
@@ -187,7 +185,7 @@ class EpisodeState:
                 for tid in sorted(tid for tid in self.slots if tid is not None)]
 
     def waiting_tasks(self) -> list:
-        return [t for t in self.tasks if t.status is TaskStatus.WAITING]
+        return [t for t in self.live_tasks() if t.status is TaskStatus.WAITING]
 
     # agent and task ids are their list indices
     def agent(self, agent_id: int) -> AgentState:
@@ -272,8 +270,7 @@ def init_episode(config: WorldConfig, seed: int) -> EpisodeState:
         config=config, clock=0.0, agents=agents, tasks=tasks, grid=grid,
         reservations=ReservationTable(), rng=rng,
         dist_cache=FieldStore(grid, config.m_max),
-        slots=[t.id for t in tasks] + [None] * (config.m_max - len(tasks)),
-        next_task_id=len(tasks))
+        slots=[t.id for t in tasks] + [None] * (config.m_max - len(tasks)))
     state.record("episode_start", n_agents=len(agents), n_tasks=len(tasks))
     return state
 
@@ -359,7 +356,7 @@ def assign_tasks(state: EpisodeState, picks) -> None:
     """Give each picked task to its agent and book the agent's path.
 
     Each pick is (agent id, task id, cost, path).  Sets statuses, records
-    the achieved pair and an `assigned` event, then books every path in
+    an `assigned` event with the pair's cost, then books every path in
     the reservation table through `resolve_paths`.  Raises RuntimeError
     when a picked task is not Waiting, so no task is assigned twice.
     """
@@ -378,55 +375,42 @@ def assign_tasks(state: EpisodeState, picks) -> None:
         new_plans.append(AgentPlan(agent_id, cost, path, agent.velocity,
                                    start_tick=int(state.clock)))
         models[agent_id] = agent.motion_model
-        state.achieved_pairs.append((agent_id, task_id, cost))
         state.record("assigned", agent=agent_id, task=task_id, cost=cost)
     for plan in resolve_paths(new_plans, state.reservations, state.grid, models):
         state.agent(plan.agent_id).plan = plan
 
 
-def arbitrate(state: EpisodeState, actions, cm: CostMatrix,
-              task_ids: list) -> DecisionOutcome:
-    """Resolve one synchronous decision round against the cost matrix
-    (columns labelled by `task_ids`) the agents observed this round.
+def arbitrate(state: EpisodeState, actions, slot_costs: np.ndarray,
+              masks: np.ndarray) -> DecisionOutcome:
+    """Resolve one synchronous decision round by the slot costs and action
+    masks (`observation`) the agents observed this round.
 
-    Contested tasks go to the requester with the smallest cost (ties to
-    the lower agent id); losers are recorded as conflict participants;
-    invalid requests (empty slot, non-Waiting task, busy agent,
-    unreachable task) count as rejections and are flagged.
+    A request is valid iff the agent's mask allows it; an invalid request
+    counts as a rejection and is flagged, and a rejection is an idle one
+    iff the mask allowed some request.  Contested tasks go to the
+    requester with the smallest cost (ties to the lower agent id); losers
+    are recorded as conflict participants.
     """
-    col = {tid: j for j, tid in enumerate(task_ids)}
     outcome = DecisionOutcome()
-    # task statuses hold until the picks are booked, so whether an agent
-    # reaches some Waiting task is one test per round
-    waiting_cols = [col[t.id] for t in state.waiting_tasks()]
-    reaches_waiting = np.isfinite(cm.entries[:, waiting_cols]).any(axis=1)
-
-    requests: dict[int, list] = {}
-    for i, agent in enumerate(state.agents):
-        action = int(actions[i])
+    could_request = masks[:, 1:].any(axis=1)
+    requests: dict[int, list] = {}      # slot -> agent ids, ascending
+    for agent in state.agents:
+        action = int(actions[agent.id])
         if action == 0:
-            if agent.status is AgentStatus.IDLE and reaches_waiting[i]:
+            if could_request[agent.id]:
                 outcome.idle_rejects.append(agent.id)
-            continue
-        slot = action - 1
-        tid = state.slots[slot] if 0 <= slot < len(state.slots) else None
-        valid = (
-            tid is not None
-            and state.task(tid).status is TaskStatus.WAITING
-            and agent.status is AgentStatus.IDLE
-            and np.isfinite(cm.entries[i, col[tid]])
-        )
-        if not valid:
+        elif 0 < action < masks.shape[1] and masks[agent.id, action]:
+            agent.status = AgentStatus.ACCEPT
+            requests.setdefault(action - 1, []).append(agent.id)
+        else:
             outcome.invalid.append(agent.id)
-            continue
-        agent.status = AgentStatus.ACCEPT
-        requests.setdefault(tid, []).append(agent.id)
 
     picks = []
-    for tid in sorted(requests):
-        contenders = sorted(requests[tid])
+    # ascending task id, the order of the `assigned` log entries
+    for slot in sorted(requests, key=state.slots.__getitem__):
+        tid, contenders = state.slots[slot], requests[slot]
         outcome.requests[tid] = contenders
-        winner = min(contenders, key=lambda a: (cm.entries[a, col[tid]], a))
+        winner = min(contenders, key=lambda a: (slot_costs[a, slot], a))
         if len(contenders) > 1:
             outcome.conflicts.append((tid, contenders))
             state.contested_tasks.add(tid)
@@ -434,7 +418,7 @@ def arbitrate(state: EpisodeState, actions, cm: CostMatrix,
                 if a != winner:
                     state.agent(a).status = AgentStatus.IDLE
                     state.record("conflict_lost", agent=a, task=tid)
-        picks.append((winner, tid, float(cm.entries[winner, col[tid]]),
+        picks.append((winner, tid, float(slot_costs[winner, slot]),
                       _plan_to_task(state, state.agent(winner),
                                     state.task(tid))))
         outcome.assignments.append((winner, tid))
@@ -476,9 +460,10 @@ def advance(state: EpisodeState) -> list:
     An agent moves up to `plan.substeps_per_tick` cells, the count
     `plan_schedule` books per tick.  An agent whose next cell is reserved
     for another agent at the next tick stops before it, and its remaining
-    schedule is rebooked from that tick.
+    schedule is rebooked from that tick.  Returns the log entries the
+    tick recorded.
     """
-    events = []
+    first = len(state.log)
     next_tick = int(state.clock) + 1
     moving = [a for a in state.agents if a.status is AgentStatus.ASSIGN]
     moving.sort(key=lambda a: (a.plan.cost, a.id))
@@ -491,7 +476,6 @@ def advance(state: EpisodeState) -> list:
             if not state.reservations.is_free_for(nxt, next_tick, agent.id):
                 _rebook(state, agent, next_tick)
                 state.record("wait", agent=agent.id)
-                events.append({"event": "wait", "agent": agent.id})
                 break
             agent.path_index += 1
             agent.position = nxt
@@ -505,8 +489,6 @@ def advance(state: EpisodeState) -> list:
                 state.slots[slot] = None
             agent.status = AgentStatus.COMPLETE
             state.record("task_done", agent=agent.id, task=task.id)
-            events.append({"event": "task_done", "agent": agent.id,
-                           "task": task.id})
             state.reservations.release_agent(agent.id)
             agent.status = AgentStatus.IDLE
             agent.assigned_task = None
@@ -515,7 +497,7 @@ def advance(state: EpisodeState) -> list:
             state.record("agent_idle", agent=agent.id)
     state.clock += 1.0
     state.reservations.release_before(int(state.clock))
-    return events
+    return state.log[first:]
 
 
 def _rebook(state: EpisodeState, agent: AgentState, from_tick: int) -> None:
@@ -542,9 +524,7 @@ def spawn_tasks(state: EpisodeState, config: WorldConfig) -> list:
         cand = np.flatnonzero(~state.grid.blocked[:, :, 0])
         x, y = divmod(int(cand[int(state.rng.integers(len(cand)))]),
                       state.grid.dims[1])
-        task = TaskState(state.next_task_id, (x, y, 0),
-                         spawn_time=state.clock)
-        state.next_task_id += 1
+        task = TaskState(len(state.tasks), (x, y, 0), spawn_time=state.clock)
         state.tasks.append(task)
         state.slots[state.slots.index(None)] = task.id
         state.record("task_spawn", task=task.id)
@@ -563,20 +543,15 @@ class Episode:
         self.config = config
         self.state = init_episode(config, seed)
         self._initial_cm: CostMatrix | None = None
-        self._observed: tuple | None = None    # (cm, task ids) of this round
+        self._observed: tuple | None = None    # (slot costs, masks) of a round
         self._optimal_total: float | None = None
 
     @property
     def terminated(self) -> bool:
-        if self.state.done:
-            return True
-        if self.state.clock >= self.config.step_cap:
-            self.state.done = True
-            return True
-        if self.config.task_interval is None and self.all_tasks_done():
-            self.state.done = True
-            return True
-        return False
+        # neither term turns false again: the clock only advances, and a
+        # static episode spawns no task into a slot it emptied
+        return self.state.clock >= self.config.step_cap or (
+            self.config.task_interval is None and self.all_tasks_done())
 
     def decision_due(self) -> bool:
         return not self.terminated and len(self.state.waiting_tasks()) > 0
@@ -593,26 +568,30 @@ class Episode:
         return self._optimal_total
 
     def achieved_total(self) -> float:
-        return sum(c for _, _, c in self.state.achieved_pairs)
+        return sum(e["cost"] for e in self.state.log
+                   if e["event"] == "assigned")
 
     def all_tasks_done(self) -> bool:
-        return all(t.status is TaskStatus.DONE for t in self.state.tasks)
+        """Every task that is not Done holds a slot, so all are Done iff
+        every slot is empty."""
+        return all(tid is None for tid in self.state.slots)
 
     def observe(self):
         """Per-agent observations and masks plus the shared cost matrix.
 
-        The matrix and its task ids are kept for this round's `act`, and
-        the episode's first matrix is its initial one."""
+        The slot costs and masks are kept for this round's `act`, and the
+        episode's first matrix is its initial one."""
         cm, task_ids = current_cost_matrix(self.state)
-        obs, masks = observation(self.state,
-                                 slot_cost_array(self.state, cm, task_ids))
+        slot_costs = slot_cost_array(self.state, cm, task_ids)
+        obs, masks = observation(self.state, slot_costs)
         if self._initial_cm is None:
             self._initial_cm = cm
-        self._observed = (cm, task_ids)
+        self._observed = (slot_costs, masks)
         return obs, masks, cm, task_ids
 
     def act(self, actions) -> tuple[DecisionOutcome, np.ndarray]:
-        """Arbitrate `actions` against what `observe` showed this round."""
+        """Arbitrate `actions` by the masks and slot costs `observe` showed
+        this round."""
         if self._observed is None:
             raise RuntimeError("act needs an observe since the last tick")
         outcome = arbitrate(self.state, actions, *self._observed)

@@ -6,7 +6,7 @@ import copy
 import numpy as np
 import pytest
 
-from magnnet import pathplan
+from magnnet import pathplan, world
 from magnnet.assign import CostMatrix
 from magnnet.errors import PlacementError
 from magnnet.gnn import build_graph
@@ -53,9 +53,11 @@ def action_mask_reference(state, agent_id, slot_costs):
     return mask
 
 
-def observe_state(st):
-    cm, ids = current_cost_matrix(st)
-    return observation(st, slot_cost_array(st, cm, ids))
+def round_view(st):
+    """(slot costs, action masks) of one round: what `Episode.observe`
+    keeps for `arbitrate`."""
+    slot_costs = slot_cost_array(st, *current_cost_matrix(st))
+    return slot_costs, observation(st, slot_costs)[1]
 
 
 def small_config(**kw):
@@ -291,20 +293,20 @@ class TestObservations:
 
     def test_mask_reject_always_valid(self):
         st = init_episode(small_config(), 17)
-        _, masks = observe_state(st)
+        _, masks = round_view(st)
         assert masks[:, 0].all()
 
     def test_mask_blocks_busy_agent(self):
         st = init_episode(small_config(), 19)
         st.agents[0].status = AgentStatus.ASSIGN
-        m = observe_state(st)[1][0]
+        m = round_view(st)[1][0]
         assert m[0] and not m[1:].any()
 
     def test_mask_blocks_assigned_task(self):
         st = init_episode(small_config(), 23)
         st.tasks[1].status = TaskStatus.ASSIGNED
         slot = st.slot_of_task(1)
-        assert not observe_state(st)[1][0, slot + 1]
+        assert not round_view(st)[1][0, slot + 1]
 
 
 class TestObservationEquivalence:
@@ -538,11 +540,13 @@ def arbitrate_reference(state, actions, cm, task_ids):
 
 
 class TestArbitrationReference:
-    """`arbitrate` equals `arbitrate_reference` on random-action rounds:
-    any action in 0..m_max, so rejects, invalid requests (empty slot,
-    busy agent, Assigned task, unreachable task) and conflicts occur.
-    Every other round knocks out random cost entries, so some idle agents
-    reach an Assigned task but no Waiting one."""
+    """`arbitrate`, judging by the round's masks, equals
+    `arbitrate_reference` on random-action rounds: any action in
+    0..m_max, so rejects, invalid requests (empty slot, busy agent,
+    Assigned task, unreachable task) and conflicts occur.  Every other
+    round knocks out random cost entries, and `arbitrate` gets the slot
+    costs and masks of that matrix, so some idle agents reach an Assigned
+    task but no Waiting one."""
 
     CONFIGS = (dict(), dict(obstacle_density=0.25),
                dict(task_interval=3.0, m_max=8, step_cap=60.0),
@@ -567,7 +571,9 @@ class TestArbitrationReference:
                                 np.inf, cm.entries))
                         ref_state = copy.deepcopy(ep.state)
                         ref = arbitrate_reference(ref_state, actions, cm, ids)
-                        out = arbitrate(ep.state, actions, cm, ids)
+                        sc = slot_cost_array(ep.state, cm, ids)
+                        out = arbitrate(ep.state, actions, sc,
+                                        observation(ep.state, sc)[1])
                         for name in seen:
                             assert getattr(out, name) == getattr(ref, name)
                             seen[name] += len(getattr(out, name))
@@ -581,7 +587,7 @@ class TestArbitrationReference:
 class TestArbitration:
     def test_uncontested_requests_win(self):
         st = init_episode(small_config(), 29)
-        out = arbitrate(st, [1, 2, 3, 4], *current_cost_matrix(st))
+        out = arbitrate(st, [1, 2, 3, 4], *round_view(st))
         assert len(out.assignments) == 4
         assert not out.conflicts
         for aid, tid in out.assignments:
@@ -590,13 +596,12 @@ class TestArbitration:
 
     def test_contested_goes_to_cheapest(self):
         st = init_episode(small_config(), 31)
-        cm, ids = current_cost_matrix(st)
-        sc = slot_cost_array(st, cm, ids)
+        sc, masks = round_view(st)
         slot = 0
         contenders = [i for i in range(4) if np.isfinite(sc[i][slot])]
         assert len(contenders) >= 2
         actions = [slot + 1 if i in contenders else 0 for i in range(4)]
-        out = arbitrate(st, actions, cm, ids)
+        out = arbitrate(st, actions, sc, masks)
         tid = st.slots[slot]
         winner = min(contenders, key=lambda i: (sc[i][slot],
                                                 st.agents[i].id))
@@ -611,21 +616,21 @@ class TestArbitration:
         st = init_episode(small_config(), 37)
         # force an exact tie between agents 2 and 3 on task slot 0
         st.agents[3].position = st.agents[2].position
-        out = arbitrate(st, [0, 0, 1, 1], *current_cost_matrix(st))
+        out = arbitrate(st, [0, 0, 1, 1], *round_view(st))
         assert out.assignments == [(2, st.slots[0])]
 
     def test_invalid_action_flagged_as_reject(self):
         st = init_episode(small_config(), 41)
         st.tasks[0].status = TaskStatus.ASSIGNED
         # slot 0 no longer Waiting
-        out = arbitrate(st, [1, 0, 0, 0], *current_cost_matrix(st))
+        out = arbitrate(st, [1, 0, 0, 0], *round_view(st))
         assert out.invalid == [0]
         assert st.agents[0].status is AgentStatus.IDLE
 
     def test_no_task_double_assignment(self):
         for seed in range(10):
             st = init_episode(small_config(), 100 + seed)
-            out = arbitrate(st, [1, 1, 1, 1], *current_cost_matrix(st))
+            out = arbitrate(st, [1, 1, 1, 1], *round_view(st))
             tasks = [t for _, t in out.assignments]
             assert len(set(tasks)) == len(tasks) <= 1
 
@@ -633,19 +638,19 @@ class TestArbitration:
 class TestRewards:
     def test_shaping_values(self):
         st = init_episode(small_config(), 43)
-        out = arbitrate(st, [1, 2, 3, 4], *current_cost_matrix(st))
+        out = arbitrate(st, [1, 2, 3, 4], *round_view(st))
         r = step_rewards(out, st, st.config.shaping)
         assert np.allclose(r, 1.0)
 
     def test_conflict_loser_penalized(self):
         st = init_episode(small_config(), 47)
-        out = arbitrate(st, [1, 1, 0, 0], *current_cost_matrix(st))
+        out = arbitrate(st, [1, 1, 0, 0], *round_view(st))
         r = step_rewards(out, st, st.config.shaping)
         assert sorted(np.round(r[:2], 2)) == [-0.5, 1.0]
 
     def test_idle_reject_penalized(self):
         st = init_episode(small_config(), 53)
-        out = arbitrate(st, [0, 0, 0, 0], *current_cost_matrix(st))
+        out = arbitrate(st, [0, 0, 0, 0], *round_view(st))
         r = step_rewards(out, st, st.config.shaping)
         # every idle agent that could have requested gets -0.1
         cm, _ = current_cost_matrix(st)
@@ -669,7 +674,7 @@ class TestMotion:
     def test_agent_reaches_task_and_frees_slot(self):
         cfg = small_config(obstacle_density=0.0)
         st = init_episode(cfg, 59)
-        arbitrate(st, [1, 2, 3, 4], *current_cost_matrix(st))
+        arbitrate(st, [1, 2, 3, 4], *round_view(st))
         for _ in range(200):
             advance(st)
             if all(t.status is TaskStatus.DONE for t in st.tasks):
@@ -681,7 +686,7 @@ class TestMotion:
     def test_velocity_limits_cells_per_tick(self):
         cfg = small_config(obstacle_density=0.0)
         st = init_episode(cfg, 61)
-        arbitrate(st, [1, 2, 3, 4], *current_cost_matrix(st))
+        arbitrate(st, [1, 2, 3, 4], *round_view(st))
         before = {a.id: a.position for a in st.agents}
         advance(st)
         for a in st.agents:
@@ -691,7 +696,7 @@ class TestMotion:
     def test_no_reservation_double_booking_over_time(self):
         cfg = small_config(obstacle_density=0.0)
         st = init_episode(cfg, 67)
-        arbitrate(st, [1, 2, 3, 4], *current_cost_matrix(st))
+        arbitrate(st, [1, 2, 3, 4], *round_view(st))
         for _ in range(60):
             advance(st)  # reserve() raises on any double booking
 
@@ -774,6 +779,50 @@ class TestSpawning:
         assert rounds > 40
         # freed slots were taken again by spawned tasks
         assert sum(len(tids - {None}) > 1 for tids in owners) >= 2
+
+    def test_slot_reads_equal_status_scans(self, monkeypatch):
+        """`waiting_tasks`, `all_tasks_done` and `terminated` read the
+        slots: every tick of dynamic episodes whose spawns reuse freed
+        slots, they equal scans of every task ever spawned.  `advance`
+        returns exactly the log entries it appended."""
+        real_advance = world.advance
+        returned = []
+
+        def recording(state):
+            first = len(state.log)
+            events = real_advance(state)
+            assert events == state.log[first:]
+            returned.extend(events)
+            return events
+
+        monkeypatch.setattr(world, "advance", recording)
+        cfg = small_config(task_interval=2.0, m_max=5, step_cap=80.0)
+        all_done_seen, reused = set(), 0
+        for seed in range(3):
+            ep = Episode(cfg, 150 + seed)
+            st = ep.state
+            rng = np.random.default_rng(seed)
+            owners = [{tid} for tid in st.slots]     # task ids per slot
+            while True:
+                all_done = all(t.status is TaskStatus.DONE for t in st.tasks)
+                assert st.waiting_tasks() == [
+                    t for t in st.tasks if t.status is TaskStatus.WAITING]
+                assert ep.all_tasks_done() == all_done
+                assert ep.terminated == (st.clock >= cfg.step_cap)
+                all_done_seen.add(all_done)
+                if ep.terminated:
+                    break
+                for s, tid in enumerate(st.slots):
+                    owners[s].add(tid)
+                if ep.decision_due():
+                    _, masks, _, _ = ep.observe()
+                    ep.act([int(rng.choice(np.flatnonzero(m)))
+                            for m in masks])
+                ep.tick()
+            reused += sum(len(tids - {None}) > 1 for tids in owners)
+        assert reused >= 2 and all_done_seen == {True, False}
+        assert {e["event"] for e in returned} == {"wait", "task_done",
+                                                  "agent_idle"}
 
 
 class TestEpisode:
