@@ -1,19 +1,26 @@
 """Baseline allocators over a travel-time cost matrix.
 
 Costs are seconds; np.inf marks infeasible agent/task pairs.  All solvers
-return an Assignment (a valid partial matching).  `hungarian` is backed by
-scipy's LSAP solver with a lexicographic tie-break refinement on top so
-that equal-cost optima resolve deterministically; `brute_force` is the
-independent oracle used by the test suite.
+return an Assignment (a valid partial matching).  The exact solvers
+(`feasible_optimum`, `hungarian`) rest on `_lsap`, a pure-Python port of
+the shortest augmenting path method of Crouse, "On implementing 2D
+rectangular assignment algorithms", IEEE TAES 52(4), 2016, as scipy's
+`linear_sum_assignment` implements it.  The port follows scipy's scan
+order step for step, so every tie between equal-cost columns breaks as it
+does there and every seeded output of the package is unchanged; it spares
+each process the scipy import.  `hungarian` adds a lexicographic
+tie-break refinement on top so that equal-cost optima resolve
+deterministically; `brute_force` is the independent oracle used by the
+test suite.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import InfeasibleAssignmentError, InvalidAssignmentError
 
@@ -82,6 +89,76 @@ def total_cost(c, a: Assignment) -> float:
     return total
 
 
+def _lsap(cost: list) -> list:
+    """Column of each row in a minimum-cost perfect matching of a square
+    matrix of finite floats, given as a list of rows.
+
+    Crouse's shortest augmenting path, ported from scipy's
+    `rectangular_lsap`: each row in turn grows a Dijkstra tree over
+    reduced costs to the nearest free column, then the duals are updated
+    and the path augmented.  Scan order, float expressions and tie rules
+    are scipy's, so the columns are bit-for-bit those of
+    `scipy.optimize.linear_sum_assignment`.
+    """
+    n = len(cost)
+    u = [0.0] * n
+    v = [0.0] * n
+    path = [-1] * n
+    col4row = [-1] * n
+    row4col = [-1] * n
+    for cur_row in range(n):
+        shortest = [math.inf] * n
+        # reverse order, so that a constant matrix solves to the identity
+        remaining = list(range(n - 1, -1, -1))
+        n_left = n
+        rows_seen = []
+        min_val = 0.0
+        i = cur_row
+        sink = -1
+        while sink == -1:
+            rows_seen.append(i)
+            row, ui = cost[i], u[i]
+            index, lowest = -1, math.inf
+            for it in range(n_left):
+                j = remaining[it]
+                r = min_val + row[j] - ui - v[j]
+                s = shortest[j]
+                if r < s:
+                    path[j] = i
+                    shortest[j] = s = r
+                # among equal costs prefer a free column: it ends the path
+                if s < lowest or (s == lowest and row4col[j] == -1):
+                    lowest = s
+                    index = it
+            if lowest == math.inf:
+                raise ValueError("cost matrix admits no finite matching")
+            min_val = lowest
+            j = remaining[index]
+            # swap out with the last remaining column; the tail holds the
+            # columns the tree has reached
+            n_left -= 1
+            remaining[index], remaining[n_left] = remaining[n_left], j
+            if row4col[j] == -1:
+                sink = j
+            else:
+                i = row4col[j]
+
+        u[cur_row] += min_val
+        for i in rows_seen[1:]:
+            u[i] += min_val - shortest[col4row[i]]
+        for j in remaining[n_left:]:
+            v[j] -= min_val - shortest[j]
+
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur_row:
+                break
+    return col4row
+
+
 def _solve_padded(arr: np.ndarray) -> tuple[Assignment, float]:
     """LSAP on a possibly rectangular / partially infeasible matrix.
 
@@ -93,8 +170,8 @@ def _solve_padded(arr: np.ndarray) -> tuple[Assignment, float]:
     padded = np.full((size, size), _BIG)
     work = np.where(np.isfinite(arr), arr, _BIG)
     padded[:n, :m] = work
-    rows, cols = linear_sum_assignment(padded)
-    pairs = [(i, j) for i, j in zip(rows, cols)
+    cols = _lsap(padded.tolist())
+    pairs = [(i, j) for i, j in enumerate(cols)
              if i < n and j < m and np.isfinite(arr[i, j])]
     return Assignment(pairs), sum(arr[i, j] for i, j in pairs)
 
@@ -102,9 +179,14 @@ def _solve_padded(arr: np.ndarray) -> tuple[Assignment, float]:
 def hungarian(c) -> Assignment:
     """Minimum-total-cost matching of size min(n_agents, n_tasks).
 
-    Ties between equal-cost optima break to the lexicographically smallest
-    pair list.  Raises InfeasibleAssignmentError when no full matching on
-    finite entries exists, naming a blocked row or column.
+    The optimal total and every residual optimum of the refinement come
+    from `_lsap`, the shortest augmenting path method of Crouse (IEEE
+    TAES 52(4), 2016) in the scan order of scipy's
+    `linear_sum_assignment`, so the totals compared here are scipy's to
+    the last bit.  Ties between equal-cost optima break to the
+    lexicographically smallest pair list.  Raises
+    InfeasibleAssignmentError when no full matching on finite entries
+    exists, naming a blocked row or column.
     """
     arr = _as_array(c)
     n, m = arr.shape

@@ -14,7 +14,6 @@ import csv
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
 from functools import lru_cache
 
@@ -352,6 +351,8 @@ def run_benchmark(spec: ScenarioSpec, parallel: int = 1) -> BenchReport:
             for e in range(spec.episodes)
             for method in spec.methods]
     if parallel > 1:
+        # imported here: a serial run never loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=parallel) as pool:
             logs = list(pool.map(_run_cell, jobs,
                                  chunksize=len(spec.methods)))

@@ -56,7 +56,8 @@ def train(config, seed, out):
               help="Override the scenario's episode count.")
 @click.option("--seed", type=int, default=None, help="Override seed base.")
 @click.option("--out", type=click.Path(), default="runs/eval", show_default=True)
-@click.option("--parallel", type=int, default=1, show_default=True)
+@click.option("--parallel", type=click.IntRange(min=1), default=1,
+              show_default=True, help="Worker processes.")
 def eval_cmd(checkpoint, scenario, episodes, seed, out, parallel):
     """Decentralized evaluation of a trained checkpoint on a scenario."""
     spec = _scenario(scenario, episodes, seed, checkpoint=checkpoint,
@@ -69,7 +70,8 @@ def eval_cmd(checkpoint, scenario, episodes, seed, out, parallel):
 @click.option("--episodes", type=int, default=None)
 @click.option("--seed", type=int, default=None, help="Override seed base.")
 @click.option("--out", type=click.Path(), default="runs/bench", show_default=True)
-@click.option("--parallel", type=int, default=1, show_default=True)
+@click.option("--parallel", type=click.IntRange(min=1), default=1,
+              show_default=True, help="Worker processes.")
 def bench(spec, episodes, seed, out, parallel):
     """Run the methods x N benchmark sweep from a JSON spec."""
     _write_report(run_benchmark(_scenario(spec, episodes, seed), parallel),

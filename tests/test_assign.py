@@ -1,13 +1,20 @@
 """Allocator tests: hungarian is verified against the exhaustive
-permutation oracle across random, degenerate and infeasible instances."""
+permutation oracle across random, degenerate and infeasible instances,
+and the in-house LSAP solver against scipy's, column for column."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
-from magnnet.assign import (Assignment, CostMatrix, brute_force,
+from magnnet import assign
+from magnnet.assign import (_BIG, Assignment, CostMatrix, _lsap, brute_force,
                             feasible_optimum, greedy, hungarian,
                             random_assign, total_cost)
+from magnnet.bench import ScenarioSpec
 from magnnet.errors import InfeasibleAssignmentError, InvalidAssignmentError
+from magnnet.world import Episode
 
 
 class TestCostMatrix:
@@ -177,3 +184,91 @@ class TestBruteForce:
         tall = CostMatrix(rng.uniform(0, 9, (5, 2)))
         assert len(brute_force(wide)) == 2
         assert len(brute_force(tall)) == 2
+
+
+def lsap_family(family, n, rng):
+    """An n x n matrix of the kind `_solve_padded` hands to the solver."""
+    if family == "uniform":
+        return rng.uniform(0, 100, (n, n))
+    if family == "travel_times":    # whole cells over 3 or 5 m/s per agent
+        return rng.integers(0, 60, (n, n)) / rng.choice([3.0, 5.0], (n, 1))
+    ties = rng.integers(0, 4, (n, n)).astype(float)
+    if family == "ties":
+        return ties
+    if family == "big_entries":
+        arr = rng.uniform(0, 100, (n, n))
+        arr[rng.random((n, n)) < 0.2] = _BIG
+        return arr
+    k = int(rng.integers(0, n + 1))
+    if family == "big_columns":     # a tall matrix padded to square
+        ties[:, k:] = _BIG
+    else:                           # a wide one
+        ties[k:, :] = _BIG
+    return ties
+
+
+def scipy_solve_padded(arr):
+    """`assign._solve_padded` on scipy's solver: the reference."""
+    n, m = arr.shape
+    size = max(n, m)
+    padded = np.full((size, size), _BIG)
+    padded[:n, :m] = np.where(np.isfinite(arr), arr, _BIG)
+    rows, cols = linear_sum_assignment(padded)
+    pairs = [(i, j) for i, j in zip(rows, cols)
+             if i < n and j < m and np.isfinite(arr[i, j])]
+    return Assignment(pairs), sum(arr[i, j] for i, j in pairs)
+
+
+class TestLsapAgainstScipy:
+    """`_lsap` follows scipy's `rectangular_lsap` step for step, so it must
+    pick the same column for every row, ties included; travel times with
+    inexact thirds and fifths also catch a float expression evaluated in
+    another order."""
+
+    @settings(max_examples=600, derandomize=True, deadline=None)
+    @given(n=st.integers(1, 20),
+           family=st.sampled_from(["uniform", "travel_times", "ties",
+                                   "big_entries", "big_columns",
+                                   "big_rows"]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_same_columns_as_scipy(self, n, family, seed):
+        arr = lsap_family(family, n, np.random.default_rng(seed))
+        assert _lsap(arr.tolist()) == linear_sum_assignment(arr)[1].tolist()
+
+    def test_constant_matrix_is_identity(self):
+        assert _lsap([[2.0] * 5 for _ in range(5)]) == [0, 1, 2, 3, 4]
+
+
+@pytest.fixture(scope="module")
+def bench_static_matrices():
+    """Initial cost matrices of seeded `bench_static`-style instances
+    (50 x 50 x 30 grid), two per N of the paper's grid."""
+    spec = ScenarioSpec(mode="static", n_agents=(4, 8, 12, 20),
+                        methods=("hungarian",), seed_base=3)
+    out = []
+    for n in spec.n_agents:
+        for e in range(2):
+            seed = spec.seed_base * 1_000_000 + n * 10_000 + e
+            ep = Episode(spec.world_config(n), seed)
+            out.append(ep.initial_cost_matrix().entries)
+    return out
+
+
+class TestSolversAgainstScipyReference:
+    def shapes(self, matrices):
+        # the square matrix and a tall and a wide slice, padded differently
+        for arr in matrices:
+            yield arr
+            yield arr[:, :-1]
+            yield arr[:-1, :]
+
+    def test_feasible_optimum(self, bench_static_matrices):
+        for arr in self.shapes(bench_static_matrices):
+            ref, _ = scipy_solve_padded(arr)
+            assert feasible_optimum(CostMatrix(arr)).pairs == ref.pairs
+
+    def test_hungarian(self, bench_static_matrices, monkeypatch):
+        shapes = list(self.shapes(bench_static_matrices))
+        ours = [hungarian(CostMatrix(arr)).pairs for arr in shapes]
+        monkeypatch.setattr(assign, "_solve_padded", scipy_solve_padded)
+        assert ours == [hungarian(CostMatrix(arr)).pairs for arr in shapes]

@@ -1,0 +1,105 @@
+"""Console entry points through click's test runner, and the package
+import path without scipy."""
+
+import csv
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+from click.testing import CliRunner
+
+from magnnet.bench import REPORT_COLUMNS
+from magnnet.cli import main
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+TINY_SPEC = {"mode": "static", "n_agents": [4],
+             "methods": ["hungarian", "greedy"], "episodes": 1,
+             "seed_base": 2, "grid_dims": [12, 12, 4]}
+
+
+@pytest.fixture
+def spec_path(tmp_path):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(TINY_SPEC))
+    return str(path)
+
+
+class TestBench:
+    def test_writes_report(self, spec_path, tmp_path):
+        out = tmp_path / "bench"
+        result = CliRunner().invoke(main, ["bench", spec_path,
+                                           "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        with open(out / "report.csv") as f:
+            rows = list(csv.DictReader(f))
+        assert list(rows[0]) == REPORT_COLUMNS
+        assert [(r["method"], r["n_agents"], r["episodes"]) for r in rows] \
+            == [("hungarian", "4", "1"), ("greedy", "4", "1")]
+        assert (out / "report.json").is_file()
+
+    @pytest.mark.parametrize("count", ["0", "-2"])
+    def test_parallel_below_one_is_a_usage_error(self, spec_path, tmp_path,
+                                                 count):
+        out = tmp_path / "bench"
+        result = CliRunner().invoke(main, ["bench", spec_path, "--parallel",
+                                           count, "--out", str(out)])
+        assert result.exit_code == 2
+        assert "--parallel" in result.output
+        assert not out.exists()
+
+    def test_eval_parallel_zero_is_a_usage_error(self, spec_path, tmp_path):
+        ckpt = os.path.join(REPO, "runs", "acceptance", "seed0",
+                            "checkpoint.json")
+        result = CliRunner().invoke(main, ["eval", ckpt, spec_path,
+                                           "--parallel", "0",
+                                           "--out", str(tmp_path / "eval")])
+        assert result.exit_code == 2
+        assert "--parallel" in result.output
+
+
+class TestCurves:
+    def test_acceptance_metrics(self, tmp_path):
+        log = os.path.join(REPO, "runs", "acceptance", "seed0", "metrics.csv")
+        result = CliRunner().invoke(main, ["curves", log,
+                                           "--out", str(tmp_path)])
+        assert result.exit_code == 0, result.output
+        paths = json.loads(result.output)
+        with open(log) as f:
+            n_updates = sum(1 for _ in csv.DictReader(f))
+        for name, column in (("reward", "mean_episode_reward"),
+                             ("entropy", "mean_entropy")):
+            with open(paths[name]) as f:
+                rows = list(csv.reader(f))
+            assert rows[0] == ["env_steps", column]
+            assert len(rows) == n_updates + 1
+
+
+NO_SCIPY = """
+import sys
+sys.modules["scipy"] = None     # any scipy import now raises ImportError
+import numpy as np
+import magnnet.bench, magnnet.ppo, magnnet.cli
+from magnnet.assign import CostMatrix, feasible_optimum
+from magnnet.bench import ScenarioSpec, run_benchmark
+a = feasible_optimum(CostMatrix(np.array([[4.0, 1.0], [2.0, np.inf]])))
+assert a.pairs == ((0, 1), (1, 0)), a.pairs
+report = run_benchmark(ScenarioSpec(mode="static", n_agents=(4,),
+                                    methods=("hungarian", "greedy"),
+                                    episodes=1, grid_dims=(12, 12, 4)))
+assert [r["method"] for r in report.rows] == ["hungarian", "greedy"]
+loaded = [m for m in sys.modules
+          if m.split(".")[0] == "scipy" and sys.modules[m] is not None]
+assert not loaded, loaded
+"""
+
+
+def test_package_runs_without_scipy():
+    env = dict(os.environ)
+    src = os.path.join(REPO, "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
