@@ -389,11 +389,15 @@ def run_benchmark(spec: ScenarioSpec, parallel: int = 1) -> BenchReport:
 
 def planner_compare(spec: ScenarioSpec) -> dict:
     """Feed identical (grid, start, goal) instances to A* and RRT* and
-    report per-instance and mean lengths per N."""
+    report per-instance and mean lengths per N.  An instance either
+    planner finds no path for gets no row; `astar_no_path` counts those
+    A* failed (RRT* is then not run), `rrt_star_no_path` those only RRT*
+    failed."""
     results = {}
     for n in spec.n_agents:
         config = spec.world_config(n)
         rows = []
+        no_path = {"astar": 0, "rrt_star": 0}
         for e in range(spec.episodes):
             seed = spec.seed_base * 1_000_000 + n * 10_000 + e
             ep = Episode(config, seed)
@@ -403,13 +407,16 @@ def planner_compare(spec: ScenarioSpec) -> dict:
             for i, j in assignment.pairs:
                 agent = ep.state.agents[i]
                 goal = ep.state.task(task_ids[j]).location
+                planner = "astar"
                 try:
                     a_len = pathplan.astar(ep.state.grid, agent.position,
                                            goal, agent.motion_model).length
+                    planner = "rrt_star"
                     r_len = rrt_star(ep.state.grid, agent.position, goal,
                                      agent.motion_model, RRTParams(),
                                      seed=seed * 97 + i).length
                 except NoPathError:
+                    no_path[planner] += 1
                     continue
                 rows.append({"n_agents": n, "episode": e, "agent": i,
                              "astar_length_m": a_len,
@@ -420,6 +427,8 @@ def planner_compare(spec: ScenarioSpec) -> dict:
                 [r["astar_length_m"] for r in rows])) if rows else None,
             "mean_rrt_star_length_m": float(np.mean(
                 [r["rrt_star_length_m"] for r in rows])) if rows else None,
+            "astar_no_path": no_path["astar"],
+            "rrt_star_no_path": no_path["rrt_star"],
         }
     return results
 

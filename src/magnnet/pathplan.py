@@ -637,13 +637,60 @@ def _staircase(a: Cell, b: Cell, limit: int | None = None) -> list[Cell]:
     return cells
 
 
+def _pcg64_draws(seed: int):
+    """`random()` and `integers(n)` for 1 <= n <= 2**32, returning what
+    `np.random.default_rng(seed)` returns call for call, as Python
+    numbers, from one raw 64-bit word of its PCG64 stream per fetch.
+
+    A double is the word's top 53 bits times 2**-53.  An integer takes
+    Lemire's multiply-and-reject on a 32-bit half-word: the low half of
+    a fresh word first, its high half kept for the next integer draw
+    (doubles do not disturb it), and n = 1 draws nothing."""
+    raw = np.random.default_rng(seed).bit_generator.random_raw
+    half = None  # the high half-word not yet used by an integer draw
+
+    def random() -> float:
+        return (raw() >> 11) * 2.0 ** -53
+
+    def next32() -> int:
+        nonlocal half
+        if half is None:
+            word = raw()
+            half = word >> 32
+            return word & 0xFFFFFFFF
+        word, half = half, None
+        return word
+
+    def integers(n: int) -> int:
+        if n == 1:
+            return 0
+        m = next32() * n
+        if m & 0xFFFFFFFF < n:  # only a low part below n can be biased
+            threshold = (2**32 - n) % n
+            while m & 0xFFFFFFFF < threshold:
+                m = next32() * n
+        return m >> 32
+
+    return random, integers
+
+
 def rrt_star(grid: Grid, start: Cell, goal: Cell, model: MotionModel,
              params: RRTParams | None = None, seed: int = 0) -> Path:
     """Sampling-based planner on grid cells with staircase connectors
-    and cost-based rewiring.  Deterministic for a fixed seed.  Segment
-    costs are Manhattan lengths, so any returned path is >= the A*
-    optimum on the same instance.  Rewiring lowers the rewired node's
-    cost only, not its descendants' (they keep their stored costs).
+    and cost-based rewiring.  Deterministic for a fixed seed: samples
+    come from `_pcg64_draws`, the draws `np.random.default_rng(seed)`
+    would make.  Segment costs are Manhattan lengths, so any returned
+    path is >= the A* optimum on the same instance.  Rewiring lowers the
+    rewired node's cost only, not its descendants' (they keep their
+    stored costs).
+
+    Each iteration scans the tree once, for the node nearest the
+    sample.  A staircase step lowers the Manhattan distance to the
+    sample by exactly one, so after `steps` steps from the nearest node
+    (at distance D) every node within the rewire radius of the new node
+    lies within D - steps + radius of the sample; the near set is read
+    off that same scan.  A sample that is already a tree node is
+    skipped before the scan: steering from it yields it again.
     """
     params = params or RRTParams()
     start, goal = tuple(start), tuple(goal)
@@ -653,8 +700,7 @@ def rrt_star(grid: Grid, start: Cell, goal: Cell, model: MotionModel,
     if ground and (start[2] != 0 or goal[2] != 0):
         raise NoPathError("ground model requires z=0 endpoints")
 
-    rng = np.random.default_rng(seed)
-    random, integers = rng.random, rng.integers
+    random, integers = _pcg64_draws(seed)
     dim_x, dim_y, dim_z = grid.dims
     step_cells, radius = params.step_cells, params.rewire_radius
     # one C-order byte per cell, 1 where blocked: cell (x, y, z) sits at
@@ -673,15 +719,15 @@ def rrt_star(grid: Grid, start: Cell, goal: Cell, model: MotionModel,
         if random() < params.goal_bias:
             return goal
         for _ in range(64):
-            x = int(integers(dim_x))
-            y = int(integers(dim_y))
-            z = 0 if ground else int(integers(dim_z))
+            x = integers(dim_x)
+            y = integers(dim_y)
+            z = 0 if ground else integers(dim_z)
             if not blocked[(x * dim_y + y) * dim_z + z]:
                 return (x, y, z)
         return goal
 
     nodes: list[Cell] = [start]
-    in_tree = {start}
+    index = {start: 0}  # cell -> node index; a cell is a node at most once
     parent = [-1]
     cost = [0.0]
     # node coordinates as columns: the start plus one node per iteration
@@ -698,21 +744,31 @@ def rrt_star(grid: Grid, start: Cell, goal: Cell, model: MotionModel,
             d += abs(zs[:n] - z)
         return d
 
-    goal_idx = None
     for _ in range(params.max_iters):
         target = sample_cell()
+        if target in index:
+            continue
+        dt = node_dists(target)
         # argmin returns the first minimum: ties go to the oldest node
-        nearest = int(node_dists(target).argmin())
+        nearest = int(dt.argmin())
         # steer: walk toward the sample, stop at obstacle or step budget
         new = nodes[nearest]
+        steps = 0
         for c in _staircase(new, target, step_cells):
             if blocked[(c[0] * dim_y + c[1]) * dim_z + c[2]]:
                 break
             new = c
-        if new in in_tree:
+            steps += 1
+        if new in index:
             continue
+        # nodes within the rewire radius, ascending: candidates by the
+        # bound on their distance to the sample, then the exact test
+        near = []
+        if steps <= radius:
+            reach = int(dt[nearest]) - steps + radius
+            near = [k for k in (dt <= reach).nonzero()[0].tolist()
+                    if manhattan(nodes[k], new) <= radius]
         # choose lowest-cost parent within the rewire radius
-        near = (node_dists(new) <= radius).nonzero()[0].tolist()
         best_par, best_cost = None, math.inf
         for k in sorted(set(near) | {nearest}):
             seg = manhattan(nodes[k], new)
@@ -722,7 +778,7 @@ def rrt_star(grid: Grid, start: Cell, goal: Cell, model: MotionModel,
             continue
         idx = len(nodes)
         nodes.append(new)
-        in_tree.add(new)
+        index[new] = idx
         xs[idx], ys[idx], zs[idx] = new
         parent.append(best_par)
         cost.append(best_cost)
@@ -733,9 +789,8 @@ def rrt_star(grid: Grid, start: Cell, goal: Cell, model: MotionModel,
             if best_cost + seg < cost[k] - 1e-9 and line_free(new, nodes[k]):
                 parent[k] = idx
                 cost[k] = best_cost + seg
-        if new == goal:
-            goal_idx = idx
 
+    goal_idx = index.get(goal)
     if goal_idx is None:
         # final attempt: connect the closest node straight to the goal
         order = np.argsort(node_dists(goal), kind="stable")  # ties: oldest

@@ -14,6 +14,7 @@ from magnnet.bench import (BenchReport, EpisodeLog, REPORT_COLUMNS,
                            emit_curves, planner_compare, run_benchmark,
                            run_episode_baseline, run_episode_magnnet,
                            success_rate, write_replay_log)
+from magnnet.errors import NoPathError
 from magnnet.ppo import ModelParams
 from magnnet.world import AgentStatus, Episode, WorldConfig
 
@@ -310,6 +311,40 @@ class TestPlannerCompare:
             assert r["astar_length_m"] <= r["rrt_star_length_m"]
         assert results[4]["mean_astar_length_m"] <= \
             results[4]["mean_rrt_star_length_m"]
+
+    def test_no_path_instances_are_counted(self):
+        """Benchmark seed 3 at N = 4: four assigned pairs, one of them
+        without an RRT* path (the `planner_compare_instances` fixture of
+        test_pathplan.py)."""
+        spec = ScenarioSpec(mode="static", n_agents=(4,), methods=("hungarian",),
+                            episodes=1, seed_base=3000, obstacle_density=0.1,
+                            grid_dims=(50, 50, 30))
+        result = planner_compare(spec)[4]
+        assert (len(result["instances"]), result["astar_no_path"],
+                result["rrt_star_no_path"]) == (3, 0, 1)
+
+    def test_astar_failure_skips_rrt_star(self, monkeypatch):
+        astar, rrt_star = pathplan.astar, bench.rrt_star
+        astar_calls, rrt_star_after = [], []
+
+        def astar_failing_first(*args, **kwargs):
+            astar_calls.append(args)
+            if len(astar_calls) == 1:
+                raise NoPathError("no path")
+            return astar(*args, **kwargs)
+
+        def recorded_rrt_star(*args, **kwargs):
+            rrt_star_after.append(len(astar_calls))
+            return rrt_star(*args, **kwargs)
+
+        monkeypatch.setattr(pathplan, "astar", astar_failing_first)
+        monkeypatch.setattr(bench, "rrt_star", recorded_rrt_star)
+        result = planner_compare(small_spec(methods=("hungarian",),
+                                            episodes=1))[4]
+        assert result["astar_no_path"] == 1
+        assert rrt_star_after == list(range(2, len(astar_calls) + 1))
+        assert len(result["instances"]) + result["rrt_star_no_path"] == \
+            len(astar_calls) - 1
 
 
 class TestCurvesAndReplay:

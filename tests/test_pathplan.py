@@ -19,7 +19,7 @@ from magnnet.pathplan import (AgentPlan, FieldStore, Grid, MotionModel, Path,
                               RRTParams, ReservationTable, astar,
                               distance_field, manhattan, path_cost,
                               plan_schedule, resolve_paths, resume_field,
-                              rrt_star, _staircase)
+                              rrt_star, _pcg64_draws, _staircase)
 from magnnet.world import Episode
 
 
@@ -705,25 +705,45 @@ def rrt_instances(draw):
 
 @pytest.fixture(scope="module")
 def planner_compare_instances():
-    """The first six (grid, start, goal, model, seed) instances RRT* gets
-    in `bench.planner_compare` on the 50x50x30 grid at benchmark seed 3:
-    the four pairs at N = 4 (one of them has no RRT* path) and the first
-    two at N = 8."""
-    instances = []
-    for n in (4, 8):
-        spec = ScenarioSpec(mode="static", n_agents=(n,), methods=("hungarian",),
-                            episodes=1, seed_base=3000, obstacle_density=0.1,
-                            grid_dims=(50, 50, 30))
-        seed = spec.seed_base * 1_000_000 + n * 10_000
-        ep = Episode(spec.world_config(n), seed)
-        pairs = feasible_optimum(ep.initial_cost_matrix()).pairs
-        task_ids = [t.id for t in ep.state.live_tasks()]
-        for i, j in pairs:
-            agent = ep.state.agents[i]
-            instances.append((ep.state.grid, agent.position,
+    """Per benchmark seed, the first six (grid, start, goal, model, seed)
+    instances RRT* gets in `bench.planner_compare` on the 50x50x30 grid:
+    the four pairs at N = 4 and the first two at N = 8.  At seed 3 one
+    of the four has no RRT* path."""
+    instances = {}
+    for benchmark_seed in (3, 29):
+        found = instances[benchmark_seed] = []
+        for n in (4, 8):
+            spec = ScenarioSpec(mode="static", n_agents=(n,),
+                                methods=("hungarian",), episodes=1,
+                                seed_base=benchmark_seed * 1000,
+                                obstacle_density=0.1, grid_dims=(50, 50, 30))
+            seed = spec.seed_base * 1_000_000 + n * 10_000
+            ep = Episode(spec.world_config(n), seed)
+            pairs = feasible_optimum(ep.initial_cost_matrix()).pairs
+            task_ids = [t.id for t in ep.state.live_tasks()]
+            for i, j in pairs:
+                agent = ep.state.agents[i]
+                found.append((ep.state.grid, agent.position,
                               ep.state.task(task_ids[j]).location,
                               agent.motion_model, seed * 97 + i))
-    return instances[:6]
+        del found[6:]
+    return instances
+
+
+def _empty_grid_instance():
+    """Goal bias 1: once the goal is a node, every later sample is a
+    tree node and the iteration is skipped."""
+    return (Grid.empty((6, 6, 3)), (0, 0, 0), (5, 5, 2), MotionModel.AERIAL6,
+            RRTParams(max_iters=40, step_cells=3, goal_bias=1.0), 0)
+
+
+def _no_rewire_instance():
+    """Radius 0 with one-cell steps: no node is ever near a new one."""
+    dims, start, goal = (10, 10, 1), (0, 0, 0), (9, 9, 0)
+    blocked = np.random.default_rng(3).random(dims) < 0.15
+    blocked[start] = blocked[goal] = False
+    return (Grid(dims, blocked), start, goal, MotionModel.GROUND4,
+            RRTParams(max_iters=150, rewire_radius=0.0, step_cells=1), 7)
 
 
 class TestRRTStarAgainstReference:
@@ -732,16 +752,44 @@ class TestRRTStarAgainstReference:
 
         @settings(max_examples=300, derandomize=True, deadline=None)
         @given(rrt_instances())
+        @example(_empty_grid_instance())
+        @example(_no_rewire_instance())
         def check(instance):
             same_rrt_outcome(*instance, branches)
 
         check()
         assert branches["fallback"] > 0 and branches["no_path"] > 0
 
-    @pytest.mark.parametrize("i", range(6))
-    def test_planner_compare_instances(self, planner_compare_instances, i):
-        grid, start, goal, model, seed = planner_compare_instances[i]
+    @pytest.mark.parametrize("benchmark_seed,i",
+                             [(s, i) for s in (3, 29) for i in range(6)])
+    def test_planner_compare_instances(self, planner_compare_instances,
+                                       benchmark_seed, i):
+        grid, start, goal, model, seed = \
+            planner_compare_instances[benchmark_seed][i]
         same_rrt_outcome(grid, start, goal, model, RRTParams(), seed, Counter())
+
+
+class TestPCG64Draws:
+    """`_pcg64_draws` against the Generator it stands in for, call for
+    call: doubles, n = 1 (no draw), grid-sized n, and n up to 2**32.
+    Above 2**31 a draw is rejected and redrawn with probability
+    (2**32 - n) / 2**32, so the rejection loop runs often."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(st.integers(0, 2**64 - 1),
+           st.lists(st.one_of(st.none(), st.just(1), st.integers(2, 60),
+                              st.integers(2**31, 2**32)), max_size=40))
+    @example(0, [1, 50, None, 50, 50, 1, 2**32, 2**31 + 1, 2**31 + 1])
+    def test_matches_generator(self, seed, calls):
+        rng = np.random.default_rng(seed)
+        random, integers = _pcg64_draws(seed)
+        for n in calls:
+            if n is None:
+                assert random() == rng.random()
+            else:
+                assert integers(n) == rng.integers(n)
+        # both sides stand at the same word and kept half-word
+        assert (random(), integers(7)) == (rng.random(), rng.integers(7))
 
 
 class TestStaircase:
