@@ -37,7 +37,8 @@ def _scenario(path, episodes, seed, **fixed) -> ScenarioSpec:
 
 @main.command()
 @click.argument("config", type=click.Path(exists=True))
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0,
+              show_default=True)
 @click.option("--out", type=click.Path(), default="runs/train",
               show_default=True, help="Output directory.")
 def train(config, seed, out):
@@ -54,7 +55,8 @@ def train(config, seed, out):
 @click.argument("scenario", type=click.Path(exists=True))
 @click.option("--episodes", type=int, default=None,
               help="Override the scenario's episode count.")
-@click.option("--seed", type=int, default=None, help="Override seed base.")
+@click.option("--seed", type=click.IntRange(min=0), default=None,
+              help="Override seed base.")
 @click.option("--out", type=click.Path(), default="runs/eval", show_default=True)
 @click.option("--parallel", type=click.IntRange(min=1), default=1,
               show_default=True, help="Worker processes.")
@@ -68,7 +70,8 @@ def eval_cmd(checkpoint, scenario, episodes, seed, out, parallel):
 @main.command()
 @click.argument("spec", type=click.Path(exists=True))
 @click.option("--episodes", type=int, default=None)
-@click.option("--seed", type=int, default=None, help="Override seed base.")
+@click.option("--seed", type=click.IntRange(min=0), default=None,
+              help="Override seed base.")
 @click.option("--out", type=click.Path(), default="runs/bench", show_default=True)
 @click.option("--parallel", type=click.IntRange(min=1), default=1,
               show_default=True, help="Worker processes.")
@@ -90,7 +93,7 @@ def _write_report(report: BenchReport, out):
 @main.command("planner-compare")
 @click.argument("spec", type=click.Path(exists=True))
 @click.option("--episodes", type=int, default=None)
-@click.option("--seed", type=int, default=None)
+@click.option("--seed", type=click.IntRange(min=0), default=None)
 @click.option("--out", type=click.Path(), default="runs/planners",
               show_default=True)
 def planner_compare(spec, episodes, seed, out):

@@ -51,8 +51,7 @@ class CriticParams(ParamBundle):
 
 @dataclass
 class ActionDistribution:
-    probs: Tensor          # rows over m_max + 1 actions
-    mask: np.ndarray       # True = selectable; action 0 always True
+    probs: Tensor          # rows over m_max + 1 actions; masked ones are 0
 
     @property
     def p(self) -> np.ndarray:
@@ -103,7 +102,7 @@ def actor_forward(obs, emb, p: ActorParams, mask) -> ActionDistribution:
     x = T.concat([obs_t, emb_t], axis=1)
     h = T.relu(T.add(T.matmul(x, p.w1), p.b1))
     logits = T.add(T.matmul(h, p.w2), p.b2)
-    return ActionDistribution(T.masked_softmax(logits, mask), mask)
+    return ActionDistribution(T.masked_softmax(logits, mask))
 
 
 def critic_forward(agent_embs, task_feats, p: CriticParams) -> Tensor:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import os
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -125,6 +126,7 @@ class StepRecord:
     rewards: np.ndarray    # N
     value: float           # centralized estimate at this state
     done: bool = False     # last decision step of its episode
+    wall_s: float = 0.0    # seconds from `observe` to the return of `act`
 
 
 @dataclass
@@ -166,6 +168,28 @@ def _forward_steps(model: ModelParams, graphs, obs, masks, with_value: bool):
     return dist, values
 
 
+def play(ep: Episode, model: ModelParams, rng=None):
+    """Play `ep` to its end under `model`, one StepRecord per decision
+    round.  With `rng` (training) actions are sampled and the critic's
+    value kept; without (evaluation) each agent takes its argmax and no
+    value is computed."""
+    while not ep.terminated:
+        if ep.decision_due():
+            t0 = time.perf_counter()
+            obs, masks, cm, _ = ep.observe()
+            graph = build_graph(ep.state, cm, obs)
+            with T.no_grad():
+                dist, value = _forward_steps(model, [graph], obs, masks,
+                                             with_value=rng is not None)
+                actions, logps = sample_action(dist, rng, greedy=rng is None)
+            _, rewards = ep.act(actions)
+            wall_s = time.perf_counter() - t0
+            yield StepRecord(graph, obs, masks, actions, logps, rewards,
+                             0.0 if value is None else float(value.data[0]),
+                             wall_s=wall_s)
+        ep.tick()
+
+
 def collect_rollout(env_factory, model: ModelParams, config: PPOConfig,
                     rng: np.random.Generator) -> RolloutBuffer:
     """Run whole episodes under the current policy until the buffer holds
@@ -177,21 +201,7 @@ def collect_rollout(env_factory, model: ModelParams, config: PPOConfig,
     buffer = RolloutBuffer()
     while buffer.n_transitions < config.train_batch:
         ep = env_factory(int(rng.integers(2 ** 31)))
-        ep_steps: list[StepRecord] = []
-        while not ep.terminated:
-            if ep.decision_due():
-                obs, masks, cm, _ = ep.observe()
-                graph = build_graph(ep.state, cm, obs)
-                with T.no_grad():
-                    dist, value = _forward_steps(model, [graph], obs, masks,
-                                                 with_value=True)
-                    actions, logps = sample_action(dist, rng)
-                _, rewards = ep.act(actions)
-                ep_steps.append(StepRecord(
-                    graph, obs, masks, np.asarray(actions),
-                    np.asarray(logps), rewards.copy(),
-                    float(value.data[0]) if value is not None else 0.0))
-            ep.tick()
+        ep_steps = list(play(ep, model, rng))
         if ep.all_tasks_done():
             bonus = terminal_bonus(ep.config.shaping, ep.optimal_total(),
                                    ep.achieved_total())

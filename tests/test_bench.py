@@ -4,18 +4,22 @@ determinism of everything except wall-time columns, and curve emission."""
 import csv
 import dataclasses
 import json
+import time
 
 import numpy as np
 import pytest
 
 from magnnet import bench, pathplan
+from magnnet import tensor as T
 from magnnet.bench import (BenchReport, EpisodeLog, REPORT_COLUMNS,
                            ScenarioSpec, WALL_TIME_COLUMNS, allocation_time,
                            emit_curves, planner_compare, run_benchmark,
                            run_episode_baseline, run_episode_magnnet,
                            success_rate, write_replay_log)
 from magnnet.errors import NoPathError
-from magnnet.ppo import ModelParams
+from magnnet.gnn import build_graph
+from magnnet.policy import sample_action
+from magnnet.ppo import ModelParams, _forward_steps
 from magnnet.world import AgentStatus, Episode, WorldConfig
 
 
@@ -65,8 +69,9 @@ class TestScenarioSpec:
     # episodes=0 used to reach run_benchmark and fail with a KeyError
     @pytest.mark.parametrize("kw", [
         dict(episodes=0), dict(n_agents=()), dict(n_agents=(0,)),
-        dict(n_agents=(4, -1))],
-        ids=["episodes-0", "n_agents-empty", "n_agents-0", "n_agents-neg"])
+        dict(n_agents=(4, -1)), dict(seed_base=-1)],
+        ids=["episodes-0", "n_agents-empty", "n_agents-0", "n_agents-neg",
+             "seed_base-neg"])
     def test_empty_sweep_rejected(self, kw):
         with pytest.raises(ValueError):
             ScenarioSpec(methods=("hungarian",), **kw)
@@ -132,6 +137,69 @@ class TestBaselineEpisodes:
         assert log.n_agents == 4
         assert log.total_cost_s >= 0
         assert all(l >= 0 for l in log.path_lengths_m)
+
+
+def reference_magnnet_episode(config, seed, model):
+    """The round loop `run_episode_magnnet` ran before `ppo.play` took it
+    over: the reference whose log the driver must reproduce."""
+    ep = Episode(config, seed)
+    rng = np.random.default_rng(seed)
+    while not ep.terminated:
+        if ep.decision_due():
+            obs, masks, cm, _ = ep.observe()
+            graph = build_graph(ep.state, cm, obs)
+            with T.no_grad():
+                dist, _ = _forward_steps(model, [graph], obs, masks,
+                                         with_value=False)
+                actions, _ = sample_action(dist, rng, greedy=True)
+            ep.act(actions)
+        ep.tick()
+    return EpisodeLog("magnnet", config.n_agents, len(ep.state.tasks),
+                      sorted(ep.state.contested_tasks), ep.achieved_total(),
+                      0.0, bench._assigned_path_lengths(ep),
+                      ep.all_tasks_done())
+
+
+class TestMagnnetEpisode:
+    @pytest.mark.parametrize("spec_kw", [
+        {}, dict(mode="dynamic", task_interval=4.0, step_cap=60.0)],
+        ids=["static", "dynamic"])
+    def test_log_equals_reference_loop(self, spec_kw, monkeypatch):
+        cfg = small_spec(**spec_kw).world_config(4)
+        model = ModelParams.init(np.random.default_rng(3), 4, cfg.m_max)
+        spans, lives = [], []
+
+        class Timed(Episode):
+            """Times each round from `observe` to `act`'s return, inside
+            the span the driver times, and the episode's whole life."""
+
+            def __init__(self, *args):
+                self.born = time.perf_counter()
+                super().__init__(*args)
+
+            def observe(self):
+                self.seen = time.perf_counter()
+                return super().observe()
+
+            def act(self, actions):
+                out = super().act(actions)
+                spans.append(time.perf_counter() - self.seen)
+                return out
+
+            @property
+            def terminated(self):
+                done = super().terminated
+                if done:
+                    lives.append(time.perf_counter() - self.born)
+                return done
+
+        monkeypatch.setattr(bench, "Episode", Timed)
+        log = run_episode_magnnet(cfg, 9, model)
+        assert without_wall_time(log) == \
+            reference_magnnet_episode(cfg, 9, model)
+        # the rounds' spans, each holding its observe-to-act interval,
+        # and nothing outside the episode's life
+        assert spans and sum(spans) <= log.alloc_wall_s <= lives[0]
 
 
 class TestRunBenchmark:

@@ -14,6 +14,8 @@ from magnnet.bench import REPORT_COLUMNS
 from magnnet.cli import main
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+CHECKPOINT = os.path.join(REPO, "runs", "acceptance", "seed0",
+                          "checkpoint.json")
 TINY_SPEC = {"mode": "static", "n_agents": [4],
              "methods": ["hungarian", "greedy"], "episodes": 1,
              "seed_base": 2, "grid_dims": [12, 12, 4]}
@@ -49,14 +51,37 @@ class TestBench:
         assert "--parallel" in result.output
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["bench", "planner-compare", "eval"])
+    def test_negative_seed_is_a_usage_error(self, spec_path, tmp_path,
+                                            command):
+        out = tmp_path / "out"
+        args = [spec_path, "--seed", "-1", "--out", str(out)]
+        if command == "eval":
+            args.insert(0, CHECKPOINT)
+        result = CliRunner().invoke(main, [command] + args)
+        assert result.exit_code == 2
+        assert "--seed" in result.output
+        assert not out.exists()
+
     def test_eval_parallel_zero_is_a_usage_error(self, spec_path, tmp_path):
-        ckpt = os.path.join(REPO, "runs", "acceptance", "seed0",
-                            "checkpoint.json")
-        result = CliRunner().invoke(main, ["eval", ckpt, spec_path,
+        result = CliRunner().invoke(main, ["eval", CHECKPOINT, spec_path,
                                            "--parallel", "0",
                                            "--out", str(tmp_path / "eval")])
         assert result.exit_code == 2
         assert "--parallel" in result.output
+
+
+class TestTrain:
+    def test_negative_seed_is_a_usage_error(self, tmp_path):
+        """It used to fail inside numpy, after the out dir was made."""
+        config = tmp_path / "train.json"
+        config.write_text("{}")
+        out = tmp_path / "train"
+        result = CliRunner().invoke(main, ["train", str(config), "--seed",
+                                           "-1", "--out", str(out)])
+        assert result.exit_code == 2
+        assert "--seed" in result.output
+        assert not out.exists()
 
 
 class TestCurves:

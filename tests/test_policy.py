@@ -94,7 +94,7 @@ class TestSampling:
         probs = np.array([[0.1, 0.7, 0.2], [0.6, 0.3, 0.1]])
         from magnnet.policy import ActionDistribution
         from magnnet.tensor import Tensor
-        dist = ActionDistribution(Tensor(probs), np.ones((2, 3), bool))
+        dist = ActionDistribution(Tensor(probs))
         actions, logp = sample_action(dist, np.random.default_rng(0),
                                       greedy=True)
         assert list(actions) == [1, 0]
@@ -104,7 +104,7 @@ class TestSampling:
         from magnnet.policy import ActionDistribution
         from magnnet.tensor import Tensor
         probs = np.array([[0.2, 0.8]])
-        dist = ActionDistribution(Tensor(probs), np.ones((1, 2), bool))
+        dist = ActionDistribution(Tensor(probs))
         rng = np.random.default_rng(1)
         draws = [sample_action(dist, rng)[0][0] for _ in range(2000)]
         assert 0.75 < np.mean(draws) < 0.85
@@ -113,8 +113,7 @@ class TestSampling:
         from magnnet.policy import ActionDistribution
         from magnnet.tensor import Tensor
         probs = np.array([[0.5, 0.0, 0.5]])
-        mask = np.array([[True, False, True]])
-        dist = ActionDistribution(Tensor(probs), mask)
+        dist = ActionDistribution(Tensor(probs))
         rng = np.random.default_rng(2)
         for _ in range(200):
             a, _ = sample_action(dist, rng)
@@ -124,7 +123,7 @@ class TestSampling:
         from magnnet.policy import ActionDistribution
         from magnnet.tensor import Tensor
         probs = np.full((5, 3), 1 / 3)
-        dist = ActionDistribution(Tensor(probs), np.ones((5, 3), bool))
+        dist = ActionDistribution(Tensor(probs))
         a1, _ = sample_action(dist, np.random.default_rng(9))
         a2, _ = sample_action(dist, np.random.default_rng(9))
         assert np.array_equal(a1, a2)
@@ -143,7 +142,7 @@ class TestSampling:
             mask[:, 0] = True
             probs = np.where(mask, tables.random((n, width)), 0.0)
             probs /= probs.sum(axis=1, keepdims=True)
-            dist = ActionDistribution(Tensor(probs), mask)
+            dist = ActionDistribution(Tensor(probs))
             rng, ref_rng = np.random.default_rng(k), np.random.default_rng(k)
             actions, logp = sample_action(dist, rng)
             ref = np.array([ref_rng.choice(width, p=row / row.sum())

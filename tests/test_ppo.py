@@ -11,14 +11,15 @@ import pytest
 from magnnet import ppo
 from magnnet import tensor as T
 from magnnet.errors import CheckpointMismatchError, NumericError
-from magnnet.gnn import HIDDEN, HeteroGraph, gcn_encode, padded_task_features
-from magnnet.policy import actor_forward, critic_forward
+from magnnet.gnn import (HIDDEN, HeteroGraph, build_graph, gcn_encode,
+                         padded_task_features)
+from magnnet.policy import actor_forward, critic_forward, sample_action
 from magnnet.ppo import (METRICS_COLUMNS, ModelParams, PPOConfig,
                          RolloutBuffer, StepRecord, _forward_steps,
                          _minibatch_loss, collect_rollout, compute_gae,
                          ppo_update, train)
 from magnnet.tensor import AdamState, Tensor
-from magnnet.world import Episode, WorldConfig
+from magnnet.world import Episode, WorldConfig, terminal_bonus
 
 
 def tiny_world(**kw):
@@ -117,6 +118,72 @@ class TestCollectRollout:
                                      step.masks, with_value=False)
             p = dist.p[np.arange(len(step.actions)), step.actions]
             assert np.allclose(np.log(p), step.log_probs)
+
+
+def reference_rollout(env_factory, model, config, rng):
+    """The round loop `collect_rollout` ran before `ppo.play` took it over:
+    the reference whose records the driver must reproduce bit for bit."""
+    buffer = RolloutBuffer()
+    while buffer.n_transitions < config.train_batch:
+        ep = env_factory(int(rng.integers(2 ** 31)))
+        ep_steps = []
+        while not ep.terminated:
+            if ep.decision_due():
+                obs, masks, cm, _ = ep.observe()
+                graph = build_graph(ep.state, cm, obs)
+                with T.no_grad():
+                    dist, value = _forward_steps(model, [graph], obs, masks,
+                                                 with_value=True)
+                    actions, logps = sample_action(dist, rng)
+                _, rewards = ep.act(actions)
+                ep_steps.append(StepRecord(
+                    graph, obs, masks, np.asarray(actions),
+                    np.asarray(logps), rewards.copy(),
+                    float(value.data[0]) if value is not None else 0.0))
+            ep.tick()
+        if ep.all_tasks_done():
+            bonus = terminal_bonus(ep.config.shaping, ep.optimal_total(),
+                                   ep.achieved_total())
+            ep_steps[-1].rewards += bonus
+        ep_steps[-1].done = True
+        buffer.steps.extend(ep_steps)
+        buffer.episode_rewards.append(
+            float(sum(s.rewards.mean() for s in ep_steps)))
+        buffer.episode_count += 1
+    return buffer
+
+
+def assert_same_array(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert (a.dtype, a.shape) == (b.dtype, b.shape)
+    assert a.tobytes() == b.tobytes()
+
+
+class TestPlay:
+    @pytest.mark.parametrize("world_kw", [
+        {}, dict(task_interval=3.0, m_max=6, step_cap=40.0)],
+        ids=["static", "dynamic"])
+    def test_rollout_equals_reference_loop(self, world_kw):
+        cfg = tiny_world(**world_kw)
+        pcfg = PPOConfig(train_batch=48, minibatch=16)
+        model = ModelParams.init(np.random.default_rng(21), 4, cfg.m_max)
+        rng, ref_rng = np.random.default_rng(22), np.random.default_rng(22)
+        buf = collect_rollout(lambda s: Episode(cfg, s), model, pcfg, rng)
+        ref = reference_rollout(lambda s: Episode(cfg, s), model, pcfg,
+                                ref_rng)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert buf.episode_count == ref.episode_count
+        assert buf.episode_rewards == ref.episode_rewards
+        assert len(buf.steps) == len(ref.steps)
+        for step, want in zip(buf.steps, ref.steps):
+            for name in ("obs", "masks", "actions", "log_probs", "rewards"):
+                assert_same_array(getattr(step, name), getattr(want, name))
+            for name in ("agent_x", "task_x", "edge_w"):
+                assert_same_array(getattr(step.graph, name),
+                                  getattr(want.graph, name))
+            assert step.graph.task_slots == want.graph.task_slots
+            assert (step.value, step.done) == (want.value, want.done)
+            assert step.wall_s > 0.0
 
 
 class TestPPOUpdate:
