@@ -135,15 +135,12 @@ def _norm_adjacency(g: HeteroGraph) -> np.ndarray:
 def gcn_encode(g: HeteroGraph, p: GCNParams) -> Tensor:
     """Two rounds of weighted-mean message passing; returns the agent
     rows, one 6-vector per agent."""
-    h_agents = T.add(T.matmul(Tensor(g.agent_x), p.wa), p.ba)
+    h = T.linear(g.agent_x, p.wa, p.ba)
     if g.n_tasks:
-        h_tasks = T.add(T.matmul(Tensor(g.task_x), p.wt), p.bt)
-        h = T.concat([h_agents, h_tasks], axis=0)
-    else:
-        h = h_agents
-    adj = Tensor(_norm_adjacency(g))
-    h = T.relu(T.add(T.matmul(T.matmul(adj, h), p.w1), p.b1))
-    h = T.relu(T.add(T.matmul(T.matmul(adj, h), p.w2), p.b2))
+        h = T.concat([h, T.linear(g.task_x, p.wt, p.bt)], axis=0)
+    adj = _norm_adjacency(g)
+    h = T.gcn_layer(adj, h, p.w1, p.b1)
+    h = T.gcn_layer(adj, h, p.w2, p.b2)
     return T.slice_rows(h, 0, g.n_agents)
 
 

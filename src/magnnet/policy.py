@@ -100,8 +100,9 @@ def actor_forward(obs, emb, p: ActorParams, mask) -> ActionDistribution:
     if not mask[:, 0].all():
         raise ShapeError("reject action must never be masked")
     x = T.concat([obs_t, emb_t], axis=1)
-    h = T.relu(T.add(T.matmul(x, p.w1), p.b1))
-    logits = T.add(T.matmul(h, p.w2), p.b2)
+    logits = T.linear(T.linear(x, p.w1, p.b1, relu=True), p.w2, p.b2)
+    # the layers pass NaN/Inf on unchecked; masking would hide it here
+    T.check_finite(logits.data, "actor logit")
     return ActionDistribution(T.masked_softmax(logits, mask))
 
 
@@ -124,8 +125,7 @@ def critic_forward(agent_embs, task_feats, p: CriticParams) -> Tensor:
     if flat.data.shape[1] != p.w1.data.shape[0]:
         raise ShapeError(
             f"critic input width {flat.data.shape[1]} != {p.w1.data.shape[0]}")
-    h = T.relu(T.add(T.matmul(flat, p.w1), p.b1))
-    v = T.add(T.matmul(h, p.w2), p.b2)
+    v = T.linear(T.linear(flat, p.w1, p.b1, relu=True), p.w2, p.b2)
     return T.reshape(v, (rows,) if batched else ())
 
 

@@ -104,6 +104,7 @@ class ModelParams:
             if tuple(arrays[name].shape) != p.data.shape:
                 raise CheckpointMismatchError(
                     f"{name}: shape {arrays[name].shape} != {p.data.shape}")
+            T.check_finite(arrays[name], f"value in checkpoint {name}")
             p.data = arrays[name]
         return model
 
@@ -157,7 +158,8 @@ def _forward_steps(model: ModelParams, graphs, obs, masks, with_value: bool):
     """Policy and value of one or more decision steps in one pass over the
     disjoint union of their graphs.  `obs` and `masks` stack the steps'
     agent rows in graph order; the values hold one entry per graph."""
-    emb = gcn_encode(batch_graphs(graphs), model.gcn)
+    emb = gcn_encode(graphs[0] if len(graphs) == 1 else batch_graphs(graphs),
+                     model.gcn)
     dist = actor_forward(obs, emb, model.actor, masks)
     values = None
     if with_value and model.critic is not None:
@@ -329,8 +331,8 @@ def train(world_config: WorldConfig, ppo_config: PPOConfig, seed: int,
     checkpoints under `out_dir`.  On numeric divergence the last good
     checkpoint is kept and the error re-raised.
     """
+    master = np.random.default_rng(seed)  # rejects a bad seed first
     os.makedirs(out_dir, exist_ok=True)
-    master = np.random.default_rng(seed)
     init_rng = np.random.default_rng(master.integers(2 ** 31))
     env_rng = np.random.default_rng(master.integers(2 ** 31))
     shuffle_rng = np.random.default_rng(master.integers(2 ** 31))

@@ -1,10 +1,22 @@
 """Minimal dense float64 kernel with reverse-mode autodiff and Adam.
 
-Everything is sized for tiny networks (a few thousand parameters), so ops
-favour clarity over throughput: each op records itself on an implicit tape
-(the parent links of the output tensor) and `backward` replays the tape in
-reverse topological order.  All storage is numpy float64; any op producing
-NaN/Inf raises NumericError immediately.
+Everything is sized for tiny networks (a few thousand parameters): each
+op records itself on an implicit tape (the parent links of the output
+tensor) and `backward` replays the tape in reverse topological order.  A
+network layer is one fused op, `linear` or `gcn_layer`, with a
+hand-written backward.  All storage is numpy float64.
+
+Finiteness is checked at boundaries, each raising NumericError on NaN/Inf:
+- the outputs of the arithmetic ops (`exp`, `log`, `masked_softmax`,
+  `matmul`, `add`, `sub`, `mul`, `relu`, ...), which build losses;
+- the actor's logits (`policy.actor_forward`), before a mask can hide
+  them;
+- the PPO loss (`ppo.ppo_update`) and the gradients `adam_step` applies;
+- the parameters of a loaded checkpoint (`ppo.ModelParams.load`).
+The fused layers and the data-movement ops (`concat`, `slice_rows`,
+`reshape`, `scatter_rows`, `gather_rows`) go unchecked.  From finite
+inputs they make no NaN/Inf except by overflow, and they pass any NaN/Inf
+on to a checked boundary (a ReLU keeps NaN: `nan * False` is nan).
 """
 
 from __future__ import annotations
@@ -37,9 +49,9 @@ def no_grad():
         _grad_enabled = prev
 
 
-def _check_finite(data: np.ndarray) -> None:
+def check_finite(data: np.ndarray, what: str = "value produced") -> None:
     if not np.isfinite(data).all():
-        raise NumericError("non-finite value produced")
+        raise NumericError(f"non-finite {what}")
 
 
 class Tensor:
@@ -81,14 +93,21 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _make(data, parents, backward_fn) -> Tensor:
-    _check_finite(data)
+def _record(data, parents, backward_fn) -> Tensor:
+    """Wrap `data` as an op output, on the tape unless grad is off or no
+    parent needs a gradient."""
     out = Tensor(data)
     if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward_fn = backward_fn
     return out
+
+
+def _make(data, parents, backward_fn) -> Tensor:
+    """`_record` for an op whose output is checked for NaN/Inf."""
+    check_finite(data)
+    return _record(data, parents, backward_fn)
 
 
 def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
@@ -159,6 +178,48 @@ def relu(x: Tensor) -> Tensor:
     return _make(x.data * keep, (x,), lambda g: (g * keep,))
 
 
+def linear(x, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
+    """`x @ w + b`, then `z * (z > 0)` when `relu`, as one tape node.
+
+    Runs the numpy calls of `add(matmul(x, w), b)` (and `relu`) in their
+    order, and its backward forms the same products, so values and
+    gradients equal the composed chain's bit for bit."""
+    x = as_tensor(x)
+    if x.data.shape[-1] != w.data.shape[0]:
+        raise ShapeError(f"linear: {x.data.shape} @ {w.data.shape}")
+    z = x.data @ w.data + b.data
+    if relu:
+        keep = z > 0.0
+        z = z * keep
+
+    def bwd(g):
+        if relu:
+            g = g * keep
+        # a constant input (node features) gets no gradient
+        return (g @ w.data.T if x.requires_grad else None,
+                x.data.T @ g, _unbroadcast(g, b.data.shape))
+
+    return _record(z, (x, w, b), bwd)
+
+
+def gcn_layer(adj: np.ndarray, h: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """`relu((adj @ h) @ w + b)` for a constant numpy adjacency `adj`, as
+    one tape node with the composed chain's numpy calls (see `linear`)."""
+    h = as_tensor(h)
+    if h.data.shape[-1] != w.data.shape[0]:
+        raise ShapeError(f"gcn_layer: {h.data.shape} @ {w.data.shape}")
+    ah = adj @ h.data
+    z = ah @ w.data + b.data
+    keep = z > 0.0
+
+    def bwd(g):
+        g = g * keep
+        return (adj.T @ (g @ w.data.T) if h.requires_grad else None,
+                ah.T @ g, _unbroadcast(g, b.data.shape))
+
+    return _record(z * keep, (h, w, b), bwd)
+
+
 def exp(x: Tensor) -> Tensor:
     x = as_tensor(x)
     out_data = np.exp(x.data)
@@ -209,13 +270,12 @@ def clip(x: Tensor, lo: float, hi: float) -> Tensor:
 def concat(tensors, axis: int = 0) -> Tensor:
     tensors = [as_tensor(t) for t in tensors]
     out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
 
     def bwd(g):
+        splits = np.cumsum([t.data.shape[axis] for t in tensors])[:-1]
         return tuple(np.split(g, splits, axis=axis))
 
-    return _make(out_data, tuple(tensors), bwd)
+    return _record(out_data, tuple(tensors), bwd)
 
 
 def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
@@ -226,7 +286,7 @@ def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
         full[start:stop] = g
         return (full,)
 
-    return _make(x.data[start:stop], (x,), bwd)
+    return _record(x.data[start:stop], (x,), bwd)
 
 
 def scatter_rows(x: Tensor, rows, n_rows: int) -> Tensor:
@@ -235,13 +295,13 @@ def scatter_rows(x: Tensor, rows, n_rows: int) -> Tensor:
     rows = np.asarray(rows, dtype=np.intp)
     out_data = np.zeros((n_rows,) + x.data.shape[1:])
     out_data[rows] = x.data
-    return _make(out_data, (x,), lambda g: (g[rows],))
+    return _record(out_data, (x,), lambda g: (g[rows],))
 
 
 def reshape(x: Tensor, shape) -> Tensor:
     x = as_tensor(x)
-    return _make(x.data.reshape(shape), (x,),
-                 lambda g: (g.reshape(x.data.shape),))
+    return _record(x.data.reshape(shape), (x,),
+                   lambda g: (g.reshape(x.data.shape),))
 
 
 def gather_rows(x: Tensor, idx) -> Tensor:
@@ -255,7 +315,7 @@ def gather_rows(x: Tensor, idx) -> Tensor:
         full[rows, idx] = g
         return (full,)
 
-    return _make(x.data[rows, idx], (x,), bwd)
+    return _record(x.data[rows, idx], (x,), bwd)
 
 
 def masked_softmax(logits: Tensor, mask) -> Tensor:

@@ -11,9 +11,10 @@ import pytest
 from magnnet import ppo
 from magnnet import tensor as T
 from magnnet.errors import CheckpointMismatchError, NumericError
-from magnnet.gnn import (HIDDEN, HeteroGraph, build_graph, gcn_encode,
-                         padded_task_features)
-from magnnet.policy import actor_forward, critic_forward, sample_action
+from magnnet.gnn import (HIDDEN, HeteroGraph, _norm_adjacency, batch_graphs,
+                         build_graph, gcn_encode, padded_task_features)
+from magnnet.policy import (ActionDistribution, actor_forward, critic_forward,
+                            sample_action)
 from magnnet.ppo import (METRICS_COLUMNS, ModelParams, PPOConfig,
                          RolloutBuffer, StepRecord, _forward_steps,
                          _minibatch_loss, collect_rollout, compute_gae,
@@ -184,6 +185,81 @@ class TestPlay:
             assert step.graph.task_slots == want.graph.task_slots
             assert (step.value, step.done) == (want.value, want.done)
             assert step.wall_s > 0.0
+
+
+def composed_forward_steps(model, graphs, obs, masks, with_value):
+    """`ppo._forward_steps` on the unfused network, as it ran before the
+    fused layer ops: every layer an `add(matmul(...))` chain with `relu`,
+    and even a lone graph passed through `batch_graphs`."""
+    g = batch_graphs(graphs)
+    p = model.gcn
+    h = T.add(T.matmul(Tensor(g.agent_x), p.wa), p.ba)
+    if g.n_tasks:
+        h = T.concat([h, T.add(T.matmul(Tensor(g.task_x), p.wt), p.bt)],
+                     axis=0)
+    adj = Tensor(_norm_adjacency(g))
+    for w, b in ((p.w1, p.b1), (p.w2, p.b2)):
+        h = T.relu(T.add(T.matmul(T.matmul(adj, h), w), b))
+    emb = T.slice_rows(h, 0, g.n_agents)
+    a = model.actor
+    x = T.concat([Tensor(np.atleast_2d(obs)), emb], axis=1)
+    logits = T.add(T.matmul(T.relu(T.add(T.matmul(x, a.w1), a.b1)), a.w2),
+                   a.b2)
+    dist = ActionDistribution(T.masked_softmax(logits, np.atleast_2d(masks)))
+    if not with_value or model.critic is None:
+        return dist, None
+    c = model.critic
+    rows = len(graphs)
+    embs = ppo._padded_embeddings(emb, [gr.n_agents for gr in graphs],
+                                  model.n_max)
+    feats = Tensor(np.stack([padded_task_features(gr, model.m_max)
+                             for gr in graphs]))
+    flat = T.concat([T.reshape(embs, (rows, -1)),
+                     T.reshape(feats, (rows, -1))], axis=1)
+    v = T.add(T.matmul(T.relu(T.add(T.matmul(flat, c.w1), c.b1)), c.w2),
+              c.b2)
+    return dist, T.reshape(v, (rows,))
+
+
+class TestFusedNetwork:
+    """The fused layer ops play and train exactly as the unfused chain."""
+
+    def test_rollout_equals_composed_network(self, monkeypatch):
+        cfg = tiny_world(task_interval=3.0, m_max=6, step_cap=40.0)
+        pcfg = PPOConfig(train_batch=48, minibatch=16)
+        model = ModelParams.init(np.random.default_rng(41), 4, cfg.m_max)
+        buf = collect_rollout(lambda s: Episode(cfg, s), model, pcfg,
+                              np.random.default_rng(42))
+        monkeypatch.setattr(ppo, "_forward_steps", composed_forward_steps)
+        ref = collect_rollout(lambda s: Episode(cfg, s), model, pcfg,
+                              np.random.default_rng(42))
+        assert len(buf.steps) == len(ref.steps)
+        for step, want in zip(buf.steps, ref.steps):
+            for name in ("actions", "log_probs", "rewards"):
+                assert_same_array(getattr(step, name), getattr(want, name))
+            assert step.value == want.value
+
+    @pytest.mark.parametrize("minibatch", [4, 8],
+                             ids=["lone-graph", "graph-union"])
+    def test_update_equals_composed_network(self, monkeypatch, minibatch):
+        cfg = tiny_world()
+        pcfg = PPOConfig(train_batch=32, minibatch=minibatch,
+                         epochs_per_update=2, learning_rate=1e-3)
+        model, ref_model = (ModelParams.init(np.random.default_rng(43), 4,
+                                             cfg.m_max) for _ in range(2))
+        buf = collect_rollout(lambda s: Episode(cfg, s), model, pcfg,
+                              np.random.default_rng(44))
+        adv, ret = compute_gae(buf, pcfg.gamma, pcfg.gae_lambda)
+        stats = ppo_update(buf, adv, ret, model, pcfg,
+                           AdamState(lr=pcfg.learning_rate),
+                           np.random.default_rng(45))
+        monkeypatch.setattr(ppo, "_forward_steps", composed_forward_steps)
+        ref_stats = ppo_update(buf, adv, ret, ref_model, pcfg,
+                               AdamState(lr=pcfg.learning_rate),
+                               np.random.default_rng(45))
+        assert stats == ref_stats
+        for p, q in zip(model.parameters(), ref_model.parameters()):
+            assert_same_array(p.data, q.data)
 
 
 class TestPPOUpdate:
@@ -387,6 +463,15 @@ class TestModelParams:
         again = ModelParams.load(path)
         assert again.critic is None
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_parameter_rejected_on_load(self, tmp_path, bad):
+        model = ModelParams.init(np.random.default_rng(11), 4, 4)
+        model.gcn.w2.data[1, 2] = bad
+        path = tmp_path / "m.json"
+        model.save(path)
+        with pytest.raises(NumericError, match="gcn.w2"):
+            ModelParams.load(path)
+
     def test_scenario_check(self):
         model = ModelParams.init(np.random.default_rng(10), 4, 4)
         model.check_scenario(n_agents=4, m_max=4)
@@ -407,6 +492,13 @@ class TestTrain:
             rows = list(csv.reader(f))
         assert rows[0] == METRICS_COLUMNS
         assert len(rows) - 1 == out["updates"] >= 2
+
+    def test_negative_seed_creates_no_directory(self, tmp_path):
+        pcfg = PPOConfig(train_batch=16, minibatch=16, total_steps=16)
+        out = tmp_path / "out"
+        with pytest.raises(ValueError):
+            train(tiny_world(), pcfg, seed=-1, out_dir=str(out))
+        assert not out.exists()
 
     def test_divergence_names_no_stale_checkpoint(self, tmp_path,
                                                   monkeypatch):

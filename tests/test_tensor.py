@@ -1,13 +1,19 @@
 """Autodiff kernel tests: every gradient is cross-checked against central
-finite differences, Adam against the closed-form update, checkpoints
-against bit-exact round trips."""
+finite differences, the fused layers against the op chains they replace
+(bit for bit), Adam against the closed-form update, checkpoints against
+bit-exact round trips, and NaN/Inf against the checked boundaries."""
 
 import numpy as np
 import pytest
 
 from magnnet import tensor as T
 from magnnet.errors import NumericError, ShapeError
+from magnnet.gnn import HIDDEN
+from magnnet.policy import actor_forward, init_actor_params
+from magnnet.ppo import (ModelParams, PPOConfig, collect_rollout, compute_gae,
+                         ppo_update)
 from magnnet.tensor import AdamState, Tensor, adam_step, backward, zero_grads
+from magnnet.world import Episode, WorldConfig
 
 RNG = np.random.default_rng(1234)
 
@@ -206,6 +212,179 @@ class TestGradientsAgainstFiniteDifferences:
         x = T.param(np.ones((2, 2)))
         with pytest.raises(ShapeError):
             backward(T.square(x), [x])
+
+
+def composed_linear(x, w, b, relu=False):
+    """The op chain `T.linear` fuses."""
+    z = T.add(T.matmul(x, w), b)
+    return T.relu(z) if relu else z
+
+
+def composed_gcn_layer(adj, h, w, b):
+    """The op chain `T.gcn_layer` fuses."""
+    return T.relu(T.add(T.matmul(T.matmul(Tensor(adj), h), w), b))
+
+
+def random_adjacency(rng, n):
+    """Row-normalized non-negative n x n weights with self-loops."""
+    a = rng.uniform(size=(n, n)) * (rng.uniform(size=(n, n)) < 0.6)
+    a += np.eye(n)
+    return a / a.sum(axis=1, keepdims=True)
+
+
+def linear_case(seed, x_is_param, width):
+    rng = np.random.default_rng(seed)
+    x = (T.param if x_is_param else Tensor)(rng.normal(size=(5, 4)))
+    w = T.param(rng.normal(size=(4, width)) * 0.5)
+    b = T.param(rng.normal(size=width) * 0.3)
+    weights = Tensor(rng.normal(size=(5, width)))
+    params = [w, b] + ([x] if x_is_param else [])
+    return x, w, b, weights, params
+
+
+def gcn_case(seed):
+    rng = np.random.default_rng(seed)
+    adj = random_adjacency(rng, 6)
+    h = T.param(rng.normal(size=(6, 4)))
+    w = T.param(rng.normal(size=(4, 3)) * 0.5)
+    b = T.param(rng.normal(size=3) * 0.3)
+    weights = Tensor(rng.normal(size=(6, 3)))
+    return adj, h, w, b, weights, [h, w, b]
+
+
+def loss_and_grads(build, params):
+    zero_grads(params)
+    out = build()
+    grads = backward(T.tsum(T.square(out)), params)
+    return out.data, grads
+
+
+class TestFusedLayers:
+    @pytest.mark.parametrize("relu", [False, True], ids=["affine", "relu"])
+    @pytest.mark.parametrize("x_is_param", [False, True],
+                             ids=["x-const", "x-param"])
+    def test_linear_against_fd(self, relu, x_is_param):
+        x, w, b, weights, params = linear_case(21, x_is_param, 3)
+        check_against_fd(
+            lambda: T.mean(T.mul(T.square(T.linear(x, w, b, relu=relu)),
+                                 weights)), params)
+
+    def test_gcn_layer_against_fd(self):
+        adj, h, w, b, weights, params = gcn_case(22)
+        check_against_fd(
+            lambda: T.mean(T.mul(T.square(T.gcn_layer(adj, h, w, b)),
+                                 weights)), params)
+
+    def test_gcn_layer_constant_input_gets_no_gradient(self):
+        adj, h, w, b, _, _ = gcn_case(23)
+        h = Tensor(h.data)
+        grads = backward(T.tsum(T.gcn_layer(adj, h, w, b)), [w, b])
+        assert h.grad is None and all(np.isfinite(g).all() for g in grads)
+
+    @pytest.mark.parametrize("width", [3, 1])
+    @pytest.mark.parametrize("relu", [False, True], ids=["affine", "relu"])
+    @pytest.mark.parametrize("x_is_param", [False, True],
+                             ids=["x-const", "x-param"])
+    def test_linear_equals_composed_chain(self, relu, x_is_param, width):
+        x, w, b, _, params = linear_case(24, x_is_param, width)
+        fused, fused_grads = loss_and_grads(
+            lambda: T.linear(x, w, b, relu=relu), params)
+        chain, chain_grads = loss_and_grads(
+            lambda: composed_linear(x, w, b, relu=relu), params)
+        assert np.array_equal(fused, chain)
+        for f, c in zip(fused_grads, chain_grads):
+            assert np.array_equal(f, c)
+
+    def test_gcn_layer_equals_composed_chain(self):
+        adj, h, w, b, _, params = gcn_case(25)
+        fused, fused_grads = loss_and_grads(
+            lambda: T.gcn_layer(adj, h, w, b), params)
+        chain, chain_grads = loss_and_grads(
+            lambda: composed_gcn_layer(adj, h, w, b), params)
+        assert np.array_equal(fused, chain)
+        for f, c in zip(fused_grads, chain_grads):
+            assert np.array_equal(f, c)
+
+    def test_stacked_layers_equal_composed_chain(self):
+        # linear -> two gcn layers -> a relu linear head, the embedding
+        # feeding the head twice, as agent embeddings feed actor and critic
+        rng = np.random.default_rng(26)
+        adj = random_adjacency(rng, 5)
+        x = Tensor(rng.normal(size=(5, 7)))
+        w0, w1, w2 = (T.param(rng.normal(size=s) * 0.5)
+                      for s in ((7, 4), (4, 4), (4, 4)))
+        b0, b1, b2 = (T.param(rng.normal(size=4) * 0.3) for _ in range(3))
+        wh, bh = T.param(rng.normal(size=(4, 2))), T.param(rng.normal(size=2))
+        params = [w0, b0, w1, b1, w2, b2, wh, bh]
+
+        def net(lin, layer):
+            h = layer(adj, layer(adj, lin(x, w0, b0), w1, b1), w2, b2)
+            return T.concat([lin(h, wh, bh, relu=True),
+                             lin(T.slice_rows(h, 1, 3), wh, bh)], axis=0)
+
+        fused, fused_grads = loss_and_grads(
+            lambda: net(T.linear, T.gcn_layer), params)
+        chain, chain_grads = loss_and_grads(
+            lambda: net(composed_linear, composed_gcn_layer), params)
+        assert np.array_equal(fused, chain)
+        for f, c in zip(fused_grads, chain_grads):
+            assert np.array_equal(f, c)
+
+    def test_relu_passes_nan_on(self):
+        # the layers are unchecked: a NaN must reach the next boundary
+        w = T.param(np.array([[np.nan, 1.0]]))
+        out = T.linear(Tensor(np.ones((1, 1))), w, T.param(np.zeros(2)),
+                       relu=True)
+        assert np.isnan(out.data[0, 0])
+
+    def test_shape_errors(self):
+        w, b = T.param(np.ones((3, 2))), T.param(np.zeros(2))
+        with pytest.raises(ShapeError):
+            T.linear(Tensor(np.ones((2, 4))), w, b)
+        with pytest.raises(ShapeError):
+            T.gcn_layer(np.eye(2), Tensor(np.ones((2, 4))), w, b)
+
+
+class TestFiniteBoundaries:
+    def _actor_inputs(self, m_max=4):
+        rng = np.random.default_rng(31)
+        p = init_actor_params(rng, m_max)
+        obs = rng.uniform(size=(3, m_max + 1))
+        emb = rng.normal(size=(3, HIDDEN))
+        return p, obs, emb, np.ones((3, m_max + 1), dtype=bool)
+
+    def test_nan_weight_raises_in_actor_forward(self):
+        p, obs, emb, mask = self._actor_inputs()
+        p.w1.data[2, 5] = np.nan
+        with pytest.raises(NumericError):
+            actor_forward(obs, emb, p, mask)
+
+    def test_nan_logit_under_the_mask_raises(self):
+        p, obs, emb, mask = self._actor_inputs()
+        p.b2.data[3] = np.nan
+        mask[:, 3] = False
+        with pytest.raises(NumericError):
+            actor_forward(obs, emb, p, mask)
+
+    def test_inf_embedding_raises_in_actor_forward(self):
+        p, obs, emb, mask = self._actor_inputs()
+        emb[1, 0] = np.inf
+        with np.errstate(invalid="ignore"), pytest.raises(NumericError):
+            actor_forward(obs, emb, p, mask)
+
+    @pytest.mark.parametrize("name", ["gcn.w1", "actor.w2", "critic.b2"])
+    def test_nan_parameter_raises_in_ppo_update(self, name):
+        cfg = WorldConfig(grid_dims=(12, 12, 4), n_agents=2,
+                          n_tasks_initial=2, n_ground=1, n_aerial=1)
+        pcfg = PPOConfig(train_batch=8, minibatch=4, epochs_per_update=1)
+        model = ModelParams.init(np.random.default_rng(32), 2, cfg.m_max)
+        buf = collect_rollout(lambda s: Episode(cfg, s), model, pcfg,
+                              np.random.default_rng(33))
+        adv, ret = compute_gae(buf, pcfg.gamma, pcfg.gae_lambda)
+        model.named()[name].data.flat[0] = np.nan
+        with np.errstate(invalid="ignore"), pytest.raises(NumericError):
+            ppo_update(buf, adv, ret, model, pcfg, AdamState(),
+                       np.random.default_rng(34))
 
 
 class TestNoGrad:
