@@ -193,11 +193,11 @@ def _execute_assignment(ep: Episode, cm: CostMatrix, assignment) -> list:
     initial cost matrix, through the environment (paths, reservations,
     motion) until its pairs are served, and return the path lengths."""
     state = ep.state
-    task_ids = [t.id for t in state.live_tasks()]
+    tasks = state.live_tasks()
     picks = []
     for i, j in assignment.pairs:
         agent = state.agents[i]
-        task = state.task(task_ids[j])
+        task = tasks[j]
         try:
             path = pathplan.astar(state.grid, agent.position, task.location,
                                   agent.motion_model)
@@ -208,7 +208,7 @@ def _execute_assignment(ep: Episode, cm: CostMatrix, assignment) -> list:
     while not ep.terminated and any(a.status is AgentStatus.ASSIGN
                                     for a in state.agents):
         ep.tick()
-    return [path.length for *_, path in picks]
+    return _assigned_path_lengths(ep)
 
 
 # The initial cost matrix of the one seeded instance a baseline episode
@@ -280,9 +280,8 @@ def run_episode_magnnet(config: WorldConfig, seed: int,
 
 
 def _assigned_path_lengths(ep: Episode) -> list:
-    # cost = distance / velocity exactly, so distance = cost * velocity
-    return [entry["cost"] * ep.state.agent(entry["agent"]).velocity
-            for entry in ep.state.log if entry["event"] == "assigned"]
+    return [entry["length"] for entry in ep.state.log
+            if entry["event"] == "assigned"]
 
 
 def _run_cell(args):
@@ -390,10 +389,10 @@ def planner_compare(spec: ScenarioSpec) -> dict:
             ep = Episode(config, seed)
             cm = ep.initial_cost_matrix()
             assignment = feasible_optimum(cm)
-            task_ids = [t.id for t in ep.state.live_tasks()]
+            tasks = ep.state.live_tasks()
             for i, j in assignment.pairs:
                 agent = ep.state.agents[i]
-                goal = ep.state.task(task_ids[j]).location
+                goal = tasks[j].location
                 planner = "astar"
                 try:
                     a_len = pathplan.astar(ep.state.grid, agent.position,

@@ -77,8 +77,7 @@ def build_graph(state: EpisodeState, cm, obs=None) -> HeteroGraph:
     dims = np.asarray(cfg.grid_dims, dtype=np.float64)
     live = state.live_tasks()
     if obs is None:
-        obs, _ = observation(state, slot_cost_array(state, cm,
-                                                    [t.id for t in live]))
+        obs, _ = observation(state, slot_cost_array(state, cm))
 
     pos = np.array([a.position for a in state.agents],
                    dtype=np.float64).reshape(-1, 3)
@@ -88,15 +87,14 @@ def build_graph(state: EpisodeState, cm, obs=None) -> HeteroGraph:
     agent_x[:, 4] = [a.velocity / VELOCITY_SCALE for a in state.agents]
     agent_x[:, 5:] = obs[:, 1:]
 
-    task_x = np.zeros((len(live), 4))
-    for j, t in enumerate(live):
-        task_x[j, :3] = np.asarray(t.location) / dims
-        task_x[j, 3] = 1.0 if t.status is TaskStatus.ASSIGNED else 0.0
+    task_x = np.empty((len(live), 4))
+    task_x[:, :3] = np.array([t.location for t in live],
+                             dtype=np.float64).reshape(-1, 3) / dims
+    task_x[:, 3] = [t.status is TaskStatus.ASSIGNED for t in live]
 
     edge_w = np.where(np.isfinite(cm.entries), 1.0 / (1.0 + cm.entries), 0.0)
 
-    return HeteroGraph(agent_x, task_x, edge_w,
-                       [state.slot_of_task(t.id) for t in live])
+    return HeteroGraph(agent_x, task_x, edge_w, state.live_slots())
 
 
 def batch_graphs(graphs) -> HeteroGraph:
@@ -148,7 +146,5 @@ def padded_task_features(g: HeteroGraph, m_max: int) -> np.ndarray:
     """Task features laid out by observation slot, zero rows for absent
     slots; feeds the centralized critic."""
     out = np.zeros((m_max, 4))
-    for row, slot in zip(g.task_x, g.task_slots):
-        if slot is not None:
-            out[slot] = row
+    out[g.task_slots] = g.task_x
     return out

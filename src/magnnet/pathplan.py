@@ -550,11 +550,11 @@ def cost_matrix(state) -> CostMatrix:
     tasks in ascending task-id order; np.inf where unreachable.
 
     `state` needs .grid, .agents (position/velocity/motion_model),
-    .live_tasks(), .slots (slot -> task id) and a `FieldStore`
-    .dist_cache, which holds one distance field per (task id, motion
-    model) in the row of the task's slot.  Each entry is the same
-    division as `path_cost`, done for all agents of one motion model
-    with one gather of their cells from that model's live rows.
+    .live_tasks(), .live_slots() (the slot of each live task) and a
+    `FieldStore` .dist_cache, which holds one distance field per (task
+    id, motion model) in the row of the task's slot.  Each entry is the
+    same division as `path_cost`, done for all agents of one motion
+    model with one gather of their cells from that model's live rows.
     """
     tasks = state.live_tasks()
     agents = state.agents
@@ -564,8 +564,7 @@ def cost_matrix(state) -> CostMatrix:
     entries = np.empty((len(agents), len(tasks)))
     if not tasks:
         return CostMatrix(entries)
-    slot = {tid: s for s, tid in enumerate(state.slots)}
-    rows = np.array([slot[task.id] for task in tasks])
+    rows = np.array(state.live_slots())
     models = [ag.motion_model for ag in agents]
     for model in MotionModel:
         which = [i for i, m in enumerate(models) if m is model]

@@ -2,8 +2,8 @@
 updates with an entropy bonus, metrics logging and checkpointing.
 
 All agents share one actor; their transitions pool into a single buffer.
-The centralized critic sees the padded global state (all agent
-embeddings + all task slot features) and is dropped at evaluation time.
+The centralized critic sees the global state (all agent embeddings +
+all task slot features) and is dropped at evaluation time.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .errors import CheckpointMismatchError, NumericError
+from .errors import CheckpointMismatchError, NumericError, ShapeError
 from .gnn import (GCNParams, HIDDEN, batch_graphs, build_graph, gcn_encode,
                   init_gcn_params, padded_task_features)
 from .policy import (ActorParams, CriticParams, actor_forward, critic_forward,
@@ -145,15 +145,6 @@ class RolloutBuffer:
         return len(self.steps[0].actions)
 
 
-def _padded_embeddings(emb: Tensor, sizes, n_max: int) -> Tensor:
-    """Agent embeddings of graphs with `sizes` agents each, stacked in
-    graph order, laid out as len(sizes) x n_max x HIDDEN with zero rows
-    for absent agents."""
-    rows = [k * n_max + r for k, n in enumerate(sizes) for r in range(n)]
-    padded = T.scatter_rows(emb, rows, len(sizes) * n_max)
-    return T.reshape(padded, (len(sizes), n_max, HIDDEN))
-
-
 def _forward_steps(model: ModelParams, graphs, obs, masks, with_value: bool):
     """Policy and value of one or more decision steps in one pass over the
     disjoint union of their graphs.  `obs` and `masks` stack the steps'
@@ -163,8 +154,14 @@ def _forward_steps(model: ModelParams, graphs, obs, masks, with_value: bool):
     dist = actor_forward(obs, emb, model.actor, masks)
     values = None
     if with_value and model.critic is not None:
+        # the critic reads n_max agent rows per graph, and a reshape of
+        # the stacked rows groups them by graph only when each has n_max
+        for g in graphs:
+            if g.n_agents != model.n_max:
+                raise ShapeError(f"critic needs {model.n_max} agents per "
+                                 f"graph, got {g.n_agents}")
         values = critic_forward(
-            _padded_embeddings(emb, [g.n_agents for g in graphs], model.n_max),
+            T.reshape(emb, (len(graphs), model.n_max, HIDDEN)),
             np.stack([padded_task_features(g, model.m_max) for g in graphs]),
             model.critic)
     return dist, values

@@ -14,7 +14,7 @@ Finiteness is checked at boundaries, each raising NumericError on NaN/Inf:
 - the PPO loss (`ppo.ppo_update`) and the gradients `adam_step` applies;
 - the parameters of a loaded checkpoint (`ppo.ModelParams.load`).
 The fused layers and the data-movement ops (`concat`, `slice_rows`,
-`reshape`, `scatter_rows`, `gather_rows`) go unchecked.  From finite
+`reshape`, `gather_rows`) go unchecked.  From finite
 inputs they make no NaN/Inf except by overflow, and they pass any NaN/Inf
 on to a checked boundary (a ReLU keeps NaN: `nan * False` is nan).
 """
@@ -289,15 +289,6 @@ def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
     return _record(x.data[start:stop], (x,), bwd)
 
 
-def scatter_rows(x: Tensor, rows, n_rows: int) -> Tensor:
-    """out[rows[i]] = x[i] in `n_rows` rows of zeros; `rows` are distinct."""
-    x = as_tensor(x)
-    rows = np.asarray(rows, dtype=np.intp)
-    out_data = np.zeros((n_rows,) + x.data.shape[1:])
-    out_data[rows] = x.data
-    return _record(out_data, (x,), lambda g: (g[rows],))
-
-
 def reshape(x: Tensor, shape) -> Tensor:
     x = as_tensor(x)
     return _record(x.data.reshape(shape), (x,),
@@ -401,7 +392,7 @@ def backward(out: Tensor, params=None):
             if id(p) in grads:
                 grads[id(p)] = grads[id(p)] + pg
             else:
-                grads[id(p)] = np.array(pg, dtype=np.float64, copy=True)
+                grads[id(p)] = pg
 
     if params is not None:
         return [p.grad if p.grad is not None else np.zeros_like(p.data)

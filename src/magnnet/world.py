@@ -178,11 +178,18 @@ class EpisodeState:
     intervals_consumed: int = 0
     contested_tasks: set = field(default_factory=set)
 
+    def live_slots(self) -> list:
+        """Slots of the tasks not Done, in ascending task-id order: the
+        column order of every cost matrix.  Each such task holds a slot,
+        and `advance` frees a Done task's slot."""
+        live = [s for s, tid in enumerate(self.slots) if tid is not None]
+        live.sort(key=self.slots.__getitem__)
+        return live
+
     def live_tasks(self) -> list:
-        """Tasks not Done, in ascending id order: each holds a slot, and
-        `advance` frees a Done task's slot."""
-        return [self.tasks[tid]
-                for tid in sorted(tid for tid in self.slots if tid is not None)]
+        """Tasks not Done, in ascending id order: one per cost-matrix
+        column."""
+        return [self.tasks[self.slots[s]] for s in self.live_slots()]
 
     def waiting_tasks(self) -> list:
         return [t for t in self.live_tasks() if t.status is TaskStatus.WAITING]
@@ -197,12 +204,6 @@ class EpisodeState:
         if not 0 <= task_id < len(self.tasks):
             raise KeyError(f"no task with id {task_id}")
         return self.tasks[task_id]
-
-    def slot_of_task(self, task_id: int) -> int | None:
-        for s, tid in enumerate(self.slots):
-            if tid == task_id:
-                return s
-        return None
 
     def record(self, kind: str, **ids) -> None:
         self.log.append({"tick": int(self.clock), "event": kind, **ids})
@@ -285,12 +286,11 @@ def current_cost_matrix(state: EpisodeState):
     return cm, [t.id for t in state.live_tasks()]
 
 
-def slot_cost_array(state: EpisodeState, cm: CostMatrix, task_ids: list) -> np.ndarray:
+def slot_cost_array(state: EpisodeState, cm: CostMatrix) -> np.ndarray:
     """N x m_max costs laid out by observation slot; inf for empty slots.
-    Every live task, a column of `cm`, holds a slot."""
+    Column j of `cm` goes to slot `state.live_slots()[j]`."""
     out = np.full((len(state.agents), state.config.m_max), np.inf)
-    slot = {tid: s for s, tid in enumerate(state.slots)}
-    out[:, [slot[tid] for tid in task_ids]] = cm.entries
+    out[:, state.live_slots()] = cm.entries
     return out
 
 
@@ -356,9 +356,10 @@ def assign_tasks(state: EpisodeState, picks) -> None:
     """Give each picked task to its agent and book the agent's path.
 
     Each pick is (agent id, task id, cost, path).  Sets statuses, records
-    an `assigned` event with the pair's cost, then books every path in
-    the reservation table through `resolve_paths`.  Raises RuntimeError
-    when a picked task is not Waiting, so no task is assigned twice.
+    an `assigned` event with the pair's cost and path length, then books
+    every path in the reservation table through `resolve_paths`.  Raises
+    RuntimeError when a picked task is not Waiting, so no task is
+    assigned twice.
     """
     new_plans = []
     models = {}
@@ -375,7 +376,8 @@ def assign_tasks(state: EpisodeState, picks) -> None:
         new_plans.append(AgentPlan(agent_id, cost, path, agent.velocity,
                                    start_tick=int(state.clock)))
         models[agent_id] = agent.motion_model
-        state.record("assigned", agent=agent_id, task=task_id, cost=cost)
+        state.record("assigned", agent=agent_id, task=task_id, cost=cost,
+                     length=path.length)
     for plan in resolve_paths(new_plans, state.reservations, state.grid, models):
         state.agent(plan.agent_id).plan = plan
 
@@ -484,9 +486,7 @@ def advance(state: EpisodeState) -> list:
             task.status = TaskStatus.DONE
             # nothing reads a Done task's fields again
             state.dist_cache.drop(task.id)
-            slot = state.slot_of_task(task.id)
-            if slot is not None:
-                state.slots[slot] = None
+            state.slots[state.slots.index(task.id)] = None
             agent.status = AgentStatus.COMPLETE
             state.record("task_done", agent=agent.id, task=task.id)
             state.reservations.release_agent(agent.id)
@@ -582,7 +582,7 @@ class Episode:
         The slot costs and masks are kept for this round's `act`, and the
         episode's first matrix is its initial one."""
         cm, task_ids = current_cost_matrix(self.state)
-        slot_costs = slot_cost_array(self.state, cm, task_ids)
+        slot_costs = slot_cost_array(self.state, cm)
         obs, masks = observation(self.state, slot_costs)
         if self._initial_cm is None:
             self._initial_cm = cm

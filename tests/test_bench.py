@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from magnnet import bench, pathplan
+from magnnet import bench, pathplan, world
 from magnnet import tensor as T
 from magnnet.bench import (BenchReport, EpisodeLog, REPORT_COLUMNS,
                            ScenarioSpec, WALL_TIME_COLUMNS, allocation_time,
@@ -200,6 +200,34 @@ class TestMagnnetEpisode:
         # the rounds' spans, each holding its observe-to-act interval,
         # and nothing outside the episode's life
         assert spans and sum(spans) <= log.alloc_wall_s <= lives[0]
+
+    def test_path_lengths_are_whole_field_distances(self, monkeypatch):
+        """Every length is the field distance of its pair, a whole number.
+        At speed 7 a cost times the speed is not always whole: 29 / 7 * 7
+        is 29.000000000000004, which seed 2 meets."""
+        cfg = WorldConfig(grid_dims=(40, 40, 4), n_agents=4,
+                          n_tasks_initial=4, n_ground=2, n_aerial=2,
+                          obstacle_density=0.08, ground_velocity=7.0,
+                          aerial_velocity=7.0, task_interval=2.0, m_max=8,
+                          step_cap=60.0)
+        model = ModelParams.init(np.random.default_rng(3), 4, cfg.m_max)
+        real = world.assign_tasks
+        want = []
+
+        def recording(state, picks):
+            for agent_id, task_id, _, _ in picks:
+                agent, task = state.agent(agent_id), state.task(task_id)
+                want.append(pathplan.distance_field(
+                    state.grid, task.location,
+                    agent.motion_model)[agent.position])
+            real(state, picks)
+
+        monkeypatch.setattr(world, "assign_tasks", recording)
+        for seed in range(4):
+            want.clear()
+            lengths = run_episode_magnnet(cfg, seed, model).path_lengths_m
+            assert want and lengths == want
+            assert all(float(n).is_integer() for n in lengths)
 
 
 class TestRunBenchmark:

@@ -8,7 +8,7 @@ from magnnet import tensor as T
 from magnnet.gnn import (HIDDEN, GCNParams, HeteroGraph, VELOCITY_SCALE,
                          _norm_adjacency, batch_graphs, build_graph,
                          gcn_encode, init_gcn_params, padded_task_features)
-from magnnet.world import (STATUS_CODE, Episode, WorldConfig,
+from magnnet.world import (STATUS_CODE, Episode, TaskStatus, WorldConfig,
                            current_cost_matrix, init_episode, observation,
                            slot_cost_array)
 
@@ -22,7 +22,7 @@ def small_state(seed=0):
 def finish(st, task):
     """Mark `task` Done as `advance` does, freeing its slot."""
     task.status = type(task.status).DONE
-    st.slots[st.slot_of_task(task.id)] = None
+    st.slots[st.slots.index(task.id)] = None
 
 
 def identity_params(m_max):
@@ -41,11 +41,11 @@ def identity_params(m_max):
 class TestBuildGraph:
     def test_feature_layout(self):
         st = small_state(1)
-        cm, ids = current_cost_matrix(st)
+        cm, _ = current_cost_matrix(st)
         g = build_graph(st, cm)
         assert g.agent_x.shape == (4, 5 + st.config.m_max)
         assert g.task_x.shape == (4, 4)
-        obs, _ = observation(st, slot_cost_array(st, cm, ids))
+        obs, _ = observation(st, slot_cost_array(st, cm))
         assert np.array_equal(g.agent_x[:, 5:], obs[:, 1:])
         dims = np.asarray(st.config.grid_dims, dtype=float)
         for i, ag in enumerate(st.agents):
@@ -65,7 +65,8 @@ class TestBuildGraph:
 
 class TestBuildGraphWithObservation:
     """`build_graph(state, cm, obs)` with the round's `observe` output
-    equals the two-argument form, which rebuilds the observation."""
+    equals the two-argument form, which rebuilds the observation, and
+    its task rows and slots equal a per-task reference."""
 
     CONFIGS = (dict(), dict(obstacle_density=0.25),
                dict(task_interval=3.0, m_max=8, step_cap=60.0),
@@ -73,11 +74,12 @@ class TestBuildGraphWithObservation:
                     obstacle_density=0.25))
 
     def test_both_call_forms_agree(self):
-        spawned = rounds = 0
+        spawned = rounds = assigned = 0
         base = dict(grid_dims=(15, 15, 6), n_agents=4, n_tasks_initial=4,
                     n_ground=2, n_aerial=2, obstacle_density=0.08)
         for k, kw in enumerate(self.CONFIGS):
             cfg = WorldConfig(**{**base, **kw})
+            dims = np.asarray(cfg.grid_dims, dtype=np.float64)
             for seed in range(2):
                 ep = Episode(cfg, 600 + 10 * k + seed)
                 rng = np.random.default_rng(seed)
@@ -90,12 +92,22 @@ class TestBuildGraphWithObservation:
                             assert np.array_equal(getattr(given, name),
                                                   getattr(rebuilt, name))
                         assert given.task_slots == rebuilt.task_slots
+                        # the per-task loop and slot scan they replace
+                        live = ep.state.live_tasks()
+                        want = np.zeros((len(live), 4))
+                        for j, t in enumerate(live):
+                            want[j, :3] = np.asarray(t.location) / dims
+                            want[j, 3] = t.status is TaskStatus.ASSIGNED
+                        assert np.array_equal(given.task_x, want)
+                        assert given.task_slots == [
+                            ep.state.slots.index(t.id) for t in live]
+                        assigned += int(want[:, 3].sum())
                         rounds += 1
                         ep.act([int(rng.choice(np.flatnonzero(m)))
                                 for m in masks])
                     ep.tick()
                 spawned += len(ep.state.tasks) - cfg.n_tasks_initial
-        assert rounds > 50 and spawned > 0
+        assert rounds > 50 and spawned > 0 and assigned > 0
 
 
 class TestAdjacency:
@@ -243,3 +255,30 @@ class TestPaddedTaskFeatures:
         for row, slot in zip(g.task_x, g.task_slots):
             assert np.array_equal(out[slot], row)
         assert np.allclose(out[4:], 0.0)
+
+    def test_reused_slots_in_dynamic_episode(self):
+        """Every decision round of a dynamic episode whose spawns reuse
+        freed slots, each live task's features sit at the slot holding
+        its id, and the slots of Done tasks and empty slots are zero."""
+        cfg = WorldConfig(grid_dims=(15, 15, 6), n_agents=4,
+                          n_tasks_initial=4, n_ground=2, n_aerial=2,
+                          obstacle_density=0.08, task_interval=2.0, m_max=6,
+                          step_cap=60.0)
+        ep = Episode(cfg, 611)
+        st = ep.state
+        rng = np.random.default_rng(7)
+        rounds = unordered = 0
+        while not ep.terminated:
+            if ep.decision_due():
+                obs, masks, cm, _ = ep.observe()
+                g = build_graph(st, cm, obs)
+                out = padded_task_features(g, cfg.m_max)
+                want = np.zeros((cfg.m_max, 4))
+                for j, t in enumerate(st.live_tasks()):
+                    want[st.slots.index(t.id)] = g.task_x[j]
+                assert np.array_equal(out, want)
+                unordered += g.task_slots != sorted(g.task_slots)
+                rounds += 1
+                ep.act([int(rng.choice(np.flatnonzero(m))) for m in masks])
+            ep.tick()
+        assert rounds > 20 and unordered > 0

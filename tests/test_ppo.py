@@ -10,7 +10,7 @@ import pytest
 
 from magnnet import ppo
 from magnnet import tensor as T
-from magnnet.errors import CheckpointMismatchError, NumericError
+from magnnet.errors import CheckpointMismatchError, NumericError, ShapeError
 from magnnet.gnn import (HIDDEN, HeteroGraph, _norm_adjacency, batch_graphs,
                          build_graph, gcn_encode, padded_task_features)
 from magnnet.policy import (ActionDistribution, actor_forward, critic_forward,
@@ -210,8 +210,7 @@ def composed_forward_steps(model, graphs, obs, masks, with_value):
         return dist, None
     c = model.critic
     rows = len(graphs)
-    embs = ppo._padded_embeddings(emb, [gr.n_agents for gr in graphs],
-                                  model.n_max)
+    embs = T.reshape(emb, (rows, model.n_max, HIDDEN))
     feats = Tensor(np.stack([padded_task_features(gr, model.m_max)
                              for gr in graphs]))
     flat = T.concat([T.reshape(embs, (rows, -1)),
@@ -322,8 +321,7 @@ def per_step_loss(steps, adv, ret, model, config):
     for step in steps:
         emb = gcn_encode(step.graph, model.gcn)
         dist = actor_forward(step.obs, emb, model.actor, step.masks)
-        pad = Tensor(np.zeros((model.n_max - step.graph.n_agents, HIDDEN)))
-        value = critic_forward(T.concat([emb, pad], axis=0),
+        value = critic_forward(emb,
                                padded_task_features(step.graph, model.m_max),
                                model.critic)
         logp_new.append(T.log(T.gather_rows(dist.probs, step.actions)))
@@ -410,10 +408,17 @@ class TestBatchedMinibatch:
         assert 0.0 < stats["clip_fraction"] < 1.0
 
     def test_padding_rows_and_a_step_without_tasks(self):
-        model, buf, pcfg, rng = self._batch(n_max=6, seed=12)
-        assert model.n_max > buf.n_agents
+        model, buf, pcfg, rng = self._batch(n_max=4, seed=12)
         steps = [buf.steps[0], without_tasks(buf.steps[1])] + buf.steps[2:5]
         self._compare(model, steps, pcfg, rng)
+        # the critic takes no padding rows: a reshape of the stacked
+        # agent rows would group them across graphs
+        wide = ModelParams.init(np.random.default_rng(12), 6, model.m_max)
+        with pytest.raises(ShapeError, match="6 agents per graph, got 4"):
+            _forward_steps(wide, [s.graph for s in steps],
+                           np.concatenate([s.obs for s in steps]),
+                           np.concatenate([s.masks for s in steps]),
+                           with_value=True)
 
     def test_one_pass_per_minibatch(self, monkeypatch):
         cfg = tiny_world()

@@ -102,12 +102,6 @@ class TestForwardOps:
         out = T.gather_rows(x, [2, 0])
         assert np.allclose(out.data, [2.0, 3.0])
 
-    def test_scatter_rows_places_rows_over_zeros(self):
-        x = Tensor(np.arange(6, dtype=float).reshape(3, 2))
-        out = T.scatter_rows(x, [4, 0, 2], 5)
-        assert np.array_equal(out.data, [[2.0, 3.0], [0.0, 0.0], [4.0, 5.0],
-                                         [0.0, 0.0], [0.0, 1.0]])
-
     def test_minimum_tie_prefers_first(self):
         a = Tensor(np.array([1.0]), requires_grad=True)
         b = Tensor(np.array([1.0]), requires_grad=True)
@@ -180,19 +174,6 @@ class TestGradientsAgainstFiniteDifferences:
             return T.tsum(T.square(T.reshape(top, (6,))))
 
         check_against_fd(build, [a, b])
-
-    def test_scatter_rows_into_padded_blocks(self):
-        # the layout the critic reads: two graphs of 2 and 3 agents
-        # padded into blocks of 4 rows, then reshaped per graph
-        x = T.param(RNG.normal(size=(5, 3)))
-        w = RNG.normal(size=(2, 4, 3))
-
-        def build():
-            padded = T.scatter_rows(x, [0, 1, 4, 5, 6], 8)
-            blocks = T.reshape(padded, (2, 4, 3))
-            return T.tsum(T.mul(T.square(blocks), Tensor(w)))
-
-        check_against_fd(build, [x])
 
     def test_unused_parameter_gets_zero_gradient(self):
         used = T.param(np.ones(3))

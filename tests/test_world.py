@@ -56,7 +56,7 @@ def action_mask_reference(state, agent_id, slot_costs):
 def round_view(st):
     """(slot costs, action masks) of one round: what `Episode.observe`
     keeps for `arbitrate`."""
-    slot_costs = slot_cost_array(st, *current_cost_matrix(st))
+    slot_costs = slot_cost_array(st, current_cost_matrix(st)[0])
     return slot_costs, observation(st, slot_costs)[1]
 
 
@@ -250,8 +250,8 @@ class TestPlacementReference:
 class TestObservations:
     def test_layout_and_normalization(self):
         st = init_episode(small_config(), 11)
-        cm, ids = current_cost_matrix(st)
-        sc = slot_cost_array(st, cm, ids)
+        cm, _ = current_cost_matrix(st)
+        sc = slot_cost_array(st, cm)
         obs, masks = observation(st, sc)
         assert obs.shape == masks.shape == (4, st.config.m_max + 1)
         assert obs[0, 0] == STATUS_CODE[st.agents[0].status]
@@ -259,6 +259,32 @@ class TestObservations:
         expect = np.where(np.isfinite(row), row / st.config.cost_scale,
                           SENTINEL_NORMALIZED_COST)
         assert np.allclose(obs[0, 1:], expect)
+
+    def test_slot_costs_follow_task_ids_in_reused_slots(self):
+        """Every decision round of a dynamic episode whose spawns reuse
+        freed slots, `slot_cost_array` equals a per-column loop that puts
+        the column labelled `tid` at `slots.index(tid)` and leaves the
+        other slots inf, also in rounds where slot order is not id
+        order."""
+        ep = Episode(small_config(task_interval=2.0, m_max=5,
+                                  step_cap=80.0), 137)
+        st = ep.state
+        rng = np.random.default_rng(5)
+        rounds = unordered = 0
+        while not ep.terminated:
+            if ep.decision_due():
+                cm, ids = current_cost_matrix(st)
+                want = np.full((len(st.agents), st.config.m_max), np.inf)
+                for j, tid in enumerate(ids):
+                    want[:, st.slots.index(tid)] = cm.entries[:, j]
+                assert np.array_equal(slot_cost_array(st, cm), want)
+                slots = st.live_slots()
+                unordered += slots != sorted(slots)
+                rounds += 1
+                _, masks, _, _ = ep.observe()
+                ep.act([int(rng.choice(np.flatnonzero(m))) for m in masks])
+            ep.tick()
+        assert rounds > 20 and unordered > 0
 
     def test_cost_matrix_positive_and_scaled_by_velocity(self):
         st = init_episode(small_config(), 13)
@@ -305,7 +331,7 @@ class TestObservations:
     def test_mask_blocks_assigned_task(self):
         st = init_episode(small_config(), 23)
         st.tasks[1].status = TaskStatus.ASSIGNED
-        slot = st.slot_of_task(1)
+        slot = st.slots.index(1)
         assert not round_view(st)[1][0, slot + 1]
 
 
@@ -327,8 +353,8 @@ class TestObservationEquivalence:
                 rng = np.random.default_rng(seed)
                 while not ep.terminated:
                     st = ep.state
-                    cm, ids = current_cost_matrix(st)
-                    sc = slot_cost_array(st, cm, ids)
+                    cm, _ = current_cost_matrix(st)
+                    sc = slot_cost_array(st, cm)
                     obs, masks = observation(st, sc)
                     for a in st.agents:
                         assert np.array_equal(
@@ -571,7 +597,7 @@ class TestArbitrationReference:
                                 np.inf, cm.entries))
                         ref_state = copy.deepcopy(ep.state)
                         ref = arbitrate_reference(ref_state, actions, cm, ids)
-                        sc = slot_cost_array(ep.state, cm, ids)
+                        sc = slot_cost_array(ep.state, cm)
                         out = arbitrate(ep.state, actions, sc,
                                         observation(ep.state, sc)[1])
                         for name in seen:
@@ -747,7 +773,7 @@ class TestSpawning:
         st.clock = 11.0
         new = spawn_tasks(st, cfg)
         assert len(new) == 2  # intervals at t=5 and t=10
-        assert st.slot_of_task(new[0].id) is not None
+        assert new[0].id in st.slots
 
     def test_capacity_respected(self):
         cfg = small_config(task_interval=1.0, m_max=5)
@@ -757,9 +783,10 @@ class TestSpawning:
         assert len(st.live_tasks()) <= 5
 
     def test_live_tasks_read_from_slots_equal_status_scan(self):
-        """`live_tasks` reads the slots; every round of a dynamic episode
-        whose spawns reuse freed slots, it equals the scan of every task
-        ever spawned for those not Done, in ascending id order."""
+        """`live_tasks` and `live_slots` read the slots; every round of a
+        dynamic episode whose spawns reuse freed slots, they equal the
+        scan of every task ever spawned for those not Done, in ascending
+        id order, and the slots holding them."""
         ep = Episode(small_config(task_interval=2.0, m_max=5,
                                   step_cap=80.0), 131)
         st = ep.state
@@ -769,6 +796,7 @@ class TestSpawning:
         while not ep.terminated:
             scan = [t for t in st.tasks if t.status is not TaskStatus.DONE]
             assert st.live_tasks() == scan
+            assert st.live_slots() == [st.slots.index(t.id) for t in scan]
             rounds += 1
             for s, tid in enumerate(st.slots):
                 owners[s].add(tid)
