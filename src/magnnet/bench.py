@@ -270,7 +270,7 @@ def run_episode_magnnet(config: WorldConfig, seed: int,
     """Decentralized episode under `model`.  It builds its own fields:
     `alloc_wall_s` includes `observe`, so fields shared with earlier
     episodes would make it depend on the order the methods ran in."""
-    model.check_scenario(config.n_agents, config.m_max)
+    model.check_scenario(config.m_max)
     ep = Episode(config, seed)
     alloc_wall = sum((step.wall_s for step in play(ep, model)), 0.0)
     return EpisodeLog("magnnet", config.n_agents, len(ep.state.tasks),

@@ -53,7 +53,7 @@ def train(config, seed, out):
 @main.command("eval")
 @click.argument("checkpoint", type=click.Path(exists=True))
 @click.argument("scenario", type=click.Path(exists=True))
-@click.option("--episodes", type=int, default=None,
+@click.option("--episodes", type=click.IntRange(min=1), default=None,
               help="Override the scenario's episode count.")
 @click.option("--seed", type=click.IntRange(min=0), default=None,
               help="Override seed base.")
@@ -69,7 +69,7 @@ def eval_cmd(checkpoint, scenario, episodes, seed, out, parallel):
 
 @main.command()
 @click.argument("spec", type=click.Path(exists=True))
-@click.option("--episodes", type=int, default=None)
+@click.option("--episodes", type=click.IntRange(min=1), default=None)
 @click.option("--seed", type=click.IntRange(min=0), default=None,
               help="Override seed base.")
 @click.option("--out", type=click.Path(), default="runs/bench", show_default=True)
@@ -92,7 +92,7 @@ def _write_report(report: BenchReport, out):
 
 @main.command("planner-compare")
 @click.argument("spec", type=click.Path(exists=True))
-@click.option("--episodes", type=int, default=None)
+@click.option("--episodes", type=click.IntRange(min=1), default=None)
 @click.option("--seed", type=click.IntRange(min=0), default=None)
 @click.option("--out", type=click.Path(), default="runs/planners",
               show_default=True)

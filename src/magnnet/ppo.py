@@ -24,6 +24,8 @@ from .policy import (ActorParams, CriticParams, actor_forward, critic_forward,
 from .tensor import AdamState, Tensor, adam_step, backward, zero_grads
 from .world import Episode, WorldConfig, terminal_bonus
 
+CHECKPOINT_INTERVAL = 25  # updates between periodic checkpoints
+
 
 @dataclass
 class PPOConfig:
@@ -37,7 +39,6 @@ class PPOConfig:
     clip_epsilon: float = 0.2
     value_coef: float = 0.5
     total_steps: int = 100_000
-    checkpoint_interval: int = 25  # updates between periodic checkpoints
 
     def __post_init__(self):
         self.validate()
@@ -53,8 +54,6 @@ class PPOConfig:
             raise ValueError("train_batch and minibatch must be >= 1")
         if self.train_batch % self.minibatch != 0:
             raise ValueError("minibatch must divide train_batch")
-        if self.checkpoint_interval < 1:
-            raise ValueError("checkpoint_interval must be >= 1")
 
     @classmethod
     def from_dict(cls, d: dict) -> "PPOConfig":
@@ -108,11 +107,14 @@ class ModelParams:
             p.data = arrays[name]
         return model
 
-    def check_scenario(self, n_agents: int, m_max: int) -> None:
-        if n_agents > self.n_max or m_max != self.m_max:
+    def check_scenario(self, m_max: int) -> None:
+        """Evaluation runs the encoder and actor only, whose widths depend
+        on m_max alone, so any agent count plays; the critic's agent
+        count is checked where training runs it (`_forward_steps`)."""
+        if m_max != self.m_max:
             raise CheckpointMismatchError(
-                f"checkpoint (n_max={self.n_max}, m_max={self.m_max}) does not "
-                f"cover scenario (n_agents={n_agents}, m_max={m_max})")
+                f"checkpoint m_max={self.m_max} does not match scenario "
+                f"m_max={m_max}")
 
 
 @dataclass
@@ -202,9 +204,8 @@ def collect_rollout(env_factory, model: ModelParams, config: PPOConfig,
         ep = env_factory(int(rng.integers(2 ** 31)))
         ep_steps = list(play(ep, model, rng))
         if ep.all_tasks_done():
-            bonus = terminal_bonus(ep.config.shaping, ep.optimal_total(),
-                                   ep.achieved_total())
-            ep_steps[-1].rewards += bonus
+            ep_steps[-1].rewards += terminal_bonus(ep.optimal_total(),
+                                                   ep.achieved_total())
         ep_steps[-1].done = True
         buffer.steps.extend(ep_steps)
         buffer.episode_rewards.append(
@@ -373,7 +374,7 @@ def train(world_config: WorldConfig, ppo_config: PPOConfig, seed: int,
                 f"{stats['clip_fraction']:.6f}",
             ])
             f.flush()
-            if update_index % ppo_config.checkpoint_interval == 0:
+            if update_index % CHECKPOINT_INTERVAL == 0:
                 model.save(ckpt_path)
                 saved = ckpt_path
     model.save(ckpt_path)

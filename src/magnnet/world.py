@@ -48,8 +48,23 @@ STATUS_CODE = {
     AgentStatus.COMPLETE: 1.0,
 }
 
+# cells per second; a plan books and moves round(v) cells per tick while
+# costs divide by v, and the two agree only for whole speeds
+GROUND_VELOCITY = 3.0
+AERIAL_VELOCITY = 5.0
+
+# seconds; observations divide slot costs by it
+COST_SCALE = 50.0
+
 # absent / unreachable task slots read as twice the normalization scale
 SENTINEL_NORMALIZED_COST = 2.0
+
+# shaped rewards: a won request, a lost contest, a rejection while some
+# request was allowed, and the scale of the terminal team bonus
+WIN_REWARD = 1.0
+CONFLICT_PENALTY = -0.5
+IDLE_REJECT_PENALTY = -0.1
+TEAM_BONUS_SCALE = 2.0
 
 
 @dataclass
@@ -73,22 +88,6 @@ class TaskState:
 
 
 @dataclass
-class RewardShaping:
-    win_reward: float = 1.0
-    conflict_penalty: float = -0.5
-    idle_reject_penalty: float = -0.1
-    team_bonus_scale: float = 2.0
-
-    def validate(self):
-        if self.win_reward <= 0:
-            raise ValueError("win_reward must be > 0")
-        if self.conflict_penalty > 0 or self.idle_reject_penalty > 0:
-            raise ValueError("penalties must be <= 0")
-        if self.team_bonus_scale < 0:
-            raise ValueError("team_bonus_scale must be >= 0")
-
-
-@dataclass
 class WorldConfig:
     grid_dims: tuple = (50, 50, 30)
     n_agents: int = 4
@@ -97,16 +96,10 @@ class WorldConfig:
     obstacle_density: float = 0.1
     n_ground: int = 2
     n_aerial: int = 2
-    ground_velocity: float = 3.0  # cells per second, a whole number
-    aerial_velocity: float = 5.0
-    cost_scale: float = 50.0
     m_max: int | None = None  # observation slots = cap on live tasks
     step_cap: float = 400.0
-    shaping: RewardShaping = field(default_factory=RewardShaping)
 
     def __post_init__(self):
-        if isinstance(self.shaping, dict):
-            self.shaping = RewardShaping(**self.shaping)
         self.grid_dims = tuple(self.grid_dims)
         if self.m_max is None:
             self.m_max = self.n_tasks_initial if self.task_interval is None \
@@ -124,13 +117,6 @@ class WorldConfig:
             raise ValueError("obstacle_density must be in [0, 0.3)")
         if self.task_interval is not None and not self.task_interval > 0:
             raise ValueError("task_interval must be > 0")
-        # a plan books and moves round(v) cells per tick while costs
-        # divide by v; the two agree only for whole speeds
-        for v in (self.ground_velocity, self.aerial_velocity):
-            if not (v > 0 and float(v).is_integer()):
-                raise ValueError("velocities must be whole cells per second")
-        if not self.cost_scale > 0:
-            raise ValueError("cost_scale must be > 0")
         if self.n_tasks_initial < 0:
             raise ValueError("n_tasks_initial must be >= 0")
         if self.m_max < self.n_tasks_initial:
@@ -144,7 +130,6 @@ class WorldConfig:
                           and math.ceil(self.task_interval) < self.step_cap)
         if self.n_tasks_initial < 1 and not spawns_in_time:
             raise ValueError("no task arrives before step_cap")
-        self.shaping.validate()
 
     @classmethod
     def from_dict(cls, d: dict) -> "WorldConfig":
@@ -260,11 +245,10 @@ def init_episode(config: WorldConfig, seed: int) -> EpisodeState:
 
     agents = []
     for i, p in enumerate(ground_pos):
-        agents.append(AgentState(i, MotionModel.GROUND4, p,
-                                 config.ground_velocity))
+        agents.append(AgentState(i, MotionModel.GROUND4, p, GROUND_VELOCITY))
     for k, p in enumerate(aerial_pos):
         agents.append(AgentState(config.n_ground + k, MotionModel.AERIAL6, p,
-                                 config.aerial_velocity))
+                                 AERIAL_VELOCITY))
     tasks = [TaskState(j, p) for j, p in enumerate(task_pos)]
 
     state = EpisodeState(
@@ -298,7 +282,7 @@ def observation(state: EpisodeState, slot_costs: np.ndarray):
     """Every agent's observation and action mask for one decision round.
 
     An observation row is [status code, normalized slot costs...], length
-    m_max + 1: costs divide by config.cost_scale, and absent or
+    m_max + 1: costs divide by COST_SCALE, and absent or
     unreachable slots carry the sentinel value 2.0.  A mask row allows
     reject always, and slot j iff the agent is Idle and the slot holds a
     Waiting task the agent can reach.
@@ -306,7 +290,7 @@ def observation(state: EpisodeState, slot_costs: np.ndarray):
     finite = np.isfinite(slot_costs)
     obs = np.empty((len(state.agents), state.config.m_max + 1))
     obs[:, 0] = [STATUS_CODE[a.status] for a in state.agents]
-    obs[:, 1:] = np.where(finite, slot_costs / state.config.cost_scale,
+    obs[:, 1:] = np.where(finite, slot_costs / COST_SCALE,
                           SENTINEL_NORMALIZED_COST)
     idle = np.array([a.status is AgentStatus.IDLE for a in state.agents],
                     dtype=bool)
@@ -428,28 +412,26 @@ def arbitrate(state: EpisodeState, actions, slot_costs: np.ndarray,
     return outcome
 
 
-def step_rewards(outcome: DecisionOutcome, state: EpisodeState,
-                 shaping: RewardShaping) -> np.ndarray:
+def step_rewards(outcome: DecisionOutcome, state: EpisodeState) -> np.ndarray:
     """Per-agent shaped rewards for one decision round."""
     rewards = np.zeros(len(state.agents))
     winners = {a for a, _ in outcome.assignments}
     for a, _ in outcome.assignments:
-        rewards[a] += shaping.win_reward
+        rewards[a] += WIN_REWARD
     for _, contenders in outcome.conflicts:
         for a in contenders:
             if a not in winners:
-                rewards[a] += shaping.conflict_penalty
+                rewards[a] += CONFLICT_PENALTY
     for a in outcome.idle_rejects:
-        rewards[a] += shaping.idle_reject_penalty
+        rewards[a] += IDLE_REJECT_PENALTY
     return rewards
 
 
-def terminal_bonus(shaping: RewardShaping, optimal_total: float,
-                   achieved_total: float) -> float:
+def terminal_bonus(optimal_total: float, achieved_total: float) -> float:
     """System-wide end-of-episode bonus, identical for every agent."""
     if achieved_total <= 0.0 or optimal_total <= 0.0:
         return 0.0
-    return shaping.team_bonus_scale * (optimal_total / achieved_total)
+    return TEAM_BONUS_SCALE * (optimal_total / achieved_total)
 
 
 # ---------------------------------------------------------------------------
@@ -595,7 +577,7 @@ class Episode:
         if self._observed is None:
             raise RuntimeError("act needs an observe since the last tick")
         outcome = arbitrate(self.state, actions, *self._observed)
-        rewards = step_rewards(outcome, self.state, self.config.shaping)
+        rewards = step_rewards(outcome, self.state)
         return outcome, rewards
 
     def tick(self) -> None:

@@ -51,16 +51,21 @@ class TestBench:
         assert "--parallel" in result.output
         assert not out.exists()
 
+    @pytest.mark.parametrize("option, value", [
+        ("--seed", "-1"), ("--episodes", "0"), ("--episodes", "-3")],
+        ids=["seed-neg", "episodes-0", "episodes-neg"])
     @pytest.mark.parametrize("command", ["bench", "planner-compare", "eval"])
-    def test_negative_seed_is_a_usage_error(self, spec_path, tmp_path,
-                                            command):
+    def test_out_of_range_value_is_a_usage_error(self, spec_path, tmp_path,
+                                                 command, option, value):
+        """`--episodes 0` used to die in ScenarioSpec with a ValueError
+        traceback."""
         out = tmp_path / "out"
-        args = [spec_path, "--seed", "-1", "--out", str(out)]
+        args = [spec_path, option, value, "--out", str(out)]
         if command == "eval":
             args.insert(0, CHECKPOINT)
         result = CliRunner().invoke(main, [command] + args)
         assert result.exit_code == 2
-        assert "--seed" in result.output
+        assert option in result.output
         assert not out.exists()
 
     def test_eval_parallel_zero_is_a_usage_error(self, spec_path, tmp_path):

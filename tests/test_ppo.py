@@ -143,8 +143,7 @@ def reference_rollout(env_factory, model, config, rng):
                     float(value.data[0]) if value is not None else 0.0))
             ep.tick()
         if ep.all_tasks_done():
-            bonus = terminal_bonus(ep.config.shaping, ep.optimal_total(),
-                                   ep.achieved_total())
+            bonus = terminal_bonus(ep.optimal_total(), ep.achieved_total())
             ep_steps[-1].rewards += bonus
         ep_steps[-1].done = True
         buffer.steps.extend(ep_steps)
@@ -478,12 +477,13 @@ class TestModelParams:
             ModelParams.load(path)
 
     def test_scenario_check(self):
+        """Only m_max must match: evaluation plays any agent count."""
         model = ModelParams.init(np.random.default_rng(10), 4, 4)
-        model.check_scenario(n_agents=4, m_max=4)
+        model.check_scenario(m_max=4)
         with pytest.raises(CheckpointMismatchError):
-            model.check_scenario(n_agents=5, m_max=4)
+            model.check_scenario(m_max=6)
         with pytest.raises(CheckpointMismatchError):
-            model.check_scenario(n_agents=4, m_max=6)
+            model.check_scenario(m_max=3)
 
 
 class TestTrain:
@@ -531,8 +531,9 @@ class TestTrain:
             return update(*args, **kwargs)
 
         monkeypatch.setattr(ppo, "ppo_update", diverge_second)
+        monkeypatch.setattr(ppo, "CHECKPOINT_INTERVAL", 1)
         pcfg = PPOConfig(train_batch=16, minibatch=16, epochs_per_update=1,
-                         total_steps=64, checkpoint_interval=1)
+                         total_steps=64)
         with pytest.raises(NumericError) as err:
             train(tiny_world(), pcfg, seed=0, out_dir=str(tmp_path))
         ckpt = str(tmp_path / "checkpoint.json")

@@ -11,10 +11,10 @@ from magnnet.assign import CostMatrix
 from magnnet.errors import PlacementError
 from magnnet.gnn import build_graph
 from magnnet.pathplan import MotionModel, Path
-from magnnet.world import (AgentStatus, DecisionOutcome, Episode,
-                           RewardShaping, SENTINEL_NORMALIZED_COST,
-                           STATUS_CODE, TaskStatus, WorldConfig, _plan_to_task,
-                           advance, arbitrate, assign_tasks,
+from magnnet.world import (AgentStatus, COST_SCALE, DecisionOutcome, Episode,
+                           SENTINEL_NORMALIZED_COST, STATUS_CODE, TaskStatus,
+                           WorldConfig, _plan_to_task, advance, arbitrate,
+                           assign_tasks,
                            current_cost_matrix, init_episode, observation,
                            slot_cost_array, spawn_tasks, step_rewards,
                            terminal_bonus)
@@ -26,7 +26,7 @@ def local_observation_reference(state, agent_id, slot_costs):
     agent = state.agent(agent_id)
     m_max = state.config.m_max
     row = slot_costs[agent_id][:m_max]
-    norm = np.where(np.isfinite(row), row / state.config.cost_scale,
+    norm = np.where(np.isfinite(row), row / COST_SCALE,
                     SENTINEL_NORMALIZED_COST)
     obs = np.empty(m_max + 1)
     obs[0] = STATUS_CODE[agent.status]
@@ -76,27 +76,21 @@ class TestConfig:
         with pytest.raises(ValueError):
             small_config(obstacle_density=0.5)
 
-    # a non-positive interval makes spawn_tasks loop forever; a plan books
-    # and moves round(v) cells per tick while costs divide by v, which
-    # agree only for whole positive speeds; a negative count can still sum
-    # to n_agents; with no agents, or no task before step_cap (so no
-    # decision round), collect_rollout never fills its batch; observations
-    # divide slot costs by cost_scale
+    # a non-positive interval makes spawn_tasks loop forever; a negative
+    # count can still sum to n_agents; with no agents, or no task before
+    # step_cap (so no decision round), collect_rollout never fills its
+    # batch
     @pytest.mark.parametrize("kw", [
         dict(task_interval=0.0), dict(task_interval=-5.0),
-        dict(ground_velocity=2.5), dict(aerial_velocity=3.4),
-        dict(ground_velocity=0.0), dict(aerial_velocity=-5.0),
         dict(n_agents=4, n_ground=-1, n_aerial=5),
         dict(n_agents=0, n_ground=0, n_aerial=0),
-        dict(cost_scale=0.0), dict(cost_scale=-50.0),
         dict(step_cap=0.0), dict(step_cap=-1.0),
         dict(n_tasks_initial=0),
         dict(n_tasks_initial=0, task_interval=50.0, step_cap=40.0),
         dict(n_tasks_initial=0, task_interval=39.5, step_cap=40.0),
         dict(n_tasks_initial=0, task_interval=5.0, m_max=0)],
-        ids=["interval-0", "interval-neg", "ground-2.5", "aerial-3.4",
-             "ground-0", "aerial-neg", "n_ground-neg", "n_agents-0",
-             "cost_scale-0", "cost_scale-neg", "step_cap-0", "step_cap-neg",
+        ids=["interval-0", "interval-neg", "n_ground-neg", "n_agents-0",
+             "step_cap-0", "step_cap-neg",
              "static-no-task", "first-spawn-after-cap",
              "first-spawn-at-cap", "dynamic-no-slot"])
     def test_invalid_values_rejected(self, kw):
@@ -256,7 +250,7 @@ class TestObservations:
         assert obs.shape == masks.shape == (4, st.config.m_max + 1)
         assert obs[0, 0] == STATUS_CODE[st.agents[0].status]
         row = sc[0]
-        expect = np.where(np.isfinite(row), row / st.config.cost_scale,
+        expect = np.where(np.isfinite(row), row / COST_SCALE,
                           SENTINEL_NORMALIZED_COST)
         assert np.allclose(obs[0, 1:], expect)
 
@@ -665,19 +659,19 @@ class TestRewards:
     def test_shaping_values(self):
         st = init_episode(small_config(), 43)
         out = arbitrate(st, [1, 2, 3, 4], *round_view(st))
-        r = step_rewards(out, st, st.config.shaping)
+        r = step_rewards(out, st)
         assert np.allclose(r, 1.0)
 
     def test_conflict_loser_penalized(self):
         st = init_episode(small_config(), 47)
         out = arbitrate(st, [1, 1, 0, 0], *round_view(st))
-        r = step_rewards(out, st, st.config.shaping)
+        r = step_rewards(out, st)
         assert sorted(np.round(r[:2], 2)) == [-0.5, 1.0]
 
     def test_idle_reject_penalized(self):
         st = init_episode(small_config(), 53)
         out = arbitrate(st, [0, 0, 0, 0], *round_view(st))
-        r = step_rewards(out, st, st.config.shaping)
+        r = step_rewards(out, st)
         # every idle agent that could have requested gets -0.1
         cm, _ = current_cost_matrix(st)
         for i in range(4):
@@ -685,15 +679,10 @@ class TestRewards:
                 assert r[i] == pytest.approx(-0.1)
 
     def test_terminal_bonus(self):
-        sh = RewardShaping()
-        assert terminal_bonus(sh, 10.0, 20.0) == pytest.approx(1.0)
-        assert terminal_bonus(sh, 10.0, 10.0) == pytest.approx(2.0)
-        assert terminal_bonus(sh, 0.0, 10.0) == 0.0
-        assert terminal_bonus(sh, 10.0, 0.0) == 0.0
-
-    def test_shaping_validation(self):
-        with pytest.raises(ValueError):
-            RewardShaping(conflict_penalty=0.5).validate()
+        assert terminal_bonus(10.0, 20.0) == pytest.approx(1.0)
+        assert terminal_bonus(10.0, 10.0) == pytest.approx(2.0)
+        assert terminal_bonus(0.0, 10.0) == 0.0
+        assert terminal_bonus(10.0, 0.0) == 0.0
 
 
 class TestMotion:
