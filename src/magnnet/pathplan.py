@@ -9,6 +9,7 @@ shortest paths are BFS-exact and A* with a Manhattan heuristic is optimal.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 import numbers
@@ -218,18 +219,21 @@ def astar(grid: Grid, start: Cell, goal: Cell, model: MotionModel,
 # distance fields (exact BFS; unit edge costs)
 # ---------------------------------------------------------------------------
 
-def _wavefront(free: np.ndarray, start, reach=None, check_from: int = 0):
-    """BFS over a 2D or 3D free mask, one ring per loop pass, with 64
-    cells to a machine word.
+@functools.lru_cache(maxsize=None)
+def _gray_rings(k: int) -> np.ndarray:
+    """The ring that `Rings.labels` reads from an index whose bit 0 is a
+    cell's todo bit and whose bits 1..k are its Gray-coded label: the
+    decoded label, or inf where the todo bit is set."""
+    ring = np.arange(2 ** k)
+    table = np.full(2 ** (k + 1), np.inf)
+    table[(ring ^ ring >> 1) << 1] = ring
+    table.flags.writeable = False   # one array serves every caller
+    return table
 
-    The search starts from `start`, one free cell or a bool mask of the
-    ring-0 cells.  With `reach`, an (n, free.ndim) array of cells, it
-    stops after the ring that labels the last of them it can reach,
-    testing from ring `check_from` on, a lower bound the caller knows;
-    otherwise it runs until a ring comes out empty.  Returns (label,
-    never): an unsigned integer array of the mask's shape holding each
-    reached cell's ring, and the label of every other cell, blocked
-    ones included.
+
+class Rings:
+    """Resumable breadth-first searches over one free mask, one search
+    per row, kept packed 64 cells to a machine word.
 
     Word layout: the first axis x is cut into blocks of 64 cells.  Word
     (w, r) holds cells x = 64w .. 64w + 63 (bit i is x = 64w + i) at
@@ -242,66 +246,224 @@ def _wavefront(free: np.ndarray, start, reach=None, check_from: int = 0):
     for y and 1 for z in 3D, 1 for y in 2D), and the padding keeps it
     inside its block: a shift that crosses a row or plane boundary
     lands in a padding word, which is never free, so `nxt &= todo`
-    drops it.  On 50x50x30 a ring is about 10.5 ufunc calls over 1,664
-    words (13 kB).
+    drops it.
 
-    Ring labels are bit-sliced and Gray-coded: label plane k, one word
-    array, holds bit k of the Gray code g(D) = D ^ (D >> 1) of every
-    cell's ring D.  g(d) and g(d - 1) differ only in bit tz(d), the
-    lowest set bit of d, so ring d XORs every cell not reached before it
-    (`todo`, ring d included) into plane tz(d): one XOR per ring.  A
-    cell of ring D is XORed at rings 1..D, which leaves g(D); cells
-    never reached collect noise, which the `never` mask overrides.  Only
-    odd rings test for emptiness: an even empty ring only XORs
-    never-reached cells, and d and d + 1 have the same bit length.  A
-    plane is added when d reaches a power of two, and one more when the
-    search stops at ring 2**K - 1, so the K planes hold 2**K - 1, a
-    label above every ring; cells never reached take that label.  After
-    the search the planes are turned from Gray code into binary from the
-    top down (`planes[k] ^= planes[k + 1]`), unpacked once with
-    `np.unpackbits` and folded into one small integer per cell.
+    A row's search is its state after its last ring: `todo`, the free
+    cells not yet reached; `frontier`, the cells of the last ring;
+    `ring`, that ring's number; `done`, whether a ring came out empty;
+    and K label `planes`.  Ring labels are bit-sliced and Gray-coded:
+    plane k holds bit k of the Gray code g(D) = D ^ (D >> 1) of every
+    reached cell's ring D.  g(d) and g(d - 1) differ only in bit tz(d),
+    the lowest set bit of d, so ring d XORs every cell not reached
+    before it (`todo`, ring d included) into plane tz(d): one XOR per
+    ring.  A cell of ring D is XORed at rings 1..D, which leaves g(D);
+    cells not reached collect noise, so a label is read only where
+    `free & ~todo` is set.  Planes start at zero and `start` clears the
+    ones the row's last search wrote, those below its ring's bit
+    length, so every plane at or above that length reads zero.  No ring
+    exceeds the number n of free cells, so K, the bit length of n + 1,
+    leaves 2**K - 1 above every ring.  A row's `todo` sits just before
+    its planes, so one gather reads a cell's reached bit and its label
+    bits together.
     """
-    nx, rest = free.shape[0], free.shape[1:]
-    blocks = -(-nx // 64)
-    padded = tuple(n + 2 for n in rest)
-    block = math.prod(padded)  # words per x-block
-    inner = (slice(1, -1),) * len(rest)
 
-    def pack(mask):
+    def __init__(self, free: np.ndarray, rows: int):
+        self.nx = free.shape[0]
+        self.blocks = -(-self.nx // 64)
+        self.padded = tuple(n + 2 for n in free.shape[1:])
+        self.block = math.prod(self.padded)  # words per x-block
+        self.strides = tuple(math.prod(self.padded[i + 1:])
+                             for i in range(len(self.padded)))
+        # cells @ _coef + _base: each cell's word within its x-block
+        self._coef = np.array((0,) + self.strides)
+        self._base = sum(self.strides)
+        self.mask = free
+        self.free = self._pack(free)
+        planes = int(np.count_nonzero(free) + 1).bit_length()
+        # per row: todo, then the planes; np.zeros leaves untouched
+        # pages unmapped, so only the planes rings reach take memory
+        self._words = np.zeros((rows, planes + 1, self.free.size),
+                               dtype=np.uint64)
+        # word offset and index bit of todo and each plane in a row
+        self._offsets = np.arange(planes + 1) * self.free.size
+        self._weights = 1 << np.arange(planes + 1)
+        self.frontier = np.empty((rows, self.free.size), dtype=np.uint64)
+        self.ring = np.zeros(rows, dtype=np.int64)
+        self.done = np.ones(rows, dtype=bool)
+        self.source = np.zeros((rows, free.ndim), dtype=np.intp)
+
+    # views taken on each use, so a copy of a stack keeps them in it
+    @property
+    def todo(self) -> np.ndarray:
+        return self._words[:, 0]
+
+    @property
+    def planes(self) -> np.ndarray:
+        return self._words[:, 1:]
+
+    def _pack(self, mask: np.ndarray) -> np.ndarray:
         # x goes last here, so packbits runs along the contiguous axis
-        cells = np.zeros(padded + (64 * blocks,), dtype=bool)
-        cells[inner + (slice(0, nx),)] = np.moveaxis(mask, 0, -1)
+        inner = (slice(1, -1),) * len(self.padded)
+        cells = np.zeros(self.padded + (64 * self.blocks,), dtype=bool)
+        cells[inner + (slice(0, self.nx),)] = np.moveaxis(mask, 0, -1)
         words = np.packbits(cells, axis=-1, bitorder="little").view("<u8")
-        return np.ascontiguousarray(words.reshape(block, blocks).T).ravel()
+        return np.ascontiguousarray(
+            words.reshape(self.block, self.blocks).T).ravel()
 
-    strides = [math.prod(padded[i + 1:]) for i in range(len(padded))]
-    free_words = pack(free)
-    if isinstance(start, np.ndarray):
-        frontier = pack(start)
-    else:
-        frontier = np.zeros_like(free_words)
-        frontier[int(start[0]) // 64 * block + sum(
-            (int(c) + 1) * s for c, s in zip(start[1:], strides))] \
-            = 1 << (int(start[0]) % 64)
-    todo = free_words & ~frontier  # free and not yet reached
-    nxt, tmp = np.zeros_like(todo), np.zeros_like(todo)
-    if reach is None:
+    def locate(self, cells: np.ndarray):
+        """(word, bit, free) of each cell of the mask, a row of `cells`:
+        its word's index, its bit's index in the word, and whether it is
+        free."""
+        x = cells[:, 0]
+        at = cells @ self._coef
+        at += self._base
+        if self.blocks > 1:
+            at += (x >> 6) * self.block
+            x = x & 63
+        return at, x.astype(np.uint64), self.mask[tuple(cells.T)]
+
+    def _word(self, cell) -> tuple[int, int]:
+        """(word, bit) of one cell, as Python ints."""
+        x = cell[0]
+        return x // 64 * self.block + sum(
+            (c + 1) * s for c, s in zip(cell[1:], self.strides)), x % 64
+
+    def start(self, row: int, source) -> None:
+        """Row `row` searches from `source`, a cell of the mask, or from
+        nothing when `source` is None: ring 0 only."""
+        self.planes[row, :int(self.ring[row]).bit_length()] = 0
+        todo, frontier = self.todo[row], self.frontier[row]
+        todo[:] = self.free
+        frontier[:] = 0
+        self.ring[row] = 0
+        self.done[row] = source is None
+        if source is not None:
+            self.source[row] = source
+            w, b = self._word(source)
+            frontier[w] = 1 << b
+            todo[w] ^= frontier[w]
+
+    def labels(self, rows: np.ndarray, at: np.ndarray,
+               shift: np.ndarray) -> np.ndarray:
+        """(len(rows), len(at)) rings of the cells at words `at`, bits
+        `shift`, in each row; inf where the row has not reached a free
+        cell, and 0 at a blocked one."""
+        k = int(self.ring[rows].max(initial=0)).bit_length()
+        got = self._words.take((rows * self._words[0].size)[:, None, None]
+                               + (at[:, None] + self._offsets[:k + 1]))
+        got >>= shift[:, None]
+        got &= np.uint64(1)
+        return _gray_rings(k).take(got.view(np.int64)
+                                   @ self._weights[:k + 1])
+
+    def decode(self, row: int, out: np.ndarray) -> None:
+        """Every cell's ring into `out`, a float array of the mask's
+        shape, inf where the row has not reached the cell."""
+        # 2**k - 1 is above every ring, and planes from the ring's bit
+        # length on read zero
+        k = int(self.ring[row] + 1).bit_length()
+        planes = self.planes[row, :k].copy()
+        for i in range(k - 2, -1, -1):  # Gray code to binary
+            planes[i] ^= planes[i + 1]
+        never = ~self.free | self.todo[row]
+        never_label = 2 ** k - 1
+        label = np.zeros(64 * self.free.size, np.min_scalar_type(never_label))
+        for plane in planes[::-1]:  # 1 byte per cell, not K
+            label += label
+            label |= np.unpackbits((plane | never).view(np.uint8),
+                                   bitorder="little")
+        # contiguous first, as a strided cast is slower; never / 0 = inf
+        # and every other label / 1 = itself, without the slow masked
+        # write of inf into scattered cells
+        label = np.ascontiguousarray(self._unpad(label))
+        with np.errstate(divide="ignore"):
+            np.divide(label, label != never_label, out=out, dtype=out.dtype)
+
+    def _unpad(self, cells: np.ndarray) -> np.ndarray:
+        """A per-bit array in word order back to the mask's shape."""
+        cells = np.moveaxis(
+            cells.reshape((self.blocks,) + self.padded + (64,)), -1, 1)
+        inner = (slice(1, -1),) * len(self.padded)
+        return cells.reshape((64 * self.blocks,) + self.padded)[
+            (slice(0, self.nx),) + inner]
+
+    def walk(self, row: int, cell: Cell, deltas) -> list | None:
+        """Cells from (x, y, z) `cell` down to the row's source, or None
+        if the row has not reached `cell`: from a cell on ring d, the
+        first neighbour in `deltas` order that the row reached on ring
+        d - 1.  Among reached neighbours (rings d - 1, d and d + 1) only
+        that ring's bit in plane tz(d) differs from the cell's own."""
+        nx, block = self.nx, self.block
+        x, y, z = cell
+        w, b = self._word(cell)
+        r = w - x // 64 * block
+        reached = memoryview(self.free & ~self.todo[row])
+        if not reached[w] >> b & 1:
+            return None
+        planes = [memoryview(p) for p in
+                  self.planes[row, :int(self.ring[row]).bit_length()]]
+        gray = sum((plane[w] >> b & 1) << k for k, plane in enumerate(planes))
+        d = 0
+        while gray:  # Gray code to binary
+            d ^= gray
+            gray >>= 1
+        # (dx, dy, dz, word step along y and z) per neighbour
+        steps = [(dx, dy, dz, sum(c * s for c, s in zip((dy, dz),
+                                                         self.strides)))
+                 for dx, dy, dz in deltas]
+        cells = [(x, y, z)]
+        while d:
+            plane = planes[(d & -d).bit_length() - 1]
+            here = plane[x // 64 * block + r] >> x % 64 & 1
+            for dx, dy, dz, dr in steps:
+                a = x + dx
+                if not 0 <= a < nx:
+                    continue
+                w, b = a // 64 * block + r + dr, a % 64
+                if reached[w] >> b & 1 and plane[w] >> b & 1 != here:
+                    break
+            else:
+                raise RuntimeError("no reached neighbour on the ring below")
+            x, y, z, r, d = a, y + dy, z + dz, r + dr, d - 1
+            cells.append((x, y, z))
+        return cells
+
+
+def _wavefront(rings: Rings, row: int, reach_at=None, reach_shift=None,
+               check_from: int = 0) -> int:
+    """Continue row `row` of `rings` ring by ring, one loop pass a ring,
+    and return the number of rings it labelled.
+
+    With `reach_at` and `reach_shift`, the words and bits of some cells
+    (`Rings.locate`), it stops after the ring that labels the last of
+    them it can reach, testing from ring `check_from` on, a lower bound
+    the caller knows; otherwise it runs until a ring comes out empty,
+    which ends the search for good.  On 50x50x30 a ring is about 10.5 ufunc calls
+    over 1,664 words (13 kB).  Only odd rings test for emptiness: an
+    even empty ring only XORs cells never reached into a plane, and d
+    and d + 1 have the same bit length.
+    """
+    if rings.done[row]:
+        return 0
+    planes, todo = rings.planes[row], rings.todo[row]
+    frontier = kept = rings.frontier[row]
+    first = d = int(rings.ring[row])
+    if reach_at is None:
         check_from = math.inf
-    else:  # the word and bit of each reach cell
-        reach_at = reach[:, 0] // 64 * block + (reach[:, 1:] + 1) @ strides
-        reach_bits = np.uint64(1) << (reach[:, 0] % 64).astype(np.uint64)
+    else:
+        reach_bits = np.left_shift(np.uint64(1), reach_shift)
+    nxt, tmp = np.empty_like(todo), np.empty_like(todo)
+    block, blocks = rings.block, rings.blocks
     # 0-d arrays make cheaper shift operands than numpy scalars
     one, top = np.array(1, todo.dtype), np.array(63, todo.dtype)
 
     def moves(f, n):
         """(out, in) pairs for `out |= in`: the word shifts from f to n."""
-        pairs = [(n[s:], f[:-s]) for s in strides]
-        return pairs + [(n[:-s], f[s:]) for s in strides]
+        pairs = [(n[s:], f[:-s]) for s in rings.strides]
+        return pairs + [(n[:-s], f[s:]) for s in rings.strides]
 
     # built once; they swap with the buffers they view
     shifts, swapped = moves(frontier, nxt), moves(nxt, frontier)
-    planes = []
-    d = 0  # the last ring labelled
     while True:
         if d >= check_from and not (todo[reach_at] & reach_bits).any():
             break
@@ -317,107 +479,64 @@ def _wavefront(free: np.ndarray, start, reach=None, check_from: int = 0):
             np.bitwise_or(out, shifted, out)
         nxt &= todo
         if not d & 1 and not np.count_nonzero(nxt):  # ring d + 1 is odd
+            rings.done[row] = True
             break
         d += 1
-        if d >> len(planes):
-            planes.append(np.zeros_like(todo))
         planes[(d & -d).bit_length() - 1] ^= todo
         todo ^= nxt
         frontier, nxt = nxt, frontier
         shifts, swapped = swapped, shifts
-    if (1 << len(planes)) - 1 <= d:
-        planes.append(np.zeros_like(todo))
-    for k in range(len(planes) - 2, -1, -1):  # Gray code to binary
-        planes[k] ^= planes[k + 1]
-    never = ~(free_words ^ todo)  # todo kept only the unreached
-    label = np.zeros(64 * todo.size,
-                     dtype=np.min_scalar_type(2 ** len(planes) - 1))
-    for plane in reversed(planes):  # one at a time: 1 byte per cell, not K
-        label += label
-        label |= np.unpackbits((plane | never).view(np.uint8),
-                               bitorder="little")
-    label = np.moveaxis(label.reshape((blocks,) + padded + (64,)), -1, 1)
-    label = label.reshape((64 * blocks,) + padded)[(slice(0, nx),) + inner]
-    return label, 2 ** len(planes) - 1
+    if frontier is not kept:
+        kept[:] = frontier
+    rings.ring[row] = d
+    return d - first
 
 
-def _write_labels(dst: np.ndarray, label: np.ndarray, never: int) -> None:
-    """Rings from `_wavefront` into a float array, inf for `never`."""
-    label = np.ascontiguousarray(label)   # a strided cast is slower
-    # never / 0 = inf and every other label / 1 = itself, without the
-    # slow masked write of inf into scattered cells
-    with np.errstate(divide="ignore"):
-        np.divide(label, label != never, out=dst, dtype=dst.dtype)
-
-
-def _plane(grid: Grid, field: np.ndarray, model: MotionModel):
-    """(cells, free mask) the kernel searches for a field: the z = 0
-    plane for GROUND4, whose other cells are all inf."""
+def _free_mask(grid: Grid, model: MotionModel) -> np.ndarray:
+    """The cells a field of `model` searches: the z = 0 plane for
+    GROUND4, whose other cells are all unreachable."""
     if model is MotionModel.GROUND4:
-        return field[:, :, 0], ~grid.blocked[:, :, 0]
-    return field, ~grid.blocked
+        return ~grid.blocked[:, :, 0]
+    return ~grid.blocked
 
 
 def distance_field(grid: Grid, source: Cell, model: MotionModel,
-                   out: np.ndarray | None = None,
-                   reach=None) -> np.ndarray:
+                   reach=None, into=None) -> np.ndarray | None:
     """Exact shortest-path distance (meters) from `source` to every cell,
-    np.inf where unreachable.  Matches A* lengths cell for cell.
+    np.inf where unreachable: a float64 array of the grid's shape, which
+    matches A* lengths cell for cell.
 
-    The distances go into `out` when it is given, of any float dtype and
-    of the grid's shape, or for GROUND4 also its (dx, dy, 1) z = 0
-    plane; otherwise into a new float64 array of the grid's shape.  With
-    `reach`, some (x, y, z) cells, the rings stop after the one that
-    labels the last of them the source reaches, and every cell beyond
-    that ring reads inf too; `resume_field` adds the rings left out.
+    With `reach`, some (x, y, z) cells, the rings stop after the one
+    that labels the last of them the source reaches, and every cell
+    beyond that ring reads inf too.  With `into`, a (Rings, row) pair
+    over this grid's `model` mask, the search goes into that row and
+    stays packed there, for a later lookup or extension: nothing is
+    decoded, and None is returned.
     """
+    rings, row = into or (Rings(_free_mask(grid, model), 1), 0)
     source = tuple(source)
-    if out is None:
-        out = np.full(grid.dims, np.inf) if model is MotionModel.GROUND4 \
-            else np.empty(grid.dims)
-    elif model is MotionModel.GROUND4:
-        out[:, :, 1:] = np.inf   # nothing to fill in a plane
-    dst, free = _plane(grid, out, model)
-    if model is MotionModel.GROUND4 and source[2] != 0 \
-            or not free[source[:free.ndim]]:
-        dst[...] = np.inf
-        return out
-    source = source[:free.ndim]
-    check_from = 0
-    if reach is not None:
-        reach = np.asarray(reach, dtype=np.intp).reshape(-1, 3)
-        if model is MotionModel.GROUND4:  # other cells read inf anyway
-            reach = reach[reach[:, 2] == 0, :2]
-        if len(reach):
+    ground = model is MotionModel.GROUND4
+    if ground and source[2] != 0 or not grid.is_free(source):
+        rings.start(row, None)
+    else:
+        source = source[:2] if ground else source
+        rings.start(row, source)
+        if reach is None:
+            _wavefront(rings, row)
+        else:
+            reach = np.asarray(reach, dtype=np.intp).reshape(-1, 3)
+            if ground:  # other cells read inf anyway
+                reach = reach[reach[:, 2] == 0, :2]
+            at, shift, free = rings.locate(reach)
             # a cell's Manhattan distance bounds its ring from below
-            check_from = int(np.abs(reach - source).sum(axis=1).max())
-    _write_labels(dst, *_wavefront(free, source, reach, check_from))
-    return out
-
-
-def resume_field(grid: Grid, field: np.ndarray, model: MotionModel) -> None:
-    """Add, in place, the rings that `distance_field` left out of a
-    field it stopped at a `reach` ring, so the field equals the one an
-    unbounded `distance_field` returns.
-
-    No search state is kept between calls: the cells of the field's
-    last ring are the frontier, and the free cells still at inf are
-    those left to reach.  New rings count on from the last one, and
-    `np.minimum` merges them, leaving every labelled cell as it was.
-    """
-    dst, free = _plane(grid, field, model)
-    with np.errstate(invalid="ignore"):
-        # inf * 0 is nan, which fmax skips (several times faster than a
-        # max with `where=`): the last ring, or nan if no cell has one
-        last = np.fmax.reduce(dst * 0 + dst, axis=None)
-    if not last >= 0:    # the source is blocked or off the plane
-        return
-    start = dst == last
-    free &= ~(dst < last)
-    ext = np.empty_like(dst)
-    _write_labels(ext, *_wavefront(free, start))
-    ext += last
-    np.minimum(dst, ext, out=dst)
+            check_from = int(np.abs(reach[free] - source).sum(axis=1)
+                             .max(initial=0))
+            _wavefront(rings, row, at[free], shift[free], check_from)
+    if into is not None:
+        return None
+    field = np.full(grid.dims, np.inf) if ground else np.empty(grid.dims)
+    rings.decode(0, field[:, :, 0] if ground else field)
+    return field
 
 
 # ---------------------------------------------------------------------------
@@ -433,39 +552,47 @@ def path_cost(distance: float, velocity: float) -> float:
     return distance / velocity
 
 
-class FieldStore(Mapping):
-    """One episode's distance fields, slot-major.
+@dataclass
+class FieldWork:
+    """What a `FieldStore`'s searches did for one motion model: fields
+    built, rows a lookup extended, and the rings both labelled."""
 
-    Per motion model one (slots, cells) float32 array, allocated on the
-    model's first field and reused for the whole episode: row s holds
-    the field of the task in observation slot s.  An AERIAL6 row is the
-    full grid, a GROUND4 row only its z = 0 plane, since every other
-    cell is inf.  float32 keeps inf and is exact for every distance
-    below 2**24, so a float32 distance divided by a float64 velocity is
-    the float64 travel time `path_cost` gives.
+    built: int = 0
+    extended: int = 0
+    rings: int = 0
+
+
+class FieldStore(Mapping):
+    """One episode's distance fields, slot-major, kept as the kernel's
+    packed searches.
+
+    Per motion model one `Rings` stack with a row per slot, made on the
+    model's first field (its free mask packed once) and reused for the
+    whole episode: row s holds the search from the task in observation
+    slot s.  An AERIAL6 row covers the full grid, a GROUND4 row only its
+    z = 0 plane, since every other cell is unreachable.
 
     As a Mapping it is keyed by (task id, motion model); a value is the
-    row viewed with the field's (x, y, z) shape, (dx, dy, 1) for
-    GROUND4.  `ensure` builds missing keys with one `distance_field`
-    call each, `drop` forgets a Done task, and `lookup` gathers many
-    fields at many cells with one index.
+    row decoded on demand into a float32 array of the field's (x, y, z)
+    shape, (dx, dy, 1) for GROUND4.  `ensure` builds missing keys with
+    one `distance_field` call each, `drop` forgets a Done task, `lookup`
+    reads many rows at many cells straight from their label planes, and
+    `path` walks a row down to its task.
 
-    A row is built only out to the ring of its farthest agent, and
-    reads inf beyond it until a `lookup` there completes it with
-    `resume_field`.  Every distance `lookup` returns is therefore the
-    full field's, and a path walked down a row from a cell just looked
-    up stays inside its rings.
+    A row is built only out to the ring of its farthest agent.  A lookup
+    at a cell the row has not reached continues the row from its kept
+    frontier, out to the looked-up cells only, so no ring is searched
+    twice, and every distance it returns is the full field's.  `work`
+    counts, per motion model, what the searches did.
     """
 
     def __init__(self, grid: Grid, slots: int):
         self.grid = grid
         self.slots = slots
-        self._arrays: dict = {}   # model -> (slots, cells) float32
+        self._rings: dict = {}   # model -> Rings, one row per slot
         # model -> the task id whose field each row holds, None if none
         self._held = {model: [None] * slots for model in MotionModel}
-        # model -> per row, whether it holds every ring of its field
-        self._complete = {model: np.zeros(slots, dtype=bool)
-                          for model in MotionModel}
+        self.work = {model: FieldWork() for model in MotionModel}
 
     def _shape(self, model: MotionModel) -> Cell:
         dx, dy, dz = self.grid.dims
@@ -475,8 +602,11 @@ class FieldStore(Mapping):
         if key not in self:
             raise KeyError(key)
         task_id, model = key
-        row = self._held[model].index(task_id)
-        return self._arrays[model][row].reshape(self._shape(model))
+        out = np.empty(self._shape(model), dtype=np.float32)
+        rings = self._rings[model]
+        rings.decode(self._held[model].index(task_id),
+                     out.reshape(rings.mask.shape))
+        return out
 
     def __contains__(self, key) -> bool:
         task_id, model = key
@@ -492,31 +622,26 @@ class FieldStore(Mapping):
         return sum(len(held) - held.count(None)
                    for held in self._held.values())
 
-    def _writable(self, model: MotionModel) -> np.ndarray:
-        """The model's array, allocated on first use."""
-        array = self._arrays.get(model)
-        if array is None:
-            array = self._arrays[model] = np.empty(
-                (self.slots, math.prod(self._shape(model))), dtype=np.float32)
-        return array
-
     def ensure(self, model: MotionModel, tasks, rows, reach) -> None:
         """Hold the `model` field of each task (.id, .location) in its
         row, `rows[j]` for `tasks[j]`.  A row that holds another task's
-        field, or none, is built with one `distance_field` call straight
-        into the row, out to the ring of the farthest of the `reach`
-        cells, so a row a new task reuses is rebuilt and its old key
-        leaves."""
+        field, or none, is built with one `distance_field` call into the
+        row, out to the ring of the farthest of the `reach` cells, so a
+        row a new task reuses is rebuilt and its old key leaves."""
         held = self._held[model]
         for task, row in zip(tasks, rows):
             if held[row] == task.id:
                 continue
-            array = self._writable(model)
-            distance_field(self.grid, task.location, model,
-                           out=array[row].reshape(self._shape(model)),
-                           reach=reach)
+            rings = self._rings.get(model)
+            if rings is None:
+                rings = self._rings[model] = Rings(
+                    _free_mask(self.grid, model), self.slots)
+            distance_field(self.grid, task.location, model, reach=reach,
+                           into=(rings, row))
             held[row] = task.id
-            self._complete[model][row] = False
+            work = self.work[model]
+            work.built += 1
+            work.rings += int(rings.ring[row])
 
     def drop(self, task_id: int) -> None:
         """Forget a task's fields; their rows are free for reuse."""
@@ -526,23 +651,51 @@ class FieldStore(Mapping):
 
     def lookup(self, model: MotionModel, rows: np.ndarray,
                cells: np.ndarray) -> np.ndarray:
-        """(len(cells), len(rows)) float32 distances from each (x, y, z)
-        cell, a row of `cells`, to the source of each field row.  A row
-        that reads inf at one of the cells, and may yet reach it, is
-        completed first.  Completing costs little more than adding the
-        few rings a cell needs, since most of a resume's work is fixed,
-        and an agent walking away from a task would otherwise resume
-        its row round after round."""
-        shape, array = self._shape(model), self._arrays[model]
-        flat = np.ravel_multi_index(cells.T, shape)
-        out = array[rows[None, :], flat[:, None]]
-        short = np.isinf(out).any(axis=0) & ~self._complete[model][rows]
-        for j in np.flatnonzero(short):
-            row = rows[j]
-            resume_field(self.grid, array[row].reshape(shape), model)
-            self._complete[model][row] = True
-            out[:, j] = array[row, flat]
-        return out
+        """(len(cells), len(rows)) distances from each (x, y, z) cell, a
+        row of `cells`, to the source of each field row, inf where
+        unreachable.  A row that has not reached some of the free cells,
+        and may yet, first continues until it has, or ends."""
+        rings = self._rings[model]
+        on_plane = True
+        if model is MotionModel.GROUND4:
+            on_plane, cells = cells[:, 2] == 0, cells[:, :2]
+        at, shift, valid = rings.locate(cells)
+        valid &= on_plane
+        out = rings.labels(rows, at, shift)
+        if not valid.all():
+            out[:, ~valid] = np.inf
+        pending = np.isinf(out)
+        if pending.any():
+            pending &= valid
+            work = self.work[model]
+            for j in np.flatnonzero(pending.any(axis=1) & ~rings.done[rows]):
+                row, ahead = rows[j], pending[j]
+                # a cell's Manhattan distance bounds its ring from below
+                check_from = int(np.abs(cells[ahead] - rings.source[row])
+                                 .sum(axis=1).max())
+                work.extended += 1
+                work.rings += _wavefront(rings, row, at[ahead], shift[ahead],
+                                         check_from)
+                out[j] = rings.labels(rows[j:j + 1], at, shift)[0]
+                out[j, ~valid] = np.inf
+        return out.T
+
+    def path(self, task_id: int, model: MotionModel, start: Cell) -> Path:
+        """The shortest path from `start` to the task, walked down its
+        row (`Rings.walk`): the cells a walk down the decoded field takes.
+        A row that has not reached `start` is first extended there, as a
+        lookup at `start` would."""
+        row, rings = self._held[model].index(task_id), self._rings[model]
+        start = tuple(int(c) for c in start)
+        off_plane = model is MotionModel.GROUND4 and start[2] != 0
+        cells = None if off_plane else rings.walk(row, start, model.deltas)
+        if cells is None:
+            if np.isinf(self.lookup(model, np.array([row]),
+                                    np.array([start]))).any():
+                raise NoPathError(f"task {task_id} is unreachable from "
+                                  f"{start}")
+            cells = rings.walk(row, start, model.deltas)
+        return Path(cells)
 
 
 def cost_matrix(state) -> CostMatrix:
@@ -551,10 +704,11 @@ def cost_matrix(state) -> CostMatrix:
 
     `state` needs .grid, .agents (position/velocity/motion_model),
     .live_tasks(), .live_slots() (the slot of each live task) and a
-    `FieldStore` .dist_cache, which holds one distance field per (task
+    `FieldStore` .dist_cache, which keeps one packed search per (task
     id, motion model) in the row of the task's slot.  Each entry is the
     same division as `path_cost`, done for all agents of one motion
-    model with one gather of their cells from that model's live rows.
+    model with one lookup of their cells in that model's live rows,
+    which reads ring labels and decodes no field.
     """
     tasks = state.live_tasks()
     agents = state.agents
@@ -573,7 +727,7 @@ def cost_matrix(state) -> CostMatrix:
         cells = np.array([agents[i].position for i in which], dtype=np.intp)
         state.dist_cache.ensure(model, tasks, rows, cells)
         entries[which] = state.dist_cache.lookup(model, rows, cells)
-    # float32 distances widen exactly, so this is the float64 division
+    # whole-number distances, so this is the float64 division
     entries /= velocity[:, None]
     return CostMatrix(entries)
 

@@ -162,14 +162,26 @@ class EpisodeState:
     log: list = field(default_factory=list)
     intervals_consumed: int = 0
     contested_tasks: set = field(default_factory=set)
+    # `live_slots()` until the next `replace_slot`
+    _live: list | None = field(default=None, init=False, repr=False,
+                               compare=False)
 
     def live_slots(self) -> list:
         """Slots of the tasks not Done, in ascending task-id order: the
         column order of every cost matrix.  Each such task holds a slot,
-        and `advance` frees a Done task's slot."""
-        live = [s for s, tid in enumerate(self.slots) if tid is not None]
-        live.sort(key=self.slots.__getitem__)
-        return live
+        and `advance` frees a Done task's slot.  Callers must not change
+        the list: it is kept until the next `replace_slot`."""
+        if self._live is None:
+            live = [s for s, tid in enumerate(self.slots) if tid is not None]
+            live.sort(key=self.slots.__getitem__)
+            self._live = live
+        return self._live
+
+    def replace_slot(self, old, new) -> None:
+        """Put `new`, a task id or None, into the first slot holding
+        `old`: every slot write goes through here."""
+        self.slots[self.slots.index(old)] = new
+        self._live = None
 
     def live_tasks(self) -> list:
         """Tasks not Done, in ascending id order: one per cost-matrix
@@ -306,34 +318,11 @@ def observation(state: EpisodeState, slot_costs: np.ndarray):
 # decision step
 # ---------------------------------------------------------------------------
 
-def _extract_path(field_arr: np.ndarray, start, model: MotionModel) -> Path:
-    """Walk a distance field downhill from `start` to its source; exact
-    shortest path without a fresh search."""
-    cells = [tuple(start)]
-    x, y, z = cells[0]
-    d = field_arr[x, y, z]
-    nx, ny, nz = field_arr.shape
-    deltas = model.deltas
-    while d > 0:
-        d -= 1
-        for dx, dy, dz in deltas:
-            a, b, c = x + dx, y + dy, z + dz
-            if 0 <= a < nx and 0 <= b < ny and 0 <= c < nz \
-                    and field_arr[a, b, c] == d:
-                x, y, z = a, b, c
-                cells.append((a, b, c))
-                break
-        else:
-            raise RuntimeError("distance field has no downhill neighbor")
-    return Path(cells)
-
-
 def _plan_to_task(state: EpisodeState, agent: AgentState, task: TaskState) -> Path:
-    """Path along the task's cached field, which `current_cost_matrix`
-    built for every live task and motion model.  That matrix looked up
-    the agent's cell, so the row holds every ring the walk descends."""
-    return _extract_path(state.dist_cache[(task.id, agent.motion_model)],
-                         agent.position, agent.motion_model)
+    """Path down the task's cached field, which `current_cost_matrix`
+    built for every live task and motion model and looked up at the
+    agent's cell."""
+    return state.dist_cache.path(task.id, agent.motion_model, agent.position)
 
 
 def assign_tasks(state: EpisodeState, picks) -> None:
@@ -468,7 +457,7 @@ def advance(state: EpisodeState) -> list:
             task.status = TaskStatus.DONE
             # nothing reads a Done task's fields again
             state.dist_cache.drop(task.id)
-            state.slots[state.slots.index(task.id)] = None
+            state.replace_slot(task.id, None)
             agent.status = AgentStatus.COMPLETE
             state.record("task_done", agent=agent.id, task=task.id)
             state.reservations.release_agent(agent.id)
@@ -508,7 +497,7 @@ def spawn_tasks(state: EpisodeState, config: WorldConfig) -> list:
                       state.grid.dims[1])
         task = TaskState(len(state.tasks), (x, y, 0), spawn_time=state.clock)
         state.tasks.append(task)
-        state.slots[state.slots.index(None)] = task.id
+        state.replace_slot(None, task.id)
         state.record("task_spawn", task=task.id)
         new.append(task)
     return new

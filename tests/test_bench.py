@@ -364,7 +364,9 @@ class TestSharedInstanceCosts:
         (ep,) = episodes
         assert fields == [] and costs == []
         assert stored and set(stored) == {0}
-        assert ep.state.dist_cache._arrays == {}
+        store = ep.state.dist_cache
+        assert len(store) == 0
+        assert all(work.built == 0 for work in store.work.values())
         assert len(stored) == ep.state.clock < cfg.step_cap
         assert log.all_done is False and all(
             a.status is AgentStatus.IDLE for a in ep.state.agents)

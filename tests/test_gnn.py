@@ -22,7 +22,7 @@ def small_state(seed=0):
 def finish(st, task):
     """Mark `task` Done as `advance` does, freeing its slot."""
     task.status = type(task.status).DONE
-    st.slots[st.slots.index(task.id)] = None
+    st.replace_slot(task.id, None)
 
 
 def identity_params(m_max):

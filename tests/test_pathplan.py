@@ -1,8 +1,10 @@
 """Planner tests.  A* and the distance fields are verified against an
-independently written heap Dijkstra; RRT* is checked for validity, for
-never undercutting the optimum and for returning the cells of the
+independently written heap Dijkstra, and the field store's paths against
+a walk down the float field; RRT* is checked for validity, for never
+undercutting the optimum and for returning the cells of the
 generator-based RRT* it replaced."""
 
+import copy
 import heapq
 import types
 from collections import Counter
@@ -18,8 +20,8 @@ from magnnet.errors import NoPathError
 from magnnet.pathplan import (AgentPlan, FieldStore, Grid, MotionModel, Path,
                               RRTParams, ReservationTable, astar,
                               distance_field, manhattan, path_cost,
-                              plan_schedule, resolve_paths, resume_field,
-                              rrt_star, _pcg64_draws, _staircase)
+                              plan_schedule, resolve_paths, rrt_star,
+                              _pcg64_draws, _staircase)
 from magnnet.world import Episode
 
 
@@ -349,35 +351,41 @@ def dijkstra_field(grid: Grid, source, model: MotionModel) -> np.ndarray:
 
 @st.composite
 def bounded_field_instances(draw):
-    """A small field instance, 0-4 reach cells anywhere in the grid
-    (blocked, unreachable and off the ground plane included), and
-    whether the field goes into a float32 store-shaped array."""
+    """A small field instance and 0-4 reach cells anywhere in the grid
+    (blocked, unreachable and off the ground plane included)."""
     grid, src, model = draw(small_field_instances())
     cell = st.tuples(*[st.integers(0, n - 1) for n in grid.dims])
-    reach = draw(st.lists(cell, max_size=4))
-    return grid, src, model, reach, draw(st.booleans())
+    return grid, src, model, draw(st.lists(cell, max_size=4))
+
+
+def store_row(store, task_id, model):
+    """A store row decoded, with the grid's (x, y, z) shape."""
+    row = store[(task_id, model)]
+    if model is MotionModel.GROUND4:
+        full = np.full(store.grid.dims, np.inf, dtype=row.dtype)
+        full[:, :, :1] = row
+        return full
+    return row
+
+
+def every_cell(grid):
+    return np.array(list(np.ndindex(*grid.dims)), dtype=np.intp).reshape(-1, 3)
 
 
 class TestBoundedField:
     """`distance_field(..., reach=)` equals the heap-Dijkstra field out to
     its last ring, which is the ring of its farthest reach cell, and is
-    inf beyond it; `resume_field` then completes it exactly."""
+    inf beyond it.  A store row built with the same reach holds the same
+    rings, and a lookup at every cell completes it exactly."""
 
     @settings(max_examples=300, derandomize=True, deadline=None)
     @given(bounded_field_instances())
     def test_equals_reference_within_last_ring(self, instance):
-        grid, src, model, reach, row = instance
+        grid, src, model, reach = instance
         ref = dijkstra_field(grid, src, model)
-        out = None
         if model is MotionModel.GROUND4:
             ref[:, :, 1:] = np.inf
-            if row:
-                out, ref = np.empty(grid.dims[:2] + (1,), np.float32), \
-                    ref[:, :, :1]
-        elif row:
-            out = np.empty(grid.dims, np.float32)
-        field = distance_field(grid, src, model, out=out, reach=reach)
-        assert out is None or field is out
+        field = distance_field(grid, src, model, reach=reach)
         last = field.max(initial=-1.0, where=np.isfinite(field))
         within = ref <= last
         assert np.array_equal(field[within], ref[within])
@@ -389,13 +397,18 @@ class TestBoundedField:
             assert np.isinf(field).all()
         elif not all(np.isfinite(dists)):
             assert np.array_equal(field, ref)   # it needs every ring
-        elif len(dists) == len(reach):
+        else:
             # the rings stop right after the farthest reach cell
             assert last == max(dists, default=0)
-        else:
-            assert last >= max(dists, default=0)
-        resume_field(grid, field, model)
-        assert np.array_equal(field, ref)
+        store = FieldStore(grid, 1)
+        task = types.SimpleNamespace(id=0, location=src)
+        store.ensure(model, [task], np.array([0]),
+                     np.array(reach, dtype=np.intp).reshape(-1, 3))
+        assert np.array_equal(store_row(store, 0, model), field)
+        cells = every_cell(grid)
+        got = store.lookup(model, np.array([0]), cells)[:, 0]
+        assert np.array_equal(got, ref[tuple(cells.T)])
+        assert np.array_equal(store_row(store, 0, model), ref)
 
     @pytest.mark.parametrize("ring", [0, 1, 3, 31, 63, 127, 255])
     @pytest.mark.parametrize("model,axis", [
@@ -403,28 +416,38 @@ class TestBoundedField:
         (MotionModel.GROUND4, 1)])
     def test_corridor_stops_at_the_reach_ring(self, ring, model, axis):
         """A 300-cell corridor from one end, stopped at `ring`.  At
-        ring 2**K - 1 the last ring's label equals the never-reached
-        label of K planes, so the kernel needs one more plane; without
-        it the farthest agent's distance reads inf."""
+        ring 2**K - 1 the last ring needs all K label bits; a store row
+        built there and then looked up at the far end has searched each
+        of the 299 rings once, the build's and the extension's."""
         dims = [1, 1, 1]
         dims[axis] = 300
         grid = Grid.empty(tuple(dims))
         cell = [0, 0, 0]
         cell[axis] = ring
-        out = np.empty(tuple(dims), np.float32)
-        field = distance_field(grid, (0, 0, 0), model, out=out,
+        field = distance_field(grid, (0, 0, 0), model,
                                reach=[tuple(cell)]).reshape(-1)
         assert np.array_equal(field[:ring + 1], np.arange(ring + 1))
         assert np.isinf(field[ring + 1:]).all()
-        resume_field(grid, out, model)
-        assert np.array_equal(field, np.arange(300))
+        store = FieldStore(grid, 1)
+        task = types.SimpleNamespace(id=5, location=(0, 0, 0))
+        store.ensure(model, [task], np.array([0]), np.array([cell]))
+        work = store.work[model]
+        assert (work.built, work.extended, work.rings) == (1, 0, ring)
+        end = [0, 0, 0]
+        end[axis] = 299
+        assert store.lookup(model, np.array([0]), np.array([end])) == 299
+        assert np.array_equal(store_row(store, 5, model).reshape(-1),
+                              np.arange(300))
+        assert (work.built, work.extended, work.rings) == (1, int(ring < 299),
+                                                           299)
 
 
 class TestFieldStoreResume:
     """A store row stops at its farthest agent's ring, and a lookup past
-    it completes the row in place before answering."""
+    it continues the row from its kept frontier, out to the looked-up
+    cell only, before answering."""
 
-    def test_lookup_past_the_last_ring_completes_the_row(self):
+    def test_lookup_past_the_last_ring_extends_the_row(self):
         grid = random_grid(np.random.default_rng(7), dims=(14, 12, 5),
                            density=0.15)
         task = types.SimpleNamespace(id=3, location=(0, 0, 0))
@@ -432,18 +455,188 @@ class TestFieldStoreResume:
         grid.blocked[task.location] = grid.blocked[tuple(near[0])] = False
         full = distance_field(grid, task.location, MotionModel.AERIAL6)
         far = np.argwhere(full == full[np.isfinite(full)].max())[:1]
+        mid = np.argwhere(full == full[tuple(far[0])] // 2)[:1]
         store = FieldStore(grid, 2)
         store.ensure(MotionModel.AERIAL6, [task], [1], near)
         key = (3, MotionModel.AERIAL6)
+        work = store.work[MotionModel.AERIAL6]
         bounded = np.array(store[key])
         assert np.isinf(bounded[tuple(far[0])])
+        assert work.rings == full[tuple(near[0])] == 2
         # a lookup inside the row's rings leaves it as it was
         assert store.lookup(MotionModel.AERIAL6, np.array([1]), near) \
             == full[tuple(near[0])]
         assert np.array_equal(store[key], bounded)
+        assert work.extended == 0
+        # one past it adds only the rings out to the looked-up cell
+        assert store.lookup(MotionModel.AERIAL6, np.array([1]), mid) \
+            == full[tuple(mid[0])]
+        row = store[key]
+        within = full <= full[tuple(mid[0])]
+        assert np.array_equal(row[within], full[within])
+        assert np.isinf(row[~within]).all()
+        assert (work.extended, work.rings) == (1, full[tuple(mid[0])])
+        # a copy extends on its own, as an episode state's deep copy does
+        copied = copy.deepcopy(store)
         assert store.lookup(MotionModel.AERIAL6, np.array([1]), far) \
             == full[tuple(far[0])]
         assert np.array_equal(store[key], full)
+        assert (work.extended, work.rings) == (2, full[tuple(far[0])])
+        assert np.array_equal(copied[key], row)
+        assert copied.lookup(MotionModel.AERIAL6, np.array([1]), far) \
+            == full[tuple(far[0])]
+        assert np.array_equal(copied[key], full)
+
+
+def extract_path_reference(field: np.ndarray, start, model: MotionModel):
+    """Walk a float distance field downhill from `start` to its source:
+    from a cell at distance d, the first neighbour in `model.deltas`
+    order at d - 1.  The walk the store's plane walk replaced."""
+    cells = [tuple(start)]
+    x, y, z = cells[0]
+    d = field[x, y, z]
+    nx, ny, nz = field.shape
+    while d > 0:
+        d -= 1
+        for dx, dy, dz in model.deltas:
+            a, b, c = x + dx, y + dy, z + dz
+            if 0 <= a < nx and 0 <= b < ny and 0 <= c < nz \
+                    and field[a, b, c] == d:
+                x, y, z = a, b, c
+                cells.append((a, b, c))
+                break
+        else:
+            raise RuntimeError("distance field has no downhill neighbor")
+    return Path(cells)
+
+
+class TestStorePath:
+    @pytest.mark.parametrize("model", list(MotionModel))
+    @pytest.mark.parametrize("seed", range(6))
+    def test_follows_field_from_every_reachable_start(self, model, seed):
+        rng = np.random.default_rng(seed)
+        grid = Grid((9, 8, 4), rng.random((9, 8, 4)) < 0.25)
+        z_max = 1 if model is MotionModel.GROUND4 else grid.dims[2]
+        free = [tuple(int(v) for v in c) for c in np.argwhere(~grid.blocked)
+                if c[2] < z_max]
+        source = free[int(rng.integers(len(free)))]
+        field = distance_field(grid, source, model)
+        starts = [tuple(int(v) for v in c)
+                  for c in np.argwhere(np.isfinite(field))]
+        assert source in starts
+        store = FieldStore(grid, 1)
+        task = types.SimpleNamespace(id=0, location=source)
+        store.ensure(model, [task], np.array([0]), np.array([source]))
+        for start in starts:
+            path = store.path(0, model, start)
+            path.validate(grid, model)
+            assert path.cells[0] == start
+            assert path.goal == source
+            assert path.length == field[start]
+            assert path.cells == extract_path_reference(field, start,
+                                                        model).cells
+
+    def test_unreachable_start_raises(self):
+        grid = Grid.empty((5, 1, 1))
+        grid.blocked[2] = True
+        store = FieldStore(grid, 1)
+        task = types.SimpleNamespace(id=0, location=(0, 0, 0))
+        store.ensure(MotionModel.GROUND4, [task], np.array([0]),
+                     np.array([(0, 0, 0)]))
+        with pytest.raises(NoPathError):
+            store.path(0, MotionModel.GROUND4, (4, 0, 0))
+
+
+@st.composite
+def store_programs(draw):
+    """A grid, a motion model and 1-12 store operations over 3 rows.
+
+    Grids are small (every axis 1-6), wider than one 64-cell word along
+    x (65-140 cells), or a corridor of 256-300 cells along one axis,
+    whose rings need more than 8 label planes.  An operation is (kind,
+    row, seed); the seed draws its cells."""
+    shape = draw(st.sampled_from(["small", "wide", "corridor"]))
+    model = draw(st.sampled_from([MotionModel.AERIAL6, MotionModel.GROUND4]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if shape == "corridor":
+        dims = [1, 1, 1]
+        dims[draw(st.integers(0, 1 if model is MotionModel.GROUND4
+                              else 2))] = draw(st.integers(256, 300))
+        dims = tuple(dims)
+        blocked = np.zeros(dims, dtype=bool)
+        if draw(st.booleans()):  # a wall that cuts the far end off
+            blocked.reshape(-1)[draw(st.integers(200, 255))] = True
+    else:
+        dims = (draw(st.integers(1, 6) if shape == "small"
+                     else st.integers(65, 140)),
+                draw(st.integers(1, 6)), draw(st.integers(1, 4)))
+        blocked = rng.random(dims) < draw(st.floats(0.0, 0.3))
+    ops = draw(st.lists(st.tuples(
+        st.sampled_from(["ensure", "lookup", "drop", "path"]),
+        st.integers(0, 2), st.integers(0, 2**32 - 1)),
+        min_size=1, max_size=12))
+    return Grid(dims, blocked), model, ops
+
+
+class TestFieldStoreAgainstDijkstra:
+    """Builds, lookups at drawn cells, drops and rebuilds into freed rows,
+    interleaved: every lookup equals heap Dijkstra, every row decodes to
+    Dijkstra's field out to its last ring and inf beyond it, and every
+    path is the float-field walk's, cell for cell."""
+
+    @staticmethod
+    def _cells(rng, grid, model, count):
+        cells = np.array([[int(rng.integers(n)) for n in grid.dims]
+                          for _ in range(count)], dtype=np.intp)
+        if model is MotionModel.GROUND4 and len(cells):
+            cells[rng.random(count) < 0.9, 2] = 0
+        return cells.reshape(-1, 3)
+
+    @settings(max_examples=120, derandomize=True, deadline=None)
+    @given(store_programs())
+    def test_interleaved_operations(self, program):
+        grid, model, ops = program
+        store = FieldStore(grid, 3)
+        refs = {}   # row -> (task id, reference field)
+        for i, (kind, row, seed) in enumerate(ops):
+            rng = np.random.default_rng(seed)
+            if kind == "ensure":
+                location = tuple(self._cells(rng, grid, model, 1)[0])
+                task = types.SimpleNamespace(id=i, location=location)
+                store.ensure(model, [task], np.array([row]),
+                             self._cells(rng, grid, model,
+                                         int(rng.integers(0, 5))))
+                ref = dijkstra_field(grid, location, model)
+                if model is MotionModel.GROUND4:
+                    ref[:, :, 1:] = np.inf
+                refs[row] = (task.id, ref)
+            elif row not in refs:
+                continue
+            elif kind == "drop":
+                store.drop(refs.pop(row)[0])
+            elif kind == "lookup":
+                rows = sorted(refs)
+                cells = self._cells(rng, grid, model, int(rng.integers(1, 6)))
+                got = store.lookup(model, np.array(rows), cells)
+                for j, r in enumerate(rows):
+                    assert np.array_equal(got[:, j],
+                                          refs[r][1][tuple(cells.T)])
+            else:
+                task_id, ref = refs[row]
+                reachable = np.argwhere(np.isfinite(ref))
+                if not len(reachable):
+                    continue
+                start = tuple(int(v) for v in
+                              reachable[int(rng.integers(len(reachable)))])
+                assert store.path(task_id, model, start).cells == \
+                    extract_path_reference(ref, start, model).cells
+            assert set(store) == {(tid, model) for tid, _ in refs.values()}
+            for task_id, ref in refs.values():
+                field = store_row(store, task_id, model)
+                last = field.max(initial=-1.0, where=np.isfinite(field))
+                within = ref <= last
+                assert np.array_equal(field[within], ref[within])
+                assert np.isinf(field[~within]).all()
 
 
 class TestGrid:

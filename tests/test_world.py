@@ -383,9 +383,9 @@ class TestObservationEquivalence:
 
 class TestFieldCache:
     """`state.dist_cache` holds only the fields of live tasks, ground
-    fields as their z = 0 plane, as float32 rows of its slot-major
-    arrays, and never drops a field that is read again.  Oracles call
-    the real `distance_field`, never the cache."""
+    fields as their z = 0 plane, decoded on demand into float32 arrays,
+    and never drops a field that is read again.  Oracles call the real
+    `distance_field`, never the cache."""
 
     CONFIGS = (dict(), dict(obstacle_density=0.2),
                dict(task_interval=3.0, m_max=8, step_cap=60.0),
@@ -508,6 +508,33 @@ class TestFieldCache:
         # one build per new key, none for the initial keys
         assert sorted(built, key=repr) == sorted(
             ((st.task(tid).location, m) for tid, m in new_keys), key=repr)
+
+    def test_work_counters_match_the_keys_and_rings_held(self):
+        """Per motion model, the store counts one field built for each
+        distinct key the episode held, and rings searched between the
+        sum of the keys' last rings and that sum plus one per key (the
+        empty ring that ends a search): a row that a lookup extends
+        never searches a ring twice."""
+        extended = 0
+        for k, config in enumerate(self.CONFIGS):
+            ep = Episode(small_config(**config), 700 + k)
+            st, rng = ep.state, np.random.default_rng(k)
+            last = {}   # key -> the last ring its row was seen to hold
+            while not ep.terminated:
+                if ep.decision_due():
+                    _, masks, _, _ = ep.observe()
+                    for key, row in st.dist_cache.items():
+                        ring = row.max(initial=0.0, where=np.isfinite(row))
+                        last[key] = max(last.get(key, 0.0), ring)
+                    ep.act([int(rng.choice(np.flatnonzero(r)))
+                            for r in masks])
+                ep.tick()
+            for model, work in st.dist_cache.work.items():
+                rings = [r for (_, m), r in last.items() if m is model]
+                assert work.built == len(rings), (k, model)
+                assert sum(rings) <= work.rings <= sum(rings) + len(rings)
+                extended += work.extended
+        assert extended > 0
 
 
 def arbitrate_reference(state, actions, cm, task_ids):

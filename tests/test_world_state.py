@@ -1,36 +1,8 @@
-"""Paths read off cached distance fields, and id lookups on the episode
-state."""
+"""Id lookups and the slot order on the episode state."""
 
-import numpy as np
 import pytest
 
-from magnnet.pathplan import Grid, MotionModel, distance_field
-from magnnet.world import (WorldConfig, _extract_path, init_episode,
-                           spawn_tasks)
-
-
-def random_grid(seed, dims=(9, 8, 4), density=0.25):
-    rng = np.random.default_rng(seed)
-    return Grid(dims, rng.random(dims) < density), rng
-
-
-@pytest.mark.parametrize("model", list(MotionModel))
-@pytest.mark.parametrize("seed", range(6))
-def test_extract_path_follows_field_from_every_reachable_start(model, seed):
-    grid, rng = random_grid(seed)
-    z_max = 1 if model is MotionModel.GROUND4 else grid.dims[2]
-    free = [tuple(int(v) for v in c) for c in np.argwhere(~grid.blocked)
-            if c[2] < z_max]
-    source = free[int(rng.integers(len(free)))]
-    field = distance_field(grid, source, model)
-    starts = [tuple(int(v) for v in c) for c in np.argwhere(np.isfinite(field))]
-    assert source in starts
-    for start in starts:
-        path = _extract_path(field, start, model)
-        path.validate(grid, model)
-        assert path.cells[0] == start
-        assert path.goal == source
-        assert path.length == field[start]
+from magnnet.world import WorldConfig, init_episode, spawn_tasks
 
 
 def test_ids_index_agents_and_tasks():
@@ -50,3 +22,20 @@ def test_ids_index_agents_and_tasks():
     for bad in (-1, len(st.tasks)):
         with pytest.raises(KeyError):
             st.task(bad)
+
+
+def test_live_slots_kept_until_a_slot_write():
+    """`live_slots()` hands out one list until `replace_slot` writes a
+    slot, and the next call reads the new slots."""
+    cfg = WorldConfig(grid_dims=(15, 15, 6), n_agents=4, n_tasks_initial=3,
+                      n_ground=2, n_aerial=2, obstacle_density=0.08,
+                      task_interval=1.0, m_max=5)
+    st = init_episode(cfg, 5)
+    live = st.live_slots()
+    assert live == [0, 1, 2] and st.live_slots() is live
+    st.replace_slot(1, None)
+    assert st.live_slots() == [0, 2] and live == [0, 1, 2]
+    st.clock = 2.0
+    assert [t.id for t in spawn_tasks(st, cfg)] == [3, 4]
+    assert st.slots == [0, 3, 2, 4, None]
+    assert st.live_slots() == [0, 2, 1, 3]
