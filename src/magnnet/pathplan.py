@@ -221,9 +221,9 @@ def astar(grid: Grid, start: Cell, goal: Cell, model: MotionModel,
 
 @functools.lru_cache(maxsize=None)
 def _gray_rings(k: int) -> np.ndarray:
-    """The ring that `Rings.labels` reads from an index whose bit 0 is a
-    cell's todo bit and whose bits 1..k are its Gray-coded label: the
-    decoded label, or inf where the todo bit is set."""
+    """The ring that `Rings.labels` and `Rings.decode` read from an index
+    whose bit 0 is a cell's todo bit and whose bits 1..k are its
+    Gray-coded label: the decoded label, or inf where bit 0 is set."""
     ring = np.arange(2 ** k)
     table = np.full(2 ** (k + 1), np.inf)
     table[(ring ^ ring >> 1) << 1] = ring
@@ -232,52 +232,67 @@ def _gray_rings(k: int) -> np.ndarray:
 
 
 class Rings:
-    """Resumable breadth-first searches over one free mask, one search
-    per row, kept packed 64 cells to a machine word.
+    """Resumable breadth-first searches of one motion model over one
+    grid, one search per row, kept packed 64 cells to a machine word.
+
+    `Rings` owns the model's search: the cells it searches, its start,
+    its rings, its labels and its walks.  The model picks the mask of
+    searched cells: every free cell for AERIAL6, and for GROUND4 the
+    free cells of the z = 0 plane, as no ground move leaves it.  Every
+    method takes (x, y, z) cells, and a cell off the mask reads as
+    blocked.
 
     Word layout: the first axis x is cut into blocks of 64 cells.  Word
     (w, r) holds cells x = 64w .. 64w + 63 (bit i is x = 64w + i) at
-    index r of the other axes, which are padded with one blocked cell on
-    every side and flattened; it sits at w * B + r, where B is their
-    padded size (52 * 32 words on a 50x50x30 grid).  A move along x is a
-    1-bit shift of every word, plus, when x spans more than one block, a
-    carry of bit 63 into the same r of the next block: a word shift by
-    B.  A move along another axis is a word shift by its stride (Z+2
-    for y and 1 for z in 3D, 1 for y in 2D), and the padding keeps it
-    inside its block: a shift that crosses a row or plane boundary
-    lands in a padding word, which is never free, so `nxt &= todo`
-    drops it.
+    index r of the other searched axes (y and z, or y alone on the
+    plane), which are padded with one blocked cell on every side and
+    flattened; it sits at w * B + r, where B is their padded size (52 *
+    32 words on a 50x50x30 grid).  A move along x is a 1-bit shift of
+    every word, plus, when x spans more than one block, a carry of bit
+    63 into the same r of the next block: a word shift by B.  A move
+    along another axis is a word shift by its stride (Z+2 for y and 1
+    for z in 3D, 1 for y on the plane), and the padding keeps it inside
+    its block: a shift that crosses a row or plane boundary lands in a
+    padding word, which is never free, so `nxt &= todo` drops it.
 
     A row's search is its state after its last ring: `todo`, the free
     cells not yet reached; `frontier`, the cells of the last ring;
     `ring`, that ring's number; `done`, whether a ring came out empty;
-    and K label `planes`.  Ring labels are bit-sliced and Gray-coded:
-    plane k holds bit k of the Gray code g(D) = D ^ (D >> 1) of every
-    reached cell's ring D.  g(d) and g(d - 1) differ only in bit tz(d),
-    the lowest set bit of d, so ring d XORs every cell not reached
-    before it (`todo`, ring d included) into plane tz(d): one XOR per
-    ring.  A cell of ring D is XORed at rings 1..D, which leaves g(D);
-    cells not reached collect noise, so a label is read only where
-    `free & ~todo` is set.  Planes start at zero and `start` clears the
-    ones the row's last search wrote, those below its ring's bit
-    length, so every plane at or above that length reads zero.  No ring
-    exceeds the number n of free cells, so K, the bit length of n + 1,
-    leaves 2**K - 1 above every ring.  A row's `todo` sits just before
-    its planes, so one gather reads a cell's reached bit and its label
-    bits together.
+    `source`, its start cell; and K label `planes`.  Ring labels are
+    bit-sliced and Gray-coded: plane k holds bit k of the Gray code
+    g(D) = D ^ (D >> 1) of every reached cell's ring D.  g(d) and
+    g(d - 1) differ only in bit tz(d), the lowest set bit of d, so ring
+    d XORs every cell not reached before it (`todo`, ring d included)
+    into plane tz(d): one XOR per ring.  A cell of ring D is XORed at
+    rings 1..D, which leaves g(D); cells not reached collect noise, so
+    a label is read only where `free & ~todo` is set.  Planes start at
+    zero and `start` clears the ones the row's last search wrote, those
+    below its ring's bit length, so every plane at or above that length
+    reads zero.  No ring exceeds the number n of free cells, so K, the
+    bit length of n + 1, leaves 2**K - 1 above every ring.  A row's
+    `todo` sits just before its planes, so one gather reads a cell's
+    reached bit and its label bits together.
     """
 
-    def __init__(self, free: np.ndarray, rows: int):
+    def __init__(self, grid: Grid, model: MotionModel, rows: int):
+        self.deltas = model.deltas
+        # the free cells a row searches, of the grid's shape, and the
+        # index of the packed ones: the z = 0 plane for GROUND4
+        self.mask, self._searched = ~grid.blocked, ...
+        if model is MotionModel.GROUND4:
+            self.mask[:, :, 1:] = False
+            self._searched = (slice(None), slice(None), 0)
+        free = self.mask[self._searched]
         self.nx = free.shape[0]
         self.blocks = -(-self.nx // 64)
         self.padded = tuple(n + 2 for n in free.shape[1:])
         self.block = math.prod(self.padded)  # words per x-block
         self.strides = tuple(math.prod(self.padded[i + 1:])
                              for i in range(len(self.padded)))
-        # cells @ _coef + _base: each cell's word within its x-block
-        self._coef = np.array((0,) + self.strides)
+        # cells @ _coef + _base: each (x, y, z) cell's word within its
+        # x-block; z weighs nothing on the plane
+        self._coef = np.array((0,) + self.strides + (0,) * (3 - free.ndim))
         self._base = sum(self.strides)
-        self.mask = free
         self.free = self._pack(free)
         planes = int(np.count_nonzero(free) + 1).bit_length()
         # per row: todo, then the planes; np.zeros leaves untouched
@@ -290,7 +305,7 @@ class Rings:
         self.frontier = np.empty((rows, self.free.size), dtype=np.uint64)
         self.ring = np.zeros(rows, dtype=np.int64)
         self.done = np.ones(rows, dtype=bool)
-        self.source = np.zeros((rows, free.ndim), dtype=np.intp)
+        self.source = np.zeros((rows, 3), dtype=np.intp)
 
     # views taken on each use, so a copy of a stack keeps them in it
     @property
@@ -311,9 +326,9 @@ class Rings:
             words.reshape(self.block, self.blocks).T).ravel()
 
     def locate(self, cells: np.ndarray):
-        """(word, bit, free) of each cell of the mask, a row of `cells`:
-        its word's index, its bit's index in the word, and whether it is
-        free."""
+        """(word, bit, free) of each (x, y, z) cell of the grid, a row of
+        `cells`: its word's index, its bit's index in the word, and
+        whether it is a free cell of the mask."""
         x = cells[:, 0]
         at = cells @ self._coef
         at += self._base
@@ -322,32 +337,106 @@ class Rings:
             x = x & 63
         return at, x.astype(np.uint64), self.mask[tuple(cells.T)]
 
-    def _word(self, cell) -> tuple[int, int]:
-        """(word, bit) of one cell, as Python ints."""
+    def _word(self, cell) -> tuple[int, int] | None:
+        """(word, bit) of one (x, y, z) cell, as Python ints, or None if
+        it is not a free cell of the mask."""
+        if not all(0 <= c < n for c, n in zip(cell, self.mask.shape)) \
+                or not self.mask[cell]:
+            return None
         x = cell[0]
         return x // 64 * self.block + sum(
             (c + 1) * s for c, s in zip(cell[1:], self.strides)), x % 64
 
     def start(self, row: int, source) -> None:
-        """Row `row` searches from `source`, a cell of the mask, or from
-        nothing when `source` is None: ring 0 only."""
+        """Row `row` searches from (x, y, z) `source`, or from nothing,
+        ring 0 only, when that is not a free cell of the mask."""
         self.planes[row, :int(self.ring[row]).bit_length()] = 0
         todo, frontier = self.todo[row], self.frontier[row]
         todo[:] = self.free
         frontier[:] = 0
         self.ring[row] = 0
-        self.done[row] = source is None
-        if source is not None:
+        at = self._word(source)
+        self.done[row] = at is None
+        if at is not None:
             self.source[row] = source
-            w, b = self._word(source)
+            w, b = at
             frontier[w] = 1 << b
             todo[w] ^= frontier[w]
+
+    def search(self, row: int, cells=None) -> int:
+        """Continue row `row` ring by ring, one loop pass a ring, and
+        return the number of rings it labelled.
+
+        With `cells`, some (x, y, z) cells, it stops after the ring that
+        labels the last of them it can reach, testing from the largest
+        Manhattan distance between one of them and the row's source on,
+        a lower bound on that ring; otherwise it runs until a ring comes
+        out empty, which ends the search for good.  On 50x50x30 a ring
+        is about 10.5 ufunc calls over 1,664 words (13 kB).  Only odd
+        rings test for emptiness: an even empty ring only XORs cells
+        never reached into a plane, and d and d + 1 have the same bit
+        length.
+        """
+        if self.done[row]:
+            return 0
+        planes, todo = self.planes[row], self.todo[row]
+        frontier = kept = self.frontier[row]
+        first = d = int(self.ring[row])
+        check_from = math.inf
+        if cells is not None:
+            cells = np.asarray(cells, dtype=np.intp).reshape(-1, 3)
+            at, shift, free = self.locate(cells)
+            reach_at = at[free]
+            reach_bits = np.left_shift(np.uint64(1), shift[free])
+            # a cell's Manhattan distance bounds its ring from below
+            check_from = int(np.abs(cells[free] - self.source[row])
+                             .sum(axis=1).max(initial=0))
+        nxt, tmp = np.empty_like(todo), np.empty_like(todo)
+        block, blocks = self.block, self.blocks
+        # 0-d arrays make cheaper shift operands than numpy scalars
+        one, top = np.array(1, todo.dtype), np.array(63, todo.dtype)
+
+        def moves(f, n):
+            """(out, in) pairs for `out |= in`: the word shifts from f to
+            n."""
+            pairs = [(n[s:], f[:-s]) for s in self.strides]
+            return pairs + [(n[:-s], f[s:]) for s in self.strides]
+
+        # built once; they swap with the buffers they view
+        shifts, swapped = moves(frontier, nxt), moves(nxt, frontier)
+        while True:
+            if d >= check_from and not (todo[reach_at] & reach_bits).any():
+                break
+            np.left_shift(frontier, one, nxt)
+            np.right_shift(frontier, one, tmp)
+            nxt |= tmp
+            if blocks > 1:  # bit 63 carries into the next block and back
+                np.right_shift(frontier[:-block], top, tmp[block:])
+                nxt[block:] |= tmp[block:]
+                np.left_shift(frontier[block:], top, tmp[:-block])
+                nxt[:-block] |= tmp[:-block]
+            for out, shifted in shifts:
+                np.bitwise_or(out, shifted, out)
+            nxt &= todo
+            if not d & 1 and not np.count_nonzero(nxt):  # ring d + 1 is odd
+                self.done[row] = True
+                break
+            d += 1
+            planes[(d & -d).bit_length() - 1] ^= todo
+            todo ^= nxt
+            frontier, nxt = nxt, frontier
+            shifts, swapped = swapped, shifts
+        if frontier is not kept:
+            kept[:] = frontier
+        self.ring[row] = d
+        return d - first
 
     def labels(self, rows: np.ndarray, at: np.ndarray,
                shift: np.ndarray) -> np.ndarray:
         """(len(rows), len(at)) rings of the cells at words `at`, bits
-        `shift`, in each row; inf where the row has not reached a free
-        cell, and 0 at a blocked one."""
+        `shift`, in each row; inf where the row has not reached the cell.
+        Only a free cell (`locate`) has a ring: what any other reads is
+        meaningless."""
         k = int(self.ring[rows].max(initial=0)).bit_length()
         got = self._words.take((rows * self._words[0].size)[:, None, None]
                                + (at[:, None] + self._offsets[:k + 1]))
@@ -357,49 +446,47 @@ class Rings:
                                    @ self._weights[:k + 1])
 
     def decode(self, row: int, out: np.ndarray) -> None:
-        """Every cell's ring into `out`, a float array of the mask's
-        shape, inf where the row has not reached the cell."""
-        # 2**k - 1 is above every ring, and planes from the ring's bit
-        # length on read zero
-        k = int(self.ring[row] + 1).bit_length()
-        planes = self.planes[row, :k].copy()
-        for i in range(k - 2, -1, -1):  # Gray code to binary
-            planes[i] ^= planes[i + 1]
-        never = ~self.free | self.todo[row]
-        never_label = 2 ** k - 1
-        label = np.zeros(64 * self.free.size, np.min_scalar_type(never_label))
-        for plane in planes[::-1]:  # 1 byte per cell, not K
-            label += label
-            label |= np.unpackbits((plane | never).view(np.uint8),
-                                   bitorder="little")
-        # contiguous first, as a strided cast is slower; never / 0 = inf
-        # and every other label / 1 = itself, without the slow masked
-        # write of inf into scattered cells
-        label = np.ascontiguousarray(self._unpad(label))
-        with np.errstate(divide="ignore"):
-            np.divide(label, label != never_label, out=out, dtype=out.dtype)
+        """Every cell's ring into `out`, a float array of the grid's
+        shape, inf where the row has not reached the cell or the cell is
+        off the mask: the index `labels` reads, with todo or blocked as
+        its bit 0."""
+        k = int(self.ring[row]).bit_length()
+        bits = self._words[row, :k + 1].copy()
+        bits[0] |= ~self.free
+        # the smallest integer that holds an index: a byte for up to 8
+        # bits, which makes this loop and the take below several times
+        # faster than in int64
+        index = np.zeros(64 * self.free.size,
+                         np.min_scalar_type(2 ** (k + 1) - 1))
+        for plane in bits[::-1]:
+            index += index
+            index |= np.unpackbits(plane.view(np.uint8), bitorder="little")
+        out[...] = np.inf
+        out[self._searched] = _gray_rings(k).take(self._unpad(index))
 
     def _unpad(self, cells: np.ndarray) -> np.ndarray:
-        """A per-bit array in word order back to the mask's shape."""
+        """A per-bit array in word order back to the searched shape."""
         cells = np.moveaxis(
             cells.reshape((self.blocks,) + self.padded + (64,)), -1, 1)
         inner = (slice(1, -1),) * len(self.padded)
         return cells.reshape((64 * self.blocks,) + self.padded)[
             (slice(0, self.nx),) + inner]
 
-    def walk(self, row: int, cell: Cell, deltas) -> list | None:
+    def walk(self, row: int, cell: Cell) -> list | None:
         """Cells from (x, y, z) `cell` down to the row's source, or None
         if the row has not reached `cell`: from a cell on ring d, the
-        first neighbour in `deltas` order that the row reached on ring
-        d - 1.  Among reached neighbours (rings d - 1, d and d + 1) only
-        that ring's bit in plane tz(d) differs from the cell's own."""
+        first neighbour in the motion model's order that the row reached
+        on ring d - 1.  Among reached neighbours (rings d - 1, d and
+        d + 1) only that ring's bit in plane tz(d) differs from the
+        cell's own."""
         nx, block = self.nx, self.block
-        x, y, z = cell
-        w, b = self._word(cell)
-        r = w - x // 64 * block
+        at = self._word(cell)
         reached = memoryview(self.free & ~self.todo[row])
-        if not reached[w] >> b & 1:
+        if at is None or not reached[at[0]] >> at[1] & 1:
             return None
+        w, b = at
+        x, y, z = cell
+        r = w - x // 64 * block
         planes = [memoryview(p) for p in
                   self.planes[row, :int(self.ring[row]).bit_length()]]
         gray = sum((plane[w] >> b & 1) << k for k, plane in enumerate(planes))
@@ -410,7 +497,7 @@ class Rings:
         # (dx, dy, dz, word step along y and z) per neighbour
         steps = [(dx, dy, dz, sum(c * s for c, s in zip((dy, dz),
                                                          self.strides)))
-                 for dx, dy, dz in deltas]
+                 for dx, dy, dz in self.deltas]
         cells = [(x, y, z)]
         while d:
             plane = planes[(d & -d).bit_length() - 1]
@@ -429,113 +516,28 @@ class Rings:
         return cells
 
 
-def _wavefront(rings: Rings, row: int, reach_at=None, reach_shift=None,
-               check_from: int = 0) -> int:
-    """Continue row `row` of `rings` ring by ring, one loop pass a ring,
-    and return the number of rings it labelled.
-
-    With `reach_at` and `reach_shift`, the words and bits of some cells
-    (`Rings.locate`), it stops after the ring that labels the last of
-    them it can reach, testing from ring `check_from` on, a lower bound
-    the caller knows; otherwise it runs until a ring comes out empty,
-    which ends the search for good.  On 50x50x30 a ring is about 10.5 ufunc calls
-    over 1,664 words (13 kB).  Only odd rings test for emptiness: an
-    even empty ring only XORs cells never reached into a plane, and d
-    and d + 1 have the same bit length.
-    """
-    if rings.done[row]:
-        return 0
-    planes, todo = rings.planes[row], rings.todo[row]
-    frontier = kept = rings.frontier[row]
-    first = d = int(rings.ring[row])
-    if reach_at is None:
-        check_from = math.inf
-    else:
-        reach_bits = np.left_shift(np.uint64(1), reach_shift)
-    nxt, tmp = np.empty_like(todo), np.empty_like(todo)
-    block, blocks = rings.block, rings.blocks
-    # 0-d arrays make cheaper shift operands than numpy scalars
-    one, top = np.array(1, todo.dtype), np.array(63, todo.dtype)
-
-    def moves(f, n):
-        """(out, in) pairs for `out |= in`: the word shifts from f to n."""
-        pairs = [(n[s:], f[:-s]) for s in rings.strides]
-        return pairs + [(n[:-s], f[s:]) for s in rings.strides]
-
-    # built once; they swap with the buffers they view
-    shifts, swapped = moves(frontier, nxt), moves(nxt, frontier)
-    while True:
-        if d >= check_from and not (todo[reach_at] & reach_bits).any():
-            break
-        np.left_shift(frontier, one, nxt)
-        np.right_shift(frontier, one, tmp)
-        nxt |= tmp
-        if blocks > 1:  # bit 63 carries into the next block and back
-            np.right_shift(frontier[:-block], top, tmp[block:])
-            nxt[block:] |= tmp[block:]
-            np.left_shift(frontier[block:], top, tmp[:-block])
-            nxt[:-block] |= tmp[:-block]
-        for out, shifted in shifts:
-            np.bitwise_or(out, shifted, out)
-        nxt &= todo
-        if not d & 1 and not np.count_nonzero(nxt):  # ring d + 1 is odd
-            rings.done[row] = True
-            break
-        d += 1
-        planes[(d & -d).bit_length() - 1] ^= todo
-        todo ^= nxt
-        frontier, nxt = nxt, frontier
-        shifts, swapped = swapped, shifts
-    if frontier is not kept:
-        kept[:] = frontier
-    rings.ring[row] = d
-    return d - first
-
-
-def _free_mask(grid: Grid, model: MotionModel) -> np.ndarray:
-    """The cells a field of `model` searches: the z = 0 plane for
-    GROUND4, whose other cells are all unreachable."""
-    if model is MotionModel.GROUND4:
-        return ~grid.blocked[:, :, 0]
-    return ~grid.blocked
-
-
 def distance_field(grid: Grid, source: Cell, model: MotionModel,
                    reach=None, into=None) -> np.ndarray | None:
     """Exact shortest-path distance (meters) from `source` to every cell,
     np.inf where unreachable: a float64 array of the grid's shape, which
     matches A* lengths cell for cell.
 
-    With `reach`, some (x, y, z) cells, the rings stop after the one
-    that labels the last of them the source reaches, and every cell
-    beyond that ring reads inf too.  With `into`, a (Rings, row) pair
-    over this grid's `model` mask, the search goes into that row and
-    stays packed there, for a later lookup or extension: nothing is
-    decoded, and None is returned.
+    The search is a `Rings` row's: with `into`, a (Rings, row) pair for
+    this grid and `model`, it goes into that row and stays packed there,
+    for a later lookup, extension or walk, and None is returned.  This
+    is the one call per field a `FieldStore` makes.  Without `into`, a
+    one-row stack runs it and decodes it.  With `reach`, some (x, y, z)
+    cells, the rings stop after the one that labels the last of them
+    the source reaches (`Rings.search`), and every cell beyond that ring
+    reads inf too.
     """
-    rings, row = into or (Rings(_free_mask(grid, model), 1), 0)
-    source = tuple(source)
-    ground = model is MotionModel.GROUND4
-    if ground and source[2] != 0 or not grid.is_free(source):
-        rings.start(row, None)
-    else:
-        source = source[:2] if ground else source
-        rings.start(row, source)
-        if reach is None:
-            _wavefront(rings, row)
-        else:
-            reach = np.asarray(reach, dtype=np.intp).reshape(-1, 3)
-            if ground:  # other cells read inf anyway
-                reach = reach[reach[:, 2] == 0, :2]
-            at, shift, free = rings.locate(reach)
-            # a cell's Manhattan distance bounds its ring from below
-            check_from = int(np.abs(reach[free] - source).sum(axis=1)
-                             .max(initial=0))
-            _wavefront(rings, row, at[free], shift[free], check_from)
+    rings, row = into or (Rings(grid, model, 1), 0)
+    rings.start(row, tuple(source))
+    rings.search(row, reach)
     if into is not None:
         return None
-    field = np.full(grid.dims, np.inf) if ground else np.empty(grid.dims)
-    rings.decode(0, field[:, :, 0] if ground else field)
+    field = np.empty(grid.dims)
+    rings.decode(0, field)
     return field
 
 
@@ -563,21 +565,22 @@ class FieldWork:
 
 
 class FieldStore(Mapping):
-    """One episode's distance fields, slot-major, kept as the kernel's
-    packed searches.
+    """One episode's distance fields, slot-major, kept as packed `Rings`
+    searches.
 
     Per motion model one `Rings` stack with a row per slot, made on the
-    model's first field (its free mask packed once) and reused for the
-    whole episode: row s holds the search from the task in observation
-    slot s.  An AERIAL6 row covers the full grid, a GROUND4 row only its
-    z = 0 plane, since every other cell is unreachable.
+    model's first field (its mask packed once) and reused for the whole
+    episode: row s holds the search from the task in observation slot
+    s.  The stack owns the model's search, the cells it covers (only
+    the z = 0 plane for GROUND4) included; the store keeps which task
+    each row holds and what the searches did.
 
     As a Mapping it is keyed by (task id, motion model); a value is the
-    row decoded on demand into a float32 array of the field's (x, y, z)
-    shape, (dx, dy, 1) for GROUND4.  `ensure` builds missing keys with
-    one `distance_field` call each, `drop` forgets a Done task, `lookup`
-    reads many rows at many cells straight from their label planes, and
-    `path` walks a row down to its task.
+    row decoded on demand into a float32 array of the grid's (x, y, z)
+    shape, inf off the plane for GROUND4.  `ensure` builds missing keys
+    with one `distance_field` call each, `drop` forgets a Done task,
+    `lookup` reads many rows at many cells straight from their label
+    planes, and `path` walks a row down to its task.
 
     A row is built only out to the ring of its farthest agent.  A lookup
     at a cell the row has not reached continues the row from its kept
@@ -594,18 +597,12 @@ class FieldStore(Mapping):
         self._held = {model: [None] * slots for model in MotionModel}
         self.work = {model: FieldWork() for model in MotionModel}
 
-    def _shape(self, model: MotionModel) -> Cell:
-        dx, dy, dz = self.grid.dims
-        return (dx, dy, 1) if model is MotionModel.GROUND4 else (dx, dy, dz)
-
     def __getitem__(self, key) -> np.ndarray:
         if key not in self:
             raise KeyError(key)
         task_id, model = key
-        out = np.empty(self._shape(model), dtype=np.float32)
-        rings = self._rings[model]
-        rings.decode(self._held[model].index(task_id),
-                     out.reshape(rings.mask.shape))
+        out = np.empty(self.grid.dims, dtype=np.float32)
+        self._rings[model].decode(self._held[model].index(task_id), out)
         return out
 
     def __contains__(self, key) -> bool:
@@ -634,8 +631,8 @@ class FieldStore(Mapping):
                 continue
             rings = self._rings.get(model)
             if rings is None:
-                rings = self._rings[model] = Rings(
-                    _free_mask(self.grid, model), self.slots)
+                rings = self._rings[model] = Rings(self.grid, model,
+                                                   self.slots)
             distance_field(self.grid, task.location, model, reach=reach,
                            into=(rings, row))
             held[row] = task.id
@@ -656,11 +653,7 @@ class FieldStore(Mapping):
         unreachable.  A row that has not reached some of the free cells,
         and may yet, first continues until it has, or ends."""
         rings = self._rings[model]
-        on_plane = True
-        if model is MotionModel.GROUND4:
-            on_plane, cells = cells[:, 2] == 0, cells[:, :2]
         at, shift, valid = rings.locate(cells)
-        valid &= on_plane
         out = rings.labels(rows, at, shift)
         if not valid.all():
             out[:, ~valid] = np.inf
@@ -669,13 +662,8 @@ class FieldStore(Mapping):
             pending &= valid
             work = self.work[model]
             for j in np.flatnonzero(pending.any(axis=1) & ~rings.done[rows]):
-                row, ahead = rows[j], pending[j]
-                # a cell's Manhattan distance bounds its ring from below
-                check_from = int(np.abs(cells[ahead] - rings.source[row])
-                                 .sum(axis=1).max())
                 work.extended += 1
-                work.rings += _wavefront(rings, row, at[ahead], shift[ahead],
-                                         check_from)
+                work.rings += rings.search(rows[j], cells[pending[j]])
                 out[j] = rings.labels(rows[j:j + 1], at, shift)[0]
                 out[j, ~valid] = np.inf
         return out.T
@@ -687,14 +675,13 @@ class FieldStore(Mapping):
         lookup at `start` would."""
         row, rings = self._held[model].index(task_id), self._rings[model]
         start = tuple(int(c) for c in start)
-        off_plane = model is MotionModel.GROUND4 and start[2] != 0
-        cells = None if off_plane else rings.walk(row, start, model.deltas)
+        cells = rings.walk(row, start)
         if cells is None:
             if np.isinf(self.lookup(model, np.array([row]),
                                     np.array([start]))).any():
                 raise NoPathError(f"task {task_id} is unreachable from "
                                   f"{start}")
-            cells = rings.walk(row, start, model.deltas)
+            cells = rings.walk(row, start)
         return Path(cells)
 
 
@@ -705,10 +692,10 @@ def cost_matrix(state) -> CostMatrix:
     `state` needs .grid, .agents (position/velocity/motion_model),
     .live_tasks(), .live_slots() (the slot of each live task) and a
     `FieldStore` .dist_cache, which keeps one packed search per (task
-    id, motion model) in the row of the task's slot.  Each entry is the
-    same division as `path_cost`, done for all agents of one motion
-    model with one lookup of their cells in that model's live rows,
-    which reads ring labels and decodes no field.
+    id, motion model) in the `Rings` row of the task's slot.  Each
+    entry is the same division as `path_cost`, done for all agents of
+    one motion model with one lookup of their cells in that model's
+    live rows, which reads ring labels and decodes no field.
     """
     tasks = state.live_tasks()
     agents = state.agents

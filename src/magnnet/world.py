@@ -115,14 +115,17 @@ class WorldConfig:
             raise ValueError("n_ground + n_aerial must equal n_agents")
         if not 0.0 <= self.obstacle_density < 0.3:
             raise ValueError("obstacle_density must be in [0, 0.3)")
-        if self.task_interval is not None and not self.task_interval > 0:
-            raise ValueError("task_interval must be > 0")
+        # an infinite interval never spawns and overflows math.ceil below
+        if self.task_interval is not None \
+                and not 0 < self.task_interval < math.inf:
+            raise ValueError("task_interval must be finite and > 0")
         if self.n_tasks_initial < 0:
             raise ValueError("n_tasks_initial must be >= 0")
         if self.m_max < self.n_tasks_initial:
             raise ValueError("m_max must cover the initial task count")
-        if not self.step_cap > 0:
-            raise ValueError("step_cap must be > 0")
+        # an infinite cap never ends a dynamic episode
+        if not 0 < self.step_cap < math.inf:
+            raise ValueError("step_cap must be finite and > 0")
         # with no task before step_cap an episode has no decision round;
         # the clock moves in whole ticks from 0, so the first spawn comes
         # at tick ceil(task_interval)
@@ -483,12 +486,13 @@ def _rebook(state: EpisodeState, agent: AgentState, from_tick: int) -> None:
     agent.path_index = 0
 
 
-def spawn_tasks(state: EpisodeState, config: WorldConfig) -> list:
+def spawn_tasks(state: EpisodeState) -> list:
     """Dynamic mode: one task per crossed interval while a slot is free."""
-    if config.task_interval is None:
+    interval = state.config.task_interval
+    if interval is None:
         return []
     new = []
-    while (state.intervals_consumed + 1) * config.task_interval <= state.clock:
+    while (state.intervals_consumed + 1) * interval <= state.clock:
         state.intervals_consumed += 1
         if None not in state.slots:
             continue
@@ -572,4 +576,4 @@ class Episode:
     def tick(self) -> None:
         self._observed = None
         advance(self.state)
-        spawn_tasks(self.state, self.config)
+        spawn_tasks(self.state)

@@ -108,13 +108,17 @@ def test_removed_settings_rejected(cls, blob):
     (PPOConfig, {"learning_rate": 0.0}),
     (PPOConfig, {"learning_rate": -1.0}),
     (WorldConfig, {"n_tasks_initial": -1}),
+    (WorldConfig, {"step_cap": float("inf"), "task_interval": 5.0}),
+    (WorldConfig, {"task_interval": float("inf")}),
 ], ids=["ppo-train_batch-0", "ppo-minibatch-0",
         "ppo-minibatch-neg", "ppo-learning_rate-0", "ppo-learning_rate-neg",
-        "world-n_tasks_initial-neg"])
+        "world-n_tasks_initial-neg", "world-step_cap-inf",
+        "world-task_interval-inf"])
 def test_out_of_range_settings_rejected(cls, blob):
     """Each of these used to be accepted and then crash mid-run (division
     by zero after the first update, an empty buffer's IndexError, numpy's
-    negative dimensions) or train wrongly (one-step minibatches, Adam
-    ascending the loss)."""
+    negative dimensions, math.ceil's OverflowError), run without end (a
+    dynamic episode under an infinite step cap) or train wrongly
+    (one-step minibatches, Adam ascending the loss)."""
     with pytest.raises(ValueError):
         cls.from_dict(blob)

@@ -170,6 +170,10 @@ class TestDistanceField:
         f = distance_field(grid, (0, 0, 0), MotionModel.GROUND4)
         assert np.isinf(f[:, :, 1:]).all()
         assert f[3, 3, 0] == 6
+        # a ground source above the plane reaches nothing, not the plane
+        # cell below it
+        f = distance_field(grid, (1, 2, 1), MotionModel.GROUND4)
+        assert np.isinf(f).all()
 
 
 def wavefront_reference(free: np.ndarray, source) -> np.ndarray:
@@ -358,16 +362,6 @@ def bounded_field_instances(draw):
     return grid, src, model, draw(st.lists(cell, max_size=4))
 
 
-def store_row(store, task_id, model):
-    """A store row decoded, with the grid's (x, y, z) shape."""
-    row = store[(task_id, model)]
-    if model is MotionModel.GROUND4:
-        full = np.full(store.grid.dims, np.inf, dtype=row.dtype)
-        full[:, :, :1] = row
-        return full
-    return row
-
-
 def every_cell(grid):
     return np.array(list(np.ndindex(*grid.dims)), dtype=np.intp).reshape(-1, 3)
 
@@ -404,11 +398,11 @@ class TestBoundedField:
         task = types.SimpleNamespace(id=0, location=src)
         store.ensure(model, [task], np.array([0]),
                      np.array(reach, dtype=np.intp).reshape(-1, 3))
-        assert np.array_equal(store_row(store, 0, model), field)
+        assert np.array_equal(store[(0, model)], field)
         cells = every_cell(grid)
         got = store.lookup(model, np.array([0]), cells)[:, 0]
         assert np.array_equal(got, ref[tuple(cells.T)])
-        assert np.array_equal(store_row(store, 0, model), ref)
+        assert np.array_equal(store[(0, model)], ref)
 
     @pytest.mark.parametrize("ring", [0, 1, 3, 31, 63, 127, 255])
     @pytest.mark.parametrize("model,axis", [
@@ -436,7 +430,7 @@ class TestBoundedField:
         end = [0, 0, 0]
         end[axis] = 299
         assert store.lookup(model, np.array([0]), np.array([end])) == 299
-        assert np.array_equal(store_row(store, 5, model).reshape(-1),
+        assert np.array_equal(store[(5, model)].reshape(-1),
                               np.arange(300))
         assert (work.built, work.extended, work.rings) == (1, int(ring < 299),
                                                            299)
@@ -545,6 +539,13 @@ class TestStorePath:
                      np.array([(0, 0, 0)]))
         with pytest.raises(NoPathError):
             store.path(0, MotionModel.GROUND4, (4, 0, 0))
+        # a ground start above a reached plane cell is not that cell
+        store = FieldStore(Grid.empty((5, 1, 2)), 1)
+        store.ensure(MotionModel.GROUND4, [task], np.array([0]),
+                     np.array([(4, 0, 0)]))
+        assert store.path(0, MotionModel.GROUND4, (3, 0, 0)).length == 3
+        with pytest.raises(NoPathError):
+            store.path(0, MotionModel.GROUND4, (3, 0, 1))
 
 
 @st.composite
@@ -632,7 +633,7 @@ class TestFieldStoreAgainstDijkstra:
                     extract_path_reference(ref, start, model).cells
             assert set(store) == {(tid, model) for tid, _ in refs.values()}
             for task_id, ref in refs.values():
-                field = store_row(store, task_id, model)
+                field = store[(task_id, model)]
                 last = field.max(initial=-1.0, where=np.isfinite(field))
                 within = ref <= last
                 assert np.array_equal(field[within], ref[within])

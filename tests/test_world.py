@@ -233,7 +233,7 @@ class TestPlacementReference:
                 continue
             st = init_episode(cfg, seed)
             st.clock = 4.0
-            spawn_tasks(st, cfg)
+            spawn_tasks(st)
             assert ([a.position for a in st.agents],
                     [t.location for t in st.tasks]) == expect
             outcomes.add("placed")
@@ -382,9 +382,9 @@ class TestObservationEquivalence:
 
 
 class TestFieldCache:
-    """`state.dist_cache` holds only the fields of live tasks, ground
-    fields as their z = 0 plane, decoded on demand into float32 arrays,
-    and never drops a field that is read again.  Oracles call the real
+    """`state.dist_cache` holds only the fields of live tasks, decoded on
+    demand into float32 arrays of the grid's shape, and never drops a
+    field that is read again.  Oracles call the real
     `distance_field`, never the cache."""
 
     CONFIGS = (dict(), dict(obstacle_density=0.2),
@@ -402,9 +402,7 @@ class TestFieldCache:
         for (tid, model), entry in st.dist_cache.items():
             assert tid in live, "a finished task's field is still cached"
             full = distance_field(st.grid, live[tid].location, model)
-            if model is MotionModel.GROUND4:
-                assert entry.shape == st.grid.dims[:2] + (1,)
-                full = full[:, :, :1]
+            assert entry.shape == st.grid.dims
             assert entry.dtype == np.float32 and entry.flags.c_contiguous
             last = entry.max(initial=-1.0, where=np.isfinite(entry))
             within = full <= last
@@ -487,8 +485,6 @@ class TestFieldCache:
                 seen |= st.dist_cache.keys()
                 for (tid, model), row in st.dist_cache.items():
                     full = real(st.grid, st.task(tid).location, model)
-                    if model is MotionModel.GROUND4:
-                        full = full[:, :, :1]
                     # equal out to the row's last ring, which holds
                     # every agent of the model just looked up
                     last = row.max(initial=-1.0, where=np.isfinite(row))
@@ -781,13 +777,13 @@ class TestSpawning:
         cfg = small_config()
         st = init_episode(cfg, 71)
         st.clock = 100.0
-        assert spawn_tasks(st, cfg) == []
+        assert spawn_tasks(st) == []
 
     def test_dynamic_spawns_on_interval(self):
         cfg = small_config(task_interval=5.0, m_max=10)
         st = init_episode(cfg, 73)
         st.clock = 11.0
-        new = spawn_tasks(st, cfg)
+        new = spawn_tasks(st)
         assert len(new) == 2  # intervals at t=5 and t=10
         assert new[0].id in st.slots
 
@@ -795,7 +791,7 @@ class TestSpawning:
         cfg = small_config(task_interval=1.0, m_max=5)
         st = init_episode(cfg, 79)
         st.clock = 50.0
-        spawn_tasks(st, cfg)
+        spawn_tasks(st)
         assert len(st.live_tasks()) <= 5
 
     def test_live_tasks_read_from_slots_equal_status_scan(self):

@@ -11,7 +11,7 @@ def test_ids_index_agents_and_tasks():
                       task_interval=1.0, m_max=8)
     st = init_episode(cfg, 5)
     st.clock = 3.0
-    assert len(spawn_tasks(st, cfg)) == 3
+    assert len(spawn_tasks(st)) == 3
     for a in st.agents:
         assert st.agent(a.id) is a
     for t in st.tasks:
@@ -36,6 +36,6 @@ def test_live_slots_kept_until_a_slot_write():
     st.replace_slot(1, None)
     assert st.live_slots() == [0, 2] and live == [0, 1, 2]
     st.clock = 2.0
-    assert [t.id for t in spawn_tasks(st, cfg)] == [3, 4]
+    assert [t.id for t in spawn_tasks(st)] == [3, 4]
     assert st.slots == [0, 3, 2, 4, None]
     assert st.live_slots() == [0, 2, 1, 3]
