@@ -284,11 +284,17 @@ def _assigned_path_lengths(ep: Episode) -> list:
             if entry["event"] == "assigned"]
 
 
+def _instance_seed(spec: ScenarioSpec, n: int, episode: int) -> int:
+    """The seed of episode `episode` at N = `n`: every method, and the
+    planner comparison, plays the same instances."""
+    return spec.seed_base * 1_000_000 + n * 10_000 + episode
+
+
 def _run_cell(args):
     spec_dict, method, n, ep_index = args
     spec = ScenarioSpec.from_dict(spec_dict)
     config = spec.world_config(n)
-    seed = spec.seed_base * 1_000_000 + n * 10_000 + ep_index
+    seed = _instance_seed(spec, n, ep_index)
     if method == "magnnet":
         model = _load_model(spec.checkpoint)
         return run_episode_magnnet(config, seed, model)
@@ -385,7 +391,7 @@ def planner_compare(spec: ScenarioSpec) -> dict:
         rows = []
         no_path = {"astar": 0, "rrt_star": 0}
         for e in range(spec.episodes):
-            seed = spec.seed_base * 1_000_000 + n * 10_000 + e
+            seed = _instance_seed(spec, n, e)
             ep = Episode(config, seed)
             cm = ep.initial_cost_matrix()
             assignment = feasible_optimum(cm)

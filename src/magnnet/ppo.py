@@ -48,8 +48,20 @@ class PPOConfig:
             raise ValueError("gamma must be in (0, 1]")
         if not 0.0 <= self.gae_lambda <= 1.0:
             raise ValueError("gae_lambda must be in [0, 1]")
-        if not self.learning_rate > 0:
-            raise ValueError("learning_rate must be > 0")
+        # a non-finite rate or coefficient diverges at the first update
+        if not 0 < self.learning_rate < np.inf:
+            raise ValueError("learning_rate must be finite and > 0")
+        if not (0 <= self.entropy_coef < np.inf
+                and 0 <= self.value_coef < np.inf):
+            raise ValueError("entropy_coef and value_coef must be finite "
+                             "and >= 0")
+        # a clip range of 0 or less inverts the clipped objective
+        if not 0 < self.clip_epsilon < np.inf:
+            raise ValueError("clip_epsilon must be finite and > 0")
+        # with no epoch an update logs nan losses; with no step the
+        # untrained model is saved as the result
+        if self.epochs_per_update < 1 or self.total_steps < 1:
+            raise ValueError("epochs_per_update and total_steps must be >= 1")
         if self.train_batch < 1 or self.minibatch < 1:
             raise ValueError("train_batch and minibatch must be >= 1")
         if self.train_batch % self.minibatch != 0:

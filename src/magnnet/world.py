@@ -15,6 +15,7 @@ out by slot, and the action masks drawn from it), then `Episode.act`
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, asdict
 from enum import Enum
 
@@ -87,6 +88,10 @@ class TaskState:
     spawn_time: float = 0.0
 
 
+def _whole(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass
 class WorldConfig:
     grid_dims: tuple = (50, 50, 30)
@@ -107,6 +112,15 @@ class WorldConfig:
         self.validate()
 
     def validate(self):
+        # a zero-length axis fails in `init_episode`, a fourth axis in
+        # `observe`, and a fractional count builds float ids
+        if len(self.grid_dims) != 3 or not all(
+                _whole(d) and d >= 1 for d in self.grid_dims):
+            raise ValueError("grid_dims must be three whole numbers >= 1")
+        for name in ("n_agents", "n_ground", "n_aerial", "n_tasks_initial",
+                     "m_max"):
+            if not _whole(getattr(self, name)):
+                raise ValueError(f"{name} must be a whole number")
         if self.n_agents < 1:
             raise ValueError("n_agents must be >= 1")
         if self.n_ground < 0 or self.n_aerial < 0:
@@ -251,6 +265,9 @@ def init_episode(config: WorldConfig, seed: int) -> EpisodeState:
     # np.argwhere would; a z = 0 plane index times dz is its grid index
     ground_cells = np.flatnonzero(~blocked[:, :, 0]) * dims[2]
     air_cells = np.flatnonzero(~blocked)
+    # `spawn_tasks` draws a free ground cell for every spawned task
+    if config.task_interval is not None and not len(ground_cells):
+        raise PlacementError("no free ground cell for spawned tasks")
 
     taken: set = set()
     ground_pos = _sample_cells(rng, ground_cells, dims, config.n_ground, taken)

@@ -110,15 +110,37 @@ def test_removed_settings_rejected(cls, blob):
     (WorldConfig, {"n_tasks_initial": -1}),
     (WorldConfig, {"step_cap": float("inf"), "task_interval": 5.0}),
     (WorldConfig, {"task_interval": float("inf")}),
+    (WorldConfig, {"grid_dims": (12, 12)}),
+    (WorldConfig, {"grid_dims": (12, 12, 0)}),
+    (WorldConfig, {"grid_dims": (12, 12, 4, 2)}),
+    (WorldConfig, {"grid_dims": (12.5, 12, 4)}),
+    (WorldConfig, {"n_ground": 1.5, "n_aerial": 1.5, "n_agents": 3}),
+    (WorldConfig, {"n_tasks_initial": 2.5}),
+    (PPOConfig, {"epochs_per_update": 0}),
+    (PPOConfig, {"total_steps": 0}),
+    (PPOConfig, {"clip_epsilon": 0.0}),
+    (PPOConfig, {"learning_rate": float("inf")}),
+    (PPOConfig, {"entropy_coef": float("nan")}),
+    (PPOConfig, {"value_coef": float("inf")}),
+    (PPOConfig, {"entropy_coef": -0.01}),
+    (PPOConfig, {"value_coef": -0.5}),
 ], ids=["ppo-train_batch-0", "ppo-minibatch-0",
         "ppo-minibatch-neg", "ppo-learning_rate-0", "ppo-learning_rate-neg",
         "world-n_tasks_initial-neg", "world-step_cap-inf",
-        "world-task_interval-inf"])
+        "world-task_interval-inf", "world-grid_dims-2d",
+        "world-grid_dims-zero-axis", "world-grid_dims-4d",
+        "world-grid_dims-fractional", "world-mix-fractional",
+        "world-n_tasks_initial-fractional", "ppo-epochs_per_update-0",
+        "ppo-total_steps-0", "ppo-clip_epsilon-0", "ppo-learning_rate-inf",
+        "ppo-entropy_coef-nan", "ppo-value_coef-inf", "ppo-entropy_coef-neg",
+        "ppo-value_coef-neg"])
 def test_out_of_range_settings_rejected(cls, blob):
     """Each of these used to be accepted and then crash mid-run (division
     by zero after the first update, an empty buffer's IndexError, numpy's
-    negative dimensions, math.ceil's OverflowError), run without end (a
-    dynamic episode under an infinite step cap) or train wrongly
-    (one-step minibatches, Adam ascending the loss)."""
+    negative dimensions, math.ceil's OverflowError, an IndexError or a
+    broadcast error on a grid without three axes, a diverged first
+    update), run without end (a dynamic episode under an infinite step
+    cap) or run wrongly (one-step minibatches, Adam ascending the loss,
+    an inverted clip range, float agent ids, no update at all)."""
     with pytest.raises(ValueError):
         cls.from_dict(blob)

@@ -2,15 +2,21 @@
 rewards, motion, spawning and episode lifecycle."""
 
 import copy
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (RuleBasedStateMachine, invariant,
+                                 precondition, rule,
+                                 run_state_machine_as_test)
 
 from magnnet import pathplan, world
 from magnnet.assign import CostMatrix
 from magnnet.errors import PlacementError
 from magnnet.gnn import build_graph
-from magnnet.pathplan import MotionModel, Path
+from magnnet.pathplan import MotionModel, Path, distance_field
 from magnnet.world import (AgentStatus, COST_SCALE, DecisionOutcome, Episode,
                            SENTINEL_NORMALIZED_COST, STATUS_CODE, TaskStatus,
                            WorldConfig, _plan_to_task, advance, arbitrate,
@@ -155,6 +161,15 @@ class TestInitEpisode:
                                      n_tasks_initial=4, n_ground=2,
                                      n_aerial=2, obstacle_density=0.0), 0)
 
+    def test_dynamic_grid_without_free_ground_cell_raises(self):
+        # seed 3 blocks (0, 0, 0), the one ground cell, so a spawn would
+        # draw from no cell
+        with pytest.raises(PlacementError):
+            init_episode(WorldConfig(grid_dims=(1, 1, 3), n_agents=1,
+                                     n_ground=0, n_aerial=1,
+                                     n_tasks_initial=0, task_interval=1.0,
+                                     obstacle_density=0.29), 3)
+
     def test_slots_cover_initial_tasks(self):
         st = init_episode(small_config(), 0)
         assert st.slots == [0, 1, 2, 3]
@@ -254,32 +269,6 @@ class TestObservations:
                           SENTINEL_NORMALIZED_COST)
         assert np.allclose(obs[0, 1:], expect)
 
-    def test_slot_costs_follow_task_ids_in_reused_slots(self):
-        """Every decision round of a dynamic episode whose spawns reuse
-        freed slots, `slot_cost_array` equals a per-column loop that puts
-        the column labelled `tid` at `slots.index(tid)` and leaves the
-        other slots inf, also in rounds where slot order is not id
-        order."""
-        ep = Episode(small_config(task_interval=2.0, m_max=5,
-                                  step_cap=80.0), 137)
-        st = ep.state
-        rng = np.random.default_rng(5)
-        rounds = unordered = 0
-        while not ep.terminated:
-            if ep.decision_due():
-                cm, ids = current_cost_matrix(st)
-                want = np.full((len(st.agents), st.config.m_max), np.inf)
-                for j, tid in enumerate(ids):
-                    want[:, st.slots.index(tid)] = cm.entries[:, j]
-                assert np.array_equal(slot_cost_array(st, cm), want)
-                slots = st.live_slots()
-                unordered += slots != sorted(slots)
-                rounds += 1
-                _, masks, _, _ = ep.observe()
-                ep.act([int(rng.choice(np.flatnonzero(m))) for m in masks])
-            ep.tick()
-        assert rounds > 20 and unordered > 0
-
     def test_cost_matrix_positive_and_scaled_by_velocity(self):
         st = init_episode(small_config(), 13)
         cm, _ = current_cost_matrix(st)
@@ -329,210 +318,6 @@ class TestObservations:
         assert not round_view(st)[1][0, slot + 1]
 
 
-class TestObservationEquivalence:
-    """`observation` equals the per-agent reference bodies on mid-episode
-    states: busy agents, Assigned and Done tasks, empty slots and
-    unreachable tasks all occur across these runs."""
-
-    CONFIGS = (dict(), dict(obstacle_density=0.25),
-               dict(task_interval=3.0, m_max=8, step_cap=60.0),
-               dict(task_interval=2.0, m_max=6, step_cap=60.0,
-                    obstacle_density=0.25))
-
-    def test_matches_reference_rows(self):
-        seen = set()
-        for k, kw in enumerate(self.CONFIGS):
-            for seed in range(3):
-                ep = Episode(small_config(**kw), 300 + 10 * k + seed)
-                rng = np.random.default_rng(seed)
-                while not ep.terminated:
-                    st = ep.state
-                    cm, _ = current_cost_matrix(st)
-                    sc = slot_cost_array(st, cm)
-                    obs, masks = observation(st, sc)
-                    for a in st.agents:
-                        assert np.array_equal(
-                            obs[a.id],
-                            local_observation_reference(st, a.id, sc))
-                        assert np.array_equal(
-                            masks[a.id], action_mask_reference(st, a.id, sc))
-                    seen |= self._cases(st, sc)
-                    if ep.decision_due():
-                        _, m, _, _ = ep.observe()
-                        ep.act([int(rng.choice(np.flatnonzero(r))) for r in m])
-                    ep.tick()
-        assert seen == {"busy", "assigned", "done", "empty", "unreachable"}
-
-    @staticmethod
-    def _cases(st, sc):
-        cases = set()
-        if any(a.status is not AgentStatus.IDLE for a in st.agents):
-            cases.add("busy")
-        status = {t.status for t in st.tasks}
-        if TaskStatus.ASSIGNED in status:
-            cases.add("assigned")
-        if TaskStatus.DONE in status:
-            cases.add("done")
-        if None in st.slots:
-            cases.add("empty")
-        live = [s for s, tid in enumerate(st.slots) if tid is not None]
-        if not np.isfinite(sc[:, live]).all():
-            cases.add("unreachable")
-        return cases
-
-
-class TestFieldCache:
-    """`state.dist_cache` holds only the fields of live tasks, decoded on
-    demand into float32 arrays of the grid's shape, and never drops a
-    field that is read again.  Oracles call the real
-    `distance_field`, never the cache."""
-
-    CONFIGS = (dict(), dict(obstacle_density=0.2),
-               dict(task_interval=3.0, m_max=8, step_cap=60.0),
-               dict(task_interval=2.0, m_max=6, step_cap=60.0,
-                    obstacle_density=0.2, n_agents=5, n_ground=3))
-
-    @staticmethod
-    def _check_cache(st, distance_field, looked_up=()):
-        """Every row equals its oracle field out to the row's last ring
-        and is inf beyond it.  That ring is at least the distance of
-        each agent in `looked_up` of the row's motion model, and a row
-        one of them cannot reach holds the whole field."""
-        live = {t.id: t for t in st.live_tasks()}
-        for (tid, model), entry in st.dist_cache.items():
-            assert tid in live, "a finished task's field is still cached"
-            full = distance_field(st.grid, live[tid].location, model)
-            assert entry.shape == st.grid.dims
-            assert entry.dtype == np.float32 and entry.flags.c_contiguous
-            last = entry.max(initial=-1.0, where=np.isfinite(entry))
-            within = full <= last
-            assert np.array_equal(entry[within], full[within])
-            assert np.isinf(entry[~within]).all()
-            for ag in looked_up:
-                if ag.motion_model is model:
-                    d = full[tuple(ag.position)]
-                    assert d <= last or np.array_equal(entry, full), ag.id
-
-    @staticmethod
-    def _check_costs(st, cm, ids, distance_field):
-        for j, tid in enumerate(ids):
-            fields = {m: distance_field(st.grid, st.task(tid).location, m)
-                      for m in MotionModel}
-            for i, ag in enumerate(st.agents):
-                d = fields[ag.motion_model][tuple(ag.position)]
-                assert cm.entries[i, j] == d / ag.velocity, (i, tid)
-
-    @pytest.mark.parametrize("k", range(len(CONFIGS)))
-    def test_cache_serves_live_tasks_once_each(self, k, monkeypatch):
-        real = pathplan.distance_field
-        built = []
-
-        def counting(grid, source, model, **kw):
-            built.append((tuple(source), model))
-            return real(grid, source, model, **kw)
-
-        monkeypatch.setattr(pathplan, "distance_field", counting)
-        read = set()
-        for seed in range(2):
-            ep = Episode(small_config(**self.CONFIGS[k]), 500 + 10 * k + seed)
-            rng = np.random.default_rng(seed)
-            while not ep.terminated:
-                st = ep.state
-                if ep.decision_due():
-                    _, masks, cm, ids = ep.observe()
-                    read |= {(seed, key) for key in st.dist_cache}
-                    self._check_cache(st, real, st.agents)
-                    self._check_costs(st, cm, ids, real)
-                    ep.act([int(rng.choice(np.flatnonzero(r)))
-                            for r in masks])
-                ep.tick()
-                self._check_cache(ep.state, real)
-            assert any(t.status is TaskStatus.DONE for t in st.tasks)
-            assert len(st.dist_cache) < sum(1 for s, _ in read if s == seed)
-        # one build per (task, motion model) key over whole episodes:
-        # eviction never dropped a field that was read again
-        assert len(built) == len(read)
-
-    def test_spawn_into_a_freed_slot_rebuilds_its_row(self, monkeypatch):
-        """A dynamic episode whose spawned tasks reuse the slots of Done
-        tasks: each spawned key is built once into its slot's row, equal
-        to a fresh field out to the row's last ring."""
-        cfg = WorldConfig(grid_dims=(12, 12, 4), n_agents=3, n_ground=1,
-                          n_aerial=2, n_tasks_initial=2, m_max=2,
-                          task_interval=2.0, step_cap=60.0,
-                          obstacle_density=0.05)
-        real = pathplan.distance_field
-        ep = Episode(cfg, 4)
-        ep.initial_cost_matrix()
-        st = ep.state
-        initial = set(st.dist_cache.keys())
-        assert len(initial) == 2 * cfg.n_tasks_initial
-        built = []
-
-        def counting(grid, source, model, **kw):
-            built.append((tuple(source), model))
-            return real(grid, source, model, **kw)
-
-        monkeypatch.setattr(pathplan, "distance_field", counting)
-        owners = [[tid] for tid in st.slots]     # task ids per slot
-        seen = set()
-        while not ep.terminated:
-            for s, tid in enumerate(st.slots):
-                if tid is not None and tid != owners[s][-1]:
-                    owners[s].append(tid)
-            if ep.decision_due():
-                _, masks, _, _ = ep.observe()
-                seen |= st.dist_cache.keys()
-                for (tid, model), row in st.dist_cache.items():
-                    full = real(st.grid, st.task(tid).location, model)
-                    # equal out to the row's last ring, which holds
-                    # every agent of the model just looked up
-                    last = row.max(initial=-1.0, where=np.isfinite(row))
-                    within = full <= last
-                    assert np.array_equal(row[within], full[within])
-                    assert np.isinf(row[~within]).all()
-                    assert all(full[tuple(ag.position)] <= last
-                               or np.array_equal(row, full)
-                               for ag in st.agents
-                               if ag.motion_model is model), (tid, model)
-                ep.act([int(np.flatnonzero(m)[-1]) for m in masks])
-            ep.tick()
-        reused = {tid for tids in owners for tid in tids[1:]}
-        assert len(reused) >= 2, owners      # freed slots were taken again
-        new_keys = seen - initial
-        assert {tid for tid, _ in new_keys} == reused
-        # one build per new key, none for the initial keys
-        assert sorted(built, key=repr) == sorted(
-            ((st.task(tid).location, m) for tid, m in new_keys), key=repr)
-
-    def test_work_counters_match_the_keys_and_rings_held(self):
-        """Per motion model, the store counts one field built for each
-        distinct key the episode held, and rings searched between the
-        sum of the keys' last rings and that sum plus one per key (the
-        empty ring that ends a search): a row that a lookup extends
-        never searches a ring twice."""
-        extended = 0
-        for k, config in enumerate(self.CONFIGS):
-            ep = Episode(small_config(**config), 700 + k)
-            st, rng = ep.state, np.random.default_rng(k)
-            last = {}   # key -> the last ring its row was seen to hold
-            while not ep.terminated:
-                if ep.decision_due():
-                    _, masks, _, _ = ep.observe()
-                    for key, row in st.dist_cache.items():
-                        ring = row.max(initial=0.0, where=np.isfinite(row))
-                        last[key] = max(last.get(key, 0.0), ring)
-                    ep.act([int(rng.choice(np.flatnonzero(r)))
-                            for r in masks])
-                ep.tick()
-            for model, work in st.dist_cache.work.items():
-                rings = [r for (_, m), r in last.items() if m is model]
-                assert work.built == len(rings), (k, model)
-                assert sum(rings) <= work.rings <= sum(rings) + len(rings)
-                extended += work.extended
-        assert extended > 0
-
-
 def arbitrate_reference(state, actions, cm, task_ids):
     """`arbitrate` as it was with the Waiting tasks rescanned for every
     idle agent that rejects: the reference that `arbitrate` must equal."""
@@ -580,51 +365,6 @@ def arbitrate_reference(state, actions, cm, task_ids):
         outcome.assignments.append((winner, tid))
     assign_tasks(state, picks)
     return outcome
-
-
-class TestArbitrationReference:
-    """`arbitrate`, judging by the round's masks, equals
-    `arbitrate_reference` on random-action rounds: any action in
-    0..m_max, so rejects, invalid requests (empty slot, busy agent,
-    Assigned task, unreachable task) and conflicts occur.  Every other
-    round knocks out random cost entries, and `arbitrate` gets the slot
-    costs and masks of that matrix, so some idle agents reach an Assigned
-    task but no Waiting one."""
-
-    CONFIGS = (dict(), dict(obstacle_density=0.25),
-               dict(task_interval=3.0, m_max=8, step_cap=60.0),
-               dict(task_interval=2.0, m_max=6, step_cap=60.0,
-                    obstacle_density=0.25, n_agents=5, n_ground=3))
-
-    def test_matches_reference_loop(self):
-        seen = {"idle_rejects": 0, "invalid": 0, "conflicts": 0,
-                "assignments": 0}
-        for k, kw in enumerate(self.CONFIGS):
-            for seed in range(3):
-                ep = Episode(small_config(**kw), 700 + 10 * k + seed)
-                rng = np.random.default_rng(seed)
-                while not ep.terminated:
-                    if ep.decision_due():
-                        _, _, cm, ids = ep.observe()
-                        actions = [int(a) for a in rng.integers(
-                            ep.config.m_max + 1, size=len(ep.state.agents))]
-                        if rng.random() < 0.5:
-                            cm = CostMatrix(np.where(
-                                rng.random(cm.entries.shape) < 0.5,
-                                np.inf, cm.entries))
-                        ref_state = copy.deepcopy(ep.state)
-                        ref = arbitrate_reference(ref_state, actions, cm, ids)
-                        sc = slot_cost_array(ep.state, cm)
-                        out = arbitrate(ep.state, actions, sc,
-                                        observation(ep.state, sc)[1])
-                        for name in seen:
-                            assert getattr(out, name) == getattr(ref, name)
-                            seen[name] += len(getattr(out, name))
-                        assert out.requests == ref.requests
-                        assert [a.status for a in ep.state.agents] == \
-                            [a.status for a in ref_state.agents]
-                    ep.tick()
-        assert all(seen.values()), seen
 
 
 class TestArbitration:
@@ -738,40 +478,6 @@ class TestMotion:
         for _ in range(60):
             advance(st)  # reserve() raises on any double booking
 
-    @pytest.mark.parametrize("dims,n_ground,n_aerial", [
-        ((8, 8, 2), 4, 4), ((6, 6, 2), 3, 3), ((5, 5, 1), 4, 0)])
-    def test_motion_follows_booked_schedule(self, dims, n_ground, n_aerial):
-        """An agent that records no wait stands, after each tick, on the
-        cell its plan booked for that tick: `advance` moves as many
-        cells per tick as `plan_schedule` books."""
-        checked = waits = 0
-        for seed in range(20):
-            ep = Episode(WorldConfig(
-                grid_dims=dims, n_agents=n_ground + n_aerial,
-                n_tasks_initial=6, n_ground=n_ground, n_aerial=n_aerial,
-                obstacle_density=0.2, task_interval=1.0, m_max=8,
-                step_cap=40.0), seed)
-            st = ep.state
-            rng = np.random.default_rng(seed)
-            while not ep.terminated:
-                if ep.decision_due():
-                    _, masks, _, _ = ep.observe()
-                    ep.act([int(rng.choice(np.flatnonzero(m)))
-                            for m in masks])
-                n_log = len(st.log)
-                ep.tick()
-                waited = {e["agent"] for e in st.log[n_log:]
-                          if e["event"] == "wait"}
-                waits += len(waited)
-                for a in st.agents:
-                    if (a.status is AgentStatus.ASSIGN and a.id not in waited
-                            and a.plan.start_tick < int(st.clock)):
-                        assert st.reservations.owner(
-                            a.position, int(st.clock)) == a.id
-                        checked += 1
-        assert checked > 100 and waits > 10
-
-
 class TestSpawning:
     def test_static_mode_never_spawns(self):
         cfg = small_config()
@@ -793,77 +499,6 @@ class TestSpawning:
         st.clock = 50.0
         spawn_tasks(st)
         assert len(st.live_tasks()) <= 5
-
-    def test_live_tasks_read_from_slots_equal_status_scan(self):
-        """`live_tasks` and `live_slots` read the slots; every round of a
-        dynamic episode whose spawns reuse freed slots, they equal the
-        scan of every task ever spawned for those not Done, in ascending
-        id order, and the slots holding them."""
-        ep = Episode(small_config(task_interval=2.0, m_max=5,
-                                  step_cap=80.0), 131)
-        st = ep.state
-        rng = np.random.default_rng(3)
-        owners = [{tid} for tid in st.slots]     # task ids per slot
-        rounds = 0
-        while not ep.terminated:
-            scan = [t for t in st.tasks if t.status is not TaskStatus.DONE]
-            assert st.live_tasks() == scan
-            assert st.live_slots() == [st.slots.index(t.id) for t in scan]
-            rounds += 1
-            for s, tid in enumerate(st.slots):
-                owners[s].add(tid)
-            if ep.decision_due():
-                _, masks, _, _ = ep.observe()
-                ep.act([int(rng.choice(np.flatnonzero(m))) for m in masks])
-            ep.tick()
-        assert rounds > 40
-        # freed slots were taken again by spawned tasks
-        assert sum(len(tids - {None}) > 1 for tids in owners) >= 2
-
-    def test_slot_reads_equal_status_scans(self, monkeypatch):
-        """`waiting_tasks`, `all_tasks_done` and `terminated` read the
-        slots: every tick of dynamic episodes whose spawns reuse freed
-        slots, they equal scans of every task ever spawned.  `advance`
-        returns exactly the log entries it appended."""
-        real_advance = world.advance
-        returned = []
-
-        def recording(state):
-            first = len(state.log)
-            events = real_advance(state)
-            assert events == state.log[first:]
-            returned.extend(events)
-            return events
-
-        monkeypatch.setattr(world, "advance", recording)
-        cfg = small_config(task_interval=2.0, m_max=5, step_cap=80.0)
-        all_done_seen, reused = set(), 0
-        for seed in range(3):
-            ep = Episode(cfg, 150 + seed)
-            st = ep.state
-            rng = np.random.default_rng(seed)
-            owners = [{tid} for tid in st.slots]     # task ids per slot
-            while True:
-                all_done = all(t.status is TaskStatus.DONE for t in st.tasks)
-                assert st.waiting_tasks() == [
-                    t for t in st.tasks if t.status is TaskStatus.WAITING]
-                assert ep.all_tasks_done() == all_done
-                assert ep.terminated == (st.clock >= cfg.step_cap)
-                all_done_seen.add(all_done)
-                if ep.terminated:
-                    break
-                for s, tid in enumerate(st.slots):
-                    owners[s].add(tid)
-                if ep.decision_due():
-                    _, masks, _, _ = ep.observe()
-                    ep.act([int(rng.choice(np.flatnonzero(m)))
-                            for m in masks])
-                ep.tick()
-            reused += sum(len(tids - {None}) > 1 for tids in owners)
-        assert reused >= 2 and all_done_seen == {True, False}
-        assert {e["event"] for e in returned} == {"wait", "task_done",
-                                                  "agent_idle"}
-
 
 class TestEpisode:
     def test_full_episode_terminates(self):
@@ -945,3 +580,345 @@ class TestEpisode:
                 break
             ep.tick()
         assert ep.terminated
+
+
+ZERO_AXIS = st.sampled_from((None,) * 7 + (0, 1, 2))
+DENSITIES = st.sampled_from((0.0, 0.1, 0.2, 0.29))
+M_MAX = st.none() | st.integers(0, 10)
+INTERVALS = st.sampled_from((1.0, 2.0)) | st.none()
+
+
+@st.composite
+def world_settings(draw):
+    """WorldConfig keywords for grids up to 8 x 8 x 3 and 2 to 10 agents,
+    crowded enough that some moves wait.  Some are invalid: a zero-length
+    axis, m_max below the initial tasks, no task before step_cap.  The
+    simplest draw is valid, so a shrunk failure keeps its episode."""
+    dims = [draw(st.integers(2, 8)), draw(st.integers(2, 8)),
+            draw(st.integers(1, 3))]
+    zero_axis = draw(ZERO_AXIS)
+    if zero_axis is not None:
+        dims[zero_axis] = 0
+    n_agents = draw(st.integers(2, 10))
+    n_ground = draw(st.integers(0, n_agents))
+    return dict(
+        grid_dims=tuple(dims), obstacle_density=draw(DENSITIES),
+        n_agents=n_agents, n_ground=n_ground, n_aerial=n_agents - n_ground,
+        n_tasks_initial=draw(st.integers(0, 8)), m_max=draw(M_MAX),
+        task_interval=draw(INTERVALS),
+        step_cap=float(draw(st.integers(2, 30))))
+
+
+# half the agents request a slot their mask allows, if any
+ACTION_KINDS = st.sampled_from(("request", "request", "reject", "any"))
+
+
+class EpisodeMachine(RuleBasedStateMachine):
+    """Whole episodes of drawn small configs, played through `Episode`:
+    rounds of drawn valid, invalid and reject actions, some judged by
+    knocked-out cost entries, skipped rounds, spawns into freed slots,
+    forced waits and extended field rows, checked after every rule
+    against the 3-argument `distance_field` (which `tests/test_pathplan.py`
+    checks against heap Dijkstra), the per-agent observation and mask
+    bodies and `arbitrate_reference` on a deep copy.  `tally` counts
+    which cases occurred; `builds` holds the (source, motion model) of
+    every `pathplan.distance_field` call."""
+
+    def __init__(self, tally, builds):
+        super().__init__()
+        self.tally, self.builds = tally, builds
+        self.ep = None
+        self.round = None   # what `observe` returned this tick
+        self.acted = False
+
+    def field(self, cell, model):
+        """The oracle field of a task cell, once per episode."""
+        key = (cell, model)
+        if key not in self.fields:
+            self.fields[key] = distance_field(self.ep.state.grid, cell, model)
+        return self.fields[key]
+
+    def end_episode(self):
+        if self.ep is not None:
+            work = self.ep.state.dist_cache.work.values()
+            self.tally["extended"] += sum(w.extended for w in work)
+            self.tally["dropped"] += len(self.keys) - len(
+                self.ep.state.dist_cache)
+            self.tally["terminated"] += self.ep.terminated
+        self.ep = None
+
+    def teardown(self):
+        self.end_episode()
+
+    @precondition(lambda self: self.ep is None or self.ep.terminated)
+    @rule(kw=world_settings(), seed=st.integers(0, 2 ** 16))
+    def start(self, kw, seed):
+        self.end_episode()
+        try:
+            config = WorldConfig(**kw)
+        except ValueError:
+            self.tally["rejected"] += 1
+            return
+        try:
+            self.ep = Episode(config, seed)
+        except PlacementError:
+            # too few free cells for this seed's obstacles
+            blocked = np.random.default_rng(seed).random(config.grid_dims) \
+                < config.obstacle_density
+            assert (~blocked[:, :, 0]).sum() \
+                < config.n_agents + config.n_tasks_initial
+            self.tally["unplaceable"] += 1
+            return
+        self.fields = {}
+        self.keys = {}      # every store key held -> the last ring seen
+        self.first_build = len(self.builds)
+        self.logged = 0     # log entries checked
+        self.ended = False
+        self.held = list(self.ep.state.slots)  # last task id in each slot
+
+    @precondition(lambda self: self.ep is not None and self.round is None
+                  and self.ep.decision_due())
+    @rule()
+    def observe(self):
+        self.round = self.ep.observe()
+        self.tally["rounds"] += 1
+
+    @precondition(lambda self: self.round is not None and not self.acted)
+    @rule(data=st.data())
+    def act(self, data):
+        state = self.ep.state
+        _, masks, cm, ids = self.round
+        actions = []
+        for mask in masks:
+            kind = data.draw(ACTION_KINDS)
+            allowed = np.flatnonzero(mask[1:]) + 1
+            actions.append(
+                data.draw(st.integers(-1, len(mask))) if kind == "any"
+                else 0 if kind == "reject" or not len(allowed)
+                else int(allowed[data.draw(st.integers(0, len(allowed) - 1))]))
+        knocked = data.draw(st.booleans())
+        if knocked:
+            # some idle agents then reach an Assigned task but no Waiting one
+            knock = data.draw(st.integers(0, 2 ** cm.entries.size - 1))
+            bits = [knock >> k & 1 for k in range(cm.entries.size)]
+            cm = CostMatrix(np.where(np.reshape(bits, cm.entries.shape),
+                                     np.inf, cm.entries))
+        # the grid and the generator stay as they are; log entries are
+        # appended, never changed
+        ref_state = copy.deepcopy(state, {id(state.grid): state.grid,
+                                          id(state.rng): state.rng,
+                                          id(state.log): list(state.log)})
+        ref = arbitrate_reference(ref_state, actions, cm, ids)
+        if knocked:
+            sc = slot_cost_array(state, cm)
+            out = arbitrate(state, actions, sc, observation(state, sc)[1])
+            self.tally["knocked"] += 1
+        else:
+            out, _ = self.ep.act(actions)
+        for name in ("idle_rejects", "invalid", "conflicts", "assignments"):
+            assert getattr(out, name) == getattr(ref, name), name
+            self.tally[name] += len(getattr(out, name))
+        col = {tid: j for j, tid in enumerate(ids)}
+        for tid, contenders in out.conflicts:
+            costs = sorted(cm.entries[a, col[tid]] for a in contenders)
+            self.tally["tied contests"] += int(costs[0] == costs[1])
+        assert out.requests == ref.requests
+        assert [a.status for a in state.agents] == \
+            [a.status for a in ref_state.agents]
+        assert state.log == ref_state.log
+        self.acted = True
+
+    @precondition(lambda self: self.ep is not None and not self.ep.terminated
+                  and (self.round is None or self.acted))
+    @rule()
+    def tick(self):
+        state = self.ep.state
+        self.ep.tick()
+        self.round, self.acted = None, False
+        self.tally["ticks"] += 1
+        for s, tid in enumerate(state.slots):
+            if tid is not None and tid != self.held[s]:
+                self.tally["reused"] += self.held[s] is not None
+                self.held[s] = tid
+
+    @invariant()
+    def slots_read_like_status_scans(self):
+        if self.ep is None:
+            return
+        state, cfg = self.ep.state, self.ep.config
+        scan = [t for t in state.tasks if t.status is not TaskStatus.DONE]
+        assert state.live_tasks() == scan
+        assert state.live_slots() == [state.slots.index(t.id) for t in scan]
+        assert state.waiting_tasks() == [
+            t for t in state.tasks if t.status is TaskStatus.WAITING]
+        assert self.ep.all_tasks_done() == (not scan)
+        self.tally[f"all done {not scan}"] += 1
+        assert self.ep.terminated == (state.clock >= cfg.step_cap or (
+            cfg.task_interval is None and not scan))
+
+    @invariant()
+    def terminated_stays_and_comes_by_step_cap(self):
+        if self.ep is None:
+            return
+        assert self.ep.terminated or not self.ended
+        self.ended = self.ep.terminated
+        assert self.ended or self.ep.state.clock < self.ep.config.step_cap
+
+    @invariant()
+    def observations_equal_reference_rows(self):
+        """Slot costs from oracle fields go to the slot of their task id,
+        `observation` of them equals the reference bodies, and an observed
+        round returned exactly these."""
+        if self.ep is None:
+            return
+        state = self.ep.state
+        tasks = state.live_tasks()
+        cm = CostMatrix(np.array(
+            [[self.field(t.location, a.motion_model)[a.position] / a.velocity
+              for t in tasks] for a in state.agents]).reshape(
+                  len(state.agents), len(tasks)))
+        sc = slot_cost_array(state, cm)
+        want = np.full_like(sc, np.inf)
+        for j, t in enumerate(tasks):
+            want[:, state.slots.index(t.id)] = cm.entries[:, j]
+        assert np.array_equal(sc, want)
+        obs, masks = observation(state, sc)
+        for a in state.agents:
+            assert np.array_equal(obs[a.id],
+                                  local_observation_reference(state, a.id, sc))
+            assert np.array_equal(masks[a.id],
+                                  action_mask_reference(state, a.id, sc))
+        if self.round is not None and not self.acted:
+            r_obs, r_masks, r_cm, r_ids = self.round
+            assert r_ids == [t.id for t in tasks]
+            assert np.array_equal(r_cm.entries, cm.entries)
+            assert np.array_equal(r_obs, obs)
+            assert np.array_equal(r_masks, masks)
+            live = state.live_slots()
+            self.tally["unordered"] += live != sorted(live)
+        cases = {"busy": any(a.status is not AgentStatus.IDLE
+                             for a in state.agents),
+                 "assigned": any(t.status is TaskStatus.ASSIGNED
+                                 for t in tasks),
+                 "done": len(tasks) < len(state.tasks),
+                 "empty": None in state.slots,
+                 "unreachable": not np.isfinite(cm.entries).all()}
+        self.tally.update(k for k, seen in cases.items() if seen)
+
+    @invariant()
+    def field_rows_are_oracle_fields_built_once(self):
+        """Every store row holds a live task's field, equal to the oracle
+        out to the row's last ring and inf beyond it.  In a round the store
+        holds a row for each live task and motion model, and a row's last
+        ring reaches every agent of its model, or the row is the whole
+        field.  Each key the episode held was built with one
+        `distance_field` call, and its rows labelled between the sum of the
+        keys' last rings and that sum plus one per key (the empty ring that
+        ends a search): no ring is searched twice."""
+        if self.ep is None:
+            return
+        state = self.ep.state
+        live = {t.id: t for t in state.live_tasks()}
+        if self.round is not None:
+            assert set(state.dist_cache) == {
+                (tid, a.motion_model) for tid in live for a in state.agents}
+        for (tid, model), row in state.dist_cache.items():
+            assert tid in live, "a Done task's field is still held"
+            full = self.field(live[tid].location, model)
+            assert row.shape == state.grid.dims
+            assert row.dtype == np.float32 and row.flags.c_contiguous
+            last = row.max(initial=0.0, where=np.isfinite(row))
+            within = full <= last
+            assert np.array_equal(row[within], full[within])
+            assert np.isinf(row[~within]).all()
+            if self.round is not None:
+                assert all(full[a.position] <= last
+                           or np.array_equal(row, full)
+                           for a in state.agents if a.motion_model is model)
+            self.keys[tid, model] = max(self.keys.get((tid, model), 0), last)
+        assert sorted(self.builds[self.first_build:], key=repr) == sorted(
+            ((state.task(tid).location, m) for tid, m in self.keys), key=repr)
+        for model, work in state.dist_cache.work.items():
+            rings = [r for (_, m), r in self.keys.items() if m is model]
+            assert work.built == len(rings)
+            assert sum(rings) <= work.rings <= sum(rings) + len(rings)
+
+    @invariant()
+    def each_assigned_task_has_one_agent(self):
+        if self.ep is None:
+            return
+        state = self.ep.state
+        for a in state.agents:
+            assert (a.status, a.assigned_task is None) in {
+                (AgentStatus.IDLE, True), (AgentStatus.ASSIGN, False)}
+        assert sorted(a.assigned_task for a in state.agents
+                      if a.assigned_task is not None) == [
+            t.id for t in state.tasks if t.status is TaskStatus.ASSIGNED]
+
+    @invariant()
+    def assigned_lengths_are_field_distances(self):
+        """Agents have not moved since their `assigned` events: the
+        invariants run after the round that logged them."""
+        if self.ep is None:
+            return
+        state = self.ep.state
+        for e in state.log[self.logged:]:
+            if e["event"] == "assigned":
+                agent = state.agent(e["agent"])
+                d = self.field(state.task(e["task"]).location,
+                               agent.motion_model)[agent.position]
+                assert e["length"] == d and e["cost"] == d / agent.velocity
+        self.logged = len(state.log)
+
+    @invariant()
+    def movers_stand_on_booked_cells(self):
+        """An Assign agent whose plan started before this tick stands on
+        the cell its plan booked for it now: `advance` moves as many cells
+        per tick as `plan_schedule` books.  A wait rebooks from the tick it
+        ends, so a waiting agent's plan starts now."""
+        if self.ep is None:
+            return
+        state = self.ep.state
+        now = int(state.clock)
+        for a in state.agents:
+            if a.status is AgentStatus.ASSIGN and a.plan.start_tick < now:
+                assert state.reservations.owner(a.position, now) == a.id
+                self.tally["on schedule"] += 1
+
+
+def test_episode_machine(monkeypatch):
+    """Runs `EpisodeMachine`, then checks that every case its invariants
+    judge occurred."""
+    tally, builds = Counter(), []
+
+    def counting(grid, source, model, **kw):
+        builds.append((tuple(source), model))
+        return distance_field(grid, source, model, **kw)
+
+    def recording(state):
+        first = len(state.log)
+        events = advance(state)
+        assert events == state.log[first:]
+        tally.update(f"advance {e['event']}" for e in events)
+        return events
+
+    monkeypatch.setattr(pathplan, "distance_field", counting)
+    monkeypatch.setattr(world, "advance", recording)
+    # a few long runs, each of several episodes: the cases tallied below
+    # came more evenly than from many short runs, whose generated
+    # examples repeat a few config families
+    run_state_machine_as_test(
+        lambda: EpisodeMachine(tally, builds),
+        settings=settings(max_examples=12, stateful_step_count=200,
+                          derandomize=True, deadline=None))
+    assert {k for k in tally if k.startswith("advance ")} == {
+        "advance wait", "advance task_done", "advance agent_idle"}
+    for case in ("busy", "assigned", "done", "empty", "unreachable",
+                 "unordered", "idle_rejects", "invalid", "conflicts",
+                 "assignments", "tied contests", "knocked", "extended",
+                 "dropped", "all done True", "all done False", "rejected",
+                 "terminated"):
+        assert tally[case] > 0, (case, tally)
+    assert tally["reused"] >= 2 and tally["advance wait"] > 10 \
+        and tally["on schedule"] > 100 and tally["rounds"] > 20 \
+        and tally["ticks"] > 40, tally
