@@ -46,10 +46,6 @@ class CostMatrix:
         object.__setattr__(self, "entries", arr)
 
     @property
-    def n_agents(self) -> int:
-        return self.entries.shape[0]
-
-    @property
     def n_tasks(self) -> int:
         return self.entries.shape[1]
 

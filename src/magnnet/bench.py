@@ -25,7 +25,8 @@ from .assign import (CostMatrix, feasible_optimum, greedy, random_assign,
 from .errors import NoPathError
 from .pathplan import RRTParams, rrt_star
 from .ppo import ModelParams, play
-from .world import AgentStatus, Episode, WorldConfig, assign_tasks
+from .world import (AgentStatus, Episode, WorldConfig, _whole,
+                    assign_tasks)
 
 METHODS = ("hungarian", "magnnet", "greedy", "random")
 
@@ -73,8 +74,15 @@ class ScenarioSpec:
         if isinstance(self.n_agents, int):
             self.n_agents = (self.n_agents,)
         self.n_agents = tuple(self.n_agents)
-        if not self.n_agents or min(self.n_agents) < 1:
-            raise ValueError("n_agents must list at least one count >= 1")
+        # the CLI's flags are whole numbers, a scenario file's keys need not
+        # be: a fractional count dies in `run_benchmark`, a fractional seed
+        # in `SeedSequence`, and `true` runs as one episode
+        if not self.n_agents or not all(_whole(n) and n >= 1
+                                        for n in self.n_agents):
+            raise ValueError("n_agents must list whole counts >= 1")
+        for name in ("episodes", "seed_base"):
+            if not _whole(getattr(self, name)):
+                raise ValueError(f"{name} must be a whole number")
         if self.episodes < 1:
             raise ValueError("episodes must be >= 1")
         if self.seed_base < 0:
@@ -444,10 +452,3 @@ def emit_curves(metrics_log_path: str, out_dir: str) -> dict:
                 w.writerow([row["env_steps"], row[column]])
         paths[name] = path
     return paths
-
-
-def write_replay_log(ep: Episode, path: str) -> None:
-    """Line-delimited JSON replay of an episode's event log."""
-    with open(path, "w") as f:
-        for entry in ep.state.log:
-            f.write(json.dumps(entry) + "\n")

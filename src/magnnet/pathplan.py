@@ -13,7 +13,6 @@ import functools
 import heapq
 import math
 import numbers
-from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
@@ -55,10 +54,6 @@ class Grid:
     def is_free(self, cell: Cell) -> bool:
         return self.in_bounds(cell) and not self.blocked[cell]
 
-    @classmethod
-    def empty(cls, dims: Cell) -> "Grid":
-        return cls(tuple(dims), np.zeros(tuple(dims), dtype=bool))
-
 
 @dataclass
 class Path:
@@ -91,9 +86,6 @@ class ReservationTable:
 
     def __init__(self):
         self.slots: dict[tuple[Cell, int], int] = {}
-
-    def owner(self, cell: Cell, tick: int):
-        return self.slots.get((cell, tick))
 
     def is_free_for(self, cell: Cell, tick: int, agent_id: int) -> bool:
         o = self.slots.get((cell, tick))
@@ -545,15 +537,6 @@ def distance_field(grid: Grid, source: Cell, model: MotionModel,
 # travel-time costs
 # ---------------------------------------------------------------------------
 
-def path_cost(distance: float, velocity: float) -> float:
-    """Travel time in seconds for a path of `distance` meters."""
-    if velocity <= 0.0:
-        raise ValueError(f"velocity must be positive, got {velocity}")
-    if distance < 0.0:
-        raise ValueError(f"distance must be >= 0, got {distance}")
-    return distance / velocity
-
-
 @dataclass
 class FieldWork:
     """What a `FieldStore`'s searches did for one motion model: fields
@@ -564,7 +547,7 @@ class FieldWork:
     rings: int = 0
 
 
-class FieldStore(Mapping):
+class FieldStore:
     """One episode's distance fields, slot-major, kept as packed `Rings`
     searches.
 
@@ -575,12 +558,11 @@ class FieldStore(Mapping):
     the z = 0 plane for GROUND4) included; the store keeps which task
     each row holds and what the searches did.
 
-    As a Mapping it is keyed by (task id, motion model); a value is the
-    row decoded on demand into a float32 array of the grid's (x, y, z)
-    shape, inf off the plane for GROUND4.  `ensure` builds missing keys
-    with one `distance_field` call each, `drop` forgets a Done task,
-    `lookup` reads many rows at many cells straight from their label
-    planes, and `path` walks a row down to its task.
+    A field's key is (task id, motion model), and `keys` gives the keys
+    held.  `ensure` builds missing keys with one `distance_field` call
+    each, `drop` forgets a Done task, `lookup` reads many rows at many
+    cells straight from their label planes, and `path` walks a row down
+    to its task.
 
     A row is built only out to the ring of its farthest agent.  A lookup
     at a cell the row has not reached continues the row from its kept
@@ -597,27 +579,10 @@ class FieldStore(Mapping):
         self._held = {model: [None] * slots for model in MotionModel}
         self.work = {model: FieldWork() for model in MotionModel}
 
-    def __getitem__(self, key) -> np.ndarray:
-        if key not in self:
-            raise KeyError(key)
-        task_id, model = key
-        out = np.empty(self.grid.dims, dtype=np.float32)
-        self._rings[model].decode(self._held[model].index(task_id), out)
-        return out
-
-    def __contains__(self, key) -> bool:
-        task_id, model = key
-        return task_id is not None and task_id in self._held[model]
-
-    def __iter__(self):
-        for model, held in self._held.items():
-            for task_id in held:
-                if task_id is not None:
-                    yield (task_id, model)
-
-    def __len__(self) -> int:
-        return sum(len(held) - held.count(None)
-                   for held in self._held.values())
+    def keys(self) -> set:
+        """The (task id, motion model) of every field held."""
+        return {(task_id, model) for model, held in self._held.items()
+                for task_id in held if task_id is not None}
 
     def ensure(self, model: MotionModel, tasks, rows, reach) -> None:
         """Hold the `model` field of each task (.id, .location) in its
@@ -693,9 +658,10 @@ def cost_matrix(state) -> CostMatrix:
     .live_tasks(), .live_slots() (the slot of each live task) and a
     `FieldStore` .dist_cache, which keeps one packed search per (task
     id, motion model) in the `Rings` row of the task's slot.  Each
-    entry is the same division as `path_cost`, done for all agents of
-    one motion model with one lookup of their cells in that model's
-    live rows, which reads ring labels and decodes no field.
+    entry is the shortest-path distance in meters divided by the
+    agent's velocity, the distances read for all agents of one motion
+    model with one lookup of their cells in that model's live rows,
+    which reads ring labels and decodes no field.
     """
     tasks = state.live_tasks()
     agents = state.agents

@@ -22,7 +22,7 @@ from .gnn import (GCNParams, HIDDEN, batch_graphs, build_graph, gcn_encode,
 from .policy import (ActorParams, CriticParams, actor_forward, critic_forward,
                      init_actor_params, init_critic_params, sample_action)
 from .tensor import AdamState, Tensor, adam_step, backward, zero_grads
-from .world import Episode, WorldConfig, terminal_bonus
+from .world import Episode, WorldConfig, _whole, terminal_bonus
 
 CHECKPOINT_INTERVAL = 25  # updates between periodic checkpoints
 
@@ -58,6 +58,11 @@ class PPOConfig:
         # a clip range of 0 or less inverts the clipped objective
         if not 0 < self.clip_epsilon < np.inf:
             raise ValueError("clip_epsilon must be finite and > 0")
+        # a fractional count dies in `train` as a range bound or runs
+        # silently as a buffer size
+        for name in ("train_batch", "minibatch", "epochs_per_update"):
+            if not _whole(getattr(self, name)):
+                raise ValueError(f"{name} must be a whole number")
         # with no epoch an update logs nan losses; with no step the
         # untrained model is saved as the result
         if self.epochs_per_update < 1 or self.total_steps < 1:

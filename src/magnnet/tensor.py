@@ -8,7 +8,7 @@ hand-written backward.  All storage is numpy float64.
 
 Finiteness is checked at boundaries, each raising NumericError on NaN/Inf:
 - the outputs of the arithmetic ops (`exp`, `log`, `masked_softmax`,
-  `matmul`, `add`, `sub`, `mul`, `relu`, ...), which build losses;
+  `add`, `sub`, `mul`, ...), which build losses;
 - the actor's logits (`policy.actor_forward`), before a mask can hide
   them;
 - the PPO loss (`ppo.ppo_update`) and the gradients `adam_step` applies;
@@ -64,13 +64,6 @@ class Tensor:
         self._parents: tuple[Tensor, ...] = ()
         self._backward_fn = None
 
-    @property
-    def shape(self):
-        return self.data.shape
-
-    def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, grad={self.requires_grad})"
-
 
 def param(data) -> Tensor:
     """Leaf parameter tensor."""
@@ -124,20 +117,6 @@ def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
 # forward ops
 # ---------------------------------------------------------------------------
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    if a.data.shape[-1] != b.data.shape[0]:
-        raise ShapeError(f"matmul: {a.data.shape} @ {b.data.shape}")
-    out_data = a.data @ b.data
-
-    def bwd(g):
-        # a constant operand (an adjacency, input features) gets no gradient
-        return (g @ b.data.T if a.requires_grad else None,
-                a.data.T @ g if b.requires_grad else None)
-
-    return _make(out_data, (a, b), bwd)
-
-
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     try:
@@ -170,12 +149,6 @@ def mul(a, b) -> Tensor:
                 _unbroadcast(g * a.data, b.data.shape))
 
     return _make(out_data, (a, b), bwd)
-
-
-def relu(x: Tensor) -> Tensor:
-    x = as_tensor(x)
-    keep = x.data > 0.0
-    return _make(x.data * keep, (x,), lambda g: (g * keep,))
 
 
 def linear(x, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
@@ -236,11 +209,6 @@ def log(x: Tensor) -> Tensor:
 def square(x: Tensor) -> Tensor:
     x = as_tensor(x)
     return _make(x.data ** 2, (x,), lambda g: (2.0 * g * x.data,))
-
-
-def tsum(x: Tensor) -> Tensor:
-    x = as_tensor(x)
-    return _make(x.data.sum(), (x,), lambda g: (np.full_like(x.data, float(g)),))
 
 
 def mean(x: Tensor) -> Tensor:

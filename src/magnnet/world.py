@@ -30,9 +30,7 @@ from .pathplan import (AgentPlan, FieldStore, Grid, MotionModel, Path,
 
 class AgentStatus(Enum):
     IDLE = "idle"
-    ACCEPT = "accept"
     ASSIGN = "assign"
-    COMPLETE = "complete"
 
 
 class TaskStatus(Enum):
@@ -41,12 +39,11 @@ class TaskStatus(Enum):
     DONE = "done"
 
 
-# one scalar input dimension; evenly spaced in [0, 1]
+# one scalar input dimension; ASSIGN keeps the 2/3 it had among four
+# statuses, so observations and trained checkpoints read as before
 STATUS_CODE = {
     AgentStatus.IDLE: 0.0,
-    AgentStatus.ACCEPT: 1.0 / 3.0,
     AgentStatus.ASSIGN: 2.0 / 3.0,
-    AgentStatus.COMPLETE: 1.0,
 }
 
 # cells per second; a plan books and moves round(v) cells per tick while
@@ -395,7 +392,6 @@ def arbitrate(state: EpisodeState, actions, slot_costs: np.ndarray,
             if could_request[agent.id]:
                 outcome.idle_rejects.append(agent.id)
         elif 0 < action < masks.shape[1] and masks[agent.id, action]:
-            agent.status = AgentStatus.ACCEPT
             requests.setdefault(action - 1, []).append(agent.id)
         else:
             outcome.invalid.append(agent.id)
@@ -411,7 +407,6 @@ def arbitrate(state: EpisodeState, actions, slot_costs: np.ndarray,
             state.contested_tasks.add(tid)
             for a in contenders:
                 if a != winner:
-                    state.agent(a).status = AgentStatus.IDLE
                     state.record("conflict_lost", agent=a, task=tid)
         picks.append((winner, tid, float(slot_costs[winner, slot]),
                       _plan_to_task(state, state.agent(winner),
@@ -478,7 +473,6 @@ def advance(state: EpisodeState) -> list:
             # nothing reads a Done task's fields again
             state.dist_cache.drop(task.id)
             state.replace_slot(task.id, None)
-            agent.status = AgentStatus.COMPLETE
             state.record("task_done", agent=agent.id, task=task.id)
             state.reservations.release_agent(agent.id)
             agent.status = AgentStatus.IDLE
@@ -585,8 +579,10 @@ class Episode:
         """Arbitrate `actions` by the masks and slot costs `observe` showed
         this round."""
         if self._observed is None:
-            raise RuntimeError("act needs an observe since the last tick")
+            raise RuntimeError("act needs an observe since the last act "
+                               "or tick")
         outcome = arbitrate(self.state, actions, *self._observed)
+        self._observed = None
         rewards = step_rewards(outcome, self.state)
         return outcome, rewards
 

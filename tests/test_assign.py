@@ -36,7 +36,7 @@ class TestCostMatrix:
 
     def test_allows_inf(self):
         cm = CostMatrix(np.array([[np.inf, 1.0]]))
-        assert cm.n_agents == 1 and cm.n_tasks == 2
+        assert cm.entries.shape[0] == 1 and cm.n_tasks == 2
 
 
 class TestAssignment:

@@ -1,22 +1,30 @@
 """Every shipped config loads into the dataclass that consumes it, every
-setting is one that some caller sets, and keys for settings that no
-longer exist are rejected instead of being silently ignored."""
+setting is one that some caller sets, every function is one that some
+command or pinned check enters, and keys for settings that no longer
+exist are rejected instead of being silently ignored."""
 
+import ast
 import dataclasses
 import glob
+import importlib
 import json
 import os
+import pkgutil
+import sys
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from magnnet import bench, cli
+import magnnet
+from magnnet import assign, bench, cli, gnn, pathplan
 from magnnet.bench import ScenarioSpec
 from magnnet.ppo import PPOConfig
-from magnnet.world import WorldConfig
+from magnnet.world import Episode, WorldConfig
 
-CONFIG_DIR = os.path.join(os.path.dirname(os.path.dirname(
-    os.path.abspath(__file__))), "configs")
+from helpers import REPO, empty_grid, load_tracer
+
+CONFIG_DIR = os.path.join(REPO, "configs")
 CONFIGS = sorted(glob.glob(os.path.join(CONFIG_DIR, "*.json")))
 
 
@@ -81,6 +89,123 @@ def test_every_setting_has_a_caller(tmp_path, monkeypatch):
     assert fields - settings_set_by_callers(tmp_path, monkeypatch) == set()
 
 
+def package_modules():
+    return [importlib.import_module(f"magnnet.{info.name}")
+            for info in pkgutil.iter_modules(magnnet.__path__)]
+
+
+def defined_functions(modules) -> dict:
+    """(file, first line) -> "module:line name" of every def in the
+    package, nested ones included.  A code object's first line is its
+    first decorator's, if it has one."""
+    found = {}
+    for module in modules:
+        with open(module.__file__) as f:
+            tree = ast.parse(f.read())
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                first = min([node.lineno] + [d.lineno
+                                              for d in node.decorator_list])
+                found[(module.__file__, first)] = \
+                    f"{module.__name__}:{node.lineno} {node.name}"
+    return found
+
+
+def command_runs(tmp_path):
+    """Every CLI command on tiny inputs, serially.  The crowded bench
+    scenario makes `resolve_paths` replan, which no other run forces."""
+    tiny = tmp_path / "train.json"
+    tiny.write_text(json.dumps({
+        "world": {"grid_dims": [12, 12, 4], "n_agents": 4,
+                  "n_tasks_initial": 4, "n_ground": 2, "n_aerial": 2},
+        "ppo": {"train_batch": 16, "minibatch": 16, "epochs_per_update": 1,
+                "total_steps": 32}}))
+    crowded = tmp_path / "crowded.json"
+    crowded.write_text(json.dumps({
+        "mode": "static", "n_agents": [8], "episodes": 3, "seed_base": 1,
+        "grid_dims": [6, 6, 2], "methods": ["hungarian", "greedy",
+                                             "random"]}))
+    static, dynamic = (os.path.join(CONFIG_DIR, f"bench_{mode}_n4.json")
+                       for mode in ("static", "dynamic"))
+    checkpoint = os.path.join(REPO, "runs", "acceptance", "seed0",
+                              "checkpoint.json")
+    one = ["--episodes", "1"]
+    return [["train", str(tiny), "--out", str(tmp_path / "train")],
+            ["curves", str(tmp_path / "train" / "metrics.csv"),
+             "--out", str(tmp_path / "curves")],
+            ["eval", checkpoint, static, *one, "--out", str(tmp_path / "e")],
+            ["bench", static, *one, "--out", str(tmp_path / "static")],
+            ["bench", dynamic, *one, "--out", str(tmp_path / "dynamic")],
+            ["bench", str(crowded), "--out", str(tmp_path / "crowded")],
+            ["planner-compare", static, *one, "--out", str(tmp_path / "p")]]
+
+
+def criterion_1():
+    cm = assign.CostMatrix(np.random.default_rng(0).uniform(0, 10, (3, 4)))
+    assign.hungarian(cm), assign.brute_force(cm)
+
+
+def criterion_3():
+    gnn.init_gcn_params(np.random.default_rng(0), 2).parameters()
+
+
+def perfbench_astar_check():
+    grid, model = empty_grid((4, 4, 2)), pathplan.MotionModel.AERIAL6
+    path = pathplan.astar(grid, (0, 0, 0), (3, 3, 1), model)
+    path.validate(grid, model)
+    pathplan.distance_field(grid, path.goal, model)
+
+
+def perfbench_cache_lookups():
+    load_tracer().cache_lookups(Episode(WorldConfig(grid_dims=(8, 8, 2)),
+                                        0).state)
+
+
+# Roots that no command enters but a pinned check calls, each called as
+# that check calls it; every function a root calls counts as reached
+PINNED_ROOTS = {
+    "assign.hungarian, assign.brute_force: acceptance criterion 1 "
+    "compares them on random matrices": criterion_1,
+    "ParamBundle.parameters: acceptance criterion 3 lists the GCN's, "
+    "actor's and critic's parameters": criterion_3,
+    "Path.validate, Path.goal and the 3-argument distance_field: "
+    "perfbench's check_astar_path": perfbench_astar_check,
+    "FieldStore.keys: perfbench's cache_lookups": perfbench_cache_lookups,
+}
+
+
+def test_every_function_is_reached(tmp_path):
+    """A function that neither a command nor a pinned check enters is
+    test-only: it belongs in the tests that use it, or nowhere.  Pool
+    workers are not traced, so the commands run serially."""
+    modules = package_modules()
+    for module in modules:  # a cached result would hide its function
+        for obj in vars(module).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            entered.add((frame.f_code.co_filename,
+                         frame.f_code.co_firstlineno))
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        for args in command_runs(tmp_path):
+            result = CliRunner().invoke(cli.main, args)
+            assert result.exit_code == 0, (args, result.output)
+        for root in PINNED_ROOTS.values():
+            root()
+    finally:
+        sys.setprofile(previous)
+    defined = defined_functions(modules)
+    unreached = sorted(defined[key] for key in defined.keys() - entered)
+    assert not unreached, "entered by no command or pinned root:\n" \
+        + "\n".join(unreached)
+
+
 @pytest.mark.parametrize("cls, blob", [
     (ScenarioSpec, {"methods": ["hungarian"], "planner": "astar"}),
     (WorldConfig, {"seed": 0}),
@@ -124,6 +249,13 @@ def test_removed_settings_rejected(cls, blob):
     (PPOConfig, {"value_coef": float("inf")}),
     (PPOConfig, {"entropy_coef": -0.01}),
     (PPOConfig, {"value_coef": -0.5}),
+    (PPOConfig, {"train_batch": 128.0}),
+    (PPOConfig, {"minibatch": 16.0}),
+    (PPOConfig, {"epochs_per_update": 1.5}),
+    (ScenarioSpec, {"methods": ["hungarian"], "episodes": 1.5}),
+    (ScenarioSpec, {"methods": ["hungarian"], "episodes": True}),
+    (ScenarioSpec, {"methods": ["hungarian"], "seed_base": 0.5}),
+    (ScenarioSpec, {"methods": ["hungarian"], "n_agents": [4, 6.5]}),
 ], ids=["ppo-train_batch-0", "ppo-minibatch-0",
         "ppo-minibatch-neg", "ppo-learning_rate-0", "ppo-learning_rate-neg",
         "world-n_tasks_initial-neg", "world-step_cap-inf",
@@ -133,14 +265,19 @@ def test_removed_settings_rejected(cls, blob):
         "world-n_tasks_initial-fractional", "ppo-epochs_per_update-0",
         "ppo-total_steps-0", "ppo-clip_epsilon-0", "ppo-learning_rate-inf",
         "ppo-entropy_coef-nan", "ppo-value_coef-inf", "ppo-entropy_coef-neg",
-        "ppo-value_coef-neg"])
+        "ppo-value_coef-neg", "ppo-train_batch-fractional",
+        "ppo-minibatch-fractional", "ppo-epochs_per_update-fractional",
+        "spec-episodes-fractional", "spec-episodes-bool",
+        "spec-seed_base-fractional", "spec-n_agents-fractional"])
 def test_out_of_range_settings_rejected(cls, blob):
     """Each of these used to be accepted and then crash mid-run (division
     by zero after the first update, an empty buffer's IndexError, numpy's
     negative dimensions, math.ceil's OverflowError, an IndexError or a
     broadcast error on a grid without three axes, a diverged first
-    update), run without end (a dynamic episode under an infinite step
-    cap) or run wrongly (one-step minibatches, Adam ascending the loss,
-    an inverted clip range, float agent ids, no update at all)."""
+    update, a TypeError from a fractional count or seed), run without end
+    (a dynamic episode under an infinite step cap) or run wrongly
+    (one-step minibatches, Adam ascending the loss, an inverted clip
+    range, float agent ids, no update at all, a fractional batch, `true`
+    episodes)."""
     with pytest.raises(ValueError):
         cls.from_dict(blob)

@@ -12,6 +12,8 @@ from magnnet.world import (STATUS_CODE, Episode, TaskStatus, WorldConfig,
                            current_cost_matrix, init_episode, observation,
                            slot_cost_array)
 
+import helpers as ops
+
 
 def small_state(seed=0):
     cfg = WorldConfig(grid_dims=(15, 15, 6), n_agents=4, n_tasks_initial=4,
@@ -194,7 +196,7 @@ class TestEncode:
         cm, _ = current_cost_matrix(st)
         g = build_graph(st, cm)
         p = init_gcn_params(np.random.default_rng(5), st.config.m_max)
-        loss = T.tsum(T.square(gcn_encode(g, p)))
+        loss = ops.tsum(T.square(gcn_encode(g, p)))
         grads = T.backward(loss, p.parameters())
         assert any(np.abs(gr).sum() > 0 for gr in grads)
 

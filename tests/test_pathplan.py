@@ -18,11 +18,13 @@ from magnnet.assign import feasible_optimum
 from magnnet.bench import ScenarioSpec
 from magnnet.errors import NoPathError
 from magnnet.pathplan import (AgentPlan, FieldStore, Grid, MotionModel, Path,
-                              RRTParams, ReservationTable, astar,
-                              distance_field, manhattan, path_cost,
-                              plan_schedule, resolve_paths, rrt_star,
-                              _pcg64_draws, _staircase)
-from magnnet.world import Episode
+                              RRTParams, ReservationTable, astar, cost_matrix,
+                              distance_field, manhattan, plan_schedule,
+                              resolve_paths, rrt_star, _pcg64_draws,
+                              _staircase)
+from magnnet.world import Episode, WorldConfig
+
+from helpers import decoded, empty_grid, load_tracer
 
 
 def dijkstra(grid: Grid, start, goal, model: MotionModel):
@@ -84,28 +86,28 @@ class TestAStarAgainstDijkstra:
         assert checked > 20
 
     def test_empty_grid_is_manhattan(self):
-        grid = Grid.empty((10, 10, 5))
+        grid = empty_grid((10, 10, 5))
         p = astar(grid, (0, 0, 0), (9, 7, 4), MotionModel.AERIAL6)
         assert p.length == manhattan((0, 0, 0), (9, 7, 4))
 
     def test_ground_stays_on_plane(self):
-        grid = Grid.empty((8, 8, 4))
+        grid = empty_grid((8, 8, 4))
         p = astar(grid, (0, 0, 0), (7, 7, 0), MotionModel.GROUND4)
         assert all(c[2] == 0 for c in p.cells)
 
     def test_ground_rejects_elevated_endpoint(self):
-        grid = Grid.empty((4, 4, 4))
+        grid = empty_grid((4, 4, 4))
         with pytest.raises(NoPathError):
             astar(grid, (0, 0, 1), (3, 3, 0), MotionModel.GROUND4)
 
     def test_blocked_endpoints_raise(self):
-        grid = Grid.empty((4, 4, 2))
+        grid = empty_grid((4, 4, 2))
         grid.blocked[1, 1, 0] = True
         with pytest.raises(NoPathError):
             astar(grid, (1, 1, 0), (3, 3, 0), MotionModel.AERIAL6)
 
     def test_ground_blocked_by_wall_aerial_flies_over(self):
-        grid = Grid.empty((5, 5, 3))
+        grid = empty_grid((5, 5, 3))
         grid.blocked[2, :, 0] = True  # wall across the ground plane
         with pytest.raises(NoPathError):
             astar(grid, (0, 0, 0), (4, 0, 0), MotionModel.GROUND4)
@@ -123,7 +125,7 @@ class TestOneOptimalPath:
                                        MotionModel.GROUND4])
     def test_corner_to_corner_within_manhattan_budget(self, model,
                                                       space_time):
-        grid = Grid.empty((50, 50, 30))
+        grid = empty_grid((50, 50, 30))
         start = (0, 0, 0)
         goal = (49, 49, 0 if model is MotionModel.GROUND4 else 29)
         table = None
@@ -166,7 +168,7 @@ class TestDistanceField:
         assert np.all(after <= before + 1e-9)
 
     def test_ground_field_off_plane_is_inf(self):
-        grid = Grid.empty((4, 4, 3))
+        grid = empty_grid((4, 4, 3))
         f = distance_field(grid, (0, 0, 0), MotionModel.GROUND4)
         assert np.isinf(f[:, :, 1:]).all()
         assert f[3, 3, 0] == 6
@@ -398,11 +400,11 @@ class TestBoundedField:
         task = types.SimpleNamespace(id=0, location=src)
         store.ensure(model, [task], np.array([0]),
                      np.array(reach, dtype=np.intp).reshape(-1, 3))
-        assert np.array_equal(store[(0, model)], field)
+        assert np.array_equal(decoded(store, (0, model)), field)
         cells = every_cell(grid)
         got = store.lookup(model, np.array([0]), cells)[:, 0]
         assert np.array_equal(got, ref[tuple(cells.T)])
-        assert np.array_equal(store[(0, model)], ref)
+        assert np.array_equal(decoded(store, (0, model)), ref)
 
     @pytest.mark.parametrize("ring", [0, 1, 3, 31, 63, 127, 255])
     @pytest.mark.parametrize("model,axis", [
@@ -415,7 +417,7 @@ class TestBoundedField:
         of the 299 rings once, the build's and the extension's."""
         dims = [1, 1, 1]
         dims[axis] = 300
-        grid = Grid.empty(tuple(dims))
+        grid = empty_grid(tuple(dims))
         cell = [0, 0, 0]
         cell[axis] = ring
         field = distance_field(grid, (0, 0, 0), model,
@@ -430,7 +432,7 @@ class TestBoundedField:
         end = [0, 0, 0]
         end[axis] = 299
         assert store.lookup(model, np.array([0]), np.array([end])) == 299
-        assert np.array_equal(store[(5, model)].reshape(-1),
+        assert np.array_equal(decoded(store, (5, model)).reshape(-1),
                               np.arange(300))
         assert (work.built, work.extended, work.rings) == (1, int(ring < 299),
                                                            299)
@@ -454,18 +456,18 @@ class TestFieldStoreResume:
         store.ensure(MotionModel.AERIAL6, [task], [1], near)
         key = (3, MotionModel.AERIAL6)
         work = store.work[MotionModel.AERIAL6]
-        bounded = np.array(store[key])
+        bounded = decoded(store, key)
         assert np.isinf(bounded[tuple(far[0])])
         assert work.rings == full[tuple(near[0])] == 2
         # a lookup inside the row's rings leaves it as it was
         assert store.lookup(MotionModel.AERIAL6, np.array([1]), near) \
             == full[tuple(near[0])]
-        assert np.array_equal(store[key], bounded)
+        assert np.array_equal(decoded(store, key), bounded)
         assert work.extended == 0
         # one past it adds only the rings out to the looked-up cell
         assert store.lookup(MotionModel.AERIAL6, np.array([1]), mid) \
             == full[tuple(mid[0])]
-        row = store[key]
+        row = decoded(store, key)
         within = full <= full[tuple(mid[0])]
         assert np.array_equal(row[within], full[within])
         assert np.isinf(row[~within]).all()
@@ -474,12 +476,12 @@ class TestFieldStoreResume:
         copied = copy.deepcopy(store)
         assert store.lookup(MotionModel.AERIAL6, np.array([1]), far) \
             == full[tuple(far[0])]
-        assert np.array_equal(store[key], full)
+        assert np.array_equal(decoded(store, key), full)
         assert (work.extended, work.rings) == (2, full[tuple(far[0])])
-        assert np.array_equal(copied[key], row)
+        assert np.array_equal(decoded(copied, key), row)
         assert copied.lookup(MotionModel.AERIAL6, np.array([1]), far) \
             == full[tuple(far[0])]
-        assert np.array_equal(copied[key], full)
+        assert np.array_equal(decoded(copied, key), full)
 
 
 def extract_path_reference(field: np.ndarray, start, model: MotionModel):
@@ -531,7 +533,7 @@ class TestStorePath:
                                                         model).cells
 
     def test_unreachable_start_raises(self):
-        grid = Grid.empty((5, 1, 1))
+        grid = empty_grid((5, 1, 1))
         grid.blocked[2] = True
         store = FieldStore(grid, 1)
         task = types.SimpleNamespace(id=0, location=(0, 0, 0))
@@ -540,7 +542,7 @@ class TestStorePath:
         with pytest.raises(NoPathError):
             store.path(0, MotionModel.GROUND4, (4, 0, 0))
         # a ground start above a reached plane cell is not that cell
-        store = FieldStore(Grid.empty((5, 1, 2)), 1)
+        store = FieldStore(empty_grid((5, 1, 2)), 1)
         store.ensure(MotionModel.GROUND4, [task], np.array([0]),
                      np.array([(4, 0, 0)]))
         assert store.path(0, MotionModel.GROUND4, (3, 0, 0)).length == 3
@@ -631,13 +633,32 @@ class TestFieldStoreAgainstDijkstra:
                               reachable[int(rng.integers(len(reachable)))])
                 assert store.path(task_id, model, start).cells == \
                     extract_path_reference(ref, start, model).cells
-            assert set(store) == {(tid, model) for tid, _ in refs.values()}
+            assert store.keys() == {(tid, model) for tid, _ in refs.values()}
             for task_id, ref in refs.values():
-                field = store[(task_id, model)]
+                field = decoded(store, (task_id, model))
                 last = field.max(initial=-1.0, where=np.isfinite(field))
                 within = ref <= last
                 assert np.array_equal(field[within], ref[within])
                 assert np.isinf(field[~within]).all()
+
+
+def test_perfbench_cache_lookups_read_the_store():
+    """perfbench counts a round's misses as the (task id, motion model)
+    keys missing from `dist_cache.keys()`: every key on a fresh episode,
+    the aerial ones once the ground fields are built, and none after the
+    round's cost matrix."""
+    cache_lookups = load_tracer().cache_lookups
+    cfg = WorldConfig(grid_dims=(12, 12, 4), n_agents=4, n_tasks_initial=3,
+                      n_ground=2, n_aerial=2, obstacle_density=0.05)
+    state = Episode(cfg, 3).state
+    ground = np.array([a.position for a in state.agents
+                       if a.motion_model is MotionModel.GROUND4])
+    assert cache_lookups(state) == (4 * 3, 3 * 2)
+    state.dist_cache.ensure(MotionModel.GROUND4, state.live_tasks(),
+                            np.array(state.live_slots()), ground)
+    assert cache_lookups(state) == (4 * 3, 3)
+    cost_matrix(state)
+    assert cache_lookups(state) == (4 * 3, 0)
 
 
 class TestGrid:
@@ -665,18 +686,18 @@ class TestRRTStar:
             assert p.length >= ref
 
     def test_deterministic_per_seed(self):
-        grid = Grid.empty((10, 10, 4))
+        grid = empty_grid((10, 10, 4))
         p1 = rrt_star(grid, (0, 0, 0), (9, 9, 3), MotionModel.AERIAL6, seed=5)
         p2 = rrt_star(grid, (0, 0, 0), (9, 9, 3), MotionModel.AERIAL6, seed=5)
         assert p1.cells == p2.cells
 
     def test_ground_model_stays_flat(self):
-        grid = Grid.empty((10, 10, 4))
+        grid = empty_grid((10, 10, 4))
         p = rrt_star(grid, (0, 0, 0), (9, 4, 0), MotionModel.GROUND4, seed=2)
         assert all(c[2] == 0 for c in p.cells)
 
     def test_more_iterations_never_longer(self):
-        grid = Grid.empty((12, 12, 4))
+        grid = empty_grid((12, 12, 4))
         short = rrt_star(grid, (0, 0, 0), (11, 11, 0), MotionModel.AERIAL6,
                          RRTParams(max_iters=100), seed=3)
         long = rrt_star(grid, (0, 0, 0), (11, 11, 0), MotionModel.AERIAL6,
@@ -927,7 +948,7 @@ def planner_compare_instances():
 def _empty_grid_instance():
     """Goal bias 1: once the goal is a node, every later sample is a
     tree node and the iteration is skipped."""
-    return (Grid.empty((6, 6, 3)), (0, 0, 0), (5, 5, 2), MotionModel.AERIAL6,
+    return (empty_grid((6, 6, 3)), (0, 0, 0), (5, 5, 2), MotionModel.AERIAL6,
             RRTParams(max_iters=40, step_cells=3, goal_bias=1.0), 0)
 
 
@@ -1014,12 +1035,12 @@ class TestReservations:
         table.reserve((0, 0, 0), 1, 0)
         table.reserve((0, 0, 0), 2, 1)
         table.release_agent(0)
-        assert table.owner((0, 0, 0), 1) is None
+        assert table.slots.get(((0, 0, 0), 1)) is None
         table.release_before(3)
-        assert table.owner((0, 0, 0), 2) is None
+        assert table.slots.get(((0, 0, 0), 2)) is None
 
     def test_space_time_astar_waits_out_a_block(self):
-        grid = Grid.empty((6, 1, 1))
+        grid = empty_grid((6, 1, 1))
         table = ReservationTable()
         # corridor cell (2,0,0) is held by agent 9 for ticks 1..3
         for t in (1, 2, 3):
@@ -1032,7 +1053,7 @@ class TestReservations:
         assert len(p.cells) - 1 > 5  # waits were inserted
 
     def test_resolve_paths_keeps_lowest_cost_unchanged(self):
-        grid = Grid.empty((8, 1, 1))
+        grid = empty_grid((8, 1, 1))
         straight = Path([(x, 0, 0) for x in range(8)])
         cheap = AgentPlan(0, cost=1.0, path=straight, velocity=1.0)
         dear = AgentPlan(1, cost=5.0, path=straight, velocity=1.0)
@@ -1046,7 +1067,7 @@ class TestReservations:
 
     def test_resolve_paths_reservations_disjoint(self):
         rng = np.random.default_rng(4)
-        grid = Grid.empty((10, 10, 1))
+        grid = empty_grid((10, 10, 1))
         plans = []
         for a in range(4):
             start = (int(rng.integers(10)), int(rng.integers(10)), 0)
@@ -1060,12 +1081,13 @@ class TestReservations:
         seen = set()
         for p in out:
             slots = set(plan_schedule(p))
-            assert all(table.owner(c, t) == p.agent_id for c, t in slots)
+            assert all(table.slots.get((c, t)) == p.agent_id
+                       for c, t in slots)
             assert not slots & seen, "two plans share a slot"
             seen |= slots
 
     def test_resolve_paths_holds_when_no_path_exists(self):
-        grid = Grid.empty((3, 1, 1))
+        grid = empty_grid((3, 1, 1))
         start = (0, 0, 0)
         table = ReservationTable()
         # at tick 1 others hold the start cell and its one free neighbor
@@ -1356,7 +1378,7 @@ class TestExpiredReservation:
         five states that tick adds: a wait at the start, and bare copies
         of the start and its three neighbours, whose first arrival was a
         (cell, substep) state."""
-        grid = Grid.empty((20, 20, 6))
+        grid = empty_grid((20, 20, 6))
         grid.blocked[10] = True
         grid.blocked[10, 19, 5] = False
         start, goal = (0, 0, 0), (19, 0, 0)
@@ -1383,23 +1405,12 @@ class TestExpiredReservation:
         assert len(reserved.cells) - 1 == 67
 
 
-class TestPathCost:
-    def test_basic(self):
-        assert path_cost(15.0, 3.0) == 5.0
-
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            path_cost(1.0, 0.0)
-        with pytest.raises(ValueError):
-            path_cost(-1.0, 1.0)
-
-
 class TestPath:
     def test_length_ignores_waits(self):
         p = Path([(0, 0, 0), (0, 0, 0), (1, 0, 0), (1, 0, 0), (2, 0, 0)])
         assert p.length == 2
 
     def test_validate_rejects_jumps(self):
-        grid = Grid.empty((5, 5, 1))
+        grid = empty_grid((5, 5, 1))
         with pytest.raises(ValueError):
             Path([(0, 0, 0), (2, 0, 0)]).validate(grid, MotionModel.GROUND4)

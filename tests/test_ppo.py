@@ -22,6 +22,8 @@ from magnnet.ppo import (METRICS_COLUMNS, ModelParams, PPOConfig,
 from magnnet.tensor import AdamState, Tensor
 from magnnet.world import Episode, WorldConfig, terminal_bonus
 
+import helpers as ops
+
 
 def tiny_world(**kw):
     base = dict(grid_dims=(15, 15, 6), n_agents=4, n_tasks_initial=4,
@@ -192,18 +194,18 @@ def composed_forward_steps(model, graphs, obs, masks, with_value):
     and even a lone graph passed through `batch_graphs`."""
     g = batch_graphs(graphs)
     p = model.gcn
-    h = T.add(T.matmul(Tensor(g.agent_x), p.wa), p.ba)
+    h = T.add(ops.matmul(Tensor(g.agent_x), p.wa), p.ba)
     if g.n_tasks:
-        h = T.concat([h, T.add(T.matmul(Tensor(g.task_x), p.wt), p.bt)],
+        h = T.concat([h, T.add(ops.matmul(Tensor(g.task_x), p.wt), p.bt)],
                      axis=0)
     adj = Tensor(_norm_adjacency(g))
     for w, b in ((p.w1, p.b1), (p.w2, p.b2)):
-        h = T.relu(T.add(T.matmul(T.matmul(adj, h), w), b))
+        h = ops.relu(T.add(ops.matmul(ops.matmul(adj, h), w), b))
     emb = T.slice_rows(h, 0, g.n_agents)
     a = model.actor
     x = T.concat([Tensor(np.atleast_2d(obs)), emb], axis=1)
-    logits = T.add(T.matmul(T.relu(T.add(T.matmul(x, a.w1), a.b1)), a.w2),
-                   a.b2)
+    logits = T.add(ops.matmul(ops.relu(T.add(ops.matmul(x, a.w1), a.b1)),
+                              a.w2), a.b2)
     dist = ActionDistribution(T.masked_softmax(logits, np.atleast_2d(masks)))
     if not with_value or model.critic is None:
         return dist, None
@@ -214,8 +216,8 @@ def composed_forward_steps(model, graphs, obs, masks, with_value):
                              for gr in graphs]))
     flat = T.concat([T.reshape(embs, (rows, -1)),
                      T.reshape(feats, (rows, -1))], axis=1)
-    v = T.add(T.matmul(T.relu(T.add(T.matmul(flat, c.w1), c.b1)), c.w2),
-              c.b2)
+    v = T.add(ops.matmul(ops.relu(T.add(ops.matmul(flat, c.w1), c.b1)),
+                         c.w2), c.b2)
     return dist, T.reshape(v, (rows,))
 
 

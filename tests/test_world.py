@@ -25,6 +25,8 @@ from magnnet.world import (AgentStatus, COST_SCALE, DecisionOutcome, Episode,
                            slot_cost_array, spawn_tasks, step_rewards,
                            terminal_bonus)
 
+from helpers import decoded
+
 
 def local_observation_reference(state, agent_id, slot_costs):
     """One agent's observation, built row by row: the reference that
@@ -285,13 +287,13 @@ class TestObservations:
         st = init_episode(small_config(), 13)
         st.agents[3].position = st.tasks[0].location  # a zero-cost entry
         cm, ids = current_cost_matrix(st)
-        assert set(st.dist_cache) == {(tid, ag.motion_model)
-                                      for tid in ids for ag in st.agents}
+        assert st.dist_cache.keys() == {(tid, ag.motion_model)
+                                        for tid in ids for ag in st.agents}
         for i, ag in enumerate(st.agents):
             for j, tid in enumerate(ids):
-                d = st.dist_cache[(tid, ag.motion_model)][tuple(ag.position)]
-                expect = pathplan.path_cost(float(d), ag.velocity) \
-                    if np.isfinite(d) else np.inf
+                row = decoded(st.dist_cache, (tid, ag.motion_model))
+                d = row[tuple(ag.position)]
+                expect = float(d) / ag.velocity if np.isfinite(d) else np.inf
                 assert cm.entries[i, j] == expect, (i, j)
 
     def test_cost_matrix_rejects_nonpositive_velocity(self):
@@ -344,7 +346,6 @@ def arbitrate_reference(state, actions, cm, task_ids):
         if not valid:
             outcome.invalid.append(agent.id)
             continue
-        agent.status = AgentStatus.ACCEPT
         requests.setdefault(tid, []).append(agent.id)
 
     picks = []
@@ -357,7 +358,6 @@ def arbitrate_reference(state, actions, cm, task_ids):
             state.contested_tasks.add(tid)
             for a in contenders:
                 if a != winner:
-                    state.agent(a).status = AgentStatus.IDLE
                     state.record("conflict_lost", agent=a, task=tid)
         picks.append((winner, tid, float(cm.entries[winner, col[tid]]),
                       _plan_to_task(state, state.agent(winner),
@@ -548,15 +548,17 @@ class TestEpisode:
         assert len(calls) == observes
         assert ep.initial_cost_matrix() is first_cm
 
-    def test_act_before_observe_raises(self):
+    @pytest.mark.parametrize("before", [
+        lambda ep: None,
+        lambda ep: (ep.observe(), ep.tick()),
+        lambda ep: (ep.observe(), ep.act([0, 0, 0, 0]))],
+        ids=["no-observe", "after-tick", "second-act"])
+    def test_act_without_a_fresh_observe_raises(self, before):
+        """A second act used to arbitrate again on the round's stale
+        masks, moving a winner to another task and stranding the first
+        one as assigned with no agent."""
         ep = Episode(small_config(), 103)
-        with pytest.raises(RuntimeError):
-            ep.act([0, 0, 0, 0])
-
-    def test_act_after_tick_raises(self):
-        ep = Episode(small_config(), 107)
-        ep.observe()
-        ep.tick()
+        before(ep)
         with pytest.raises(RuntimeError):
             ep.act([0, 0, 0, 0])
 
@@ -643,7 +645,7 @@ class EpisodeMachine(RuleBasedStateMachine):
             work = self.ep.state.dist_cache.work.values()
             self.tally["extended"] += sum(w.extended for w in work)
             self.tally["dropped"] += len(self.keys) - len(
-                self.ep.state.dist_cache)
+                self.ep.state.dist_cache.keys())
             self.tally["terminated"] += self.ep.terminated
         self.ep = None
 
@@ -820,10 +822,11 @@ class EpisodeMachine(RuleBasedStateMachine):
         state = self.ep.state
         live = {t.id: t for t in state.live_tasks()}
         if self.round is not None:
-            assert set(state.dist_cache) == {
+            assert state.dist_cache.keys() == {
                 (tid, a.motion_model) for tid in live for a in state.agents}
-        for (tid, model), row in state.dist_cache.items():
+        for tid, model in state.dist_cache.keys():
             assert tid in live, "a Done task's field is still held"
+            row = decoded(state.dist_cache, (tid, model))
             full = self.field(live[tid].location, model)
             assert row.shape == state.grid.dims
             assert row.dtype == np.float32 and row.flags.c_contiguous
@@ -882,7 +885,7 @@ class EpisodeMachine(RuleBasedStateMachine):
         now = int(state.clock)
         for a in state.agents:
             if a.status is AgentStatus.ASSIGN and a.plan.start_tick < now:
-                assert state.reservations.owner(a.position, now) == a.id
+                assert state.reservations.slots.get((a.position, now)) == a.id
                 self.tally["on schedule"] += 1
 
 
