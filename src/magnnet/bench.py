@@ -104,6 +104,9 @@ class ScenarioSpec:
             self.task_interval = 5.0
         if "magnnet" in self.methods and not self.checkpoint:
             raise ValueError("magnnet requires a checkpoint path")
+        # the world settings fail here, not in `run_benchmark`'s first job
+        for n in self.n_agents:
+            self.world_config(n)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioSpec":

@@ -60,7 +60,8 @@ class PPOConfig:
             raise ValueError("clip_epsilon must be finite and > 0")
         # a fractional count dies in `train` as a range bound or runs
         # silently as a buffer size
-        for name in ("train_batch", "minibatch", "epochs_per_update"):
+        for name in ("train_batch", "minibatch", "epochs_per_update",
+                     "total_steps"):
             if not _whole(getattr(self, name)):
                 raise ValueError(f"{name} must be a whole number")
         # with no epoch an update logs nan losses; with no step the
@@ -208,17 +209,19 @@ def play(ep: Episode, model: ModelParams, rng=None):
         ep.tick()
 
 
-def collect_rollout(env_factory, model: ModelParams, config: PPOConfig,
+def collect_rollout(world_config: WorldConfig, model: ModelParams,
+                    config: PPOConfig,
                     rng: np.random.Generator) -> RolloutBuffer:
-    """Run whole episodes under the current policy until the buffer holds
-    at least config.train_batch transitions.
+    """Run whole episodes of `world_config`, each seeded from `rng`, under
+    the current policy until the buffer holds at least config.train_batch
+    transitions.
 
     Episodes always run to termination, so every recorded trajectory is
     terminal and GAE needs no bootstrap value.
     """
     buffer = RolloutBuffer()
     while buffer.n_transitions < config.train_batch:
-        ep = env_factory(int(rng.integers(2 ** 31)))
+        ep = Episode(world_config, int(rng.integers(2 ** 31)))
         ep_steps = list(play(ep, model, rng))
         if ep.all_tasks_done():
             ep_steps[-1].rewards += terminal_bonus(ep.optimal_total(),
@@ -326,8 +329,7 @@ def ppo_update(buffer: RolloutBuffer, advantages: np.ndarray,
                 raise NumericError("NaN/Inf PPO loss")
             zero_grads(params)
             grads = backward(loss, params)
-            adam.lr = config.learning_rate
-            adam_step(params, grads, adam)
+            adam_step(params, grads, adam, config.learning_rate)
             for k, v in mb_stats.items():
                 stats[k].append(v)
     return {k: float(np.mean(v)) for k, v in stats.items()}
@@ -355,12 +357,9 @@ def train(world_config: WorldConfig, ppo_config: PPOConfig, seed: int,
 
     model = ModelParams.init(init_rng, world_config.n_agents,
                              world_config.m_max)
-    adam = AdamState(lr=ppo_config.learning_rate)
+    adam = AdamState()
     metrics_path = os.path.join(out_dir, "metrics.csv")
     ckpt_path = os.path.join(out_dir, "checkpoint.json")
-
-    def env_factory(ep_seed):
-        return Episode(world_config, ep_seed)
 
     env_steps = 0
     update_index = 0
@@ -369,7 +368,7 @@ def train(world_config: WorldConfig, ppo_config: PPOConfig, seed: int,
         writer = csv.writer(f)
         writer.writerow(METRICS_COLUMNS)
         while env_steps < ppo_config.total_steps:
-            buffer = collect_rollout(env_factory, model, ppo_config,
+            buffer = collect_rollout(world_config, model, ppo_config,
                                      sample_rng)
             env_steps += buffer.n_transitions
             advantages, returns = compute_gae(

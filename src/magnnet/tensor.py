@@ -377,20 +377,22 @@ def zero_grads(params) -> None:
 # Adam
 # ---------------------------------------------------------------------------
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
-    lr: float = 1e-5
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: list = field(default_factory=list)
     v: list = field(default_factory=list)
 
 
 def adam_step(params: list[Tensor], grads: list[np.ndarray],
-              state: AdamState) -> AdamState:
-    """One bias-corrected Adam update, in place on `params`."""
+              state: AdamState, lr: float) -> AdamState:
+    """One bias-corrected Adam update at rate `lr`, in place on
+    `params`."""
     if not state.m:
         state.m = [np.zeros_like(p.data) for p in params]
         state.v = [np.zeros_like(p.data) for p in params]
@@ -399,14 +401,14 @@ def adam_step(params: list[Tensor], grads: list[np.ndarray],
             raise NumericError("NaN/Inf gradient passed to adam_step")
     state.step += 1
     t = state.step
-    bc1 = 1.0 - state.beta1 ** t
-    bc2 = 1.0 - state.beta2 ** t
+    bc1 = 1.0 - ADAM_BETA1 ** t
+    bc2 = 1.0 - ADAM_BETA2 ** t
     for p, g, m, v in zip(params, grads, state.m, state.v):
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        p.data -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
     return state
 
 

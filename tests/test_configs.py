@@ -256,6 +256,13 @@ def test_removed_settings_rejected(cls, blob):
     (ScenarioSpec, {"methods": ["hungarian"], "episodes": True}),
     (ScenarioSpec, {"methods": ["hungarian"], "seed_base": 0.5}),
     (ScenarioSpec, {"methods": ["hungarian"], "n_agents": [4, 6.5]}),
+    (PPOConfig, {"total_steps": 1.5}),
+    (PPOConfig, {"total_steps": True}),
+    (ScenarioSpec, {"methods": ["hungarian"], "obstacle_density": 0.5}),
+    (ScenarioSpec, {"methods": ["hungarian"], "grid_dims": [12, 12]}),
+    (ScenarioSpec, {"methods": ["hungarian"], "step_cap": 0}),
+    (ScenarioSpec, {"methods": ["hungarian"], "mode": "dynamic",
+                    "task_interval": -1}),
 ], ids=["ppo-train_batch-0", "ppo-minibatch-0",
         "ppo-minibatch-neg", "ppo-learning_rate-0", "ppo-learning_rate-neg",
         "world-n_tasks_initial-neg", "world-step_cap-inf",
@@ -268,7 +275,10 @@ def test_removed_settings_rejected(cls, blob):
         "ppo-value_coef-neg", "ppo-train_batch-fractional",
         "ppo-minibatch-fractional", "ppo-epochs_per_update-fractional",
         "spec-episodes-fractional", "spec-episodes-bool",
-        "spec-seed_base-fractional", "spec-n_agents-fractional"])
+        "spec-seed_base-fractional", "spec-n_agents-fractional",
+        "ppo-total_steps-fractional", "ppo-total_steps-bool",
+        "spec-obstacle_density-high", "spec-grid_dims-2d", "spec-step_cap-0",
+        "spec-task_interval-neg"])
 def test_out_of_range_settings_rejected(cls, blob):
     """Each of these used to be accepted and then crash mid-run (division
     by zero after the first update, an empty buffer's IndexError, numpy's
@@ -278,6 +288,7 @@ def test_out_of_range_settings_rejected(cls, blob):
     (a dynamic episode under an infinite step cap) or run wrongly
     (one-step minibatches, Adam ascending the loss, an inverted clip
     range, float agent ids, no update at all, a fractional batch, `true`
-    episodes)."""
+    episodes).  A spec's world settings used to fail only in
+    `run_benchmark`'s first job."""
     with pytest.raises(ValueError):
         cls.from_dict(blob)

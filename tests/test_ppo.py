@@ -103,8 +103,7 @@ class TestCollectRollout:
         cfg = tiny_world()
         pcfg = PPOConfig(train_batch=64, minibatch=16, total_steps=64)
         model = ModelParams.init(np.random.default_rng(0), 4, cfg.m_max)
-        buf = collect_rollout(lambda s: Episode(cfg, s), model, pcfg,
-                              np.random.default_rng(1))
+        buf = collect_rollout(cfg, model, pcfg, np.random.default_rng(1))
         assert buf.n_transitions >= 64
         assert buf.steps[-1].done  # ends on an episode boundary
         dones = sum(1 for s in buf.steps if s.done)
@@ -114,8 +113,7 @@ class TestCollectRollout:
         cfg = tiny_world()
         pcfg = PPOConfig(train_batch=16, minibatch=16)
         model = ModelParams.init(np.random.default_rng(2), 4, cfg.m_max)
-        buf = collect_rollout(lambda s: Episode(cfg, s), model, pcfg,
-                              np.random.default_rng(3))
+        buf = collect_rollout(cfg, model, pcfg, np.random.default_rng(3))
         for step in buf.steps[:5]:
             dist, _ = _forward_steps(model, [step.graph], step.obs,
                                      step.masks, with_value=False)
@@ -123,12 +121,12 @@ class TestCollectRollout:
             assert np.allclose(np.log(p), step.log_probs)
 
 
-def reference_rollout(env_factory, model, config, rng):
+def reference_rollout(world_config, model, config, rng):
     """The round loop `collect_rollout` ran before `ppo.play` took it over:
     the reference whose records the driver must reproduce bit for bit."""
     buffer = RolloutBuffer()
     while buffer.n_transitions < config.train_batch:
-        ep = env_factory(int(rng.integers(2 ** 31)))
+        ep = Episode(world_config, int(rng.integers(2 ** 31)))
         ep_steps = []
         while not ep.terminated:
             if ep.decision_due():
@@ -170,9 +168,8 @@ class TestPlay:
         pcfg = PPOConfig(train_batch=48, minibatch=16)
         model = ModelParams.init(np.random.default_rng(21), 4, cfg.m_max)
         rng, ref_rng = np.random.default_rng(22), np.random.default_rng(22)
-        buf = collect_rollout(lambda s: Episode(cfg, s), model, pcfg, rng)
-        ref = reference_rollout(lambda s: Episode(cfg, s), model, pcfg,
-                                ref_rng)
+        buf = collect_rollout(cfg, model, pcfg, rng)
+        ref = reference_rollout(cfg, model, pcfg, ref_rng)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
         assert buf.episode_count == ref.episode_count
         assert buf.episode_rewards == ref.episode_rewards
@@ -228,11 +225,9 @@ class TestFusedNetwork:
         cfg = tiny_world(task_interval=3.0, m_max=6, step_cap=40.0)
         pcfg = PPOConfig(train_batch=48, minibatch=16)
         model = ModelParams.init(np.random.default_rng(41), 4, cfg.m_max)
-        buf = collect_rollout(lambda s: Episode(cfg, s), model, pcfg,
-                              np.random.default_rng(42))
+        buf = collect_rollout(cfg, model, pcfg, np.random.default_rng(42))
         monkeypatch.setattr(ppo, "_forward_steps", composed_forward_steps)
-        ref = collect_rollout(lambda s: Episode(cfg, s), model, pcfg,
-                              np.random.default_rng(42))
+        ref = collect_rollout(cfg, model, pcfg, np.random.default_rng(42))
         assert len(buf.steps) == len(ref.steps)
         for step, want in zip(buf.steps, ref.steps):
             for name in ("actions", "log_probs", "rewards"):
@@ -247,16 +242,13 @@ class TestFusedNetwork:
                          epochs_per_update=2, learning_rate=1e-3)
         model, ref_model = (ModelParams.init(np.random.default_rng(43), 4,
                                              cfg.m_max) for _ in range(2))
-        buf = collect_rollout(lambda s: Episode(cfg, s), model, pcfg,
-                              np.random.default_rng(44))
+        buf = collect_rollout(cfg, model, pcfg, np.random.default_rng(44))
         adv, ret = compute_gae(buf, pcfg.gamma, pcfg.gae_lambda)
         stats = ppo_update(buf, adv, ret, model, pcfg,
-                           AdamState(lr=pcfg.learning_rate),
-                           np.random.default_rng(45))
+                           AdamState(), np.random.default_rng(45))
         monkeypatch.setattr(ppo, "_forward_steps", composed_forward_steps)
         ref_stats = ppo_update(buf, adv, ret, ref_model, pcfg,
-                               AdamState(lr=pcfg.learning_rate),
-                               np.random.default_rng(45))
+                               AdamState(), np.random.default_rng(45))
         assert stats == ref_stats
         for p, q in zip(model.parameters(), ref_model.parameters()):
             assert_same_array(p.data, q.data)
@@ -268,8 +260,7 @@ class TestPPOUpdate:
         pcfg = PPOConfig(train_batch=32, minibatch=8, epochs_per_update=2,
                          learning_rate=1e-3)
         model = ModelParams.init(np.random.default_rng(4), 4, cfg.m_max)
-        buf = collect_rollout(lambda s: Episode(cfg, s), model, pcfg,
-                              np.random.default_rng(5))
+        buf = collect_rollout(cfg, model, pcfg, np.random.default_rng(5))
         return model, buf, pcfg
 
     def test_update_changes_parameters_and_reports_stats(self):
@@ -277,8 +268,7 @@ class TestPPOUpdate:
         before = [p.data.copy() for p in model.parameters()]
         adv, ret = compute_gae(buf, pcfg.gamma, pcfg.gae_lambda)
         stats = ppo_update(buf, adv, ret, model, pcfg,
-                           AdamState(lr=pcfg.learning_rate),
-                           np.random.default_rng(6))
+                           AdamState(), np.random.default_rng(6))
         moved = any(not np.allclose(b, p.data)
                     for b, p in zip(before, model.parameters()))
         assert moved
@@ -306,8 +296,7 @@ class TestPPOUpdate:
         ret = adv.copy()
         actor_before = [p.data.copy() for p in model.actor.parameters()]
         ppo_update(buf, adv, ret, model, pcfg2,
-                   AdamState(lr=pcfg2.learning_rate),
-                   np.random.default_rng(7))
+                   AdamState(), np.random.default_rng(7))
         # zero advantages and no entropy bonus: actor head stays put
         # (ratio == 1 exactly, min(1*0, clip(1)*0) has zero gradient)
         for b, p in zip(actor_before, model.actor.parameters()):
@@ -376,7 +365,7 @@ class TestBatchedMinibatch:
         pcfg = PPOConfig(train_batch=32, minibatch=16, clip_epsilon=0.05)
         model = ModelParams.init(np.random.default_rng(seed), n_max,
                                  cfg.m_max)
-        buf = collect_rollout(lambda s: Episode(cfg, s), model, pcfg,
+        buf = collect_rollout(cfg, model, pcfg,
                               np.random.default_rng(seed + 1))
         # move the policy off the one that collected, so ratios leave 1
         # and some are clipped
@@ -425,8 +414,7 @@ class TestBatchedMinibatch:
         cfg = tiny_world()
         pcfg = PPOConfig(train_batch=32, minibatch=8, epochs_per_update=2)
         model = ModelParams.init(np.random.default_rng(13), 4, cfg.m_max)
-        buf = collect_rollout(lambda s: Episode(cfg, s), model, pcfg,
-                              np.random.default_rng(14))
+        buf = collect_rollout(cfg, model, pcfg, np.random.default_rng(14))
         calls = Counter()
 
         def counted(name):

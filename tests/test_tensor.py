@@ -13,7 +13,7 @@ from magnnet.policy import actor_forward, init_actor_params
 from magnnet.ppo import (ModelParams, PPOConfig, collect_rollout, compute_gae,
                          ppo_update)
 from magnnet.tensor import AdamState, Tensor, adam_step, backward, zero_grads
-from magnnet.world import Episode, WorldConfig
+from magnnet.world import WorldConfig
 
 import helpers as ops
 
@@ -361,8 +361,7 @@ class TestFiniteBoundaries:
                           n_tasks_initial=2, n_ground=1, n_aerial=1)
         pcfg = PPOConfig(train_batch=8, minibatch=4, epochs_per_update=1)
         model = ModelParams.init(np.random.default_rng(32), 2, cfg.m_max)
-        buf = collect_rollout(lambda s: Episode(cfg, s), model, pcfg,
-                              np.random.default_rng(33))
+        buf = collect_rollout(cfg, model, pcfg, np.random.default_rng(33))
         adv, ret = compute_gae(buf, pcfg.gamma, pcfg.gae_lambda)
         model.named()[name].data.flat[0] = np.nan
         with np.errstate(invalid="ignore"), pytest.raises(NumericError):
@@ -390,20 +389,19 @@ class TestAdam:
     def test_first_step_closed_form(self):
         p = T.param(np.array([1.0, -2.0]))
         g = np.array([0.5, -0.25])
-        st = AdamState(lr=0.1)
-        adam_step([p], [g], st)
+        adam_step([p], [g], AdamState(), 0.1)
         # bias-corrected first step moves by ~lr * sign(g)
         expect = np.array([1.0, -2.0]) - 0.1 * g / (np.abs(g) + 1e-8)
         assert np.allclose(p.data, expect, atol=1e-6)
 
     def test_two_steps_match_reference(self):
         p = T.param(np.array([0.0]))
-        st = AdamState(lr=0.01)
+        st = AdamState()
         m = v = 0.0
         x = 0.0
         for t in (1, 2, 3):
             g = 2.0 * x - 3.0
-            adam_step([p], [np.array([g])], st)
+            adam_step([p], [np.array([g])], st, 0.01)
             m = 0.9 * m + 0.1 * g
             v = 0.999 * v + 0.001 * g * g
             x -= 0.01 * (m / (1 - 0.9 ** t)) / \
@@ -413,13 +411,13 @@ class TestAdam:
     def test_nan_gradient_raises(self):
         p = T.param(np.array([1.0]))
         with pytest.raises(NumericError):
-            adam_step([p], [np.array([np.nan])], AdamState())
+            adam_step([p], [np.array([np.nan])], AdamState(), 0.1)
 
     def test_descends_quadratic(self):
         p = T.param(np.array([5.0]))
-        st = AdamState(lr=0.1)
+        st = AdamState()
         for _ in range(500):
-            adam_step([p], [2.0 * p.data], st)
+            adam_step([p], [2.0 * p.data], st, 0.1)
         assert abs(p.data[0]) < 0.05
 
 
