@@ -398,8 +398,8 @@ def run_store_program(grid: Grid, model: MotionModel, ops) -> None:
 
 
 @st.composite
-def store_programs(draw):
-    """A grid, a motion model and 1-12 store operations for
+def store_programs(draw, shape, model):
+    """A `shape` grid and 1-12 `model` store operations for
     `run_store_program`.
 
     Grids are small (every axis 1-6), wider than one 64-cell word along
@@ -409,8 +409,6 @@ def store_programs(draw):
     the z = 0 plane.  An `ensure` gets a task cell and 0-4 reach cells,
     a `lookup` 1-5 cells, and a `path` every cell of a small grid or 4
     cells of a larger one."""
-    shape = draw(st.sampled_from(["small", "wide", "corridor"]))
-    model = draw(st.sampled_from([A6, G4]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if shape == "corridor":
         dims = [1, 1, 1]
@@ -452,10 +450,46 @@ class TestFieldStoreAgainstDijkstra:
     """The field store's one driver: builds, lookups, drops, rebuilds
     into freed rows, paths and copies, interleaved (`run_store_program`)."""
 
-    @settings(max_examples=200, derandomize=True, deadline=None)
-    @given(store_programs())
-    def test_interleaved_operations(self, program):
-        run_store_program(*program)
+    @pytest.mark.parametrize("model", [A6, G4])
+    @pytest.mark.parametrize("shape", ["small", "wide", "corridor"])
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_interleaved_operations(self, shape, model, data):
+        run_store_program(*data.draw(store_programs(shape, model)))
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("model", [A6, G4])
+    def test_paths_from_every_start(self, model, seed):
+        """Walks from every cell of grids larger than the small ones."""
+        rng = np.random.default_rng(seed)
+        grid = random_grid(rng, dims=(9, 8, 4), density=0.25)
+        run_store_program(grid, model, [
+            ("ensure", 0, 0, [free_cell(rng, grid, ground=model is G4)]),
+            ("path", 0, 0, np.argwhere(np.ones(grid.dims)))])
+
+    def test_unreachable_starts_raise(self):
+        """Behind a wall, and above a reached plane cell."""
+        grid = empty_grid((5, 1, 2))
+        grid.blocked[2, 0, 0] = True
+        run_store_program(grid, G4, [
+            ("ensure", 0, 0, [(0, 0, 0), (1, 0, 0)]),
+            ("path", 0, 0, [(1, 0, 1), (4, 0, 0), (1, 0, 0)])])
+
+    def test_lookup_past_the_last_ring_extends_the_row(self):
+        """A row built out to ring 2 and looked up there, then halfway
+        to its farthest cell, then, on the row and on a copy, at that
+        cell: each extension adds only the rings it needs."""
+        grid = random_grid(np.random.default_rng(7), dims=(14, 12, 5),
+                           density=0.15)
+        grid.blocked[0, 0, 0] = grid.blocked[1, 1, 0] = False
+        full = dijkstra_field(grid, (0, 0, 0), A6)
+        far = np.argwhere(full == full[np.isfinite(full)].max())[:1]
+        mid = np.argwhere(full == full[tuple(far[0])] // 2)[:1]
+        run_store_program(grid, A6, [
+            ("ensure", 1, 0, [(0, 0, 0), (1, 1, 0)]),
+            ("lookup", 1, 0, np.array([(1, 1, 0)])), ("lookup", 1, 0, mid),
+            ("copy", 1, 0, None), ("lookup", 1, 0, far),
+            ("lookup", 1, 1, far)])
 
     @pytest.mark.parametrize("ring", [0, 1, 3, 31, 63, 127, 255])
     @pytest.mark.parametrize("model,axis", [(A6, 0), (A6, 2), (G4, 1)])
