@@ -21,10 +21,6 @@ class PlacementError(MagnnetError):
     """Grid too small / too crowded to place all entities."""
 
 
-class InfeasibleAssignmentError(MagnnetError):
-    """No full matching exists on finite-cost pairs."""
-
-
 class InvalidAssignmentError(MagnnetError, ValueError):
     """Assignment references an infinite-cost or out-of-range pair."""
 

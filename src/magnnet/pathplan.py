@@ -141,14 +141,9 @@ def astar(grid: Grid, start: Cell, goal: Cell, model: MotionModel,
     if model is MotionModel.GROUND4 and (start[2] != 0 or goal[2] != 0):
         raise NoPathError("ground model requires z=0 endpoints")
 
-    if reservations is None or not reservations.slots:
-        last, horizon = -1, math.inf
-    else:
-        ticks = reservations.max_tick() - start_tick
-        # substeps up to `last` fall in a tick that may hold a reservation
-        last = ticks * substeps_per_tick
-        horizon = (ticks + 2) * substeps_per_tick \
-            + 4 * (manhattan(start, goal) + 4)
+    # substeps up to `last` fall in a tick that may hold a reservation
+    last = -1 if reservations is None or not reservations.slots else \
+        (reservations.max_tick() - start_tick) * substeps_per_tick
     deltas = model.deltas
     with_wait = ((0, 0, 0),) + deltas
     blocked = grid.blocked
@@ -181,7 +176,7 @@ def astar(grid: Grid, start: Cell, goal: Cell, model: MotionModel,
         if g > g_best[state]:
             continue
         expansions += 1
-        if expansions > max_expansions or g > horizon:
+        if expansions > max_expansions:
             raise NoPathError("search budget exhausted")
         ng = g + 1
         timed = ng <= last
@@ -365,9 +360,10 @@ class Rings:
         a lower bound on that ring; otherwise it runs until a ring comes
         out empty, which ends the search for good.  On 50x50x30 a ring
         is about 10.5 ufunc calls over 1,664 words (13 kB).  Only odd
-        rings test for emptiness: an even empty ring only XORs cells
-        never reached into a plane, and d and d + 1 have the same bit
-        length.
+        rings test for emptiness.  When one comes out empty, the even
+        ring before it may have been empty too, having XORed only cells
+        never reached into its plane; the search then undoes that XOR,
+        so a row's ring is the last that labelled a cell.
         """
         if self.done[row]:
             return 0
@@ -412,6 +408,9 @@ class Rings:
             nxt &= todo
             if not d & 1 and not np.count_nonzero(nxt):  # ring d + 1 is odd
                 self.done[row] = True
+                if not np.count_nonzero(frontier):
+                    planes[(d & -d).bit_length() - 1] ^= todo
+                    d -= 1
                 break
             d += 1
             planes[(d & -d).bit_length() - 1] ^= todo
@@ -540,7 +539,8 @@ def distance_field(grid: Grid, source: Cell, model: MotionModel,
 @dataclass
 class FieldWork:
     """What a `FieldStore`'s searches did for one motion model: fields
-    built, rows a lookup extended, and the rings both labelled."""
+    built, rows a lookup extended by at least one ring, and the rings
+    both labelled."""
 
     built: int = 0
     extended: int = 0
@@ -627,8 +627,10 @@ class FieldStore:
             pending &= valid
             work = self.work[model]
             for j in np.flatnonzero(pending.any(axis=1) & ~rings.done[rows]):
-                work.extended += 1
-                work.rings += rings.search(rows[j], cells[pending[j]])
+                added = rings.search(rows[j], cells[pending[j]])
+                if added:
+                    work.extended += 1
+                    work.rings += added
                 out[j] = rings.labels(rows[j:j + 1], at, shift)[0]
                 out[j, ~valid] = np.inf
         return out.T

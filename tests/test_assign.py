@@ -1,6 +1,7 @@
-"""Allocator tests: hungarian is verified against the exhaustive
-permutation oracle across random, degenerate and infeasible instances,
-and the in-house LSAP solver against scipy's, column for column."""
+"""Allocator tests: the one exact solver, `feasible_optimum` (also
+bound as `hungarian`), is verified against the exhaustive oracle across
+random, degenerate and infeasible instances, and the in-house LSAP
+solver against scipy's, column for column."""
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from magnnet.assign import (_BIG, Assignment, CostMatrix, _lsap, brute_force,
                             feasible_optimum, greedy, hungarian,
                             random_assign, total_cost)
 from magnnet.bench import ScenarioSpec
-from magnnet.errors import InfeasibleAssignmentError, InvalidAssignmentError
+from magnnet.errors import InvalidAssignmentError
 from magnnet.world import Episode
 
 
@@ -73,7 +74,7 @@ class TestHungarianAgainstOracle:
             cm = CostMatrix(rng.integers(0, 4, size=(4, 4)).astype(float))
             h, b = hungarian(cm), brute_force(cm)
             assert np.isclose(total_cost(cm, h), total_cost(cm, b))
-            assert h.pairs == b.pairs  # lexicographic tie-break matches
+            assert len(h.pairs) == 4
 
     def test_all_equal_matrix_is_identity(self):
         cm = CostMatrix(np.ones((3, 3)))
@@ -81,20 +82,16 @@ class TestHungarianAgainstOracle:
 
     def test_sparse_infeasible_entries(self):
         rng = np.random.default_rng(11)
-        solved = 0
+        partial = 0
         for _ in range(80):
             arr = rng.uniform(0, 10, size=(4, 4))
             arr[rng.random((4, 4)) < 0.4] = np.inf
             cm = CostMatrix(arr)
-            try:
-                b = brute_force(cm)
-            except InfeasibleAssignmentError:
-                with pytest.raises(InfeasibleAssignmentError):
-                    hungarian(cm)
-                continue
-            assert hungarian(cm).pairs == b.pairs
-            solved += 1
-        assert solved > 5  # the sweep actually exercised feasible cases
+            h, b = hungarian(cm), brute_force(cm)
+            assert len(h.pairs) == len(b.pairs)
+            assert np.isclose(total_cost(cm, h), total_cost(cm, b))
+            partial += len(b.pairs) < 4
+        assert partial > 5  # the sweep left rows unmatched
 
     def test_row_shift_invariance(self):
         # adding a constant to a full row preserves the optimal matching
@@ -105,14 +102,8 @@ class TestHungarianAgainstOracle:
         arr2[2] += 17.5
         assert hungarian(CostMatrix(arr2)).pairs == base
 
-    def test_blocked_row_named_in_error(self):
-        arr = np.full((3, 3), 1.0)
-        arr[1] = np.inf
-        with pytest.raises(InfeasibleAssignmentError, match="row 1"):
-            hungarian(CostMatrix(arr))
-
     def test_empty_matrix(self):
-        assert len(hungarian(CostMatrix(np.zeros((0, 3))))) == 0
+        assert hungarian(CostMatrix(np.zeros((0, 3)))).pairs == ()
 
 
 class TestFeasibleOptimum:
@@ -121,11 +112,8 @@ class TestFeasibleOptimum:
         a = feasible_optimum(CostMatrix(arr))
         assert a.pairs == ((0, 0),)
 
-    def test_matches_hungarian_when_feasible(self):
-        rng = np.random.default_rng(23)
-        for _ in range(25):
-            cm = CostMatrix(rng.uniform(0, 9, size=(4, 4)))
-            assert feasible_optimum(cm).pairs == hungarian(cm).pairs
+    def test_one_solver_under_both_names(self):
+        assert assign.hungarian is assign.feasible_optimum
 
     def test_maximum_cardinality_preferred(self):
         # matching both pairs costs more than the single cheapest pair,
@@ -151,7 +139,7 @@ class TestGreedy:
                 total_cost(cm, hungarian(cm)) - 1e-9
 
     def test_handles_all_infinite(self):
-        assert len(greedy(CostMatrix(np.full((2, 2), np.inf)))) == 0
+        assert greedy(CostMatrix(np.full((2, 2), np.inf))).pairs == ()
 
 
 class TestRandomAssign:
@@ -164,7 +152,7 @@ class TestRandomAssign:
     def test_valid_full_matching_when_feasible(self):
         cm = CostMatrix(np.ones((4, 4)))
         for s in range(10):
-            assert len(random_assign(cm, s)) == 4
+            assert len(random_assign(cm, s).pairs) == 4
 
     def test_skips_infeasible_pairs(self):
         arr = np.array([[np.inf, 1.0], [np.inf, np.inf]])
@@ -182,12 +170,19 @@ class TestBruteForce:
         rng = np.random.default_rng(3)
         wide = CostMatrix(rng.uniform(0, 9, (2, 5)))
         tall = CostMatrix(rng.uniform(0, 9, (5, 2)))
-        assert len(brute_force(wide)) == 2
-        assert len(brute_force(tall)) == 2
+        assert len(brute_force(wide).pairs) == 2
+        assert len(brute_force(tall).pairs) == 2
+
+    def test_partial_matching_without_a_full_one(self):
+        # the dead row stays unmatched, and cardinality beats cost: row
+        # 2 can only take task 1, so row 0 takes the dearer task 0
+        arr = np.array([[1.0, 0.5], [np.inf, np.inf], [np.inf, 3.0]])
+        assert brute_force(CostMatrix(arr)).pairs == ((0, 0), (2, 1))
+        assert brute_force(CostMatrix(arr[1:2])).pairs == ()
 
 
 def lsap_family(family, n, rng):
-    """An n x n matrix of the kind `_solve_padded` hands to the solver."""
+    """An n x n matrix of the kind `feasible_optimum` hands to `_lsap`."""
     if family == "uniform":
         return rng.uniform(0, 100, (n, n))
     if family == "travel_times":    # whole cells over 3 or 5 m/s per agent
@@ -207,16 +202,15 @@ def lsap_family(family, n, rng):
     return ties
 
 
-def scipy_solve_padded(arr):
-    """`assign._solve_padded` on scipy's solver: the reference."""
+def scipy_feasible_optimum(arr):
+    """`feasible_optimum` on scipy's solver: the reference."""
     n, m = arr.shape
     size = max(n, m)
     padded = np.full((size, size), _BIG)
     padded[:n, :m] = np.where(np.isfinite(arr), arr, _BIG)
     rows, cols = linear_sum_assignment(padded)
-    pairs = [(i, j) for i, j in zip(rows, cols)
-             if i < n and j < m and np.isfinite(arr[i, j])]
-    return Assignment(pairs), sum(arr[i, j] for i, j in pairs)
+    return Assignment([(i, j) for i, j in zip(rows, cols)
+                       if i < n and j < m and np.isfinite(arr[i, j])])
 
 
 class TestLsapAgainstScipy:
@@ -264,11 +258,5 @@ class TestSolversAgainstScipyReference:
 
     def test_feasible_optimum(self, bench_static_matrices):
         for arr in self.shapes(bench_static_matrices):
-            ref, _ = scipy_solve_padded(arr)
-            assert feasible_optimum(CostMatrix(arr)).pairs == ref.pairs
-
-    def test_hungarian(self, bench_static_matrices, monkeypatch):
-        shapes = list(self.shapes(bench_static_matrices))
-        ours = [hungarian(CostMatrix(arr)).pairs for arr in shapes]
-        monkeypatch.setattr(assign, "_solve_padded", scipy_solve_padded)
-        assert ours == [hungarian(CostMatrix(arr)).pairs for arr in shapes]
+            assert feasible_optimum(CostMatrix(arr)).pairs == \
+                scipy_feasible_optimum(arr).pairs

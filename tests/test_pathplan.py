@@ -303,18 +303,15 @@ def stop_ring(ref: np.ndarray, searched: np.ndarray, cells) -> tuple:
     """(ring, ran out) of a search of reference field `ref` that must
     label (x, y, z) `cells`: it stops after the ring of the farthest
     of them on `searched`, the mask it covers, or runs out when one of
-    those is unreachable, as it does from a source off the mask.  Only
-    odd rings test for emptiness, so a search that runs out after an odd
-    last ring labels one empty ring more."""
+    those is unreachable, as it does from a source off the mask."""
     cells = np.asarray(cells, dtype=np.intp).reshape(-1, 3)
     dists = ref[tuple(cells[searched[tuple(cells.T)]].T)]
     if np.isfinite(dists).all() and np.isfinite(ref).any():
         return int(dists.max(initial=0)), False
-    last = int(ref.max(initial=0, where=np.isfinite(ref)))
-    return last + (last & 1), True
+    return int(ref.max(initial=0, where=np.isfinite(ref))), True
 
 
-def run_store_program(grid: Grid, model: MotionModel, ops) -> None:
+def run_store_program(grid: Grid, model: MotionModel, ops) -> FieldStore:
     """Run store operations (kind, row, which, cells) on a three-row
     `FieldStore` and on the copies that `copy` operations make, and
     check every copy after every operation against a model built from
@@ -326,7 +323,8 @@ def run_store_program(grid: Grid, model: MotionModel, ops) -> None:
     ensures it again, which builds nothing; its row must equal the
     bounded `distance_field(..., reach=)`.  `lookup` reads every held
     row at `cells`, `drop` forgets the task of `row`, `path` walks `row`
-    from each start in `cells`, and `copy` deep-copies the store."""
+    from each start in `cells`, and `copy` deep-copies the store.
+    Returns the store the program started with."""
     searched = ~grid.blocked
     if model is G4:
         searched[:, :, 1:] = False
@@ -337,14 +335,14 @@ def run_store_program(grid: Grid, model: MotionModel, ops) -> None:
     def asked(state, row, cells):
         """What a lookup of `row` at `cells` does to the model: a row
         that has not labelled some of the searched cells extends, unless
-        its search ran out."""
+        its search ran out, and counts an extension if it labels a ring."""
         task, ref, stop, out = state.rows[row]
         cells = np.asarray(cells, dtype=np.intp).reshape(-1, 3)
         at = tuple(cells.T)
         pending = cells[(ref[at] > stop) & searched[at]]
         if len(pending) and not out:
             ring, out = stop_ring(ref, searched, pending)
-            state.work[1] += 1
+            state.work[1] += ring > stop
             state.work[2] += ring - stop
             state.rows[row] = task, ref, ring, out
 
@@ -395,6 +393,7 @@ def run_store_program(grid: Grid, model: MotionModel, ops) -> None:
             for task, ref, stop, _ in state.rows.values():
                 assert np.array_equal(decoded(state.store, (task.id, model)),
                                       np.where(ref <= stop, ref, np.inf))
+    return copies[0].store
 
 
 @st.composite
@@ -504,6 +503,29 @@ class TestFieldStoreAgainstDijkstra:
         dims[axis] = 300
         run_store_program(empty_grid(dims), model, [
             ("ensure", 0, 0, cell[[0, ring]]), ("lookup", 0, 0, cell[-1:])])
+
+    @pytest.mark.parametrize("length, wall, ops, work", [
+        (6, 4, [("ensure", 0, 0, [(0, 0, 0), (5, 0, 0)])], [1, 0, 3]),
+        (7, 5, [("ensure", 0, 0, [(0, 0, 0), (4, 0, 0)]),
+                ("lookup", 0, 0, np.array([(6, 0, 0)]))], [1, 0, 4]),
+        (12, 4, [("ensure", 0, 0, [(0, 0, 0), (11, 0, 0)]),
+                 ("ensure", 0, 0, [(11, 0, 0), (0, 0, 0)])], [2, 0, 9])],
+        ids=["runs-out-after-odd-ring", "looked-up-behind-the-wall",
+             "rebuilt-behind-the-wall"])
+    def test_work_counts_only_rings_that_label(self, length, wall, ops,
+                                                work):
+        """A corridor from x = 0 with a wall.  A row that must reach a
+        cell behind the wall runs out after ring 3, an odd ring, and
+        counts no empty ring after it; a row built out to its last ring,
+        in front of the wall, and looked up behind it counts no
+        extension.  The empty ring 4 that ends a search from x = 0 to
+        x = 3 meets plane 2, above ring 3's bit length; rebuilt from
+        behind the wall, the row labels cells on rings 4-6, whose Gray
+        codes set bit 2, so that plane must read clean."""
+        grid = empty_grid((length, 1, 1))
+        grid.blocked[wall] = True
+        counted = run_store_program(grid, A6, ops).work[A6]
+        assert [counted.built, counted.extended, counted.rings] == work
 
 
 def test_perfbench_cache_lookups_read_the_store():
@@ -1018,10 +1040,7 @@ class TestSpaceTimeAgainstReference:
         grid, start, goal, model, table, start_tick, spt = instance
         ref = space_time_reference(grid, start, goal, model, table, 0,
                                    start_tick, spt)
-        # `astar` gives up past this many substeps
-        horizon = (table.max_tick() - start_tick + 2) * spt \
-            + 4 * (manhattan(start, goal) + 4)
-        if ref is None or ref > horizon:
+        if ref is None:
             with pytest.raises(NoPathError):
                 astar(grid, start, goal, model, table, 0, start_tick, spt)
             return
@@ -1082,8 +1101,10 @@ def _plain_reference(grid, start, goal, model, max_expansions):
 
 def _space_time_reference(grid, start, goal, model, reservations, agent_id,
                           start_tick, substeps_per_tick, max_expansions):
-    horizon_sub = (reservations.max_tick() - start_tick + 2) * substeps_per_tick \
-        + 4 * (manhattan(start, goal) + 4)
+    # past the last reserved tick moves no longer depend on time, so a
+    # reachable goal is reached within one substep per grid cell after it
+    last = (reservations.max_tick() - start_tick + 1) * substeps_per_tick \
+        + int(np.prod(grid.dims))
 
     def tick_of(substep: int) -> int:
         return start_tick + (substep + substeps_per_tick - 1) // substeps_per_tick
@@ -1103,8 +1124,10 @@ def _space_time_reference(grid, start, goal, model, reservations, agent_id,
             return Path(_reconstruct_reference(came, (cell, sub),
                                                time_states=True))
         expansions += 1
-        if expansions > max_expansions or sub > horizon_sub:
+        if expansions > max_expansions:
             raise NoPathError("space-time search budget exhausted")
+        if sub >= last:
+            continue
         moves = [(0, 0, 0)] + list(model.deltas)
         for d in moves:
             nxt = (cell[0] + d[0], cell[1] + d[1], cell[2] + d[2])
@@ -1252,6 +1275,23 @@ class TestExpiredReservation:
         reserved.validate(grid, MotionModel.AERIAL6)
         assert reserved.length == plain.length == 67
         assert len(reserved.cells) - 1 == 67
+
+    def test_long_detour_past_the_last_reserved_tick(self):
+        """A wall at x = 5 with one hole at the far end, y = 29, and one
+        slot of another agent at tick 1: from (4, 0, 0) to (6, 0, 0) is
+        60 moves, 19 ticks past the last reserved one at 3 substeps per
+        tick, and the search finds them as plain A* does."""
+        grid = empty_grid((12, 30, 1))
+        grid.blocked[5, :29] = True
+        start, goal = (4, 0, 0), (6, 0, 0)
+        table = ReservationTable()
+        table.reserve((0, 0, 0), 1, agent_id=9)
+        plain = astar(grid, start, goal, MotionModel.AERIAL6)
+        reserved = astar(grid, start, goal, MotionModel.AERIAL6, table, 0,
+                         substeps_per_tick=3)
+        reserved.validate(grid, MotionModel.AERIAL6)
+        assert reserved.length == plain.length == 60
+        assert len(reserved.cells) - 1 == 60
 
 
 class TestPath:

@@ -814,9 +814,8 @@ class EpisodeMachine(RuleBasedStateMachine):
         holds a row for each live task and motion model, and a row's last
         ring reaches every agent of its model, or the row is the whole
         field.  Each key the episode held was built with one
-        `distance_field` call, and its rows labelled between the sum of the
-        keys' last rings and that sum plus one per key (the empty ring that
-        ends a search): no ring is searched twice."""
+        `distance_field` call, and its rows labelled as many rings as the
+        keys' last rings sum to: no ring is searched twice."""
         if self.ep is None:
             return
         state = self.ep.state
@@ -844,7 +843,7 @@ class EpisodeMachine(RuleBasedStateMachine):
         for model, work in state.dist_cache.work.items():
             rings = [r for (_, m), r in self.keys.items() if m is model]
             assert work.built == len(rings)
-            assert sum(rings) <= work.rings <= sum(rings) + len(rings)
+            assert work.rings == sum(rings)
 
     @invariant()
     def each_assigned_task_has_one_agent(self):
