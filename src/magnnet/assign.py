@@ -179,8 +179,6 @@ def greedy(c) -> Assignment:
     """Repeatedly take the globally smallest finite entry, removing its
     row and column, until nothing finite remains."""
     arr = _as_array(c)
-    if arr.size == 0:
-        return Assignment()
     work = np.where(np.isfinite(arr), arr, np.inf)
     pairs = []
     while np.isfinite(work).any():

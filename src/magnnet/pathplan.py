@@ -208,9 +208,9 @@ def astar(grid: Grid, start: Cell, goal: Cell, model: MotionModel,
 
 @functools.lru_cache(maxsize=None)
 def _gray_rings(k: int) -> np.ndarray:
-    """The ring that `Rings.labels` and `Rings.decode` read from an index
-    whose bit 0 is a cell's todo bit and whose bits 1..k are its
-    Gray-coded label: the decoded label, or inf where bit 0 is set."""
+    """The ring that `Rings.labels` reads from an index whose bit 0 is a
+    cell's todo bit and whose bits 1..k are its Gray-coded label: the
+    decoded label, or inf where bit 0 is set."""
     ring = np.arange(2 ** k)
     table = np.full(2 ** (k + 1), np.inf)
     table[(ring ^ ring >> 1) << 1] = ring
@@ -265,11 +265,11 @@ class Rings:
         self.deltas = model.deltas
         # the free cells a row searches, of the grid's shape, and the
         # index of the packed ones: the z = 0 plane for GROUND4
-        self.mask, self._searched = ~grid.blocked, ...
+        self.mask, searched = ~grid.blocked, ...
         if model is MotionModel.GROUND4:
             self.mask[:, :, 1:] = False
-            self._searched = (slice(None), slice(None), 0)
-        free = self.mask[self._searched]
+            searched = (slice(None), slice(None), 0)
+        free = self.mask[searched]
         self.nx = free.shape[0]
         self.blocks = -(-self.nx // 64)
         self.padded = tuple(n + 2 for n in free.shape[1:])
@@ -324,30 +324,22 @@ class Rings:
             x = x & 63
         return at, x.astype(np.uint64), self.mask[tuple(cells.T)]
 
-    def _word(self, cell) -> tuple[int, int] | None:
-        """(word, bit) of one (x, y, z) cell, as Python ints, or None if
-        it is not a free cell of the mask."""
-        if not all(0 <= c < n for c, n in zip(cell, self.mask.shape)) \
-                or not self.mask[cell]:
-            return None
-        x = cell[0]
-        return x // 64 * self.block + sum(
-            (c + 1) * s for c, s in zip(cell[1:], self.strides)), x % 64
-
     def start(self, row: int, source) -> None:
         """Row `row` searches from (x, y, z) `source`, or from nothing,
-        ring 0 only, when that is not a free cell of the mask."""
+        ring 0 only, when that is not a free cell of the mask or not a
+        cell of the grid."""
         self.planes[row, :int(self.ring[row]).bit_length()] = 0
         todo, frontier = self.todo[row], self.frontier[row]
         todo[:] = self.free
         frontier[:] = 0
-        self.ring[row] = 0
-        at = self._word(source)
-        self.done[row] = at is None
-        if at is not None:
+        self.ring[row], self.done[row] = 0, True
+        if not all(0 <= c < n for c, n in zip(source, self.mask.shape)):
+            return
+        (w,), (b,), (free,) = self.locate(np.array([source]))
+        if free:
+            self.done[row] = False
             self.source[row] = source
-            w, b = at
-            frontier[w] = 1 << b
+            frontier[w] = np.uint64(1) << b
             todo[w] ^= frontier[w]
 
     def search(self, row: int, cells=None) -> int:
@@ -437,54 +429,32 @@ class Rings:
                                    @ self._weights[:k + 1])
 
     def decode(self, row: int, out: np.ndarray) -> None:
-        """Every cell's ring into `out`, a float array of the grid's
-        shape, inf where the row has not reached the cell or the cell is
-        off the mask: the index `labels` reads, with todo or blocked as
-        its bit 0."""
-        k = int(self.ring[row]).bit_length()
-        bits = self._words[row, :k + 1].copy()
-        bits[0] |= ~self.free
-        # the smallest integer that holds an index: a byte for up to 8
-        # bits, which makes this loop and the take below several times
-        # faster than in int64
-        index = np.zeros(64 * self.free.size,
-                         np.min_scalar_type(2 ** (k + 1) - 1))
-        for plane in bits[::-1]:
-            index += index
-            index |= np.unpackbits(plane.view(np.uint8), bitorder="little")
+        """Every cell's ring into `out`, an array of the grid's shape:
+        what `labels` reads at each free cell of the mask, and inf at
+        every other cell."""
+        cells = np.argwhere(self.mask)
+        at, shift, _ = self.locate(cells)
         out[...] = np.inf
-        out[self._searched] = _gray_rings(k).take(self._unpad(index))
-
-    def _unpad(self, cells: np.ndarray) -> np.ndarray:
-        """A per-bit array in word order back to the searched shape."""
-        cells = np.moveaxis(
-            cells.reshape((self.blocks,) + self.padded + (64,)), -1, 1)
-        inner = (slice(1, -1),) * len(self.padded)
-        return cells.reshape((64 * self.blocks,) + self.padded)[
-            (slice(0, self.nx),) + inner]
+        out[tuple(cells.T)] = self.labels(np.array([row]), at, shift)[0]
 
     def walk(self, row: int, cell: Cell) -> list | None:
         """Cells from (x, y, z) `cell` down to the row's source, or None
-        if the row has not reached `cell`: from a cell on ring d, the
-        first neighbour in the motion model's order that the row reached
-        on ring d - 1.  Among reached neighbours (rings d - 1, d and
-        d + 1) only that ring's bit in plane tz(d) differs from the
-        cell's own."""
-        nx, block = self.nx, self.block
-        at = self._word(cell)
-        reached = memoryview(self.free & ~self.todo[row])
-        if at is None or not reached[at[0]] >> at[1] & 1:
+        if the row has not reached `cell`: from a cell on ring d (read
+        with `labels`), the first neighbour in the motion model's order
+        that the row reached on ring d - 1.  Among reached neighbours
+        (rings d - 1, d and d + 1) only that ring's bit in plane tz(d)
+        differs from the cell's own."""
+        at, shift, free = self.locate(np.array([cell]))
+        d = self.labels(np.array([row]), at, shift)[0, 0]
+        if not free[0] or d == math.inf:
             return None
-        w, b = at
+        d = int(d)
+        nx, block = self.nx, self.block
         x, y, z = cell
-        r = w - x // 64 * block
+        r = int(at[0]) - x // 64 * block
+        reached = memoryview(self.free & ~self.todo[row])
         planes = [memoryview(p) for p in
                   self.planes[row, :int(self.ring[row]).bit_length()]]
-        gray = sum((plane[w] >> b & 1) << k for k, plane in enumerate(planes))
-        d = 0
-        while gray:  # Gray code to binary
-            d ^= gray
-            gray >>= 1
         # (dx, dy, dz, word step along y and z) per neighbour
         steps = [(dx, dy, dz, sum(c * s for c, s in zip((dy, dz),
                                                          self.strides)))
@@ -620,19 +590,17 @@ class FieldStore:
         rings = self._rings[model]
         at, shift, valid = rings.locate(cells)
         out = rings.labels(rows, at, shift)
-        if not valid.all():
-            out[:, ~valid] = np.inf
-        pending = np.isinf(out)
+        pending = np.isinf(out) & valid
         if pending.any():
-            pending &= valid
             work = self.work[model]
             for j in np.flatnonzero(pending.any(axis=1) & ~rings.done[rows]):
                 added = rings.search(rows[j], cells[pending[j]])
                 if added:
                     work.extended += 1
                     work.rings += added
-                out[j] = rings.labels(rows[j:j + 1], at, shift)[0]
-                out[j, ~valid] = np.inf
+            out = rings.labels(rows, at, shift)
+        if not valid.all():
+            out[:, ~valid] = np.inf
         return out.T
 
     def path(self, task_id: int, model: MotionModel, start: Cell) -> Path:

@@ -111,10 +111,16 @@ class ModelParams:
     @classmethod
     def load(cls, path) -> "ModelParams":
         arrays, manifest = T.load_checkpoint(path)
-        n_max, m_max = int(manifest["n_max"]), int(manifest["m_max"])
+        sizes = [manifest.get(key) for key in ("n_max", "m_max")]
+        if not all(_whole(n) and n >= 1 for n in sizes):
+            raise CheckpointMismatchError(
+                f"manifest n_max, m_max = {sizes}: need whole numbers >= 1")
         rng = np.random.default_rng(0)
         has_critic = any(k.startswith("critic.") for k in arrays)
-        model = cls.init(rng, n_max, m_max, with_critic=has_critic)
+        model = cls.init(rng, *sizes, with_critic=has_critic)
+        unknown = sorted(arrays.keys() - model.named().keys())
+        if unknown:
+            raise CheckpointMismatchError(f"unexpected parameters {unknown}")
         for name, p in model.named().items():
             if name not in arrays:
                 raise CheckpointMismatchError(f"missing parameter {name}")

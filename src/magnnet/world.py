@@ -335,13 +335,6 @@ def observation(state: EpisodeState, slot_costs: np.ndarray):
 # decision step
 # ---------------------------------------------------------------------------
 
-def _plan_to_task(state: EpisodeState, agent: AgentState, task: TaskState) -> Path:
-    """Path down the task's cached field, which `current_cost_matrix`
-    built for every live task and motion model and looked up at the
-    agent's cell."""
-    return state.dist_cache.path(task.id, agent.motion_model, agent.position)
-
-
 def assign_tasks(state: EpisodeState, picks) -> None:
     """Give each picked task to its agent and book the agent's path.
 
@@ -408,9 +401,10 @@ def arbitrate(state: EpisodeState, actions, slot_costs: np.ndarray,
             for a in contenders:
                 if a != winner:
                     state.record("conflict_lost", agent=a, task=tid)
+        agent = state.agent(winner)
         picks.append((winner, tid, float(slot_costs[winner, slot]),
-                      _plan_to_task(state, state.agent(winner),
-                                    state.task(tid))))
+                      state.dist_cache.path(tid, agent.motion_model,
+                                            agent.position)))
         outcome.assignments.append((winner, tid))
     assign_tasks(state, picks)
     return outcome

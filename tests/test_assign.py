@@ -103,7 +103,10 @@ class TestHungarianAgainstOracle:
         assert hungarian(CostMatrix(arr2)).pairs == base
 
     def test_empty_matrix(self):
-        assert hungarian(CostMatrix(np.zeros((0, 3)))).pairs == ()
+        for shape in [(0, 3), (3, 0), (0, 0)]:
+            cm = CostMatrix(np.zeros(shape))
+            for solve in (hungarian, greedy, lambda c: random_assign(c, 0)):
+                assert solve(cm).pairs == (), (shape, solve)
 
 
 class TestFeasibleOptimum:

@@ -183,6 +183,13 @@ class TestDistanceFieldKernel:
         assert field.shape == grid.dims
         assert np.array_equal(field, dijkstra_field(grid, src, model))
 
+    @pytest.mark.parametrize("model", list(MotionModel))
+    def test_source_off_the_grid_reaches_nothing(self, model):
+        grid = empty_grid((4, 3, 2))
+        for src in [(-1, 0, 0), (0, -1, 0), (0, 0, -1), (4, 0, 0),
+                    (0, 3, 0), (0, 0, 2)]:
+            assert np.isinf(distance_field(grid, src, model)).all(), src
+
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_full_size_matches_reference_loop(self, seed):
         rng = np.random.default_rng(seed)

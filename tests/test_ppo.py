@@ -466,6 +466,28 @@ class TestModelParams:
         with pytest.raises(NumericError, match="gcn.w2"):
             ModelParams.load(path)
 
+    def test_unexpected_parameter_rejected_on_load(self, tmp_path):
+        model = ModelParams.init(np.random.default_rng(12), 4, 4)
+        path = tmp_path / "m.json"
+        T.save_checkpoint(path, {**model.named(), "gcn.w3": np.zeros((6, 6))},
+                          {"n_max": 4, "m_max": 4})
+        with pytest.raises(CheckpointMismatchError, match="gcn.w3"):
+            ModelParams.load(path)
+
+    @pytest.mark.parametrize("manifest", [
+        {"m_max": 4}, {"n_max": 4}, {"n_max": 0, "m_max": 4},
+        {"n_max": 4, "m_max": 2.5}, {"n_max": "4", "m_max": 4},
+        {"n_max": True, "m_max": 4}],
+        ids=["no-n_max", "no-m_max", "zero", "fraction", "string", "bool"])
+    def test_manifest_sizes_checked_on_load(self, tmp_path, manifest):
+        """A size that is missing, or not a whole number >= 1, is named
+        before any parameter is read against it."""
+        model = ModelParams.init(np.random.default_rng(13), 4, 4)
+        path = tmp_path / "m.json"
+        T.save_checkpoint(path, model.named(), manifest)
+        with pytest.raises(CheckpointMismatchError, match="n_max"):
+            ModelParams.load(path)
+
     def test_scenario_check(self):
         """Only m_max must match: evaluation plays any agent count."""
         model = ModelParams.init(np.random.default_rng(10), 4, 4)

@@ -19,8 +19,7 @@ from magnnet.gnn import build_graph
 from magnnet.pathplan import MotionModel, Path, distance_field
 from magnnet.world import (AgentStatus, COST_SCALE, DecisionOutcome, Episode,
                            SENTINEL_NORMALIZED_COST, STATUS_CODE, TaskStatus,
-                           WorldConfig, _plan_to_task, advance, arbitrate,
-                           assign_tasks,
+                           WorldConfig, advance, arbitrate, assign_tasks,
                            current_cost_matrix, init_episode, observation,
                            slot_cost_array, spawn_tasks, step_rewards,
                            terminal_bonus)
@@ -359,9 +358,10 @@ def arbitrate_reference(state, actions, cm, task_ids):
             for a in contenders:
                 if a != winner:
                     state.record("conflict_lost", agent=a, task=tid)
+        agent = state.agent(winner)
         picks.append((winner, tid, float(cm.entries[winner, col[tid]]),
-                      _plan_to_task(state, state.agent(winner),
-                                    state.task(tid))))
+                      state.dist_cache.path(tid, agent.motion_model,
+                                            agent.position)))
         outcome.assignments.append((winner, tid))
     assign_tasks(state, picks)
     return outcome
