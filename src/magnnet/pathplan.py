@@ -313,28 +313,34 @@ class Rings:
             words.reshape(self.block, self.blocks).T).ravel()
 
     def locate(self, cells: np.ndarray):
-        """(word, bit, free) of each (x, y, z) cell of the grid, a row of
-        `cells`: its word's index, its bit's index in the word, and
-        whether it is a free cell of the mask."""
+        """(word, bit, free) of each (x, y, z) cell, a row of `cells`:
+        its word's index, its bit's index in the word, and whether it is
+        a free cell of the mask.  A cell off the grid is not free, and
+        reads (0, 0, 0)'s word and bit."""
+        try:  # the flat index checks every cell's bounds
+            free = self.mask.take(np.ravel_multi_index(cells.T,
+                                                       self.mask.shape))
+        except ValueError:
+            on = ((cells >= 0) & (cells < self.mask.shape)).all(axis=1)
+            cells = np.where(on[:, None], cells, 0)
+            free = self.mask[tuple(cells.T)] & on
         x = cells[:, 0]
         at = cells @ self._coef
         at += self._base
         if self.blocks > 1:
             at += (x >> 6) * self.block
             x = x & 63
-        return at, x.astype(np.uint64), self.mask[tuple(cells.T)]
+        return at, x.astype(np.uint64), free
 
     def start(self, row: int, source) -> None:
         """Row `row` searches from (x, y, z) `source`, or from nothing,
-        ring 0 only, when that is not a free cell of the mask or not a
-        cell of the grid."""
+        ring 0 only, when that is not a free cell of the mask (`locate`),
+        a cell off the grid included."""
         self.planes[row, :int(self.ring[row]).bit_length()] = 0
         todo, frontier = self.todo[row], self.frontier[row]
         todo[:] = self.free
         frontier[:] = 0
         self.ring[row], self.done[row] = 0, True
-        if not all(0 <= c < n for c, n in zip(source, self.mask.shape)):
-            return
         (w,), (b,), (free,) = self.locate(np.array([source]))
         if free:
             self.done[row] = False

@@ -21,7 +21,7 @@ from .gnn import (GCNParams, HIDDEN, batch_graphs, build_graph, gcn_encode,
                   init_gcn_params, padded_task_features)
 from .policy import (ActorParams, CriticParams, actor_forward, critic_forward,
                      init_actor_params, init_critic_params, sample_action)
-from .tensor import AdamState, Tensor, adam_step, backward, zero_grads
+from .tensor import AdamState, adam_step, backward, zero_grads
 from .world import Episode, WorldConfig, _whole, terminal_bonus
 
 CHECKPOINT_INTERVAL = 25  # updates between periodic checkpoints
@@ -279,29 +279,11 @@ def _minibatch_loss(steps, adv: np.ndarray, ret: np.ndarray,
         model, [s.graph for s in steps],
         np.concatenate([s.obs for s in steps]),
         np.concatenate([s.masks for s in steps]), with_value=True)
-    logp_new = T.log(T.gather_rows(
-        dist.probs, np.concatenate([s.actions for s in steps])))
-    entropy = T.mean(T.entropy_rows(dist.probs))
-    old_logp = np.concatenate([s.log_probs for s in steps])
-
-    ratio = T.exp(T.sub(logp_new, Tensor(old_logp)))
-    adv_t = Tensor(adv.ravel())
-    surrogate = T.minimum(
-        T.mul(ratio, adv_t),
-        T.mul(T.clip(ratio, 1.0 - config.clip_epsilon,
-                     1.0 + config.clip_epsilon), adv_t))
-    policy_loss = T.mul(T.mean(surrogate), -1.0)
-    value_loss = T.mean(T.square(T.sub(values, Tensor(ret))))
-    loss = T.add(T.add(policy_loss, T.mul(value_loss, config.value_coef)),
-                 T.mul(entropy, -config.entropy_coef))
-    stats = {
-        "policy_loss": float(policy_loss.data),
-        "value_loss": float(value_loss.data),
-        "entropy": float(entropy.data),
-        "clip_fraction": float(np.mean(
-            np.abs(ratio.data - 1.0) > config.clip_epsilon)),
-    }
-    return loss, stats
+    return T.ppo_loss(dist.probs, values,
+                      np.concatenate([s.actions for s in steps]),
+                      np.concatenate([s.log_probs for s in steps]),
+                      adv.ravel(), ret, config.clip_epsilon,
+                      config.value_coef, config.entropy_coef)
 
 
 def ppo_update(buffer: RolloutBuffer, advantages: np.ndarray,
@@ -331,8 +313,6 @@ def ppo_update(buffer: RolloutBuffer, advantages: np.ndarray,
             loss, mb_stats = _minibatch_loss(
                 [buffer.steps[i] for i in chunk], adv[chunk],
                 returns[chunk].mean(axis=1), model, config)
-            if not np.isfinite(loss.data):
-                raise NumericError("NaN/Inf PPO loss")
             zero_grads(params)
             grads = backward(loss, params)
             adam_step(params, grads, adam, config.learning_rate)

@@ -3,15 +3,19 @@
 Everything is sized for tiny networks (a few thousand parameters): each
 op records itself on an implicit tape (the parent links of the output
 tensor) and `backward` replays the tape in reverse topological order.  A
-network layer is one fused op, `linear` or `gcn_layer`, with a
-hand-written backward.  All storage is numpy float64.
+network layer is one fused op, `linear` or `gcn_layer`, and PPO's loss
+is one more, `ppo_loss`, each with a hand-written backward.  Adam steps
+all parameters as one flat vector.  All storage is numpy float64.
 
 Finiteness is checked at boundaries, each raising NumericError on NaN/Inf:
-- the outputs of the arithmetic ops (`exp`, `log`, `masked_softmax`,
-  `add`, `sub`, `mul`, ...), which build losses;
+- the outputs of the arithmetic ops (`log`, `entropy_rows`, `mean`,
+  `mul`, `square`, `add`, `masked_softmax`), from which acceptance
+  criterion 3 builds its loss;
 - the actor's logits (`policy.actor_forward`), before a mask can hide
   them;
-- the PPO loss (`ppo.ppo_update`) and the gradients `adam_step` applies;
+- in `ppo_loss`, the log-ratio, both surrogate terms and the loss (and
+  the taken actions' probabilities, which must be > 0);
+- the gradients `adam_step` applies;
 - the parameters of a loaded checkpoint (`ppo.ModelParams.load`).
 The fused layers and the data-movement ops (`concat`, `slice_rows`,
 `reshape`, `gather_rows`) go unchecked.  From finite
@@ -24,7 +28,7 @@ from __future__ import annotations
 import base64
 import json
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -130,16 +134,6 @@ def add(a, b) -> Tensor:
     return _make(out_data, (a, b), bwd)
 
 
-def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    out_data = a.data - b.data
-
-    def bwd(g):
-        return _unbroadcast(g, a.data.shape), -_unbroadcast(g, b.data.shape)
-
-    return _make(out_data, (a, b), bwd)
-
-
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     out_data = a.data * b.data
@@ -193,12 +187,6 @@ def gcn_layer(adj: np.ndarray, h: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _record(z * keep, (h, w, b), bwd)
 
 
-def exp(x: Tensor) -> Tensor:
-    x = as_tensor(x)
-    out_data = np.exp(x.data)
-    return _make(out_data, (x,), lambda g: (g * out_data,))
-
-
 def log(x: Tensor) -> Tensor:
     x = as_tensor(x)
     if np.any(x.data <= 0.0):
@@ -216,23 +204,6 @@ def mean(x: Tensor) -> Tensor:
     n = x.data.size
     return _make(x.data.mean(), (x,),
                  lambda g: (np.full_like(x.data, float(g) / n),))
-
-
-def minimum(a: Tensor, b: Tensor) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    take_a = a.data <= b.data  # ties route gradient to a
-
-    def bwd(g):
-        return (_unbroadcast(g * take_a, a.data.shape),
-                _unbroadcast(g * ~take_a, b.data.shape))
-
-    return _make(np.minimum(a.data, b.data), (a, b), bwd)
-
-
-def clip(x: Tensor, lo: float, hi: float) -> Tensor:
-    x = as_tensor(x)
-    inside = (x.data > lo) & (x.data < hi)
-    return _make(np.clip(x.data, lo, hi), (x,), lambda g: (g * inside,))
 
 
 def concat(tensors, axis: int = 0) -> Tensor:
@@ -314,6 +285,76 @@ def entropy_rows(probs: Tensor) -> Tensor:
     return _make(h, (probs,), bwd)
 
 
+def ppo_loss(probs: Tensor, values: Tensor, actions, old_logp, adv, ret,
+             clip_eps: float, value_coef: float, entropy_coef: float):
+    """PPO's clipped-surrogate loss with value and entropy terms as one
+    tape node, and its minibatch's statistics: (loss, stats).
+
+    `probs` holds one row of action probabilities per agent transition
+    and `values` one value per decision step; the constants `actions`,
+    `old_logp` and `adv` hold one entry per transition, `ret` one value
+    target per step.  With r = exp(log(probs[i, actions[i]]) - old_logp),
+
+        loss = -mean(min(r * adv, clip(r, 1 - clip_eps, 1 + clip_eps) * adv))
+               + value_coef * mean((values - ret) ** 2)
+               - entropy_coef * mean(entropy_rows(probs)).
+
+    It runs the numpy calls of that loss composed of one op each (`log`,
+    `gather_rows`, `entropy_rows`, `mean`, `mul`, `square`, `add`, and
+    an exp, sub, clip and minimum), in their order, and its backward
+    forms the same products, so values and gradients equal the composed
+    chain's bit for bit (see `linear`).  It raises NumericError wherever
+    that chain's checked ops did: for a taken action of probability
+    <= 0, and for a non-finite log-ratio, surrogate term (a non-finite
+    ratio makes the unclipped one so) or loss.  Any other NaN/Inf the
+    chain stopped at reaches the loss."""
+    p = probs.data
+    rows = np.arange(p.shape[0])
+    idx = np.asarray(actions, dtype=np.intp)
+    adv = np.asarray(adv, dtype=np.float64)
+    taken = p[rows, idx]
+    if np.any(taken <= 0.0):
+        raise NumericError("log of non-positive value")
+    pos = p > 0.0
+    logp = np.where(pos, np.log(np.where(pos, p, 1.0)), 0.0)
+    h = -(p * logp).sum(axis=-1)
+    entropy = h.mean()
+    d = np.log(taken) - np.asarray(old_logp, dtype=np.float64)
+    check_finite(d)
+    ratio = np.exp(d)
+    s1 = ratio * adv
+    lo, hi = 1.0 - clip_eps, 1.0 + clip_eps
+    inside = (ratio > lo) & (ratio < hi)
+    s2 = np.clip(ratio, lo, hi) * adv
+    check_finite(s1)  # a non-finite ratio makes it non-finite too
+    check_finite(s2)
+    take = s1 <= s2  # ties route gradient to the unclipped term
+    surr = np.minimum(s1, s2)
+    policy_loss = surr.mean() * -1.0
+    dv = values.data - np.asarray(ret, dtype=np.float64)
+    value_loss = (dv ** 2).mean()
+    loss = (policy_loss + value_loss * value_coef) + entropy * -entropy_coef
+    check_finite(loss)
+
+    def bwd(g):
+        g = float(g)  # the gradient of both terms of each `add`
+        g_h = np.full_like(h, g * -entropy_coef / h.size)
+        g_probs = np.where(pos, -(logp + 1.0), 0.0) * np.expand_dims(g_h, -1)
+        g_dv = 2.0 * np.full_like(dv, g * value_coef / dv.size) * dv
+        g_surr = np.full_like(surr, g * -1.0 / surr.size)
+        # `ratio` feeds both surrogate terms: a two-term sum, as on the tape
+        g_ratio = (g_surr * take) * adv + ((g_surr * ~take) * adv) * inside
+        full = np.zeros_like(p)
+        full[rows, idx] = g_ratio * ratio / taken
+        return full + g_probs, g_dv.reshape(values.data.shape)
+
+    stats = {"policy_loss": float(policy_loss),
+             "value_loss": float(value_loss),
+             "entropy": float(entropy),
+             "clip_fraction": float(np.mean(np.abs(ratio - 1.0) > clip_eps))}
+    return _record(loss, (probs, values), bwd), stats
+
+
 # ---------------------------------------------------------------------------
 # backward pass
 # ---------------------------------------------------------------------------
@@ -328,39 +369,36 @@ def backward(out: Tensor, params=None):
     if out.data.size != 1:
         raise ShapeError(f"backward needs a scalar output, got {out.data.shape}")
 
+    # tensors hash by identity, so they key the walk's set and dict; a
+    # constant gets no gradient, so the walk leaves it out
     topo: list[Tensor] = []
-    seen: set[int] = set()
+    seen: set[Tensor] = set()
     stack: list[tuple[Tensor, bool]] = [(out, False)]
     while stack:
         node, processed = stack.pop()
         if processed:
             topo.append(node)
             continue
-        if id(node) in seen:
+        if node in seen:
             continue
-        seen.add(id(node))
+        seen.add(node)
         stack.append((node, True))
         for p in node._parents:
-            if id(p) not in seen:
+            if p.requires_grad and p not in seen:
                 stack.append((p, False))
 
-    grads: dict[int, np.ndarray] = {id(out): np.ones_like(out.data)}
+    grads: dict[Tensor, np.ndarray] = {out: np.ones_like(out.data)}
     for node in reversed(topo):
-        g = grads.pop(id(node), None)
+        g = grads.pop(node, None)
         if g is None:
             continue
-        if node.requires_grad and node._backward_fn is None:
-            node.grad = g if node.grad is None else node.grad + g
         if node._backward_fn is None:
+            if node.requires_grad:
+                node.grad = g if node.grad is None else node.grad + g
             continue
-        parent_grads = node._backward_fn(g)
-        for p, pg in zip(node._parents, parent_grads):
-            if not p.requires_grad:
-                continue
-            if id(p) in grads:
-                grads[id(p)] = grads[id(p)] + pg
-            else:
-                grads[id(p)] = pg
+        for p, pg in zip(node._parents, node._backward_fn(g)):
+            if p.requires_grad:
+                grads[p] = grads[p] + pg if p in grads else pg
 
     if params is not None:
         return [p.grad if p.grad is not None else np.zeros_like(p.data)
@@ -384,31 +422,40 @@ ADAM_EPS = 1e-8
 
 @dataclass
 class AdamState:
+    """Adam's step count and moments, the moments of all parameters as
+    one flat vector each (`adam_step`'s order)."""
+
     step: int = 0
-    m: list = field(default_factory=list)
-    v: list = field(default_factory=list)
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
 
 
 def adam_step(params: list[Tensor], grads: list[np.ndarray],
               state: AdamState, lr: float) -> AdamState:
     """One bias-corrected Adam update at rate `lr`, in place on
-    `params`."""
-    if not state.m:
-        state.m = [np.zeros_like(p.data) for p in params]
-        state.v = [np.zeros_like(p.data) for p in params]
-    for g in grads:
-        if not np.all(np.isfinite(g)):
-            raise NumericError("NaN/Inf gradient passed to adam_step")
+    `params`.  The gradients are laid end to end in one flat vector, so
+    the finiteness check and the moment and step arithmetic run once;
+    each parameter then subtracts its own slice of the step."""
+    flat = np.concatenate([np.ravel(g) for g in grads])
+    if not np.isfinite(flat).all():
+        raise NumericError("NaN/Inf gradient passed to adam_step")
+    if state.m is None:
+        state.m, state.v = np.zeros_like(flat), np.zeros_like(flat)
     state.step += 1
     t = state.step
     bc1 = 1.0 - ADAM_BETA1 ** t
     bc2 = 1.0 - ADAM_BETA2 ** t
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
-        v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * g * g
-        p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+    m, v = state.m, state.v
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * flat
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * flat * flat
+    step = lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+    lo = 0
+    for p in params:
+        hi = lo + p.data.size
+        p.data -= step[lo:hi].reshape(p.data.shape)
+        lo = hi
     return state
 
 

@@ -1,5 +1,6 @@
 """tools/bench_record.py on canned run.py output: what it writes for a
-run that passed, and that it writes nothing when a run did not pass."""
+run that passed, the pairs it records against a base, and that it
+writes nothing when a run did not pass."""
 
 import importlib.util
 import json
@@ -74,3 +75,63 @@ def test_only_bench_files_may_differ():
     assert bench_record.changes_outside_bench(status) == [
         "src/magnnet/pathplan.py", "tools/", "new.py", "sub/BENCH_x.json"]
     assert bench_record.changes_outside_bench("") == []
+
+
+def untraced(value, digest="d1"):
+    """A passing `--trace 0` run's output with `work_per_ref_s` value."""
+    metrics = {"setup_s": {"value": 0.2, "unit": "s"},
+               "work_per_ref_s": {"value": value, "unit": "1/s"},
+               "peak_rss_mb": {"value": 42.0, "unit": "MB"}}
+    return (0, f"workload w  seed 3  rounds 3  trace 0\ndigest {digest}\n"
+            + json.dumps({"correct": True, "attempted": 3, "failed": 0,
+                          "metrics": metrics}) + "\n")
+
+
+def canned_pairs(outputs):
+    """A `run` that hands out each side's outputs in turn, and the
+    sides in the order it was called."""
+    calls = []
+
+    def run(side, workload):
+        calls.append(side)
+        return outputs[side].pop(0)
+    return run, calls
+
+
+def test_pairs_alternate_and_summarize():
+    run, calls = canned_pairs({
+        "head": [untraced(v) for v in (110.0, 90.0, 120.0, 100.0)],
+        "base": [untraced(v) for v in (100.0, 100.0, 100.0, 80.0)]})
+    got = bench_record.record_pairs("w", 4, run)
+    assert calls == ["head", "base", "base", "head"] * 2
+    assert got["ratios"] == [1.1, 0.9, 1.2, 1.25]
+    assert got["head_wins"] == 3
+    assert got["head"] == {"values": [110.0, 90.0, 120.0, 100.0],
+                           "median": 105.0, "q1": 92.5, "q3": 117.5,
+                           "digests": ["d1"]}
+    assert (got["base"]["median"], got["base"]["q1"],
+            got["base"]["q3"]) == (100.0, 85.0, 100.0)
+    assert (got["metric"], got["seed"], got["seconds"], got["trace"]) == \
+        ("work_per_ref_s", 3, 20, 0)
+
+
+def test_pairs_keep_every_digest():
+    run, _ = canned_pairs({"head": [untraced(1.0), untraced(1.0, "d2")],
+                           "base": [untraced(1.0), untraced(1.0)]})
+    got = bench_record.record_pairs("w", 2, run)
+    assert got["head"]["digests"] == ["d1", "d2"]
+    assert got["base"]["digests"] == ["d1"]
+
+
+@pytest.mark.parametrize("bad,reason", [
+    ((0, WRONG), "correct"), ((3, GOOD), "exited 3"), ((0, ""), "correct")],
+    ids=["correct-false", "nonzero-exit", "no-output"])
+@pytest.mark.parametrize("side", ["head", "base"])
+def test_a_failed_pair_run_refuses(bad, reason, side):
+    """The bad run is the second pair's run on `side`."""
+    outputs = {"head": [untraced(1.0), untraced(1.0)],
+               "base": [untraced(1.0), untraced(1.0)]}
+    outputs[side][1] = bad
+    run, _ = canned_pairs(outputs)
+    with pytest.raises(bench_record.Refused, match=f"{side}.*{reason}"):
+        bench_record.record_pairs("w", 2, run)

@@ -17,7 +17,8 @@ import pytest
 from click.testing import CliRunner
 
 import magnnet
-from magnnet import assign, bench, cli, gnn, pathplan
+from magnnet import assign, bench, cli, gnn, pathplan, policy
+from magnnet import tensor as T
 from magnnet.bench import ScenarioSpec
 from magnnet.ppo import PPOConfig
 from magnnet.world import Episode, WorldConfig
@@ -146,7 +147,29 @@ def criterion_1():
 
 
 def criterion_3():
-    gnn.init_gcn_params(np.random.default_rng(0), 2).parameters()
+    """Criterion 3's loss on one micro-instance, built once and
+    differentiated: its ops are the loss ops no command runs since
+    training's loss became one `tensor.ppo_loss` node."""
+    cfg = WorldConfig(grid_dims=(8, 8, 4), n_agents=2, n_tasks_initial=2,
+                      n_ground=1, n_aerial=1, obstacle_density=0.05)
+    ep = Episode(cfg, 300)
+    obs, masks, cm, _ = ep.observe()
+    graph = gnn.build_graph(ep.state, cm)
+    rng = np.random.default_rng(3)
+    enc = gnn.init_gcn_params(rng, cfg.m_max)
+    actor = policy.init_actor_params(rng, cfg.m_max)
+    critic = policy.init_critic_params(rng, cfg.n_agents, cfg.m_max)
+    actions = np.array([int(np.flatnonzero(m)[-1]) for m in masks])
+    emb = gnn.gcn_encode(graph, enc)
+    dist = policy.actor_forward(obs, emb, actor, masks)
+    logp = T.log(T.gather_rows(dist.probs, actions))
+    v = policy.critic_forward(
+        emb, gnn.padded_task_features(graph, cfg.m_max), critic)
+    loss = T.add(T.add(T.mean(T.mul(logp, T.Tensor(rng.normal(size=2)))),
+                       T.square(v)),
+                 T.mul(T.mean(T.entropy_rows(dist.probs)), -0.01))
+    T.backward(loss, enc.parameters() + actor.parameters()
+               + critic.parameters())
 
 
 def perfbench_astar_check():
@@ -166,8 +189,9 @@ def perfbench_cache_lookups():
 PINNED_ROOTS = {
     "assign.brute_force: acceptance criterion 1 checks the solver that "
     "bench runs against it on random matrices": criterion_1,
-    "ParamBundle.parameters: acceptance criterion 3 lists the GCN's, "
-    "actor's and critic's parameters": criterion_3,
+    "ParamBundle.parameters and the loss ops log, gather_rows, "
+    "entropy_rows, mean, mul, add and square: acceptance criterion 3 "
+    "builds a loss from them and checks its gradients": criterion_3,
     "Path.validate, Path.goal and the 3-argument distance_field: "
     "perfbench's check_astar_path": perfbench_astar_check,
     "FieldStore.keys: perfbench's cache_lookups": perfbench_cache_lookups,

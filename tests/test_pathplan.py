@@ -481,6 +481,21 @@ class TestFieldStoreAgainstDijkstra:
             ("ensure", 0, 0, [(0, 0, 0), (1, 0, 0)]),
             ("path", 0, 0, [(1, 0, 1), (4, 0, 0), (1, 0, 0)])])
 
+    @pytest.mark.parametrize("model", [A6, G4])
+    def test_cells_off_the_grid_are_unreachable(self, model):
+        """A lookup reads inf and a path raises, where a negative index
+        used to wrap into a padding word and read distance 0."""
+        store = FieldStore(empty_grid((4, 3, 2)), 1)
+        task = types.SimpleNamespace(id=0, location=(0, 0, 0))
+        store.ensure(model, [task], np.array([0]), np.array([(3, 2, 0)]))
+        off = [(0, -1, 0), (-1, 0, 0), (0, 0, -1), (4, 0, 0), (0, 3, 0),
+               (0, 0, 2)]
+        got = store.lookup(model, np.array([0]), np.array(off + [(1, 0, 0)]))
+        assert got.ravel().tolist() == [np.inf] * 6 + [1.0]
+        for cell in off:
+            with pytest.raises(NoPathError):
+                store.path(0, model, cell)
+
     def test_lookup_past_the_last_ring_extends_the_row(self):
         """A row built out to ring 2 and looked up there, then halfway
         to its farthest cell, then, on the row and on a copy, at that

@@ -254,6 +254,46 @@ class TestFusedNetwork:
             assert_same_array(p.data, q.data)
 
 
+class TestFusedUpdate:
+    """`ppo_update` with the fused loss node and the flat Adam step
+    trains exactly as with the composed loss chain and a per-parameter
+    Adam step (`tests/helpers.py`)."""
+
+    @pytest.mark.parametrize("minibatch,zero_adv", [
+        (4, False), (8, False), (4, True)],
+        ids=["lone-graph", "graph-union", "zero-advantages"])
+    def test_update_equals_references(self, monkeypatch, minibatch,
+                                      zero_adv):
+        cfg = tiny_world()
+        pcfg = PPOConfig(train_batch=32, minibatch=minibatch,
+                         epochs_per_update=3, learning_rate=1e-2)
+        model, ref_model = (ModelParams.init(np.random.default_rng(47), 4,
+                                             cfg.m_max) for _ in range(2))
+        buf = collect_rollout(cfg, model, pcfg, np.random.default_rng(48))
+        adv, ret = compute_gae(buf, pcfg.gamma, pcfg.gae_lambda)
+        if zero_adv:
+            adv = np.zeros_like(adv)
+        # under the parameters that collected, a lone graph's ratios are
+        # exactly 1, so every `minimum` of the first minibatch is a tie
+        step = buf.steps[0]
+        dist, _ = _forward_steps(model, [step.graph], step.obs, step.masks,
+                                 with_value=False)
+        assert_same_array(np.log(dist.probs.data[np.arange(4),
+                                                 step.actions]),
+                          step.log_probs)
+        stats = ppo_update(buf, adv, ret, model, pcfg, AdamState(),
+                           np.random.default_rng(49))
+        monkeypatch.setattr(ppo, "_minibatch_loss",
+                            ops.composed_minibatch_loss)
+        monkeypatch.setattr(ppo, "adam_step", ops.per_param_adam_step)
+        ref_stats = ppo_update(buf, adv, ret, ref_model, pcfg, AdamState(),
+                               np.random.default_rng(49))
+        assert stats == ref_stats
+        assert 0.0 < stats["clip_fraction"] < 1.0
+        for p, q in zip(model.parameters(), ref_model.parameters()):
+            assert_same_array(p.data, q.data)
+
+
 class TestPPOUpdate:
     def _small_batch(self):
         cfg = tiny_world()
@@ -320,14 +360,14 @@ def per_step_loss(steps, adv, ret, model, config):
     logp_new = T.concat(logp_new)
     entropy = T.mean(T.concat(entropies))
     old_logp = np.concatenate([s.log_probs for s in steps])
-    ratio = T.exp(T.sub(logp_new, Tensor(old_logp)))
+    ratio = ops.exp(ops.sub(logp_new, Tensor(old_logp)))
     adv_t = Tensor(np.concatenate(list(adv)))
-    surrogate = T.minimum(
+    surrogate = ops.minimum(
         T.mul(ratio, adv_t),
-        T.mul(T.clip(ratio, 1.0 - config.clip_epsilon,
-                     1.0 + config.clip_epsilon), adv_t))
+        T.mul(ops.clip(ratio, 1.0 - config.clip_epsilon,
+                       1.0 + config.clip_epsilon), adv_t))
     policy_loss = T.mul(T.mean(surrogate), -1.0)
-    value_loss = T.mean(T.square(T.sub(T.concat(values), Tensor(ret))))
+    value_loss = T.mean(T.square(ops.sub(T.concat(values), Tensor(ret))))
     loss = T.add(T.add(policy_loss, T.mul(value_loss, config.value_coef)),
                  T.mul(entropy, -config.entropy_coef))
     stats = {

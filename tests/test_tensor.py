@@ -1,7 +1,9 @@
 """Autodiff kernel tests: every gradient is cross-checked against central
-finite differences, the fused layers against the op chains they replace
-(bit for bit), Adam against the closed-form update, checkpoints against
-bit-exact round trips, and NaN/Inf against the checked boundaries."""
+finite differences, the fused layers and the PPO loss node against the
+op chains they replace (bit for bit), Adam against the closed-form
+update and the flat step against a per-parameter one (bit for bit),
+checkpoints against bit-exact round trips, and NaN/Inf against the
+checked boundaries."""
 
 import numpy as np
 import pytest
@@ -97,7 +99,7 @@ class TestForwardOps:
 
     def test_nonfinite_raises(self):
         with np.errstate(over="ignore"), pytest.raises(NumericError):
-            T.exp(Tensor(np.array([1e308])))
+            ops.exp(Tensor(np.array([1e308])))
 
     def test_gather_rows(self):
         x = Tensor(np.arange(6, dtype=float).reshape(2, 3))
@@ -107,7 +109,7 @@ class TestForwardOps:
     def test_minimum_tie_prefers_first(self):
         a = Tensor(np.array([1.0]), requires_grad=True)
         b = Tensor(np.array([1.0]), requires_grad=True)
-        out = ops.tsum(T.minimum(a, b))
+        out = ops.tsum(ops.minimum(a, b))
         ga, gb = backward(out, [a, b])
         assert ga[0] == 1.0 and gb[0] == 0.0
 
@@ -151,7 +153,7 @@ class TestGradientsAgainstFiniteDifferences:
         check_against_fd(build, [w])
 
     def test_clip_minimum_exp_chain(self):
-        # the exact op chain the PPO surrogate uses
+        # the surrogate chain `T.ppo_loss` fuses
         w = T.param(RNG.normal(size=(4, 1)) * 0.2)
         x = Tensor(RNG.normal(size=(7, 4)))
         old = Tensor(RNG.normal(size=7) * 0.1)
@@ -159,9 +161,9 @@ class TestGradientsAgainstFiniteDifferences:
 
         def build():
             logp = T.reshape(ops.matmul(x, w), (7,))
-            ratio = T.exp(T.sub(logp, old))
-            surr = T.minimum(T.mul(ratio, adv),
-                             T.mul(T.clip(ratio, 0.8, 1.2), adv))
+            ratio = ops.exp(ops.sub(logp, old))
+            surr = ops.minimum(T.mul(ratio, adv),
+                               T.mul(ops.clip(ratio, 0.8, 1.2), adv))
             return T.mul(T.mean(surr), -1.0)
 
         check_against_fd(build, [w])
@@ -328,6 +330,109 @@ class TestFusedLayers:
             T.gcn_layer(np.eye(2), Tensor(np.ones((2, 4))), w, b)
 
 
+PPO_LOSS_EDGES = ["generic", "ratio-one", "upper-bound", "lower-bound",
+                  "zero-advantages"]
+
+
+def ppo_loss_case(edge, seed=51):
+    """Logits, values, mask and the constant arguments of `T.ppo_loss`
+    for 8 transitions over 2 steps.  Every row masks some actions, so
+    `entropy_rows` meets zero probabilities, and row 3 has one open
+    action, of probability 1.  `edge` picks the ratios: all exactly 1
+    (every `minimum` a tie), one exactly at 1 + clip_eps or 1 - clip_eps,
+    or zero advantages."""
+    rng = np.random.default_rng(seed)
+    n, width, steps = 8, 5, 2
+    logits = T.param(rng.normal(size=(n, width)))
+    mask = rng.uniform(size=(n, width)) < 0.6
+    mask[:, 0] = True
+    mask[3, 1:] = False
+    values = T.param(rng.normal(size=steps))
+    actions = np.array([rng.choice(np.flatnonzero(m)) for m in mask])
+    taken = T.masked_softmax(logits, mask).data[np.arange(n), actions]
+    old_logp = np.log(taken)
+    if edge != "ratio-one":
+        old_logp = old_logp + rng.normal(scale=0.3, size=n)
+    ratio = np.exp(np.log(taken) - old_logp)
+    # r - 1 and 1 - r are exact for r in [0.5, 2], so 1 + (r - 1) == r
+    clip_eps = {"upper-bound": ratio.max() - 1.0,
+                "lower-bound": 1.0 - ratio.min()}.get(edge, 0.2)
+    adv = np.zeros(n) if edge == "zero-advantages" else rng.normal(size=n)
+    consts = [actions, old_logp, adv, rng.normal(size=steps), clip_eps,
+              0.5, 0.05]
+    return logits, values, mask, consts
+
+
+def run_ppo_loss(loss_fn, logits, values, mask, consts):
+    """(loss value, stats, gradients of logits and values) of one
+    `loss_fn` with `T.ppo_loss`'s arguments."""
+    zero_grads([logits, values])
+    loss, stats = loss_fn(T.masked_softmax(logits, mask), values, *consts)
+    return loss.data, stats, backward(loss, [logits, values])
+
+
+class TestPPOLoss:
+    """`T.ppo_loss` against the op chain it fuses, bit for bit, at the
+    edges of its branches, and against finite differences."""
+
+    @pytest.mark.parametrize("edge", PPO_LOSS_EDGES)
+    def test_equals_composed_chain(self, edge):
+        case = ppo_loss_case(edge)
+        loss, stats, grads = run_ppo_loss(T.ppo_loss, *case)
+        ref, ref_stats, ref_grads = run_ppo_loss(ops.composed_ppo_loss,
+                                                 *case)
+        assert loss == ref and stats == ref_stats
+        for g, r in zip(grads, ref_grads):
+            assert np.array_equal(g, r)
+        # the case reaches its edge
+        actions, old_logp, adv, _, clip_eps, _, _ = case[3]
+        probs = T.masked_softmax(case[0], case[2]).data
+        ratio = np.exp(np.log(probs[np.arange(8), actions]) - old_logp)
+        assert (probs == 0.0).any() and probs[3, 0] == 1.0
+        assert (ratio == 1.0).all() == (edge == "ratio-one")
+        assert (ratio == 1.0 + clip_eps).any() == (edge == "upper-bound")
+        assert (ratio == 1.0 - clip_eps).any() == (edge == "lower-bound")
+        assert (adv == 0.0).all() == (edge == "zero-advantages")
+
+    def test_against_fd(self):
+        logits, values, mask, consts = ppo_loss_case("generic")
+        check_against_fd(
+            lambda: T.ppo_loss(T.masked_softmax(logits, mask), values,
+                               *consts)[0], [logits, values])
+
+    @pytest.mark.parametrize("fault", [
+        "zero-probability-action", "overflowing-ratio", "infinite-old-logp",
+        "overflowing-surrogate", "overflowing-value-loss", "nan-return"])
+    def test_raises_where_the_chain_raises(self, fault):
+        """Each fault makes the composed chain raise at one of its
+        checked ops; the fused node must raise too.  An infinite old
+        log-probability gives a ratio of 0 and an overflowing surrogate
+        term loses to the clipped one in `minimum`: neither reaches the
+        loss."""
+        logits, values, mask, consts = ppo_loss_case("generic")
+        actions, old_logp, adv, ret = (np.array(c, dtype=float)
+                                       for c in consts[:4])
+        actions = actions.astype(int)
+        taken = np.log(T.masked_softmax(logits, mask).data[0, actions[0]])
+        if fault == "zero-probability-action":
+            actions[0] = np.flatnonzero(~mask[0])[0]
+        elif fault == "overflowing-ratio":
+            old_logp[0] = taken - 710.0
+        elif fault == "infinite-old-logp":
+            old_logp[0] = np.inf
+        elif fault == "overflowing-surrogate":
+            old_logp[0], adv[0] = taken - 709.0, 10.0
+        elif fault == "overflowing-value-loss":
+            ret[0] = 1e200
+        else:
+            ret[1] = np.nan
+        consts = [actions, old_logp, adv, ret] + consts[4:]
+        for loss_fn in (ops.composed_ppo_loss, T.ppo_loss):
+            with np.errstate(over="ignore", invalid="ignore"), \
+                    pytest.raises(NumericError):
+                run_ppo_loss(loss_fn, logits, values, mask, consts)
+
+
 class TestFiniteBoundaries:
     def _actor_inputs(self, m_max=4):
         rng = np.random.default_rng(31)
@@ -412,6 +517,34 @@ class TestAdam:
         p = T.param(np.array([1.0]))
         with pytest.raises(NumericError):
             adam_step([p], [np.array([np.nan])], AdamState(), 0.1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_gradient_of_any_parameter_changes_nothing(self, bad):
+        params = [T.param(np.ones((2, 3))), T.param(np.zeros(4))]
+        grads = [np.full((2, 3), 0.5), np.array([0.1, bad, 0.2, 0.3])]
+        st = AdamState()
+        with pytest.raises(NumericError):
+            adam_step(params, grads, st, 0.1)
+        assert st.step == 0 and st.m is None
+        assert (params[0].data == 1.0).all() and (params[1].data == 0.0).all()
+
+    def test_flat_step_equals_per_parameter_steps(self):
+        """Five steps over parameters of several shapes, a 0-d one and
+        one whose gradient is a transposed view among them."""
+        rng = np.random.default_rng(61)
+        shapes = [(4, 3), (3,), (), (1, 5), (3, 4)]
+        params, ref = ([T.param(np.full(s, 0.25)) for s in shapes]
+                       for _ in range(2))
+        st, ref_st = AdamState(), AdamState()
+        for _ in range(5):
+            grads = [rng.normal(size=s) for s in shapes[:-1]]
+            grads.append(rng.normal(size=(4, 3)).T)
+            adam_step(params, grads, st, 0.01)
+            ops.per_param_adam_step(ref, grads, ref_st, 0.01)
+            for p, q in zip(params, ref):
+                assert p.data.shape == q.data.shape
+                assert np.array_equal(p.data, q.data)
+        assert st.step == ref_st.step == 5
 
     def test_descends_quadratic(self):
         p = T.param(np.array([5.0]))

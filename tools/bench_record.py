@@ -1,8 +1,10 @@
-"""Record one BENCH_<workload>.json per benchmark workload.
+"""Record one BENCH_<workload>.json per benchmark workload, and
+alternating untraced pairs against a base commit.
 
     python3 tools/bench_record.py
+    python3 tools/bench_record.py --base REV --pairs K --workload W
 
-For each workload that BENCHMARK.json names, it runs
+Without flags, for each workload that BENCHMARK.json names, it runs
 
     python3 perfbench/run.py --workload W --seed 3 --seconds 20 --trace 1
 
@@ -15,21 +17,40 @@ end-to-end metrics and the traced per-layer ones) of
 perfbench/out/W-seed3/result.json, plus `correct`, `attempted` and
 `failed` from the run's last line.
 
-It refuses, and writes nothing, when the tree has changes outside
-BENCH_*.json (the stamped commit must be the code that was measured),
-when a run exits nonzero, or when a run's last line lacks
-"correct": true.
+With --base, --pairs and --workload it adds pairs to the BENCH_W.json
+that the first form recorded at HEAD.  It extracts commit REV with
+`git archive` into a temporary directory and runs
+
+    python3 perfbench/run.py --workload W --seed 3 --seconds 20 --trace 0
+
+K times in each checkout, alternating which runs first (HEAD in the
+first pair).  Under the `pairs` key it writes REV's commit, the
+`work_per_ref_s` ratio (HEAD over base) of each pair, how many pairs
+HEAD won, and per side the values, their median and quartiles
+(statistics.quantiles, n=4) and the seeded digests.
+
+Either form refuses, and writes nothing, when the tree has changes
+outside BENCH_*.json (the stamped commit must be the code that was
+measured), when a run exits nonzero, or when a run's last line lacks
+"correct": true.  The second also refuses when BENCH_W.json is missing
+or records another commit than HEAD.
 """
 
+import argparse
 import fnmatch
+import io
 import json
 import os
+import statistics
 import subprocess
 import sys
+import tarfile
+import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SEED, SECONDS = 3, 20
 COPIED = ("env", "digest", "quality", "figures")
+METRIC = "work_per_ref_s"
 
 
 class Refused(Exception):
@@ -44,8 +65,8 @@ def changes_outside_bench(status: str) -> list:
 
 
 def run_summary(workload: str, returncode: int, stdout: str) -> dict:
-    """`correct`, `attempted` and `failed` of a run that passed, from its
-    last line; Refused if it did not pass."""
+    """The last line of a run that passed, a JSON object with `correct`,
+    `attempted`, `failed` and `metrics`; Refused if it did not pass."""
     if returncode != 0:
         raise Refused(f"{workload}: run.py exited {returncode}")
     lines = stdout.strip().splitlines()
@@ -55,7 +76,7 @@ def run_summary(workload: str, returncode: int, stdout: str) -> dict:
         summary = {}
     if not isinstance(summary, dict) or summary.get("correct") is not True:
         raise Refused(f"{workload}: last line lacks \"correct\": true")
-    return {key: summary[key] for key in ("correct", "attempted", "failed")}
+    return summary
 
 
 def record(root: str, workloads, run) -> list:
@@ -70,38 +91,123 @@ def record(root: str, workloads, run) -> list:
             result = json.load(f)
         records[workload] = {
             "workload": workload, "seed": SEED, "seconds": SECONDS,
-            **{key: result[key] for key in COPIED}, **summary}
-    written = []
-    for workload, entry in records.items():
-        path = os.path.join(root, f"BENCH_{workload}.json")
-        with open(path, "w") as f:
-            json.dump(entry, f, indent=2, sort_keys=True)
-            f.write("\n")
-        written.append(path)
-    return written
+            **{key: result[key] for key in COPIED},
+            **{key: summary[key] for key in ("correct", "attempted",
+                                             "failed")}}
+    return [write_bench(root, workload, entry)
+            for workload, entry in records.items()]
 
 
-def run_workload(workload: str) -> tuple:
+def write_bench(root: str, workload: str, entry: dict) -> str:
+    path = os.path.join(root, f"BENCH_{workload}.json")
+    with open(path, "w") as f:
+        json.dump(entry, f, indent=2, sort_keys=True)
+        f.write("\n")
+    return path
+
+
+def record_pairs(workload: str, pairs: int, run) -> dict:
+    """`pairs` pairs of untraced runs of `workload`, one on each side,
+    with `run(side, workload) -> (returncode, stdout)` for side "head"
+    or "base"; HEAD runs first in even pairs.  Returns the `pairs`
+    entry without the base commit.  Refused if a run did not pass."""
+    values = {"head": [], "base": []}
+    digests = {"head": set(), "base": set()}
+    for k in range(pairs):
+        for side in ("head", "base") if k % 2 == 0 else ("base", "head"):
+            returncode, stdout = run(side, workload)
+            summary = run_summary(f"{workload} ({side})", returncode, stdout)
+            values[side].append(summary["metrics"][METRIC]["value"])
+            digests[side].update(line.split()[1]
+                                 for line in stdout.splitlines()
+                                 if line.startswith("digest "))
+    ratios = [h / b for h, b in zip(values["head"], values["base"])]
+    return {"metric": METRIC, "seed": SEED, "seconds": SECONDS, "trace": 0,
+            "ratios": ratios,
+            "head_wins": sum(r > 1.0 for r in ratios),
+            **{side: {**side_summary(values[side]),
+                      "digests": sorted(digests[side])}
+               for side in values}}
+
+
+def side_summary(values: list) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4)
+    return {"values": values, "median": median, "q1": q1, "q3": q3}
+
+
+def run_workload(workload: str, trace: int = 1, root: str = ROOT) -> tuple:
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(SEED), "--seconds", str(SECONDS), "--trace", "1"],
-        cwd=ROOT, stdout=subprocess.PIPE, text=True)
+         "--seed", str(SEED), "--seconds", str(SECONDS),
+         "--trace", str(trace)],
+        cwd=root, stdout=subprocess.PIPE, text=True)
     return done.returncode, done.stdout
 
 
-def git(*args) -> str:
+def git(*args, text=True):
     return subprocess.run(["git", *args], cwd=ROOT, check=True,
-                          stdout=subprocess.PIPE, text=True).stdout
+                          stdout=subprocess.PIPE, text=text).stdout
 
 
-def main() -> int:
+def pairs_main(base: str, pairs: int, workload: str) -> int:
+    path = os.path.join(ROOT, f"BENCH_{workload}.json")
+    head = git("rev-parse", "HEAD").strip()
+    base_commit = git("rev-parse", "--verify", f"{base}^{{commit}}").strip()
+    try:
+        with open(path) as f:
+            entry = json.load(f)
+    except FileNotFoundError:
+        entry = {}
+    if entry.get("env", {}).get("commit") != head:
+        print(f"bench_record: {os.path.basename(path)} is not a record of "
+              f"HEAD; run bench_record.py without flags first",
+              file=sys.stderr)
+        return 1
+    with tempfile.TemporaryDirectory(prefix="bench_base_") as tmp:
+        archive = git("archive", base_commit, text=False)
+        safe = {"filter": "data"} if hasattr(tarfile, "data_filter") else {}
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(tmp, **safe)
+        sides = {"head": ROOT, "base": tmp}
+        try:
+            recorded = record_pairs(
+                workload, pairs,
+                lambda side, w: run_workload(w, trace=0, root=sides[side]))
+        except Refused as exc:
+            print(f"bench_record: {exc}; nothing written", file=sys.stderr)
+            return 1
+    entry["pairs"] = {"base_commit": base_commit, **recorded}
+    write_bench(ROOT, workload, entry)
+    print(f"wrote pairs into {os.path.relpath(path, ROOT)}: HEAD won "
+          f"{recorded['head_wins']} of {pairs}, median {METRIC} "
+          f"{recorded['head']['median']:.6g} / "
+          f"{recorded['base']['median']:.6g}")
+    return 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--base", help="commit to pair HEAD against")
+    parser.add_argument("--pairs", type=int, help="pairs to run, >= 2")
+    parser.add_argument("--workload", help="a workload of BENCHMARK.json")
+    args = parser.parse_args(argv)
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
+        workloads = [w["name"] for w in json.load(f)["workloads"]]
+    pairing = (args.base, args.pairs, args.workload)
+    if any(a is not None for a in pairing):
+        if None in pairing:
+            parser.error("--base, --pairs and --workload go together")
+        if args.pairs < 2:
+            parser.error("--pairs must be at least 2 (for quartiles)")
+        if args.workload not in workloads:
+            parser.error(f"unknown workload {args.workload!r}")
     changed = changes_outside_bench(git("status", "--porcelain"))
     if changed:
         print(f"bench_record: the tree has changes: {', '.join(changed)}",
               file=sys.stderr)
         return 1
-    with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
-        workloads = [w["name"] for w in json.load(f)["workloads"]]
+    if args.base is not None:
+        return pairs_main(args.base, args.pairs, args.workload)
     try:
         written = record(ROOT, workloads, run_workload)
     except Refused as exc:
