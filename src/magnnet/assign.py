@@ -64,13 +64,9 @@ class Assignment:
         object.__setattr__(self, "pairs", pairs)
 
 
-def _as_array(c) -> np.ndarray:
-    return c.entries if isinstance(c, CostMatrix) else np.asarray(c, dtype=np.float64)
-
-
-def total_cost(c, a: Assignment) -> float:
+def total_cost(c: CostMatrix, a: Assignment) -> float:
     """Sum of matrix entries over the assignment's pairs."""
-    arr = _as_array(c)
+    arr = c.entries
     total = 0.0
     for i, j in a.pairs:
         if not (0 <= i < arr.shape[0] and 0 <= j < arr.shape[1]):
@@ -151,7 +147,7 @@ def _lsap(cost: list) -> list:
     return col4row
 
 
-def feasible_optimum(c) -> Assignment:
+def feasible_optimum(c: CostMatrix) -> Assignment:
     """Minimum-cost matching of maximum cardinality over finite entries;
     agents and tasks with no finite pair left are simply unmatched.
 
@@ -161,7 +157,7 @@ def feasible_optimum(c) -> Assignment:
     `_BIG`, so one more finite pair outweighs any finite saving: the
     cardinality is maximum and, at that cardinality, the cost minimum.
     """
-    arr = _as_array(c)
+    arr = c.entries
     n, m = arr.shape
     size = max(n, m)
     padded = np.full((size, size), _BIG)
@@ -175,11 +171,10 @@ def feasible_optimum(c) -> Assignment:
 hungarian = feasible_optimum
 
 
-def greedy(c) -> Assignment:
+def greedy(c: CostMatrix) -> Assignment:
     """Repeatedly take the globally smallest finite entry, removing its
     row and column, until nothing finite remains."""
-    arr = _as_array(c)
-    work = np.where(np.isfinite(arr), arr, np.inf)
+    work = c.entries.copy()
     pairs = []
     while np.isfinite(work).any():
         i, j = np.unravel_index(np.argmin(work), work.shape)
@@ -189,10 +184,10 @@ def greedy(c) -> Assignment:
     return Assignment(pairs)
 
 
-def random_assign(c, seed) -> Assignment:
+def random_assign(c: CostMatrix, seed) -> Assignment:
     """Sequential random matching: agents in shuffled order each pick a
     uniformly random remaining finite-cost task."""
-    arr = _as_array(c)
+    arr = c.entries
     rng = np.random.default_rng(seed)
     order = rng.permutation(arr.shape[0])
     taken: set[int] = set()
@@ -208,7 +203,7 @@ def random_assign(c, seed) -> Assignment:
     return Assignment(pairs)
 
 
-def brute_force(c) -> Assignment:
+def brute_force(c: CostMatrix) -> Assignment:
     """Exhaustive oracle: the minimum-cost matching of maximum
     cardinality over finite entries, ties broken to the lexicographically
     smallest pair list; refuses instances with min(n, m) > 8.
@@ -217,7 +212,7 @@ def brute_force(c) -> Assignment:
     grows into one of min(n, m) pairs, whose finite part is the matching
     itself when its cardinality is maximum: those are the candidates.
     """
-    arr = _as_array(c)
+    arr = c.entries
     n, m = arr.shape
     if min(n, m) > 8:
         raise ValueError(

@@ -14,7 +14,7 @@ import csv
 import json
 import os
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -23,7 +23,7 @@ from . import pathplan
 from .assign import (CostMatrix, feasible_optimum, greedy, random_assign,
                      total_cost)
 from .errors import NoPathError
-from .pathplan import RRTParams, rrt_star
+from .pathplan import rrt_star
 from .ppo import ModelParams, play
 from .world import (AgentStatus, Episode, WorldConfig, _whole,
                     assign_tasks)
@@ -132,7 +132,6 @@ class EpisodeLog:
     total_cost_s: float
     alloc_wall_s: float        # see allocation_time
     path_lengths_m: list
-    all_done: bool
 
 
 # ---------------------------------------------------------------------------
@@ -272,8 +271,7 @@ def run_episode_baseline(method: str, config: WorldConfig, seed: int) -> Episode
     lengths = _execute_assignment(ep, cm, assignment)
     # a baseline is offered only the initial tasks, the columns of `cm`
     return EpisodeLog(method, config.n_agents, cm.n_tasks,
-                      contested, total, alloc_wall, lengths,
-                      ep.all_tasks_done())
+                      contested, total, alloc_wall, lengths)
 
 
 def run_episode_magnnet(config: WorldConfig, seed: int,
@@ -286,8 +284,7 @@ def run_episode_magnnet(config: WorldConfig, seed: int,
     alloc_wall = sum((step.wall_s for step in play(ep, model)), 0.0)
     return EpisodeLog("magnnet", config.n_agents, len(ep.state.tasks),
                       sorted(ep.state.contested_tasks), ep.achieved_total(),
-                      alloc_wall, _assigned_path_lengths(ep),
-                      ep.all_tasks_done())
+                      alloc_wall, _assigned_path_lengths(ep))
 
 
 def _assigned_path_lengths(ep: Episode) -> list:
@@ -302,8 +299,7 @@ def _instance_seed(spec: ScenarioSpec, n: int, episode: int) -> int:
 
 
 def _run_cell(args):
-    spec_dict, method, n, ep_index = args
-    spec = ScenarioSpec.from_dict(spec_dict)
+    spec, method, n, ep_index = args
     config = spec.world_config(n)
     seed = _instance_seed(spec, n, ep_index)
     if method == "magnnet":
@@ -349,7 +345,7 @@ def run_benchmark(spec: ScenarioSpec, parallel: int = 1) -> BenchReport:
     row, in one worker when parallel), so the baselines of an instance
     share its initial cost matrix; `episode_logs` is method-major."""
     report = BenchReport()
-    jobs = [(asdict(spec), method, n, e)
+    jobs = [(spec, method, n, e)
             for n in spec.n_agents
             for e in range(spec.episodes)
             for method in spec.methods]
@@ -416,7 +412,7 @@ def planner_compare(spec: ScenarioSpec) -> dict:
                                            goal, agent.motion_model).length
                     planner = "rrt_star"
                     r_len = rrt_star(ep.state.grid, agent.position, goal,
-                                     agent.motion_model, RRTParams(),
+                                     agent.motion_model,
                                      seed=seed * 97 + i).length
                 except NoPathError:
                     no_path[planner] += 1

@@ -12,8 +12,7 @@ from __future__ import annotations
 import functools
 import heapq
 import math
-import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -72,9 +71,12 @@ class Path:
         return self.cells[-1]
 
     def validate(self, grid: Grid, model: MotionModel) -> None:
+        ground = model is MotionModel.GROUND4
         for c in self.cells:
             if not grid.is_free(c):
                 raise ValueError(f"path crosses blocked cell {c}")
+            if ground and c[2] != 0:
+                raise ValueError(f"ground path leaves z = 0 at {c}")
         for a, b in zip(self.cells, self.cells[1:]):
             d = tuple(bi - ai for ai, bi in zip(a, b))
             if d != (0, 0, 0) and d not in model.deltas:
@@ -116,11 +118,14 @@ def manhattan(a: Cell, b: Cell) -> int:
 # A*
 # ---------------------------------------------------------------------------
 
+# expansions after which a search gives up with NoPathError
+ASTAR_MAX_EXPANSIONS = 500_000
+
+
 def astar(grid: Grid, start: Cell, goal: Cell, model: MotionModel,
           reservations: ReservationTable | None = None,
           agent_id: int | None = None, start_tick: int = 0,
-          substeps_per_tick: int = 1,
-          max_expansions: int = 500_000) -> Path:
+          substeps_per_tick: int = 1) -> Path:
     """Shortest path under the motion model; optimal (unit edge costs,
     admissible Manhattan heuristic).
 
@@ -141,6 +146,7 @@ def astar(grid: Grid, start: Cell, goal: Cell, model: MotionModel,
     if model is MotionModel.GROUND4 and (start[2] != 0 or goal[2] != 0):
         raise NoPathError("ground model requires z=0 endpoints")
 
+    max_expansions = ASTAR_MAX_EXPANSIONS
     # substeps up to `last` fall in a tick that may hold a reservation
     last = -1 if reservations is None or not reservations.slots else \
         (reservations.max_tick() - start_tick) * substeps_per_tick
@@ -665,26 +671,10 @@ def cost_matrix(state) -> CostMatrix:
 # RRT* (discrete adaptation)
 # ---------------------------------------------------------------------------
 
-@dataclass
-class RRTParams:
-    max_iters: int = 800
-    rewire_radius: float = 4.0
-    step_cells: int = 8
-    goal_bias: float = 0.1
-
-    def __post_init__(self):
-        for name in ("max_iters", "step_cells"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.max_iters < 0:
-            raise ValueError("max_iters must be >= 0")
-        if self.step_cells < 1:
-            raise ValueError("step_cells must be >= 1")
-        if not (math.isfinite(self.rewire_radius) and self.rewire_radius >= 0):
-            raise ValueError("rewire_radius must be finite and >= 0")
-        if not 0.0 <= self.goal_bias <= 1.0:
-            raise ValueError("goal_bias must be in [0, 1]")
+RRT_MAX_ITERS = 800         # samples drawn; each adds at most one node
+RRT_REWIRE_RADIUS = 4.0     # Manhattan radius of parent choice and rewiring
+RRT_STEP_CELLS = 8          # cells a steer walks toward its sample
+RRT_GOAL_BIAS = 0.1         # share of samples that are the goal itself
 
 
 def _staircase(a: Cell, b: Cell, limit: int | None = None) -> list[Cell]:
@@ -757,7 +747,7 @@ def _pcg64_draws(seed: int):
 
 
 def rrt_star(grid: Grid, start: Cell, goal: Cell, model: MotionModel,
-             params: RRTParams | None = None, seed: int = 0) -> Path:
+             seed: int = 0) -> Path:
     """Sampling-based planner on grid cells with staircase connectors
     and cost-based rewiring.  Deterministic for a fixed seed: samples
     come from `_pcg64_draws`, the draws `np.random.default_rng(seed)`
@@ -772,9 +762,9 @@ def rrt_star(grid: Grid, start: Cell, goal: Cell, model: MotionModel,
     (at distance D) every node within the rewire radius of the new node
     lies within D - steps + radius of the sample; the near set is read
     off that same scan.  A sample that is already a tree node is
-    skipped before the scan: steering from it yields it again.
+    skipped before the scan: steering from it yields it again.  The
+    search settings are the `RRT_*` constants.
     """
-    params = params or RRTParams()
     start, goal = tuple(start), tuple(goal)
     if not grid.is_free(start) or not grid.is_free(goal):
         raise NoPathError("start or goal blocked")
@@ -784,7 +774,8 @@ def rrt_star(grid: Grid, start: Cell, goal: Cell, model: MotionModel,
 
     random, integers = _pcg64_draws(seed)
     dim_x, dim_y, dim_z = grid.dims
-    step_cells, radius = params.step_cells, params.rewire_radius
+    max_iters, radius = RRT_MAX_ITERS, RRT_REWIRE_RADIUS
+    step_cells, goal_bias = RRT_STEP_CELLS, RRT_GOAL_BIAS
     # one C-order byte per cell, 1 where blocked: cell (x, y, z) sits at
     # (x * dim_y + y) * dim_z + z.  Every cell looked up below is a
     # sample inside dims or on a staircase between two in-grid cells,
@@ -798,7 +789,7 @@ def rrt_star(grid: Grid, start: Cell, goal: Cell, model: MotionModel,
         return True
 
     def sample_cell() -> Cell:
-        if random() < params.goal_bias:
+        if random() < goal_bias:
             return goal
         for _ in range(64):
             x = integers(dim_x)
@@ -813,7 +804,7 @@ def rrt_star(grid: Grid, start: Cell, goal: Cell, model: MotionModel,
     parent = [-1]
     cost = [0.0]
     # node coordinates as columns: the start plus one node per iteration
-    xs, ys, zs = np.empty((3, params.max_iters + 1), dtype=np.int64)
+    xs, ys, zs = np.empty((3, max_iters + 1), dtype=np.int64)
     xs[0], ys[0], zs[0] = start
 
     def node_dists(cell: Cell) -> np.ndarray:
@@ -826,7 +817,7 @@ def rrt_star(grid: Grid, start: Cell, goal: Cell, model: MotionModel,
             d += abs(zs[:n] - z)
         return d
 
-    for _ in range(params.max_iters):
+    for _ in range(max_iters):
         target = sample_cell()
         if target in index:
             continue

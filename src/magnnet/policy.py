@@ -2,8 +2,8 @@
 
 One ActorParams instance serves every agent (parameter sharing); agents
 differ only through their observations and graph embeddings.  The critic
-consumes the full padded global state and exists only during training:
-evaluation runs must work with critic parameters absent.
+consumes the full padded global state and runs only during training;
+every checkpoint carries its parameters, and evaluation never reads them.
 """
 
 from __future__ import annotations
@@ -80,33 +80,29 @@ def init_critic_params(rng: np.random.Generator, n_max: int,
     )
 
 
-def actor_forward(obs, emb, p: ActorParams, mask) -> ActionDistribution:
+def actor_forward(obs: np.ndarray, emb: Tensor, p: ActorParams,
+                  mask: np.ndarray) -> ActionDistribution:
     """Masked softmax policy over {reject, request slot 1..m_max}.
 
-    `obs` rows are [status, slot costs] of length m_max + 1; `emb` rows
-    are the 6-wide agent embeddings.  Accepts a single agent (1-D) or a
-    batch (2-D rows).
+    `obs` holds one float row [status, slot costs] of length m_max + 1
+    per agent, `emb` the agents' 6-wide embeddings, and `mask` one bool
+    row per agent.
     """
-    obs_t = T.as_tensor(np.atleast_2d(np.asarray(obs, dtype=np.float64))) \
-        if not isinstance(obs, Tensor) else obs
-    emb_t = emb if isinstance(emb, Tensor) else \
-        T.as_tensor(np.atleast_2d(np.asarray(emb, dtype=np.float64)))
-    mask = np.atleast_2d(np.asarray(mask, dtype=bool))
-    if obs_t.data.shape[1] != p.m_max + 1:
-        raise ShapeError(
-            f"obs width {obs_t.data.shape[1]} != m_max+1 = {p.m_max + 1}")
-    if emb_t.data.shape[1] != HIDDEN:
-        raise ShapeError(f"embedding width {emb_t.data.shape[1]} != {HIDDEN}")
+    if obs.shape[1] != p.m_max + 1:
+        raise ShapeError(f"obs width {obs.shape[1]} != m_max+1 = {p.m_max + 1}")
+    if emb.data.shape[1] != HIDDEN:
+        raise ShapeError(f"embedding width {emb.data.shape[1]} != {HIDDEN}")
     if not mask[:, 0].all():
         raise ShapeError("reject action must never be masked")
-    x = T.concat([obs_t, emb_t], axis=1)
+    x = T.concat([Tensor(obs), emb], axis=1)
     logits = T.linear(T.linear(x, p.w1, p.b1, relu=True), p.w2, p.b2)
     # the layers pass NaN/Inf on unchecked; masking would hide it here
     T.check_finite(logits.data, "actor logit")
     return ActionDistribution(T.masked_softmax(logits, mask))
 
 
-def critic_forward(agent_embs, task_feats, p: CriticParams) -> Tensor:
+def critic_forward(agent_embs: Tensor, task_feats: np.ndarray,
+                   p: CriticParams) -> Tensor:
     """Value of the global state.
 
     `agent_embs` is n_max x 6 (zero rows for absent agents), `task_feats`
@@ -114,14 +110,10 @@ def critic_forward(agent_embs, task_feats, p: CriticParams) -> Tensor:
     leading batch axis (B x n_max x 6 and B x m_max x 4) the states are
     evaluated together and the result holds B values.
     """
-    emb_t = agent_embs if isinstance(agent_embs, Tensor) \
-        else T.as_tensor(np.asarray(agent_embs, dtype=np.float64))
-    task_t = task_feats if isinstance(task_feats, Tensor) \
-        else T.as_tensor(np.asarray(task_feats, dtype=np.float64))
-    batched = emb_t.data.ndim == 3
-    rows = emb_t.data.shape[0] if batched else 1
-    flat = T.concat([T.reshape(emb_t, (rows, -1)),
-                     T.reshape(task_t, (rows, -1))], axis=1)
+    batched = agent_embs.data.ndim == 3
+    rows = agent_embs.data.shape[0] if batched else 1
+    flat = T.concat([T.reshape(agent_embs, (rows, -1)),
+                     Tensor(task_feats.reshape(rows, -1))], axis=1)
     if flat.data.shape[1] != p.w1.data.shape[0]:
         raise ShapeError(
             f"critic input width {flat.data.shape[1]} != {p.w1.data.shape[0]}")

@@ -3,7 +3,8 @@ updates with an entropy bonus, metrics logging and checkpointing.
 
 All agents share one actor; their transitions pool into a single buffer.
 The centralized critic sees the global state (all agent embeddings +
-all task slot features) and is dropped at evaluation time.
+all task slot features); every checkpoint carries it, and evaluation
+never runs it.
 """
 
 from __future__ import annotations
@@ -80,28 +81,29 @@ class PPOConfig:
 
 @dataclass
 class ModelParams:
-    """Full parameter bundle; critic is optional (evaluation mode)."""
+    """Full parameter bundle: encoder, shared actor and centralized
+    critic.  Evaluation runs the encoder and actor only."""
 
     gcn: GCNParams
     actor: ActorParams
-    critic: CriticParams | None
+    critic: CriticParams
     n_max: int
     m_max: int
 
     def named(self) -> dict:
         return {name: p for bundle in (self.gcn, self.actor, self.critic)
-                if bundle is not None for name, p in bundle.named().items()}
+                for name, p in bundle.named().items()}
 
     def parameters(self) -> list:
         return list(self.named().values())
 
     @classmethod
-    def init(cls, rng: np.random.Generator, n_max: int, m_max: int,
-             with_critic: bool = True) -> "ModelParams":
+    def init(cls, rng: np.random.Generator, n_max: int,
+             m_max: int) -> "ModelParams":
         return cls(
             gcn=init_gcn_params(rng, m_max),
             actor=init_actor_params(rng, m_max),
-            critic=init_critic_params(rng, n_max, m_max) if with_critic else None,
+            critic=init_critic_params(rng, n_max, m_max),
             n_max=n_max, m_max=m_max)
 
     def save(self, path) -> None:
@@ -115,9 +117,7 @@ class ModelParams:
         if not all(_whole(n) and n >= 1 for n in sizes):
             raise CheckpointMismatchError(
                 f"manifest n_max, m_max = {sizes}: need whole numbers >= 1")
-        rng = np.random.default_rng(0)
-        has_critic = any(k.startswith("critic.") for k in arrays)
-        model = cls.init(rng, *sizes, with_critic=has_critic)
+        model = cls.init(np.random.default_rng(0), *sizes)
         unknown = sorted(arrays.keys() - model.named().keys())
         if unknown:
             raise CheckpointMismatchError(f"unexpected parameters {unknown}")
@@ -179,7 +179,7 @@ def _forward_steps(model: ModelParams, graphs, obs, masks, with_value: bool):
                      model.gcn)
     dist = actor_forward(obs, emb, model.actor, masks)
     values = None
-    if with_value and model.critic is not None:
+    if with_value:
         # the critic reads n_max agent rows per graph, and a reshape of
         # the stacked rows groups them by graph only when each has n_max
         for g in graphs:

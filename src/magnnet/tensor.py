@@ -359,12 +359,12 @@ def ppo_loss(probs: Tensor, values: Tensor, actions, old_logp, adv, ret,
 # backward pass
 # ---------------------------------------------------------------------------
 
-def backward(out: Tensor, params=None):
+def backward(out: Tensor, params) -> list:
     """Reverse-accumulate gradients of a scalar `out`.
 
-    Sets `.grad` on every reachable leaf with requires_grad.  When `params`
-    is given, returns their gradients in order, with zeros for leaves the
-    output does not depend on.
+    Sets `.grad` on every reachable leaf with requires_grad and returns
+    the gradients of `params` in order, with zeros for leaves the output
+    does not depend on.
     """
     if out.data.size != 1:
         raise ShapeError(f"backward needs a scalar output, got {out.data.shape}")
@@ -400,10 +400,8 @@ def backward(out: Tensor, params=None):
             if p.requires_grad:
                 grads[p] = grads[p] + pg if p in grads else pg
 
-    if params is not None:
-        return [p.grad if p.grad is not None else np.zeros_like(p.data)
-                for p in params]
-    return None
+    return [p.grad if p.grad is not None else np.zeros_like(p.data)
+            for p in params]
 
 
 def zero_grads(params) -> None:
@@ -463,9 +461,9 @@ def adam_step(params: list[Tensor], grads: list[np.ndarray],
 # init + checkpoints
 # ---------------------------------------------------------------------------
 
-def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int,
-                   gain: float = 1.0) -> np.ndarray:
-    limit = gain * np.sqrt(6.0 / (fan_in + fan_out))
+def glorot_uniform(rng: np.random.Generator, fan_in: int,
+                   fan_out: int) -> np.ndarray:
+    limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 

@@ -71,10 +71,14 @@ class AgentState:
     motion_model: MotionModel
     position: tuple
     velocity: float
-    status: AgentStatus = AgentStatus.IDLE
     assigned_task: int | None = None
     plan: AgentPlan | None = None
     path_index: int = 0
+
+    @property
+    def status(self) -> AgentStatus:
+        return AgentStatus.IDLE if self.assigned_task is None \
+            else AgentStatus.ASSIGN
 
 
 @dataclass
@@ -82,7 +86,6 @@ class TaskState:
     id: int
     location: tuple
     status: TaskStatus = TaskStatus.WAITING
-    spawn_time: float = 0.0
 
 
 def _whole(value) -> bool:
@@ -338,11 +341,11 @@ def observation(state: EpisodeState, slot_costs: np.ndarray):
 def assign_tasks(state: EpisodeState, picks) -> None:
     """Give each picked task to its agent and book the agent's path.
 
-    Each pick is (agent id, task id, cost, path).  Sets statuses, records
-    an `assigned` event with the pair's cost and path length, then books
-    every path in the reservation table through `resolve_paths`.  Raises
-    RuntimeError when a picked task is not Waiting, so no task is
-    assigned twice.
+    Each pick is (agent id, task id, cost, path).  Marks the task
+    Assigned and the agent's task, records an `assigned` event with the
+    pair's cost and path length, then books every path in the
+    reservation table through `resolve_paths`.  Raises RuntimeError when
+    a picked task is not Waiting, so no task is assigned twice.
     """
     new_plans = []
     models = {}
@@ -352,7 +355,6 @@ def assign_tasks(state: EpisodeState, picks) -> None:
         if task.status is not TaskStatus.WAITING:
             raise RuntimeError(f"task {task_id} is {task.status.value}, "
                                "not waiting")
-        agent.status = AgentStatus.ASSIGN
         agent.assigned_task = task_id
         agent.path_index = 0
         task.status = TaskStatus.ASSIGNED
@@ -469,7 +471,6 @@ def advance(state: EpisodeState) -> list:
             state.replace_slot(task.id, None)
             state.record("task_done", agent=agent.id, task=task.id)
             state.reservations.release_agent(agent.id)
-            agent.status = AgentStatus.IDLE
             agent.assigned_task = None
             agent.plan = None
             agent.path_index = 0
@@ -504,7 +505,7 @@ def spawn_tasks(state: EpisodeState) -> list:
         cand = np.flatnonzero(~state.grid.blocked[:, :, 0])
         x, y = divmod(int(cand[int(state.rng.integers(len(cand)))]),
                       state.grid.dims[1])
-        task = TaskState(len(state.tasks), (x, y, 0), spawn_time=state.clock)
+        task = TaskState(len(state.tasks), (x, y, 0))
         state.tasks.append(task)
         state.replace_slot(None, task.id)
         state.record("task_spawn", task=task.id)

@@ -164,6 +164,28 @@ class TestRandomAssign:
             assert a.pairs in (((0, 1),), ())
 
 
+SOLVERS = {"feasible_optimum": feasible_optimum, "greedy": greedy,
+           "random_assign": lambda c: random_assign(c, 5),
+           "brute_force": brute_force}
+
+
+class TestSolversLeaveEntriesAlone:
+    """Each solver reads `CostMatrix.entries` in place and pairs only
+    finite entries; none may write to the matrix it was handed, which
+    the baselines of one instance share."""
+
+    @pytest.mark.parametrize("solver", list(SOLVERS))
+    def test_entries_unchanged(self, solver):
+        arr = np.random.default_rng(4).uniform(0, 9, (4, 5))
+        arr[1, :] = np.inf
+        arr[2, 3] = np.inf
+        cm = CostMatrix(arr.copy())
+        a = SOLVERS[solver](cm)
+        assert np.array_equal(cm.entries, arr)
+        assert len(a.pairs) == 3 and 1 not in [i for i, _ in a.pairs]
+        assert np.isfinite(total_cost(cm, a))
+
+
 class TestBruteForce:
     def test_refuses_large_instances(self):
         with pytest.raises(ValueError):

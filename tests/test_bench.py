@@ -100,16 +100,16 @@ class TestScenarioSpec:
 
 class TestMetrics:
     def test_success_rate(self):
-        logs = [EpisodeLog("x", 4, 4, [1], 0, 0, [], True),
-                EpisodeLog("x", 4, 4, [], 0, 0, [], True)]
+        logs = [EpisodeLog("x", 4, 4, [1], 0, 0, []),
+                EpisodeLog("x", 4, 4, [], 0, 0, [])]
         assert success_rate(logs) == pytest.approx(100.0 * 7 / 8)
 
     def test_success_rate_empty(self):
         assert success_rate([]) == 100.0
 
     def test_allocation_time_mean(self):
-        logs = [EpisodeLog("x", 4, 4, [], 0, 0.2, [], True),
-                EpisodeLog("x", 4, 4, [], 0, 0.4, [], True)]
+        logs = [EpisodeLog("x", 4, 4, [], 0, 0.2, []),
+                EpisodeLog("x", 4, 4, [], 0, 0.4, [])]
         assert allocation_time(logs) == pytest.approx(0.3)
 
 
@@ -156,8 +156,7 @@ def reference_magnnet_episode(config, seed, model):
         ep.tick()
     return EpisodeLog("magnnet", config.n_agents, len(ep.state.tasks),
                       sorted(ep.state.contested_tasks), ep.achieved_total(),
-                      0.0, bench._assigned_path_lengths(ep),
-                      ep.all_tasks_done())
+                      0.0, bench._assigned_path_lengths(ep))
 
 
 class TestMagnnetEpisode:
@@ -368,9 +367,10 @@ class TestSharedInstanceCosts:
         assert store.keys() == set()
         assert all(work.built == 0 for work in store.work.values())
         assert len(stored) == ep.state.clock < cfg.step_cap
-        assert log.all_done is False and all(
+        assert not ep.all_tasks_done() and all(
             a.status is AgentStatus.IDLE for a in ep.state.agents)
-        spawned = [t for t in ep.state.tasks if t.spawn_time > 0.0]
+        spawned = [e for e in ep.state.log
+                   if e["event"] == "task_spawn" and e["tick"] > 0]
         assert len(spawned) >= 1 and log.n_tasks == cfg.n_tasks_initial
 
     def test_magnnet_leaves_cache_alone(self, monkeypatch):

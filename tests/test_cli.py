@@ -107,29 +107,40 @@ class TestCurves:
 
 
 NO_SCIPY = """
-import sys
+import csv, json, os, sys
 sys.modules["scipy"] = None     # any scipy import now raises ImportError
 import numpy as np
-import magnnet.bench, magnnet.ppo, magnnet.cli
+import magnnet.bench, magnnet.ppo
 from magnnet.assign import CostMatrix, feasible_optimum
-from magnnet.bench import ScenarioSpec, run_benchmark
+from magnnet.cli import main
 a = feasible_optimum(CostMatrix(np.array([[4.0, 1.0], [2.0, np.inf]])))
 assert a.pairs == ((0, 1), (1, 0)), a.pairs
-report = run_benchmark(ScenarioSpec(mode="static", n_agents=(4,),
-                                    methods=("hungarian", "greedy"),
-                                    episodes=1, grid_dims=(12, 12, 4)))
-assert [r["method"] for r in report.rows] == ["hungarian", "greedy"]
+tmp = sys.argv[1]
+spec = os.path.join(tmp, "spec.json")
+with open(spec, "w") as f:
+    json.dump({"mode": "static", "n_agents": [4],
+               "methods": ["hungarian", "greedy", "random"], "episodes": 2,
+               "seed_base": 7, "grid_dims": [12, 12, 4]}, f)
+out = os.path.join(tmp, "bench")
+main(["bench", spec, "--out", out], standalone_mode=False)
+with open(os.path.join(out, "report.csv")) as f:
+    rows = list(csv.DictReader(f))
+assert [(r["method"], r["episodes"]) for r in rows] == [
+    ("hungarian", "2"), ("greedy", "2"), ("random", "2")], rows
 loaded = [m for m in sys.modules
           if m.split(".")[0] == "scipy" and sys.modules[m] is not None]
 assert not loaded, loaded
 """
 
 
-def test_package_runs_without_scipy():
+def test_package_runs_without_scipy(tmp_path):
+    """The solver and the `bench` command for all three baselines run,
+    and no scipy module loads, with every scipy import blocked."""
     env = dict(os.environ)
     src = os.path.join(REPO, "src")
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", NO_SCIPY], env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY, str(tmp_path)],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -15,6 +15,7 @@ import heapq
 import itertools
 import types
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,9 +24,10 @@ from hypothesis import strategies as st
 
 from magnnet.assign import feasible_optimum
 from magnnet.bench import ScenarioSpec
+from magnnet import pathplan
 from magnnet.errors import NoPathError
 from magnnet.pathplan import (AgentPlan, FieldStore, Grid, MotionModel, Path,
-                              RRTParams, ReservationTable, astar, cost_matrix,
+                              ReservationTable, astar, cost_matrix,
                               distance_field, manhattan, plan_schedule,
                               resolve_paths, rrt_star, _pcg64_draws,
                               _staircase)
@@ -118,10 +120,33 @@ class TestOneOptimalPath:
             table = ReservationTable()
             table.reserve((49, 0, 0), 500, agent_id=9)  # far away, far ahead
         budget = manhattan(start, goal)
-        path = astar(grid, start, goal, model, reservations=table,
-                     agent_id=0, substeps_per_tick=3, max_expansions=budget)
+        with mock.patch.multiple(pathplan, ASTAR_MAX_EXPANSIONS=budget):
+            path = astar(grid, start, goal, model, reservations=table,
+                         agent_id=0, substeps_per_tick=3)
         assert_walks(path, grid, model, start, goal)
         assert path.length == len(path.cells) - 1 == budget
+
+    @pytest.mark.parametrize("space_time", [False, True])
+    @pytest.mark.parametrize("model", [MotionModel.AERIAL6,
+                                       MotionModel.GROUND4])
+    def test_one_expansion_short_gives_up(self, model, space_time):
+        """The budget is read when the search starts: one expansion
+        fewer than the single optimal path needs raises NoPathError."""
+        grid = empty_grid((20, 20, 8))
+        start = (0, 0, 0)
+        goal = (19, 19, 0 if model is MotionModel.GROUND4 else 7)
+        table = None
+        if space_time:
+            table = ReservationTable()
+            table.reserve((19, 0, 0), 200, agent_id=9)
+        budget = manhattan(start, goal)
+        with mock.patch.multiple(pathplan, ASTAR_MAX_EXPANSIONS=budget - 1):
+            with pytest.raises(NoPathError):
+                astar(grid, start, goal, model, reservations=table,
+                      agent_id=0, substeps_per_tick=3)
+        with mock.patch.multiple(pathplan, ASTAR_MAX_EXPANSIONS=budget):
+            assert astar(grid, start, goal, model, reservations=table,
+                         agent_id=0, substeps_per_tick=3).length == budget
 
 
 def wavefront_reference(free: np.ndarray, source) -> np.ndarray:
@@ -589,18 +614,20 @@ class TestRRTStar:
 
     def test_more_iterations_never_longer(self):
         grid = empty_grid((12, 12, 4))
-        short = rrt_star(grid, (0, 0, 0), (11, 11, 0), MotionModel.AERIAL6,
-                         RRTParams(max_iters=100), seed=3)
-        long = rrt_star(grid, (0, 0, 0), (11, 11, 0), MotionModel.AERIAL6,
-                        RRTParams(max_iters=2000), seed=3)
+        with mock.patch.multiple(pathplan, RRT_MAX_ITERS=100):
+            short = rrt_star(grid, (0, 0, 0), (11, 11, 0),
+                             MotionModel.AERIAL6, seed=3)
+        with mock.patch.multiple(pathplan, RRT_MAX_ITERS=2000):
+            long = rrt_star(grid, (0, 0, 0), (11, 11, 0),
+                            MotionModel.AERIAL6, seed=3)
         assert long.length <= short.length
 
 
-# (grid seed, dims, density, start, goal, model, max_iters, rrt seed) and
+# (grid seed, dims, density, start, goal, model, RRT_MAX_ITERS, rrt seed) and
 # the cells rrt_star returned for it when its node scans were Python
-# loops.  The last three stop short of the goal within max_iters and end
-# in the "connect the closest node" fallback; the last two change if that
-# fallback broke distance ties toward newer nodes.
+# loops.  The last three stop short of the goal within their iterations
+# and end in the "connect the closest node" fallback; the last two change
+# if that fallback broke distance ties toward newer nodes.
 RRT_GOLDEN = [
     ((1, (10, 10, 4), 0.15, (0, 0, 0), (9, 9, 3), A6, 800, 0), [
         (0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0), (4, 0, 0), (4, 1, 0),
@@ -647,35 +674,25 @@ class TestRRTStarGolden:
         blocked = np.random.default_rng(grid_seed).random(dims) < density
         blocked[start] = blocked[goal] = False
         grid = Grid(dims, blocked)
-        path = rrt_star(grid, start, goal, model, RRTParams(max_iters=iters),
-                        seed=seed)
+        with mock.patch.multiple(pathplan, RRT_MAX_ITERS=iters):
+            path = rrt_star(grid, start, goal, model, seed=seed)
         assert path.cells == cells
-
-
-class TestRRTParams:
-    @pytest.mark.parametrize("bad", [
-        {"max_iters": -1}, {"max_iters": -2}, {"max_iters": 10.0},
-        {"step_cells": 0}, {"step_cells": -3}, {"step_cells": 2.5},
-        {"step_cells": 2.0}, {"step_cells": True},
-        {"rewire_radius": -0.5}, {"rewire_radius": float("inf")},
-        {"rewire_radius": float("nan")},
-        {"goal_bias": -0.1}, {"goal_bias": 1.5}, {"goal_bias": float("nan")},
-    ])
-    def test_rejects_bad_values(self, bad):
-        with pytest.raises(ValueError):
-            RRTParams(**bad)
-
-    @pytest.mark.parametrize("edge", [
-        {"max_iters": 0}, {"step_cells": 1}, {"step_cells": np.int64(3)},
-        {"rewire_radius": 0.0}, {"goal_bias": 0.0}, {"goal_bias": 1.0},
-    ])
-    def test_accepts_edge_values(self, edge):
-        RRTParams(**edge)
 
 
 # The RRT* the scalar planner replaced: a generator staircase, per-cell
 # `Grid.is_free` and an (N, 3) node scan.  `rrt_star` must return its
-# cells on every instance, or raise where it raised.
+# cells on every instance, or raise where it raised.  The reference takes
+# its settings explicitly; `rrt_star` reads them from module constants,
+# which the checks set to the same values.
+
+def rrt_params(**settings):
+    """RRT* settings as the reference reads them: `rrt_star`'s
+    constants, with `settings` in place of some."""
+    return types.SimpleNamespace(**{
+        "max_iters": pathplan.RRT_MAX_ITERS,
+        "rewire_radius": pathplan.RRT_REWIRE_RADIUS,
+        "step_cells": pathplan.RRT_STEP_CELLS,
+        "goal_bias": pathplan.RRT_GOAL_BIAS, **settings})
 
 def staircase_reference(a, b):
     cur = list(a)
@@ -785,15 +802,19 @@ def same_rrt_outcome(grid, start, goal, model, params, seed, branches):
     """`rrt_star` and `rrt_star_reference` return the same valid path
     from `start` to `goal`, or both raise `NoPathError`; `branches`
     counts how the reference ended."""
-    try:
-        ref = rrt_star_reference(grid, start, goal, model, params, seed,
-                                 branches).cells
-    except NoPathError:
-        branches["no_path"] += 1
-        with pytest.raises(NoPathError):
-            rrt_star(grid, start, goal, model, params, seed=seed)
-        return
-    path = rrt_star(grid, start, goal, model, params, seed=seed)
+    with mock.patch.multiple(pathplan, RRT_MAX_ITERS=params.max_iters,
+                             RRT_REWIRE_RADIUS=params.rewire_radius,
+                             RRT_STEP_CELLS=params.step_cells,
+                             RRT_GOAL_BIAS=params.goal_bias):
+        try:
+            ref = rrt_star_reference(grid, start, goal, model, params, seed,
+                                     branches).cells
+        except NoPathError:
+            branches["no_path"] += 1
+            with pytest.raises(NoPathError):
+                rrt_star(grid, start, goal, model, seed=seed)
+            return
+        path = rrt_star(grid, start, goal, model, seed=seed)
     assert_walks(path, grid, model, start, goal)
     assert path.cells == ref
 
@@ -803,10 +824,10 @@ def rrt_instances(draw):
     """A grid up to 12x12x5 with free endpoints, a motion model, and
     RRT* settings from no iterations to a few hundred."""
     grid, start, goal, model, _ = _grid_and_ends(draw, (12, 12, 5))
-    params = RRTParams(max_iters=draw(st.integers(0, 200)),
-                       rewire_radius=draw(st.floats(0.0, 6.0)),
-                       step_cells=draw(st.integers(1, 8)),
-                       goal_bias=draw(st.floats(0.0, 1.0)))
+    params = rrt_params(max_iters=draw(st.integers(0, 200)),
+                        rewire_radius=draw(st.floats(0.0, 6.0)),
+                        step_cells=draw(st.integers(1, 8)),
+                        goal_bias=draw(st.floats(0.0, 1.0)))
     return grid, start, goal, model, params, draw(st.integers(0, 2**32 - 1))
 
 
@@ -841,7 +862,7 @@ def _empty_grid_instance():
     """Goal bias 1: once the goal is a node, every later sample is a
     tree node and the iteration is skipped."""
     return (empty_grid((6, 6, 3)), (0, 0, 0), (5, 5, 2), MotionModel.AERIAL6,
-            RRTParams(max_iters=40, step_cells=3, goal_bias=1.0), 0)
+            rrt_params(max_iters=40, step_cells=3, goal_bias=1.0), 0)
 
 
 def _no_rewire_instance():
@@ -850,7 +871,7 @@ def _no_rewire_instance():
     blocked = np.random.default_rng(3).random(dims) < 0.15
     blocked[start] = blocked[goal] = False
     return (Grid(dims, blocked), start, goal, MotionModel.GROUND4,
-            RRTParams(max_iters=150, rewire_radius=0.0, step_cells=1), 7)
+            rrt_params(max_iters=150, rewire_radius=0.0, step_cells=1), 7)
 
 
 class TestRRTStarAgainstReference:
@@ -873,7 +894,30 @@ class TestRRTStarAgainstReference:
                                        benchmark_seed, i):
         grid, start, goal, model, seed = \
             planner_compare_instances[benchmark_seed][i]
-        same_rrt_outcome(grid, start, goal, model, RRTParams(), seed, Counter())
+        same_rrt_outcome(grid, start, goal, model, rrt_params(), seed,
+                         Counter())
+
+
+class TestRRTSettingEdges:
+    """Each search setting at the edge of its range, the others at the
+    constants, on a cluttered grid: `rrt_star` reads the constants it
+    runs under and returns the reference's outcome."""
+
+    @pytest.mark.parametrize("model", [MotionModel.GROUND4,
+                                       MotionModel.AERIAL6],
+                             ids=["ground", "aerial"])
+    @pytest.mark.parametrize("edge", [
+        {"max_iters": 0}, {"max_iters": 1}, {"step_cells": 1},
+        {"rewire_radius": 0.0}, {"goal_bias": 0.0}, {"goal_bias": 1.0}],
+        ids=["no-iterations", "one-iteration", "one-cell-steps",
+             "no-rewiring", "no-goal-bias", "only-goal-samples"])
+    def test_matches_reference(self, edge, model):
+        dims, start = (10, 10, 3), (0, 0, 0)
+        goal = (9, 9, 0) if model is MotionModel.GROUND4 else (9, 9, 2)
+        blocked = np.random.default_rng(5).random(dims) < 0.15
+        blocked[start] = blocked[goal] = False
+        same_rrt_outcome(Grid(dims, blocked), start, goal, model,
+                         rrt_params(**edge), 11, Counter())
 
 
 class TestPCG64Draws:
@@ -1175,16 +1219,19 @@ def _reconstruct_reference(came, end, time_states=False):
     return out
 
 
-def same_outcome(grid, start, goal, model, *args, **kwargs):
-    """`astar` and `astar_reference` return the same valid path from
-    `start` to `goal`, or both raise `NoPathError`."""
-    try:
-        ref = astar_reference(grid, start, goal, model, *args, **kwargs).cells
-    except NoPathError:
-        with pytest.raises(NoPathError):
-            astar(grid, start, goal, model, *args, **kwargs)
-        return
-    path = astar(grid, start, goal, model, *args, **kwargs)
+def same_outcome(grid, start, goal, model, *args, budget=500_000):
+    """`astar` and `astar_reference`, each given `budget` expansions,
+    return the same valid path from `start` to `goal`, or both raise
+    `NoPathError`."""
+    with mock.patch.multiple(pathplan, ASTAR_MAX_EXPANSIONS=budget):
+        try:
+            ref = astar_reference(grid, start, goal, model, *args,
+                                  max_expansions=budget).cells
+        except NoPathError:
+            with pytest.raises(NoPathError):
+                astar(grid, start, goal, model, *args)
+            return
+        path = astar(grid, start, goal, model, *args)
     assert_walks(path, grid, model, start, goal)
     assert path.cells == ref
 
@@ -1238,7 +1285,7 @@ class TestAStarAgainstReference:
     @given(plain_instances())
     def test_plain(self, instance):
         grid, start, goal, model, budget = instance
-        same_outcome(grid, start, goal, model, max_expansions=budget)
+        same_outcome(grid, start, goal, model, budget=budget)
 
     @settings(max_examples=200, derandomize=True, deadline=None)
     @given(space_time_instances())
@@ -1281,8 +1328,9 @@ class TestExpiredReservation:
 
         def plain_succeeds(budget):
             try:
-                astar(grid, start, goal, MotionModel.AERIAL6,
-                      max_expansions=budget)
+                with mock.patch.multiple(pathplan,
+                                         ASTAR_MAX_EXPANSIONS=budget):
+                    astar(grid, start, goal, MotionModel.AERIAL6)
             except NoPathError:
                 return False
             return True
@@ -1292,8 +1340,8 @@ class TestExpiredReservation:
             mid = (lo + hi) // 2
             lo, hi = (lo, mid) if plain_succeeds(mid) else (mid + 1, hi)
         plain = astar(grid, start, goal, MotionModel.AERIAL6)
-        reserved = astar(grid, start, goal, MotionModel.AERIAL6, table, 0,
-                         max_expansions=lo + 5)
+        with mock.patch.multiple(pathplan, ASTAR_MAX_EXPANSIONS=lo + 5):
+            reserved = astar(grid, start, goal, MotionModel.AERIAL6, table, 0)
         reserved.validate(grid, MotionModel.AERIAL6)
         assert reserved.length == plain.length == 67
         assert len(reserved.cells) - 1 == 67
@@ -1325,3 +1373,23 @@ class TestPath:
         grid = empty_grid((5, 5, 1))
         with pytest.raises(ValueError):
             Path([(0, 0, 0), (2, 0, 0)]).validate(grid, MotionModel.GROUND4)
+
+    def test_validate_keeps_ground_paths_on_the_ground_plane(self):
+        """Every step is a GROUND4 move and every cell is free, but the
+        cells sit at z = 1, where no ground agent can be."""
+        grid = empty_grid((3, 3, 2))
+        path = Path([(0, 0, 1), (1, 0, 1), (1, 1, 1)])
+        with pytest.raises(ValueError, match="z = 0"):
+            path.validate(grid, MotionModel.GROUND4)
+        path.validate(grid, MotionModel.AERIAL6)
+        Path([(0, 0, 0), (1, 0, 0), (1, 1, 0)]).validate(
+            grid, MotionModel.GROUND4)
+
+    @pytest.mark.parametrize("cells", [
+        [(2, 2, 1)], [(0, 0, 2), (0, 1, 2)], [(0, 0, 0), (0, 0, 1)]],
+        ids=["one-cell", "top-layer", "climbs"])
+    def test_validate_rejects_any_ground_cell_off_the_plane(self, cells):
+        """A one-cell path takes no step, so only the cell check can
+        catch it; a climb is caught at its first cell off the plane."""
+        with pytest.raises(ValueError, match="z = 0"):
+            Path(cells).validate(empty_grid((3, 3, 3)), MotionModel.GROUND4)

@@ -1,5 +1,5 @@
 """Actor/critic tests: widths, masking, uniformity at zero weights,
-sampling statistics and evaluation without a critic."""
+batched and unbatched critic values, and sampling statistics."""
 
 import numpy as np
 import pytest
@@ -9,6 +9,7 @@ from magnnet.gnn import HIDDEN
 from magnnet.policy import (ACTOR_HIDDEN, ActorParams, actor_forward,
                             critic_forward, init_actor_params,
                             init_critic_params, sample_action)
+from magnnet.tensor import Tensor
 
 M_MAX = 4
 
@@ -30,7 +31,7 @@ class TestActor:
     def test_uniform_at_zero_weights(self):
         p = zero_actor()
         obs = np.random.default_rng(2).normal(size=(3, M_MAX + 1))
-        emb = np.zeros((3, HIDDEN))
+        emb = Tensor(np.zeros((3, HIDDEN)))
         dist = actor_forward(obs, emb, p, np.ones((3, M_MAX + 1), bool))
         assert np.allclose(dist.p, 1.0 / (M_MAX + 1))
 
@@ -39,8 +40,8 @@ class TestActor:
         mask = np.ones((2, M_MAX + 1), bool)
         mask[0, 2] = False
         mask[1, 1:] = False
-        dist = actor_forward(np.zeros((2, M_MAX + 1)), np.zeros((2, HIDDEN)),
-                             p, mask)
+        dist = actor_forward(np.zeros((2, M_MAX + 1)),
+                             Tensor(np.zeros((2, HIDDEN))), p, mask)
         assert dist.p[0, 2] == 0.0
         assert dist.p[1, 0] == 1.0
         assert np.allclose(dist.p.sum(axis=1), 1.0)
@@ -50,26 +51,29 @@ class TestActor:
         mask = np.ones((1, M_MAX + 1), bool)
         mask[0, 0] = False
         with pytest.raises(ShapeError):
-            actor_forward(np.zeros((1, M_MAX + 1)), np.zeros((1, HIDDEN)),
-                          p, mask)
+            actor_forward(np.zeros((1, M_MAX + 1)),
+                          Tensor(np.zeros((1, HIDDEN))), p, mask)
 
     def test_wrong_obs_width_rejected(self):
         p = init_actor_params(np.random.default_rng(5), M_MAX)
         with pytest.raises(ShapeError):
-            actor_forward(np.zeros((1, M_MAX + 3)), np.zeros((1, HIDDEN)),
-                          p, np.ones((1, M_MAX + 3), bool))
+            actor_forward(np.zeros((1, M_MAX + 3)),
+                          Tensor(np.zeros((1, HIDDEN))), p,
+                          np.ones((1, M_MAX + 3), bool))
 
-    def test_single_agent_1d_input(self):
-        p = init_actor_params(np.random.default_rng(6), M_MAX)
-        dist = actor_forward(np.zeros(M_MAX + 1), np.zeros(HIDDEN), p,
-                             np.ones(M_MAX + 1, bool))
-        assert dist.p.shape == (1, M_MAX + 1)
+    def test_wrong_embedding_width_rejected(self):
+        p = init_actor_params(np.random.default_rng(11), M_MAX)
+        with pytest.raises(ShapeError, match="embedding width"):
+            actor_forward(np.zeros((2, M_MAX + 1)),
+                          Tensor(np.zeros((2, HIDDEN + 1))), p,
+                          np.ones((2, M_MAX + 1), bool))
 
 
 class TestCritic:
     def test_scalar_output(self):
         p = init_critic_params(np.random.default_rng(7), n_max=4, m_max=M_MAX)
-        v = critic_forward(np.zeros((4, HIDDEN)), np.zeros((M_MAX, 4)), p)
+        v = critic_forward(Tensor(np.zeros((4, HIDDEN))),
+                           np.zeros((M_MAX, 4)), p)
         assert v.data.shape == ()
 
     def test_batch_axis_gives_one_value_per_state(self):
@@ -77,16 +81,25 @@ class TestCritic:
         rng = np.random.default_rng(10)
         embs = rng.normal(size=(3, 4, HIDDEN))
         tasks = rng.normal(size=(3, M_MAX, 4))
-        v = critic_forward(embs, tasks, p)
+        v = critic_forward(Tensor(embs), tasks, p)
         assert v.data.shape == (3,)
         for k in range(3):
-            one = critic_forward(embs[k], tasks[k], p).data
+            one = critic_forward(Tensor(embs[k]), tasks[k], p).data
             assert abs(v.data[k] - one) <= 1e-12 * max(1.0, abs(one))
 
     def test_width_mismatch_rejected(self):
         p = init_critic_params(np.random.default_rng(8), n_max=4, m_max=M_MAX)
         with pytest.raises(ShapeError):
-            critic_forward(np.zeros((5, HIDDEN)), np.zeros((M_MAX, 4)), p)
+            critic_forward(Tensor(np.zeros((5, HIDDEN))),
+                           np.zeros((M_MAX, 4)), p)
+
+    def test_batched_width_mismatch_rejected(self):
+        """A batch of states with one agent row too many is refused,
+        not folded into a different number of states."""
+        p = init_critic_params(np.random.default_rng(12), n_max=4, m_max=M_MAX)
+        with pytest.raises(ShapeError, match="critic input width"):
+            critic_forward(Tensor(np.zeros((3, 5, HIDDEN))),
+                           np.zeros((3, M_MAX, 4)), p)
 
 
 class TestSampling:

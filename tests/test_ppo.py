@@ -489,13 +489,27 @@ class TestModelParams:
             assert n1 == n2
             assert p1.data.tobytes() == p2.data.tobytes()
 
-    def test_critic_optional_on_load(self, tmp_path):
-        model = ModelParams.init(np.random.default_rng(9), 4, 4,
-                                 with_critic=False)
+    def test_checkpoint_without_critic_rejected_on_load(self, tmp_path):
+        """Every checkpoint a command writes carries the critic, so one
+        without it is missing parameters like any other."""
+        model = ModelParams.init(np.random.default_rng(9), 4, 4)
         path = tmp_path / "m.json"
-        model.save(path)
-        again = ModelParams.load(path)
-        assert again.critic is None
+        T.save_checkpoint(path, {**model.gcn.named(), **model.actor.named()},
+                          {"n_max": 4, "m_max": 4})
+        with pytest.raises(CheckpointMismatchError, match="critic.w1"):
+            ModelParams.load(path)
+
+    @pytest.mark.parametrize("name", ["critic.w1", "critic.b1",
+                                      "critic.w2", "critic.b2"])
+    def test_checkpoint_missing_one_critic_parameter_rejected(self, tmp_path,
+                                                              name):
+        model = ModelParams.init(np.random.default_rng(9), 4, 4)
+        arrays = {k: p for k, p in model.named().items() if k != name}
+        path = tmp_path / "m.json"
+        T.save_checkpoint(path, arrays, {"n_max": 4, "m_max": 4})
+        with pytest.raises(CheckpointMismatchError,
+                           match=f"missing parameter {name}"):
+            ModelParams.load(path)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_parameter_rejected_on_load(self, tmp_path, bad):

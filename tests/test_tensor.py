@@ -193,6 +193,11 @@ class TestGradientsAgainstFiniteDifferences:
         (g,) = backward(loss, [x])
         assert np.isclose(g[0], 5.0)
 
+    def test_no_params_returns_nothing_but_sets_leaf_grads(self):
+        x = T.param(np.array([3.0]))
+        assert backward(ops.tsum(T.square(x)), []) == []
+        assert np.allclose(x.grad, 6.0)
+
     def test_backward_requires_scalar(self):
         x = T.param(np.ones((2, 2)))
         with pytest.raises(ShapeError):
@@ -438,7 +443,7 @@ class TestFiniteBoundaries:
         rng = np.random.default_rng(31)
         p = init_actor_params(rng, m_max)
         obs = rng.uniform(size=(3, m_max + 1))
-        emb = rng.normal(size=(3, HIDDEN))
+        emb = Tensor(rng.normal(size=(3, HIDDEN)))
         return p, obs, emb, np.ones((3, m_max + 1), dtype=bool)
 
     def test_nan_weight_raises_in_actor_forward(self):
@@ -456,7 +461,7 @@ class TestFiniteBoundaries:
 
     def test_inf_embedding_raises_in_actor_forward(self):
         p, obs, emb, mask = self._actor_inputs()
-        emb[1, 0] = np.inf
+        emb.data[1, 0] = np.inf
         with np.errstate(invalid="ignore"), pytest.raises(NumericError):
             actor_forward(obs, emb, p, mask)
 
@@ -580,3 +585,10 @@ class TestGlorot:
         limit = np.sqrt(6.0 / 30.0)
         assert np.array_equal(a, b)
         assert np.abs(a).max() <= limit
+
+    def test_one_uniform_draw_at_the_glorot_limit(self):
+        """Initial weights are the generator's own uniform draw on
+        +-sqrt(6 / (fan_in + fan_out)), to the bit."""
+        w = T.glorot_uniform(np.random.default_rng(4), 14, 10)
+        ref = np.random.default_rng(4).uniform(-0.5, 0.5, size=(14, 10))
+        assert w.tobytes() == ref.tobytes()

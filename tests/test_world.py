@@ -308,7 +308,7 @@ class TestObservations:
 
     def test_mask_blocks_busy_agent(self):
         st = init_episode(small_config(), 19)
-        st.agents[0].status = AgentStatus.ASSIGN
+        st.agents[0].assigned_task = 0
         m = round_view(st)[1][0]
         assert m[0] and not m[1:].any()
 
@@ -317,6 +317,27 @@ class TestObservations:
         st.tasks[1].status = TaskStatus.ASSIGNED
         slot = st.slots.index(1)
         assert not round_view(st)[1][0, slot + 1]
+
+
+class TestAgentStatus:
+    """An agent's status is read from its task, so the two cannot
+    disagree; task 0 is a task like any other."""
+
+    @pytest.mark.parametrize("task,status", [
+        (None, AgentStatus.IDLE), (0, AgentStatus.ASSIGN),
+        (3, AgentStatus.ASSIGN)], ids=["none", "task-0", "task-3"])
+    def test_status_follows_assigned_task(self, task, status):
+        st = init_episode(small_config(), 19)
+        st.agents[1].assigned_task = task
+        assert st.agents[1].status is status
+        obs, _ = observation(st, round_view(st)[0])
+        assert obs[1, 0] == STATUS_CODE[status]
+
+    def test_status_cannot_be_written(self):
+        agent = init_episode(small_config(), 19).agents[0]
+        with pytest.raises(AttributeError):
+            agent.status = AgentStatus.ASSIGN
+        assert agent.status is AgentStatus.IDLE
 
 
 def arbitrate_reference(state, actions, cm, task_ids):
@@ -850,9 +871,6 @@ class EpisodeMachine(RuleBasedStateMachine):
         if self.ep is None:
             return
         state = self.ep.state
-        for a in state.agents:
-            assert (a.status, a.assigned_task is None) in {
-                (AgentStatus.IDLE, True), (AgentStatus.ASSIGN, False)}
         assert sorted(a.assigned_task for a in state.agents
                       if a.assigned_task is not None) == [
             t.id for t in state.tasks if t.status is TaskStatus.ASSIGNED]
