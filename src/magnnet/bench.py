@@ -119,8 +119,7 @@ class ScenarioSpec:
             task_interval=self.task_interval if self.mode == "dynamic" else None,
             obstacle_density=self.obstacle_density,
             n_ground=n_ground, n_aerial=n - n_ground,
-            step_cap=self.step_cap,
-            m_max=n if self.mode == "static" else max(20, n))
+            step_cap=self.step_cap)
 
 
 @dataclass

@@ -26,4 +26,4 @@ class InvalidAssignmentError(MagnnetError, ValueError):
 
 
 class CheckpointMismatchError(MagnnetError):
-    """Checkpoint capacity does not cover the requested scenario."""
+    """A checkpoint is malformed, or does not fit its model or scenario."""

@@ -898,6 +898,7 @@ class AgentPlan:
     cost: float  # task completion cost; lower cost keeps its path
     path: Path
     velocity: float
+    model: MotionModel
     start_tick: int = 0
 
     @property
@@ -921,12 +922,12 @@ def plan_schedule(plan: AgentPlan) -> list[tuple[Cell, int]]:
 
 
 def resolve_paths(plans: list[AgentPlan], reservations: ReservationTable,
-                  grid: Grid, models: dict) -> list[AgentPlan]:
+                  grid: Grid) -> list[AgentPlan]:
     """Book space-time reservations in ascending (cost, agent id) order;
     one plan comes back per input.
 
     A plan whose schedule is free is booked as it is.  Otherwise it
-    replans with reservation-aware A* under `models[agent_id]`, which
+    replans with reservation-aware A* under its motion model, which
     searches a wait at every substep, so any delayed start of the old
     path lies inside that search, and the new path is booked.  When no
     such path exists the plan holds its start cell for a tick and books
@@ -939,7 +940,7 @@ def resolve_paths(plans: list[AgentPlan], reservations: ReservationTable,
                    for c, t in schedule):
             try:
                 alt = astar(grid, plan.path.cells[0], plan.path.goal,
-                            models[plan.agent_id], reservations,
+                            plan.model, reservations,
                             plan.agent_id, plan.start_tick,
                             plan.substeps_per_tick)
             except NoPathError:

@@ -27,6 +27,13 @@ from .world import Episode, WorldConfig, _whole, terminal_bonus
 
 CHECKPOINT_INTERVAL = 25  # updates between periodic checkpoints
 
+# the conventional PPO values (Schulman et al., 2017): discount, GAE
+# lambda, clip range of the surrogate ratio, and the value-loss weight
+GAMMA = 0.99
+GAE_LAMBDA = 0.95
+CLIP_EPSILON = 0.2
+VALUE_COEF = 0.5
+
 
 @dataclass
 class PPOConfig:
@@ -35,42 +42,24 @@ class PPOConfig:
     minibatch: int = 64
     epochs_per_update: int = 10
     entropy_coef: float = 0.05
-    gamma: float = 0.99
-    gae_lambda: float = 0.95
-    clip_epsilon: float = 0.2
-    value_coef: float = 0.5
     total_steps: int = 100_000
 
     def __post_init__(self):
         self.validate()
 
     def validate(self):
-        if not 0.0 < self.gamma <= 1.0:
-            raise ValueError("gamma must be in (0, 1]")
-        if not 0.0 <= self.gae_lambda <= 1.0:
-            raise ValueError("gae_lambda must be in [0, 1]")
         # a non-finite rate or coefficient diverges at the first update
         if not 0 < self.learning_rate < np.inf:
             raise ValueError("learning_rate must be finite and > 0")
-        if not (0 <= self.entropy_coef < np.inf
-                and 0 <= self.value_coef < np.inf):
-            raise ValueError("entropy_coef and value_coef must be finite "
-                             "and >= 0")
-        # a clip range of 0 or less inverts the clipped objective
-        if not 0 < self.clip_epsilon < np.inf:
-            raise ValueError("clip_epsilon must be finite and > 0")
+        if not 0 <= self.entropy_coef < np.inf:
+            raise ValueError("entropy_coef must be finite and >= 0")
         # a fractional count dies in `train` as a range bound or runs
-        # silently as a buffer size
+        # silently as a buffer size; with no epoch an update logs nan
+        # losses, and with no step the untrained model is the result
         for name in ("train_batch", "minibatch", "epochs_per_update",
                      "total_steps"):
-            if not _whole(getattr(self, name)):
-                raise ValueError(f"{name} must be a whole number")
-        # with no epoch an update logs nan losses; with no step the
-        # untrained model is saved as the result
-        if self.epochs_per_update < 1 or self.total_steps < 1:
-            raise ValueError("epochs_per_update and total_steps must be >= 1")
-        if self.train_batch < 1 or self.minibatch < 1:
-            raise ValueError("train_batch and minibatch must be >= 1")
+            if not (_whole(getattr(self, name)) and getattr(self, name) >= 1):
+                raise ValueError(f"{name} must be a whole number >= 1")
         if self.train_batch % self.minibatch != 0:
             raise ValueError("minibatch must divide train_batch")
 
@@ -282,8 +271,8 @@ def _minibatch_loss(steps, adv: np.ndarray, ret: np.ndarray,
     return T.ppo_loss(dist.probs, values,
                       np.concatenate([s.actions for s in steps]),
                       np.concatenate([s.log_probs for s in steps]),
-                      adv.ravel(), ret, config.clip_epsilon,
-                      config.value_coef, config.entropy_coef)
+                      adv.ravel(), ret, CLIP_EPSILON, VALUE_COEF,
+                      config.entropy_coef)
 
 
 def ppo_update(buffer: RolloutBuffer, advantages: np.ndarray,
@@ -357,8 +346,7 @@ def train(world_config: WorldConfig, ppo_config: PPOConfig, seed: int,
             buffer = collect_rollout(world_config, model, ppo_config,
                                      sample_rng)
             env_steps += buffer.n_transitions
-            advantages, returns = compute_gae(
-                buffer, ppo_config.gamma, ppo_config.gae_lambda)
+            advantages, returns = compute_gae(buffer, GAMMA, GAE_LAMBDA)
             try:
                 stats = ppo_update(buffer, advantages, returns, model,
                                    ppo_config, adam, shuffle_rng)

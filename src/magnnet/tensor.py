@@ -32,7 +32,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import NumericError, ShapeError
+from .errors import CheckpointMismatchError, NumericError, ShapeError
 
 _grad_enabled = True
 
@@ -487,12 +487,27 @@ def save_checkpoint(path, named_params: dict, manifest: dict | None = None):
 
 
 def load_checkpoint(path):
-    """Inverse of save_checkpoint: returns (dict name -> ndarray, manifest)."""
+    """Inverse of save_checkpoint: returns (dict name -> ndarray, manifest).
+
+    Only what save_checkpoint writes loads; anything else raises
+    CheckpointMismatchError naming the record: a missing key, a dtype
+    other than "<f8" (its bytes would read as other numbers) or a shape
+    that does not hold the payload."""
     with open(path) as f:
         blob = json.load(f)
+    if not (isinstance(blob, dict) and isinstance(blob.get("params"), dict)
+            and isinstance(blob.get("manifest", {}), dict)):
+        raise CheckpointMismatchError(f"{path}: no params or manifest object")
     params = {}
     for name, rec in blob["params"].items():
-        raw = base64.b64decode(rec["data_b64"])
-        arr = np.frombuffer(raw, dtype=rec["dtype"]).reshape(rec["shape"])
-        params[name] = arr.astype(np.float64).copy()
+        try:
+            if rec["dtype"] != "<f8":
+                raise ValueError(f"dtype {rec['dtype']!r} is not '<f8'")
+            raw = base64.b64decode(rec["data_b64"], validate=True)
+            arr = np.frombuffer(raw, dtype="<f8").reshape(rec["shape"])
+            if list(arr.shape) != rec["shape"]:   # a -1 infers an axis
+                raise ValueError(f"shape {rec['shape']}")
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CheckpointMismatchError(f"record {name}: {exc!r}") from None
+        params[name] = arr.astype(np.float64)
     return params, blob.get("manifest", {})

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
 from enum import Enum
 
 import numpy as np
@@ -64,6 +64,9 @@ CONFLICT_PENALTY = -0.5
 IDLE_REJECT_PENALTY = -0.1
 TEAM_BONUS_SCALE = 2.0
 
+# observation slots of a dynamic world, unless more tasks start live
+DYNAMIC_SLOTS = 20
+
 
 @dataclass
 class AgentState:
@@ -101,15 +104,19 @@ class WorldConfig:
     obstacle_density: float = 0.1
     n_ground: int = 2
     n_aerial: int = 2
-    m_max: int | None = None  # observation slots = cap on live tasks
     step_cap: float = 400.0
 
     def __post_init__(self):
         self.grid_dims = tuple(self.grid_dims)
-        if self.m_max is None:
-            self.m_max = self.n_tasks_initial if self.task_interval is None \
-                else 20
         self.validate()
+
+    @property
+    def m_max(self) -> int:
+        """Observation slots = cap on live tasks: one per initial task,
+        and in dynamic mode at least DYNAMIC_SLOTS."""
+        if self.task_interval is None:
+            return self.n_tasks_initial
+        return max(DYNAMIC_SLOTS, self.n_tasks_initial)
 
     def validate(self):
         # a zero-length axis fails in `init_episode`, a fourth axis in
@@ -117,14 +124,10 @@ class WorldConfig:
         if len(self.grid_dims) != 3 or not all(
                 _whole(d) and d >= 1 for d in self.grid_dims):
             raise ValueError("grid_dims must be three whole numbers >= 1")
-        for name in ("n_agents", "n_ground", "n_aerial", "n_tasks_initial",
-                     "m_max"):
-            if not _whole(getattr(self, name)):
-                raise ValueError(f"{name} must be a whole number")
-        if self.n_agents < 1:
-            raise ValueError("n_agents must be >= 1")
-        if self.n_ground < 0 or self.n_aerial < 0:
-            raise ValueError("n_ground and n_aerial must be >= 0")
+        for name, low in (("n_agents", 1), ("n_ground", 0), ("n_aerial", 0),
+                          ("n_tasks_initial", 0)):
+            if not (_whole(getattr(self, name)) and getattr(self, name) >= low):
+                raise ValueError(f"{name} must be a whole number >= {low}")
         if self.n_ground + self.n_aerial != self.n_agents:
             raise ValueError("n_ground + n_aerial must equal n_agents")
         if not 0.0 <= self.obstacle_density < 0.3:
@@ -133,17 +136,13 @@ class WorldConfig:
         if self.task_interval is not None \
                 and not 0 < self.task_interval < math.inf:
             raise ValueError("task_interval must be finite and > 0")
-        if self.n_tasks_initial < 0:
-            raise ValueError("n_tasks_initial must be >= 0")
-        if self.m_max < self.n_tasks_initial:
-            raise ValueError("m_max must cover the initial task count")
         # an infinite cap never ends a dynamic episode
         if not 0 < self.step_cap < math.inf:
             raise ValueError("step_cap must be finite and > 0")
         # with no task before step_cap an episode has no decision round;
         # the clock moves in whole ticks from 0, so the first spawn comes
         # at tick ceil(task_interval)
-        spawns_in_time = (self.task_interval is not None and self.m_max >= 1
+        spawns_in_time = (self.task_interval is not None
                           and math.ceil(self.task_interval) < self.step_cap)
         if self.n_tasks_initial < 1 and not spawns_in_time:
             raise ValueError("no task arrives before step_cap")
@@ -348,7 +347,6 @@ def assign_tasks(state: EpisodeState, picks) -> None:
     a picked task is not Waiting, so no task is assigned twice.
     """
     new_plans = []
-    models = {}
     for agent_id, task_id, cost, path in picks:
         agent = state.agent(agent_id)
         task = state.task(task_id)
@@ -359,11 +357,11 @@ def assign_tasks(state: EpisodeState, picks) -> None:
         agent.path_index = 0
         task.status = TaskStatus.ASSIGNED
         new_plans.append(AgentPlan(agent_id, cost, path, agent.velocity,
+                                   agent.motion_model,
                                    start_tick=int(state.clock)))
-        models[agent_id] = agent.motion_model
         state.record("assigned", agent=agent_id, task=task_id, cost=cost,
                      length=path.length)
-    for plan in resolve_paths(new_plans, state.reservations, state.grid, models):
+    for plan in resolve_paths(new_plans, state.reservations, state.grid):
         state.agent(plan.agent_id).plan = plan
 
 
@@ -484,11 +482,8 @@ def _rebook(state: EpisodeState, agent: AgentState, from_tick: int) -> None:
     """Shift an agent's remaining reservations after a forced wait."""
     state.reservations.release_agent(agent.id)
     remaining = Path(agent.plan.path.cells[agent.path_index:])
-    plan = AgentPlan(agent.id, agent.plan.cost, remaining, agent.velocity,
-                     start_tick=from_tick)
-    resolved = resolve_paths([plan], state.reservations, state.grid,
-                             {agent.id: agent.motion_model})
-    agent.plan = resolved[0]
+    plan = replace(agent.plan, path=remaining, start_tick=from_tick)
+    agent.plan = resolve_paths([plan], state.reservations, state.grid)[0]
     agent.path_index = 0
 
 

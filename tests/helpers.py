@@ -140,7 +140,7 @@ def composed_minibatch_loss(steps, adv, ret, model, config):
     return composed_ppo_loss(
         dist.probs, values, np.concatenate([s.actions for s in steps]),
         np.concatenate([s.log_probs for s in steps]), adv.ravel(), ret,
-        config.clip_epsilon, config.value_coef, config.entropy_coef)
+        ppo.CLIP_EPSILON, ppo.VALUE_COEF, config.entropy_coef)
 
 
 def per_param_adam_step(params, grads, state, lr):

@@ -207,7 +207,7 @@ class TestMagnnetEpisode:
         7 * 7 is 29.000000000000004."""
         cfg = WorldConfig(grid_dims=(40, 40, 4), n_agents=4,
                           n_tasks_initial=4, n_ground=2, n_aerial=2,
-                          obstacle_density=0.08, task_interval=2.0, m_max=8,
+                          obstacle_density=0.08, task_interval=2.0,
                           step_cap=60.0)
         model = ModelParams.init(np.random.default_rng(3), 4, cfg.m_max)
         real = world.assign_tasks
@@ -338,10 +338,10 @@ class TestSharedInstanceCosts:
     def test_cache_hit_episode_builds_no_field(self, monkeypatch):
         """A dynamic baseline episode that reads the cached matrix keeps
         an empty field store to its end, while tasks spawn into its free
-        slot: nothing in it reads a field.  It ends once its pairs are
+        slots: nothing in it reads a field.  It ends once its pairs are
         served and counts only the tasks it was offered."""
         cfg = WorldConfig(grid_dims=(12, 12, 4), n_agents=3, n_ground=1,
-                          n_aerial=2, n_tasks_initial=2, m_max=3,
+                          n_aerial=2, n_tasks_initial=2,
                           task_interval=1.0, step_cap=60.0,
                           obstacle_density=0.05)
         run_episode_baseline("hungarian", cfg, 4)

@@ -1,6 +1,7 @@
 """tools/bench_record.py on canned run.py output: what it writes for a
-run that passed, the pairs it records against a base, and that it
-writes nothing when a run did not pass."""
+run that passed, the pairs it records against a base with their sign
+test and digest agreement, and that it writes nothing when a run did
+not pass."""
 
 import importlib.util
 import json
@@ -105,7 +106,9 @@ def test_pairs_alternate_and_summarize():
     got = bench_record.record_pairs("w", 4, run)
     assert calls == ["head", "base", "base", "head"] * 2
     assert got["ratios"] == [1.1, 0.9, 1.2, 1.25]
-    assert got["head_wins"] == 3
+    assert got["head_wins"] == 3 and got["ties"] == 0
+    assert got["sign_test_p"] == 0.625      # 2 * (1 + 4) / 16
+    assert got["digests_agree"] is True
     assert got["head"] == {"values": [110.0, 90.0, 120.0, 100.0],
                            "median": 105.0, "q1": 92.5, "q3": 117.5,
                            "digests": ["d1"]}
@@ -121,6 +124,26 @@ def test_pairs_keep_every_digest():
     got = bench_record.record_pairs("w", 2, run)
     assert got["head"]["digests"] == ["d1", "d2"]
     assert got["base"]["digests"] == ["d1"]
+    assert got["digests_agree"] is False
+
+
+@pytest.mark.parametrize("wins,losses,p", [
+    (9, 1, 0.021484375), (1, 9, 0.021484375), (10, 0, 0.001953125),
+    (5, 5, 1.0), (0, 0, 1.0)])
+def test_sign_test_is_exact_and_two_sided(wins, losses, p):
+    assert bench_record.sign_test_p(wins, losses) == p
+
+
+def test_a_tie_counts_for_neither_side():
+    """Ten pairs, one of them a tie and the other nine won by HEAD: the
+    sign test runs on the nine, 2 / 2 ** 9."""
+    head = [untraced(100.0)] + [untraced(110.0) for _ in range(9)]
+    run, _ = canned_pairs({"head": head,
+                           "base": [untraced(100.0) for _ in range(10)]})
+    got = bench_record.record_pairs("w", 10, run)
+    assert (got["head_wins"], got["ties"]) == (9, 1)
+    assert got["sign_test_p"] == 2 / 2 ** 9 == 0.00390625
+    assert got["digests_agree"] is True
 
 
 @pytest.mark.parametrize("bad,reason", [

@@ -71,8 +71,8 @@ class TestBuildGraphWithObservation:
     its task rows and slots equal a per-task reference."""
 
     CONFIGS = (dict(), dict(obstacle_density=0.25),
-               dict(task_interval=3.0, m_max=8, step_cap=60.0),
-               dict(task_interval=2.0, m_max=6, step_cap=60.0,
+               dict(task_interval=3.0, step_cap=60.0),
+               dict(task_interval=2.0, step_cap=60.0,
                     obstacle_density=0.25))
 
     def test_both_call_forms_agree(self):
@@ -264,7 +264,7 @@ class TestPaddedTaskFeatures:
         its id, and the slots of Done tasks and empty slots are zero."""
         cfg = WorldConfig(grid_dims=(15, 15, 6), n_agents=4,
                           n_tasks_initial=4, n_ground=2, n_aerial=2,
-                          obstacle_density=0.08, task_interval=2.0, m_max=6,
+                          obstacle_density=0.08, task_interval=2.0,
                           step_cap=60.0)
         ep = Episode(cfg, 611)
         st = ep.state

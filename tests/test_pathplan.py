@@ -991,11 +991,12 @@ class TestReservations:
     def test_resolve_paths_keeps_lowest_cost_unchanged(self):
         grid = empty_grid((8, 1, 1))
         straight = Path([(x, 0, 0) for x in range(8)])
-        cheap = AgentPlan(0, cost=1.0, path=straight, velocity=1.0)
-        dear = AgentPlan(1, cost=5.0, path=straight, velocity=1.0)
+        cheap = AgentPlan(0, cost=1.0, path=straight, velocity=1.0,
+                          model=MotionModel.GROUND4)
+        dear = AgentPlan(1, cost=5.0, path=straight, velocity=1.0,
+                         model=MotionModel.GROUND4)
         table = ReservationTable()
-        out = resolve_paths([dear, cheap], table, grid,
-                            {0: MotionModel.GROUND4, 1: MotionModel.GROUND4})
+        out = resolve_paths([dear, cheap], table, grid)
         by_id = {p.agent_id: p for p in out}
         assert by_id[0].path.cells == straight.cells
         # the expensive plan was delayed or rerouted, not dropped
@@ -1009,10 +1010,10 @@ class TestReservations:
             start = (int(rng.integers(10)), int(rng.integers(10)), 0)
             goal = (int(rng.integers(10)), int(rng.integers(10)), 0)
             path = astar(grid, start, goal, MotionModel.GROUND4)
-            plans.append(AgentPlan(a, float(path.length), path, 1.0))
+            plans.append(AgentPlan(a, float(path.length), path, 1.0,
+                                   MotionModel.GROUND4))
         table = ReservationTable()
-        out = resolve_paths(plans, table, grid,
-                            {a: MotionModel.GROUND4 for a in range(4)})
+        out = resolve_paths(plans, table, grid)
         assert sorted(p.agent_id for p in out) == [0, 1, 2, 3]
         seen = set()
         for p in out:
@@ -1022,6 +1023,27 @@ class TestReservations:
             assert not slots & seen, "two plans share a slot"
             seen |= slots
 
+    def test_resolve_paths_replans_under_each_plans_model(self):
+        """A plan whose next cell is held replans under its own motion
+        model: the aerial plan climbs over the held cell, the ground plan
+        waits on the ground plane until the cell is free."""
+        grid = empty_grid((3, 1, 2))
+        straight = Path([(0, 0, 0), (1, 0, 0), (2, 0, 0)])
+        cells = {}
+        for model in (MotionModel.GROUND4, MotionModel.AERIAL6):
+            table = ReservationTable()
+            for tick in range(1, 6):
+                table.reserve((1, 0, 0), tick, 9)
+            (plan,) = resolve_paths([AgentPlan(0, 2.0, straight, 1.0, model)],
+                                    table, grid)
+            assert plan.model is model
+            plan.path.validate(grid, model)
+            cells[model] = plan.path.cells
+        assert cells[MotionModel.GROUND4] == [(0, 0, 0)] * 6 + [(1, 0, 0),
+                                                               (2, 0, 0)]
+        assert cells[MotionModel.AERIAL6] == [
+            (0, 0, 0), (0, 0, 1), (1, 0, 1), (2, 0, 1), (2, 0, 0)]
+
     def test_resolve_paths_holds_when_no_path_exists(self):
         grid = empty_grid((3, 1, 1))
         start = (0, 0, 0)
@@ -1030,15 +1052,17 @@ class TestReservations:
         table.reserve(start, 1, 7)
         table.reserve((1, 0, 0), 1, 8)
         path = Path([start, (1, 0, 0), (2, 0, 0)])
-        out = resolve_paths([AgentPlan(0, 2.0, path, velocity=1.0)], table,
-                            grid, {0: MotionModel.GROUND4})
+        out = resolve_paths([AgentPlan(0, 2.0, path, velocity=1.0,
+                                       model=MotionModel.GROUND4)],
+                            table, grid)
         assert [p.agent_id for p in out] == [0]
         assert out[0].path.cells == [start, start] + path.cells[1:]
         assert 0 not in table.slots.values()
 
     def test_plan_schedule_respects_velocity(self):
         path = Path([(x, 0, 0) for x in range(7)])
-        fast = AgentPlan(0, 1.0, path, velocity=3.0, start_tick=0)
+        fast = AgentPlan(0, 1.0, path, velocity=3.0,
+                         model=MotionModel.GROUND4, start_tick=0)
         sched = plan_schedule(fast)
         assert sched == [((3, 0, 0), 1), ((6, 0, 0), 2)]
 

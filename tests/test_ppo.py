@@ -2,8 +2,10 @@
 rollout integrity, model checkpoints and a short end-to-end train run."""
 
 import csv
+import json
 import math
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,8 +17,8 @@ from magnnet.gnn import (HIDDEN, HeteroGraph, _norm_adjacency, batch_graphs,
                          build_graph, gcn_encode, padded_task_features)
 from magnnet.policy import (ActionDistribution, actor_forward, critic_forward,
                             sample_action)
-from magnnet.ppo import (METRICS_COLUMNS, ModelParams, PPOConfig,
-                         RolloutBuffer, StepRecord, _forward_steps,
+from magnnet.ppo import (GAE_LAMBDA, GAMMA, METRICS_COLUMNS, ModelParams,
+                         PPOConfig, RolloutBuffer, StepRecord, _forward_steps,
                          _minibatch_loss, collect_rollout, compute_gae,
                          ppo_update, train)
 from magnnet.tensor import AdamState, Tensor
@@ -30,6 +32,20 @@ def tiny_world(**kw):
                 n_ground=2, n_aerial=2, obstacle_density=0.08)
     base.update(kw)
     return WorldConfig(**base)
+
+
+def edit_w2(**changes):
+    """A checkpoint fault: it sets keys of the `gcn.w2` record, deleting
+    those given as None, and returns the edited JSON."""
+    def fault(blob):
+        record = blob["params"]["gcn.w2"]
+        for key, value in changes.items():
+            if value is None:
+                del record[key]
+            else:
+                record[key] = value
+        return blob
+    return fault
 
 
 def make_buffer(rewards, values, dones, n_agents=1):
@@ -48,10 +64,6 @@ class TestPPOConfig:
     def test_minibatch_must_divide(self):
         with pytest.raises(ValueError):
             PPOConfig(train_batch=100, minibatch=64)
-
-    def test_gamma_bounds(self):
-        with pytest.raises(ValueError):
-            PPOConfig(gamma=0.0)
 
 
 class TestGAE:
@@ -161,7 +173,7 @@ def assert_same_array(a, b):
 
 class TestPlay:
     @pytest.mark.parametrize("world_kw", [
-        {}, dict(task_interval=3.0, m_max=6, step_cap=40.0)],
+        {}, dict(task_interval=3.0, step_cap=40.0)],
         ids=["static", "dynamic"])
     def test_rollout_equals_reference_loop(self, world_kw):
         cfg = tiny_world(**world_kw)
@@ -222,7 +234,7 @@ class TestFusedNetwork:
     """The fused layer ops play and train exactly as the unfused chain."""
 
     def test_rollout_equals_composed_network(self, monkeypatch):
-        cfg = tiny_world(task_interval=3.0, m_max=6, step_cap=40.0)
+        cfg = tiny_world(task_interval=3.0, step_cap=40.0)
         pcfg = PPOConfig(train_batch=48, minibatch=16)
         model = ModelParams.init(np.random.default_rng(41), 4, cfg.m_max)
         buf = collect_rollout(cfg, model, pcfg, np.random.default_rng(42))
@@ -243,7 +255,7 @@ class TestFusedNetwork:
         model, ref_model = (ModelParams.init(np.random.default_rng(43), 4,
                                              cfg.m_max) for _ in range(2))
         buf = collect_rollout(cfg, model, pcfg, np.random.default_rng(44))
-        adv, ret = compute_gae(buf, pcfg.gamma, pcfg.gae_lambda)
+        adv, ret = compute_gae(buf, GAMMA, GAE_LAMBDA)
         stats = ppo_update(buf, adv, ret, model, pcfg,
                            AdamState(), np.random.default_rng(45))
         monkeypatch.setattr(ppo, "_forward_steps", composed_forward_steps)
@@ -270,7 +282,7 @@ class TestFusedUpdate:
         model, ref_model = (ModelParams.init(np.random.default_rng(47), 4,
                                              cfg.m_max) for _ in range(2))
         buf = collect_rollout(cfg, model, pcfg, np.random.default_rng(48))
-        adv, ret = compute_gae(buf, pcfg.gamma, pcfg.gae_lambda)
+        adv, ret = compute_gae(buf, GAMMA, GAE_LAMBDA)
         if zero_adv:
             adv = np.zeros_like(adv)
         # under the parameters that collected, a lone graph's ratios are
@@ -306,7 +318,7 @@ class TestPPOUpdate:
     def test_update_changes_parameters_and_reports_stats(self):
         model, buf, pcfg = self._small_batch()
         before = [p.data.copy() for p in model.parameters()]
-        adv, ret = compute_gae(buf, pcfg.gamma, pcfg.gae_lambda)
+        adv, ret = compute_gae(buf, GAMMA, GAE_LAMBDA)
         stats = ppo_update(buf, adv, ret, model, pcfg,
                            AdamState(), np.random.default_rng(6))
         moved = any(not np.allclose(b, p.data)
@@ -364,18 +376,18 @@ def per_step_loss(steps, adv, ret, model, config):
     adv_t = Tensor(np.concatenate(list(adv)))
     surrogate = ops.minimum(
         T.mul(ratio, adv_t),
-        T.mul(ops.clip(ratio, 1.0 - config.clip_epsilon,
-                       1.0 + config.clip_epsilon), adv_t))
+        T.mul(ops.clip(ratio, 1.0 - ppo.CLIP_EPSILON,
+                       1.0 + ppo.CLIP_EPSILON), adv_t))
     policy_loss = T.mul(T.mean(surrogate), -1.0)
     value_loss = T.mean(T.square(ops.sub(T.concat(values), Tensor(ret))))
-    loss = T.add(T.add(policy_loss, T.mul(value_loss, config.value_coef)),
+    loss = T.add(T.add(policy_loss, T.mul(value_loss, ppo.VALUE_COEF)),
                  T.mul(entropy, -config.entropy_coef))
     stats = {
         "policy_loss": float(policy_loss.data),
         "value_loss": float(value_loss.data),
         "entropy": float(entropy.data),
         "clip_fraction": float(np.mean(
-            np.abs(ratio.data - 1.0) > config.clip_epsilon)),
+            np.abs(ratio.data - 1.0) > ppo.CLIP_EPSILON)),
     }
     return loss, stats
 
@@ -400,9 +412,12 @@ def assert_rel_close(a, b, tol=1e-12):
 
 
 class TestBatchedMinibatch:
+    """The batched minibatch loss equals the per-step reference under a
+    clip range of 0.05, narrow enough that some ratios are clipped."""
+
     def _batch(self, n_max, seed):
         cfg = tiny_world()
-        pcfg = PPOConfig(train_batch=32, minibatch=16, clip_epsilon=0.05)
+        pcfg = PPOConfig(train_batch=32, minibatch=16)
         model = ModelParams.init(np.random.default_rng(seed), n_max,
                                  cfg.m_max)
         buf = collect_rollout(cfg, model, pcfg,
@@ -433,14 +448,17 @@ class TestBatchedMinibatch:
 
     def test_matches_per_step_loss_and_gradients(self):
         model, buf, pcfg, rng = self._batch(n_max=4, seed=11)
-        for lo in range(0, len(buf.steps), 4):
-            stats = self._compare(model, buf.steps[lo:lo + 4], pcfg, rng)
+        with mock.patch.object(ppo, "CLIP_EPSILON", 0.05):
+            for lo in range(0, len(buf.steps), 4):
+                stats = self._compare(model, buf.steps[lo:lo + 4], pcfg,
+                                      rng)
         assert 0.0 < stats["clip_fraction"] < 1.0
 
     def test_padding_rows_and_a_step_without_tasks(self):
         model, buf, pcfg, rng = self._batch(n_max=4, seed=12)
         steps = [buf.steps[0], without_tasks(buf.steps[1])] + buf.steps[2:5]
-        self._compare(model, steps, pcfg, rng)
+        with mock.patch.object(ppo, "CLIP_EPSILON", 0.05):
+            self._compare(model, steps, pcfg, rng)
         # the critic takes no padding rows: a reshape of the stacked
         # agent rows would group them across graphs
         wide = ModelParams.init(np.random.default_rng(12), 6, model.m_max)
@@ -468,7 +486,7 @@ class TestBatchedMinibatch:
         names = ("gcn_encode", "critic_forward", "backward")
         for name in names:
             monkeypatch.setattr(ppo, name, counted(name))
-        adv, ret = compute_gae(buf, pcfg.gamma, pcfg.gae_lambda)
+        adv, ret = compute_gae(buf, GAMMA, GAE_LAMBDA)
         ppo_update(buf, adv, ret, model, pcfg, AdamState(),
                    np.random.default_rng(15))
         steps_per_mb = pcfg.minibatch // buf.n_agents
@@ -526,6 +544,39 @@ class TestModelParams:
         T.save_checkpoint(path, {**model.named(), "gcn.w3": np.zeros((6, 6))},
                           {"n_max": 4, "m_max": 4})
         with pytest.raises(CheckpointMismatchError, match="gcn.w3"):
+            ModelParams.load(path)
+
+    @pytest.mark.parametrize("fault,match", [
+        (edit_w2(dtype="<i8"), "gcn.w2"),
+        (edit_w2(dtype=">f8"), "gcn.w2"),
+        (edit_w2(dtype="O"), "gcn.w2"),
+        (edit_w2(dtype=None), "gcn.w2"),
+        (edit_w2(shape=None), "gcn.w2"),
+        (edit_w2(data_b64=None), "gcn.w2"),
+        (edit_w2(data_b64="@@@@"), "gcn.w2"),
+        (edit_w2(shape=[HIDDEN, HIDDEN, 2]), "gcn.w2"),
+        (edit_w2(shape=[-HIDDEN, -HIDDEN]), "gcn.w2"),
+        (edit_w2(shape=[-1, HIDDEN]), "gcn.w2"),
+        (edit_w2(shape=[float(HIDDEN)] * 2), "gcn.w2"),
+        (lambda blob: {**blob, "params": {**blob["params"],
+                                          "gcn.w2": [0.0]}}, "gcn.w2"),
+        (lambda blob: {"manifest": blob["manifest"]}, "params"),
+        (lambda blob: {**blob, "manifest": [4, 4]}, "manifest"),
+        (lambda blob: [blob], "params"),
+    ], ids=["dtype-int", "dtype-big-endian", "dtype-object", "no-dtype",
+            "no-shape", "no-data", "data-not-base64", "shape-too-big",
+            "shape-negated", "shape-inferred", "shape-fractional",
+            "record-not-object", "no-params", "manifest-not-object",
+            "file-not-object"])
+    def test_malformed_checkpoint_rejected_on_load(self, tmp_path, fault,
+                                                   match):
+        """Only what `save_checkpoint` writes loads: another dtype's bytes
+        would read back as other, finite numbers, and the other faults
+        used to escape as a KeyError, ValueError or TypeError."""
+        path = tmp_path / "m.json"
+        ModelParams.init(np.random.default_rng(14), 4, 4).save(path)
+        path.write_text(json.dumps(fault(json.loads(path.read_text()))))
+        with pytest.raises(CheckpointMismatchError, match=match):
             ModelParams.load(path)
 
     @pytest.mark.parametrize("manifest", [

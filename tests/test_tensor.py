@@ -12,8 +12,8 @@ from magnnet import tensor as T
 from magnnet.errors import NumericError, ShapeError
 from magnnet.gnn import HIDDEN
 from magnnet.policy import actor_forward, init_actor_params
-from magnnet.ppo import (ModelParams, PPOConfig, collect_rollout, compute_gae,
-                         ppo_update)
+from magnnet.ppo import (GAE_LAMBDA, GAMMA, ModelParams, PPOConfig,
+                         collect_rollout, compute_gae, ppo_update)
 from magnnet.tensor import AdamState, Tensor, adam_step, backward, zero_grads
 from magnnet.world import WorldConfig
 
@@ -472,7 +472,7 @@ class TestFiniteBoundaries:
         pcfg = PPOConfig(train_batch=8, minibatch=4, epochs_per_update=1)
         model = ModelParams.init(np.random.default_rng(32), 2, cfg.m_max)
         buf = collect_rollout(cfg, model, pcfg, np.random.default_rng(33))
-        adv, ret = compute_gae(buf, pcfg.gamma, pcfg.gae_lambda)
+        adv, ret = compute_gae(buf, GAMMA, GAE_LAMBDA)
         model.named()[name].data.flat[0] = np.nan
         with np.errstate(invalid="ignore"), pytest.raises(NumericError):
             ppo_update(buf, adv, ret, model, pcfg, AdamState(),

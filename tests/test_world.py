@@ -94,12 +94,11 @@ class TestConfig:
         dict(step_cap=0.0), dict(step_cap=-1.0),
         dict(n_tasks_initial=0),
         dict(n_tasks_initial=0, task_interval=50.0, step_cap=40.0),
-        dict(n_tasks_initial=0, task_interval=39.5, step_cap=40.0),
-        dict(n_tasks_initial=0, task_interval=5.0, m_max=0)],
+        dict(n_tasks_initial=0, task_interval=39.5, step_cap=40.0)],
         ids=["interval-0", "interval-neg", "n_ground-neg", "n_agents-0",
              "step_cap-0", "step_cap-neg",
              "static-no-task", "first-spawn-after-cap",
-             "first-spawn-at-cap", "dynamic-no-slot"])
+             "first-spawn-at-cap"])
     def test_invalid_values_rejected(self, kw):
         with pytest.raises(ValueError):
             small_config(**kw)
@@ -116,11 +115,24 @@ class TestConfig:
             ep.tick()
         assert rounds == 1
 
-    def test_static_m_max_defaults_to_initial_tasks(self):
-        assert small_config(n_tasks_initial=4).m_max == 4
+    @pytest.mark.parametrize("n_tasks", [1, 4, 24])
+    def test_static_m_max_is_the_initial_task_count(self, n_tasks):
+        cfg = small_config(n_tasks_initial=n_tasks)
+        assert cfg.m_max == len(init_episode(cfg, 0).slots) == n_tasks
 
-    def test_dynamic_m_max_defaults_to_capacity(self):
-        assert small_config(task_interval=5.0).m_max == 20
+    @pytest.mark.parametrize("n_tasks,m_max", [
+        (0, 20), (4, 20), (20, 20), (21, 21), (24, 24)])
+    def test_dynamic_m_max_covers_dynamic_slots_and_initial_tasks(
+            self, n_tasks, m_max):
+        """A dynamic world has DYNAMIC_SLOTS slots, or one per initial
+        task when more tasks start live; the slot count cannot be set."""
+        cfg = small_config(n_tasks_initial=n_tasks, task_interval=5.0)
+        assert world.DYNAMIC_SLOTS == 20
+        st = init_episode(cfg, 0)
+        assert cfg.m_max == len(st.slots) == m_max
+        assert st.slots[:n_tasks] == list(range(n_tasks))
+        with pytest.raises(AttributeError):
+            cfg.m_max = 30
 
     def test_round_trip_dict(self):
         cfg = small_config(task_interval=2.0)
@@ -239,7 +251,7 @@ class TestPlacementReference:
     def test_init_and_spawns_match_argwhere_sampling(self, kw):
         outcomes = set()
         for seed in range(12):
-            cfg = small_config(task_interval=1.0, m_max=12, **kw)
+            cfg = small_config(task_interval=1.0, **kw)
             try:
                 expect = placement_reference(cfg, seed, spawns=4)
             except PlacementError as err:
@@ -507,7 +519,7 @@ class TestSpawning:
         assert spawn_tasks(st) == []
 
     def test_dynamic_spawns_on_interval(self):
-        cfg = small_config(task_interval=5.0, m_max=10)
+        cfg = small_config(task_interval=5.0)
         st = init_episode(cfg, 73)
         st.clock = 11.0
         new = spawn_tasks(st)
@@ -515,11 +527,37 @@ class TestSpawning:
         assert new[0].id in st.slots
 
     def test_capacity_respected(self):
-        cfg = small_config(task_interval=1.0, m_max=5)
+        cfg = small_config(task_interval=1.0)
         st = init_episode(cfg, 79)
         st.clock = 50.0
-        spawn_tasks(st)
-        assert len(st.live_tasks()) <= 5
+        assert len(spawn_tasks(st)) == cfg.m_max - cfg.n_tasks_initial
+        assert len(st.live_tasks()) == cfg.m_max == 20
+        assert st.intervals_consumed == 50
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_interval_with_every_slot_live_is_consumed(self, k):
+        """An interval that finds no free slot spawns nothing, draws
+        nothing and is not carried over: freeing a slot later spawns one
+        task at the next interval, not the k that were missed."""
+        cfg = small_config(n_tasks_initial=24, task_interval=2.0)
+        st = init_episode(cfg, 83)
+        assert None not in st.slots
+        rng_state = st.rng.bit_generator.state
+        log_len = len(st.log)
+        st.clock = 2.0 * k
+        assert spawn_tasks(st) == []
+        assert st.intervals_consumed == k
+        assert st.rng.bit_generator.state == rng_state
+        assert len(st.tasks) == 24 and len(st.log) == log_len
+        st.tasks[5].status = TaskStatus.DONE
+        st.replace_slot(5, None)
+        st.clock = 2.0 * k + 1.0      # no interval crossed yet
+        assert spawn_tasks(st) == []
+        st.clock = 2.0 * (k + 1)
+        (new,) = spawn_tasks(st)
+        assert new.id == 24 and st.slots[5] == 24
+        assert st.intervals_consumed == k + 1
+        assert None not in st.slots
 
 class TestEpisode:
     def test_full_episode_terminates(self):
@@ -551,7 +589,7 @@ class TestEpisode:
         real = pathplan.cost_matrix
         monkeypatch.setattr(pathplan, "cost_matrix",
                             lambda state: calls.append(1) or real(state))
-        ep = Episode(small_config(task_interval=4.0, m_max=8,
+        ep = Episode(small_config(task_interval=4.0,
                                   step_cap=60.0), 101)
         rng = np.random.default_rng(1)
         observes = 0
@@ -607,7 +645,6 @@ class TestEpisode:
 
 ZERO_AXIS = st.sampled_from((None,) * 7 + (0, 1, 2))
 DENSITIES = st.sampled_from((0.0, 0.1, 0.2, 0.29))
-M_MAX = st.none() | st.integers(0, 10)
 INTERVALS = st.sampled_from((1.0, 2.0)) | st.none()
 
 
@@ -615,7 +652,7 @@ INTERVALS = st.sampled_from((1.0, 2.0)) | st.none()
 def world_settings(draw):
     """WorldConfig keywords for grids up to 8 x 8 x 3 and 2 to 10 agents,
     crowded enough that some moves wait.  Some are invalid: a zero-length
-    axis, m_max below the initial tasks, no task before step_cap.  The
+    axis, no task before step_cap.  The
     simplest draw is valid, so a shrunk failure keeps its episode."""
     dims = [draw(st.integers(2, 8)), draw(st.integers(2, 8)),
             draw(st.integers(1, 3))]
@@ -627,7 +664,7 @@ def world_settings(draw):
     return dict(
         grid_dims=tuple(dims), obstacle_density=draw(DENSITIES),
         n_agents=n_agents, n_ground=n_ground, n_aerial=n_agents - n_ground,
-        n_tasks_initial=draw(st.integers(0, 8)), m_max=draw(M_MAX),
+        n_tasks_initial=draw(st.integers(0, 8)),
         task_interval=draw(INTERVALS),
         step_cap=float(draw(st.integers(2, 30))))
 

@@ -8,7 +8,7 @@ from magnnet.world import WorldConfig, init_episode, spawn_tasks
 def test_ids_index_agents_and_tasks():
     cfg = WorldConfig(grid_dims=(15, 15, 6), n_agents=4, n_tasks_initial=4,
                       n_ground=2, n_aerial=2, obstacle_density=0.08,
-                      task_interval=1.0, m_max=8)
+                      task_interval=1.0)
     st = init_episode(cfg, 5)
     st.clock = 3.0
     assert len(spawn_tasks(st)) == 3
@@ -29,7 +29,7 @@ def test_live_slots_kept_until_a_slot_write():
     slot, and the next call reads the new slots."""
     cfg = WorldConfig(grid_dims=(15, 15, 6), n_agents=4, n_tasks_initial=3,
                       n_ground=2, n_aerial=2, obstacle_density=0.08,
-                      task_interval=1.0, m_max=5)
+                      task_interval=1.0)
     st = init_episode(cfg, 5)
     live = st.live_slots()
     assert live == [0, 1, 2] and st.live_slots() is live
@@ -37,5 +37,5 @@ def test_live_slots_kept_until_a_slot_write():
     assert st.live_slots() == [0, 2] and live == [0, 1, 2]
     st.clock = 2.0
     assert [t.id for t in spawn_tasks(st)] == [3, 4]
-    assert st.slots == [0, 3, 2, 4, None]
+    assert st.slots == [0, 3, 2, 4] + [None] * 16
     assert st.live_slots() == [0, 2, 1, 3]

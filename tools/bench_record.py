@@ -26,8 +26,10 @@ that the first form recorded at HEAD.  It extracts commit REV with
 K times in each checkout, alternating which runs first (HEAD in the
 first pair).  Under the `pairs` key it writes REV's commit, the
 `work_per_ref_s` ratio (HEAD over base) of each pair, how many pairs
-HEAD won, and per side the values, their median and quartiles
-(statistics.quantiles, n=4) and the seeded digests.
+HEAD won and how many tied (ratio exactly 1), the exact two-sided sign
+test's p-value over the pairs that did not tie, whether both sides
+printed the same set of seeded digests, and per side the values, their
+median and quartiles (statistics.quantiles, n=4) and those digests.
 
 Either form refuses, and writes nothing, when the tree has changes
 outside BENCH_*.json (the stamped commit must be the code that was
@@ -40,6 +42,7 @@ import argparse
 import fnmatch
 import io
 import json
+import math
 import os
 import statistics
 import subprocess
@@ -122,12 +125,24 @@ def record_pairs(workload: str, pairs: int, run) -> dict:
                                  for line in stdout.splitlines()
                                  if line.startswith("digest "))
     ratios = [h / b for h, b in zip(values["head"], values["base"])]
+    wins = sum(r > 1.0 for r in ratios)
+    ties = sum(r == 1.0 for r in ratios)
     return {"metric": METRIC, "seed": SEED, "seconds": SECONDS, "trace": 0,
-            "ratios": ratios,
-            "head_wins": sum(r > 1.0 for r in ratios),
+            "ratios": ratios, "head_wins": wins, "ties": ties,
+            "sign_test_p": sign_test_p(wins, len(ratios) - wins - ties),
+            "digests_agree": digests["head"] == digests["base"],
             **{side: {**side_summary(values[side]),
                       "digests": sorted(digests[side])}
                for side in values}}
+
+
+def sign_test_p(wins: int, losses: int) -> float:
+    """Exact two-sided sign test: the chance, under a fair coin over the
+    wins + losses pairs that did not tie, of a split at least as uneven
+    as this one, capped at 1."""
+    n = wins + losses
+    tail = sum(math.comb(n, i) for i in range(min(wins, losses) + 1))
+    return min(1.0, 2 * tail / 2 ** n)
 
 
 def side_summary(values: list) -> dict:
@@ -179,7 +194,10 @@ def pairs_main(base: str, pairs: int, workload: str) -> int:
     entry["pairs"] = {"base_commit": base_commit, **recorded}
     write_bench(ROOT, workload, entry)
     print(f"wrote pairs into {os.path.relpath(path, ROOT)}: HEAD won "
-          f"{recorded['head_wins']} of {pairs}, median {METRIC} "
+          f"{recorded['head_wins']} of {pairs} (sign test p = "
+          f"{recorded['sign_test_p']:.3g}), digests "
+          f"{'agree' if recorded['digests_agree'] else 'DIFFER'}, "
+          f"median {METRIC} "
           f"{recorded['head']['median']:.6g} / "
           f"{recorded['base']['median']:.6g}")
     return 0
