@@ -9,6 +9,7 @@ import click
 
 from .bench import (BenchReport, ScenarioSpec, planner_compare as _planner_compare,
                     emit_curves, run_benchmark)
+from .errors import CheckpointMismatchError
 from .ppo import PPOConfig, train as _train
 from .world import WorldConfig
 
@@ -64,7 +65,7 @@ def eval_cmd(checkpoint, scenario, episodes, seed, out, parallel):
     """Decentralized evaluation of a trained checkpoint on a scenario."""
     spec = _scenario(scenario, episodes, seed, checkpoint=checkpoint,
                      methods=("magnnet",))
-    _write_report(run_benchmark(spec, parallel), out)
+    _write_report(_run_benchmark(spec, parallel), out)
 
 
 @main.command()
@@ -77,8 +78,18 @@ def eval_cmd(checkpoint, scenario, episodes, seed, out, parallel):
               show_default=True, help="Worker processes.")
 def bench(spec, episodes, seed, out, parallel):
     """Run the methods x N benchmark sweep from a JSON spec."""
-    _write_report(run_benchmark(_scenario(spec, episodes, seed), parallel),
+    _write_report(_run_benchmark(_scenario(spec, episodes, seed), parallel),
                   out)
+
+
+def _run_benchmark(spec: ScenarioSpec, parallel: int) -> BenchReport:
+    """`run_benchmark`, with a checkpoint that does not fit the scenario
+    reported as one error line instead of a traceback."""
+    try:
+        return run_benchmark(spec, parallel)
+    except CheckpointMismatchError as exc:
+        raise click.ClickException(
+            f"checkpoint {spec.checkpoint}: {exc}") from None
 
 
 def _write_report(report: BenchReport, out):

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import functools
 import heapq
+import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
@@ -37,13 +38,45 @@ class MotionModel(Enum):
 
 @dataclass(frozen=True)
 class Grid:
+    """A box of cells, `blocked` where no agent may stand.
+
+    `occupancy` is one byte per cell, 1 where blocked, of the box padded
+    with one blocked cell on every side, in C order: `index` gives a
+    cell's byte, and a unit move along x, y or z adds `strides[0]`,
+    `strides[1]` or 1 to it.  A step off the box lands on the border, so
+    a planner stepping by offsets needs no bounds test, and the index
+    orders cells as their (x, y, z) tuples do.  The grid keeps no other
+    copy of the mask it is given: `blocked` is a read-only view of the
+    immutable occupancy, so nothing derived from it can go stale."""
+
     dims: Cell
-    blocked: np.ndarray  # bool array, shape == dims
+    blocked: np.ndarray  # bool array, shape == dims, read-only
+    occupancy: bytes = field(init=False, repr=False, compare=False)
+    strides: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.blocked.shape != tuple(self.dims):
             raise ValueError(f"blocked mask shape {self.blocked.shape} "
                              f"does not match dims {tuple(self.dims)}")
+        padded = np.ones([n + 2 for n in self.blocked.shape], dtype=bool)
+        padded[1:-1, 1:-1, 1:-1] = self.blocked
+        occupancy = padded.tobytes()
+        blocked = np.frombuffer(occupancy, dtype=bool).reshape(padded.shape)
+        object.__setattr__(self, "blocked", blocked[1:-1, 1:-1, 1:-1])
+        object.__setattr__(self, "occupancy", occupancy)
+        object.__setattr__(self, "strides", padded.strides[:2])
+
+    def index(self, cell: Cell) -> int:
+        """The byte of in-box (x, y, z) `cell` in `occupancy`."""
+        sx, sy = self.strides
+        return (cell[0] + 1) * sx + (cell[1] + 1) * sy + cell[2] + 1
+
+    def cell(self, index: int) -> Cell:
+        """The in-box (x, y, z) cell at byte `index` of `occupancy`."""
+        sx, sy = self.strides
+        x, rest = divmod(index, sx)
+        y, z = divmod(rest, sy)
+        return (x - 1, y - 1, z - 1)
 
     def in_bounds(self, cell: Cell) -> bool:
         x, y, z = cell
@@ -150,35 +183,42 @@ def astar(grid: Grid, start: Cell, goal: Cell, model: MotionModel,
     # substeps up to `last` fall in a tick that may hold a reservation
     last = -1 if reservations is None or not reservations.slots else \
         (reservations.max_tick() - start_tick) * substeps_per_tick
-    deltas = model.deltas
-    with_wait = ((0, 0, 0),) + deltas
-    blocked = grid.blocked
-    dx, dy, dz = grid.dims
+    # a state's cell is its byte in the grid's padded occupancy, which
+    # orders cells as their (x, y, z) tuples do; a move is (offset of
+    # that byte, dx, dy, dz), and a move off the grid reads the border
+    occupancy = grid.occupancy
+    sx, sy = grid.strides
+    moves = tuple((ddx * sx + ddy * sy + ddz, ddx, ddy, ddz)
+                  for ddx, ddy, ddz in model.deltas)
+    with_wait = ((0, 0, 0, 0),) + moves
     gx, gy, gz = goal
+    target = grid.index(goal)
     # a state's substep is its g, so g alone tells a (cell, substep)
     # state from a bare cell
-    state = (start, 0) if last >= 0 else start
-    # entries are (f, -g, state): on equal f the deepest node pops first.
-    # With few obstacles most cells between start and goal share the
-    # optimal f; popping the shallowest first would expand all of them,
-    # popping the deepest follows one optimal path to the goal.  The
-    # Manhattan heuristic is consistent, so the path stays optimal.  Equal
-    # g means equal substeps, so entries tied on (f, -g) are of one kind.
-    open_heap = [(manhattan(start, goal), 0, state)]
+    here = grid.index(start)
+    state = (here, 0) if last >= 0 else here
+    # entries are (f, -g, state, x, y, z), (x, y, z) the state's cell:
+    # on equal f the deepest node pops first.  With few obstacles most
+    # cells between start and goal share the optimal f; popping the
+    # shallowest first would expand all of them, popping the deepest
+    # follows one optimal path to the goal.  The Manhattan heuristic is
+    # consistent, so the path stays optimal.  Equal g means equal
+    # substeps, so entries tied on (f, -g) are of one kind, and no two
+    # entries tie on (f, -g, state).
+    open_heap = [(manhattan(start, goal), 0, state) + start]
     g_best = {state: 0}
     came = {}
     expansions = 0
     while open_heap:
-        f, neg_g, state = heapq.heappop(open_heap)
+        f, neg_g, state, cx, cy, cz = heapq.heappop(open_heap)
         g = -neg_g
-        cell = state[0] if g <= last else state
-        if cell == goal:
-            cells = [cell]
+        here = state[0] if g <= last else state
+        if here == target:
+            states = [here]
             while g:
                 state, g = came[state], g - 1
-                cells.append(state[0] if g <= last else state)
-            cells.reverse()
-            return Path(cells)
+                states.append(state[0] if g <= last else state)
+            return Path([grid.cell(i) for i in reversed(states)])
         if g > g_best[state]:
             continue
         expansions += 1
@@ -188,23 +228,21 @@ def astar(grid: Grid, start: Cell, goal: Cell, model: MotionModel,
         timed = ng <= last
         # tick at which the agent is seated in the cell it reaches
         tick = start_tick + (ng + substeps_per_tick - 1) // substeps_per_tick
-        cx, cy, cz = cell
-        for ddx, ddy, ddz in (with_wait if g <= last else deltas):
+        for offset, ddx, ddy, ddz in (with_wait if g <= last else moves):
+            nxt = here + offset
+            if occupancy[nxt]:
+                continue
             nx, ny, nz = cx + ddx, cy + ddy, cz + ddz
-            if not (0 <= nx < dx and 0 <= ny < dy and 0 <= nz < dz):
-                continue
-            if blocked[nx, ny, nz]:
-                continue
-            nxt = (nx, ny, nz)
             if timed:
-                if not reservations.is_free_for(nxt, tick, agent_id):
+                if not reservations.is_free_for((nx, ny, nz), tick, agent_id):
                     continue
                 nxt = (nxt, ng)
             if ng < g_best.get(nxt, math.inf):
                 g_best[nxt] = ng
                 came[nxt] = state
                 heapq.heappush(open_heap, (
-                    ng + abs(nx - gx) + abs(ny - gy) + abs(nz - gz), -ng, nxt))
+                    ng + abs(nx - gx) + abs(ny - gy) + abs(nz - gz), -ng, nxt,
+                    nx, ny, nz))
     raise NoPathError(f"no path {start} -> {goal}")
 
 
@@ -675,6 +713,7 @@ RRT_MAX_ITERS = 800         # samples drawn; each adds at most one node
 RRT_REWIRE_RADIUS = 4.0     # Manhattan radius of parent choice and rewiring
 RRT_STEP_CELLS = 8          # cells a steer walks toward its sample
 RRT_GOAL_BIAS = 0.1         # share of samples that are the goal itself
+RAW_WORDS_PER_FETCH = 256   # PCG64 words `_pcg64_draws` fetches at once
 
 
 def _staircase(a: Cell, b: Cell, limit: int | None = None) -> list[Cell]:
@@ -712,13 +751,18 @@ def _staircase(a: Cell, b: Cell, limit: int | None = None) -> list[Cell]:
 def _pcg64_draws(seed: int):
     """`random()` and `integers(n)` for 1 <= n <= 2**32, returning what
     `np.random.default_rng(seed)` returns call for call, as Python
-    numbers, from one raw 64-bit word of its PCG64 stream per fetch.
+    numbers, from the raw 64-bit words of its PCG64 stream, used in
+    order.  The words are fetched `RAW_WORDS_PER_FETCH` at a time
+    (`random_raw(k)`), which advances the stream as k single fetches
+    would.
 
     A double is the word's top 53 bits times 2**-53.  An integer takes
     Lemire's multiply-and-reject on a 32-bit half-word: the low half of
     a fresh word first, its high half kept for the next integer draw
     (doubles do not disturb it), and n = 1 draws nothing."""
-    raw = np.random.default_rng(seed).bit_generator.random_raw
+    random_raw = np.random.default_rng(seed).bit_generator.random_raw
+    raw = itertools.chain.from_iterable(iter(
+        lambda: random_raw(RAW_WORDS_PER_FETCH).tolist(), None)).__next__
     half = None  # the high half-word not yet used by an integer draw
 
     def random() -> float:
@@ -776,15 +820,37 @@ def rrt_star(grid: Grid, start: Cell, goal: Cell, model: MotionModel,
     dim_x, dim_y, dim_z = grid.dims
     max_iters, radius = RRT_MAX_ITERS, RRT_REWIRE_RADIUS
     step_cells, goal_bias = RRT_STEP_CELLS, RRT_GOAL_BIAS
-    # one C-order byte per cell, 1 where blocked: cell (x, y, z) sits at
-    # (x * dim_y + y) * dim_z + z.  Every cell looked up below is a
-    # sample inside dims or on a staircase between two in-grid cells,
-    # so no bounds test is needed.
-    blocked = np.asarray(grid.blocked, dtype=bool).tobytes()
+    # cell (x, y, z) is byte x * sx + y * sy + z + origin of the padded
+    # occupancy.  Every cell looked up below is a sample inside dims or
+    # on a staircase between two in-grid cells, so it is in the grid.
+    occupancy = grid.occupancy
+    sx, sy = grid.strides
+    origin = grid.index((0, 0, 0))
 
     def line_free(a: Cell, b: Cell) -> bool:
-        for x, y, z in _staircase(a, b):
-            if blocked[(x * dim_y + y) * dim_z + z]:
+        """Whether every cell of `_staircase(a, b)` is free, stepped by
+        its byte offsets."""
+        x, y, z = a
+        rx, ry, rz = b[0] - x, b[1] - y, b[2] - z
+        ox, oy, oz = sx, sy, 1
+        if rx < 0:
+            rx, ox = -rx, -sx
+        if ry < 0:
+            ry, oy = -ry, -sy
+        if rz < 0:
+            rz, oz = -rz, -1
+        at = x * sx + y * sy + z + origin
+        for _ in range(rx + ry + rz):
+            if rx >= ry and rx >= rz:
+                at += ox
+                rx -= 1
+            elif ry >= rz:
+                at += oy
+                ry -= 1
+            else:
+                at += oz
+                rz -= 1
+            if occupancy[at]:
                 return False
         return True
 
@@ -795,7 +861,7 @@ def rrt_star(grid: Grid, start: Cell, goal: Cell, model: MotionModel,
             x = integers(dim_x)
             y = integers(dim_y)
             z = 0 if ground else integers(dim_z)
-            if not blocked[(x * dim_y + y) * dim_z + z]:
+            if not occupancy[x * sx + y * sy + z + origin]:
                 return (x, y, z)
         return goal
 
@@ -803,20 +869,30 @@ def rrt_star(grid: Grid, start: Cell, goal: Cell, model: MotionModel,
     index = {start: 0}  # cell -> node index; a cell is a node at most once
     parent = [-1]
     cost = [0.0]
-    # node coordinates as columns: the start plus one node per iteration
-    xs, ys, zs = np.empty((3, max_iters + 1), dtype=np.int64)
-    xs[0], ys[0], zs[0] = start
+    # Manhattan distances by lookup: gaps[a][w, v] is |v - w| along axis
+    # a, and row k of node_gaps[a] is gaps[a] at node k's coordinate, so
+    # a scan adds one column per axis (int32: a sum of three axes fits)
+    axes = [np.arange(n, dtype=np.int32) for n in grid.dims]
+    gaps = [np.abs(v[:, None] - v) for v in axes]
+    node_gaps = [np.empty((max_iters + 1, n), dtype=np.int32)
+                 for n in grid.dims]
+    gaps_x, gaps_y, gaps_z = node_gaps
+    dist = np.empty(max_iters + 1, dtype=np.int32)
+
+    def add_gaps(k: int, cell: Cell) -> None:
+        for rows, g, v in zip(node_gaps, gaps, cell):
+            rows[k] = g[v]
 
     def node_dists(cell: Cell) -> np.ndarray:
-        """Manhattan distance from every node to `cell`."""
+        """Manhattan distance from every node to `cell`, in a buffer
+        that the next call overwrites."""
         n = len(nodes)
-        x, y, z = cell
-        d = abs(xs[:n] - x)
-        d += abs(ys[:n] - y)
+        d = np.add(gaps_x[:n, cell[0]], gaps_y[:n, cell[1]], dist[:n])
         if not ground:  # ground nodes and samples all sit at z = 0
-            d += abs(zs[:n] - z)
+            d += gaps_z[:n, cell[2]]
         return d
 
+    add_gaps(0, start)
     for _ in range(max_iters):
         target = sample_cell()
         if target in index:
@@ -828,23 +904,29 @@ def rrt_star(grid: Grid, start: Cell, goal: Cell, model: MotionModel,
         new = nodes[nearest]
         steps = 0
         for c in _staircase(new, target, step_cells):
-            if blocked[(c[0] * dim_y + c[1]) * dim_z + c[2]]:
+            if occupancy[c[0] * sx + c[1] * sy + c[2] + origin]:
                 break
             new = c
             steps += 1
         if new in index:
             continue
-        # nodes within the rewire radius, ascending: candidates by the
-        # bound on their distance to the sample, then the exact test
+        # (node, its Manhattan distance to the new node) within the
+        # rewire radius, ascending: candidates by the bound on their
+        # distance to the sample, then the exact test.  The nearest node
+        # lies `steps` from the new one, so it is among them whenever
+        # they are scanned, and the only candidate parent otherwise.
         near = []
         if steps <= radius:
             reach = int(dt[nearest]) - steps + radius
-            near = [k for k in (dt <= reach).nonzero()[0].tolist()
-                    if manhattan(nodes[k], new) <= radius]
+            x, y, z = new
+            for k in (dt <= reach).nonzero()[0].tolist():
+                a, b, c = nodes[k]
+                seg = abs(a - x) + abs(b - y) + abs(c - z)
+                if seg <= radius:
+                    near.append((k, seg))
         # choose lowest-cost parent within the rewire radius
         best_par, best_cost = None, math.inf
-        for k in sorted(set(near) | {nearest}):
-            seg = manhattan(nodes[k], new)
+        for k, seg in near or ((nearest, steps),):
             if cost[k] + seg < best_cost and line_free(nodes[k], new):
                 best_par, best_cost = k, cost[k] + seg
         if best_par is None:
@@ -852,13 +934,12 @@ def rrt_star(grid: Grid, start: Cell, goal: Cell, model: MotionModel,
         idx = len(nodes)
         nodes.append(new)
         index[new] = idx
-        xs[idx], ys[idx], zs[idx] = new
+        add_gaps(idx, new)
         parent.append(best_par)
         cost.append(best_cost)
         # rewire neighbors through the new node (itself excluded: a
         # zero-length segment never lowers its cost)
-        for k in near:
-            seg = manhattan(new, nodes[k])
+        for k, seg in near:
             if best_cost + seg < cost[k] - 1e-9 and line_free(new, nodes[k]):
                 parent[k] = idx
                 cost[k] = best_cost + seg

@@ -6,6 +6,7 @@ not pass."""
 import importlib.util
 import json
 import os
+import types
 
 import pytest
 
@@ -158,3 +159,92 @@ def test_a_failed_pair_run_refuses(bad, reason, side):
     run, _ = canned_pairs(outputs)
     with pytest.raises(bench_record.Refused, match=f"{side}.*{reason}"):
         bench_record.record_pairs("w", 2, run)
+
+
+def traced(work, rrt_star_s, astar_s, digest="d1"):
+    """A passing `--trace 1` run's output, laid out as run.py prints it:
+    the untraced `work_per_ref_s` among the printed figures only, the
+    traced self times also in the last line's per-layer metrics."""
+    layers = {"pathplan.rrt_star.self_s": rrt_star_s,
+              "pathplan.astar.self_s": astar_s,
+              "pathplan.astar.calls": 72}
+    metrics = {name: {"value": value, "unit": "s"}
+               for name, value in layers.items()}
+    return (0, f"workload w  seed 3  rounds 6  trace 1\ndigest {digest}\n"
+            "end-to-end, untraced pass:\n  setup_s = 0.2 s\n"
+            "other figures of the untraced pass:\n"
+            f"  work_per_ref_s = {work:.6g} 1/s  median of 6 rounds\n"
+            "per-layer, traced pass:\n"
+            + "".join(f"  {name} = {value:.6g} s\n"
+                      for name, value in layers.items())
+            + json.dumps({"correct": True, "attempted": 6, "failed": 0,
+                          "metrics": metrics}) + "\n")
+
+
+def test_layer_pairs_sum_the_named_layers():
+    """Per run the summed self time of the two layers; a pair goes to
+    the side with less of it, and the ratio is base over HEAD."""
+    run, calls = canned_pairs({
+        "head": [traced(50.0, 0.30, 0.10), traced(48.0, 0.25, 0.05),
+                 traced(51.5, 0.40, 0.10), traced(47.0, 0.35, 0.05)],
+        "base": [traced(40.0, 0.50, 0.10), traced(41.0, 0.20, 0.05),
+                 traced(44.0, 0.50, 0.10), traced(42.0, 0.50, 0.10)]})
+    got = bench_record.record_pairs(
+        "w", 4, run, layers=["pathplan.rrt_star", "pathplan.astar"],
+        seconds=60)
+    assert calls == ["head", "base", "base", "head"] * 2
+    assert (got["seconds"], got["trace"]) == (60, 1)
+    assert got["head"]["values"] == [50.0, 48.0, 51.5, 47.0]
+    assert got["head_wins"] == 4 and got["sign_test_p"] == 0.125
+    layers = got["layers"]
+    assert layers["names"] == ["pathplan.rrt_star", "pathplan.astar"]
+    assert layers["head"]["values"] == pytest.approx([0.4, 0.3, 0.5, 0.4])
+    assert layers["base"]["values"] == pytest.approx([0.6, 0.25, 0.6, 0.6])
+    assert layers["ratios"] == pytest.approx([1.5, 0.25 / 0.3, 1.2, 1.5])
+    assert (layers["head_wins"], layers["ties"]) == (3, 0)
+    assert layers["sign_test_p"] == 0.625       # 2 * (1 + 4) / 16
+    assert layers["head"]["median"] == pytest.approx(0.4)
+    assert (layers["head"]["q1"], layers["head"]["q3"]) == \
+        pytest.approx((0.325, 0.475))
+
+
+def test_untraced_pairs_record_no_layers():
+    run, _ = canned_pairs({"head": [untraced(1.0), untraced(1.0)],
+                           "base": [untraced(1.0), untraced(1.0)]})
+    got = bench_record.record_pairs("w", 2, run)
+    assert "layers" not in got and got["trace"] == 0
+
+
+def test_a_layer_the_run_did_not_print_refuses():
+    run, _ = canned_pairs({"head": [traced(1.0, 0.1, 0.1)] * 2,
+                           "base": [traced(1.0, 0.1, 0.1)] * 2})
+    with pytest.raises(bench_record.Refused, match="pathplan.gnn.self_s"):
+        bench_record.record_pairs("w", 2, run, layers=["pathplan.gnn"])
+
+
+def test_run_length_reaches_run_py_and_the_record(root, monkeypatch):
+    argv = []
+
+    def fake_run(cmd, **kwargs):
+        argv.append(cmd)
+        return types.SimpleNamespace(returncode=0, stdout=GOOD)
+    monkeypatch.setattr(bench_record.subprocess, "run", fake_run)
+    assert bench_record.run_workload("a", trace=0, root=str(root),
+                                     seconds=60.0) == (0, GOOD)
+    bench_record.run_workload("a", root=str(root), seconds=7.5)
+    assert [cmd[cmd.index("--seconds") + 1] for cmd in argv] == ["60", "7.5"]
+    assert [cmd[cmd.index("--trace") + 1] for cmd in argv] == ["0", "1"]
+    bench_record.record(str(root), ["a"], lambda w: (0, GOOD), seconds=60.0)
+    assert json.loads((root / "BENCH_a.json").read_text())["seconds"] == 60
+
+
+@pytest.mark.parametrize("args,message", [
+    (["--layers", "pathplan.nope"], "no traced self time"),
+    (["--seconds", "0"], "positive"),
+    (["--layers", "pathplan.astar", "--base", "HEAD", "--pairs", "2"],
+     "go together")], ids=["unknown-layer", "zero-seconds", "no-workload"])
+def test_bad_flags_are_usage_errors(args, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        bench_record.main(args)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err

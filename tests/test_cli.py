@@ -68,6 +68,33 @@ class TestBench:
         assert option in result.output
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["eval", "bench"])
+    def test_mismatched_checkpoint_is_one_error_line(self, tmp_path,
+                                                     command):
+        """A checkpoint without a manifest used to escape as a
+        CheckpointMismatchError traceback."""
+        checkpoint = tmp_path / "checkpoint.json"
+        checkpoint.write_text(json.dumps({"params": {}}))
+        scenario = os.path.join(REPO, "configs", "bench_static_n4.json")
+        out = tmp_path / "out"
+        if command == "eval":
+            args = [str(checkpoint), scenario]
+        else:
+            with open(scenario) as f:
+                blob = json.load(f)
+            blob.update(methods=["magnnet"], checkpoint=str(checkpoint))
+            spec = tmp_path / "spec.json"
+            spec.write_text(json.dumps(blob))
+            args = [str(spec)]
+        result = CliRunner().invoke(main, [command, *args, "--episodes", "1",
+                                           "--out", str(out)])
+        assert result.exit_code != 0
+        assert result.output.splitlines() == [
+            f"Error: checkpoint {checkpoint}: manifest n_max, m_max = "
+            f"[None, None]: need whole numbers >= 1"]
+        assert isinstance(result.exception, SystemExit)
+        assert not out.exists()
+
     def test_eval_parallel_zero_is_a_usage_error(self, spec_path, tmp_path):
         result = CliRunner().invoke(main, ["eval", CHECKPOINT, spec_path,
                                            "--parallel", "0",

@@ -13,6 +13,8 @@ Dijkstra and that RRT* never undercuts A*."""
 import copy
 import heapq
 import itertools
+import json
+import os
 import types
 from collections import Counter
 from unittest import mock
@@ -33,7 +35,7 @@ from magnnet.pathplan import (AgentPlan, FieldStore, Grid, MotionModel, Path,
                               _staircase)
 from magnnet.world import Episode, WorldConfig
 
-from helpers import decoded, empty_grid, load_tracer
+from helpers import REPO, decoded, empty_grid, load_tracer
 
 A6, G4 = MotionModel.AERIAL6, MotionModel.GROUND4
 
@@ -88,14 +90,16 @@ class TestAStar:
             astar(grid, (0, 0, 1), (3, 3, 0), MotionModel.GROUND4)
 
     def test_blocked_endpoints_raise(self):
-        grid = empty_grid((4, 4, 2))
-        grid.blocked[1, 1, 0] = True
+        blocked = np.zeros((4, 4, 2), dtype=bool)
+        blocked[1, 1, 0] = True
+        grid = Grid((4, 4, 2), blocked)
         with pytest.raises(NoPathError):
             astar(grid, (1, 1, 0), (3, 3, 0), MotionModel.AERIAL6)
 
     def test_ground_blocked_by_wall_aerial_flies_over(self):
-        grid = empty_grid((5, 5, 3))
-        grid.blocked[2, :, 0] = True  # wall across the ground plane
+        blocked = np.zeros((5, 5, 3), dtype=bool)
+        blocked[2, :, 0] = True  # wall across the ground plane
+        grid = Grid((5, 5, 3), blocked)
         with pytest.raises(NoPathError):
             astar(grid, (0, 0, 0), (4, 0, 0), MotionModel.GROUND4)
         p = astar(grid, (0, 0, 0), (4, 0, 0), MotionModel.AERIAL6)
@@ -500,8 +504,9 @@ class TestFieldStoreAgainstDijkstra:
 
     def test_unreachable_starts_raise(self):
         """Behind a wall, and above a reached plane cell."""
-        grid = empty_grid((5, 1, 2))
-        grid.blocked[2, 0, 0] = True
+        blocked = np.zeros((5, 1, 2), dtype=bool)
+        blocked[2, 0, 0] = True
+        grid = Grid((5, 1, 2), blocked)
         run_store_program(grid, G4, [
             ("ensure", 0, 0, [(0, 0, 0), (1, 0, 0)]),
             ("path", 0, 0, [(1, 0, 1), (4, 0, 0), (1, 0, 0)])])
@@ -525,9 +530,9 @@ class TestFieldStoreAgainstDijkstra:
         """A row built out to ring 2 and looked up there, then halfway
         to its farthest cell, then, on the row and on a copy, at that
         cell: each extension adds only the rings it needs."""
-        grid = random_grid(np.random.default_rng(7), dims=(14, 12, 5),
-                           density=0.15)
-        grid.blocked[0, 0, 0] = grid.blocked[1, 1, 0] = False
+        blocked = np.random.default_rng(7).random((14, 12, 5)) < 0.15
+        blocked[0, 0, 0] = blocked[1, 1, 0] = False
+        grid = Grid((14, 12, 5), blocked)
         full = dijkstra_field(grid, (0, 0, 0), A6)
         far = np.argwhere(full == full[np.isfinite(full)].max())[:1]
         mid = np.argwhere(full == full[tuple(far[0])] // 2)[:1]
@@ -569,8 +574,9 @@ class TestFieldStoreAgainstDijkstra:
         x = 3 meets plane 2, above ring 3's bit length; rebuilt from
         behind the wall, the row labels cells on rings 4-6, whose Gray
         codes set bit 2, so that plane must read clean."""
-        grid = empty_grid((length, 1, 1))
-        grid.blocked[wall] = True
+        blocked = np.zeros((length, 1, 1), dtype=bool)
+        blocked[wall] = True
+        grid = Grid((length, 1, 1), blocked)
         counted = run_store_program(grid, A6, ops).work[A6]
         assert [counted.built, counted.extended, counted.rings] == work
 
@@ -598,6 +604,37 @@ class TestGrid:
     def test_mask_shape_must_match_dims(self):
         with pytest.raises(ValueError):
             Grid((4, 4, 2), np.zeros((4, 4, 3), dtype=bool))
+
+    def test_mask_is_a_read_only_copy(self):
+        """The occupancy is derived once, so the mask cannot change
+        under it: writing to it raises, and the caller's array is not
+        the grid's."""
+        blocked = np.zeros((3, 2, 2), dtype=bool)
+        grid = Grid((3, 2, 2), blocked)
+        with pytest.raises(ValueError, match="read-only"):
+            grid.blocked[1, 1, 0] = True
+        with pytest.raises(ValueError):
+            grid.blocked.flags.writeable = True
+        blocked[1, 1, 0] = True
+        assert grid.is_free((1, 1, 0))
+        assert grid.occupancy[grid.index((1, 1, 0))] == 0
+
+    def test_occupancy_pads_the_mask_with_blocked_cells(self):
+        """Every cell's byte is its mask bit, a unit step off the grid
+        reads blocked, bytes order cells as their tuples do, and `cell`
+        inverts `index`."""
+        dims = (4, 3, 5)
+        grid = random_grid(np.random.default_rng(2), dims, 0.4)
+        cells = sorted(itertools.product(*map(range, dims)))
+        at = [grid.index(c) for c in cells]
+        assert at == sorted(at)
+        assert [grid.cell(i) for i in at] == cells
+        assert [grid.occupancy[i] for i in at] == \
+            [int(grid.blocked[c]) for c in cells]
+        sx, sy = grid.strides
+        steps = (sx, -sx, sy, -sy, 1, -1)
+        border = {i + s for i in at for s in steps} - set(at)
+        assert border and all(grid.occupancy[i] == 1 for i in border)
 
 
 class TestRRTStar:
@@ -1332,6 +1369,35 @@ class TestAStarAgainstReference:
             same_outcome(grid, free_cell(rng, grid, ground),
                          free_cell(rng, grid, ground), model)
 
+    def test_full_size_space_time_queries(self):
+        """The space-time queries perfbench's `bench_static` makes at
+        seed 3, recorded by wrapping `pathplan.astar`: each is its
+        episode's grid seed (the 50 x 50 x 30 mask at density 0.1 is
+        `init_episode`'s first draw), start, goal, model, the table's
+        slots as (x, y, z, tick, agent), the agent, its start tick and
+        substeps per tick.  Each table holds slots past the start tick,
+        so the search steps through timed states, and each path differs
+        from the plain one."""
+        with open(os.path.join(REPO, "tests",
+                               "bench_static_space_time.json")) as f:
+            queries = json.load(f)
+        assert len(queries) == 6
+        for q in queries:
+            dims = (50, 50, 30)
+            blocked = np.random.default_rng(q["grid_seed"]).random(dims) < 0.1
+            grid = Grid(dims, blocked)
+            table = ReservationTable()
+            for x, y, z, tick, agent in q["reservations"]:
+                table.reserve((x, y, z), tick, agent)
+            assert table.max_tick() > q["start_tick"]
+            start, goal = tuple(q["start"]), tuple(q["goal"])
+            model = MotionModel(q["model"])
+            args = (table, q["agent_id"], q["start_tick"],
+                    q["substeps_per_tick"])
+            same_outcome(grid, start, goal, model, *args)
+            assert astar(grid, start, goal, model, *args).cells != \
+                astar(grid, start, goal, model).cells
+
 
 class TestExpiredReservation:
     def test_detour_after_last_reserved_tick_costs_what_plain_costs(self):
@@ -1343,9 +1409,10 @@ class TestExpiredReservation:
         five states that tick adds: a wait at the start, and bare copies
         of the start and its three neighbours, whose first arrival was a
         (cell, substep) state."""
-        grid = empty_grid((20, 20, 6))
-        grid.blocked[10] = True
-        grid.blocked[10, 19, 5] = False
+        blocked = np.zeros((20, 20, 6), dtype=bool)
+        blocked[10] = True
+        blocked[10, 19, 5] = False
+        grid = Grid((20, 20, 6), blocked)
         start, goal = (0, 0, 0), (19, 0, 0)
         table = ReservationTable()
         table.reserve((19, 19, 5), 1, agent_id=9)
@@ -1375,8 +1442,9 @@ class TestExpiredReservation:
         slot of another agent at tick 1: from (4, 0, 0) to (6, 0, 0) is
         60 moves, 19 ticks past the last reserved one at 3 substeps per
         tick, and the search finds them as plain A* does."""
-        grid = empty_grid((12, 30, 1))
-        grid.blocked[5, :29] = True
+        blocked = np.zeros((12, 30, 1), dtype=bool)
+        blocked[5, :29] = True
+        grid = Grid((12, 30, 1), blocked)
         start, goal = (4, 0, 0), (6, 0, 0)
         table = ReservationTable()
         table.reserve((0, 0, 0), 1, agent_id=9)

@@ -1,41 +1,45 @@
 """Record one BENCH_<workload>.json per benchmark workload, and
-alternating untraced pairs against a base commit.
+alternating pairs against a base commit.
 
-    python3 tools/bench_record.py
+    python3 tools/bench_record.py [--seconds S]
     python3 tools/bench_record.py --base REV --pairs K --workload W
+                                  [--layers A,B,...] [--seconds S]
 
-Without flags, for each workload that BENCHMARK.json names, it runs
+Without --base, for each workload that BENCHMARK.json names, it runs
 
-    python3 perfbench/run.py --workload W --seed 3 --seconds 20 --trace 1
+    python3 perfbench/run.py --workload W --seed 3 --seconds S --trace 1
 
-from the repository root.  One such run makes an untraced timed pass and
-then a traced pass over the same inputs; it exits 3 if tracing changed
-the digest or a layer saw no call.  After every run has passed, it writes
-BENCH_W.json at the root: the `env` stamp (which names the commit), the
-seeded `digest`, the `quality` figures and every figure (the untraced
-end-to-end metrics and the traced per-layer ones) of
-perfbench/out/W-seed3/result.json, plus `correct`, `attempted` and
-`failed` from the run's last line.
+from the repository root, S being 20 unless --seconds sets it.  One
+such run makes an untraced timed pass and then a traced pass over the
+same inputs; it exits 3 if tracing changed the digest or a layer saw no
+call.  After every run has passed, it writes BENCH_W.json at the root:
+the `env` stamp (which names the commit), the seeded `digest`, the
+`quality` figures and every figure (the untraced end-to-end metrics and
+the traced per-layer ones) of perfbench/out/W-seed3/result.json, plus
+`correct`, `attempted` and `failed` from the run's last line.
 
 With --base, --pairs and --workload it adds pairs to the BENCH_W.json
 that the first form recorded at HEAD.  It extracts commit REV with
 `git archive` into a temporary directory and runs
 
-    python3 perfbench/run.py --workload W --seed 3 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload W --seed 3 --seconds S --trace T
 
 K times in each checkout, alternating which runs first (HEAD in the
-first pair).  Under the `pairs` key it writes REV's commit, the
-`work_per_ref_s` ratio (HEAD over base) of each pair, how many pairs
-HEAD won and how many tied (ratio exactly 1), the exact two-sided sign
-test's p-value over the pairs that did not tie, whether both sides
-printed the same set of seeded digests, and per side the values, their
-median and quartiles (statistics.quantiles, n=4) and those digests.
+first pair).  T is 0, or 1 with --layers, whose run adds a traced pass
+after the untraced one.  Under the `pairs` key it writes REV's commit,
+the run length, whether the two sides printed the same set of seeded
+digests, and per metric what `compare` returns: the untraced
+`work_per_ref_s` (HEAD over base per pair, higher is better), and with
+--layers A,B,... the traced self time summed over layers A, B, ...
+(base over HEAD per pair, as lower is better), so a ratio above 1 is a
+pair HEAD won either way.
 
 Either form refuses, and writes nothing, when the tree has changes
 outside BENCH_*.json (the stamped commit must be the code that was
-measured), when a run exits nonzero, or when a run's last line lacks
-"correct": true.  The second also refuses when BENCH_W.json is missing
-or records another commit than HEAD.
+measured), when a run exits nonzero, when a run's last line lacks
+"correct": true, or when a run prints no figure a metric needs.  The
+second also refuses when BENCH_W.json is missing or records another
+commit than HEAD.
 """
 
 import argparse
@@ -82,10 +86,11 @@ def run_summary(workload: str, returncode: int, stdout: str) -> dict:
     return summary
 
 
-def record(root: str, workloads, run) -> list:
+def record(root: str, workloads, run, seconds: float = SECONDS) -> list:
     """Run each workload with `run(workload) -> (returncode, stdout)`,
-    then write BENCH_<workload>.json under `root` for all of them, or,
-    if any run did not pass, for none.  Returns the paths written."""
+    runs of `seconds` each, then write BENCH_<workload>.json under
+    `root` for all of them, or, if any run did not pass, for none.
+    Returns the paths written."""
     records = {}
     for workload in workloads:
         summary = run_summary(workload, *run(workload))
@@ -93,7 +98,7 @@ def record(root: str, workloads, run) -> list:
         with open(os.path.join(out, "result.json")) as f:
             result = json.load(f)
         records[workload] = {
-            "workload": workload, "seed": SEED, "seconds": SECONDS,
+            "workload": workload, "seed": SEED, "seconds": seconds,
             **{key: result[key] for key in COPIED},
             **{key: summary[key] for key in ("correct", "attempted",
                                              "failed")}}
@@ -109,31 +114,69 @@ def write_bench(root: str, workload: str, entry: dict) -> str:
     return path
 
 
-def record_pairs(workload: str, pairs: int, run) -> dict:
-    """`pairs` pairs of untraced runs of `workload`, one on each side,
-    with `run(side, workload) -> (returncode, stdout)` for side "head"
-    or "base"; HEAD runs first in even pairs.  Returns the `pairs`
-    entry without the base commit.  Refused if a run did not pass."""
-    values = {"head": [], "base": []}
+def figure(summary: dict, stdout: str, name: str) -> float:
+    """Figure `name` of a run that passed: from the last line's
+    `metrics` if it is there, else from the run's "  name = value unit"
+    line (a traced run's last line carries only per-layer metrics).
+    Refused if the run printed neither."""
+    if name in summary["metrics"]:
+        return summary["metrics"][name]["value"]
+    for line in stdout.splitlines():
+        key, sep, rest = line.strip().partition(" = ")
+        if sep and key == name:
+            return float(rest.split()[0])
+    raise Refused(f"no figure {name} in the run's output")
+
+
+def record_pairs(workload: str, pairs: int, run, layers=(),
+                 seconds: float = SECONDS) -> dict:
+    """`pairs` pairs of runs of `workload`, one on each side, with
+    `run(side, workload) -> (returncode, stdout)` for side "head" or
+    "base"; HEAD runs first in even pairs.  With `layers`, the runs are
+    traced, and each also gives the sum of those layers' traced
+    `<layer>.self_s`.  Returns the `pairs` entry without the base
+    commit.  Refused if a run did not pass or lacks a figure."""
+    work = {"head": [], "base": []}
+    layer_s = {"head": [], "base": []}
     digests = {"head": set(), "base": set()}
     for k in range(pairs):
         for side in ("head", "base") if k % 2 == 0 else ("base", "head"):
             returncode, stdout = run(side, workload)
             summary = run_summary(f"{workload} ({side})", returncode, stdout)
-            values[side].append(summary["metrics"][METRIC]["value"])
+            work[side].append(figure(summary, stdout, METRIC))
+            if layers:
+                layer_s[side].append(sum(
+                    figure(summary, stdout, f"{layer}.self_s")
+                    for layer in layers))
             digests[side].update(line.split()[1]
                                  for line in stdout.splitlines()
                                  if line.startswith("digest "))
-    ratios = [h / b for h, b in zip(values["head"], values["base"])]
+    entry = {"metric": METRIC, "seed": SEED, "seconds": seconds,
+             "trace": int(bool(layers)),
+             "digests_agree": digests["head"] == digests["base"],
+             **compare(work["head"], work["base"])}
+    for side in ("head", "base"):
+        entry[side]["digests"] = sorted(digests[side])
+    if layers:
+        entry["layers"] = {"names": list(layers), "metric": "self_s summed",
+                           **compare(layer_s["head"], layer_s["base"],
+                                     lower_is_better=True)}
+    return entry
+
+
+def compare(head: list, base: list, lower_is_better: bool = False) -> dict:
+    """Per pair the ratio `head[k] / base[k]`, or `base[k] / head[k]`
+    where lower is better, so a ratio above 1 is a pair HEAD won; how
+    many it won and how many tied (ratio exactly 1), the exact two-sided
+    sign test over the pairs that did not tie, and each side's values,
+    median and quartiles."""
+    ratios = [b / h if lower_is_better else h / b
+              for h, b in zip(head, base)]
     wins = sum(r > 1.0 for r in ratios)
     ties = sum(r == 1.0 for r in ratios)
-    return {"metric": METRIC, "seed": SEED, "seconds": SECONDS, "trace": 0,
-            "ratios": ratios, "head_wins": wins, "ties": ties,
+    return {"ratios": ratios, "head_wins": wins, "ties": ties,
             "sign_test_p": sign_test_p(wins, len(ratios) - wins - ties),
-            "digests_agree": digests["head"] == digests["base"],
-            **{side: {**side_summary(values[side]),
-                      "digests": sorted(digests[side])}
-               for side in values}}
+            "head": side_summary(head), "base": side_summary(base)}
 
 
 def sign_test_p(wins: int, losses: int) -> float:
@@ -150,10 +193,11 @@ def side_summary(values: list) -> dict:
     return {"values": values, "median": median, "q1": q1, "q3": q3}
 
 
-def run_workload(workload: str, trace: int = 1, root: str = ROOT) -> tuple:
+def run_workload(workload: str, trace: int = 1, root: str = ROOT,
+                 seconds: float = SECONDS) -> tuple:
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(SEED), "--seconds", str(SECONDS),
+         "--seed", str(SEED), "--seconds", f"{seconds:g}",
          "--trace", str(trace)],
         cwd=root, stdout=subprocess.PIPE, text=True)
     return done.returncode, done.stdout
@@ -164,7 +208,8 @@ def git(*args, text=True):
                           stdout=subprocess.PIPE, text=text).stdout
 
 
-def pairs_main(base: str, pairs: int, workload: str) -> int:
+def pairs_main(base: str, pairs: int, workload: str, layers: list,
+               seconds: float) -> int:
     path = os.path.join(ROOT, f"BENCH_{workload}.json")
     head = git("rev-parse", "HEAD").strip()
     base_commit = git("rev-parse", "--verify", f"{base}^{{commit}}").strip()
@@ -187,7 +232,10 @@ def pairs_main(base: str, pairs: int, workload: str) -> int:
         try:
             recorded = record_pairs(
                 workload, pairs,
-                lambda side, w: run_workload(w, trace=0, root=sides[side]))
+                lambda side, w: run_workload(w, trace=int(bool(layers)),
+                                             root=sides[side],
+                                             seconds=seconds),
+                layers, seconds)
         except Refused as exc:
             print(f"bench_record: {exc}; nothing written", file=sys.stderr)
             return 1
@@ -200,6 +248,13 @@ def pairs_main(base: str, pairs: int, workload: str) -> int:
           f"median {METRIC} "
           f"{recorded['head']['median']:.6g} / "
           f"{recorded['base']['median']:.6g}")
+    if layers:
+        summed = recorded["layers"]
+        print(f"traced self time of {', '.join(layers)}: HEAD won "
+              f"{summed['head_wins']} of {pairs} (sign test p = "
+              f"{summed['sign_test_p']:.3g}), median "
+              f"{summed['head']['median']:.6g} / "
+              f"{summed['base']['median']:.6g} s")
     return 0
 
 
@@ -208,9 +263,24 @@ def main(argv=None) -> int:
     parser.add_argument("--base", help="commit to pair HEAD against")
     parser.add_argument("--pairs", type=int, help="pairs to run, >= 2")
     parser.add_argument("--workload", help="a workload of BENCHMARK.json")
+    parser.add_argument("--layers", default="",
+                        help="traced layers whose self time the pairs sum, "
+                             "comma-separated")
+    parser.add_argument("--seconds", type=float, default=SECONDS,
+                        help=f"run length (default {SECONDS})")
     args = parser.parse_args(argv)
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
-        workloads = [w["name"] for w in json.load(f)["workloads"]]
+        contract = json.load(f)
+    workloads = [w["name"] for w in contract["workloads"]]
+    traced = {m["name"] for m in contract["per_layer"]}
+    layers = [name for name in args.layers.split(",") if name]
+    if not args.seconds > 0:
+        parser.error("--seconds must be positive")
+    unknown = [name for name in layers if f"{name}.self_s" not in traced]
+    if unknown:
+        parser.error(f"no traced self time for {', '.join(unknown)}")
+    if layers and args.base is None:
+        parser.error("--layers goes with --base")
     pairing = (args.base, args.pairs, args.workload)
     if any(a is not None for a in pairing):
         if None in pairing:
@@ -225,9 +295,12 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 1
     if args.base is not None:
-        return pairs_main(args.base, args.pairs, args.workload)
+        return pairs_main(args.base, args.pairs, args.workload, layers,
+                          args.seconds)
     try:
-        written = record(ROOT, workloads, run_workload)
+        written = record(ROOT, workloads,
+                         lambda w: run_workload(w, seconds=args.seconds),
+                         args.seconds)
     except Refused as exc:
         print(f"bench_record: {exc}; nothing written", file=sys.stderr)
         return 1
