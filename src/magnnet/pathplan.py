@@ -36,35 +36,43 @@ class MotionModel(Enum):
                 (0, 0, 1), (0, 0, -1))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Grid:
-    """A box of cells, `blocked` where no agent may stand.
-
-    `occupancy` is one byte per cell, 1 where blocked, of the box padded
-    with one blocked cell on every side, in C order: `index` gives a
-    cell's byte, and a unit move along x, y or z adds `strides[0]`,
-    `strides[1]` or 1 to it.  A step off the box lands on the border, so
-    a planner stepping by offsets needs no bounds test, and the index
-    orders cells as their (x, y, z) tuples do.  The grid keeps no other
-    copy of the mask it is given: `blocked` is a read-only view of the
-    immutable occupancy, so nothing derived from it can go stale."""
+    """A box of `dims` cells, made from a bool mask, True where no agent
+    may stand.  `occupancy`, the one map it stores, has one byte per
+    cell, 1 where blocked, of the box padded with one blocked cell on
+    every side, in C order: `index` gives a cell's byte, and a unit move
+    along x, y or z adds `strides[0]`, `strides[1]` or 1 to it.  A step
+    off the box lands on the border, so a planner stepping by offsets
+    needs no bounds test, and the index orders cells as their (x, y, z)
+    tuples do.  `padded` and `blocked` view those immutable bytes, read
+    only, so no mask drifts from them, in a copy or an unpickled grid."""
 
     dims: Cell
-    blocked: np.ndarray  # bool array, shape == dims, read-only
-    occupancy: bytes = field(init=False, repr=False, compare=False)
-    strides: tuple = field(init=False, repr=False, compare=False)
+    occupancy: bytes = field(repr=False)
+    strides: tuple = field(repr=False, compare=False)
 
-    def __post_init__(self):
-        if self.blocked.shape != tuple(self.dims):
-            raise ValueError(f"blocked mask shape {self.blocked.shape} "
-                             f"does not match dims {tuple(self.dims)}")
-        padded = np.ones([n + 2 for n in self.blocked.shape], dtype=bool)
-        padded[1:-1, 1:-1, 1:-1] = self.blocked
-        occupancy = padded.tobytes()
-        blocked = np.frombuffer(occupancy, dtype=bool).reshape(padded.shape)
-        object.__setattr__(self, "blocked", blocked[1:-1, 1:-1, 1:-1])
-        object.__setattr__(self, "occupancy", occupancy)
+    def __init__(self, dims: Cell, blocked: np.ndarray):
+        dims = tuple(dims)
+        if blocked.shape != dims:
+            raise ValueError(f"blocked mask shape {blocked.shape} "
+                             f"does not match dims {dims}")
+        padded = np.ones([n + 2 for n in dims], dtype=bool)
+        padded[1:-1, 1:-1, 1:-1] = blocked
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "occupancy", padded.tobytes())
         object.__setattr__(self, "strides", padded.strides[:2])
+
+    @property
+    def padded(self) -> np.ndarray:
+        """`occupancy` as a bool array of the padded box's shape."""
+        return np.frombuffer(self.occupancy, dtype=bool).reshape(
+            [n + 2 for n in self.dims])
+
+    @property
+    def blocked(self) -> np.ndarray:
+        """The mask, a bool array of shape `dims`."""
+        return self.padded[1:-1, 1:-1, 1:-1]
 
     def index(self, cell: Cell) -> int:
         """The byte of in-box (x, y, z) `cell` in `occupancy`."""
@@ -78,13 +86,10 @@ class Grid:
         y, z = divmod(rest, sy)
         return (x - 1, y - 1, z - 1)
 
-    def in_bounds(self, cell: Cell) -> bool:
+    def is_free(self, cell: Cell) -> bool:
         x, y, z = cell
         return 0 <= x < self.dims[0] and 0 <= y < self.dims[1] \
-            and 0 <= z < self.dims[2]
-
-    def is_free(self, cell: Cell) -> bool:
-        return self.in_bounds(cell) and not self.blocked[cell]
+            and 0 <= z < self.dims[2] and not self.occupancy[self.index(cell)]
 
 
 @dataclass
@@ -269,22 +274,24 @@ class Rings:
     `Rings` owns the model's search: the cells it searches, its start,
     its rings, its labels and its walks.  The model picks the mask of
     searched cells: every free cell for AERIAL6, and for GROUND4 the
-    free cells of the z = 0 plane, as no ground move leaves it.  Every
-    method takes (x, y, z) cells, and a cell off the mask reads as
-    blocked.
+    free cells of the z = 0 plane, as no ground move leaves it; `bounds`
+    is their box.  `Rings` packs its free words from the grid's
+    occupancy and reads freeness there, keeping no mask of its own.
+    Every method takes (x, y, z) cells; one off the mask reads blocked.
 
-    Word layout: the first axis x is cut into blocks of 64 cells.  Word
-    (w, r) holds cells x = 64w .. 64w + 63 (bit i is x = 64w + i) at
-    index r of the other searched axes (y and z, or y alone on the
-    plane), which are padded with one blocked cell on every side and
-    flattened; it sits at w * B + r, where B is their padded size (52 *
-    32 words on a 50x50x30 grid).  A move along x is a 1-bit shift of
-    every word, plus, when x spans more than one block, a carry of bit
-    63 into the same r of the next block: a word shift by B.  A move
-    along another axis is a word shift by its stride (Z+2 for y and 1
-    for z in 3D, 1 for y on the plane), and the padding keeps it inside
-    its block: a shift that crosses a row or plane boundary lands in a
-    padding word, which is never free, so `nxt &= todo` drops it.
+    Word layout: the first axis x, up to one cell past its last, is cut
+    into blocks of 64 cells.  Word (w, r) holds cells x = 64w .. 64w +
+    63 (bit i is x = 64w + i) at index r of the other searched axes (y
+    and z, or y alone on the plane), padded with one blocked cell on
+    every side as in the occupancy and flattened; it sits at w * B + r,
+    where B is their padded size (52 * 32 words on a 50x50x30 grid).  A
+    move along x is a 1-bit shift of every word, plus, when x spans more
+    than one block, a carry of bit 63 into the same r of the next block:
+    a word shift by B.  A move along another axis is a word shift by its
+    stride (Z+2 for y and 1 for z in 3D, 1 for y on the plane), and the
+    padding keeps it inside its block: a shift that crosses a row or
+    plane boundary lands in a padding word, which is never free, so
+    `nxt &= todo` drops it.
 
     A row's search is its state after its last ring: `todo`, the free
     cells not yet reached; `frontier`, the cells of the last ring;
@@ -306,25 +313,31 @@ class Rings:
     """
 
     def __init__(self, grid: Grid, model: MotionModel, rows: int):
-        self.deltas = model.deltas
-        # the free cells a row searches, of the grid's shape, and the
-        # index of the packed ones: the z = 0 plane for GROUND4
-        self.mask, searched = ~grid.blocked, ...
+        self.grid, self.deltas = grid, model.deltas
+        # the occupancy, y and z padded as the words are, or its z = 0 column
+        occupied, bounds = grid.padded[1:-1], grid.dims
         if model is MotionModel.GROUND4:
-            self.mask[:, :, 1:] = False
-            searched = (slice(None), slice(None), 0)
-        free = self.mask[searched]
+            occupied, bounds = occupied[:, :, 1], bounds[:2] + (1,)
+        free, ground = ~occupied, occupied.ndim == 2
         self.nx = free.shape[0]
-        self.blocks = -(-self.nx // 64)
-        self.padded = tuple(n + 2 for n in free.shape[1:])
-        self.block = math.prod(self.padded)  # words per x-block
-        self.strides = tuple(math.prod(self.padded[i + 1:])
-                             for i in range(len(self.padded)))
+        # one bit past the last x, so every axis has padding at its bound
+        self.blocks = self.nx // 64 + 1
+        self.block = free[0].size  # words per x-block
+        # word strides along y and z, the occupancy's, or along y alone
+        self.strides = (grid.strides[1], 1)[ground:]
+        self.bounds = np.array(bounds, dtype=np.uintp)
         # cells @ _coef + _base: each (x, y, z) cell's word within its
-        # x-block; z weighs nothing on the plane
-        self._coef = np.array((0,) + self.strides + (0,) * (3 - free.ndim))
-        self._base = sum(self.strides)
-        self.free = self._pack(free)
+        # x-block and its byte in the occupancy; on the plane z weighs 0
+        # in the word and -1 in the byte, so z = 1 reads the border
+        self._coef = np.array([(0,) + self.strides + (0,) * ground,
+                               grid.strides + (-1 if ground else 1,)]).T
+        self._base = np.array([sum(self.strides), grid.index((0, 0, 0))])
+        # x goes last here, so packbits runs along the contiguous axis
+        cells = np.zeros(free.shape[1:] + (64 * self.blocks,), dtype=bool)
+        cells[..., :self.nx] = np.moveaxis(free, 0, -1)
+        words = np.packbits(cells, axis=-1, bitorder="little").view("<u8")
+        self.free = np.ascontiguousarray(
+            words.reshape(self.block, self.blocks).T).ravel()
         planes = int(np.count_nonzero(free) + 1).bit_length()
         # per row: todo, then the planes; np.zeros leaves untouched
         # pages unmapped, so only the planes rings reach take memory
@@ -347,34 +360,20 @@ class Rings:
     def planes(self) -> np.ndarray:
         return self._words[:, 1:]
 
-    def _pack(self, mask: np.ndarray) -> np.ndarray:
-        # x goes last here, so packbits runs along the contiguous axis
-        inner = (slice(1, -1),) * len(self.padded)
-        cells = np.zeros(self.padded + (64 * self.blocks,), dtype=bool)
-        cells[inner + (slice(0, self.nx),)] = np.moveaxis(mask, 0, -1)
-        words = np.packbits(cells, axis=-1, bitorder="little").view("<u8")
-        return np.ascontiguousarray(
-            words.reshape(self.block, self.blocks).T).ravel()
-
     def locate(self, cells: np.ndarray):
         """(word, bit, free) of each (x, y, z) cell, a row of `cells`:
-        its word's index, its bit's index in the word, and whether it is
-        a free cell of the mask.  A cell off the grid is not free, and
-        reads (0, 0, 0)'s word and bit."""
-        try:  # the flat index checks every cell's bounds
-            free = self.mask.take(np.ravel_multi_index(cells.T,
-                                                       self.mask.shape))
-        except ValueError:
-            on = ((cells >= 0) & (cells < self.mask.shape)).all(axis=1)
-            cells = np.where(on[:, None], cells, 0)
-            free = self.mask[tuple(cells.T)] & on
-        x = cells[:, 0]
-        at = cells @ self._coef
-        at += self._base
+        its word's index, its bit's index in the word, and whether the
+        occupancy holds it free.  A coordinate outside `bounds` (negative
+        ones wrap) is clamped to its bound, padding in the words and in
+        the occupancy, so a cell off the grid or the plane is not free."""
+        edge = np.minimum(cells.astype(np.uintp), self.bounds)
+        found = edge.view(np.intp) @ self._coef + self._base
+        at, x = found[:, 0], edge[:, 0]
         if self.blocks > 1:
-            at += (x >> 6) * self.block
+            at += (x >> 6).astype(np.intp) * self.block
             x = x & 63
-        return at, x.astype(np.uint64), free
+        occupied = np.frombuffer(self.grid.occupancy, dtype=bool)
+        return at, x, ~occupied.take(found[:, 1])
 
     def start(self, row: int, source) -> None:
         """Row `row` searches from (x, y, z) `source`, or from nothing,
@@ -482,7 +481,7 @@ class Rings:
         """Every cell's ring into `out`, an array of the grid's shape:
         what `labels` reads at each free cell of the mask, and inf at
         every other cell."""
-        cells = np.argwhere(self.mask)
+        cells = np.argwhere(~self.grid.blocked[:, :, :self.bounds[2]])
         at, shift, _ = self.locate(cells)
         out[...] = np.inf
         out[tuple(cells.T)] = self.labels(np.array([row]), at, shift)[0]
@@ -572,7 +571,7 @@ class FieldStore:
     searches.
 
     Per motion model one `Rings` stack with a row per slot, made on the
-    model's first field (its mask packed once) and reused for the whole
+    model's first field (the occupancy packed once) and reused for the whole
     episode: row s holds the search from the task in observation slot
     s.  The stack owns the model's search, the cells it covers (only
     the z = 0 plane for GROUND4) included; the store keeps which task

@@ -16,6 +16,7 @@ spec = importlib.util.spec_from_file_location(
     "bench_record", os.path.join(REPO, "tools", "bench_record.py"))
 bench_record = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(bench_record)
+REFERENCE_S = bench_record.reference_s()
 
 RESULT = {"workload": "w", "seed": 3, "trace": 1, "rounds": 7,
           "env": {"commit": "abc123", "python": "3.11.7", "numpy": "2.4.6"},
@@ -161,10 +162,12 @@ def test_a_failed_pair_run_refuses(bad, reason, side):
         bench_record.record_pairs("w", 2, run)
 
 
-def traced(work, rrt_star_s, astar_s, digest="d1"):
+def traced(work, rrt_star_s, astar_s, digest="d1",
+           probe_s=REFERENCE_S):
     """A passing `--trace 1` run's output, laid out as run.py prints it:
-    the untraced `work_per_ref_s` among the printed figures only, the
-    traced self times also in the last line's per-layer metrics."""
+    the untraced end-to-end figures, `work_per_ref_s` and `probe_s`
+    among the printed figures only, the traced self times also in the
+    last line's per-layer metrics."""
     layers = {"pathplan.rrt_star.self_s": rrt_star_s,
               "pathplan.astar.self_s": astar_s,
               "pathplan.astar.calls": 72}
@@ -172,7 +175,9 @@ def traced(work, rrt_star_s, astar_s, digest="d1"):
                for name, value in layers.items()}
     return (0, f"workload w  seed 3  rounds 6  trace 1\ndigest {digest}\n"
             "end-to-end, untraced pass:\n  setup_s = 0.2 s\n"
+            "  peak_rss_mb = 42 MB\n"
             "other figures of the untraced pass:\n"
+            f"  probe_s = {probe_s:.6g} s  median of 7 speed probes\n"
             f"  work_per_ref_s = {work:.6g} 1/s  median of 6 rounds\n"
             "per-layer, traced pass:\n"
             + "".join(f"  {name} = {value:.6g} s\n"
@@ -199,6 +204,8 @@ def test_layer_pairs_sum_the_named_layers():
     layers = got["layers"]
     assert layers["names"] == ["pathplan.rrt_star", "pathplan.astar"]
     assert layers["head"]["values"] == pytest.approx([0.4, 0.3, 0.5, 0.4])
+    assert layers["head"]["raw_s"] == pytest.approx([0.4, 0.3, 0.5, 0.4])
+    assert layers["head"]["probe_s"] == [REFERENCE_S] * 4
     assert layers["base"]["values"] == pytest.approx([0.6, 0.25, 0.6, 0.6])
     assert layers["ratios"] == pytest.approx([1.5, 0.25 / 0.3, 1.2, 1.5])
     assert (layers["head_wins"], layers["ties"]) == (3, 0)
@@ -206,6 +213,45 @@ def test_layer_pairs_sum_the_named_layers():
     assert layers["head"]["median"] == pytest.approx(0.4)
     assert (layers["head"]["q1"], layers["head"]["q3"]) == \
         pytest.approx((0.325, 0.475))
+
+
+def test_layer_pairs_scale_out_the_box_speed():
+    """HEAD's runs take twice the layer time of the base's, but their
+    speed probes took twice as long too: at reference speed every pair
+    ties, and the raw sums and probes stay beside the scaled ones."""
+    slow = REFERENCE_S * 2
+    run, _ = canned_pairs({
+        "head": [traced(50.0, 0.5, 0.25, probe_s=slow) for _ in range(4)],
+        "base": [traced(50.0, 0.25, 0.125) for _ in range(4)]})
+    layers = bench_record.record_pairs(
+        "w", 4, run, layers=["pathplan.rrt_star", "pathplan.astar"])["layers"]
+    assert layers["ratios"] == [1.0] * 4
+    assert (layers["head_wins"], layers["ties"], layers["sign_test_p"]) == \
+        (0, 4, 1.0)
+    assert layers["head"]["values"] == layers["base"]["values"] == \
+        [0.375] * 4
+    assert layers["head"]["raw_s"] == [0.75] * 4
+    assert layers["base"]["raw_s"] == [0.375] * 4
+    assert layers["head"]["probe_s"] == [slow] * 4
+    assert layers["metric"] == "self_s summed, at reference speed"
+
+
+def test_pairs_compare_setup_and_memory():
+    """`setup_s` and `peak_rss_mb` of every run, base over HEAD per
+    pair, from the last line untraced and from the printed figures
+    traced."""
+    run, _ = canned_pairs({"head": [untraced(1.0), untraced(1.0)],
+                           "base": [untraced(1.0), untraced(1.0)]})
+    also = bench_record.record_pairs("w", 2, run)["also"]
+    assert sorted(also) == ["peak_rss_mb", "setup_s"]
+    assert also["setup_s"]["head"]["values"] == [0.2, 0.2]
+    assert also["peak_rss_mb"]["ratios"] == [1.0, 1.0]
+    run, _ = canned_pairs({"head": [traced(1.0, 0.1, 0.1)] * 2,
+                           "base": [traced(1.0, 0.1, 0.1)] * 2})
+    also = bench_record.record_pairs("w", 2, run,
+                                     layers=["pathplan.astar"])["also"]
+    assert also["peak_rss_mb"]["base"]["values"] == [42.0, 42.0]
+    assert also["setup_s"]["ties"] == 2
 
 
 def test_untraced_pairs_record_no_layers():

@@ -15,6 +15,7 @@ import heapq
 import itertools
 import json
 import os
+import pickle
 import types
 from collections import Counter
 from unittest import mock
@@ -359,7 +360,8 @@ def run_store_program(grid: Grid, model: MotionModel, ops) -> FieldStore:
     ensures it again, which builds nothing; its row must equal the
     bounded `distance_field(..., reach=)`.  `lookup` reads every held
     row at `cells`, `drop` forgets the task of `row`, `path` walks `row`
-    from each start in `cells`, and `copy` deep-copies the store.
+    from each start in `cells`, and `copy` adds two copies of the state
+    it picks, up to five states: a deep copy and a pickle round trip.
     Returns the store the program started with."""
     searched = ~grid.blocked
     if model is G4:
@@ -385,8 +387,9 @@ def run_store_program(grid: Grid, model: MotionModel, ops) -> FieldStore:
     for kind, row, which, cells in ops:
         state = copies[which % len(copies)]
         store, rows = state.store, state.rows
-        if kind == "copy" and len(copies) < 3:
+        if kind == "copy" and len(copies) < 5:
             copies.append(copy.deepcopy(state))
+            copies.append(pickle.loads(pickle.dumps(state)))
         elif kind == "ensure":
             reach = np.asarray(cells[1:], dtype=np.intp).reshape(-1, 3)
             task = types.SimpleNamespace(id=next(task_ids),
@@ -528,8 +531,9 @@ class TestFieldStoreAgainstDijkstra:
 
     def test_lookup_past_the_last_ring_extends_the_row(self):
         """A row built out to ring 2 and looked up there, then halfway
-        to its farthest cell, then, on the row and on a copy, at that
-        cell: each extension adds only the rings it needs."""
+        to its farthest cell, then, on the row, on a deep copy and on an
+        unpickled copy, at that cell: each extension adds only the rings
+        it needs."""
         blocked = np.random.default_rng(7).random((14, 12, 5)) < 0.15
         blocked[0, 0, 0] = blocked[1, 1, 0] = False
         grid = Grid((14, 12, 5), blocked)
@@ -540,7 +544,7 @@ class TestFieldStoreAgainstDijkstra:
             ("ensure", 1, 0, [(0, 0, 0), (1, 1, 0)]),
             ("lookup", 1, 0, np.array([(1, 1, 0)])), ("lookup", 1, 0, mid),
             ("copy", 1, 0, None), ("lookup", 1, 0, far),
-            ("lookup", 1, 1, far)])
+            ("lookup", 1, 1, far), ("lookup", 1, 2, far)])
 
     @pytest.mark.parametrize("ring", [0, 1, 3, 31, 63, 127, 255])
     @pytest.mark.parametrize("model,axis", [(A6, 0), (A6, 2), (G4, 1)])
@@ -635,6 +639,102 @@ class TestGrid:
         steps = (sx, -sx, sy, -sy, 1, -1)
         border = {i + s for i in at for s in steps} - set(at)
         assert border and all(grid.occupancy[i] == 1 for i in border)
+
+    @pytest.mark.parametrize("clone", [
+        copy.deepcopy, lambda grid: pickle.loads(pickle.dumps(grid))],
+        ids=["deepcopy", "pickle"])
+    def test_a_copy_keeps_one_map(self, clone):
+        """A copied grid's mask is read-only and equal to the original's,
+        so nothing can change it under the copy's occupancy: `is_free`,
+        A* and a `Rings` built on the copy agree with the original cell
+        for cell."""
+        rng = np.random.default_rng(4)
+        grid = random_grid(rng, (70, 5, 3), 0.3)
+        twin = clone(grid)
+        with pytest.raises(ValueError, match="read-only"):
+            twin.blocked[0, 0, 0] = not twin.blocked[0, 0, 0]
+        assert twin == grid and np.array_equal(twin.blocked, grid.blocked)
+        cells = list(itertools.product(*[range(-1, n + 1) for n in grid.dims]))
+        assert [twin.is_free(c) for c in cells] == \
+            [grid.is_free(c) for c in cells]
+        batch = np.array(cells)
+        for model in MotionModel:
+            ground = model is G4
+            start = free_cell(rng, grid, ground)
+            for goal in [free_cell(rng, grid, ground) for _ in range(8)]:
+                try:
+                    want = astar(grid, start, goal, model).cells
+                except NoPathError:
+                    want = None
+                try:
+                    assert astar(twin, start, goal, model).cells == want
+                except NoPathError:
+                    assert want is None
+            ours, theirs = (pathplan.Rings(g, model, 1) for g in (twin, grid))
+            assert np.array_equal(ours.free, theirs.free)
+            for a, b in zip(ours.locate(batch), theirs.locate(batch)):
+                assert np.array_equal(a, b)
+            assert np.array_equal(distance_field(twin, start, model),
+                                  distance_field(grid, start, model))
+
+
+class TestLocate:
+    """`Rings.locate` through `FieldStore.lookup` and `Rings.walk`, on one
+    batch of every cell of the grid, free and blocked, above the plane
+    for GROUND4, and cells off the grid on both sides of each axis."""
+
+    @pytest.mark.parametrize("dims", [(70, 5, 3), (64, 4, 2), (9, 1, 4),
+                                      (9, 6, 1)],
+                             ids=["two-words", "one-word-full", "thin-y",
+                                  "thin-z"])
+    @pytest.mark.parametrize("model", [A6, G4])
+    def test_mixed_batch_follows_the_per_cell_rule(self, dims, model):
+        """Each cell reads its Dijkstra distance on the mask and inf off
+        it, and walks down to the source exactly where it is finite."""
+        rng = np.random.default_rng(sum(dims))
+        grid = random_grid(rng, dims, 0.3)
+        source = free_cell(rng, grid, ground=True)
+        ref = dijkstra_field(grid, source, model)
+        inside = list(itertools.product(*map(range, dims)))
+        off = []
+        for axis, n in enumerate(dims):
+            for v in (-1, n, -n - 64, 10 ** 6):
+                cell = list(inside[int(rng.integers(len(inside)))])
+                cell[axis] = v
+                off.append(tuple(cell))
+        order = rng.permutation(len(inside) + len(off))
+        batch = np.array(inside + off, dtype=np.intp)[order]
+        want = np.array([ref[c] if grid.is_free(c) else np.inf
+                         for c in map(tuple, batch)])
+        assert np.isfinite(want).any() and np.isinf(want).any()
+        store = FieldStore(grid, 2)
+        task = types.SimpleNamespace(id=0, location=source)
+        store.ensure(model, [task], np.array([1]), np.array([source]))
+        assert np.array_equal(store.lookup(model, np.array([1]), batch)[:, 0],
+                              want)
+        rings = store._rings[model]
+        for cell, d in zip(map(tuple, batch.tolist()), want):
+            walked = rings.walk(1, cell)
+            if np.isinf(d):
+                assert walked is None, cell
+            else:
+                assert walked == extract_path_reference(ref, cell,
+                                                        model).cells
+
+    @pytest.mark.parametrize("model", [A6, G4])
+    def test_cell_past_a_full_last_word_reads_padding(self, model):
+        """On a 128-cell corridor x = 128 lies past the last full word.
+        With 100 free cells the row's labels fill its top plane, so a
+        word index one block too far would leave the stack."""
+        blocked = np.zeros((128, 1, 1), dtype=bool)
+        blocked[100:] = True
+        store = FieldStore(Grid((128, 1, 1), blocked), 2)
+        task = types.SimpleNamespace(id=0, location=(0, 0, 0))
+        store.ensure(model, [task], np.array([1]), np.array([(99, 0, 0)]))
+        cells = np.array([(128, 0, 0), (99, 0, 0), (100, 0, 0), (-1, 0, 0)])
+        assert store.lookup(model, np.array([1]), cells)[:, 0].tolist() == \
+            [np.inf, 99, np.inf, np.inf]
+        assert store._rings[model].walk(1, (128, 0, 0)) is None
 
 
 class TestRRTStar:
