@@ -165,9 +165,9 @@ def test_a_failed_pair_run_refuses(bad, reason, side):
 def traced(work, rrt_star_s, astar_s, digest="d1",
            probe_s=REFERENCE_S):
     """A passing `--trace 1` run's output, laid out as run.py prints it:
-    the untraced end-to-end figures, `work_per_ref_s` and `probe_s`
-    among the printed figures only, the traced self times also in the
-    last line's per-layer metrics."""
+    the untraced `work_per_ref_s` and `probe_s` among the printed
+    figures only, the traced self times also in the last line's
+    per-layer metrics."""
     layers = {"pathplan.rrt_star.self_s": rrt_star_s,
               "pathplan.astar.self_s": astar_s,
               "pathplan.astar.calls": 72}
@@ -175,7 +175,6 @@ def traced(work, rrt_star_s, astar_s, digest="d1",
                for name, value in layers.items()}
     return (0, f"workload w  seed 3  rounds 6  trace 1\ndigest {digest}\n"
             "end-to-end, untraced pass:\n  setup_s = 0.2 s\n"
-            "  peak_rss_mb = 42 MB\n"
             "other figures of the untraced pass:\n"
             f"  probe_s = {probe_s:.6g} s  median of 7 speed probes\n"
             f"  work_per_ref_s = {work:.6g} 1/s  median of 6 rounds\n"
@@ -234,24 +233,6 @@ def test_layer_pairs_scale_out_the_box_speed():
     assert layers["base"]["raw_s"] == [0.375] * 4
     assert layers["head"]["probe_s"] == [slow] * 4
     assert layers["metric"] == "self_s summed, at reference speed"
-
-
-def test_pairs_compare_setup_and_memory():
-    """`setup_s` and `peak_rss_mb` of every run, base over HEAD per
-    pair, from the last line untraced and from the printed figures
-    traced."""
-    run, _ = canned_pairs({"head": [untraced(1.0), untraced(1.0)],
-                           "base": [untraced(1.0), untraced(1.0)]})
-    also = bench_record.record_pairs("w", 2, run)["also"]
-    assert sorted(also) == ["peak_rss_mb", "setup_s"]
-    assert also["setup_s"]["head"]["values"] == [0.2, 0.2]
-    assert also["peak_rss_mb"]["ratios"] == [1.0, 1.0]
-    run, _ = canned_pairs({"head": [traced(1.0, 0.1, 0.1)] * 2,
-                           "base": [traced(1.0, 0.1, 0.1)] * 2})
-    also = bench_record.record_pairs("w", 2, run,
-                                     layers=["pathplan.astar"])["also"]
-    assert also["peak_rss_mb"]["base"]["values"] == [42.0, 42.0]
-    assert also["setup_s"]["ties"] == 2
 
 
 def test_untraced_pairs_record_no_layers():

@@ -446,7 +446,8 @@ def store_programs(draw, shape, model):
     anywhere, blocked ones included; nine in ten GROUND4 cells lie on
     the z = 0 plane.  An `ensure` gets a task cell and 0-4 reach cells,
     a `lookup` 1-5 cells, and a `path` every cell of a small grid or 4
-    cells of a larger one."""
+    cells of a larger one.  `which` runs 0-4, so an operation can pick
+    any of the up to five states, a later copy or a copy's copy too."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if shape == "corridor":
         dims = [1, 1, 1]
@@ -472,7 +473,7 @@ def store_programs(draw, shape, model):
     ops = []
     for kind, row, which in draw(st.lists(st.tuples(
             st.sampled_from(["ensure", "lookup", "drop", "path", "copy"]),
-            st.integers(0, 2), st.integers(0, 2)), min_size=1, max_size=12)):
+            st.integers(0, 2), st.integers(0, 4)), min_size=1, max_size=12)):
         if kind == "path":
             where = np.argwhere(np.ones(dims)) if shape == "small" \
                 else cells(4)

@@ -29,14 +29,14 @@ first pair).  T is 0, or 1 with --layers, whose run adds a traced pass
 after the untraced one.  Under the `pairs` key it writes REV's commit,
 the run length, whether the two sides printed the same set of seeded
 digests, and per metric what `compare` returns: the untraced
-`work_per_ref_s` (HEAD over base per pair, higher is better); under
-`also`, the untraced `setup_s` and `peak_rss_mb` (base over HEAD per
-pair, as lower is better), so a ratio above 1 is a pair HEAD won either
-way; and with --layers A,B,... under `layers`, the traced self time
-summed over layers A, B, ... (lower is better), scaled to reference
-speed as `work_per_ref_s` is: times REFERENCE_S of perfbench/calibrate.py
-over the run's own `probe_s`, the median of its untraced pass's speed
-probes.  Each side of `layers` also keeps the raw sums and the probes.
+`work_per_ref_s` (HEAD over base per pair, higher is better), and with
+--layers A,B,... under `layers`, the traced self time summed over layers
+A, B, ... (base over HEAD per pair, as lower is better), so a ratio
+above 1 is a pair HEAD won either way.  The layer sums are scaled to
+reference speed as `work_per_ref_s` is: times REFERENCE_S of
+perfbench/calibrate.py over the run's own `probe_s`, the median of its
+untraced pass's speed probes.  Each side of `layers` also keeps the raw
+sums and the probes.
 
 Either form refuses, and writes nothing, when the tree has changes
 outside BENCH_*.json (the stamped commit must be the code that was
@@ -63,7 +63,6 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SEED, SECONDS = 3, 20
 COPIED = ("env", "digest", "quality", "figures")
 METRIC = "work_per_ref_s"
-ALSO = ("setup_s", "peak_rss_mb")   # end-to-end, lower is better
 
 
 def reference_s() -> float:
@@ -155,15 +154,12 @@ def record_pairs(workload: str, pairs: int, run, layers=(),
     lacks a figure."""
     sides = ("head", "base")
     work, layer_s, probe_s = ({s: [] for s in sides} for _ in range(3))
-    also = {name: {s: [] for s in sides} for name in ALSO}
     digests = {s: set() for s in sides}
     for k in range(pairs):
         for side in sides if k % 2 == 0 else sides[::-1]:
             returncode, stdout = run(side, workload)
             summary = run_summary(f"{workload} ({side})", returncode, stdout)
             work[side].append(figure(summary, stdout, METRIC))
-            for name, values in also.items():
-                values[side].append(figure(summary, stdout, name))
             if layers:
                 layer_s[side].append(sum(
                     figure(summary, stdout, f"{layer}.self_s")
@@ -175,10 +171,7 @@ def record_pairs(workload: str, pairs: int, run, layers=(),
     entry = {"metric": METRIC, "seed": SEED, "seconds": seconds,
              "trace": int(bool(layers)),
              "digests_agree": digests["head"] == digests["base"],
-             **compare(work["head"], work["base"]),
-             "also": {name: compare(values["head"], values["base"],
-                                    lower_is_better=True)
-                      for name, values in also.items()}}
+             **compare(work["head"], work["base"])}
     for side in sides:
         entry[side]["digests"] = sorted(digests[side])
     if layers:
@@ -280,9 +273,6 @@ def pairs_main(base: str, pairs: int, workload: str, layers: list,
           f"median {METRIC} "
           f"{recorded['head']['median']:.6g} / "
           f"{recorded['base']['median']:.6g}")
-    for name, got in recorded["also"].items():
-        print(f"{name}: HEAD won {got['head_wins']} of {pairs}, median "
-              f"{got['head']['median']:.6g} / {got['base']['median']:.6g}")
     if layers:
         summed = recorded["layers"]
         print(f"traced self time of {', '.join(layers)} at reference "
