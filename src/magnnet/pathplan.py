@@ -152,6 +152,19 @@ def manhattan(a: Cell, b: Cell) -> int:
     return abs(a[0] - b[0]) + abs(a[1] - b[1]) + abs(a[2] - b[2])
 
 
+def _endpoints(grid: Grid, model: MotionModel, start: Cell,
+               goal: Cell) -> tuple[Cell, Cell]:
+    """`start` and `goal` as tuples, each free, in bounds and, under
+    GROUND4, at z = 0; else NoPathError naming the one that fails."""
+    start, goal = tuple(start), tuple(goal)
+    for name, cell in (("start", start), ("goal", goal)):
+        if not grid.is_free(cell):
+            raise NoPathError(f"{name} {cell} is blocked or out of bounds")
+        if model is MotionModel.GROUND4 and cell[2] != 0:
+            raise NoPathError(f"ground model requires z=0: {name} {cell}")
+    return start, goal
+
+
 # ---------------------------------------------------------------------------
 # A*
 # ---------------------------------------------------------------------------
@@ -176,14 +189,7 @@ def astar(grid: Grid, start: Cell, goal: Cell, model: MotionModel,
     the bare cell.  Without reservations every state is a bare cell:
     plain A*.
     """
-    start, goal = tuple(start), tuple(goal)
-    if not grid.is_free(start):
-        raise NoPathError(f"start {start} is blocked or out of bounds")
-    if not grid.is_free(goal):
-        raise NoPathError(f"goal {goal} is blocked or out of bounds")
-    if model is MotionModel.GROUND4 and (start[2] != 0 or goal[2] != 0):
-        raise NoPathError("ground model requires z=0 endpoints")
-
+    start, goal = _endpoints(grid, model, start, goal)
     max_expansions = ASTAR_MAX_EXPANSIONS
     # substeps up to `last` fall in a tick that may hold a reservation
     last = -1 if reservations is None or not reservations.slots else \
@@ -715,36 +721,51 @@ RRT_GOAL_BIAS = 0.1         # share of samples that are the goal itself
 RAW_WORDS_PER_FETCH = 256   # PCG64 words `_pcg64_draws` fetches at once
 
 
-def _staircase(a: Cell, b: Cell, limit: int | None = None) -> list[Cell]:
-    """Unit axis steps from `a` to `b`: every cell after `a`, ending at
-    `b`, or only the first `limit` of them.  Each step moves along the
-    axis with the largest remaining |delta|, ties to the lower axis, so
-    the cells stay inside the box spanned by `a` and `b`."""
+def _staircase(grid: Grid, a: Cell, b: Cell,
+               limit: int | None = None) -> tuple[Cell, int]:
+    """Walk the staircase from in-grid `a` toward `b` by byte offsets in
+    `grid.occupancy`; return the cell it stops at and the steps taken.
+    Each step moves along the axis with the largest remaining |delta|,
+    ties to the lower axis.  The walk stops at `b`, after `limit` steps,
+    or before the first blocked cell.  Every cell stays inside the box
+    spanned by `a` and `b`, so with `b` in the grid too no bounds test
+    is needed.  The rule reads only the remaining deltas, so from any
+    cell of a staircase the rest of it is the staircase from that
+    cell."""
     x, y, z = a
     rx, ry, rz = b[0] - x, b[1] - y, b[2] - z  # remaining |delta| per axis
-    sx = sy = sz = 1
+    occupancy = grid.occupancy
+    ox, oy = grid.strides
+    oz = ux = uy = uz = 1  # byte offset and unit of a step along each axis
     if rx < 0:
-        rx, sx = -rx, -1
+        rx, ox, ux = -rx, -ox, -1
     if ry < 0:
-        ry, sy = -ry, -1
+        ry, oy, uy = -ry, -oy, -1
     if rz < 0:
-        rz, sz = -rz, -1
+        rz, oz, uz = -rz, -1, -1
     n = rx + ry + rz
     if limit is not None and limit < n:
         n = limit
-    cells = []
-    for _ in range(n):
+    at = grid.index(a)
+    for steps in range(n):
         if rx >= ry and rx >= rz:
-            x += sx
+            if occupancy[at + ox]:
+                break
+            at += ox
             rx -= 1
         elif ry >= rz:
-            y += sy
+            if occupancy[at + oy]:
+                break
+            at += oy
             ry -= 1
         else:
-            z += sz
+            if occupancy[at + oz]:
+                break
+            at += oz
             rz -= 1
-        cells.append((x, y, z))
-    return cells
+    else:
+        steps = n
+    return (b[0] - ux * rx, b[1] - uy * ry, b[2] - uz * rz), steps
 
 
 def _pcg64_draws(seed: int):
@@ -808,50 +829,18 @@ def rrt_star(grid: Grid, start: Cell, goal: Cell, model: MotionModel,
     skipped before the scan: steering from it yields it again.  The
     search settings are the `RRT_*` constants.
     """
-    start, goal = tuple(start), tuple(goal)
-    if not grid.is_free(start) or not grid.is_free(goal):
-        raise NoPathError("start or goal blocked")
+    start, goal = _endpoints(grid, model, start, goal)
     ground = model is MotionModel.GROUND4
-    if ground and (start[2] != 0 or goal[2] != 0):
-        raise NoPathError("ground model requires z=0 endpoints")
 
     random, integers = _pcg64_draws(seed)
     dim_x, dim_y, dim_z = grid.dims
     max_iters, radius = RRT_MAX_ITERS, RRT_REWIRE_RADIUS
     step_cells, goal_bias = RRT_STEP_CELLS, RRT_GOAL_BIAS
-    # cell (x, y, z) is byte x * sx + y * sy + z + origin of the padded
-    # occupancy.  Every cell looked up below is a sample inside dims or
-    # on a staircase between two in-grid cells, so it is in the grid.
+    # a sample (x, y, z) inside dims is byte x * sx + y * sy + z + origin
+    # of the padded occupancy
     occupancy = grid.occupancy
     sx, sy = grid.strides
     origin = grid.index((0, 0, 0))
-
-    def line_free(a: Cell, b: Cell) -> bool:
-        """Whether every cell of `_staircase(a, b)` is free, stepped by
-        its byte offsets."""
-        x, y, z = a
-        rx, ry, rz = b[0] - x, b[1] - y, b[2] - z
-        ox, oy, oz = sx, sy, 1
-        if rx < 0:
-            rx, ox = -rx, -sx
-        if ry < 0:
-            ry, oy = -ry, -sy
-        if rz < 0:
-            rz, oz = -rz, -1
-        at = x * sx + y * sy + z + origin
-        for _ in range(rx + ry + rz):
-            if rx >= ry and rx >= rz:
-                at += ox
-                rx -= 1
-            elif ry >= rz:
-                at += oy
-                ry -= 1
-            else:
-                at += oz
-                rz -= 1
-            if occupancy[at]:
-                return False
-        return True
 
     def sample_cell() -> Cell:
         if random() < goal_bias:
@@ -900,13 +889,7 @@ def rrt_star(grid: Grid, start: Cell, goal: Cell, model: MotionModel,
         # argmin returns the first minimum: ties go to the oldest node
         nearest = int(dt.argmin())
         # steer: walk toward the sample, stop at obstacle or step budget
-        new = nodes[nearest]
-        steps = 0
-        for c in _staircase(new, target, step_cells):
-            if occupancy[c[0] * sx + c[1] * sy + c[2] + origin]:
-                break
-            new = c
-            steps += 1
+        new, steps = _staircase(grid, nodes[nearest], target, step_cells)
         if new in index:
             continue
         # (node, its Manhattan distance to the new node) within the
@@ -923,10 +906,12 @@ def rrt_star(grid: Grid, start: Cell, goal: Cell, model: MotionModel,
                 seg = abs(a - x) + abs(b - y) + abs(c - z)
                 if seg <= radius:
                     near.append((k, seg))
-        # choose lowest-cost parent within the rewire radius
+        # choose lowest-cost parent within the rewire radius; a segment
+        # is free when the staircase along it reaches its end
         best_par, best_cost = None, math.inf
         for k, seg in near or ((nearest, steps),):
-            if cost[k] + seg < best_cost and line_free(nodes[k], new):
+            if cost[k] + seg < best_cost and \
+                    _staircase(grid, nodes[k], new)[0] == new:
                 best_par, best_cost = k, cost[k] + seg
         if best_par is None:
             continue
@@ -939,7 +924,8 @@ def rrt_star(grid: Grid, start: Cell, goal: Cell, model: MotionModel,
         # rewire neighbors through the new node (itself excluded: a
         # zero-length segment never lowers its cost)
         for k, seg in near:
-            if best_cost + seg < cost[k] - 1e-9 and line_free(new, nodes[k]):
+            if best_cost + seg < cost[k] - 1e-9 and \
+                    _staircase(grid, new, nodes[k])[0] == nodes[k]:
                 parent[k] = idx
                 cost[k] = best_cost + seg
 
@@ -948,7 +934,7 @@ def rrt_star(grid: Grid, start: Cell, goal: Cell, model: MotionModel,
         # final attempt: connect the closest node straight to the goal
         order = np.argsort(node_dists(goal), kind="stable")  # ties: oldest
         for k in order[:32].tolist():
-            if line_free(nodes[k], goal):
+            if _staircase(grid, nodes[k], goal)[0] == goal:
                 goal_idx = len(nodes)
                 nodes.append(goal)
                 parent.append(k)
@@ -962,9 +948,16 @@ def rrt_star(grid: Grid, start: Cell, goal: Cell, model: MotionModel,
         waypoints.append(nodes[k])
         k = parent[k]
     waypoints.reverse()
+    # every segment passed its check, so single steps from each cell
+    # toward the next waypoint retrace its staircase
     cells = [start]
-    for a, b in zip(waypoints, waypoints[1:]):
-        cells.extend(_staircase(a, b))
+    for b in waypoints[1:]:
+        while cells[-1] != b:
+            c, steps = _staircase(grid, cells[-1], b, 1)
+            if not steps:
+                raise RuntimeError(f"rrt_star: staircase {cells[-1]} -> "
+                                   f"{b} is blocked")
+            cells.append(c)
     return Path(cells)
 
 

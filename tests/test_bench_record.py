@@ -1,19 +1,24 @@
 """tools/bench_record.py on canned run.py output: what it writes for a
 run that passed, the pairs it records against a base with their sign
-test and digest agreement, and that it writes nothing when a run did
-not pass."""
+test and digest agreement, that it writes nothing when a run did not
+pass, and that SIGTERM leaves neither a base checkout nor a run
+behind."""
 
 import importlib.util
 import json
 import os
+import signal
+import subprocess
+import sys
+import time
 import types
 
 import pytest
 
 from helpers import REPO
 
-spec = importlib.util.spec_from_file_location(
-    "bench_record", os.path.join(REPO, "tools", "bench_record.py"))
+TOOL = os.path.join(REPO, "tools", "bench_record.py")
+spec = importlib.util.spec_from_file_location("bench_record", TOOL)
 bench_record = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(bench_record)
 REFERENCE_S = bench_record.reference_s()
@@ -275,3 +280,71 @@ def test_bad_flags_are_usage_errors(args, message, capsys):
         bench_record.main(args)
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
+
+
+# The recorder against a one-file repository, its runs replaced by a
+# child that writes its pid and sleeps
+STUBBED_RECORDER = """
+import importlib.util, subprocess, sys
+tool, repo, pidfile = sys.argv[1:]
+spec = importlib.util.spec_from_file_location("bench_record", tool)
+bench_record = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_record)
+bench_record.ROOT = repo
+SLEEPER = ("import os, sys, time; p = sys.argv[1]; "
+           "open(p + '.tmp', 'w').write(str(os.getpid())); "
+           "os.replace(p + '.tmp', p); time.sleep(120)")
+
+def run_workload(workload, trace=1, root=None, seconds=None):
+    return subprocess.run([sys.executable, "-c", SLEEPER, pidfile]).returncode, ""
+
+bench_record.run_workload = run_workload
+sys.exit(bench_record.main(["--base", "HEAD", "--pairs", "2",
+                            "--workload", "w"]))
+"""
+
+
+def test_sigterm_leaves_no_base_checkout_or_run(tmp_path):
+    repo, tmp, pidfile = tmp_path / "repo", tmp_path / "tmp", \
+        tmp_path / "run.pid"
+    repo.mkdir()
+    tmp.mkdir()
+    (repo / "BENCHMARK.json").write_text(json.dumps(
+        {"workloads": [{"name": "w"}], "per_layer": []}))
+
+    def git(*args):
+        return subprocess.run(
+            ["git", "-c", "user.name=t", "-c", "user.email=t@t", "-c",
+             "commit.gpgsign=false", *args], cwd=repo, check=True,
+            stdout=subprocess.PIPE, text=True).stdout
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-qm", "base")
+    (repo / "BENCH_w.json").write_text(json.dumps(
+        {"env": {"commit": git("rev-parse", "HEAD").strip()}}))
+    recorder = subprocess.Popen(
+        [sys.executable, "-c", STUBBED_RECORDER, TOOL, str(repo),
+         str(pidfile)], env={**os.environ, "TMPDIR": str(tmp)})
+    child = None
+    try:
+        deadline = time.monotonic() + 60
+        while not pidfile.exists():
+            assert recorder.poll() is None, "the recorder exited early"
+            assert time.monotonic() < deadline, "no run started"
+            time.sleep(0.05)
+        child = int(pidfile.read_text())
+        assert [p.name.startswith("bench_base_") for p in tmp.iterdir()] \
+            == [True]
+        recorder.send_signal(signal.SIGTERM)
+        assert recorder.wait(timeout=60) == 128 + signal.SIGTERM
+        assert list(tmp.iterdir()) == []
+        with pytest.raises(ProcessLookupError):
+            os.kill(child, 0)
+    finally:
+        recorder.kill()
+        recorder.wait()
+        if child is not None:
+            try:
+                os.kill(child, signal.SIGKILL)
+            except ProcessLookupError:
+                pass

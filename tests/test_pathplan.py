@@ -85,18 +85,6 @@ def free_cell(rng, grid, ground=False):
 
 
 class TestAStar:
-    def test_ground_rejects_elevated_endpoint(self):
-        grid = empty_grid((4, 4, 4))
-        with pytest.raises(NoPathError):
-            astar(grid, (0, 0, 1), (3, 3, 0), MotionModel.GROUND4)
-
-    def test_blocked_endpoints_raise(self):
-        blocked = np.zeros((4, 4, 2), dtype=bool)
-        blocked[1, 1, 0] = True
-        grid = Grid((4, 4, 2), blocked)
-        with pytest.raises(NoPathError):
-            astar(grid, (1, 1, 0), (3, 3, 0), MotionModel.AERIAL6)
-
     def test_ground_blocked_by_wall_aerial_flies_over(self):
         blocked = np.zeros((5, 5, 3), dtype=bool)
         blocked[2, :, 0] = True  # wall across the ground plane
@@ -105,6 +93,22 @@ class TestAStar:
             astar(grid, (0, 0, 0), (4, 0, 0), MotionModel.GROUND4)
         p = astar(grid, (0, 0, 0), (4, 0, 0), MotionModel.AERIAL6)
         assert p.length == 6  # up, across, down
+
+
+@pytest.mark.parametrize("planner", [astar, rrt_star], ids=["astar", "rrt"])
+@pytest.mark.parametrize("start, goal, model, name", [
+    ((1, 1, 0), (3, 3, 0), A6, "start"),
+    ((0, 0, 0), (1, 1, 0), A6, "goal"),
+    ((0, 0, 0), (3, 4, 1), A6, "goal"),
+    ((0, 0, 1), (3, 3, 0), G4, "start"),
+], ids=["blocked-start", "blocked-goal", "off-grid", "ground-above-plane"])
+def test_bad_endpoint_is_named(planner, start, goal, model, name):
+    """Both planners check their endpoints by one rule: free, in bounds
+    and, under GROUND4, at z = 0."""
+    blocked = np.zeros((4, 4, 2), dtype=bool)
+    blocked[1, 1, 0] = True
+    with pytest.raises(NoPathError, match=f"^{name} |: {name} "):
+        planner(Grid((4, 4, 2), blocked), start, goal, model)
 
 
 class TestOneOptimalPath:
@@ -1082,18 +1086,53 @@ class TestPCG64Draws:
 
 
 class TestStaircase:
-    @settings(max_examples=500, derandomize=True, deadline=None)
+    """`_staircase` against `staircase_reference` on a 60-cell cube with
+    random obstacles: the stepper returns where the reference walk stops,
+    cut at `limit` and before its first blocked cell; from any cell of
+    its walk it continues as the walk does, one step or to the end (so
+    single steps rebuild an RRT* segment); and the cells it reads stay
+    in the box spanned by `a` and `b`, so it needs no bounds test."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
     @given(st.tuples(*[st.integers(0, 59)] * 3),
-           st.tuples(*[st.integers(0, 59)] * 3), st.integers(0, 200))
-    @example((5, 5, 5), (5, 5, 5), 3)
-    @example((0, 7, 2), (59, 7, 2), 10)
-    @example((4, 0, 9), (4, 59, 9), 0)
-    @example((1, 2, 59), (1, 2, 0), 70)
-    @example((0, 0, 0), (3, 3, 3), 5)
-    def test_matches_reference(self, a, b, limit):
+           st.tuples(*[st.integers(0, 59)] * 3), st.integers(0, 200),
+           st.sampled_from((0.0, 0.01, 0.05, 0.3)),
+           st.integers(0, 2**32 - 1))
+    @example((5, 5, 5), (5, 5, 5), 3, 0.0, 0)
+    @example((0, 7, 2), (59, 7, 2), 10, 0.0, 0)
+    @example((4, 0, 9), (4, 59, 9), 0, 0.0, 0)
+    @example((1, 2, 59), (1, 2, 0), 70, 0.0, 0)
+    @example((0, 0, 0), (3, 3, 3), 5, 0.0, 0)
+    @example((0, 0, 0), (59, 59, 59), 200, 0.05, 7)
+    def test_matches_reference(self, a, b, limit, density, seed):
+        dims = (60, 60, 60)
+        grid = Grid(dims, np.random.default_rng(seed).random(dims) < density)
         ref = list(staircase_reference(a, b))
-        assert _staircase(a, b) == ref
-        assert _staircase(a, b, limit=limit) == ref[:limit]
+        walk = [a, *itertools.takewhile(grid.is_free, ref)]
+        stop = len(walk) - 1
+        assert _staircase(grid, a, b) == (walk[stop], stop)
+        cut = min(limit, stop)
+        assert _staircase(grid, a, b, limit) == (walk[cut], cut)
+        box = [range(min(p, q), max(p, q) + 1) for p, q in zip(a, b)]
+        for k, cell in enumerate(walk):
+            assert _staircase(grid, a, b, k) == (cell, k)
+            assert _staircase(grid, cell, b) == (walk[stop], stop - k)
+            assert _staircase(grid, cell, b, 1) == \
+                ((walk[k + 1], 1) if k < stop else (cell, 0))
+        # the walk's cells and the blocked cell it stops before
+        assert all(v in r for c in ref[:stop + 1] for v, r in zip(c, box))
+
+    def test_a_step_that_does_not_advance_raises(self):
+        """RRT* rebuilds its path by single steps; one that stops short
+        raises instead of looping."""
+        staircase = pathplan._staircase
+
+        def stuck(grid, a, b, limit=None):
+            return (a, 0) if limit == 1 else staircase(grid, a, b, limit)
+
+        with mock.patch.object(pathplan, "_staircase", stuck), \
+                pytest.raises(RuntimeError, match="blocked"):
+            rrt_star(empty_grid((6, 6, 1)), (0, 0, 0), (5, 5, 0), A6)
 
 
 class TestReservations:

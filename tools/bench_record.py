@@ -43,7 +43,8 @@ outside BENCH_*.json (the stamped commit must be the code that was
 measured), when a run exits nonzero, when a run's last line lacks
 "correct": true, or when a run prints no figure a metric needs.  The
 second also refuses when BENCH_W.json is missing or records another
-commit than HEAD.
+commit than HEAD.  SIGTERM stops either form as an error would: the
+running run.py is killed and the base checkout removed.
 """
 
 import argparse
@@ -53,6 +54,7 @@ import io
 import json
 import math
 import os
+import signal
 import statistics
 import subprocess
 import sys
@@ -228,6 +230,12 @@ def run_workload(workload: str, trace: int = 1, root: str = ROOT,
     return done.returncode, done.stdout
 
 
+def exit_on_signal(signum, frame):
+    """Turn a signal into SystemExit, so that `subprocess.run` kills its
+    child and the base checkout's temporary directory is removed."""
+    raise SystemExit(128 + signum)
+
+
 def git(*args, text=True):
     return subprocess.run(["git", *args], cwd=ROOT, check=True,
                           stdout=subprocess.PIPE, text=text).stdout
@@ -319,6 +327,7 @@ def main(argv=None) -> int:
         print(f"bench_record: the tree has changes: {', '.join(changed)}",
               file=sys.stderr)
         return 1
+    signal.signal(signal.SIGTERM, exit_on_signal)
     if args.base is not None:
         return pairs_main(args.base, args.pairs, args.workload, layers,
                           args.seconds)
