@@ -492,17 +492,17 @@ class Rings:
         out[...] = np.inf
         out[tuple(cells.T)] = self.labels(np.array([row]), at, shift)[0]
 
-    def walk(self, row: int, cell: Cell) -> list | None:
-        """Cells from (x, y, z) `cell` down to the row's source, or None
-        if the row has not reached `cell`: from a cell on ring d (read
-        with `labels`), the first neighbour in the motion model's order
-        that the row reached on ring d - 1.  Among reached neighbours
-        (rings d - 1, d and d + 1) only that ring's bit in plane tz(d)
-        differs from the cell's own."""
+    def walk(self, row: int, cell: Cell) -> list:
+        """Cells from (x, y, z) `cell` down to the row's source, raising
+        NoPathError if the row has not reached `cell`: from a cell on
+        ring d (read with `labels`), the first neighbour in the motion
+        model's order that the row reached on ring d - 1.  Among reached
+        neighbours (rings d - 1, d and d + 1) only that ring's bit in
+        plane tz(d) differs from the cell's own."""
         at, shift, free = self.locate(np.array([cell]))
         d = self.labels(np.array([row]), at, shift)[0, 0]
         if not free[0] or d == math.inf:
-            return None
+            raise NoPathError(f"row {row} has not reached {cell}")
         d = int(d)
         nx, block = self.nx, self.block
         x, y, z = cell
@@ -661,18 +661,11 @@ class FieldStore:
     def path(self, task_id: int, model: MotionModel, start: Cell) -> Path:
         """The shortest path from `start` to the task, walked down its
         row (`Rings.walk`): the cells a walk down the decoded field takes.
-        A row that has not reached `start` is first extended there, as a
-        lookup at `start` would."""
+        `start` must have been looked up since the row was built, as a
+        winner's cell is in the round it wins, so the row has reached it
+        if it can; else NoPathError."""
         row, rings = self._held[model].index(task_id), self._rings[model]
-        start = tuple(int(c) for c in start)
-        cells = rings.walk(row, start)
-        if cells is None:
-            if np.isinf(self.lookup(model, np.array([row]),
-                                    np.array([start]))).any():
-                raise NoPathError(f"task {task_id} is unreachable from "
-                                  f"{start}")
-            cells = rings.walk(row, start)
-        return Path(cells)
+        return Path(rings.walk(row, tuple(int(c) for c in start)))
 
 
 def cost_matrix(state) -> CostMatrix:
@@ -691,8 +684,6 @@ def cost_matrix(state) -> CostMatrix:
     tasks = state.live_tasks()
     agents = state.agents
     velocity = np.array([ag.velocity for ag in agents], dtype=np.float64)
-    if (velocity <= 0.0).any():
-        raise ValueError(f"velocity must be positive, got {velocity.min()}")
     entries = np.empty((len(agents), len(tasks)))
     if not tasks:
         return CostMatrix(entries)

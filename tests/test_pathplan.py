@@ -420,6 +420,7 @@ def run_store_program(grid: Grid, model: MotionModel, ops) -> FieldStore:
             task, ref = rows[row][:2]
             for start in map(tuple, cells):
                 asked(state, row, [start])
+                store.lookup(model, np.array([row]), np.array([start]))
                 if np.isinf(ref[start]):
                     with pytest.raises(NoPathError):
                         store.path(task.id, model, start)
@@ -719,12 +720,12 @@ class TestLocate:
                               want)
         rings = store._rings[model]
         for cell, d in zip(map(tuple, batch.tolist()), want):
-            walked = rings.walk(1, cell)
             if np.isinf(d):
-                assert walked is None, cell
+                with pytest.raises(NoPathError):
+                    rings.walk(1, cell)
             else:
-                assert walked == extract_path_reference(ref, cell,
-                                                        model).cells
+                assert rings.walk(1, cell) == extract_path_reference(
+                    ref, cell, model).cells
 
     @pytest.mark.parametrize("model", [A6, G4])
     def test_cell_past_a_full_last_word_reads_padding(self, model):
@@ -739,7 +740,8 @@ class TestLocate:
         cells = np.array([(128, 0, 0), (99, 0, 0), (100, 0, 0), (-1, 0, 0)])
         assert store.lookup(model, np.array([1]), cells)[:, 0].tolist() == \
             [np.inf, 99, np.inf, np.inf]
-        assert store._rings[model].walk(1, (128, 0, 0)) is None
+        with pytest.raises(NoPathError):
+            store._rings[model].walk(1, (128, 0, 0))
 
 
 class TestRRTStar:

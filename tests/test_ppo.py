@@ -4,6 +4,7 @@ rollout integrity, model checkpoints and a short end-to-end train run."""
 import csv
 import json
 import math
+import os
 from collections import Counter
 from unittest import mock
 
@@ -25,6 +26,7 @@ from magnnet.tensor import AdamState, Tensor
 from magnnet.world import Episode, WorldConfig, terminal_bonus
 
 import helpers as ops
+from helpers import REPO
 
 
 def tiny_world(**kw):
@@ -655,6 +657,38 @@ class TestTrain:
             train(tiny_world(), pcfg, seed=0, out_dir=str(tmp_path))
         ckpt = str(tmp_path / "checkpoint.json")
         assert str(err.value).endswith(f"last good checkpoint: {ckpt}")
+
+    def test_acceptance_fixture_is_what_this_code_trains(self, tmp_path,
+                                                         monkeypatch):
+        """Four updates of `configs/train_desk.json` at seed 0 write the
+        first four rows of `runs/acceptance/seed0/metrics.csv`, byte for
+        byte, so acceptance criteria 4-6 and 8 judge a policy this code
+        trains: a change to training numerics fails here until the
+        fixtures are retrained.  The run is the full-length one, stopped
+        at its fifth rollout, so a schedule that reads `total_steps`
+        runs as it did for the fixture."""
+        collect, calls = ppo.collect_rollout, []
+
+        class Stop(Exception):
+            pass
+
+        def four_rollouts(*args):
+            calls.append(args)
+            if len(calls) > 4:
+                raise Stop
+            return collect(*args)
+
+        monkeypatch.setattr(ppo, "collect_rollout", four_rollouts)
+        with open(os.path.join(REPO, "configs", "train_desk.json")) as f:
+            blob = json.load(f)
+        with pytest.raises(Stop):
+            train(WorldConfig.from_dict(blob["world"]),
+                  PPOConfig.from_dict(blob["ppo"]), 0, str(tmp_path))
+        with open(os.path.join(REPO, "runs", "acceptance", "seed0",
+                               "metrics.csv"), "rb") as f:
+            fixture = f.read().splitlines(keepends=True)
+        assert (tmp_path / "metrics.csv").read_bytes() == \
+            b"".join(fixture[:5])
 
     def test_training_is_deterministic_per_seed(self, tmp_path):
         cfg = tiny_world()

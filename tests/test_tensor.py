@@ -193,6 +193,16 @@ class TestGradientsAgainstFiniteDifferences:
         (g,) = backward(loss, [x])
         assert np.isclose(g[0], 5.0)
 
+    def test_operand_listed_twice_is_walked_once(self):
+        x = T.param(np.array([2.0, -1.0]))
+        (g,) = backward(ops.tsum(T.mul(x, x)), [x])
+        assert np.array_equal(g, [4.0, -2.0])
+
+    def test_broadcast_over_a_size_one_axis(self):
+        a = T.param(RNG.normal(size=(3, 1)))
+        b = T.param(RNG.normal(size=(4,)))
+        check_against_fd(lambda: ops.tsum(T.square(T.add(a, b))), [a, b])
+
     def test_no_params_returns_nothing_but_sets_leaf_grads(self):
         x = T.param(np.array([3.0]))
         assert backward(ops.tsum(T.square(x)), []) == []

@@ -307,12 +307,6 @@ class TestObservations:
                 expect = float(d) / ag.velocity if np.isfinite(d) else np.inf
                 assert cm.entries[i, j] == expect, (i, j)
 
-    def test_cost_matrix_rejects_nonpositive_velocity(self):
-        st = init_episode(small_config(), 13)
-        st.agents[2].velocity = 0.0
-        with pytest.raises(ValueError):
-            current_cost_matrix(st)
-
     def test_mask_reject_always_valid(self):
         st = init_episode(small_config(), 17)
         _, masks = round_view(st)
