@@ -1,7 +1,8 @@
 """Every shipped config loads into the dataclass that consumes it, every
 setting is one that some caller sets, every function is one that some
-command or pinned check enters, and keys for settings that no longer
-exist are rejected instead of being silently ignored."""
+command or pinned check enters, every statement in one runs under them
+or is kept with its reason, and keys for settings that no longer exist
+are rejected instead of being silently ignored."""
 
 import ast
 import dataclasses
