@@ -19,21 +19,24 @@ def main():
     """Decentralized multi-agent task allocation lab."""
 
 
-def _load_json(path):
-    with open(path) as f:
-        return json.load(f)
+def _load(path, build):
+    """`build` applied to the JSON at `path`, with a file that is not
+    JSON or does not build, a wrong type, key or value, reported as one
+    error line instead of a traceback."""
+    try:
+        with open(path) as f:
+            return build(json.load(f))
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise click.ClickException(f"{path}: {exc}") from None
 
 
 def _scenario(path, episodes, seed, **fixed) -> ScenarioSpec:
     """The scenario JSON at `path` with the `--episodes` and `--seed`
     overrides and the command's `fixed` keys."""
-    blob = _load_json(path)
-    if episodes is not None:
-        blob["episodes"] = episodes
-    if seed is not None:
-        blob["seed_base"] = seed
-    blob.update(fixed)
-    return ScenarioSpec.from_dict(blob)
+    for key, value in (("episodes", episodes), ("seed_base", seed)):
+        if value is not None:
+            fixed[key] = value
+    return _load(path, lambda blob: ScenarioSpec.from_dict({**blob, **fixed}))
 
 
 @main.command()
@@ -44,9 +47,9 @@ def _scenario(path, episodes, seed, **fixed) -> ScenarioSpec:
               show_default=True, help="Output directory.")
 def train(config, seed, out):
     """Train a policy from a JSON config with "world" and "ppo" sections."""
-    blob = _load_json(config)
-    world_cfg = WorldConfig.from_dict(blob.get("world", {}))
-    ppo_cfg = PPOConfig.from_dict(blob.get("ppo", {}))
+    world_cfg, ppo_cfg = _load(config, lambda blob: (
+        WorldConfig.from_dict(blob.get("world", {})),
+        PPOConfig.from_dict(blob.get("ppo", {}))))
     result = _train(world_cfg, ppo_cfg, seed, out)
     click.echo(json.dumps(result, indent=2))
 

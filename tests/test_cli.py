@@ -95,6 +95,37 @@ class TestBench:
         assert isinstance(result.exception, SystemExit)
         assert not out.exists()
 
+    @pytest.mark.parametrize("text, message", [
+        (json.dumps({**TINY_SPEC, "n_agents": 4}),
+         "'int' object is not iterable"),
+        (json.dumps({**TINY_SPEC, "grid_dims": 12}),
+         "'int' object is not iterable"),
+        (json.dumps({**TINY_SPEC, "colour": 1}),
+         "ScenarioSpec.__init__() got an unexpected keyword argument "
+         "'colour'"),
+        (json.dumps([TINY_SPEC]), "'list' object is not a mapping"),
+        (json.dumps({**TINY_SPEC, "obstacle_density": 0.5}),
+         "obstacle_density must be in [0, 0.3)"),
+        ('{"mode": ', "Expecting value: line 1 column 10 (char 9)")],
+        ids=["n_agents-int", "grid_dims-int", "unknown-key", "list",
+             "out-of-range", "not-json"])
+    @pytest.mark.parametrize("command", ["eval", "bench", "planner-compare"])
+    def test_scenario_that_does_not_load_is_one_error_line(
+            self, tmp_path, command, text, message):
+        """Each of these used to escape as a TypeError, AttributeError
+        or ValueError traceback."""
+        scenario = tmp_path / "spec.json"
+        scenario.write_text(text)
+        out = tmp_path / "out"
+        args = [str(scenario), "--out", str(out)]
+        if command == "eval":
+            args.insert(0, CHECKPOINT)
+        result = CliRunner().invoke(main, [command] + args)
+        assert result.exit_code == 1
+        assert result.output.splitlines() == [f"Error: {scenario}: {message}"]
+        assert isinstance(result.exception, SystemExit)
+        assert not out.exists()
+
     def test_eval_parallel_zero_is_a_usage_error(self, spec_path, tmp_path):
         result = CliRunner().invoke(main, ["eval", CHECKPOINT, spec_path,
                                            "--parallel", "0",
@@ -104,6 +135,30 @@ class TestBench:
 
 
 class TestTrain:
+    @pytest.mark.parametrize("text, message", [
+        (json.dumps({"world": {"grid_dims": 12}}),
+         "'int' object is not iterable"),
+        (json.dumps({"ppo": {"colour": 1}}),
+         "PPOConfig.__init__() got an unexpected keyword argument 'colour'"),
+        (json.dumps([{}]), "'list' object has no attribute 'get'"),
+        (json.dumps({"ppo": {"train_batch": 0}}),
+         "train_batch must be a whole number >= 1"),
+        ('{"world": ', "Expecting value: line 1 column 11 (char 10)")],
+        ids=["grid_dims-int", "unknown-key", "list", "out-of-range",
+             "not-json"])
+    def test_config_that_does_not_load_is_one_error_line(self, tmp_path,
+                                                         text, message):
+        """Each of these used to escape as a traceback."""
+        config = tmp_path / "train.json"
+        config.write_text(text)
+        out = tmp_path / "train"
+        result = CliRunner().invoke(main, ["train", str(config),
+                                           "--out", str(out)])
+        assert result.exit_code == 1
+        assert result.output.splitlines() == [f"Error: {config}: {message}"]
+        assert isinstance(result.exception, SystemExit)
+        assert not out.exists()
+
     def test_negative_seed_is_a_usage_error(self, tmp_path):
         """It used to fail inside numpy, after the out dir was made."""
         config = tmp_path / "train.json"

@@ -1,8 +1,8 @@
 """Every shipped config loads into the dataclass that consumes it, every
 setting is one that some caller sets, every function is one that some
-command or pinned check enters, every statement in one runs under them
-or is kept with its reason, and keys for settings that no longer exist
-are rejected instead of being silently ignored."""
+command or pinned check enters and every statement in one runs under
+them, or is kept with its reason, and keys for settings that no longer
+exist are rejected instead of being silently ignored."""
 
 import ast
 import dataclasses
@@ -94,23 +94,6 @@ def test_every_setting_has_a_caller(tmp_path, monkeypatch):
 def package_modules():
     return [importlib.import_module(f"magnnet.{info.name}")
             for info in pkgutil.iter_modules(magnnet.__path__)]
-
-
-def defined_functions(modules) -> dict:
-    """(file, first line) -> "module:line name" of every def in the
-    package, nested ones included.  A code object's first line is its
-    first decorator's, if it has one."""
-    found = {}
-    for module in modules:
-        with open(module.__file__) as f:
-            tree = ast.parse(f.read())
-        for node in ast.walk(tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                first = min([node.lineno] + [d.lineno
-                                              for d in node.decorator_list])
-                found[(module.__file__, first)] = \
-                    f"{module.__name__}:{node.lineno} {node.name}"
-    return found
 
 
 def command_runs(tmp_path):
@@ -216,42 +199,13 @@ PINNED_ROOTS = {
 }
 
 
-def test_every_function_is_reached(tmp_path):
-    """A function that neither a command nor a pinned check enters is
-    test-only: it belongs in the tests that use it, or nowhere.  Pool
-    workers are not traced, so the commands run serially."""
-    modules = package_modules()
-    for module in modules:  # a cached result would hide its function
-        for obj in vars(module).values():
-            if hasattr(obj, "cache_clear"):
-                obj.cache_clear()
-    entered = set()
-
-    def profile(frame, event, arg):
-        if event == "call":
-            entered.add((frame.f_code.co_filename,
-                         frame.f_code.co_firstlineno))
-
-    previous = sys.getprofile()
-    sys.setprofile(profile)
-    try:
-        for args in command_runs(tmp_path):
-            result = CliRunner().invoke(cli.main, args)
-            assert result.exit_code == 0, (args, result.output)
-        for root in PINNED_ROOTS.values():
-            root()
-    finally:
-        sys.setprofile(previous)
-    defined = defined_functions(modules)
-    unreached = sorted(defined[key] for key in defined.keys() - entered)
-    assert not unreached, "entered by no command or pinned root:\n" \
-        + "\n".join(unreached)
-
-
-def unreached_statements(modules, executed) -> set:
+def unreached_statements(modules, executed, entered) -> set:
     """Keys, "module:function: first source line", of the statements in
     package function bodies (nested defs included) that ran no line of
-    `executed`, a set of (file, line); a key that would repeat within a
+    `executed`, a set of (file, line), and of the defs whose code object
+    is not in `entered`, a set of (file, first line), each keyed by its
+    def line in its own scope; a code object's first line is its first
+    decorator's, if it has one.  A key that would repeat within a
     function gets " #2", " #3" and so on, in source order.  Raise
     statements, docstrings, global and nonlocal declarations, and
     module- and class-level statements are not counted.  A compound
@@ -263,6 +217,12 @@ def unreached_statements(modules, executed) -> set:
         with open(path) as f:
             text = f.read()
         source, seen = text.splitlines(), {}
+
+        def count(stmt, scope, ran):
+            key = f"{name}:{scope[:-1]}: {source[stmt.lineno - 1].strip()}"
+            seen[key] = seen.get(key, 0) + 1
+            if not ran:
+                found.add(key if seen[key] == 1 else f"{key} #{seen[key]}")
 
         def visit(body, scope, in_function) -> bool:
             """Whether any counted statement of `body` ran."""
@@ -282,20 +242,18 @@ def unreached_statements(modules, executed) -> set:
                         else stmt.end_lineno)
                 ran = any((path, n) in executed
                           for n in range(first, last + 1))
-                if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                     ast.ClassDef)):
-                    visit(stmt.body, f"{scope}{stmt.name}.",
-                          not isinstance(stmt, ast.ClassDef))
+                if isinstance(stmt, ast.ClassDef):
+                    visit(stmt.body, f"{scope}{stmt.name}.", False)
+                elif isinstance(stmt, (ast.FunctionDef,
+                                       ast.AsyncFunctionDef)):
+                    inner = f"{scope}{stmt.name}."
+                    count(stmt, inner, (path, first) in entered)
+                    visit(stmt.body, inner, True)
                 else:
                     for block in blocks:
                         ran |= visit(block, scope, in_function)
                 if in_function:
-                    key = (f"{name}:{scope[:-1]}: "
-                           f"{source[stmt.lineno - 1].strip()}")
-                    seen[key] = seen.get(key, 0) + 1
-                    if not ran:
-                        found.add(key if seen[key] == 1
-                                  else f"{key} #{seen[key]}")
+                    count(stmt, scope, ran)
                 ran_any |= ran
             return ran_any
 
@@ -330,7 +288,7 @@ REACH_ALLOWANCE = {
     "pathplan:Rings.search: return 0":
         "safety: a row started on a non-free source is finished, and "
         "searching it would XOR planes[-1] at ring 0 and leave ring -1 "
-        "(the store driver's wide programs fail without it)",
+        "(test_source_off_the_grid_reaches_nothing)",
     "pathplan:_pcg64_draws.integers: return 0":
         "exactness: integers(1) draws nothing, as Generator.integers "
         "does (TestPCG64Draws)",
@@ -358,7 +316,7 @@ REACH_ALLOWANCE = {
     "pathplan:rrt_star.sample_cell: return goal #2":
         "the seeded sampler's rule after 64 blocked draws in a row, "
         "which only a nearly full grid reaches; without it a sample is "
-        "None",
+        "None (TestRRTStarAgainstReference's corridor example)",
     "pathplan:rrt_star: order = np.argsort(node_dists(goal), "
     "kind=\"stable\")  # ties: oldest":
         "RRT*'s final goal connection, taken when no sample reached the "
@@ -405,17 +363,19 @@ REACH_ALLOWANCE = {
 
 
 def test_every_line_is_reached(tmp_path):
-    """A statement that neither a command nor a pinned check executes is
-    a dead branch, unless `REACH_ALLOWANCE` names it with its reason.
-    Pool workers are not traced, so the commands run serially."""
+    """A function that neither a command nor a pinned check enters is
+    test-only, and a statement that they do not execute is a dead
+    branch: each belongs in the tests that use it, or nowhere, unless
+    `REACH_ALLOWANCE` names it with its reason.  Pool workers are not
+    traced, so the commands run serially."""
     modules = package_modules()
-    for module in modules:  # a cached result would hide its lines
+    for module in modules:  # a cached result would hide its code
         for obj in vars(module).values():
             if hasattr(obj, "cache_clear"):
                 obj.cache_clear()
     bench._instance_costs.clear()
     files = {module.__file__ for module in modules}
-    executed = set()
+    entered, executed = set(), set()
 
     def lines(frame, event, arg):
         if event == "line":
@@ -423,7 +383,11 @@ def test_every_line_is_reached(tmp_path):
         return lines
 
     def calls(frame, event, arg):
-        return lines if frame.f_code.co_filename in files else None
+        code = frame.f_code
+        if code.co_filename not in files:
+            return None
+        entered.add((code.co_filename, code.co_firstlineno))
+        return lines
 
     previous = sys.gettrace()
     sys.settrace(calls)
@@ -435,7 +399,7 @@ def test_every_line_is_reached(tmp_path):
             root()
     finally:
         sys.settrace(previous)
-    unreached = unreached_statements(modules, executed)
+    unreached = unreached_statements(modules, executed, entered)
     unlisted = sorted(unreached - REACH_ALLOWANCE.keys())
     stale = sorted(REACH_ALLOWANCE.keys() - unreached)
     message = ""

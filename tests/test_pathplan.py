@@ -219,10 +219,20 @@ class TestDistanceFieldKernel:
 
     @pytest.mark.parametrize("model", list(MotionModel))
     def test_source_off_the_grid_reaches_nothing(self, model):
+        """Nor does a `Rings` row started there: `search` finds the row
+        finished, with cells and without, and leaves it as it was."""
         grid = empty_grid((4, 3, 2))
+        rings = pathplan.Rings(grid, model, 1)
         for src in [(-1, 0, 0), (0, -1, 0), (0, 0, -1), (4, 0, 0),
                     (0, 3, 0), (0, 0, 2)]:
             assert np.isinf(distance_field(grid, src, model)).all(), src
+            for cells in ([(0, 0, 0), (3, 2, 0)], None):
+                rings.start(0, src)
+                words = rings._words[0].tobytes(), rings.frontier[0].tobytes()
+                assert rings.search(0, cells) == 0
+                assert (rings.ring[0], rings.done[0]) == (0, True)
+                assert (rings._words[0].tobytes(),
+                        rings.frontier[0].tobytes()) == words, (src, cells)
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_full_size_matches_reference_loop(self, seed):
@@ -852,7 +862,8 @@ def line_free_reference(grid, a, b):
 
 
 def rrt_star_reference(grid, start, goal, model, params, seed, branches):
-    """`branches` counts the runs that end in the fallback connection."""
+    """`branches` counts the runs that end in the fallback connection
+    and the samples that fall back to the goal after 64 blocked draws."""
     start, goal = tuple(start), tuple(goal)
     if not grid.is_free(start) or not grid.is_free(goal):
         raise NoPathError("start or goal blocked")
@@ -877,6 +888,7 @@ def rrt_star_reference(grid, start, goal, model, params, seed, branches):
             z = 0 if model is MotionModel.GROUND4 else int(rng.integers(dims[2]))
             if grid.is_free((x, y, z)):
                 return (x, y, z)
+        branches["sampler_fallback"] += 1
         return goal
 
     def node_dists(cell):
@@ -1018,6 +1030,16 @@ def _no_rewire_instance():
             rrt_params(max_iters=150, rewire_radius=0.0, step_cells=1), 7)
 
 
+def _corridor_instance():
+    """Six free cells of 720: most runs of 64 draws miss them all, and
+    the sampler falls back to the goal."""
+    dims, start, goal = (12, 12, 5), (0, 0, 0), (5, 0, 0)
+    blocked = np.ones(dims, dtype=bool)
+    blocked[:6, 0, 0] = False
+    return (Grid(dims, blocked), start, goal, MotionModel.AERIAL6,
+            rrt_params(max_iters=20, goal_bias=0.0), 1)
+
+
 class TestRRTStarAgainstReference:
     def test_small_instances(self):
         branches = Counter()
@@ -1026,11 +1048,13 @@ class TestRRTStarAgainstReference:
         @given(rrt_instances())
         @example(_empty_grid_instance())
         @example(_no_rewire_instance())
+        @example(_corridor_instance())
         def check(instance):
             same_rrt_outcome(*instance, branches)
 
         check()
         assert branches["fallback"] > 0 and branches["no_path"] > 0
+        assert branches["sampler_fallback"] > 0
 
     @pytest.mark.parametrize("benchmark_seed,i",
                              [(s, i) for s in (3, 29) for i in range(6)])
