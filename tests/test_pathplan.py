@@ -223,16 +223,20 @@ class TestDistanceFieldKernel:
         finished, with cells and without, and leaves it as it was."""
         grid = empty_grid((4, 3, 2))
         rings = pathplan.Rings(grid, model, 1)
+
+        def row_words():
+            return [words[0].tobytes() for words in (rings.todo, rings.planes,
+                                                     rings.frontier)]
+
         for src in [(-1, 0, 0), (0, -1, 0), (0, 0, -1), (4, 0, 0),
                     (0, 3, 0), (0, 0, 2)]:
             assert np.isinf(distance_field(grid, src, model)).all(), src
             for cells in ([(0, 0, 0), (3, 2, 0)], None):
                 rings.start(0, src)
-                words = rings._words[0].tobytes(), rings.frontier[0].tobytes()
+                before = row_words()
                 assert rings.search(0, cells) == 0
                 assert (rings.ring[0], rings.done[0]) == (0, True)
-                assert (rings._words[0].tobytes(),
-                        rings.frontier[0].tobytes()) == words, (src, cells)
+                assert row_words() == before, (src, cells)
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_full_size_matches_reference_loop(self, seed):
