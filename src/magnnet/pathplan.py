@@ -273,6 +273,18 @@ def _gray_rings(k: int) -> np.ndarray:
     return table
 
 
+# A row of at most this many words runs its rings on Python ints, a
+# larger one on numpy arrays.  Per ring, on one 2-vCPU Xeon (Python
+# 3.11, numpy 2.4), one x-block: 1.5 against 4.3 us at 52 words (the
+# 50x50 ground plane), 2.8 against 5.4 at 102, 5.3 against 5.5 at 224,
+# 5.8 against 5.8 at 256, 6.3 against 5.8 at 288, 7.6 against 6.1 at
+# 384, 25.9 against 9.8 at 1,664 (50x50x30 aerial); two x-blocks: 5.2
+# against 8.2 at 204 and 8.5 against 9.7 at 392
+INT_LOOP_WORDS = 256
+_NO_CELLS = np.empty(0, dtype=np.uintp)
+_NO_CELLS.flags.writeable = False
+
+
 class Rings:
     """Resumable breadth-first searches of one motion model over one
     grid, one search per row, kept packed 64 cells to a machine word.
@@ -316,6 +328,15 @@ class Rings:
     bit length of n + 1, leaves 2**K - 1 above every ring.  A row's
     `todo` sits just before its planes, so one gather reads a cell's
     reached bit and its label bits together.
+
+    `search` runs the rings in one of two loops that leave the same
+    row.  A numpy ring costs about ten ufunc calls whatever the row's
+    size, a Python-int ring one pass of int arithmetic over the row, so
+    a row of at most `INT_LOOP_WORDS` words (the crossover, measured at
+    several sizes) reads `todo`, `frontier` and the planes its rings
+    touch into Python ints once per search, runs its rings on them and
+    writes them back once; a larger row runs on its numpy words.  Row
+    storage is the same for both.
     """
 
     def __init__(self, grid: Grid, model: MotionModel, rows: int):
@@ -348,11 +369,20 @@ class Rings:
         # per row: todo, then the planes; np.zeros leaves untouched
         # pages unmapped, so only the planes rings reach take memory
         self._words = np.zeros((rows, planes + 1, self.free.size),
-                               dtype=np.uint64)
+                               dtype="<u8")
         # word offset and index bit of todo and each plane in a row
         self._offsets = np.arange(planes + 1) * self.free.size
         self._weights = 1 << np.arange(planes + 1)
-        self.frontier = np.empty((rows, self.free.size), dtype=np.uint64)
+        self.frontier = np.empty((rows, self.free.size), dtype="<u8")
+        # `_int_loop`'s shifts along y and z, and with two or more
+        # x-blocks its masks of every word's bit 0 and bit 63
+        self._int_strides = [64 * s for s in self.strides]
+        self._int_carry = None
+        if self.blocks > 1:
+            lo = int.from_bytes(np.ones(self.free.size, "<u8"), "little")
+            every = (1 << 64 * self.free.size) - 1
+            self._int_carry = (lo, lo << 63, every ^ lo, every ^ lo << 63,
+                               64 * self.block - 63)
         self.ring = np.zeros(rows, dtype=np.int64)
         self.done = np.ones(rows, dtype=bool)
         self.source = np.zeros((rows, 3), dtype=np.intp)
@@ -398,34 +428,56 @@ class Rings:
             todo[w] ^= frontier[w]
 
     def search(self, row: int, cells=None) -> int:
-        """Continue row `row` ring by ring, one loop pass a ring, and
-        return the number of rings it labelled.
+        """Continue row `row` ring by ring and return the number of rings
+        it labelled.
 
         With `cells`, some (x, y, z) cells, it stops after the ring that
         labels the last of them it can reach, testing from the largest
         Manhattan distance between one of them and the row's source on,
         a lower bound on that ring; otherwise it runs until a ring comes
-        out empty, which ends the search for good.  On 50x50x30 a ring
-        is about 10.5 ufunc calls over 1,664 words (13 kB).  Only odd
-        rings test for emptiness.  When one comes out empty, the even
-        ring before it may have been empty too, having XORed only cells
-        never reached into its plane; the search then undoes that XOR,
-        so a row's ring is the last that labelled a cell.
+        out empty, which ends the search for good.  Only odd rings test
+        for emptiness.  When one comes out empty, the even ring before
+        it may have been empty too, having XORed only cells never
+        reached into its plane; the search then undoes that XOR, so a
+        row's ring is the last that labelled a cell.
+
+        A row of at most `INT_LOOP_WORDS` words runs its rings on Python
+        ints (`_int_loop`), a larger one on its numpy words
+        (`_array_loop`); both leave the same words, ring and end.
         """
         if self.done[row]:
             return 0
+        first = int(self.ring[row])
+        loop = (self._int_loop if self.free.size <= INT_LOOP_WORDS
+                else self._array_loop)
+        d, dry = loop(row, first, *self._reach(row, cells))
+        self.ring[row], self.done[row] = d, dry
+        return d - first
+
+    def _reach(self, row: int, cells):
+        """`search`'s stop for row `row`: the words and bits (`locate`) of
+        the free ones among `cells`, and the ring from which the loop
+        tests them, a lower bound on the last ring they need: the
+        largest Manhattan distance between one of them and the row's
+        source.  Without `cells`, no cells and inf."""
+        if cells is None:
+            return _NO_CELLS, _NO_CELLS, math.inf
+        cells = np.asarray(cells, dtype=np.intp).reshape(-1, 3)
+        at, shift, free = self.locate(cells)
+        sx, sy, sz = self.source[row].tolist()
+        check_from = max([abs(x - sx) + abs(y - sy) + abs(z - sz)
+                          for x, y, z in cells[free].tolist()], default=0)
+        return at[free], shift[free], check_from
+
+    def _array_loop(self, row: int, d: int, at, shift, check_from):
+        """`search`'s rings from ring `d` on the row's uint64 words, one
+        loop pass a ring, testing the cells at words `at`, bits `shift`
+        from ring `check_from` on: (the last ring, whether one came out
+        empty).  On 50x50x30 an aerial ring is about 10.5 ufunc calls
+        over 1,664 words (13 kB)."""
         planes, todo = self.planes[row], self.todo[row]
         frontier = kept = self.frontier[row]
-        first = d = int(self.ring[row])
-        check_from = math.inf
-        if cells is not None:
-            cells = np.asarray(cells, dtype=np.intp).reshape(-1, 3)
-            at, shift, free = self.locate(cells)
-            reach_at = at[free]
-            reach_bits = np.left_shift(np.uint64(1), shift[free])
-            # a cell's Manhattan distance bounds its ring from below
-            check_from = int(np.abs(cells[free] - self.source[row])
-                             .sum(axis=1).max(initial=0))
+        reach_bits = np.left_shift(np.uint64(1), shift)
         nxt, tmp = np.empty_like(todo), np.empty_like(todo)
         block, blocks = self.block, self.blocks
         # 0-d arrays make cheaper shift operands than numpy scalars
@@ -439,8 +491,9 @@ class Rings:
 
         # built once; they swap with the buffers they view
         shifts, swapped = moves(frontier, nxt), moves(nxt, frontier)
+        dry = False
         while True:
-            if d >= check_from and not (todo[reach_at] & reach_bits).any():
+            if d >= check_from and not (todo[at] & reach_bits).any():
                 break
             np.left_shift(frontier, one, nxt)
             np.right_shift(frontier, one, tmp)
@@ -454,7 +507,7 @@ class Rings:
                 np.bitwise_or(out, shifted, out)
             nxt &= todo
             if not d & 1 and not np.count_nonzero(nxt):  # ring d + 1 is odd
-                self.done[row] = True
+                dry = True
                 if not np.count_nonzero(frontier):
                     planes[(d & -d).bit_length() - 1] ^= todo
                     d -= 1
@@ -466,8 +519,60 @@ class Rings:
             shifts, swapped = swapped, shifts
         if frontier is not kept:
             kept[:] = frontier
-        self.ring[row] = d
-        return d - first
+        return d, dry
+
+    def _int_loop(self, row: int, d: int, at, shift, check_from):
+        """`_array_loop` with the row's words as one little-endian
+        Python int each for `todo`, `frontier` and the planes its rings
+        touch, read from the row once and written back once.  Word i's
+        bit b is the int's bit 64 i + b, so a move along x is a 1-bit
+        shift and one along y or z a shift by 64 times its stride.  With
+        one x-block no x shift crosses a word into a free cell: bit 63
+        is padding.  With two or more, bit 63 and bit 0 are masked out
+        of the 1-bit shifts and carried a block instead."""
+        words = memoryview(self._words[row]).cast("B")
+        frontier = memoryview(self.frontier[row]).cast("B")
+        size = len(frontier)
+        todo = int.from_bytes(words[:size], "little")
+        f = int.from_bytes(frontier, "little")
+        reach = 0
+        for a, b in zip(at.tolist(), shift.tolist()):
+            reach |= 1 << (a << 6 | b)
+        strides, carry = self._int_strides, self._int_carry
+        if carry:
+            lo, hi, inner_lo, inner_hi, c = carry
+        xors = {}   # plane -> what the rings XOR into it
+        dry = False
+        while True:
+            if d >= check_from and not todo & reach:
+                break
+            if carry:
+                nxt = ((f & inner_hi) << 1 | (f & inner_lo) >> 1
+                       | (f & hi) << c | (f & lo) >> c)
+            else:
+                nxt = f << 1 | f >> 1
+            for s in strides:
+                nxt |= f << s | f >> s
+            nxt &= todo
+            if not d & 1 and not nxt:  # ring d + 1 is odd
+                dry = True
+                if not f:
+                    k = (d & -d).bit_length() - 1
+                    xors[k] = xors.get(k, 0) ^ todo
+                    d -= 1
+                break
+            d += 1
+            k = (d & -d).bit_length() - 1
+            xors[k] = xors.get(k, 0) ^ todo
+            todo ^= nxt
+            f = nxt
+        words[:size] = todo.to_bytes(size, "little")
+        frontier[:] = f.to_bytes(size, "little")
+        for k, bits in xors.items():
+            plane = words[(k + 1) * size:(k + 2) * size]
+            bits ^= int.from_bytes(plane, "little")
+            plane[:] = bits.to_bytes(size, "little")
+        return d, dry
 
     def labels(self, rows: np.ndarray, at: np.ndarray,
                shift: np.ndarray) -> np.ndarray:

@@ -488,11 +488,16 @@ def load_checkpoint(path):
     """Inverse of save_checkpoint: returns (dict name -> ndarray, manifest).
 
     Only what save_checkpoint writes loads; anything else raises
-    CheckpointMismatchError naming the record: a missing key, a dtype
-    other than "<f8" (its bytes would read as other numbers) or a shape
-    that does not hold the payload."""
-    with open(path) as f:
-        blob = json.load(f)
+    CheckpointMismatchError naming the file, for a file that is not
+    UTF-8 JSON, or the record: a missing key, a dtype other than "<f8"
+    (its bytes would read as other numbers) or a shape that does not
+    hold the payload."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            blob = json.load(f)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise CheckpointMismatchError(f"{path}: not UTF-8 JSON: {exc}") \
+            from None
     if not (isinstance(blob, dict) and isinstance(blob.get("params"), dict)
             and isinstance(blob.get("manifest", {}), dict)):
         raise CheckpointMismatchError(f"{path}: no params or manifest object")

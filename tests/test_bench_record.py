@@ -304,11 +304,11 @@ sys.exit(bench_record.main(["--base", "HEAD", "--pairs", "2",
 """
 
 
-def test_sigterm_leaves_no_base_checkout_or_run(tmp_path):
-    repo, tmp, pidfile = tmp_path / "repo", tmp_path / "tmp", \
-        tmp_path / "run.pid"
+def git_repo(repo, commits):
+    """A repository at `repo` with one commit per {path: text} of
+    `commits`, and a BENCH_w.json that records its last commit, as the
+    first form would."""
     repo.mkdir()
-    tmp.mkdir()
     (repo / "BENCHMARK.json").write_text(json.dumps(
         {"workloads": [{"name": "w"}], "per_layer": []}))
 
@@ -318,10 +318,50 @@ def test_sigterm_leaves_no_base_checkout_or_run(tmp_path):
              "commit.gpgsign=false", *args], cwd=repo, check=True,
             stdout=subprocess.PIPE, text=True).stdout
     git("init", "-q")
-    git("add", "-A")
-    git("commit", "-qm", "base")
+    for k, files in enumerate(commits):
+        for name, text in files.items():
+            (repo / name).write_text(text)
+        git("add", "-A")
+        git("commit", "-qm", f"commit {k}")
     (repo / "BENCH_w.json").write_text(json.dumps(
         {"env": {"commit": git("rev-parse", "HEAD").strip()}}))
+
+
+def test_both_sides_run_from_archive_copies(tmp_path, monkeypatch):
+    """HEAD runs from a `git archive` copy as the base does, in a sibling
+    directory whose path has the same length, so nothing the working
+    checkout holds beyond its commit (here an ignored file) reaches a
+    run; both copies are gone afterwards."""
+    repo, tmp = tmp_path / "repo", tmp_path / "tmp"
+    tmp.mkdir()
+    git_repo(repo, [{"code.py": "base"}, {"code.py": "head",
+                                          ".gitignore": "stray.pyc\n"}])
+    (repo / "stray.pyc").write_text("left by an earlier run")
+    monkeypatch.setattr(bench_record, "ROOT", str(repo))
+    monkeypatch.setattr(bench_record.tempfile, "tempdir", str(tmp))
+    roots = {}   # the code.py text each run saw -> the roots it ran in
+
+    def run_workload(workload, trace=1, root=None, seconds=None):
+        with open(os.path.join(root, "code.py")) as f:
+            roots.setdefault(f.read(), set()).add(root)
+        assert not os.path.exists(os.path.join(root, "stray.pyc"))
+        return untraced(1.0)
+    monkeypatch.setattr(bench_record, "run_workload", run_workload)
+    assert bench_record.main(["--base", "HEAD~1", "--pairs", "2",
+                              "--workload", "w"]) == 0
+    (head,), (base,) = roots["head"], roots["base"]
+    assert os.path.dirname(head) == os.path.dirname(base) == str(tmp)
+    assert (os.path.basename(head)[:11], os.path.basename(base)[:11]) == \
+        ("bench_head_", "bench_base_")
+    assert len(head) == len(base)
+    assert list(tmp.iterdir()) == []
+
+
+def test_sigterm_leaves_no_base_checkout_or_run(tmp_path):
+    repo, tmp, pidfile = tmp_path / "repo", tmp_path / "tmp", \
+        tmp_path / "run.pid"
+    tmp.mkdir()
+    git_repo(repo, [{}])
     recorder = subprocess.Popen(
         [sys.executable, "-c", STUBBED_RECORDER, TOOL, str(repo),
          str(pidfile)], env={**os.environ, "TMPDIR": str(tmp)})
@@ -333,8 +373,8 @@ def test_sigterm_leaves_no_base_checkout_or_run(tmp_path):
             assert time.monotonic() < deadline, "no run started"
             time.sleep(0.05)
         child = int(pidfile.read_text())
-        assert [p.name.startswith("bench_base_") for p in tmp.iterdir()] \
-            == [True]
+        assert sorted(p.name[:11] for p in tmp.iterdir()) == \
+            ["bench_base_", "bench_head_"]
         recorder.send_signal(signal.SIGTERM)
         assert recorder.wait(timeout=60) == 128 + signal.SIGTERM
         assert list(tmp.iterdir()) == []

@@ -68,13 +68,23 @@ class TestBench:
         assert option in result.output
         assert not out.exists()
 
+    @pytest.mark.parametrize("content, message", [
+        (b'{"params": {}}',
+         "manifest n_max, m_max = [None, None]: need whole numbers >= 1"),
+        (b'{"params": ', "{path}: not UTF-8 JSON: Expecting value: line 1 "
+         "column 12 (char 11)"),
+        (b'\xff{}', "{path}: not UTF-8 JSON: 'utf-8' codec can't decode "
+         "byte 0xff in position 0: invalid start byte")],
+        ids=["no-manifest", "not-json", "not-utf8"])
     @pytest.mark.parametrize("command", ["eval", "bench"])
     def test_mismatched_checkpoint_is_one_error_line(self, tmp_path,
-                                                     command):
+                                                     command, content,
+                                                     message):
         """A checkpoint without a manifest used to escape as a
-        CheckpointMismatchError traceback."""
+        CheckpointMismatchError traceback, and one that is not JSON or
+        not UTF-8 as a JSONDecodeError or UnicodeDecodeError."""
         checkpoint = tmp_path / "checkpoint.json"
-        checkpoint.write_text(json.dumps({"params": {}}))
+        checkpoint.write_bytes(content)
         scenario = os.path.join(REPO, "configs", "bench_static_n4.json")
         out = tmp_path / "out"
         if command == "eval":
@@ -90,8 +100,8 @@ class TestBench:
                                            "--out", str(out)])
         assert result.exit_code != 0
         assert result.output.splitlines() == [
-            f"Error: checkpoint {checkpoint}: manifest n_max, m_max = "
-            f"[None, None]: need whole numbers >= 1"]
+            f"Error: checkpoint {checkpoint}: "
+            + message.format(path=checkpoint)]
         assert isinstance(result.exception, SystemExit)
         assert not out.exists()
 

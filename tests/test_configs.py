@@ -102,8 +102,11 @@ def command_runs(tmp_path):
     checkpoint; it stays static, since a dynamic one no longer reaches
     `terminal_bonus` and `optimal_total`.  The crowded bench scenario
     makes `resolve_paths` replan, which no other run forces.  The wide
-    eval grid needs two 64-cell blocks per row of packed words, and the
-    fast-spawning bench spawns tasks before its baselines finish."""
+    eval grid, a 2,000-cell corridor that its obstacles cut into pockets,
+    spans 32 64-cell blocks per row of packed words: its aerial rows
+    (288 words) take `Rings`' numpy loop and its ground rows (96) the
+    int loop, both with block carries, and rows run dry in five ticks.
+    The fast-spawning bench spawns tasks before its baselines finish."""
     tiny = tmp_path / "train.json"
     tiny.write_text(json.dumps({
         "world": {"grid_dims": [12, 12, 4], "n_agents": 4,
@@ -118,7 +121,7 @@ def command_runs(tmp_path):
     wide = tmp_path / "wide.json"
     wide.write_text(json.dumps({
         "mode": "static", "n_agents": [4], "episodes": 1,
-        "grid_dims": [70, 12, 4]}))
+        "grid_dims": [2000, 1, 1], "step_cap": 5}))
     spawning = tmp_path / "spawning.json"
     spawning.write_text(json.dumps({
         "mode": "dynamic", "n_agents": [4], "episodes": 1,

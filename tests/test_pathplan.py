@@ -332,6 +332,67 @@ class TestDistanceFieldWords:
         assert np.isinf(field[:, :, 1:]).all()
 
 
+@st.composite
+def ring_loop_instances(draw):
+    """A grid one x-block wide (x 1-6 long) or one to two (60-70), y and
+    z 1-4 long, obstacles at a density of 0-0.3; a motion model; a
+    source on a face, a corner or inside, blocked in one draw in four,
+    moved one cell off the grid in one in eight, and on the plane for
+    GROUND4 in three in four; and one to four searches of its row, each
+    with one to three cells, free, blocked or off the grid (a
+    reach-limited build, then resumed extensions), or in one in four
+    without cells, which runs the row dry."""
+    dims = (draw(st.one_of(st.integers(1, 6), st.integers(60, 70))),
+            draw(st.integers(1, 4)), draw(st.integers(1, 4)))
+    density = draw(st.floats(0.0, 0.3))
+    seed = draw(st.integers(0, 2**32 - 1))
+    model = draw(st.sampled_from([A6, G4]))
+    src = [draw(st.one_of(st.just(0), st.just(n - 1), st.integers(0, n - 1)))
+           for n in dims]
+    if model is G4 and draw(st.integers(0, 3)):
+        src[2] = 0
+    blocked = np.random.default_rng(seed).random(dims) < density
+    blocked[tuple(src)] = not draw(st.integers(0, 3))
+    if not draw(st.integers(0, 7)):
+        axis = draw(st.integers(0, 2))
+        src[axis] = draw(st.sampled_from([-1, dims[axis]]))
+    cells = st.lists(st.tuples(*[st.integers(-1, n) for n in dims]),
+                     min_size=1, max_size=3)
+    searches = draw(st.lists(st.one_of(cells, cells, cells, st.none()),
+                             min_size=1, max_size=4))
+    return Grid(dims, blocked), model, tuple(src), searches
+
+
+def searched(rings, loop, cells):
+    """Row 0 of `rings` after `Rings.search(0, cells)` with `loop`, one of
+    the stack's two ring loops, called directly: the rings it labelled,
+    the row's words and frontier, its ring and whether it ran dry."""
+    first = int(rings.ring[0])
+    if not rings.done[0]:
+        d, dry = loop(0, first, *rings._reach(0, cells))
+        rings.ring[0], rings.done[0] = d, dry
+    return (int(rings.ring[0]) - first, rings._words[0].tobytes(),
+            rings.frontier[0].tobytes(), int(rings.ring[0]),
+            bool(rings.done[0]))
+
+
+class TestRingLoops:
+    """`Rings.search` runs its rings on Python ints up to
+    `INT_LOOP_WORDS` words a row and on numpy words above; both loops
+    run on every instance here, whatever its size."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(ring_loop_instances())
+    def test_int_loop_leaves_what_the_array_loop_leaves(self, instance):
+        grid, model, src, searches = instance
+        reference, rings = (pathplan.Rings(grid, model, 1) for _ in "ab")
+        reference.start(0, src)
+        rings.start(0, src)
+        for cells in searches:
+            assert searched(rings, rings._int_loop, cells) == \
+                searched(reference, reference._array_loop, cells), cells
+
+
 def extract_path_reference(field: np.ndarray, start, model: MotionModel):
     """Walk a float distance field downhill from `start` to its source:
     from a cell at distance d, the first neighbour in `model.deltas`

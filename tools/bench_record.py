@@ -19,13 +19,16 @@ the traced per-layer ones) of perfbench/out/W-seed3/result.json, plus
 `correct`, `attempted` and `failed` from the run's last line.
 
 With --base, --pairs and --workload it adds pairs to the BENCH_W.json
-that the first form recorded at HEAD.  It extracts commit REV with
-`git archive` into a temporary directory and runs
+that the first form recorded at HEAD.  It extracts HEAD and commit REV
+with `git archive` into two sibling temporary directories whose paths
+have the same length (bench_head_* and bench_base_*), so the two sides
+differ in their code alone, not in where it sits or in what a working
+checkout holds beside it, and runs
 
     python3 perfbench/run.py --workload W --seed 3 --seconds S --trace T
 
-K times in each checkout, alternating which runs first (HEAD in the
-first pair).  T is 0, or 1 with --layers, whose run adds a traced pass
+K times in each copy, alternating which runs first (HEAD in the first
+pair).  T is 0, or 1 with --layers, whose run adds a traced pass
 after the untraced one.  Under the `pairs` key it writes REV's commit,
 the run length, whether the two sides printed the same set of seeded
 digests, and per metric what `compare` returns: the untraced
@@ -44,7 +47,7 @@ measured), when a run exits nonzero, when a run's last line lacks
 "correct": true, or when a run prints no figure a metric needs.  The
 second also refuses when BENCH_W.json is missing or records another
 commit than HEAD.  SIGTERM stops either form as an error would: the
-running run.py is killed and the base checkout removed.
+running run.py is killed and both copies removed.
 """
 
 import argparse
@@ -232,13 +235,21 @@ def run_workload(workload: str, trace: int = 1, root: str = ROOT,
 
 def exit_on_signal(signum, frame):
     """Turn a signal into SystemExit, so that `subprocess.run` kills its
-    child and the base checkout's temporary directory is removed."""
+    child and the copies' temporary directories are removed."""
     raise SystemExit(128 + signum)
 
 
 def git(*args, text=True):
     return subprocess.run(["git", *args], cwd=ROOT, check=True,
                           stdout=subprocess.PIPE, text=text).stdout
+
+
+def extract(commit: str, into: str) -> None:
+    """The tree of `commit`, extracted with `git archive` into `into`."""
+    archive = git("archive", commit, text=False)
+    safe = {"filter": "data"} if hasattr(tarfile, "data_filter") else {}
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(into, **safe)
 
 
 def pairs_main(base: str, pairs: int, workload: str, layers: list,
@@ -256,12 +267,11 @@ def pairs_main(base: str, pairs: int, workload: str, layers: list,
               f"HEAD; run bench_record.py without flags first",
               file=sys.stderr)
         return 1
-    with tempfile.TemporaryDirectory(prefix="bench_base_") as tmp:
-        archive = git("archive", base_commit, text=False)
-        safe = {"filter": "data"} if hasattr(tarfile, "data_filter") else {}
-        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-            tar.extractall(tmp, **safe)
-        sides = {"head": ROOT, "base": tmp}
+    with tempfile.TemporaryDirectory(prefix="bench_head_") as head_dir, \
+            tempfile.TemporaryDirectory(prefix="bench_base_") as base_dir:
+        sides = {"head": head_dir, "base": base_dir}
+        extract(head, head_dir)
+        extract(base_commit, base_dir)
         try:
             recorded = record_pairs(
                 workload, pairs,
