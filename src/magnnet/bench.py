@@ -419,11 +419,16 @@ def planner_compare(spec: ScenarioSpec) -> dict:
 
 def emit_curves(metrics_log_path: str, out_dir: str) -> dict:
     """Split a training metrics CSV into plottable (env_steps, value)
-    curves for reward and entropy."""
-    if not os.path.exists(metrics_log_path):
-        raise FileNotFoundError(metrics_log_path)
-    with open(metrics_log_path) as f:
-        rows = list(csv.DictReader(f))
+    curves for reward and entropy.  A file that is not UTF-8 text, or
+    lacks one of the columns, raises ValueError before `out_dir` is
+    made."""
+    with open(metrics_log_path, encoding="utf-8") as f:
+        reader = csv.DictReader(f)
+        missing = {"env_steps", "mean_episode_reward",
+                   "mean_entropy"}.difference(reader.fieldnames or ())
+        if missing:
+            raise ValueError(f"missing columns: {', '.join(sorted(missing))}")
+        rows = list(reader)
     os.makedirs(out_dir, exist_ok=True)
     paths = {}
     for name, column in (("reward", "mean_episode_reward"),

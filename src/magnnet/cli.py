@@ -40,7 +40,7 @@ def _scenario(path, episodes, seed, **fixed) -> ScenarioSpec:
 
 
 @main.command()
-@click.argument("config", type=click.Path(exists=True))
+@click.argument("config", type=click.Path(exists=True, dir_okay=False))
 @click.option("--seed", type=click.IntRange(min=0), default=0,
               show_default=True)
 @click.option("--out", type=click.Path(), default="runs/train",
@@ -55,8 +55,8 @@ def train(config, seed, out):
 
 
 @main.command("eval")
-@click.argument("checkpoint", type=click.Path(exists=True))
-@click.argument("scenario", type=click.Path(exists=True))
+@click.argument("checkpoint", type=click.Path(exists=True, dir_okay=False))
+@click.argument("scenario", type=click.Path(exists=True, dir_okay=False))
 @click.option("--episodes", type=click.IntRange(min=1), default=None,
               help="Override the scenario's episode count.")
 @click.option("--seed", type=click.IntRange(min=0), default=None,
@@ -72,7 +72,7 @@ def eval_cmd(checkpoint, scenario, episodes, seed, out, parallel):
 
 
 @main.command()
-@click.argument("spec", type=click.Path(exists=True))
+@click.argument("spec", type=click.Path(exists=True, dir_okay=False))
 @click.option("--episodes", type=click.IntRange(min=1), default=None)
 @click.option("--seed", type=click.IntRange(min=0), default=None,
               help="Override seed base.")
@@ -105,7 +105,7 @@ def _write_report(report: BenchReport, out):
 
 
 @main.command("planner-compare")
-@click.argument("spec", type=click.Path(exists=True))
+@click.argument("spec", type=click.Path(exists=True, dir_okay=False))
 @click.option("--episodes", type=click.IntRange(min=1), default=None)
 @click.option("--seed", type=click.IntRange(min=0), default=None)
 @click.option("--out", type=click.Path(), default="runs/planners",
@@ -122,12 +122,15 @@ def planner_compare(spec, episodes, seed, out):
 
 
 @main.command()
-@click.argument("log", type=click.Path(exists=True))
+@click.argument("log", type=click.Path(exists=True, dir_okay=False))
 @click.option("--out", type=click.Path(), default="runs/curves",
               show_default=True)
 def curves(log, out):
     """Emit reward/entropy curves from a training metrics CSV."""
-    paths = emit_curves(log, out)
+    try:
+        paths = emit_curves(log, out)
+    except ValueError as exc:
+        raise click.ClickException(f"{log}: {exc}") from None
     click.echo(json.dumps(paths, indent=2))
 
 

@@ -682,17 +682,18 @@ class FieldStore:
     searches.
 
     Per motion model one `Rings` stack with a row per slot, made on the
-    model's first field (the occupancy packed once) and reused for the whole
+    model's first lookup (the occupancy packed once) and reused for the whole
     episode: row s holds the search from the task in observation slot
     s.  The stack owns the model's search, the cells it covers (only
     the z = 0 plane for GROUND4) included; the store keeps which task
     each row holds and what the searches did.
 
     A field's key is (task id, motion model), and `keys` gives the keys
-    held.  `ensure` builds missing keys with one `distance_field` call
-    each, `drop` forgets a Done task, `lookup` reads many rows at many
-    cells straight from their label planes, and `path` walks a row down
-    to its task.
+    held.  `lookup` builds the fields of tasks new to their rows, with
+    one `distance_field` call each, and reads many rows at many cells
+    straight from their label planes; `path` walks a row down to its
+    task.  A Done task's field stays in its row until a new task takes
+    the row: task ids never repeat, so the held id tells them apart.
 
     A row is built only out to the ring of its farthest agent.  A lookup
     at a cell the row has not reached continues the row from its kept
@@ -714,45 +715,30 @@ class FieldStore:
         return {(task_id, model) for model, held in self._held.items()
                 for task_id in held if task_id is not None}
 
-    def ensure(self, model: MotionModel, tasks, rows, reach) -> None:
-        """Hold the `model` field of each task (.id, .location) in its
-        row, `rows[j]` for `tasks[j]`.  A row that holds another task's
-        field, or none, is built with one `distance_field` call into the
-        row, out to the ring of the farthest of the `reach` cells, so a
-        row a new task reuses is rebuilt and its old key leaves."""
-        held = self._held[model]
-        for task, row in zip(tasks, rows):
-            if held[row] == task.id:
-                continue
-            rings = self._rings.get(model)
-            if rings is None:
-                rings = self._rings[model] = Rings(self.grid, model,
-                                                   self.slots)
-            distance_field(self.grid, task.location, model, reach=reach,
-                           into=(rings, row))
-            held[row] = task.id
-            work = self.work[model]
-            work.built += 1
-            work.rings += int(rings.ring[row])
-
-    def drop(self, task_id: int) -> None:
-        """Forget a task's fields; their rows are free for reuse."""
-        for held in self._held.values():
-            if task_id in held:
-                held[held.index(task_id)] = None
-
-    def lookup(self, model: MotionModel, rows: np.ndarray,
+    def lookup(self, model: MotionModel, tasks, rows: np.ndarray,
                cells: np.ndarray) -> np.ndarray:
         """(len(cells), len(rows)) distances from each (x, y, z) cell, a
-        row of `cells`, to the source of each field row, inf where
-        unreachable.  A row that has not reached some of the free cells,
-        and may yet, first continues until it has, or ends."""
-        rings = self._rings[model]
+        row of `cells`, to the task (.id, .location) of each field row,
+        `tasks[j]` in `rows[j]`, inf where unreachable.  A row that holds
+        another task's field, or none, is first built with one
+        `distance_field` call into the row, out to the ring of the
+        farthest of the cells.  A row that has not reached some of the
+        free cells, and may yet, then continues until it has, or ends."""
+        rings = self._rings.get(model)
+        if rings is None:
+            rings = self._rings[model] = Rings(self.grid, model, self.slots)
+        held, work = self._held[model], self.work[model]
+        for task, row in zip(tasks, rows):
+            if held[row] != task.id:
+                distance_field(self.grid, task.location, model, reach=cells,
+                               into=(rings, row))
+                held[row] = task.id
+                work.built += 1
+                work.rings += int(rings.ring[row])
         at, shift, valid = rings.locate(cells)
         out = rings.labels(rows, at, shift)
         pending = np.isinf(out) & valid
         if pending.any():
-            work = self.work[model]
             for j in np.flatnonzero(pending.any(axis=1) & ~rings.done[rows]):
                 added = rings.search(rows[j], cells[pending[j]])
                 if added:
@@ -763,14 +749,14 @@ class FieldStore:
             out[:, ~valid] = np.inf
         return out.T
 
-    def path(self, task_id: int, model: MotionModel, start: Cell) -> Path:
-        """The shortest path from `start` to the task, walked down its
-        row (`Rings.walk`): the cells a walk down the decoded field takes.
-        `start` must have been looked up since the row was built, as a
-        winner's cell is in the round it wins, so the row has reached it
-        if it can; else NoPathError."""
-        row, rings = self._held[model].index(task_id), self._rings[model]
-        return Path(rings.walk(row, tuple(int(c) for c in start)))
+    def path(self, row: int, model: MotionModel, start: Cell) -> Path:
+        """The shortest path from `start` to the task of field row `row`,
+        walked down the row (`Rings.walk`): the cells a walk down the
+        decoded field takes.  `start` must have been looked up since the
+        row was built, as a winner's cell is in the round it wins, so the
+        row has reached it if it can; else NoPathError."""
+        return Path(self._rings[model].walk(row,
+                                            tuple(int(c) for c in start)))
 
 
 def cost_matrix(state) -> CostMatrix:
@@ -783,8 +769,9 @@ def cost_matrix(state) -> CostMatrix:
     id, motion model) in the `Rings` row of the task's slot.  Each
     entry is the shortest-path distance in meters divided by the
     agent's velocity, the distances read for all agents of one motion
-    model with one lookup of their cells in that model's live rows,
-    which reads ring labels and decodes no field.
+    model with one store lookup of their cells in that model's live
+    rows, which builds the rows new tasks took, reads ring labels and
+    decodes no field.
     """
     tasks = state.live_tasks()
     agents = state.agents
@@ -799,8 +786,7 @@ def cost_matrix(state) -> CostMatrix:
         if not which:
             continue
         cells = np.array([agents[i].position for i in which], dtype=np.intp)
-        state.dist_cache.ensure(model, tasks, rows, cells)
-        entries[which] = state.dist_cache.lookup(model, rows, cells)
+        entries[which] = state.dist_cache.lookup(model, tasks, rows, cells)
     # whole-number distances, so this is the float64 division
     entries /= velocity[:, None]
     return CostMatrix(entries)

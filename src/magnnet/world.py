@@ -173,7 +173,7 @@ class EpisodeState:
     grid: Grid
     reservations: ReservationTable
     rng: np.random.Generator
-    dist_cache: FieldStore      # one field per (live task id, motion model)
+    dist_cache: FieldStore  # per slot and model, its latest task's field
     slots: list = field(default_factory=list)   # slot -> task id or None
     log: list = field(default_factory=list)
     intervals_consumed: int = 0
@@ -403,7 +403,7 @@ def arbitrate(state: EpisodeState, actions, slot_costs: np.ndarray,
                     state.record("conflict_lost", agent=a, task=tid)
         agent = state.agent(winner)
         picks.append((winner, tid, float(slot_costs[winner, slot]),
-                      state.dist_cache.path(tid, agent.motion_model,
+                      state.dist_cache.path(slot, agent.motion_model,
                                             agent.position)))
         outcome.assignments.append((winner, tid))
     assign_tasks(state, picks)
@@ -464,8 +464,6 @@ def advance(state: EpisodeState) -> list:
         if agent.path_index >= len(cells) - 1 and agent.position == cells[-1]:
             task = state.task(agent.assigned_task)
             task.status = TaskStatus.DONE
-            # nothing reads a Done task's fields again
-            state.dist_cache.drop(task.id)
             state.replace_slot(task.id, None)
             state.record("task_done", agent=agent.id, task=task.id)
             state.reservations.release_agent(agent.id)

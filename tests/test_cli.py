@@ -181,7 +181,51 @@ class TestTrain:
         assert not out.exists()
 
 
+@pytest.mark.parametrize("command, args", [
+    ("train", ["configs"]),
+    ("eval", ["runs", "configs/bench_static_n4.json"]),
+    ("eval", [CHECKPOINT, "configs"]),
+    ("bench", ["configs"]),
+    ("planner-compare", ["configs"]),
+    ("curves", ["runs"])],
+    ids=["train", "eval-checkpoint", "eval-scenario", "bench",
+         "planner-compare", "curves"])
+def test_directory_argument_is_a_usage_error(tmp_path, command, args):
+    """A directory given for a file used to escape as an
+    IsADirectoryError traceback."""
+    out = tmp_path / "out"
+    args = [os.path.join(REPO, arg) for arg in args]
+    result = CliRunner().invoke(main, [command, *args, "--out", str(out)])
+    assert result.exit_code == 2
+    assert "is a directory" in result.output
+    assert "Traceback" not in result.output
+    assert not out.exists()
+
+
 class TestCurves:
+    @pytest.mark.parametrize("content, message", [
+        (b"update_index,mean_entropy\n1,0.5\n",
+         "missing columns: env_steps, mean_episode_reward"),
+        (b"", "missing columns: env_steps, mean_entropy, "
+         "mean_episode_reward"),
+        (b"\xffenv_steps\n", "'utf-8' codec can't decode byte 0xff in "
+         "position 0: invalid start byte")],
+        ids=["missing-columns", "empty", "not-utf8"])
+    def test_unreadable_log_is_one_error_line(self, tmp_path, content,
+                                              message):
+        """A log without the curves' columns used to escape as a
+        KeyError traceback, and one that is not UTF-8 as a
+        UnicodeDecodeError, each after the out dir was made."""
+        log = tmp_path / "metrics.csv"
+        log.write_bytes(content)
+        out = tmp_path / "curves"
+        result = CliRunner().invoke(main, ["curves", str(log),
+                                           "--out", str(out)])
+        assert result.exit_code == 1
+        assert result.output.splitlines() == [f"Error: {log}: {message}"]
+        assert isinstance(result.exception, SystemExit)
+        assert not out.exists()
+
     def test_acceptance_metrics(self, tmp_path):
         log = os.path.join(REPO, "runs", "acceptance", "seed0", "metrics.csv")
         result = CliRunner().invoke(main, ["curves", log,

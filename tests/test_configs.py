@@ -97,7 +97,10 @@ def package_modules():
 
 
 def command_runs(tmp_path):
-    """Every CLI command on tiny inputs, serially.  The tiny training
+    """Every CLI command on tiny inputs.  The dynamic bench runs through
+    a two-worker process pool, so the traced parent runs the pool lines;
+    the workers are not traced, and every statement they run a serial
+    run reaches too.  The other runs are serial.  The tiny training
     runs past `CHECKPOINT_INTERVAL` updates, so it saves a periodic
     checkpoint; it stays static, since a dynamic one no longer reaches
     `terminal_bonus` and `optimal_total`.  The crowded bench scenario
@@ -138,7 +141,8 @@ def command_runs(tmp_path):
             ["eval", checkpoint, static, *one, "--out", str(tmp_path / "e")],
             ["eval", checkpoint, str(wide), "--out", str(tmp_path / "wide")],
             ["bench", static, *one, "--out", str(tmp_path / "static")],
-            ["bench", dynamic, *one, "--out", str(tmp_path / "dynamic")],
+            ["bench", dynamic, *one, "--parallel", "2",
+             "--out", str(tmp_path / "dynamic")],
             ["bench", str(spawning), "--out", str(tmp_path / "spawning")],
             ["bench", str(crowded), "--seed", "1",
              "--out", str(tmp_path / "crowded")],
@@ -276,15 +280,6 @@ REACH_ALLOWANCE = {
         "(test_no_path_instances_are_counted, seed 3000)",
     "bench:planner_compare: continue":
         "as `no_path += 1`",
-    "bench:run_benchmark: from concurrent.futures import "
-    "ProcessPoolExecutor":
-        "--parallel: the command runs are serial, since pool workers are "
-        "not traced; test_pool_matches_serial and CI's smokes run it",
-    "bench:run_benchmark: with ProcessPoolExecutor(max_workers=parallel) "
-    "as pool:":
-        "--parallel, as the import above",
-    "bench:run_benchmark: logs = list(pool.map(_run_cell, jobs,":
-        "--parallel, as the import above",
     "pathplan:FieldStore.lookup: out[:, ~valid] = np.inf":
         "safety: without it a blocked or off-grid cell reads distance 0 "
         "(test_cells_off_the_grid_are_unreachable)",
@@ -370,7 +365,8 @@ def test_every_line_is_reached(tmp_path):
     test-only, and a statement that they do not execute is a dead
     branch: each belongs in the tests that use it, or nowhere, unless
     `REACH_ALLOWANCE` names it with its reason.  Pool workers are not
-    traced, so the commands run serially."""
+    traced, so only one command run uses the pool, and what its workers
+    run the serial runs reach."""
     modules = package_modules()
     for module in modules:  # a cached result would hide its code
         for obj in vars(module).values():

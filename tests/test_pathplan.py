@@ -434,13 +434,14 @@ def run_store_program(grid: Grid, model: MotionModel, ops) -> FieldStore:
     heap-Dijkstra fields: per row its task, field, stop ring and whether
     its search ran out, and the exact `work` (built, extended, rings).
 
-    `which` picks the copy an operation acts on.  `ensure` builds a new
-    task at `cells[0]` into `row`, out to the reach `cells[1:]`, and
-    ensures it again, which builds nothing; its row must equal the
-    bounded `distance_field(..., reach=)`.  `lookup` reads every held
-    row at `cells`, `drop` forgets the task of `row`, `path` walks `row`
-    from each start in `cells`, and `copy` adds two copies of the state
-    it picks, up to five states: a deep copy and a pickle round trip.
+    `which` picks the copy an operation acts on.  `build` looks up a
+    new task at `cells[0]` in `row` at the reach `cells[1:]`, which
+    builds the row out to them, and looks it up again, which builds
+    nothing; its row must equal the bounded `distance_field(...,
+    reach=)`, and both read the field at the reach cells.  `lookup`
+    reads every held row at `cells`, `path` walks `row` from each start
+    in `cells`, and `copy` adds two copies of the state it picks, up to
+    five states: a deep copy and a pickle round trip.
     Returns the store the program started with."""
     searched = ~grid.blocked
     if model is G4:
@@ -469,7 +470,7 @@ def run_store_program(grid: Grid, model: MotionModel, ops) -> FieldStore:
         if kind == "copy" and len(copies) < 5:
             copies.append(copy.deepcopy(state))
             copies.append(pickle.loads(pickle.dumps(state)))
-        elif kind == "ensure":
+        elif kind == "build":
             reach = np.asarray(cells[1:], dtype=np.intp).reshape(-1, 3)
             task = types.SimpleNamespace(id=next(task_ids),
                                          location=tuple(cells[0]))
@@ -479,28 +480,29 @@ def run_store_program(grid: Grid, model: MotionModel, ops) -> FieldStore:
             state.work[0] += 1
             state.work[2] += ring
             for _ in range(2):
-                store.ensure(model, [task], np.array([row]), reach)
+                got = store.lookup(model, [task], np.array([row]), reach)
+                assert np.array_equal(got[:, 0], ref[tuple(reach.T)])
             assert np.array_equal(
                 decoded(store, (task.id, model)),
                 distance_field(grid, task.location, model, reach=reach))
         elif kind == "lookup" and rows:
             held = sorted(rows)
-            got = store.lookup(model, np.array(held), cells)
+            got = store.lookup(model, [rows[r][0] for r in held],
+                               np.array(held), cells)
             for j, r in enumerate(held):
                 asked(state, r, cells)
                 assert np.array_equal(got[:, j], rows[r][1][tuple(cells.T)])
-        elif kind == "drop" and row in rows:
-            store.drop(rows.pop(row)[0].id)
         elif kind == "path" and row in rows:
             task, ref = rows[row][:2]
             for start in map(tuple, cells):
                 asked(state, row, [start])
-                store.lookup(model, np.array([row]), np.array([start]))
+                store.lookup(model, [task], np.array([row]),
+                             np.array([start]))
                 if np.isinf(ref[start]):
                     with pytest.raises(NoPathError):
-                        store.path(task.id, model, start)
+                        store.path(row, model, start)
                     continue
-                path = store.path(task.id, model, start)
+                path = store.path(row, model, start)
                 path.validate(grid, model)
                 assert path.cells == extract_path_reference(ref, start,
                                                             model).cells
@@ -524,7 +526,7 @@ def store_programs(draw, shape, model):
     x (65-140 cells), or a corridor of 256-300 cells along one axis,
     whose rings need more than 8 label planes.  Cells are drawn
     anywhere, blocked ones included; nine in ten GROUND4 cells lie on
-    the z = 0 plane.  An `ensure` gets a task cell and 0-4 reach cells,
+    the z = 0 plane.  A `build` gets a task cell and 0-4 reach cells,
     a `lookup` 1-5 cells, and a `path` every cell of a small grid or 4
     cells of a larger one.  `which` runs 0-4, so an operation can pick
     any of the up to five states, a later copy or a copy's copy too."""
@@ -552,12 +554,12 @@ def store_programs(draw, shape, model):
 
     ops = []
     for kind, row, which in draw(st.lists(st.tuples(
-            st.sampled_from(["ensure", "lookup", "drop", "path", "copy"]),
+            st.sampled_from(["build", "lookup", "path", "copy"]),
             st.integers(0, 2), st.integers(0, 4)), min_size=1, max_size=12)):
         if kind == "path":
             where = np.argwhere(np.ones(dims)) if shape == "small" \
                 else cells(4)
-        elif kind in ("ensure", "lookup"):
+        elif kind in ("build", "lookup"):
             where = cells(int(rng.integers(1, 6)))
         else:
             where = None
@@ -566,8 +568,8 @@ def store_programs(draw, shape, model):
 
 
 class TestFieldStoreAgainstDijkstra:
-    """The field store's one driver: builds, lookups, drops, rebuilds
-    into freed rows, paths and copies, interleaved (`run_store_program`)."""
+    """The field store's one driver: builds, lookups, rebuilds into
+    reused rows, paths and copies, interleaved (`run_store_program`)."""
 
     @pytest.mark.parametrize("model", [A6, G4])
     @pytest.mark.parametrize("shape", ["small", "wide", "corridor"])
@@ -583,7 +585,7 @@ class TestFieldStoreAgainstDijkstra:
         rng = np.random.default_rng(seed)
         grid = random_grid(rng, dims=(9, 8, 4), density=0.25)
         run_store_program(grid, model, [
-            ("ensure", 0, 0, [free_cell(rng, grid, ground=model is G4)]),
+            ("build", 0, 0, [free_cell(rng, grid, ground=model is G4)]),
             ("path", 0, 0, np.argwhere(np.ones(grid.dims)))])
 
     def test_unreachable_starts_raise(self):
@@ -592,7 +594,7 @@ class TestFieldStoreAgainstDijkstra:
         blocked[2, 0, 0] = True
         grid = Grid((5, 1, 2), blocked)
         run_store_program(grid, G4, [
-            ("ensure", 0, 0, [(0, 0, 0), (1, 0, 0)]),
+            ("build", 0, 0, [(0, 0, 0), (1, 0, 0)]),
             ("path", 0, 0, [(1, 0, 1), (4, 0, 0), (1, 0, 0)])])
 
     @pytest.mark.parametrize("model", [A6, G4])
@@ -601,10 +603,11 @@ class TestFieldStoreAgainstDijkstra:
         used to wrap into a padding word and read distance 0."""
         store = FieldStore(empty_grid((4, 3, 2)), 1)
         task = types.SimpleNamespace(id=0, location=(0, 0, 0))
-        store.ensure(model, [task], np.array([0]), np.array([(3, 2, 0)]))
+        store.lookup(model, [task], np.array([0]), np.array([(3, 2, 0)]))
         off = [(0, -1, 0), (-1, 0, 0), (0, 0, -1), (4, 0, 0), (0, 3, 0),
                (0, 0, 2)]
-        got = store.lookup(model, np.array([0]), np.array(off + [(1, 0, 0)]))
+        got = store.lookup(model, [task], np.array([0]),
+                           np.array(off + [(1, 0, 0)]))
         assert got.ravel().tolist() == [np.inf] * 6 + [1.0]
         for cell in off:
             with pytest.raises(NoPathError):
@@ -622,7 +625,7 @@ class TestFieldStoreAgainstDijkstra:
         far = np.argwhere(full == full[np.isfinite(full)].max())[:1]
         mid = np.argwhere(full == full[tuple(far[0])] // 2)[:1]
         run_store_program(grid, A6, [
-            ("ensure", 1, 0, [(0, 0, 0), (1, 1, 0)]),
+            ("build", 1, 0, [(0, 0, 0), (1, 1, 0)]),
             ("lookup", 1, 0, np.array([(1, 1, 0)])), ("lookup", 1, 0, mid),
             ("copy", 1, 0, None), ("lookup", 1, 0, far),
             ("lookup", 1, 1, far), ("lookup", 1, 2, far)])
@@ -639,14 +642,14 @@ class TestFieldStoreAgainstDijkstra:
         dims = [1, 1, 1]
         dims[axis] = 300
         run_store_program(empty_grid(dims), model, [
-            ("ensure", 0, 0, cell[[0, ring]]), ("lookup", 0, 0, cell[-1:])])
+            ("build", 0, 0, cell[[0, ring]]), ("lookup", 0, 0, cell[-1:])])
 
     @pytest.mark.parametrize("length, wall, ops, work", [
-        (6, 4, [("ensure", 0, 0, [(0, 0, 0), (5, 0, 0)])], [1, 0, 3]),
-        (7, 5, [("ensure", 0, 0, [(0, 0, 0), (4, 0, 0)]),
+        (6, 4, [("build", 0, 0, [(0, 0, 0), (5, 0, 0)])], [1, 0, 3]),
+        (7, 5, [("build", 0, 0, [(0, 0, 0), (4, 0, 0)]),
                 ("lookup", 0, 0, np.array([(6, 0, 0)]))], [1, 0, 4]),
-        (12, 4, [("ensure", 0, 0, [(0, 0, 0), (11, 0, 0)]),
-                 ("ensure", 0, 0, [(11, 0, 0), (0, 0, 0)])], [2, 0, 9])],
+        (12, 4, [("build", 0, 0, [(0, 0, 0), (11, 0, 0)]),
+                 ("build", 0, 0, [(11, 0, 0), (0, 0, 0)])], [2, 0, 9])],
         ids=["runs-out-after-odd-ring", "looked-up-behind-the-wall",
              "rebuilt-behind-the-wall"])
     def test_work_counts_only_rings_that_label(self, length, wall, ops,
@@ -678,7 +681,7 @@ def test_perfbench_cache_lookups_read_the_store():
     ground = np.array([a.position for a in state.agents
                        if a.motion_model is MotionModel.GROUND4])
     assert cache_lookups(state) == (4 * 3, 3 * 2)
-    state.dist_cache.ensure(MotionModel.GROUND4, state.live_tasks(),
+    state.dist_cache.lookup(MotionModel.GROUND4, state.live_tasks(),
                             np.array(state.live_slots()), ground)
     assert cache_lookups(state) == (4 * 3, 3)
     cost_matrix(state)
@@ -790,9 +793,9 @@ class TestLocate:
         assert np.isfinite(want).any() and np.isinf(want).any()
         store = FieldStore(grid, 2)
         task = types.SimpleNamespace(id=0, location=source)
-        store.ensure(model, [task], np.array([1]), np.array([source]))
-        assert np.array_equal(store.lookup(model, np.array([1]), batch)[:, 0],
-                              want)
+        store.lookup(model, [task], np.array([1]), np.array([source]))
+        assert np.array_equal(
+            store.lookup(model, [task], np.array([1]), batch)[:, 0], want)
         rings = store._rings[model]
         for cell, d in zip(map(tuple, batch.tolist()), want):
             if np.isinf(d):
@@ -811,10 +814,11 @@ class TestLocate:
         blocked[100:] = True
         store = FieldStore(Grid((128, 1, 1), blocked), 2)
         task = types.SimpleNamespace(id=0, location=(0, 0, 0))
-        store.ensure(model, [task], np.array([1]), np.array([(99, 0, 0)]))
+        store.lookup(model, [task], np.array([1]), np.array([(99, 0, 0)]))
         cells = np.array([(128, 0, 0), (99, 0, 0), (100, 0, 0), (-1, 0, 0)])
-        assert store.lookup(model, np.array([1]), cells)[:, 0].tolist() == \
-            [np.inf, 99, np.inf, np.inf]
+        assert store.lookup(model, [task], np.array([1]),
+                            cells)[:, 0].tolist() == [np.inf, 99, np.inf,
+                                                      np.inf]
         with pytest.raises(NoPathError):
             store._rings[model].walk(1, (128, 0, 0))
 

