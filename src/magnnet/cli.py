@@ -9,9 +9,11 @@ import click
 
 from .bench import (BenchReport, ScenarioSpec, planner_compare as _planner_compare,
                     emit_curves, run_benchmark)
-from .errors import CheckpointMismatchError
+from .errors import CheckpointMismatchError, PlacementError
 from .ppo import PPOConfig, train as _train
 from .world import WorldConfig
+
+OUT_DIR = click.Path(file_okay=False)
 
 
 @click.group()
@@ -43,14 +45,14 @@ def _scenario(path, episodes, seed, **fixed) -> ScenarioSpec:
 @click.argument("config", type=click.Path(exists=True, dir_okay=False))
 @click.option("--seed", type=click.IntRange(min=0), default=0,
               show_default=True)
-@click.option("--out", type=click.Path(), default="runs/train",
+@click.option("--out", type=OUT_DIR, default="runs/train",
               show_default=True, help="Output directory.")
 def train(config, seed, out):
     """Train a policy from a JSON config with "world" and "ppo" sections."""
     world_cfg, ppo_cfg = _load(config, lambda blob: (
         WorldConfig.from_dict(blob.get("world", {})),
         PPOConfig.from_dict(blob.get("ppo", {}))))
-    result = _train(world_cfg, ppo_cfg, seed, out)
+    result = _run(config, _train, world_cfg, ppo_cfg, seed, out)
     click.echo(json.dumps(result, indent=2))
 
 
@@ -61,14 +63,14 @@ def train(config, seed, out):
               help="Override the scenario's episode count.")
 @click.option("--seed", type=click.IntRange(min=0), default=None,
               help="Override seed base.")
-@click.option("--out", type=click.Path(), default="runs/eval", show_default=True)
+@click.option("--out", type=OUT_DIR, default="runs/eval", show_default=True)
 @click.option("--parallel", type=click.IntRange(min=1), default=1,
               show_default=True, help="Worker processes.")
 def eval_cmd(checkpoint, scenario, episodes, seed, out, parallel):
     """Decentralized evaluation of a trained checkpoint on a scenario."""
     spec = _scenario(scenario, episodes, seed, checkpoint=checkpoint,
                      methods=("magnnet",))
-    _write_report(_run_benchmark(spec, parallel), out)
+    _write_report(_run(scenario, _run_benchmark, spec, parallel), out)
 
 
 @main.command()
@@ -76,13 +78,22 @@ def eval_cmd(checkpoint, scenario, episodes, seed, out, parallel):
 @click.option("--episodes", type=click.IntRange(min=1), default=None)
 @click.option("--seed", type=click.IntRange(min=0), default=None,
               help="Override seed base.")
-@click.option("--out", type=click.Path(), default="runs/bench", show_default=True)
+@click.option("--out", type=OUT_DIR, default="runs/bench", show_default=True)
 @click.option("--parallel", type=click.IntRange(min=1), default=1,
               show_default=True, help="Worker processes.")
 def bench(spec, episodes, seed, out, parallel):
     """Run the methods x N benchmark sweep from a JSON spec."""
-    _write_report(_run_benchmark(_scenario(spec, episodes, seed), parallel),
-                  out)
+    _write_report(_run(spec, _run_benchmark, _scenario(spec, episodes, seed),
+                       parallel), out)
+
+
+def _run(path, work, *args):
+    """`work(*args)`, with a grid too small for the config at `path`
+    reported as one error line instead of a traceback."""
+    try:
+        return work(*args)
+    except PlacementError as exc:
+        raise click.ClickException(f"{path}: {exc}") from None
 
 
 def _run_benchmark(spec: ScenarioSpec, parallel: int) -> BenchReport:
@@ -108,12 +119,12 @@ def _write_report(report: BenchReport, out):
 @click.argument("spec", type=click.Path(exists=True, dir_okay=False))
 @click.option("--episodes", type=click.IntRange(min=1), default=None)
 @click.option("--seed", type=click.IntRange(min=0), default=None)
-@click.option("--out", type=click.Path(), default="runs/planners",
+@click.option("--out", type=OUT_DIR, default="runs/planners",
               show_default=True)
 def planner_compare(spec, episodes, seed, out):
     """Compare A* and RRT* path lengths on identical instances."""
-    results = _planner_compare(_scenario(spec, episodes, seed, checkpoint=None,
-                                         methods=("hungarian",)))
+    results = _run(spec, _planner_compare, _scenario(
+        spec, episodes, seed, checkpoint=None, methods=("hungarian",)))
     os.makedirs(out, exist_ok=True)
     path = os.path.join(out, "planner_compare.json")
     with open(path, "w") as f:
@@ -123,7 +134,7 @@ def planner_compare(spec, episodes, seed, out):
 
 @main.command()
 @click.argument("log", type=click.Path(exists=True, dir_okay=False))
-@click.option("--out", type=click.Path(), default="runs/curves",
+@click.option("--out", type=OUT_DIR, default="runs/curves",
               show_default=True)
 def curves(log, out):
     """Emit reward/entropy curves from a training metrics CSV."""

@@ -278,8 +278,7 @@ def _gray_rings(k: int) -> np.ndarray:
 # 3.11, numpy 2.4), one x-block: 1.5 against 4.3 us at 52 words (the
 # 50x50 ground plane), 2.8 against 5.4 at 102, 5.3 against 5.5 at 224,
 # 5.8 against 5.8 at 256, 6.3 against 5.8 at 288, 7.6 against 6.1 at
-# 384, 25.9 against 9.8 at 1,664 (50x50x30 aerial); two x-blocks: 5.2
-# against 8.2 at 204 and 8.5 against 9.7 at 392
+# 384, 25.9 against 9.8 at 1,664 (50x50x30 aerial)
 INT_LOOP_WORDS = 256
 _NO_CELLS = np.empty(0, dtype=np.uintp)
 _NO_CELLS.flags.writeable = False
@@ -332,11 +331,12 @@ class Rings:
     `search` runs the rings in one of two loops that leave the same
     row.  A numpy ring costs about ten ufunc calls whatever the row's
     size, a Python-int ring one pass of int arithmetic over the row, so
-    a row of at most `INT_LOOP_WORDS` words (the crossover, measured at
-    several sizes) reads `todo`, `frontier` and the planes its rings
-    touch into Python ints once per search, runs its rings on them and
-    writes them back once; a larger row runs on its numpy words.  Row
-    storage is the same for both.
+    a row of one x-block and at most `INT_LOOP_WORDS` words (the
+    crossover, measured at several sizes) reads `todo`, `frontier` and
+    the planes its rings touch into Python ints once per search, runs
+    its rings on them and writes them back once; any other row runs on
+    its numpy words, whose loop alone carries bit 63 between blocks.
+    Row storage is the same for both.
     """
 
     def __init__(self, grid: Grid, model: MotionModel, rows: int):
@@ -374,15 +374,6 @@ class Rings:
         self._offsets = np.arange(planes + 1) * self.free.size
         self._weights = 1 << np.arange(planes + 1)
         self.frontier = np.empty((rows, self.free.size), dtype="<u8")
-        # `_int_loop`'s shifts along y and z, and with two or more
-        # x-blocks its masks of every word's bit 0 and bit 63
-        self._int_strides = [64 * s for s in self.strides]
-        self._int_carry = None
-        if self.blocks > 1:
-            lo = int.from_bytes(np.ones(self.free.size, "<u8"), "little")
-            every = (1 << 64 * self.free.size) - 1
-            self._int_carry = (lo, lo << 63, every ^ lo, every ^ lo << 63,
-                               64 * self.block - 63)
         self.ring = np.zeros(rows, dtype=np.int64)
         self.done = np.ones(rows, dtype=bool)
         self.source = np.zeros((rows, 3), dtype=np.intp)
@@ -441,14 +432,15 @@ class Rings:
         reached into its plane; the search then undoes that XOR, so a
         row's ring is the last that labelled a cell.
 
-        A row of at most `INT_LOOP_WORDS` words runs its rings on Python
-        ints (`_int_loop`), a larger one on its numpy words
+        A row of one x-block and at most `INT_LOOP_WORDS` words runs its
+        rings on Python ints (`_int_loop`), any other on its numpy words
         (`_array_loop`); both leave the same words, ring and end.
         """
         if self.done[row]:
             return 0
         first = int(self.ring[row])
-        loop = (self._int_loop if self.free.size <= INT_LOOP_WORDS
+        loop = (self._int_loop
+                if self.blocks == 1 and self.free.size <= INT_LOOP_WORDS
                 else self._array_loop)
         d, dry = loop(row, first, *self._reach(row, cells))
         self.ring[row], self.done[row] = d, dry
@@ -526,10 +518,9 @@ class Rings:
         Python int each for `todo`, `frontier` and the planes its rings
         touch, read from the row once and written back once.  Word i's
         bit b is the int's bit 64 i + b, so a move along x is a 1-bit
-        shift and one along y or z a shift by 64 times its stride.  With
-        one x-block no x shift crosses a word into a free cell: bit 63
-        is padding.  With two or more, bit 63 and bit 0 are masked out
-        of the 1-bit shifts and carried a block instead."""
+        shift and one along y or z a shift by 64 times its stride.  The
+        row has one x-block, so no x shift crosses a word into a free
+        cell: bit 63 is padding."""
         words = memoryview(self._words[row]).cast("B")
         frontier = memoryview(self.frontier[row]).cast("B")
         size = len(frontier)
@@ -538,19 +529,13 @@ class Rings:
         reach = 0
         for a, b in zip(at.tolist(), shift.tolist()):
             reach |= 1 << (a << 6 | b)
-        strides, carry = self._int_strides, self._int_carry
-        if carry:
-            lo, hi, inner_lo, inner_hi, c = carry
+        strides = [64 * s for s in self.strides]
         xors = {}   # plane -> what the rings XOR into it
         dry = False
         while True:
             if d >= check_from and not todo & reach:
                 break
-            if carry:
-                nxt = ((f & inner_hi) << 1 | (f & inner_lo) >> 1
-                       | (f & hi) << c | (f & lo) >> c)
-            else:
-                nxt = f << 1 | f >> 1
+            nxt = f << 1 | f >> 1
             for s in strides:
                 nxt |= f << s | f >> s
             nxt &= todo

@@ -116,7 +116,8 @@ class ModelParams:
             if tuple(arrays[name].shape) != p.data.shape:
                 raise CheckpointMismatchError(
                     f"{name}: shape {arrays[name].shape} != {p.data.shape}")
-            T.check_finite(arrays[name], f"value in checkpoint {name}")
+            if not np.isfinite(arrays[name]).all():
+                raise CheckpointMismatchError(f"{name}: non-finite value")
             p.data = arrays[name]
         return model
 

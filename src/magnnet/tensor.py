@@ -15,8 +15,7 @@ Finiteness is checked at boundaries, each raising NumericError on NaN/Inf:
   them;
 - in `ppo_loss`, the log-ratio, both surrogate terms and the loss (and
   the taken actions' probabilities, which must be > 0);
-- the gradients `adam_step` applies;
-- the parameters of a loaded checkpoint (`ppo.ModelParams.load`).
+- the gradients `adam_step` applies.
 The fused layers and the data-movement ops (`concat`, `slice_rows`,
 `reshape`, `gather_rows`) go unchecked.  From finite
 inputs they make no NaN/Inf except by overflow, and they pass any NaN/Inf
@@ -488,13 +487,15 @@ def load_checkpoint(path):
     """Inverse of save_checkpoint: returns (dict name -> ndarray, manifest).
 
     Only what save_checkpoint writes loads; anything else raises
-    CheckpointMismatchError naming the file, for a file that is not
-    UTF-8 JSON, or the record: a missing key, a dtype other than "<f8"
-    (its bytes would read as other numbers) or a shape that does not
-    hold the payload."""
+    CheckpointMismatchError naming the file, for a file that cannot be
+    opened or is not UTF-8 JSON, or the record: a missing key, a dtype
+    other than "<f8" (its bytes would read as other numbers) or a shape
+    that does not hold the payload."""
     try:
         with open(path, encoding="utf-8") as f:
             blob = json.load(f)
+    except OSError as exc:
+        raise CheckpointMismatchError(f"{path}: {exc.strerror}") from None
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointMismatchError(f"{path}: not UTF-8 JSON: {exc}") \
             from None

@@ -6,12 +6,16 @@ import json
 import os
 import subprocess
 import sys
+from unittest import mock
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from magnnet import cli
 from magnnet.bench import REPORT_COLUMNS
 from magnnet.cli import main
+from magnnet.ppo import ModelParams
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CHECKPOINT = os.path.join(REPO, "runs", "acceptance", "seed0",
@@ -19,6 +23,30 @@ CHECKPOINT = os.path.join(REPO, "runs", "acceptance", "seed0",
 TINY_SPEC = {"mode": "static", "n_agents": [4],
              "methods": ["hungarian", "greedy"], "episodes": 1,
              "seed_base": 2, "grid_dims": [12, 12, 4]}
+
+
+def writes(content):
+    """A checkpoint writer that puts bytes `content` at its path."""
+    return lambda path: path.write_bytes(content)
+
+
+def write_nan_checkpoint(path):
+    """The seed-0 fixture with a NaN in its actor's output bias."""
+    model = ModelParams.load(CHECKPOINT)
+    model.actor.b2.data[0] = np.nan
+    model.save(path)
+
+
+# (id, writer, error after "checkpoint PATH: ") of checkpoint files that
+# `eval` and `bench` both reject
+CHECKPOINT_FILES = [
+    ("no-manifest", writes(b'{"params": {}}'),
+     "manifest n_max, m_max = [None, None]: need whole numbers >= 1"),
+    ("not-json", writes(b'{"params": '), "{path}: not UTF-8 JSON: "
+     "Expecting value: line 1 column 12 (char 11)"),
+    ("not-utf8", writes(b'\xff{}'), "{path}: not UTF-8 JSON: 'utf-8' "
+     "codec can't decode byte 0xff in position 0: invalid start byte"),
+    ("nan", write_nan_checkpoint, "actor.b2: non-finite value")]
 
 
 @pytest.fixture
@@ -68,23 +96,27 @@ class TestBench:
         assert option in result.output
         assert not out.exists()
 
-    @pytest.mark.parametrize("content, message", [
-        (b'{"params": {}}',
-         "manifest n_max, m_max = [None, None]: need whole numbers >= 1"),
-        (b'{"params": ', "{path}: not UTF-8 JSON: Expecting value: line 1 "
-         "column 12 (char 11)"),
-        (b'\xff{}', "{path}: not UTF-8 JSON: 'utf-8' codec can't decode "
-         "byte 0xff in position 0: invalid start byte")],
-        ids=["no-manifest", "not-json", "not-utf8"])
-    @pytest.mark.parametrize("command", ["eval", "bench"])
+    @pytest.mark.parametrize("command, write, message", [
+        pytest.param(command, write, message, id=f"{command}-{case}")
+        for command in ("eval", "bench")
+        for case, write, message in CHECKPOINT_FILES] + [
+        pytest.param("bench", lambda path: path.mkdir(),
+                     "{path}: Is a directory", id="bench-directory"),
+        pytest.param("bench", lambda path: None,
+                     "{path}: No such file or directory", id="bench-missing")])
     def test_mismatched_checkpoint_is_one_error_line(self, tmp_path,
-                                                     command, content,
+                                                     command, write,
                                                      message):
         """A checkpoint without a manifest used to escape as a
-        CheckpointMismatchError traceback, and one that is not JSON or
-        not UTF-8 as a JSONDecodeError or UnicodeDecodeError."""
+        CheckpointMismatchError traceback, one that is not JSON or not
+        UTF-8 as a JSONDecodeError or UnicodeDecodeError, one holding a
+        NaN as a NumericError, and a spec's checkpoint that names a
+        directory or nothing as an IsADirectoryError or
+        FileNotFoundError.  `eval` takes its checkpoint as an argument
+        that must name a file, so only `bench` has the last two
+        (`test_directory_argument_is_a_usage_error`)."""
         checkpoint = tmp_path / "checkpoint.json"
-        checkpoint.write_bytes(content)
+        write(checkpoint)
         scenario = os.path.join(REPO, "configs", "bench_static_n4.json")
         out = tmp_path / "out"
         if command == "eval":
@@ -200,6 +232,56 @@ def test_directory_argument_is_a_usage_error(tmp_path, command, args):
     assert "is a directory" in result.output
     assert "Traceback" not in result.output
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, args", [
+    ("train", ["configs/train_desk.json"]),
+    ("eval", [CHECKPOINT, "configs/bench_static_n4.json"]),
+    ("bench", ["configs/bench_static_n4.json"]),
+    ("planner-compare", ["configs/bench_static_n4.json"]),
+    ("curves", ["runs/acceptance/seed0/metrics.csv"])],
+    ids=["train", "eval", "bench", "planner-compare", "curves"])
+def test_out_naming_a_file_is_a_usage_error(tmp_path, command, args):
+    """An `--out` naming an existing file used to end in a
+    FileExistsError traceback, for `bench` and `eval` only after the
+    whole sweep had run.  Every command's work is stubbed to fail, so
+    reaching it fails the test."""
+    out = tmp_path / "out"
+    out.write_text("kept")
+    args = [os.path.join(REPO, arg) for arg in args]
+    work = mock.Mock(side_effect=AssertionError("the command ran"))
+    with mock.patch.multiple(cli, _train=work, run_benchmark=work,
+                             _planner_compare=work, emit_curves=work):
+        result = CliRunner().invoke(main, [command, *args, "--out",
+                                           str(out)])
+    assert result.exit_code == 2
+    assert [line for line in result.output.splitlines()
+            if line.startswith("Error")] == [
+        f"Error: Invalid value for '--out': Directory '{out}' is a file."]
+    assert not work.called
+    assert out.read_text() == "kept"
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "bench",
+                                     "planner-compare"])
+def test_grid_too_small_is_one_error_line(tmp_path, command):
+    """Four agents and four tasks on a 2x2x1 grid used to end in a
+    PlacementError traceback."""
+    if command == "train":
+        blob = {"world": {"grid_dims": [2, 2, 1], "n_agents": 4,
+                          "n_tasks_initial": 4, "n_ground": 2,
+                          "n_aerial": 2}}
+    else:
+        blob = {**TINY_SPEC, "grid_dims": [2, 2, 1]}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(blob))
+    args = [CHECKPOINT, str(config)] if command == "eval" else [str(config)]
+    result = CliRunner().invoke(main, [command, *args, "--out",
+                                       str(tmp_path / "out")])
+    assert result.exit_code == 1
+    assert result.output.splitlines() == [
+        f"Error: {config}: need 2 free cells, only 1 available"]
+    assert isinstance(result.exception, SystemExit)
 
 
 class TestCurves:

@@ -107,8 +107,8 @@ def command_runs(tmp_path):
     makes `resolve_paths` replan, which no other run forces.  The wide
     eval grid, a 2,000-cell corridor that its obstacles cut into pockets,
     spans 32 64-cell blocks per row of packed words: its aerial rows
-    (288 words) take `Rings`' numpy loop and its ground rows (96) the
-    int loop, both with block carries, and rows run dry in five ticks.
+    (288 words) and ground rows (96) both take `Rings`' numpy loop, the
+    one with block carries, and rows run dry in five ticks.
     The fast-spawning bench spawns tasks before its baselines finish."""
     tiny = tmp_path / "train.json"
     tiny.write_text(json.dumps({

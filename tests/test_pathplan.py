@@ -334,15 +334,16 @@ class TestDistanceFieldWords:
 
 @st.composite
 def ring_loop_instances(draw):
-    """A grid one x-block wide (x 1-6 long) or one to two (60-70), y and
-    z 1-4 long, obstacles at a density of 0-0.3; a motion model; a
-    source on a face, a corner or inside, blocked in one draw in four,
-    moved one cell off the grid in one in eight, and on the plane for
-    GROUND4 in three in four; and one to four searches of its row, each
-    with one to three cells, free, blocked or off the grid (a
-    reach-limited build, then resumed extensions), or in one in four
-    without cells, which runs the row dry."""
-    dims = (draw(st.one_of(st.integers(1, 6), st.integers(60, 70))),
+    """A grid one x-block wide, the only rows `Rings._int_loop` runs (x
+    1-6 or 60-63 long), y and z 1-4 long, obstacles at a density of
+    0-0.3; a motion model; a source on a face, a corner or inside,
+    blocked in one draw in four, moved one cell off the grid in one in
+    eight, and on the plane for GROUND4 in three in four; and one to
+    four searches of its row, each with one to three cells, free,
+    blocked or off the grid (a reach-limited build, then resumed
+    extensions), or in one in four without cells, which runs the row
+    dry."""
+    dims = (draw(st.one_of(st.integers(1, 6), st.integers(60, 63))),
             draw(st.integers(1, 4)), draw(st.integers(1, 4)))
     density = draw(st.floats(0.0, 0.3))
     seed = draw(st.integers(0, 2**32 - 1))
@@ -377,9 +378,10 @@ def searched(rings, loop, cells):
 
 
 class TestRingLoops:
-    """`Rings.search` runs its rings on Python ints up to
-    `INT_LOOP_WORDS` words a row and on numpy words above; both loops
-    run on every instance here, whatever its size."""
+    """`Rings.search` runs its rings on Python ints for a row of one
+    x-block and at most `INT_LOOP_WORDS` words, and on numpy words for
+    any other; both loops run on every one-block instance here, whatever
+    its size."""
 
     @settings(max_examples=300, derandomize=True, deadline=None)
     @given(ring_loop_instances())
@@ -391,6 +393,41 @@ class TestRingLoops:
         for cells in searches:
             assert searched(rings, rings._int_loop, cells) == \
                 searched(reference, reference._array_loop, cells), cells
+
+    @pytest.mark.parametrize("dims, model", [
+        ((64, 9, 5), A6), ((70, 9, 5), A6), ((70, 30, 4), G4),
+        ((63, 9, 5), A6), ((50, 50, 30), G4)],
+        ids=["aerial-64", "aerial-70", "ground-70", "aerial-63",
+             "ground-50"])
+    def test_only_one_block_rows_take_the_int_loop(self, monkeypatch, dims,
+                                                   model):
+        """Every row here is at most `INT_LOOP_WORDS` words; one 64 or
+        more cells long has two x-blocks, and only the numpy loop carries
+        bit 63 between them.  A reach-limited search, then one that runs
+        the row dry, must read the reference field either way."""
+        rng = np.random.default_rng(5)
+        grid = random_grid(rng, dims, 0.2)
+        src = free_cell(rng, grid, ground=model is G4)
+        rings = pathplan.Rings(grid, model, 1)
+        one_block = dims[0] < 64
+        assert rings.free.size <= pathplan.INT_LOOP_WORDS
+        assert (rings.blocks == 1) == one_block
+        int_loop, entered = rings._int_loop, []
+
+        def spy(*args):
+            if not one_block:
+                raise AssertionError("a two-block row took the int loop")
+            entered.append(args[0])
+            return int_loop(*args)
+
+        monkeypatch.setattr(rings, "_int_loop", spy)
+        rings.start(0, src)
+        rings.search(0, [(dims[0] - 1, dims[1] - 1, 0)])
+        rings.search(0)
+        out = np.empty(dims, dtype=np.float32)
+        rings.decode(0, out)
+        assert np.array_equal(out, dijkstra_field(grid, src, model))
+        assert entered == ([0, 0] if one_block else [])
 
 
 def extract_path_reference(field: np.ndarray, start, model: MotionModel):

@@ -537,7 +537,7 @@ class TestModelParams:
         model.gcn.w2.data[1, 2] = bad
         path = tmp_path / "m.json"
         model.save(path)
-        with pytest.raises(NumericError, match="gcn.w2"):
+        with pytest.raises(CheckpointMismatchError, match="gcn.w2"):
             ModelParams.load(path)
 
     def test_unexpected_parameter_rejected_on_load(self, tmp_path):
