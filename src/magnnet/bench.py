@@ -24,7 +24,7 @@ from .assign import (CostMatrix, feasible_optimum, greedy, random_assign,
                      total_cost)
 from .errors import NoPathError
 from .pathplan import rrt_star
-from .ppo import ModelParams, play
+from .ppo import ModelParams, play, policy
 from .world import (AgentStatus, Episode, WorldConfig, _whole,
                     assign_tasks)
 
@@ -141,9 +141,11 @@ def success_rate(episode_logs: list) -> float:
 
 
 def allocation_time(episode_logs: list) -> float:
-    """Mean allocation wall seconds (non-deterministic; not gated): the sum
-    of a magnnet episode's round spans from `observe` to `act`, field
-    builds included, or a baseline's solver call after its cost matrix."""
+    """Mean allocation wall seconds (non-deterministic; not gated): a
+    magnnet episode's summed `StepRecord.wall_s`, each its round's span
+    from `observe` to the return of `act`, field builds included (an even
+    share of the pass's span when `ppo.play` drives several episodes), or
+    a baseline's solver call after its cost matrix."""
     return float(np.mean([log.alloc_wall_s for log in episode_logs]))
 
 
@@ -269,7 +271,7 @@ def run_episode_magnnet(config: WorldConfig, seed: int,
     episodes would make it depend on the order the methods ran in."""
     model.check_scenario(config.m_max)
     ep = Episode(config, seed)
-    alloc_wall = sum((step.wall_s for step in play(ep, model)), 0.0)
+    alloc_wall = sum((step.wall_s for step in play([ep], policy(model))), 0.0)
     return EpisodeLog("magnnet", config.n_agents, len(ep.state.tasks),
                       sorted(ep.state.contested_tasks), ep.achieved_total(),
                       alloc_wall, _assigned_path_lengths(ep))

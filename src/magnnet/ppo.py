@@ -143,7 +143,8 @@ class StepRecord:
     rewards: np.ndarray    # N
     value: float           # centralized estimate at this state
     done: bool = False     # last decision step of its episode
-    wall_s: float = 0.0    # seconds from `observe` to the return of `act`
+    wall_s: float = 0.0    # its share of its pass's observe-to-act span
+    episode: int = 0       # index of its episode in `play`'s list
 
 
 @dataclass
@@ -183,26 +184,44 @@ def _forward_steps(model: ModelParams, graphs, obs, masks, with_value: bool):
     return dist, values
 
 
-def play(ep: Episode, model: ModelParams, rng=None):
-    """Play `ep` to its end under `model`, one StepRecord per decision
-    round.  With `rng` (training) actions are sampled and the critic's
-    value kept; without (evaluation) each agent takes its argmax and no
-    value is computed."""
-    while not ep.terminated:
-        if ep.decision_due():
-            t0 = time.perf_counter()
-            obs, masks, cm, _ = ep.observe()
+def policy(model: ModelParams, rng=None):
+    """Magnnet's `decide` for `play`: per round, its graph, one no-grad
+    forward pass and either sampled actions and the critic's value (with
+    `rng`, training) or each agent's argmax and no value (evaluation)."""
+    def decide(rounds):
+        out = []
+        for ep, obs, masks, cm in rounds:
             graph = build_graph(ep.state, cm, obs)
             with T.no_grad():
                 dist, value = _forward_steps(model, [graph], obs, masks,
                                              with_value=rng is not None)
                 actions, logps = sample_action(dist, rng, greedy=rng is None)
-            _, rewards = ep.act(actions)
-            wall_s = time.perf_counter() - t0
-            yield StepRecord(graph, obs, masks, actions, logps, rewards,
-                             0.0 if value is None else float(value.data[0]),
-                             wall_s=wall_s)
-        ep.tick()
+            value = 0.0 if value is None else float(value.data[0])
+            out.append((actions, logps, value, graph))
+        return out
+    return decide
+
+
+def play(episodes: list, decide):
+    """Play `episodes` to their ends in lockstep.  Each pass observes the
+    due episodes in list order, calls `decide` once with their rounds
+    [(episode, obs, masks, cost matrix)], acts on the (actions, log_probs,
+    value, graph) it returns per round, yields one StepRecord per round,
+    tagged with its episode's index, and ticks every live episode.  The
+    records share the pass's observe-to-act span evenly as `wall_s`."""
+    while live := [k for k, ep in enumerate(episodes) if not ep.terminated]:
+        if due := [k for k in live if episodes[k].decision_due()]:
+            t0 = time.perf_counter()
+            rounds = [(episodes[k], *episodes[k].observe()[:3]) for k in due]
+            picks = decide(rounds)
+            rewards = [episodes[k].act(p[0])[1] for k, p in zip(due, picks)]
+            wall_s = (time.perf_counter() - t0) / len(due)
+            for k, (_, obs, masks, _), (actions, logps, value, graph), r \
+                    in zip(due, rounds, picks, rewards):
+                yield StepRecord(graph, obs, masks, actions, logps, r, value,
+                                 wall_s=wall_s, episode=k)
+        for k in live:
+            episodes[k].tick()
 
 
 def collect_rollout(world_config: WorldConfig, model: ModelParams,
@@ -218,7 +237,7 @@ def collect_rollout(world_config: WorldConfig, model: ModelParams,
     buffer = RolloutBuffer()
     while buffer.n_transitions < config.train_batch:
         ep = Episode(world_config, int(rng.integers(2 ** 31)))
-        ep_steps = list(play(ep, model, rng))
+        ep_steps = list(play([ep], policy(model, rng)))
         if ep.all_tasks_done():
             ep_steps[-1].rewards += terminal_bonus(ep.optimal_total(),
                                                    ep.achieved_total())
@@ -325,7 +344,6 @@ def train(world_config: WorldConfig, ppo_config: PPOConfig, seed: int,
     checkpoint is kept and the error re-raised.
     """
     master = np.random.default_rng(seed)  # rejects a bad seed first
-    os.makedirs(out_dir, exist_ok=True)
     init_rng = np.random.default_rng(master.integers(2 ** 31))
     env_rng = np.random.default_rng(master.integers(2 ** 31))
     shuffle_rng = np.random.default_rng(master.integers(2 ** 31))
@@ -340,12 +358,13 @@ def train(world_config: WorldConfig, ppo_config: PPOConfig, seed: int,
     env_steps = 0
     update_index = 0
     saved = None  # checkpoint this run wrote; out_dir may hold an older one
+    # placed before out_dir is touched, so a crowded grid leaves it as it was
+    buffer = collect_rollout(world_config, model, ppo_config, sample_rng)
+    os.makedirs(out_dir, exist_ok=True)
     with open(metrics_path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(METRICS_COLUMNS)
-        while env_steps < ppo_config.total_steps:
-            buffer = collect_rollout(world_config, model, ppo_config,
-                                     sample_rng)
+        while True:
             env_steps += buffer.n_transitions
             advantages, returns = compute_gae(buffer, GAMMA, GAE_LAMBDA)
             try:
@@ -368,6 +387,10 @@ def train(world_config: WorldConfig, ppo_config: PPOConfig, seed: int,
             if update_index % CHECKPOINT_INTERVAL == 0:
                 model.save(ckpt_path)
                 saved = ckpt_path
+            if env_steps >= ppo_config.total_steps:
+                break
+            buffer = collect_rollout(world_config, model, ppo_config,
+                                     sample_rng)
     model.save(ckpt_path)
     return {"checkpoint": ckpt_path, "metrics": metrics_path,
             "updates": update_index, "env_steps": env_steps}

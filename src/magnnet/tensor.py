@@ -487,21 +487,20 @@ def load_checkpoint(path):
     """Inverse of save_checkpoint: returns (dict name -> ndarray, manifest).
 
     Only what save_checkpoint writes loads; anything else raises
-    CheckpointMismatchError naming the file, for a file that cannot be
-    opened or is not UTF-8 JSON, or the record: a missing key, a dtype
-    other than "<f8" (its bytes would read as other numbers) or a shape
-    that does not hold the payload."""
+    CheckpointMismatchError: a file that cannot be opened or is not UTF-8
+    JSON (the caller names the file), or a record with a missing key, a
+    dtype other than "<f8" (its bytes would read as other numbers) or a
+    shape that does not hold the payload."""
     try:
         with open(path, encoding="utf-8") as f:
             blob = json.load(f)
     except OSError as exc:
-        raise CheckpointMismatchError(f"{path}: {exc.strerror}") from None
+        raise CheckpointMismatchError(exc.strerror) from None
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CheckpointMismatchError(f"{path}: not UTF-8 JSON: {exc}") \
-            from None
+        raise CheckpointMismatchError(f"not UTF-8 JSON: {exc}") from None
     if not (isinstance(blob, dict) and isinstance(blob.get("params"), dict)
             and isinstance(blob.get("manifest", {}), dict)):
-        raise CheckpointMismatchError(f"{path}: no params or manifest object")
+        raise CheckpointMismatchError("no params or manifest object")
     params = {}
     for name, rec in blob["params"].items():
         try:

@@ -9,7 +9,8 @@ their booked paths, `plan.substeps_per_tick` cells per tick.
 
 A round is `Episode.observe` (the one cost matrix of the round, laid
 out by slot, and the action masks drawn from it), then `Episode.act`
-(arbitration by those masks and slot costs), then `Episode.tick`.
+(arbitration by those masks and slot costs), then `Episode.tick`; the
+one loop that plays decided rounds is the driver `ppo.play`.
 """
 
 from __future__ import annotations

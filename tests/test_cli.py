@@ -42,9 +42,9 @@ def write_nan_checkpoint(path):
 CHECKPOINT_FILES = [
     ("no-manifest", writes(b'{"params": {}}'),
      "manifest n_max, m_max = [None, None]: need whole numbers >= 1"),
-    ("not-json", writes(b'{"params": '), "{path}: not UTF-8 JSON: "
+    ("not-json", writes(b'{"params": '), "not UTF-8 JSON: "
      "Expecting value: line 1 column 12 (char 11)"),
-    ("not-utf8", writes(b'\xff{}'), "{path}: not UTF-8 JSON: 'utf-8' "
+    ("not-utf8", writes(b'\xff{}'), "not UTF-8 JSON: 'utf-8' "
      "codec can't decode byte 0xff in position 0: invalid start byte"),
     ("nan", write_nan_checkpoint, "actor.b2: non-finite value")]
 
@@ -101,9 +101,9 @@ class TestBench:
         for command in ("eval", "bench")
         for case, write, message in CHECKPOINT_FILES] + [
         pytest.param("bench", lambda path: path.mkdir(),
-                     "{path}: Is a directory", id="bench-directory"),
+                     "Is a directory", id="bench-directory"),
         pytest.param("bench", lambda path: None,
-                     "{path}: No such file or directory", id="bench-missing")])
+                     "No such file or directory", id="bench-missing")])
     def test_mismatched_checkpoint_is_one_error_line(self, tmp_path,
                                                      command, write,
                                                      message):
@@ -132,8 +132,7 @@ class TestBench:
                                            "--out", str(out)])
         assert result.exit_code != 0
         assert result.output.splitlines() == [
-            f"Error: checkpoint {checkpoint}: "
-            + message.format(path=checkpoint)]
+            f"Error: checkpoint {checkpoint}: {message}"]
         assert isinstance(result.exception, SystemExit)
         assert not out.exists()
 
@@ -262,11 +261,18 @@ def test_out_naming_a_file_is_a_usage_error(tmp_path, command, args):
     assert out.read_text() == "kept"
 
 
+@pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
 @pytest.mark.parametrize("command", ["train", "eval", "bench",
                                      "planner-compare"])
-def test_grid_too_small_is_one_error_line(tmp_path, command):
+def test_grid_too_small_is_one_error_line(tmp_path, command, existing):
     """Four agents and four tasks on a 2x2x1 grid used to end in a
-    PlacementError traceback."""
+    PlacementError traceback, and `train` left an `--out` directory
+    holding a header-only metrics.csv.  An `--out` the run did not find
+    is not made, and one it found keeps what it held."""
+    out = tmp_path / "out"
+    if existing:
+        out.mkdir()
+        (out / "metrics.csv").write_text("kept")
     if command == "train":
         blob = {"world": {"grid_dims": [2, 2, 1], "n_agents": 4,
                           "n_tasks_initial": 4, "n_ground": 2,
@@ -276,12 +282,16 @@ def test_grid_too_small_is_one_error_line(tmp_path, command):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(blob))
     args = [CHECKPOINT, str(config)] if command == "eval" else [str(config)]
-    result = CliRunner().invoke(main, [command, *args, "--out",
-                                       str(tmp_path / "out")])
+    result = CliRunner().invoke(main, [command, *args, "--out", str(out)])
     assert result.exit_code == 1
     assert result.output.splitlines() == [
         f"Error: {config}: need 2 free cells, only 1 available"]
     assert isinstance(result.exception, SystemExit)
+    if existing:
+        assert [p.name for p in out.iterdir()] == ["metrics.csv"]
+        assert (out / "metrics.csv").read_text() == "kept"
+    else:
+        assert not out.exists()
 
 
 class TestCurves:

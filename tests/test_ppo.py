@@ -5,6 +5,7 @@ import csv
 import json
 import math
 import os
+import time
 from collections import Counter
 from unittest import mock
 
@@ -197,6 +198,120 @@ class TestPlay:
             assert step.graph.task_slots == want.graph.task_slots
             assert (step.value, step.done) == (want.value, want.done)
             assert step.wall_s > 0.0
+
+
+def lockstep_worlds():
+    """A static and a dynamic world of different lengths whose
+    observations share m_max = 20, so one model plays both."""
+    return [tiny_world(n_tasks_initial=20),
+            tiny_world(task_interval=3.0, step_cap=40.0, n_agents=6,
+                       n_ground=3, n_aerial=3)]
+
+
+class Timed(Episode):
+    """Stamps each `observe` entry, `act` return and `tick` entry and
+    return with the episode's clock into the shared list `events`."""
+
+    def __init__(self, config, seed, events):
+        super().__init__(config, seed)
+        self.events = events
+
+    def stamp(self, kind):
+        self.events.append((kind, self.state.clock, time.perf_counter()))
+
+    def observe(self):
+        self.stamp("observe")
+        return super().observe()
+
+    def act(self, actions):
+        out = super().act(actions)
+        self.stamp("act")
+        return out
+
+    def tick(self):
+        self.stamp("tick")
+        super().tick()
+        self.stamp("ticked")
+
+
+class TestDriver:
+    """`ppo.play(episodes, decide)` plays a list of episodes in lockstep,
+    one pass per tick of their shared clock."""
+
+    def test_lockstep_equals_each_alone(self):
+        configs = lockstep_worlds()
+        decide = ppo.policy(ModelParams.init(np.random.default_rng(23), 4,
+                                             20))
+        together = [Episode(cfg, 7) for cfg in configs]
+        records = list(ppo.play(together, decide))
+        assert [r.episode for r in records[:2]] == [0, 1]
+        lengths = []
+        for k, cfg in enumerate(configs):
+            alone = Episode(cfg, 7)
+            want = list(ppo.play([alone], decide))
+            got = [r for r in records if r.episode == k]
+            assert {r.episode for r in want} == {0}
+            assert len(got) == len(want)
+            for step, ref in zip(got, want):
+                assert_same_array(step.actions, ref.actions)
+                assert_same_array(step.rewards, ref.rewards)
+            assert together[k].state.log == alone.state.log
+            assert together[k].state.contested_tasks == \
+                alone.state.contested_tasks
+            lengths.append(len(got))
+        assert lengths[0] != lengths[1]
+
+    def test_decide_gets_due_episodes_once_per_pass(self):
+        configs = lockstep_worlds() + [tiny_world(n_tasks_initial=20)]
+        greedy = ppo.policy(ModelParams.init(np.random.default_rng(24), 4,
+                                             20))
+        episodes = [Episode(cfg, 8 + k) for k, cfg in enumerate(configs)]
+        calls = []
+
+        def decide(rounds):
+            due = [k for k, ep in enumerate(episodes) if ep.decision_due()]
+            assert [episodes.index(r[0]) for r in rounds] == due
+            assert not any(r[0].terminated for r in rounds)
+            calls.append((episodes[due[0]].state.clock, due))
+            return greedy(rounds)
+
+        list(ppo.play(episodes, decide))
+        clocks = [clock for clock, _ in calls]
+        assert clocks == sorted(set(clocks))    # at most one call a pass
+        assert any(len(due) > 1 for _, due in calls)
+        # each episode decides together at the ticks it decides alone
+        for k, cfg in enumerate(configs):
+            alone, clocks = Episode(cfg, 8 + k), []
+
+            def decide_alone(rounds):
+                clocks.append(alone.state.clock)
+                return greedy(rounds)
+
+            list(ppo.play([alone], decide_alone))
+            assert clocks == [c for c, due in calls if k in due]
+
+    def test_pass_records_share_its_span(self):
+        events = []
+        decide = ppo.policy(ModelParams.init(np.random.default_rng(25), 4,
+                                             20))
+        episodes = [Timed(cfg, 9, events) for cfg in lockstep_worlds()]
+        walls, counts = Counter(), Counter()
+        events.append(("ticked", 0.0, time.perf_counter()))
+        for record in ppo.play(episodes, decide):
+            clock = episodes[record.episode].state.clock
+            walls[clock] += record.wall_s
+            counts[clock] += 1
+        assert set(counts.values()) == {1, 2}
+
+        def stamps(kind, clock):
+            return [t for k, c, t in events if (k, c) == (kind, clock)]
+
+        for clock, wall_s in walls.items():
+            # from the first observe to the last act's return, and no
+            # part of the ticks before or after
+            inner = max(stamps("act", clock)) - min(stamps("observe", clock))
+            outer = min(stamps("tick", clock)) - max(stamps("ticked", clock))
+            assert inner <= wall_s <= outer
 
 
 def composed_forward_steps(model, graphs, obs, masks, with_value):
