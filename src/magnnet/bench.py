@@ -20,13 +20,12 @@ from functools import lru_cache
 import numpy as np
 
 from . import pathplan
-from .assign import (CostMatrix, feasible_optimum, greedy, random_assign,
-                     total_cost)
+from .assign import CostMatrix, feasible_optimum, greedy, random_assign
 from .errors import NoPathError
 from .pathplan import rrt_star
 from .ppo import ModelParams, play, policy
 from .world import (AgentStatus, Episode, WorldConfig, _whole,
-                    assign_tasks)
+                    assign_tasks, referee)
 
 METHODS = ("hungarian", "magnnet", "greedy", "random")
 
@@ -162,39 +161,37 @@ def _agent_local_conflicts(cm, picker) -> list:
     """Tasks contested when each agent picks on its own, round by round,
     without coordination (the decentralized framing of the baselines).
 
-    Every round, each still-unassigned agent requests its pick among the
-    remaining tasks; the cheapest requester wins (ties to the lower agent
-    index) and losers retry next round — the same arbitration the
-    environment applies to learned agents, so contested counts are
-    comparable across methods."""
-    n, m = cm.entries.shape
-    free_agents = set(range(n))
-    free_tasks = np.ones(m, dtype=bool)
+    Each round, every unassigned agent that reaches a remaining task
+    requests the column `picker(row)`, `row` being its costs with the
+    other columns inf; `world.referee` gives each task to its cheapest
+    requester.  Winners leave for good and losers retry, whereas in a
+    played episode an agent that has finished its task requests again.
+    On the 20 instances of `configs/bench_static_n4.json` at N = 4, 8,
+    12 and 20, greedy's count here equals the contests of a per-agent
+    cheapest-slot `decide` played by `ppo.play` on 19, 4, 1 and 3; each
+    other instance has an agent finish a task before the last initial
+    task is assigned."""
+    masks = np.insert(np.isfinite(cm.entries), 0, True, axis=1)
     contested: set[int] = set()
-    while free_agents and free_tasks.any():
-        requests: dict[int, list[int]] = {}
-        for i in sorted(free_agents):
-            row = np.where(free_tasks, cm.entries[i], np.inf)
-            if not np.isfinite(row).any():
-                continue
-            j = picker(i, row)
-            if j is not None and np.isfinite(row[j]):
-                requests.setdefault(int(j), []).append(i)
-        if not requests:
-            break
-        for j, agents in requests.items():
-            if len(agents) >= 2:
-                contested.add(j)
-            winner = min(agents, key=lambda i: (cm.entries[i, j], i))
-            free_agents.discard(winner)
-            free_tasks[j] = False
-    return sorted(contested)
+    while True:
+        actions = [0] * len(masks)
+        for i in np.flatnonzero(masks[:, 1:].any(axis=1)).tolist():
+            row = np.where(masks[i, 1:], cm.entries[i], np.inf)
+            actions[i] = picker(row) + 1
+        ruling = referee(actions, masks, cm.entries)
+        if not ruling.winners:
+            return sorted(contested)
+        contested.update(j for j, agents in ruling.requests.items()
+                         if len(agents) > 1)
+        for j, winner in ruling.winners.items():
+            masks[winner, 1:] = masks[:, j + 1] = False
 
 
-def _execute_assignment(ep: Episode, cm: CostMatrix, assignment) -> list:
+def _execute_assignment(ep: Episode, cm: CostMatrix, assignment) -> None:
     """Drive an assignment computed centrally on `cm`, the episode's
     initial cost matrix, through the environment (paths, reservations,
-    motion) until its pairs are served, and return the path lengths."""
+    motion) until its pairs, booked in `assignment.pairs` order (so
+    `ep.achieved_total()` is `total_cost(cm, assignment)`), are served."""
     state = ep.state
     tasks = state.live_tasks()
     picks = []
@@ -208,7 +205,6 @@ def _execute_assignment(ep: Episode, cm: CostMatrix, assignment) -> list:
     while not ep.terminated and any(a.status is AgentStatus.ASSIGN
                                     for a in state.agents):
         ep.tick()
-    return _assigned_path_lengths(ep)
 
 
 # The initial cost matrix of the one seeded instance a baseline episode
@@ -243,25 +239,20 @@ def run_episode_baseline(method: str, config: WorldConfig, seed: int) -> Episode
         contested = []  # centralized: conflict-free by construction
     elif method == "greedy":
         assignment = greedy(cm)
-        contested = _agent_local_conflicts(
-            cm, lambda i, row: int(np.argmin(row)))
+        contested = _agent_local_conflicts(cm, np.argmin)
     elif method == "random":
         assignment = random_assign(cm, seed)
         rng = np.random.default_rng(seed + 1)
-
-        def pick(i, row):
-            options = np.flatnonzero(np.isfinite(row))
-            return int(rng.choice(options)) if len(options) else None
-
-        contested = _agent_local_conflicts(cm, pick)
+        contested = _agent_local_conflicts(
+            cm, lambda row: rng.choice(np.flatnonzero(np.isfinite(row))))
     else:
         raise ValueError(method)
     alloc_wall = time.perf_counter() - t0
-    total = total_cost(cm, assignment)
-    lengths = _execute_assignment(ep, cm, assignment)
+    _execute_assignment(ep, cm, assignment)
     # a baseline is offered only the initial tasks, the columns of `cm`
-    return EpisodeLog(method, config.n_agents, cm.n_tasks,
-                      contested, total, alloc_wall, lengths)
+    return EpisodeLog(method, config.n_agents, cm.n_tasks, contested,
+                      ep.achieved_total(), alloc_wall,
+                      _assigned_path_lengths(ep))
 
 
 def run_episode_magnnet(config: WorldConfig, seed: int,

@@ -9,8 +9,10 @@ their booked paths, `plan.substeps_per_tick` cells per tick.
 
 A round is `Episode.observe` (the one cost matrix of the round, laid
 out by slot, and the action masks drawn from it), then `Episode.act`
-(arbitration by those masks and slot costs), then `Episode.tick`; the
-one loop that plays decided rounds is the driver `ppo.play`.
+(`arbitrate` by those masks and slot costs), then `Episode.tick`; the
+one loop that plays decided rounds is the driver `ppo.play`.  The
+round's rule is the pure function `referee`: `arbitrate` applies its
+ruling, and `bench` replays it for the baselines' simulated rounds.
 """
 
 from __future__ import annotations
@@ -157,12 +159,23 @@ class WorldConfig:
 
 
 @dataclass
+class Ruling:
+    """One round's ruling by `referee`, keyed by observation slot."""
+    requests: dict          # slot -> requesting agent ids, ascending
+    winners: dict           # slot -> the requester it goes to
+    invalid: list           # agents whose action the mask forbids
+    idle_rejects: list      # rejected while a request was allowed
+    rewards: np.ndarray     # each agent's shaped reward
+
+
+@dataclass
 class DecisionOutcome:
     assignments: list = field(default_factory=list)   # (agent id, task id)
     conflicts: list = field(default_factory=list)     # (task id, [agent ids])
     invalid: list = field(default_factory=list)       # invalid action -> reject
     idle_rejects: list = field(default_factory=list)  # unjustified rejections
     requests: dict = field(default_factory=dict)      # task id -> [agent ids]
+    rewards: np.ndarray | None = None                 # the ruling's rewards
 
 
 @dataclass
@@ -366,36 +379,46 @@ def assign_tasks(state: EpisodeState, picks) -> None:
         state.agent(plan.agent_id).plan = plan
 
 
+def referee(actions, masks: np.ndarray, slot_costs: np.ndarray) -> Ruling:
+    """The rule of one decision round, a pure function of the agents'
+    actions, action masks (`observation`) and slot costs.  Action a of
+    agent i requests slot a - 1 iff `masks[i, a]`; any other nonzero
+    action is invalid, a rejection that is idle iff the mask allowed a
+    request.  A requested slot goes to its cheapest requester (ties to
+    the lower id).  Rewards: WIN_REWARD to a winner, CONFLICT_PENALTY to
+    a loser, IDLE_REJECT_PENALTY to an idle rejection, else 0."""
+    could_request = masks[:, 1:].any(axis=1)
+    requests, winners, invalid, idle_rejects = {}, {}, [], []
+    rewards = np.zeros(len(masks))
+    for i in range(len(masks)):
+        action = int(actions[i])
+        if action == 0:
+            if could_request[i]:
+                idle_rejects.append(i)
+                rewards[i] = IDLE_REJECT_PENALTY
+        elif 0 < action < masks.shape[1] and masks[i, action]:
+            requests.setdefault(action - 1, []).append(i)
+        else:
+            invalid.append(i)
+    for slot, contenders in requests.items():
+        winners[slot] = min(contenders, key=lambda a: (slot_costs[a, slot], a))
+        rewards[contenders] = CONFLICT_PENALTY
+        rewards[winners[slot]] = WIN_REWARD
+    return Ruling(requests, winners, invalid, idle_rejects, rewards)
+
+
 def arbitrate(state: EpisodeState, actions, slot_costs: np.ndarray,
               masks: np.ndarray) -> DecisionOutcome:
-    """Resolve one synchronous decision round by the slot costs and action
-    masks (`observation`) the agents observed this round.
-
-    A request is valid iff the agent's mask allows it; an invalid request
-    counts as a rejection and is flagged, and a rejection is an idle one
-    iff the mask allowed some request.  Contested tasks go to the
-    requester with the smallest cost (ties to the lower agent id); losers
-    are recorded as conflict participants.
-    """
-    outcome = DecisionOutcome()
-    could_request = masks[:, 1:].any(axis=1)
-    requests: dict[int, list] = {}      # slot -> agent ids, ascending
-    for agent in state.agents:
-        action = int(actions[agent.id])
-        if action == 0:
-            if could_request[agent.id]:
-                outcome.idle_rejects.append(agent.id)
-        elif 0 < action < masks.shape[1] and masks[agent.id, action]:
-            requests.setdefault(action - 1, []).append(agent.id)
-        else:
-            outcome.invalid.append(agent.id)
-
+    """Apply `referee`'s ruling to the episode in ascending task-id order:
+    contested tasks with their losers' `conflict_lost` entries, then the
+    winners' tasks and walked paths.  Returns the ruling by task id."""
+    ruling = referee(actions, masks, slot_costs)
+    outcome = DecisionOutcome(invalid=ruling.invalid, rewards=ruling.rewards,
+                              idle_rejects=ruling.idle_rejects)
     picks = []
-    # ascending task id, the order of the `assigned` log entries
-    for slot in sorted(requests, key=state.slots.__getitem__):
-        tid, contenders = state.slots[slot], requests[slot]
-        outcome.requests[tid] = contenders
-        winner = min(contenders, key=lambda a: (slot_costs[a, slot], a))
+    for slot in sorted(ruling.winners, key=state.slots.__getitem__):
+        tid, winner = state.slots[slot], ruling.winners[slot]
+        outcome.requests[tid] = contenders = ruling.requests[slot]
         if len(contenders) > 1:
             outcome.conflicts.append((tid, contenders))
             state.contested_tasks.add(tid)
@@ -409,21 +432,6 @@ def arbitrate(state: EpisodeState, actions, slot_costs: np.ndarray,
         outcome.assignments.append((winner, tid))
     assign_tasks(state, picks)
     return outcome
-
-
-def step_rewards(outcome: DecisionOutcome, state: EpisodeState) -> np.ndarray:
-    """Per-agent shaped rewards for one decision round."""
-    rewards = np.zeros(len(state.agents))
-    winners = {a for a, _ in outcome.assignments}
-    for a, _ in outcome.assignments:
-        rewards[a] += WIN_REWARD
-    for _, contenders in outcome.conflicts:
-        for a in contenders:
-            if a not in winners:
-                rewards[a] += CONFLICT_PENALTY
-    for a in outcome.idle_rejects:
-        rewards[a] += IDLE_REJECT_PENALTY
-    return rewards
 
 
 def terminal_bonus(optimal_total: float, achieved_total: float) -> float:
@@ -566,14 +574,13 @@ class Episode:
 
     def act(self, actions) -> tuple[DecisionOutcome, np.ndarray]:
         """Arbitrate `actions` by the masks and slot costs `observe` showed
-        this round."""
+        this round; returns the outcome and the ruling's rewards."""
         if self._observed is None:
             raise RuntimeError("act needs an observe since the last act "
                                "or tick")
         outcome = arbitrate(self.state, actions, *self._observed)
         self._observed = None
-        rewards = step_rewards(outcome, self.state)
-        return outcome, rewards
+        return outcome, outcome.rewards
 
     def tick(self) -> None:
         self._observed = None

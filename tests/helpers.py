@@ -1,8 +1,9 @@
 """Helpers that several test modules share and the package does not need:
 an obstacle-free grid, a field store row decoded to floats, perfbench's
-tracer, and the references that the fused tensor ops and the flat Adam
-step are checked against bit for bit: the composed layer and loss ops,
-the composed PPO minibatch loss and a per-parameter Adam step."""
+tracer, the references that the fused tensor ops and the flat Adam
+step are checked against bit for bit (the composed layer and loss ops,
+the composed PPO minibatch loss and a per-parameter Adam step), and the
+baselines' contest count as it was before it replayed `world.referee`."""
 
 import importlib.util
 import os
@@ -163,3 +164,43 @@ def per_param_adam_step(params, grads, state, lr):
         v += (1.0 - ADAM_BETA2) * g * g
         p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
     return state
+
+
+# the baselines' contest count before `bench._agent_local_conflicts`
+# replayed `world.referee`, frozen: its own requests and winner choice,
+# and its pickers, which take (agent, row) and may return None
+
+def agent_local_conflicts_reference(cm, picker) -> list:
+    n, m = cm.entries.shape
+    free_agents = set(range(n))
+    free_tasks = np.ones(m, dtype=bool)
+    contested: set[int] = set()
+    while free_agents and free_tasks.any():
+        requests: dict[int, list[int]] = {}
+        for i in sorted(free_agents):
+            row = np.where(free_tasks, cm.entries[i], np.inf)
+            if not np.isfinite(row).any():
+                continue
+            j = picker(i, row)
+            if j is not None and np.isfinite(row[j]):
+                requests.setdefault(int(j), []).append(i)
+        if not requests:
+            break
+        for j, agents in requests.items():
+            if len(agents) >= 2:
+                contested.add(j)
+            winner = min(agents, key=lambda i: (cm.entries[i, j], i))
+            free_agents.discard(winner)
+            free_tasks[j] = False
+    return sorted(contested)
+
+
+def greedy_pick_reference(i, row):
+    return int(np.argmin(row))
+
+
+def random_pick_reference(rng):
+    def pick(i, row):
+        options = np.flatnonzero(np.isfinite(row))
+        return int(rng.choice(options)) if len(options) else None
+    return pick

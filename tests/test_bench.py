@@ -11,6 +11,8 @@ import pytest
 
 from magnnet import bench, pathplan, world
 from magnnet import tensor as T
+from magnnet.assign import (CostMatrix, feasible_optimum, greedy,
+                            random_assign, total_cost)
 from magnnet.bench import (BenchReport, EpisodeLog, REPORT_COLUMNS,
                            ScenarioSpec, WALL_TIME_COLUMNS, allocation_time,
                            emit_curves, planner_compare, run_benchmark,
@@ -20,6 +22,9 @@ from magnnet.gnn import build_graph
 from magnnet.policy import sample_action
 from magnnet.ppo import ModelParams, _forward_steps
 from magnnet.world import AgentStatus, Episode, WorldConfig
+
+from helpers import (agent_local_conflicts_reference, greedy_pick_reference,
+                     random_pick_reference)
 
 
 def small_spec(**kw):
@@ -126,6 +131,20 @@ class TestBaselineEpisodes:
         assert np.mean(h) <= np.mean(g) + 1e-9
         assert np.mean(g) <= np.mean(r) + 1e-9
 
+    @pytest.mark.parametrize("n", [4, 7])
+    def test_cost_is_the_assignment_total(self, n):
+        """A baseline reports the sum of its episode's `assigned` costs,
+        which books the solver's pairs in their order: bit for bit the
+        solver's `total_cost` on the instance's initial matrix."""
+        cfg = small_spec(n_agents=(n,)).world_config(n)
+        solvers = {"hungarian": feasible_optimum, "greedy": greedy,
+                   "random": lambda cm: random_assign(cm, seed)}
+        for seed in range(3000, 3006):
+            cm = Episode(cfg, seed).initial_cost_matrix()
+            for method, solve in solvers.items():
+                log = run_episode_baseline(method, cfg, seed)
+                assert log.total_cost_s == total_cost(cm, solve(cm))
+
     def test_episode_log_fields(self):
         cfg = small_spec().world_config(4)
         log = run_episode_baseline("hungarian", cfg, 7)
@@ -133,6 +152,56 @@ class TestBaselineEpisodes:
         assert log.n_agents == 4
         assert log.total_cost_s >= 0
         assert all(l >= 0 for l in log.path_lengths_m)
+
+
+class TestLocalConflicts:
+    """`_agent_local_conflicts` replays `world.referee`; it must count
+    what the frozen loop that chose its own winners counted."""
+
+    @pytest.mark.parametrize("picker", ["greedy", "random"])
+    def test_equals_the_frozen_loop(self, picker):
+        """Random matrices of 1-12 agents and tasks (n and m drawn apart),
+        costs from a few values so ties are common, and inf entries with
+        whole unreachable rows: equal contested lists, and for the random
+        picker the same draws (equal generator states afterwards)."""
+        rng = np.random.default_rng(11)
+        contested = unequal = 0
+        for trial in range(400):
+            n, m = (int(k) for k in rng.integers(1, 13, size=2))
+            entries = rng.choice([1.0, 2.0, 3.0, 4.0], size=(n, m))
+            entries[rng.random((n, m)) < rng.choice([0.0, 0.3, 0.7])] = np.inf
+            cm = CostMatrix(entries)
+            if picker == "greedy":
+                new = bench._agent_local_conflicts(cm, np.argmin)
+                old = agent_local_conflicts_reference(cm,
+                                                      greedy_pick_reference)
+            else:
+                ours, theirs = (np.random.default_rng(trial)
+                                for _ in range(2))
+                new = bench._agent_local_conflicts(
+                    cm, lambda row: ours.choice(
+                        np.flatnonzero(np.isfinite(row))))
+                old = agent_local_conflicts_reference(
+                    cm, random_pick_reference(theirs))
+                assert ours.bit_generator.state == \
+                    theirs.bit_generator.state, trial
+            assert new == old, trial
+            assert all(type(j) is int for j in new)
+            contested += bool(new)
+            unequal += n != m
+        assert contested > 100 and unequal > 300
+
+    def test_baselines_count_what_the_frozen_loop_counts(self):
+        """Greedy's and random's rows on seeded instances, each with the
+        picker `run_episode_baseline` had (random's second stream)."""
+        cfg = small_spec(n_agents=(7,)).world_config(7)
+        for seed in range(3100, 3105):
+            cm = Episode(cfg, seed).initial_cost_matrix()
+            assert run_episode_baseline("greedy", cfg, seed).contested == \
+                agent_local_conflicts_reference(cm, greedy_pick_reference)
+            assert run_episode_baseline("random", cfg, seed).contested == \
+                agent_local_conflicts_reference(cm, random_pick_reference(
+                    np.random.default_rng(seed + 1)))
 
 
 def reference_magnnet_episode(config, seed, model):

@@ -1,7 +1,8 @@
 """tools/bench_record.py on canned run.py output: what it writes for a
 run that passed, the pairs it records against a base with their sign
-test and digest agreement, that it writes nothing when a run did not
-pass, and that SIGTERM leaves neither a base checkout nor a run
+test and digest agreement, how a later block of pairs against the same
+base extends the recorded one, that it writes nothing when a run did
+not pass, and that SIGTERM leaves neither a base checkout nor a run
 behind."""
 
 import importlib.util
@@ -240,6 +241,49 @@ def test_layer_pairs_scale_out_the_box_speed():
     assert layers["metric"] == "self_s summed, at reference speed"
 
 
+def test_a_later_block_extends_the_recorded_pairs():
+    """Two pairs, then three more after them, record what five pairs in
+    one block record: the runs in the same order, and the ratios, wins,
+    sign test, quartiles and digests over all five."""
+    head = [untraced(v) for v in (110.0, 90.0, 120.0, 100.0, 130.0)]
+    base = [untraced(v) for v in (100.0, 100.0, 100.0, 80.0, 100.0)]
+    base[4] = untraced(100.0, "d2")
+    run, calls = canned_pairs({"head": list(head), "base": list(base)})
+    whole = bench_record.record_pairs("w", 5, run)
+    run, split_calls = canned_pairs({"head": list(head), "base": list(base)})
+    first = bench_record.record_pairs("w", 2, run)
+    got = bench_record.record_pairs("w", 3, run, earlier=first)
+    assert split_calls == calls
+    assert got == whole
+    assert got["head"]["values"] == [110.0, 90.0, 120.0, 100.0, 130.0]
+    assert got["ratios"] == [1.1, 0.9, 1.2, 1.25, 1.3]
+    assert (got["head_wins"], got["sign_test_p"]) == (4, 0.375)
+    assert got["digests_agree"] is False
+    assert first["head"]["values"] == [110.0, 90.0]    # left as it was
+
+
+def test_a_later_layer_block_extends_the_raw_sums():
+    """With --layers the earlier block's raw sums and probes come first,
+    and the sums at reference speed are computed again over all pairs."""
+    slow = REFERENCE_S * 2
+    head = [traced(50.0, 0.5, 0.25, probe_s=slow), traced(48.0, 0.3, 0.1),
+            traced(51.0, 0.2, 0.1), traced(47.0, 0.4, 0.2, probe_s=slow)]
+    base = [traced(40.0, 0.5, 0.1), traced(41.0, 0.2, 0.05),
+            traced(44.0, 0.5, 0.1), traced(42.0, 0.3, 0.1)]
+    names = ["pathplan.rrt_star", "pathplan.astar"]
+    run, _ = canned_pairs({"head": list(head), "base": list(base)})
+    whole = bench_record.record_pairs("w", 4, run, layers=names)
+    run, _ = canned_pairs({"head": list(head), "base": list(base)})
+    first = bench_record.record_pairs("w", 2, run, layers=names)
+    got = bench_record.record_pairs("w", 2, run, layers=names,
+                                    earlier=first)
+    assert got == whole
+    assert got["layers"]["head"]["raw_s"] == pytest.approx(
+        [0.75, 0.4, 0.3, 0.6])
+    assert got["layers"]["head"]["probe_s"] == [slow, REFERENCE_S,
+                                                REFERENCE_S, slow]
+
+
 def test_untraced_pairs_record_no_layers():
     run, _ = canned_pairs({"head": [untraced(1.0), untraced(1.0)],
                            "base": [untraced(1.0), untraced(1.0)]})
@@ -354,6 +398,61 @@ def test_both_sides_run_from_archive_copies(tmp_path, monkeypatch):
     assert (os.path.basename(head)[:11], os.path.basename(base)[:11]) == \
         ("bench_head_", "bench_base_")
     assert len(head) == len(base)
+    assert list(tmp.iterdir()) == []
+
+
+def test_same_base_appends_and_another_replaces(tmp_path, monkeypatch):
+    """Through `main`: a second block against the same base, run length
+    and trace setting appends its pairs; another base, run length or
+    layer list replaces the block."""
+    repo, tmp = tmp_path / "repo", tmp_path / "tmp"
+    tmp.mkdir()
+    contract = json.dumps({"workloads": [{"name": "w"}],
+                           "per_layer": [{"name": "pathplan.astar.self_s"},
+                                         {"name": "pathplan.rrt_star.self_s"}]})
+    git_repo(repo, [{"code.py": "base", "BENCHMARK.json": contract},
+                    {"code.py": "head"}])
+    monkeypatch.setattr(bench_record, "ROOT", str(repo))
+    monkeypatch.setattr(bench_record.tempfile, "tempdir", str(tmp))
+    monkeypatch.setattr(bench_record, "reference_s", lambda: REFERENCE_S)
+    served = []     # (side, value) of every run, in order
+
+    def run_workload(workload, trace=1, root=None, seconds=None):
+        side = os.path.basename(root)[len("bench_"):][:4]
+        value = float(len(served) + 1)
+        served.append((side, value))
+        return traced(value, 0.1, 0.1) if trace else untraced(value)
+    monkeypatch.setattr(bench_record, "run_workload", run_workload)
+
+    def block(*args):
+        assert bench_record.main(["--workload", "w", *args]) == 0
+        return json.loads((repo / "BENCH_w.json").read_text())["pairs"]
+
+    def head_values():
+        return [v for side, v in served if side == "head"]
+    base = bench_record.git("rev-parse", "HEAD~1").strip()
+    block("--base", "HEAD~1", "--pairs", "2")
+    got = block("--base", "HEAD~1", "--pairs", "3")
+    assert [side for side, _ in served] == \
+        ["head", "base", "base", "head"] * 2 + ["head", "base"]
+    assert got["base_commit"] == base
+    assert got["head"]["values"] == head_values()
+    assert len(got["ratios"]) == 5
+    served.clear()
+    got = block("--base", "HEAD", "--pairs", "2")
+    assert got["head"]["values"] == head_values()       # replaced
+    assert got["base_commit"] != base
+    served.clear()
+    got = block("--base", "HEAD", "--pairs", "2", "--seconds", "7")
+    assert got["head"]["values"] == head_values() and got["seconds"] == 7
+    served.clear()
+    got = block("--base", "HEAD", "--pairs", "2", "--seconds", "7",
+                "--layers", "pathplan.astar")
+    assert got["layers"]["names"] == ["pathplan.astar"]
+    got = block("--base", "HEAD", "--pairs", "2", "--seconds", "7",
+                "--layers", "pathplan.astar,pathplan.rrt_star")
+    assert got["head"]["values"] == head_values()[2:]    # replaced
+    assert len(got["layers"]["head"]["raw_s"]) == 2
     assert list(tmp.iterdir()) == []
 
 

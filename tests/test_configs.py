@@ -347,9 +347,9 @@ REACH_ALLOWANCE = {
         "the placement count, as above",
     "world:_sample_cells: if avail < count:":
         "the placement count, as above",
-    "world:arbitrate: outcome.invalid.append(agent.id)":
+    "world:referee: invalid.append(i)":
         "a masked-out action counts as invalid and as a reject, and "
-        "perfbench counts outcome.invalid "
+        "perfbench counts the outcome's invalid agents "
         "(test_invalid_action_flagged_as_reject)",
     "world:spawn_tasks: continue":
         "an interval that finds every slot live is consumed without a "

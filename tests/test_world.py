@@ -6,7 +6,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (RuleBasedStateMachine, invariant,
                                  precondition, rule,
@@ -21,8 +21,8 @@ from magnnet.world import (AgentStatus, COST_SCALE, DecisionOutcome, Episode,
                            SENTINEL_NORMALIZED_COST, STATUS_CODE, TaskStatus,
                            WorldConfig, advance, arbitrate, assign_tasks,
                            current_cost_matrix, init_episode, observation,
-                           slot_cost_array, spawn_tasks, step_rewards,
-                           terminal_bonus)
+                           referee,
+                           slot_cost_array, spawn_tasks, terminal_bonus)
 
 from helpers import decoded
 
@@ -449,20 +449,17 @@ class TestArbitration:
 class TestRewards:
     def test_shaping_values(self):
         st = init_episode(small_config(), 43)
-        out = arbitrate(st, [1, 2, 3, 4], *round_view(st))
-        r = step_rewards(out, st)
+        r = arbitrate(st, [1, 2, 3, 4], *round_view(st)).rewards
         assert np.allclose(r, 1.0)
 
     def test_conflict_loser_penalized(self):
         st = init_episode(small_config(), 47)
-        out = arbitrate(st, [1, 1, 0, 0], *round_view(st))
-        r = step_rewards(out, st)
+        r = arbitrate(st, [1, 1, 0, 0], *round_view(st)).rewards
         assert sorted(np.round(r[:2], 2)) == [-0.5, 1.0]
 
     def test_idle_reject_penalized(self):
         st = init_episode(small_config(), 53)
-        out = arbitrate(st, [0, 0, 0, 0], *round_view(st))
-        r = step_rewards(out, st)
+        r = arbitrate(st, [0, 0, 0, 0], *round_view(st)).rewards
         # every idle agent that could have requested gets -0.1
         cm, _ = current_cost_matrix(st)
         for i in range(4):
@@ -474,6 +471,148 @@ class TestRewards:
         assert terminal_bonus(10.0, 10.0) == pytest.approx(2.0)
         assert terminal_bonus(0.0, 10.0) == 0.0
         assert terminal_bonus(10.0, 0.0) == 0.0
+
+
+def step_rewards_reference(outcome, n_agents):
+    """The shaped rewards of a round as `world.step_rewards` gave them
+    before `referee` did, from an outcome's winners, conflicts and idle
+    rejections."""
+    rewards = np.zeros(n_agents)
+    winners = {a for a, _ in outcome.assignments}
+    for a, _ in outcome.assignments:
+        rewards[a] += world.WIN_REWARD
+    for _, contenders in outcome.conflicts:
+        for a in contenders:
+            if a not in winners:
+                rewards[a] += world.CONFLICT_PENALTY
+    for a in outcome.idle_rejects:
+        rewards[a] += world.IDLE_REJECT_PENALTY
+    return rewards
+
+
+def referee_reference(actions, masks, slot_costs):
+    """Each agent judged on its own: its slot if its mask allows its
+    action, its slot's requesters, and whether no rival is cheaper, or
+    as cheap with a lower id.  Returns (requests, winners, invalid, idle
+    rejects, rewards), the rewards by `step_rewards_reference`."""
+    n, width = masks.shape
+
+    def slot(i):
+        a = int(actions[i])
+        return a - 1 if 0 < a < width and masks[i, a] else None
+
+    outcome = DecisionOutcome()
+    requests, winners = {}, {}
+    for i in range(n):
+        s = slot(i)
+        if s is None:
+            if int(actions[i]) != 0:
+                outcome.invalid.append(i)
+            elif masks[i, 1:].any():
+                outcome.idle_rejects.append(i)
+            continue
+        rivals = [k for k in range(n) if slot(k) == s]
+        requests[s] = rivals
+        if all((slot_costs[i, s], i) <= (slot_costs[k, s], k)
+               for k in rivals):
+            winners[s] = i
+            outcome.assignments.append((i, s))
+            if len(rivals) > 1:
+                outcome.conflicts.append((s, rivals))
+    return (requests, winners, outcome.invalid, outcome.idle_rejects,
+            step_rewards_reference(outcome, n))
+
+
+@st.composite
+def rounds(draw):
+    """(actions, masks, slot costs) of a round of up to 20 agents and 20
+    slots: costs from a few values, so ties are common, and inf; masks
+    that allow some finite slots, with all-reject rows; actions that are
+    allowed requests, rejections, masked-out or unreachable requests and
+    indices out of range on either side."""
+    n, m = draw(st.integers(1, 20)), draw(st.integers(1, 20))
+    costs = np.array(draw(st.lists(
+        st.sampled_from([1.0, 2.0, 2.5, np.inf]), min_size=n * m,
+        max_size=n * m))).reshape(n, m)
+    allowed = np.array(draw(st.lists(st.booleans(), min_size=n * m,
+                                     max_size=n * m))).reshape(n, m)
+    masks = np.ones((n, m + 1), dtype=bool)
+    masks[:, 1:] = allowed & np.isfinite(costs)
+    for i in draw(st.lists(st.integers(0, n - 1), max_size=n)):
+        masks[i, 1:] = False
+    actions = []
+    for i in range(n):
+        options = np.flatnonzero(masks[i, 1:]) + 1
+        if len(options) and draw(st.booleans()):
+            actions.append(int(options[draw(st.integers(0, len(options) - 1))]))
+        else:
+            actions.append(draw(st.integers(-2, m + 2)))
+    return actions, masks, costs
+
+
+class TestReferee:
+    @settings(max_examples=300, deadline=None)
+    @given(rounds())
+    def test_equals_per_agent_reference(self, round_):
+        actions, masks, costs = round_
+        given_in = copy.deepcopy(round_)
+        ruling = referee(actions, masks, costs)
+        requests, winners, invalid, idle_rejects, rewards = \
+            referee_reference(actions, masks, costs)
+        assert ruling.requests == requests
+        assert ruling.winners == winners
+        assert (ruling.invalid, ruling.idle_rejects) == (invalid, idle_rejects)
+        assert ruling.rewards.dtype == rewards.dtype
+        assert ruling.rewards.tobytes() == rewards.tobytes()
+        # pure: the inputs stay as they were, and a second call agrees
+        assert actions == given_in[0]
+        assert np.array_equal(masks, given_in[1])
+        assert np.array_equal(costs, given_in[2])
+        again = referee(actions, masks, costs)
+        assert again.rewards.tobytes() == ruling.rewards.tobytes()
+        assert (again.requests, again.winners) == (requests, winners)
+
+    def test_arbitrate_is_the_ruling_by_task_id(self):
+        """Dynamic episodes with slots reused out of task-id order and
+        drawn valid, rejecting and invalid actions: every round's outcome
+        is the ruling taken before it, re-keyed by task id in ascending
+        order, with the same invalid agents, idle rejects and rewards."""
+        seen = Counter()
+        config = small_config(n_agents=6, n_ground=3, n_aerial=3,
+                              task_interval=1.0, step_cap=60.0)
+        for seed in range(4):
+            ep = Episode(config, seed)
+            rng = np.random.default_rng(seed)
+            while not ep.terminated:
+                if ep.decision_due():
+                    ep.observe()
+                    slot_costs, masks = ep._observed
+                    actions = [int(rng.choice(np.flatnonzero(mask)))
+                               if rng.random() < 0.9
+                               else int(rng.integers(-1, len(mask) + 1))
+                               for mask in masks]
+                    slots = list(ep.state.slots)
+                    ruling = referee(actions, masks, slot_costs)
+                    out, rewards = ep.act(actions)
+                    order = sorted(ruling.winners, key=slots.__getitem__)
+                    assert out.requests == {
+                        slots[s]: ruling.requests[s] for s in order}
+                    assert list(out.requests) == [slots[s] for s in order]
+                    assert out.assignments == [
+                        (ruling.winners[s], slots[s]) for s in order]
+                    assert out.conflicts == [
+                        (slots[s], ruling.requests[s]) for s in order
+                        if len(ruling.requests[s]) > 1]
+                    assert out.invalid == ruling.invalid
+                    assert out.idle_rejects == ruling.idle_rejects
+                    assert rewards is out.rewards
+                    assert rewards.tobytes() == ruling.rewards.tobytes()
+                    seen["conflicts"] += len(out.conflicts)
+                    seen["invalid"] += len(out.invalid)
+                    seen["reordered"] += order != sorted(order)
+                ep.tick()
+        assert all(seen[k] for k in ("conflicts", "invalid", "reordered")), \
+            seen
 
 
 class TestMotion:

@@ -41,6 +41,12 @@ perfbench/calibrate.py over the run's own `probe_s`, the median of its
 untraced pass's speed probes.  Each side of `layers` also keeps the raw
 sums and the probes.
 
+A later --pairs command against the same REV, with the same run length
+and the same --layers (or none), appends its pairs to that block: their
+alternation continues the block's, and every figure above is computed
+again over all recorded pairs.  Another REV, run length or layer list
+replaces the block.
+
 Either form refuses, and writes nothing, when the tree has changes
 outside BENCH_*.json (the stamped commit must be the code that was
 measured), when a run exits nonzero, when a run's last line lacks
@@ -149,18 +155,27 @@ def figure(summary: dict, stdout: str, name: str) -> float:
 
 
 def record_pairs(workload: str, pairs: int, run, layers=(),
-                 seconds: float = SECONDS) -> dict:
+                 seconds: float = SECONDS, earlier=None) -> dict:
     """`pairs` pairs of runs of `workload`, one on each side, with
     `run(side, workload) -> (returncode, stdout)` for side "head" or
     "base"; HEAD runs first in even pairs.  With `layers`, the runs are
     traced, and each also gives the sum of those layers' traced
-    `<layer>.self_s`, raw and at reference speed.  Returns the `pairs`
-    entry without the base commit.  Refused if a run did not pass or
-    lacks a figure."""
+    `<layer>.self_s`, raw and at reference speed.  `earlier`, a `pairs`
+    entry of the same run length and layers, holds pairs that come
+    first: the new pairs are numbered after them, and every figure is
+    computed over all of them.  Returns the `pairs` entry without the
+    base commit.  Refused if a run did not pass or lacks a figure."""
     sides = ("head", "base")
     work, layer_s, probe_s = ({s: [] for s in sides} for _ in range(3))
     digests = {s: set() for s in sides}
-    for k in range(pairs):
+    for side in sides if earlier else ():
+        work[side] += earlier[side]["values"]
+        digests[side].update(earlier[side]["digests"])
+        if layers:
+            layer_s[side] += earlier["layers"][side]["raw_s"]
+            probe_s[side] += earlier["layers"][side]["probe_s"]
+    first = len(work["head"])
+    for k in range(first, first + pairs):
         for side in sides if k % 2 == 0 else sides[::-1]:
             returncode, stdout = run(side, workload)
             summary = run_summary(f"{workload} ({side})", returncode, stdout)
@@ -252,6 +267,16 @@ def extract(commit: str, into: str) -> None:
         tar.extractall(into, **safe)
 
 
+def same_block(recorded: dict, base_commit: str, seconds: float,
+               layers) -> bool:
+    """Whether a recorded `pairs` entry is a block that new pairs against
+    `base_commit` of `seconds` each, summing `layers`, extend."""
+    return (recorded.get("base_commit") == base_commit
+            and recorded.get("seconds") == seconds
+            and recorded.get("trace") == int(bool(layers))
+            and recorded.get("layers", {}).get("names", []) == list(layers))
+
+
 def pairs_main(base: str, pairs: int, workload: str, layers: list,
                seconds: float) -> int:
     path = os.path.join(ROOT, f"BENCH_{workload}.json")
@@ -267,6 +292,9 @@ def pairs_main(base: str, pairs: int, workload: str, layers: list,
               f"HEAD; run bench_record.py without flags first",
               file=sys.stderr)
         return 1
+    earlier = entry.get("pairs")
+    if not (earlier and same_block(earlier, base_commit, seconds, layers)):
+        earlier = None
     with tempfile.TemporaryDirectory(prefix="bench_head_") as head_dir, \
             tempfile.TemporaryDirectory(prefix="bench_base_") as base_dir:
         sides = {"head": head_dir, "base": base_dir}
@@ -278,14 +306,16 @@ def pairs_main(base: str, pairs: int, workload: str, layers: list,
                 lambda side, w: run_workload(w, trace=int(bool(layers)),
                                              root=sides[side],
                                              seconds=seconds),
-                layers, seconds)
+                layers, seconds, earlier)
         except Refused as exc:
             print(f"bench_record: {exc}; nothing written", file=sys.stderr)
             return 1
     entry["pairs"] = {"base_commit": base_commit, **recorded}
     write_bench(ROOT, workload, entry)
-    print(f"wrote pairs into {os.path.relpath(path, ROOT)}: HEAD won "
-          f"{recorded['head_wins']} of {pairs} (sign test p = "
+    total = len(recorded["ratios"])
+    print(f"wrote {pairs} pairs into {os.path.relpath(path, ROOT)}"
+          f"{f' after {total - pairs} recorded' if earlier else ''}: "
+          f"HEAD won {recorded['head_wins']} of {total} (sign test p = "
           f"{recorded['sign_test_p']:.3g}), digests "
           f"{'agree' if recorded['digests_agree'] else 'DIFFER'}, "
           f"median {METRIC} "
@@ -294,7 +324,7 @@ def pairs_main(base: str, pairs: int, workload: str, layers: list,
     if layers:
         summed = recorded["layers"]
         print(f"traced self time of {', '.join(layers)} at reference "
-              f"speed: HEAD won {summed['head_wins']} of {pairs} (sign "
+              f"speed: HEAD won {summed['head_wins']} of {total} (sign "
               f"test p = {summed['sign_test_p']:.3g}), median "
               f"{summed['head']['median']:.6g} / "
               f"{summed['base']['median']:.6g} s")
