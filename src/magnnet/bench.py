@@ -85,6 +85,9 @@ class ScenarioSpec:
         if self.seed_base < 0:
             raise ValueError("seed_base must be >= 0")
         self.methods = tuple(self.methods)
+        # with no method, `bench` would write a report with no row
+        if not self.methods:
+            raise ValueError("methods must list at least one method")
         # a repeated entry would merge two cells into one report row
         for name in ("methods", "n_agents"):
             values = getattr(self, name)
@@ -179,11 +182,10 @@ def _agent_local_conflicts(cm, picker) -> list:
             row = np.where(masks[i, 1:], cm.entries[i], np.inf)
             actions[i] = picker(row) + 1
         ruling = referee(actions, masks, cm.entries)
-        if not ruling.winners:
+        if not ruling.assignments:
             return sorted(contested)
-        contested.update(j for j, agents in ruling.requests.items()
-                         if len(agents) > 1)
-        for j, winner in ruling.winners.items():
+        contested.update(ruling.conflicts)
+        for j, winner in ruling.assignments.items():
             masks[winner, 1:] = masks[:, j + 1] = False
 
 
@@ -263,8 +265,11 @@ def run_episode_magnnet(config: WorldConfig, seed: int,
     model.check_scenario(config.m_max)
     ep = Episode(config, seed)
     alloc_wall = sum((step.wall_s for step in play([ep], policy(model))), 0.0)
+    # every contested task has a loser, so these are the contested tasks
+    contested = {e["task"] for e in ep.state.log
+                 if e["event"] == "conflict_lost"}
     return EpisodeLog("magnnet", config.n_agents, len(ep.state.tasks),
-                      sorted(ep.state.contested_tasks), ep.achieved_total(),
+                      sorted(contested), ep.achieved_total(),
                       alloc_wall, _assigned_path_lengths(ep))
 
 

@@ -214,7 +214,8 @@ def play(episodes: list, decide):
             t0 = time.perf_counter()
             rounds = [(episodes[k], *episodes[k].observe()[:3]) for k in due]
             picks = decide(rounds)
-            rewards = [episodes[k].act(p[0])[1] for k, p in zip(due, picks)]
+            rewards = [episodes[k].act(p[0]).rewards
+                       for k, p in zip(due, picks)]
             wall_s = (time.perf_counter() - t0) / len(due)
             for k, (_, obs, masks, _), (actions, logps, value, graph), r \
                     in zip(due, rounds, picks, rewards):

@@ -11,8 +11,10 @@ A round is `Episode.observe` (the one cost matrix of the round, laid
 out by slot, and the action masks drawn from it), then `Episode.act`
 (`arbitrate` by those masks and slot costs), then `Episode.tick`; the
 one loop that plays decided rounds is the driver `ppo.play`.  The
-round's rule is the pure function `referee`: `arbitrate` applies its
-ruling, and `bench` replays it for the baselines' simulated rounds.
+round's rule is the pure function `referee`, and its `Ruling`, keyed by
+observation slot, is the one record of a round: `arbitrate` applies it
+to the episode and returns it, `act` returns it, and `bench` replays
+`referee` for the baselines' simulated rounds.
 """
 
 from __future__ import annotations
@@ -162,20 +164,16 @@ class WorldConfig:
 class Ruling:
     """One round's ruling by `referee`, keyed by observation slot."""
     requests: dict          # slot -> requesting agent ids, ascending
-    winners: dict           # slot -> the requester it goes to
+    assignments: dict       # slot -> the requester it goes to
     invalid: list           # agents whose action the mask forbids
     idle_rejects: list      # rejected while a request was allowed
     rewards: np.ndarray     # each agent's shaped reward
 
-
-@dataclass
-class DecisionOutcome:
-    assignments: list = field(default_factory=list)   # (agent id, task id)
-    conflicts: list = field(default_factory=list)     # (task id, [agent ids])
-    invalid: list = field(default_factory=list)       # invalid action -> reject
-    idle_rejects: list = field(default_factory=list)  # unjustified rejections
-    requests: dict = field(default_factory=dict)      # task id -> [agent ids]
-    rewards: np.ndarray | None = None                 # the ruling's rewards
+    @property
+    def conflicts(self) -> dict:
+        """The contested slots: slot -> its two or more requesters."""
+        return {s: agents for s, agents in self.requests.items()
+                if len(agents) > 1}
 
 
 @dataclass
@@ -191,7 +189,6 @@ class EpisodeState:
     slots: list = field(default_factory=list)   # slot -> task id or None
     log: list = field(default_factory=list)
     intervals_consumed: int = 0
-    contested_tasks: set = field(default_factory=set)
     # `live_slots()` until the next `replace_slot`
     _live: list | None = field(default=None, init=False, repr=False,
                                compare=False)
@@ -388,7 +385,7 @@ def referee(actions, masks: np.ndarray, slot_costs: np.ndarray) -> Ruling:
     the lower id).  Rewards: WIN_REWARD to a winner, CONFLICT_PENALTY to
     a loser, IDLE_REJECT_PENALTY to an idle rejection, else 0."""
     could_request = masks[:, 1:].any(axis=1)
-    requests, winners, invalid, idle_rejects = {}, {}, [], []
+    requests, assignments, invalid, idle_rejects = {}, {}, [], []
     rewards = np.zeros(len(masks))
     for i in range(len(masks)):
         action = int(actions[i])
@@ -401,37 +398,31 @@ def referee(actions, masks: np.ndarray, slot_costs: np.ndarray) -> Ruling:
         else:
             invalid.append(i)
     for slot, contenders in requests.items():
-        winners[slot] = min(contenders, key=lambda a: (slot_costs[a, slot], a))
+        assignments[slot] = winner = min(
+            contenders, key=lambda a: (slot_costs[a, slot], a))
         rewards[contenders] = CONFLICT_PENALTY
-        rewards[winners[slot]] = WIN_REWARD
-    return Ruling(requests, winners, invalid, idle_rejects, rewards)
+        rewards[winner] = WIN_REWARD
+    return Ruling(requests, assignments, invalid, idle_rejects, rewards)
 
 
 def arbitrate(state: EpisodeState, actions, slot_costs: np.ndarray,
-              masks: np.ndarray) -> DecisionOutcome:
+              masks: np.ndarray) -> Ruling:
     """Apply `referee`'s ruling to the episode in ascending task-id order:
-    contested tasks with their losers' `conflict_lost` entries, then the
-    winners' tasks and walked paths.  Returns the ruling by task id."""
+    a contested task's losers' `conflict_lost` entries, then the winners'
+    tasks and walked paths (`assign_tasks`).  Returns the ruling."""
     ruling = referee(actions, masks, slot_costs)
-    outcome = DecisionOutcome(invalid=ruling.invalid, rewards=ruling.rewards,
-                              idle_rejects=ruling.idle_rejects)
     picks = []
-    for slot in sorted(ruling.winners, key=state.slots.__getitem__):
-        tid, winner = state.slots[slot], ruling.winners[slot]
-        outcome.requests[tid] = contenders = ruling.requests[slot]
-        if len(contenders) > 1:
-            outcome.conflicts.append((tid, contenders))
-            state.contested_tasks.add(tid)
-            for a in contenders:
-                if a != winner:
-                    state.record("conflict_lost", agent=a, task=tid)
+    for slot in sorted(ruling.assignments, key=state.slots.__getitem__):
+        tid, winner = state.slots[slot], ruling.assignments[slot]
+        for a in ruling.requests[slot]:
+            if a != winner:
+                state.record("conflict_lost", agent=a, task=tid)
         agent = state.agent(winner)
         picks.append((winner, tid, float(slot_costs[winner, slot]),
                       state.dist_cache.path(slot, agent.motion_model,
                                             agent.position)))
-        outcome.assignments.append((winner, tid))
     assign_tasks(state, picks)
-    return outcome
+    return ruling
 
 
 def terminal_bonus(optimal_total: float, achieved_total: float) -> float:
@@ -572,15 +563,15 @@ class Episode:
         self._observed = (slot_costs, masks)
         return obs, masks, cm, task_ids
 
-    def act(self, actions) -> tuple[DecisionOutcome, np.ndarray]:
+    def act(self, actions) -> Ruling:
         """Arbitrate `actions` by the masks and slot costs `observe` showed
-        this round; returns the outcome and the ruling's rewards."""
+        this round; returns the ruling."""
         if self._observed is None:
             raise RuntimeError("act needs an observe since the last act "
                                "or tick")
-        outcome = arbitrate(self.state, actions, *self._observed)
+        ruling = arbitrate(self.state, actions, *self._observed)
         self._observed = None
-        return outcome, outcome.rewards
+        return ruling
 
     def tick(self) -> None:
         self._observed = None

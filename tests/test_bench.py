@@ -70,15 +70,16 @@ class TestScenarioSpec:
         with pytest.raises(ValueError):
             ScenarioSpec(methods=("oracle",))
 
-    # episodes=0 used to reach run_benchmark and fail with a KeyError
+    # episodes=0 used to reach run_benchmark and fail with a KeyError, and
+    # no method wrote a report with no row
     @pytest.mark.parametrize("kw", [
         dict(episodes=0), dict(n_agents=()), dict(n_agents=(0,)),
-        dict(n_agents=(4, -1)), dict(seed_base=-1)],
+        dict(n_agents=(4, -1)), dict(seed_base=-1), dict(methods=())],
         ids=["episodes-0", "n_agents-empty", "n_agents-0", "n_agents-neg",
-             "seed_base-neg"])
+             "seed_base-neg", "methods-empty"])
     def test_empty_sweep_rejected(self, kw):
         with pytest.raises(ValueError):
-            ScenarioSpec(methods=("hungarian",), **kw)
+            ScenarioSpec(**{"methods": ("hungarian",), **kw})
 
     # a repeated entry used to merge cells: ("greedy", "greedy") x (3, 3)
     # reported 4 identical rows, each claiming 4 episodes
@@ -206,9 +207,12 @@ class TestLocalConflicts:
 
 def reference_magnnet_episode(config, seed, model):
     """The round loop `run_episode_magnnet` ran before `ppo.play` took it
-    over: the reference whose log the driver must reproduce."""
+    over: the reference whose log the driver must reproduce.  Its
+    contested tasks are those of the rulings' contested slots, where
+    `run_episode_magnnet` reads the episode log's `conflict_lost` tasks."""
     ep = Episode(config, seed)
     rng = np.random.default_rng(seed)
+    contested = set()
     while not ep.terminated:
         if ep.decision_due():
             obs, masks, cm, _ = ep.observe()
@@ -217,10 +221,11 @@ def reference_magnnet_episode(config, seed, model):
                 dist, _ = _forward_steps(model, [graph], obs, masks,
                                          with_value=False)
                 actions, _ = sample_action(dist, rng, greedy=True)
-            ep.act(actions)
+            ruling = ep.act(actions)
+            contested.update(ep.state.slots[s] for s in ruling.conflicts)
         ep.tick()
     return EpisodeLog("magnnet", config.n_agents, len(ep.state.tasks),
-                      sorted(ep.state.contested_tasks), ep.achieved_total(),
+                      sorted(contested), ep.achieved_total(),
                       0.0, bench._assigned_path_lengths(ep))
 
 

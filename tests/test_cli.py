@@ -167,6 +167,19 @@ class TestBench:
         assert isinstance(result.exception, SystemExit)
         assert not out.exists()
 
+    def test_bench_without_methods_is_one_error_line(self, tmp_path):
+        """`eval` and `planner-compare` fix their methods; `bench` on a
+        spec listing none used to write a report with no row and exit 0."""
+        scenario = tmp_path / "spec.json"
+        scenario.write_text(json.dumps({**TINY_SPEC, "methods": []}))
+        out = tmp_path / "out"
+        result = CliRunner().invoke(main, ["bench", str(scenario),
+                                           "--out", str(out)])
+        assert result.exit_code == 1
+        assert result.output.splitlines() == [
+            f"Error: {scenario}: methods must list at least one method"]
+        assert not out.exists()
+
     def test_eval_parallel_zero_is_a_usage_error(self, spec_path, tmp_path):
         result = CliRunner().invoke(main, ["eval", CHECKPOINT, spec_path,
                                            "--parallel", "0",

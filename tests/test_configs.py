@@ -349,7 +349,7 @@ REACH_ALLOWANCE = {
         "the placement count, as above",
     "world:referee: invalid.append(i)":
         "a masked-out action counts as invalid and as a reject, and "
-        "perfbench counts the outcome's invalid agents "
+        "perfbench counts the ruling's invalid agents "
         "(test_invalid_action_flagged_as_reject)",
     "world:spawn_tasks: continue":
         "an interval that finds every slot live is consumed without a "

@@ -3,6 +3,7 @@ rewards, motion, spawning and episode lifecycle."""
 
 import copy
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,14 +18,14 @@ from magnnet.assign import CostMatrix
 from magnnet.errors import PlacementError
 from magnnet.gnn import build_graph
 from magnnet.pathplan import MotionModel, Path, distance_field
-from magnnet.world import (AgentStatus, COST_SCALE, DecisionOutcome, Episode,
+from magnnet.world import (AgentStatus, COST_SCALE, Episode,
                            SENTINEL_NORMALIZED_COST, STATUS_CODE, TaskStatus,
                            WorldConfig, advance, arbitrate, assign_tasks,
                            current_cost_matrix, init_episode, observation,
                            referee,
                            slot_cost_array, spawn_tasks, terminal_bonus)
 
-from helpers import decoded
+from helpers import decoded, load_tracer
 
 
 def local_observation_reference(state, agent_id, slot_costs):
@@ -348,9 +349,12 @@ class TestAgentStatus:
 
 def arbitrate_reference(state, actions, cm, task_ids):
     """`arbitrate` as it was with the Waiting tasks rescanned for every
-    idle agent that rejects: the reference that `arbitrate` must equal."""
+    idle agent that rejects and the requests gathered by task id: the
+    reference that `arbitrate` must equal.  Its requests, assignments and
+    contests are keyed by slot, as a `Ruling` keys them."""
     col = {tid: j for j, tid in enumerate(task_ids)}
-    outcome = DecisionOutcome()
+    outcome = SimpleNamespace(requests={}, assignments={}, conflicts={},
+                              invalid=[], idle_rejects=[])
 
     requests = {}
     for i, agent in enumerate(state.agents):
@@ -377,20 +381,19 @@ def arbitrate_reference(state, actions, cm, task_ids):
     picks = []
     for tid in sorted(requests):
         contenders = sorted(requests[tid])
-        outcome.requests[tid] = contenders
+        slot = state.slots.index(tid)
+        outcome.requests[slot] = contenders
         winner = min(contenders, key=lambda a: (cm.entries[a, col[tid]], a))
         if len(contenders) > 1:
-            outcome.conflicts.append((tid, contenders))
-            state.contested_tasks.add(tid)
+            outcome.conflicts[slot] = contenders
             for a in contenders:
                 if a != winner:
                     state.record("conflict_lost", agent=a, task=tid)
         agent = state.agent(winner)
         picks.append((winner, tid, float(cm.entries[winner, col[tid]]),
-                      state.dist_cache.path(state.slots.index(tid),
-                                            agent.motion_model,
+                      state.dist_cache.path(slot, agent.motion_model,
                                             agent.position)))
-        outcome.assignments.append((winner, tid))
+        outcome.assignments[slot] = winner
     assign_tasks(state, picks)
     return outcome
 
@@ -399,11 +402,11 @@ class TestArbitration:
     def test_uncontested_requests_win(self):
         st = init_episode(small_config(), 29)
         out = arbitrate(st, [1, 2, 3, 4], *round_view(st))
-        assert len(out.assignments) == 4
+        assert out.assignments == {0: 0, 1: 1, 2: 2, 3: 3}
         assert not out.conflicts
-        for aid, tid in out.assignments:
+        for slot, aid in out.assignments.items():
             assert st.agent(aid).status is AgentStatus.ASSIGN
-            assert st.task(tid).status is TaskStatus.ASSIGNED
+            assert st.task(st.slots[slot]).status is TaskStatus.ASSIGNED
 
     def test_contested_goes_to_cheapest(self):
         st = init_episode(small_config(), 31)
@@ -416,9 +419,11 @@ class TestArbitration:
         tid = st.slots[slot]
         winner = min(contenders, key=lambda i: (sc[i][slot],
                                                 st.agents[i].id))
-        assert (st.agents[winner].id, tid) in out.assignments
-        assert out.conflicts and out.conflicts[0][0] == tid
-        assert tid in st.contested_tasks
+        assert out.assignments == {slot: winner}
+        assert out.conflicts == {slot: contenders}
+        assert [(e["agent"], e["task"]) for e in st.log
+                if e["event"] == "conflict_lost"] == [
+            (i, tid) for i in contenders if i != winner]
         for i in contenders:
             if i != winner:
                 assert st.agents[i].status is AgentStatus.IDLE
@@ -428,7 +433,7 @@ class TestArbitration:
         # force an exact tie between agents 2 and 3 on task slot 0
         st.agents[3].position = st.agents[2].position
         out = arbitrate(st, [0, 0, 1, 1], *round_view(st))
-        assert out.assignments == [(2, st.slots[0])]
+        assert out.assignments == {0: 2}
 
     def test_invalid_action_flagged_as_reject(self):
         st = init_episode(small_config(), 41)
@@ -442,8 +447,9 @@ class TestArbitration:
         for seed in range(10):
             st = init_episode(small_config(), 100 + seed)
             out = arbitrate(st, [1, 1, 1, 1], *round_view(st))
-            tasks = [t for _, t in out.assignments]
-            assert len(set(tasks)) == len(tasks) <= 1
+            assigned = [t for t in st.tasks
+                        if t.status is TaskStatus.ASSIGNED]
+            assert len(assigned) == len(out.assignments) <= 1
 
 
 class TestRewards:
@@ -501,7 +507,8 @@ def referee_reference(actions, masks, slot_costs):
         a = int(actions[i])
         return a - 1 if 0 < a < width and masks[i, a] else None
 
-    outcome = DecisionOutcome()
+    outcome = SimpleNamespace(assignments=[], conflicts=[], invalid=[],
+                              idle_rejects=[])
     requests, winners = {}, {}
     for i in range(n):
         s = slot(i)
@@ -560,7 +567,9 @@ class TestReferee:
         requests, winners, invalid, idle_rejects, rewards = \
             referee_reference(actions, masks, costs)
         assert ruling.requests == requests
-        assert ruling.winners == winners
+        assert ruling.assignments == winners
+        assert ruling.conflicts == {s: rivals for s, rivals in requests.items()
+                                    if len(rivals) > 1}
         assert (ruling.invalid, ruling.idle_rejects) == (invalid, idle_rejects)
         assert ruling.rewards.dtype == rewards.dtype
         assert ruling.rewards.tobytes() == rewards.tobytes()
@@ -570,13 +579,15 @@ class TestReferee:
         assert np.array_equal(costs, given_in[2])
         again = referee(actions, masks, costs)
         assert again.rewards.tobytes() == ruling.rewards.tobytes()
-        assert (again.requests, again.winners) == (requests, winners)
+        assert (again.requests, again.assignments) == (requests, winners)
 
-    def test_arbitrate_is_the_ruling_by_task_id(self):
+    def test_act_returns_the_referees_ruling(self):
         """Dynamic episodes with slots reused out of task-id order and
-        drawn valid, rejecting and invalid actions: every round's outcome
-        is the ruling taken before it, re-keyed by task id in ascending
-        order, with the same invalid agents, idle rejects and rewards."""
+        drawn valid, rejecting and invalid actions: every round's `act`
+        returns `referee`'s ruling on the masks `observe` returned and
+        the slot costs of its cost matrix, and the round's new
+        `conflict_lost` entries name each contested slot's task with its
+        losers, in ascending task-id order."""
         seen = Counter()
         config = small_config(n_agents=6, n_ground=3, n_aerial=3,
                               task_interval=1.0, step_cap=60.0)
@@ -585,34 +596,81 @@ class TestReferee:
             rng = np.random.default_rng(seed)
             while not ep.terminated:
                 if ep.decision_due():
-                    ep.observe()
-                    slot_costs, masks = ep._observed
+                    _, masks, cm, _ = ep.observe()
+                    slot_costs = slot_cost_array(ep.state, cm)
                     actions = [int(rng.choice(np.flatnonzero(mask)))
                                if rng.random() < 0.9
                                else int(rng.integers(-1, len(mask) + 1))
                                for mask in masks]
-                    slots = list(ep.state.slots)
-                    ruling = referee(actions, masks, slot_costs)
-                    out, rewards = ep.act(actions)
-                    order = sorted(ruling.winners, key=slots.__getitem__)
-                    assert out.requests == {
-                        slots[s]: ruling.requests[s] for s in order}
-                    assert list(out.requests) == [slots[s] for s in order]
-                    assert out.assignments == [
-                        (ruling.winners[s], slots[s]) for s in order]
-                    assert out.conflicts == [
-                        (slots[s], ruling.requests[s]) for s in order
-                        if len(ruling.requests[s]) > 1]
-                    assert out.invalid == ruling.invalid
-                    assert out.idle_rejects == ruling.idle_rejects
-                    assert rewards is out.rewards
-                    assert rewards.tobytes() == ruling.rewards.tobytes()
-                    seen["conflicts"] += len(out.conflicts)
-                    seen["invalid"] += len(out.invalid)
+                    slots, first = list(ep.state.slots), len(ep.state.log)
+                    want = referee(actions, masks, slot_costs)
+                    ruling = ep.act(actions)
+                    assert ruling.requests == want.requests
+                    assert ruling.assignments == want.assignments
+                    assert ruling.invalid == want.invalid
+                    assert ruling.idle_rejects == want.idle_rejects
+                    assert ruling.rewards.dtype == want.rewards.dtype
+                    assert ruling.rewards.tobytes() == want.rewards.tobytes()
+                    lost = [(e["task"], e["agent"])
+                            for e in ep.state.log[first:]
+                            if e["event"] == "conflict_lost"]
+                    order = sorted(want.conflicts, key=slots.__getitem__)
+                    assert lost == [
+                        (slots[s], a) for s in order
+                        for a in want.conflicts[s]
+                        if a != want.assignments[s]]
+                    assert {t for t, _ in lost} == {slots[s] for s in order}
+                    seen["conflicts"] += len(want.conflicts)
+                    seen["invalid"] += len(want.invalid)
                     seen["reordered"] += order != sorted(order)
                 ep.tick()
         assert all(seen[k] for k in ("conflicts", "invalid", "reordered")), \
             seen
+
+
+def test_perfbench_arbitrate_counts_read_the_ruling():
+    """perfbench counts a round's contests, invalid actions, assignments
+    and valid requests from what `arbitrate` returns: on drawn rounds of
+    8 agents and 3 tasks, crowded onto a favourite slot, with masked-out
+    slots, coarse costs that tie, rejections and invalid and
+    out-of-range actions, the counts equal a recount from the actions
+    and masks alone."""
+    tracer_module = load_tracer()
+    rng = np.random.default_rng(5)
+    config = small_config(n_agents=8, n_ground=4, n_aerial=4,
+                          n_tasks_initial=3)
+    seen = Counter()
+    for seed in range(60):
+        state = init_episode(config, seed)
+        slot_costs, masks = round_view(state)
+        masks[:, 1:] &= rng.random(masks[:, 1:].shape) < 0.8
+        if rng.random() < 0.5:
+            slot_costs = np.floor(slot_costs / 5.0)
+        width, favourite = masks.shape[1], int(rng.integers(1, 4))
+        actions = [int(rng.choice([favourite, favourite, 0,
+                                   rng.integers(-2, width + 2)]))
+                   for _ in range(len(masks))]
+        tracer = tracer_module.Tracer()
+        tracer_module._after_arbitrate(
+            tracer, arbitrate(state, actions, slot_costs, masks))
+        requests = Counter(a for i, a in enumerate(actions)
+                           if 0 < a < width and masks[i, a])
+        assert dict(tracer.counters) == {
+            "world.arbitrate.contests": sum(n > 1 for n in requests.values()),
+            "world.arbitrate.invalid": sum(
+                a != 0 for a in actions) - requests.total(),
+            "world.arbitrate.assignments": len(requests),
+            "world.arbitrate.valid_requests": requests.total()}
+        seen["contests"] += any(n > 1 for n in requests.values())
+        seen["masked"] += any(0 < a < width and not masks[i, a]
+                              for i, a in enumerate(actions))
+        seen["out of range"] += any(not 0 <= a < width for a in actions)
+        for a, n in requests.items():
+            costs = sorted(slot_costs[i, a - 1] for i, b in enumerate(actions)
+                           if b == a and masks[i, a])
+            seen["ties"] += n > 1 and costs[0] == costs[1]
+    assert all(seen[k] > 5 for k in ("contests", "masked", "out of range",
+                                     "ties")), seen
 
 
 class TestMotion:
@@ -906,13 +964,14 @@ class EpisodeMachine(RuleBasedStateMachine):
             out = arbitrate(state, actions, sc, observation(state, sc)[1])
             self.tally["knocked"] += 1
         else:
-            out, _ = self.ep.act(actions)
+            out = self.ep.act(actions)
         for name in ("idle_rejects", "invalid", "conflicts", "assignments"):
             assert getattr(out, name) == getattr(ref, name), name
             self.tally[name] += len(getattr(out, name))
         col = {tid: j for j, tid in enumerate(ids)}
-        for tid, contenders in out.conflicts:
-            costs = sorted(cm.entries[a, col[tid]] for a in contenders)
+        for slot, contenders in out.conflicts.items():
+            costs = sorted(cm.entries[a, col[state.slots[slot]]]
+                           for a in contenders)
             self.tally["tied contests"] += int(costs[0] == costs[1])
         assert out.requests == ref.requests
         assert [a.status for a in state.agents] == \
